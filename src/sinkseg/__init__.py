@@ -58,9 +58,6 @@ from .segmenter import (
     ProbabilityMask,
     ReplayBackend,
     SegmentationOutcome,
-    depression_echo_backend,
-    http_backend,
-    replay_backend,
     segment_patch,
 )
 from .synth import SynthScene, brute_force_fill, gen_terrain
@@ -103,7 +100,6 @@ __all__ = [
     "combined_loss",
     "components_from_mask",
     "depression_depth",
-    "depression_echo_backend",
     "detection_curve",
     "dice_loss",
     "evaluate_masks",
@@ -111,7 +107,6 @@ __all__ = [
     "fill_depressions",
     "filter_components",
     "gen_terrain",
-    "http_backend",
     "invert_depth",
     "label_components",
     "metrics_from_confusion",
@@ -120,7 +115,6 @@ __all__ = [
     "plan_tiles",
     "read_ascii_grid",
     "read_ascii_mask",
-    "replay_backend",
     "segment_patch",
     "stitch",
     "subtract",

@@ -1,35 +1,34 @@
 """Depression filling for elevation rasters.
 
-The filler is a priority-flood sweep: every outlet cell (a valid cell on the
-raster edge, or one that touches a nodata cell in 8-connectivity) is seeded
-into a min-priority queue keyed by ``(elevation, insertion order)``.  Cells
-are popped lowest-first; each unvisited valid neighbour is raised to at least
-the spill level of the popped cell and pushed.  Each cell enters the queue
-exactly once, so the sweep is O(n log n) and the result is the unique lowest
-surface that is >= the input everywhere, equals it at the outlets, and leaves
-no cell below all of its 8 neighbours.
+Water leaves the grid through outlet cells: valid cells on the raster edge or
+touching a nodata cell in 8-connectivity.  The filled level of a cell is the
+lowest possible "highest elevation met" over all 8-connected paths from the
+cell to an outlet, i.e. its minimax (bottleneck) path value.  That surface is
+the unique lowest one that is >= the input everywhere, equals it at the
+outlets, and leaves no cell below all of its 8 neighbours: the surface that a
+priority flood (Barnes et al. 2014, *Computers & Geosciences* 62) builds.
 
-Two interchangeable engines produce bit-identical output: a numba-compiled
-kernel (used automatically when numba is importable) and a pure-Python
-fallback on heapq.
+Minimax paths between any two nodes of a weighted graph run along every
+minimum spanning tree of it (Hu 1961, the maximum-capacity route problem).
+So the fill is one compiled pass: rank the elevations, weight each
+8-neighbour edge by the higher rank of its two cells, join every outlet to a
+virtual outlet node, take a minimum spanning tree, and give each cell the
+running maximum of ranks on its tree path from the virtual node.  A diagonal
+edge with a detour through its 2x2 block that is no heavier is left out;
+that halves the graph on most terrain and changes no minimax value.  The
+level is an index into the sorted input elevations, so the output is exact:
+a raised cell takes the bits of the elevation that bounds it, and every
+other cell keeps its input bits.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoOutletError
 from .raster import Raster, subtract
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    _HAVE_NUMBA = False
 
 _NEIGHBOURS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -62,145 +61,104 @@ def _outlet_mask(valid: np.ndarray) -> np.ndarray:
     return valid & ~interior
 
 
-def _fill_python(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray) -> np.ndarray:
-    h, w = values.shape
-    rows = values.tolist()
-    valid_rows = valid.tolist()
-    visited = [row[:] for row in outlet.tolist()]
-    heap: list[tuple[float, int, int, int]] = []
-    order = 0
-    for r, c in zip(*(idx.tolist() for idx in np.nonzero(outlet))):
-        heapq.heappush(heap, (rows[r][c], order, r, c))
-        order += 1
-    while heap:
-        spill, _, r, c = heapq.heappop(heap)
-        for dr, dc in _NEIGHBOURS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and valid_rows[nr][nc] and not visited[nr][nc]:
-                visited[nr][nc] = True
-                level = rows[nr][nc]
-                if level < spill:
-                    level = spill
-                    rows[nr][nc] = level
-                heapq.heappush(heap, (level, order, nr, nc))
-                order += 1
-    return np.array(rows, dtype=np.float64)
+def _kept_diagonals(rank, valid, a, b, c, d) -> np.ndarray:
+    """Where the diagonal edge between corners *a* and *b* of a 2x2 block is kept.
+
+    The detour over one of the other corners *c*, *d* weighs ``max(rank a,
+    rank b, rank c)``: no more than the diagonal itself unless that corner is
+    higher than both ends.  The diagonal is dropped when either corner gives
+    such a detour, which runs over 4-neighbour edges, all kept, so no minimax
+    path value changes.  A nodata corner (rank 0) makes *a* and *b* outlets,
+    joined through the virtual node at the diagonal's own weight, so that
+    diagonal is dropped too.
+    """
+    top = np.maximum(rank[a], rank[b])
+    return valid[a] & valid[b] & (rank[c] > top) & (rank[d] > top)
 
 
-if _HAVE_NUMBA:
+def _spill_graph(rank: np.ndarray, valid: np.ndarray, outlet: np.ndarray):
+    """8-neighbour graph of the valid cells plus a virtual outlet node.
 
-    @njit(cache=True, nogil=True)
-    def _heap_sift_up(heap_e, heap_o, heap_p, i):
-        while i > 0:
-            parent = (i - 1) >> 1
-            if heap_e[parent] > heap_e[i] or (
-                heap_e[parent] == heap_e[i] and heap_o[parent] > heap_o[i]
-            ):
-                heap_e[parent], heap_e[i] = heap_e[i], heap_e[parent]
-                heap_o[parent], heap_o[i] = heap_o[i], heap_o[parent]
-                heap_p[parent], heap_p[i] = heap_p[i], heap_p[parent]
-                i = parent
-            else:
-                break
+    Node ``r * w + c`` is cell (r, c) and node ``h * w`` the virtual outlet.
+    Each cell row of the CSR matrix lists its east, south-west, south and
+    south-east neighbours, then the virtual node if the cell is an outlet, so
+    every undirected edge appears once and the columns of a row ascend.  An
+    edge weighs the higher rank of its two cells; diagonals with a detour no
+    heavier than themselves are left out (see :func:`_kept_diagonals`).
+    """
+    from scipy.sparse import csr_matrix
 
-    @njit(cache=True, nogil=True)
-    def _heap_sift_down(heap_e, heap_o, heap_p, size):
-        i = 0
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            best = left
-            right = left + 1
-            if right < size and (
-                heap_e[right] < heap_e[left]
-                or (heap_e[right] == heap_e[left] and heap_o[right] < heap_o[left])
-            ):
-                best = right
-            if heap_e[best] < heap_e[i] or (
-                heap_e[best] == heap_e[i] and heap_o[best] < heap_o[i]
-            ):
-                heap_e[best], heap_e[i] = heap_e[i], heap_e[best]
-                heap_o[best], heap_o[i] = heap_o[i], heap_o[best]
-                heap_p[best], heap_p[i] = heap_p[i], heap_p[best]
-                i = best
-            else:
-                break
+    h, w = rank.shape
+    n = h * w
+    east, south_west, south, south_east = (np.zeros((h, w), dtype=bool) for _ in range(4))
+    east[:, :-1] = valid[:, :-1] & valid[:, 1:]
+    south[:-1, :] = valid[:-1, :] & valid[1:, :]
+    top_left, top_right, bottom_left, bottom_right = (
+        np.s_[:-1, :-1], np.s_[:-1, 1:], np.s_[1:, :-1], np.s_[1:, 1:]
+    )
+    south_west[top_right] = _kept_diagonals(
+        rank, valid, top_right, bottom_left, top_left, bottom_right
+    )
+    south_east[top_left] = _kept_diagonals(
+        rank, valid, top_left, bottom_right, top_right, bottom_left
+    )
+    edges = ((east, 1), (south_west, w - 1), (south, w), (south_east, w + 1), (outlet, None))
 
-    @njit(cache=True, nogil=True)
-    def _fill_kernel(values, valid, outlet):
-        h, w = values.shape
-        n = h * w
-        filled = values.copy()
-        visited = np.zeros((h, w), dtype=np.bool_)
-        heap_e = np.empty(n, dtype=np.float64)
-        heap_o = np.empty(n, dtype=np.int64)
-        heap_p = np.empty(n, dtype=np.int64)
-        size = 0
-        order = 0
-        for r in range(h):
-            for c in range(w):
-                if outlet[r, c]:
-                    visited[r, c] = True
-                    heap_e[size] = values[r, c]
-                    heap_o[size] = order
-                    heap_p[size] = r * w + c
-                    _heap_sift_up(heap_e, heap_o, heap_p, size)
-                    size += 1
-                    order += 1
-        while size > 0:
-            spill = heap_e[0]
-            pos = heap_p[0]
-            size -= 1
-            heap_e[0] = heap_e[size]
-            heap_o[0] = heap_o[size]
-            heap_p[0] = heap_p[size]
-            _heap_sift_down(heap_e, heap_o, heap_p, size)
-            r = pos // w
-            c = pos % w
-            for dr in range(-1, 2):
-                for dc in range(-1, 2):
-                    if dr == 0 and dc == 0:
-                        continue
-                    nr = r + dr
-                    nc = c + dc
-                    if 0 <= nr < h and 0 <= nc < w and valid[nr, nc] and not visited[nr, nc]:
-                        visited[nr, nc] = True
-                        level = values[nr, nc]
-                        if level < spill:
-                            level = spill
-                            filled[nr, nc] = level
-                        heap_e[size] = level
-                        heap_o[size] = order
-                        heap_p[size] = nr * w + nc
-                        _heap_sift_up(heap_e, heap_o, heap_p, size)
-                        size += 1
-                        order += 1
-        return filled
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    for mask, _ in edges:
+        indptr[1 : n + 1] += mask.ravel()
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=np.float64)  # csgraph's own dtype: no copy
+    slot = indptr[:n].copy()
+    rank = rank.ravel()
+    for mask, step in edges:
+        cells = np.flatnonzero(mask)
+        at = slot[cells]
+        if step is None:
+            indices[at] = n
+            data[at] = rank[cells]
+        else:
+            indices[at] = cells + step
+            data[at] = np.maximum(rank[cells], rank[cells + step])
+        slot[cells] += 1
+    return csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
-def _fill_values(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray, engine: str) -> np.ndarray:
-    if engine == "auto":
-        engine = "numba" if _HAVE_NUMBA else "python"
-    if engine == "numba":
-        if not _HAVE_NUMBA:
-            raise ValueError("engine 'numba' requested but numba is not installed")
-        return _fill_kernel(np.ascontiguousarray(values), valid, outlet)
-    if engine == "python":
-        return _fill_python(values, valid, outlet)
-    raise ValueError(f"unknown fill engine {engine!r}")
+def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray) -> np.ndarray:
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+
+    # ranks start at 1: csgraph reads a zero weight as "no edge"
+    levels, inverse = np.unique(values[valid], return_inverse=True)
+    rank = np.zeros(values.shape, dtype=np.int32)
+    rank[valid] = inverse + 1
+    del inverse
+
+    n = values.size
+    tree = minimum_spanning_tree(_spill_graph(rank, valid, outlet), overwrite=True)
+    _, parent = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    del tree
+
+    # running max of ranks down the tree from the virtual node, by pointer jumping
+    parent[parent < 0] = n  # the virtual node itself and nodata cells
+    level = np.append(rank.ravel(), np.int32(0))
+    while (parent != n).any():
+        np.maximum(level, level[parent], out=level)
+        parent = parent[parent]
+    level = level[:n].reshape(values.shape)
+    raised = level > rank
+    filled = values.copy()
+    filled[raised] = levels[level[raised] - 1]
+    return filled
 
 
-def fill_depressions(dem: Raster, *, engine: str = "auto") -> FilledResult:
+def fill_depressions(dem: Raster) -> FilledResult:
     """Fill every closed depression of *dem* to its spill level.
 
     Parameters
     ----------
     dem : Raster
         Elevation grid; nodata cells act as outlets for their neighbours.
-    engine : {"auto", "numba", "python"}
-        Implementation to run.  Both produce bit-identical results; "auto"
-        prefers the compiled kernel when numba is installed.
 
     Returns
     -------
@@ -219,11 +177,10 @@ def fill_depressions(dem: Raster, *, engine: str = "auto") -> FilledResult:
         raise NoOutletError(
             "no drainage outlet: raster has no valid cell on the edge or next to nodata"
         )
-    filled_values = _fill_values(dem.values, valid, outlet, engine)
-    filled = dem.with_values(filled_values)
+    filled = dem.with_values(_minimax_fill(dem.values, valid, outlet))
     return FilledResult(filled=filled, depth=subtract(filled, dem))
 
 
-def depression_depth(dem: Raster, *, engine: str = "auto") -> Raster:
+def depression_depth(dem: Raster) -> Raster:
     """Shortcut for ``fill_depressions(dem).depth``."""
-    return fill_depressions(dem, engine=engine).depth
+    return fill_depressions(dem).depth

@@ -65,6 +65,18 @@ from .tiling import TileSpec, TileWindow, extract_tile, patch_id, plan_tiles, st
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
+_MANIFEST_KEYS = (
+    "width",
+    "height",
+    "patch",
+    "stride",
+    "origin_x",
+    "origin_y",
+    "cellsize",
+    "nodata",
+    "fill_mode",
+    "invert_depth",
+)
 
 
 def _pool_map(workers: int, fn, items):
@@ -104,7 +116,15 @@ def _read_manifest(out: Path) -> dict:
     path = out / MANIFEST_NAME
     if not path.exists():
         raise InputError(f"{path} not found — run the fill stage first")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc}) — rerun the fill stage") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object — rerun the fill stage")
+    missing = [key for key in _MANIFEST_KEYS if key not in doc]
+    if missing:
+        raise InputError(f"{path}: missing {', '.join(missing)} — rerun the fill stage")
     return doc
 
 
@@ -135,18 +155,18 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     if cfg.fill_mode == "patch":
         windows = _plan(dem.width, dem.height, cfg.tile)
 
-        def work(window: TileWindow):
+        def work(window: TileWindow) -> None:
             tile = extract_tile(dem, window)
-            if not tile.valid_mask().any():
-                return window, tile, tile  # nothing to fill, keep nodata
-            result = fill_depressions(tile)
-            return window, result.filled, result.depth
-
-        for window, filled, depth in _pool_map(cfg.workers, work, windows):
+            filled = depth = tile  # nothing to fill if all nodata, keep it
+            if tile.valid_mask().any():
+                result = fill_depressions(tile)
+                filled, depth = result.filled, result.depth
             pid = patch_id(window)
             write_ascii_grid(filled, patches / f"{pid}.filled.asc")
             write_ascii_grid(depth, patches / f"{pid}.depth.asc")
             write_window(window, patches / f"{pid}.window.json")
+
+        _pool_map(cfg.workers, work, windows)
         logger.info("filled %d patches into %s", len(windows), patches)
     else:
         result = fill_depressions(dem)

@@ -161,11 +161,7 @@ def _parse_header(lines: list[str], path: Path) -> tuple[dict, int]:
 
 
 def _parse_grid(path: Path) -> tuple[dict, np.ndarray]:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     header, first_data = _parse_header(lines, Path(path))
     ncols, nrows = header["ncols"], header["nrows"]
     nodata_token = header["nodata_value"]

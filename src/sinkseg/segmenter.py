@@ -213,23 +213,6 @@ class ReplayBackend:
         return masks, [1.0] * len(boxes)
 
 
-def depression_echo_backend(depth_patch: Raster) -> EchoBackend:
-    """Backend answering each box with the depression mask inside it."""
-    return EchoBackend(depth_patch)
-
-
-def http_backend(
-    endpoint: str, timeout: float = 30.0, retries: int = 2, max_inflight: int = 4
-) -> HttpBackend:
-    """Backend speaking the wire protocol to a remote service."""
-    return HttpBackend(endpoint, timeout=timeout, retries=retries, max_inflight=max_inflight)
-
-
-def replay_backend(directory: str | Path) -> ReplayBackend:
-    """Backend replaying recorded per-box masks from *directory*."""
-    return ReplayBackend(directory)
-
-
 def _validate_outcome(masks, scores, boxes, patch: RGBImage) -> None:
     if len(masks) != len(boxes):
         raise ProtocolError(

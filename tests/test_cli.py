@@ -103,6 +103,25 @@ class TestExitCodes:
         assert code == 2
         assert "run the fill stage first" in captured.err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"width": 4, "hei', "not valid JSON"),
+            ("[4, 4]\n", "expected a JSON object"),
+            ('{"width": 4}\n', "missing height"),
+        ],
+        ids=["truncated", "not-an-object", "missing-keys"],
+    )
+    def test_malformed_manifest_is_a_usage_error(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        code = main(["prompts", "--set", f"out_dir={out}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "internal error" not in captured.err
+
     def test_unreachable_backend_is_an_operational_error(self, scene_dir, tmp_path, capsys):
         import socket
 

@@ -1,17 +1,62 @@
-"""Depression filling: hand-derived fixtures, properties, engine equality."""
+"""Depression filling: hand-derived fixtures, properties, a priority-flood oracle."""
+
+import heapq
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_dem
 from sinkseg.errors import NoOutletError
-from sinkseg.hydro import _HAVE_NUMBA, FilledResult, depression_depth, fill_depressions
+from sinkseg.hydro import FilledResult, depression_depth, fill_depressions
 from sinkseg.raster import Raster
 
 NODATA = -9999.0
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def priority_flood_fill(dem: Raster) -> np.ndarray:
+    """Oracle: the heapq priority flood of Barnes et al. (2014).
+
+    Outlet cells (edge or nodata-adjacent) seed a min-queue keyed by
+    ``(elevation, insertion order)``; each popped cell raises its unvisited
+    valid neighbours to at least its own level and pushes them.
+    """
+    values = dem.values
+    valid = dem.valid_mask()
+    h, w = values.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = valid
+    interior = np.ones_like(valid)
+    for dr, dc in OFFSETS:
+        interior &= padded[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
+    outlet = valid & ~interior
+
+    rows = values.tolist()
+    valid_rows = valid.tolist()
+    visited = outlet.tolist()
+    heap = []
+    order = 0
+    for r, c in zip(*(idx.tolist() for idx in np.nonzero(outlet))):
+        heapq.heappush(heap, (rows[r][c], order, r, c))
+        order += 1
+    while heap:
+        spill, _, r, c = heapq.heappop(heap)
+        for dr, dc in OFFSETS:
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < h and 0 <= nc < w and valid_rows[nr][nc] and not visited[nr][nc]:
+                visited[nr][nc] = True
+                level = rows[nr][nc]
+                if level < spill:
+                    level = spill
+                    rows[nr][nc] = level
+                heapq.heappush(heap, (level, order, nr, nc))
+                order += 1
+    return np.array(rows, dtype=np.float64)
 
 
 def drains_everywhere(filled: Raster) -> bool:
@@ -129,6 +174,17 @@ class TestFlatsAndRamps:
         assert np.array_equal(np.unique(res.depth.values), np.array([0.0, 6.0]))
 
 
+class TestDiagonalGap:
+    def test_pit_drains_through_a_diagonal_only(self):
+        dem = np.full((4, 4), 9.0)
+        dem[0, 0] = 2.0
+        dem[1, 1] = 1.0
+        res = fill_depressions(Raster(dem))
+        expected = dem.copy()
+        expected[1, 1] = 2.0
+        assert np.array_equal(res.filled.values, expected)
+
+
 class TestContract:
     def test_all_nodata_raises(self):
         with pytest.raises(NoOutletError, match="no drainage outlet"):
@@ -156,9 +212,24 @@ class TestContract:
     def test_returns_filled_result(self, rng):
         assert isinstance(fill_depressions(make_random_dem(rng, 4, 4)), FilledResult)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown fill engine"):
-            fill_depressions(Raster(np.zeros((2, 2))), engine="gpu")
+    def test_signed_zeros_keep_their_bits(self):
+        dem = np.zeros((4, 5))
+        dem[::2, 1::2] = -0.0
+        dem[1::2, ::2] = -0.0
+        res = fill_depressions(Raster(dem))
+        assert np.array_equal(res.filled.values.view(np.int64), dem.view(np.int64))
+        assert np.array_equal(res.depth.values, np.zeros((4, 5)))
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import sinkseg; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestProperties:
@@ -198,14 +269,41 @@ class TestProperties:
             assert np.array_equal(filled[edge], dem.values[edge])
 
 
-@pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not installed")
-class TestEngineEquality:
-    def test_compiled_and_python_engines_agree_bitwise(self, rng):
-        for _ in range(15):
-            h, w = rng.integers(2, 40, size=2)
-            dem = make_random_dem(rng, h, w, nodata_frac=float(rng.random() * 0.3))
-            if not dem.valid_mask().any():
-                continue
-            fast = fill_depressions(dem, engine="numba").filled.values
-            slow = fill_depressions(dem, engine="python").filled.values
-            assert np.array_equal(fast, slow)
+@st.composite
+def oracle_dems(draw):
+    """Small rasters with flats, quantised ties, nodata holes and moats."""
+    height, width = draw(
+        st.one_of(
+            st.tuples(st.just(1), st.integers(1, 16)),
+            st.tuples(st.integers(1, 16), st.just(1)),
+            st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 3, 8, None]))
+    if levels is None:
+        values = rng.normal(50.0, 10.0, size=(height, width))
+    else:
+        # ties and flats; no -0.0, as a cell raised to a zero level takes the
+        # sign of whichever zero bounds it, which depends on the flood order
+        values = rng.integers(0, levels, size=(height, width)) * 2.5
+    holes = draw(st.sampled_from(["none", "scatter", "moat"]))
+    if holes == "scatter":
+        values[rng.random((height, width)) < rng.uniform(0.1, 0.6)] = NODATA
+    elif holes == "moat" and height >= 3 and width >= 3:
+        # a nodata ring around a valid island, inside valid terrain
+        r0, r1 = sorted(rng.choice(height, size=2, replace=False))
+        c0, c1 = sorted(rng.choice(width, size=2, replace=False))
+        values[[r0, r1], c0 : c1 + 1] = NODATA
+        values[r0 : r1 + 1, [c0, c1]] = NODATA
+    return Raster(values, nodata=NODATA)
+
+
+class TestPriorityFloodOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(dem=oracle_dems())
+    def test_bit_identical_to_priority_flood(self, dem):
+        assume(dem.valid_mask().any())
+        produced = fill_depressions(dem).filled.values
+        oracle = priority_flood_fill(dem)
+        assert np.array_equal(produced.view(np.int64), oracle.view(np.int64))

@@ -15,10 +15,8 @@ from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
     ProbabilityMask,
-    depression_echo_backend,
+    ReplayBackend,
     fuse_probabilities,
-    http_backend,
-    replay_backend,
     segment_patch,
 )
 
@@ -66,7 +64,7 @@ class TestEchoBackend:
         return Raster(depth)
 
     def test_mask_is_depth_support_inside_box(self):
-        backend = depression_echo_backend(self.make_depth())
+        backend = EchoBackend(self.make_depth())
         out = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 8, 8)])
         expected = np.zeros((16, 16), dtype=bool)
         expected[4:8, 4:8] = True
@@ -74,7 +72,7 @@ class TestEchoBackend:
         assert out.scores == (1.0,)
 
     def test_box_crops_the_component(self):
-        backend = depression_echo_backend(self.make_depth())
+        backend = EchoBackend(self.make_depth())
         out = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 6, 8)])
         expected = np.zeros((16, 16), dtype=bool)
         expected[4:8, 4:6] = True
@@ -183,7 +181,7 @@ class TestReplayBackend:
         d.mkdir(parents=True)
         for i, m in enumerate(masks):
             write_pgm(m, d / f"{i}.pgm")
-        return replay_backend(tmp_path)
+        return ReplayBackend(tmp_path)
 
     def test_replays_exact_probabilities(self, tmp_path):
         recorded = np.zeros((4, 4), dtype=np.uint8)
@@ -200,7 +198,7 @@ class TestReplayBackend:
         assert np.array_equal(out.fused.values, recorded > 127)
 
     def test_requires_patch_id(self, tmp_path):
-        backend = replay_backend(tmp_path)
+        backend = ReplayBackend(tmp_path)
         with pytest.raises(BackendError, match="patch_id"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
@@ -214,7 +212,7 @@ class TestReplayBackend:
         d = tmp_path / "p0"
         d.mkdir()
         (d / "0.pgm").write_bytes(pgm_bytes(np.zeros((4, 4), dtype=np.uint8), maxval=100))
-        backend = replay_backend(tmp_path)
+        backend = ReplayBackend(tmp_path)
         with pytest.raises(ProtocolError, match="maxval must be 255, got 100"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
 
@@ -222,7 +220,7 @@ class TestReplayBackend:
 class TestHttpBackend:
     def test_boxfill_round_trip(self):
         with MockSegmentServer(mode="boxfill", value=255) as server:
-            backend = http_backend(server.endpoint)
+            backend = HttpBackend(server.endpoint)
             out = segment_patch(backend, gray_patch(8, 8), [PromptBox(2, 1, 5, 4)])
             expected = np.zeros((8, 8), dtype=bool)
             expected[1:4, 2:5] = True
@@ -240,13 +238,13 @@ class TestHttpBackend:
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             free_port = s.getsockname()[1]
-        backend = http_backend(f"http://127.0.0.1:{free_port}", retries=0)
+        backend = HttpBackend(f"http://127.0.0.1:{free_port}", retries=0)
         with pytest.raises(BackendUnreachableError, match="after 1 attempts"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     def test_server_error_carries_detail(self):
         with MockSegmentServer(fault="http_500") as server:
-            backend = http_backend(server.endpoint)
+            backend = HttpBackend(server.endpoint)
             with pytest.raises(BackendError, match="HTTP 500: induced server failure"):
                 segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
@@ -261,13 +259,13 @@ class TestHttpBackend:
     )
     def test_protocol_faults_rejected(self, fault, pattern):
         with MockSegmentServer(fault=fault) as server:
-            backend = http_backend(server.endpoint)
+            backend = HttpBackend(server.endpoint)
             with pytest.raises(ProtocolError, match=pattern):
                 segment_patch(backend, gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
 
     def test_concurrent_requests_all_served(self):
         with MockSegmentServer(mode="constant", value=255) as server:
-            backend = http_backend(server.endpoint, max_inflight=2)
+            backend = HttpBackend(server.endpoint, max_inflight=2)
             results = [None] * 8
             errors = []
 
