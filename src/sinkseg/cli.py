@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
-        ("fill", "fill depressions, write filled/depth rasters"),
+        ("fill", "fill depressions, write depth rasters"),
         ("prompts", "label depressions and write per-patch box prompts"),
         ("segment", "run the segmentation backend and stitch the fused mask"),
         ("eval", "score the fused mask against ground truth"),

@@ -4,17 +4,17 @@ Stage artifacts (all deterministic — rerunning a stage overwrites the same
 bytes, regardless of worker pool size):
 
 ``fill``
-    ``patches/<id>.filled.asc``, ``patches/<id>.depth.asc``,
-    ``patches/<id>.window.json`` (per-patch mode) or ``filled.asc`` +
-    ``depth.asc`` (mosaic mode), plus ``manifest.json`` describing the
-    mosaic and tiling so later stages need no access to the original input.
+    ``patches/<id>.depth.asc`` (per-patch mode) or ``depth.asc`` (mosaic
+    mode), plus ``manifest.json`` describing the mosaic and tiling so later
+    stages need no access to the original input; every stage derives its
+    windows from the manifest.
 ``prompts``
     ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
     ``depth_filtered.asc`` — the filtered depressions stitched back into a
     mosaic.
 ``segment``
-    ``fused_mask.asc`` — per-box masks fused per patch (pixelwise max),
-    patches stitched with the configured merge rule, then binarized.
+    ``fused_mask.asc`` — per-box masks fused once per patch (pixelwise max),
+    patches stitched with the configured merge rule, then binarized once.
 ``eval``
     ``report.json`` and ``report.csv`` against the ground-truth mask.
 
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .config import PipelineConfig, validate_for
+from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
 from .hydro import fill_depressions
 from .image import read_ppm
@@ -53,30 +54,15 @@ from .raster import (
     write_ascii_grid,
     write_ascii_mask,
 )
-from .segmenter import (
-    EchoBackend,
-    HttpBackend,
-    ReplayBackend,
-    fuse_probabilities,
-    segment_patch,
-)
-from .tiling import TileSpec, TileWindow, extract_tile, patch_id, plan_tiles, stitch, write_window
+from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
+from .tiling import TileSpec, TileWindow, extract_tile, patch_id, plan_tiles, stitch
 
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-_MANIFEST_KEYS = (
-    "width",
-    "height",
-    "patch",
-    "stride",
-    "origin_x",
-    "origin_y",
-    "cellsize",
-    "nodata",
-    "fill_mode",
-    "invert_depth",
-)
+_MANIFEST_INTS = ("width", "height", "patch", "stride")
+_MANIFEST_FLOATS = ("origin_x", "origin_y", "cellsize", "nodata")
+_MANIFEST_KEYS = (*_MANIFEST_INTS, *_MANIFEST_FLOATS, "fill_mode", "invert_depth")
 
 
 def _pool_map(workers: int, fn, items):
@@ -125,7 +111,36 @@ def _read_manifest(out: Path) -> dict:
     missing = [key for key in _MANIFEST_KEYS if key not in doc]
     if missing:
         raise InputError(f"{path}: missing {', '.join(missing)} — rerun the fill stage")
+
+    def bad(key: str, expected: str) -> InputError:
+        return InputError(
+            f"{path}: {key} must be {expected}, got {doc[key]!r} — rerun the fill stage"
+        )
+
+    for key in _MANIFEST_INTS:
+        if type(doc[key]) is not int:
+            raise bad(key, "an integer")
+    for key in _MANIFEST_FLOATS:
+        if not _is_finite_number(doc[key]):
+            raise bad(key, "a finite number")
+    if not doc["cellsize"] > 0:
+        raise bad("cellsize", "> 0")
+    if doc["fill_mode"] not in FILL_MODES:
+        raise bad("fill_mode", f"one of {FILL_MODES}")
+    if type(doc["invert_depth"]) is not bool:
+        raise bad("invert_depth", "true or false")
+    try:
+        TileSpec(doc["patch"], doc["stride"])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc} — rerun the fill stage") from exc
     return doc
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _manifest_windows(doc: dict) -> list[TileWindow]:
@@ -140,7 +155,7 @@ def _window_georef(doc: dict, window: TileWindow) -> tuple[float, float, float]:
 
 
 def cmd_fill(cfg: PipelineConfig) -> None:
-    """Fill depressions and write filled/depth rasters (per patch or mosaic)."""
+    """Fill depressions and write the depth rasters (per patch or mosaic)."""
     validate_for(cfg, "fill")
     dem = read_ascii_grid(cfg.depth_raster)
     if cfg.invert_depth:
@@ -156,22 +171,15 @@ def cmd_fill(cfg: PipelineConfig) -> None:
         windows = _plan(dem.width, dem.height, cfg.tile)
 
         def work(window: TileWindow) -> None:
-            tile = extract_tile(dem, window)
-            filled = depth = tile  # nothing to fill if all nodata, keep it
-            if tile.valid_mask().any():
-                result = fill_depressions(tile)
-                filled, depth = result.filled, result.depth
-            pid = patch_id(window)
-            write_ascii_grid(filled, patches / f"{pid}.filled.asc")
-            write_ascii_grid(depth, patches / f"{pid}.depth.asc")
-            write_window(window, patches / f"{pid}.window.json")
+            depth = extract_tile(dem, window)
+            if depth.valid_mask().any():  # an all-nodata tile has nothing to fill
+                depth = fill_depressions(depth).depth
+            write_ascii_grid(depth, patches / f"{patch_id(window)}.depth.asc")
 
         _pool_map(cfg.workers, work, windows)
         logger.info("filled %d patches into %s", len(windows), patches)
     else:
-        result = fill_depressions(dem)
-        write_ascii_grid(result.filled, out / "filled.asc")
-        write_ascii_grid(result.depth, out / "depth.asc")
+        write_ascii_grid(fill_depressions(dem).depth, out / "depth.asc")
         logger.info("filled mosaic into %s", out)
 
     _write_manifest(out, dem, cfg)
@@ -225,7 +233,6 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
     tiles: list[tuple[TileWindow, Raster]] = []
     for window, prompts, filtered in _pool_map(cfg.workers, work, windows):
         write_prompts(prompts, patches / f"{prompts.patch_id}.boxes.json")
-        write_window(window, patches / f"{prompts.patch_id}.window.json")
         tiles.append((window, filtered))
         total_boxes += len(prompts.boxes)
 
@@ -276,19 +283,10 @@ def cmd_segment(cfg: PipelineConfig) -> None:
         prompts = read_prompts(boxes_path)
         patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(extract_tile(depth_filtered, window))
-        outcome = segment_patch(
-            backend,
-            patch_img,
-            prompts.boxes,
-            patch_id=pid,
-            binarize_threshold=cfg.binarize_threshold,
-        )
-        probs = fuse_probabilities(
-            [m.probs for m in outcome.masks], (window.patch, window.patch)
-        )
+        outcome = segment_patch(backend, patch_img, prompts.boxes, patch_id=pid)
         origin_x, origin_y, cellsize = _window_georef(doc, window)
         tile = Raster(
-            probs,
+            outcome.probs,
             nodata=doc["nodata"],
             origin_x=origin_x,
             origin_y=origin_y,

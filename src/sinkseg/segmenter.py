@@ -3,8 +3,9 @@
 A backend turns one RGB patch plus a list of box prompts into one
 probability mask per box (values in [0, 1]) and a confidence score per box.
 :func:`segment_patch` drives any backend, enforces the shared output
-contract, and fuses the per-box masks: a pixel is foreground iff its highest
-probability across boxes exceeds the binarization threshold.
+contract, and fuses the per-box masks into one probability grid per patch
+(pixelwise max across boxes).  Binarization happens later, once, on the
+stitched mosaic.
 
 Three backends ship with the package:
 
@@ -38,7 +39,7 @@ from .image import (
     read_pgm,
 )
 from .labeling import PromptBox
-from .raster import BinaryMask, Raster
+from .raster import Raster
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ class ProbabilityMask:
 
 @dataclass(frozen=True)
 class SegmentationOutcome:
-    """Everything a backend produced for one patch, plus the fused mask."""
+    """Everything a backend produced for one patch, plus their fusion."""
 
     masks: tuple[ProbabilityMask, ...]
     scores: tuple[float, ...]
-    fused: BinaryMask
+    probs: np.ndarray  # float64 pixelwise max over ``masks``; zeros if none
 
 
 class EchoBackend:
@@ -224,12 +225,10 @@ def _validate_outcome(masks, scores, boxes, patch: RGBImage) -> None:
         )
     shape = (patch.height, patch.width)
     for i, m in enumerate(masks):
-        if m.shape != shape:
+        if np.shape(m) != shape:
             raise ProtocolError(
-                f"mask {i} has shape {m.shape}, expected patch shape {shape}"
+                f"mask {i} has shape {np.shape(m)}, expected patch shape {shape}"
             )
-        if m.size and (not np.isfinite(m).all() or m.min() < 0.0 or m.max() > 1.0):
-            raise ProtocolError(f"mask {i} has probabilities outside [0, 1]")
     for i, s in enumerate(scores):
         if not np.isfinite(s) or s < 0.0 or s > 1.0:
             raise ProtocolError(f"score {i} outside [0, 1]: {s!r}")
@@ -250,13 +249,11 @@ def segment_patch(
     patch: RGBImage,
     boxes: list[PromptBox],
     patch_id: str = "",
-    binarize_threshold: float = 0.5,
 ) -> SegmentationOutcome:
     """Run *backend* on one patch and fuse the per-box masks.
 
-    A pixel of the fused mask is set iff the maximum probability over all
-    boxes is strictly greater than ``binarize_threshold``.  With no boxes
-    the outcome is empty and the fused mask all zeros.
+    ``probs`` of the outcome is the pixelwise maximum probability over all
+    boxes; with no boxes the backend is not called and ``probs`` is all zeros.
 
     Raises
     ------
@@ -264,23 +261,23 @@ def segment_patch(
         If the backend output violates the contract (count, shape, or
         range), regardless of which backend produced it.
     """
-    if not 0.0 <= binarize_threshold <= 1.0:
-        raise ValueError(
-            f"binarize_threshold must be in [0, 1], got {binarize_threshold}"
-        )
     for box in boxes:
         if box.x1 > patch.width or box.y1 > patch.height:
             raise ValueError(f"box {box} exceeds patch {patch.width}x{patch.height}")
-    if not boxes:
-        fused = BinaryMask(np.zeros((patch.height, patch.width), dtype=bool))
-        return SegmentationOutcome(masks=(), scores=(), fused=fused)
-    masks, scores = backend.masks_for(patch, boxes, patch_id)
-    masks = [np.asarray(m, dtype=np.float64) for m in masks]
-    _validate_outcome(masks, scores, boxes, patch)
-    fused_probs = fuse_probabilities(masks, (patch.height, patch.width))
-    fused = BinaryMask(fused_probs > binarize_threshold)
+    masks: list[ProbabilityMask] = []
+    scores = []
+    if boxes:
+        raw, scores = backend.masks_for(patch, boxes, patch_id)
+        _validate_outcome(raw, scores, boxes, patch)
+        raw = list(raw)
+        for i in range(len(raw)):
+            try:
+                masks.append(ProbabilityMask(raw[i]))
+            except ValueError as exc:
+                raise ProtocolError(f"mask {i} has probabilities outside [0, 1]") from exc
+            raw[i] = None  # drop the backend's copy: one extra mask alive, not all
     return SegmentationOutcome(
-        masks=tuple(ProbabilityMask(m) for m in masks),
+        masks=tuple(masks),
         scores=tuple(float(s) for s in scores),
-        fused=fused,
+        probs=fuse_probabilities([m.probs for m in masks], (patch.height, patch.width)),
     )

@@ -13,20 +13,13 @@ by no tile become nodata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
 from .image import RGBImage
 from .raster import BinaryMask, Raster
-
-
-class WindowFormatError(InputError):
-    """A window sidecar JSON document violates the expected schema."""
 
 
 @dataclass(frozen=True)
@@ -216,26 +209,3 @@ def stitch(
 
     return Raster(out, nodata=nodata, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)
 
-
-def window_to_json(window: TileWindow) -> str:
-    doc = {"row0": window.row0, "col0": window.col0, "patch": window.patch}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def window_from_json(text: str) -> TileWindow:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WindowFormatError(f"window sidecar is not valid JSON: {exc}") from exc
-    try:
-        return TileWindow(int(doc["row0"]), int(doc["col0"]), int(doc["patch"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WindowFormatError(f"window sidecar invalid: {exc}") from exc
-
-
-def write_window(window: TileWindow, path: str | Path) -> None:
-    Path(path).write_text(window_to_json(window))
-
-
-def read_window(path: str | Path) -> TileWindow:
-    return window_from_json(Path(path).read_text())

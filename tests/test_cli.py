@@ -21,6 +21,14 @@ def scene_dir(tmp_path):
     return d
 
 
+def manifest_text(**overrides):
+    """A well-formed 128x128 patch-mode manifest, with *overrides* applied."""
+    doc = {"width": 128, "height": 128, "patch": 64, "stride": 32,
+           "origin_x": 0.0, "origin_y": 0.0, "cellsize": 1.0, "nodata": -9999.0,
+           "fill_mode": "patch", "invert_depth": False}
+    return json.dumps({**doc, **overrides})
+
+
 def run_args(scene_dir, out_dir, *extra):
     return [
         "run",
@@ -109,8 +117,13 @@ class TestExitCodes:
             ('{"width": 4, "hei', "not valid JSON"),
             ("[4, 4]\n", "expected a JSON object"),
             ('{"width": 4}\n', "missing height"),
+            (manifest_text(width="1024"), "width must be an integer"),
+            (manifest_text(patch=0), "patch must be >= 1"),
+            (manifest_text(fill_mode="bogus"), "fill_mode must be one of"),
+            (manifest_text(cellsize=None), "cellsize must be a finite number"),
         ],
-        ids=["truncated", "not-an-object", "missing-keys"],
+        ids=["truncated", "not-an-object", "missing-keys", "string-width",
+             "zero-patch", "unknown-fill-mode", "null-cellsize"],
     )
     def test_malformed_manifest_is_a_usage_error(self, tmp_path, capsys, text, message):
         out = tmp_path / "out"

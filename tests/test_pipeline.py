@@ -23,7 +23,7 @@ from sinkseg.raster import (
     write_ascii_grid,
 )
 from sinkseg.synth import export_scene, gen_terrain
-from sinkseg.tiling import TileSpec, read_window
+from sinkseg.tiling import TileSpec, extract_tile, patch_id, plan_tiles
 
 SCENE = dict(seed=21, width=128, height=128, n_sinkholes=3,
              depth_range=(3.0, 8.0), radius_range=(8.0, 12.0))
@@ -36,6 +36,13 @@ def scene_dir(tmp_path_factory):
     scene = gen_terrain(**SCENE)
     export_scene(scene, d)
     return d
+
+
+def manifest_windows(out_dir):
+    """Patch id -> window, planned from the fill stage's manifest."""
+    doc = json.loads((Path(out_dir) / "manifest.json").read_text())
+    spec = TileSpec(doc["patch"], doc["stride"])
+    return {patch_id(w): w for w in plan_tiles(doc["width"], doc["height"], spec)}
 
 
 def make_cfg(scene_dir, out_dir, **kw):
@@ -54,11 +61,9 @@ class TestFillStage:
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         patches = tmp_path / "out" / "patches"
-        filled = sorted(p.name for p in patches.glob("*.filled.asc"))
-        assert len(filled) == 9
-        assert filled[0] == "r00000_c00000.filled.asc"
-        assert len(list(patches.glob("*.depth.asc"))) == 9
-        assert len(list(patches.glob("*.window.json"))) == 9
+        depth = sorted(p.name for p in patches.glob("*.depth.asc"))
+        assert len(depth) == 9
+        assert depth[0] == "r00000_c00000.depth.asc"
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["width"] == 128 and manifest["height"] == 128
         assert manifest["patch"] == 64 and manifest["stride"] == 32
@@ -69,9 +74,7 @@ class TestFillStage:
         cmd_fill(cfg)
         dem = read_ascii_grid(scene_dir / "dem.asc")
         patches = tmp_path / "out" / "patches"
-        window = read_window(patches / "r00032_c00032.window.json")
-        from sinkseg.tiling import extract_tile
-
+        window = manifest_windows(tmp_path / "out")["r00032_c00032"]
         expected = fill_depressions(extract_tile(dem, window))
         assert np.array_equal(
             read_ascii_grid(patches / "r00032_c00032.depth.asc").values,
@@ -84,9 +87,6 @@ class TestFillStage:
         out = tmp_path / "out"
         dem = read_ascii_grid(scene_dir / "dem.asc")
         expected = fill_depressions(dem)
-        assert np.array_equal(
-            read_ascii_grid(out / "filled.asc").values, expected.filled.values
-        )
         assert np.array_equal(
             read_ascii_grid(out / "depth.asc").values, expected.depth.values
         )
@@ -264,10 +264,10 @@ class TestSegmentAndEval:
             cmd_segment(cfg)
         # expected mosaic: every prompt box of every window, painted in place
         expected = np.zeros((128, 128), dtype=bool)
-        patches = tmp_path / "out" / "patches"
-        for boxes_path in patches.glob("*.boxes.json"):
+        windows = manifest_windows(tmp_path / "out")
+        for boxes_path in (tmp_path / "out" / "patches").glob("*.boxes.json"):
             prompts = read_prompts(boxes_path)
-            window = read_window(patches / f"{prompts.patch_id}.window.json")
+            window = windows[prompts.patch_id]
             for box in prompts.boxes:
                 expected[
                     window.row0 + box.y0 : window.row0 + box.y1,
@@ -281,12 +281,11 @@ class TestSegmentAndEval:
         # record per-box echo masks, then replay them through the pipeline
         patches = tmp_path / "echo" / "patches"
         depth_filtered = read_ascii_grid(tmp_path / "echo" / "depth_filtered.asc")
-        from sinkseg.tiling import extract_tile
-
+        windows = manifest_windows(tmp_path / "echo")
         replay_dir = tmp_path / "recorded"
         for boxes_path in sorted(patches.glob("*.boxes.json")):
             prompts = read_prompts(boxes_path)
-            window = read_window(patches / f"{prompts.patch_id}.window.json")
+            window = windows[prompts.patch_id]
             tile = extract_tile(depth_filtered, window)
             positive = tile.valid_mask() & (tile.values > 0)
             mask_dir = replay_dir / prompts.patch_id
@@ -306,6 +305,23 @@ class TestSegmentAndEval:
         echo_fused = (tmp_path / "echo" / "fused_mask.asc").read_bytes()
         replay_fused = (tmp_path / "replayed" / "fused_mask.asc").read_bytes()
         assert replay_fused == echo_fused
+
+
+class TestArtifacts:
+    def test_run_writes_exactly_the_consumed_artifacts(self, scene_dir, tmp_path):
+        ids = [f"r{r:05d}_c{c:05d}" for r in (0, 32, 64) for c in (0, 32, 64)]
+        common = {"manifest.json", "depth_filtered.asc", "fused_mask.asc",
+                  "report.json", "report.csv"}
+        common |= {f"patches/{pid}.boxes.json" for pid in ids}
+        expected = {
+            "patch": common | {f"patches/{pid}.depth.asc" for pid in ids},
+            "mosaic": common | {"depth.asc"},
+        }
+        for mode, files in expected.items():
+            out = tmp_path / mode
+            cmd_run(make_cfg(scene_dir, out, fill_mode=mode))
+            written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+            assert written == files, mode
 
 
 class TestDeterminism:

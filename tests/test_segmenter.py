@@ -10,7 +10,7 @@ from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
 from sinkseg.image import RGBImage, pgm_bytes, write_pgm
 from sinkseg.labeling import PromptBox
 from sinkseg.mock_server import MockSegmentServer
-from sinkseg.raster import Raster
+from sinkseg.raster import Raster, binarize
 from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
@@ -66,23 +66,23 @@ class TestEchoBackend:
     def test_mask_is_depth_support_inside_box(self):
         backend = EchoBackend(self.make_depth())
         out = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 8, 8)])
-        expected = np.zeros((16, 16), dtype=bool)
-        expected[4:8, 4:8] = True
-        assert np.array_equal(out.fused.values, expected)
+        expected = np.zeros((16, 16))
+        expected[4:8, 4:8] = 1.0
+        assert np.array_equal(out.probs, expected)
         assert out.scores == (1.0,)
 
     def test_box_crops_the_component(self):
         backend = EchoBackend(self.make_depth())
         out = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 6, 8)])
-        expected = np.zeros((16, 16), dtype=bool)
-        expected[4:8, 4:6] = True
-        assert np.array_equal(out.fused.values, expected)
+        expected = np.zeros((16, 16))
+        expected[4:8, 4:6] = 1.0
+        assert np.array_equal(out.probs, expected)
 
     def test_whole_patch_box_recovers_all_depressions(self):
         depth = self.make_depth()
         backend = EchoBackend(depth)
         out = segment_patch(backend, gray_patch(), [PromptBox(0, 0, 16, 16)])
-        assert np.array_equal(out.fused.values, depth.values > 0)
+        assert np.array_equal(out.probs, (depth.values > 0).astype(np.float64))
 
     def test_patch_shape_mismatch(self):
         backend = EchoBackend(self.make_depth())
@@ -94,7 +94,8 @@ class TestSegmentPatch:
     def test_no_boxes_yields_empty_outcome(self):
         out = segment_patch(StubBackend(None, None), gray_patch(4, 4), [])
         assert out.masks == () and out.scores == ()
-        assert not out.fused.values.any()
+        assert out.probs.shape == (4, 4) and out.probs.dtype == np.float64
+        assert not out.probs.any()
 
     def test_fusion_takes_pixelwise_max(self):
         a = np.zeros((4, 4))
@@ -105,20 +106,17 @@ class TestSegmentPatch:
         backend = StubBackend([a, b], [0.5, 0.25])
         boxes = [PromptBox(0, 0, 4, 4), PromptBox(0, 0, 4, 4)]
         out = segment_patch(backend, gray_patch(4, 4), boxes)
-        assert bool(out.fused.values[1, 1]) is True  # max(0.4, 0.9) > 0.5
-        assert bool(out.fused.values[2, 2]) is True
-        assert out.fused.count() == 2
+        assert np.array_equal(out.probs, np.maximum(a, b))
+        assert out.probs[1, 1] == 0.9 and out.probs[2, 2] == 0.6
+        assert np.count_nonzero(out.probs > 0.5) == 2
         assert out.scores == (0.5, 0.25)
 
     def test_threshold_is_strict(self):
         mask = np.full((2, 2), 0.5)
         backend = StubBackend([mask], [1.0])
         out = segment_patch(backend, gray_patch(2, 2), [PromptBox(0, 0, 2, 2)])
-        assert not out.fused.values.any()
-
-    def test_threshold_range_validated(self):
-        with pytest.raises(ValueError, match="binarize_threshold"):
-            segment_patch(StubBackend([], []), gray_patch(2, 2), [], binarize_threshold=1.5)
+        assert np.array_equal(out.probs, mask)
+        assert not binarize(Raster(out.probs), 0.5).values.any()
 
     def test_box_exceeding_patch_rejected(self):
         with pytest.raises(ValueError, match="exceeds patch"):
@@ -195,7 +193,8 @@ class TestReplayBackend:
         assert probs[0, 0] == 1.0
         assert probs[1, 1] == 128 / 255
         assert probs[2, 2] == 0.0
-        assert np.array_equal(out.fused.values, recorded > 127)
+        assert np.array_equal(out.probs, recorded / 255)
+        assert np.array_equal(out.probs > 0.5, recorded > 127)
 
     def test_requires_patch_id(self, tmp_path):
         backend = ReplayBackend(tmp_path)
@@ -222,9 +221,9 @@ class TestHttpBackend:
         with MockSegmentServer(mode="boxfill", value=255) as server:
             backend = HttpBackend(server.endpoint)
             out = segment_patch(backend, gray_patch(8, 8), [PromptBox(2, 1, 5, 4)])
-            expected = np.zeros((8, 8), dtype=bool)
-            expected[1:4, 2:5] = True
-            assert np.array_equal(out.fused.values, expected)
+            expected = np.zeros((8, 8))
+            expected[1:4, 2:5] = 1.0
+            assert np.array_equal(out.probs, expected)
             assert server.request_count == 1
 
     def test_constant_probabilities_bit_exact(self):
@@ -232,7 +231,7 @@ class TestHttpBackend:
             backend = HttpBackend(server.endpoint)
             out = segment_patch(backend, gray_patch(6, 6), [PromptBox(0, 0, 3, 3)])
             assert np.all(out.masks[0].probs == 178 / 255)
-            assert out.fused.values.all()  # 178/255 > 0.5 everywhere
+            assert np.all(out.probs == 178 / 255)
 
     def test_unreachable_service(self):
         with socket.socket() as s:
@@ -284,7 +283,7 @@ class TestHttpBackend:
                 t.join()
             assert not errors
             assert server.request_count == 8
-            assert all(r.fused.values.all() for r in results)
+            assert all(np.all(r.probs == 1.0) for r in results)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="retries"):

@@ -10,15 +10,10 @@ from sinkseg.tiling import (
     MergeRule,
     TileSpec,
     TileWindow,
-    WindowFormatError,
     extract_tile,
     patch_id,
     plan_tiles,
-    read_window,
     stitch,
-    window_from_json,
-    window_to_json,
-    write_window,
 )
 
 NODATA = -9999.0
@@ -234,27 +229,3 @@ class TestStitch:
         with pytest.raises(ValueError, match="does not fit"):
             stitch([(TileWindow(3, 0, 2), Raster(np.zeros((2, 2))))], 4, 4)
 
-
-class TestWindowSidecar:
-    def test_json_round_trip(self):
-        win = TileWindow(256, 488, 512)
-        assert window_from_json(window_to_json(win)) == win
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "t.window.json"
-        write_window(TileWindow(0, 256, 512), path)
-        assert read_window(path) == TileWindow(0, 256, 512)
-
-    def test_keys(self):
-        import json
-
-        doc = json.loads(window_to_json(TileWindow(1, 2, 3)))
-        assert doc == {"row0": 1, "col0": 2, "patch": 3}
-
-    def test_malformed_document(self):
-        with pytest.raises(WindowFormatError):
-            window_from_json('{"row0": 1, "col0": 2}')
-        with pytest.raises(WindowFormatError):
-            window_from_json("[1, 2, 3]")
-        with pytest.raises(WindowFormatError):
-            window_from_json("not json")
