@@ -2,9 +2,12 @@
 
 Components are 8-connected regions of strictly positive depression depth,
 numbered 1, 2, ... in raster scan order of their first-encountered pixel.
+The labelling is compiled (``scipy.ndimage.label`` with a 3x3 structure,
+imported on first use); each component still carries its pixel set.
 Shallow or tiny components are discarded before prompting; the survivors
 are turned into pixel-aligned bounding boxes that downstream segmenters
-consume as prompts.
+consume as prompts, and :func:`keep_components` zeroes the dropped ones in
+the depth raster by label id.
 
 Box coordinates follow the image convention: ``x`` is the column, ``y`` the
 row, origin at the top-left, and the intervals are inclusive-exclusive
@@ -14,7 +17,6 @@ row, origin at the top-left, and the intervals are inclusive-exclusive
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,39 +107,38 @@ class DepressionComponent:
             raise ValueError("area_px must equal len(pixels)")
 
 
-_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+def _label_grid(positive: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected labels of *positive*, numbered 1.. in scan order of first pixel."""
+    from scipy import ndimage
+
+    return ndimage.label(positive, structure=np.ones((3, 3), dtype=bool))
 
 
 def _components_from_positive(positive: np.ndarray, depth_values: np.ndarray) -> list[DepressionComponent]:
-    h, w = positive.shape
-    visited = np.zeros_like(positive)
+    from scipy import ndimage
+
+    labels, _ = _label_grid(positive)
     components: list[DepressionComponent] = []
-    for r0, c0 in np.argwhere(positive):
-        if visited[r0, c0]:
-            continue
-        visited[r0, c0] = True
-        queue = deque([(int(r0), int(c0))])
-        pixels = []
-        while queue:
-            r, c = queue.popleft()
-            pixels.append((r, c))
-            for dr, dc in _OFFSETS:
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < h and 0 <= nc < w and positive[nr, nc] and not visited[nr, nc]:
-                    visited[nr, nc] = True
-                    queue.append((nr, nc))
-        rows = [p[0] for p in pixels]
-        cols = [p[1] for p in pixels]
+    for k, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        mine = labels[rows, cols] == k
+        rr, cc = np.nonzero(mine)
         components.append(
             DepressionComponent(
-                id=len(components) + 1,
-                pixels=frozenset(pixels),
-                area_px=len(pixels),
-                max_depth=float(max(depth_values[r, c] for r, c in pixels)),
-                bbox=PromptBox(min(cols), min(rows), max(cols) + 1, max(rows) + 1),
+                id=k,
+                pixels=frozenset(zip((rr + rows.start).tolist(), (cc + cols.start).tolist())),
+                area_px=rr.size,
+                max_depth=float(depth_values[rows, cols][mine].max()),
+                bbox=PromptBox(cols.start, rows.start, cols.stop, rows.stop),
             )
         )
     return components
+
+
+def _positive(depth: Raster) -> np.ndarray:
+    valid = depth.valid_mask()
+    if bool((depth.values[valid] < 0).any()):
+        raise ValueError("depth raster contains negative values")
+    return valid & (depth.values > 0)
 
 
 def label_components(depth: Raster) -> list[DepressionComponent]:
@@ -151,16 +152,12 @@ def label_components(depth: Raster) -> list[DepressionComponent]:
     ValueError
         If any valid cell carries a negative depth.
     """
-    valid = depth.valid_mask()
-    if bool((depth.values[valid] < 0).any()):
-        raise ValueError("depth raster contains negative values")
-    positive = valid & (depth.values > 0)
-    return _components_from_positive(positive, depth.values)
+    return _components_from_positive(_positive(depth), depth.values)
 
 
 def components_from_mask(mask: BinaryMask) -> list[DepressionComponent]:
     """Label the set pixels of a binary mask (max_depth reported as 1.0)."""
-    return _components_from_positive(mask.values.copy(), mask.values.astype(np.float64))
+    return _components_from_positive(mask.values, mask.values)
 
 
 def filter_components(
@@ -168,6 +165,18 @@ def filter_components(
 ) -> list[DepressionComponent]:
     """Keep only components at or above both thresholds (order preserved)."""
     return [c for c in components if thresholds.keeps(c)]
+
+
+def keep_components(depth: Raster, kept: list[DepressionComponent]) -> Raster:
+    """*depth* with every positive cell outside the *kept* components set to 0.
+
+    The ids of *kept* must be those :func:`label_components` gave *depth*.
+    """
+    labels, n = _label_grid(_positive(depth))
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[0] = True  # background keeps its value
+    keep[[c.id for c in kept]] = True
+    return depth.with_values(np.where(keep[labels], depth.values, 0.0))
 
 
 def boxes_from_components(

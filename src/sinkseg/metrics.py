@@ -10,7 +10,10 @@ algebraic identity ``F1 = 2·IoU / (1 + IoU)``.
 
 Object metrics match predicted and ground-truth components one-to-one,
 greedily in descending pairwise IoU (ties broken by component ids), and
-report (tp, fp, fn) per IoU threshold — the detection-curve view.
+report (tp, fp, fn) per IoU threshold — the detection-curve view.  Only
+pairs whose pixel extents overlap are intersected, so matching costs in
+proportion to the overlapping pairs, and the detection curve scores them
+once for all thresholds.
 
 Losses: binary cross-entropy with probabilities clamped to
 [eps, 1 - eps] (eps = 1e-7) and soft Dice with smoothing 1.0; the combined
@@ -139,6 +142,71 @@ def component_iou(a: DepressionComponent, b: DepressionComponent) -> float:
     return inter / len(a.pixels | b.pixels)
 
 
+def _check_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+
+
+def _extents(components: list[DepressionComponent]) -> np.ndarray:
+    """(n, 4) rows of (row_min, row_max, col_min, col_max) of each pixel set.
+
+    Taken from ``pixels``, not ``bbox``, which nothing checks against them.
+    An empty set gets an inverted extent that overlaps nothing.
+    """
+    big = np.iinfo(np.int64).max
+    extents = np.tile(np.array([big, -big, big, -big], dtype=np.int64), (len(components), 1))
+    for i, comp in enumerate(components):
+        if comp.pixels:
+            rows, cols = zip(*comp.pixels)
+            extents[i] = (min(rows), max(rows), min(cols), max(cols))
+    return extents
+
+
+def _candidates(
+    pred_components: list[DepressionComponent],
+    gt_components: list[DepressionComponent],
+) -> list[tuple[float, int, int, float]]:
+    """Every pair with positive IoU as ``(-iou, pred_id, gt_id, iou)``, sorted.
+
+    Only pairs whose pixel extents overlap are intersected; the others
+    share no pixel.  The sort order is the greedy order: descending IoU,
+    then ascending ids.
+    """
+    p = _extents(pred_components)[:, None, :]
+    g = _extents(gt_components)[None, :, :]
+    overlap = (
+        (p[..., 0] <= g[..., 1]) & (g[..., 0] <= p[..., 1])
+        & (p[..., 2] <= g[..., 3]) & (g[..., 2] <= p[..., 3])
+    )
+    candidates = []
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(overlap))):
+        a, b = pred_components[i].pixels, gt_components[j].pixels
+        inter = len(a & b)
+        if inter:
+            iou = inter / (len(a) + len(b) - inter)  # the float len(a & b) / len(a | b)
+            candidates.append((-iou, pred_components[i].id, gt_components[j].id, iou))
+    candidates.sort()
+    return candidates
+
+
+def _greedy(
+    candidates: list[tuple[float, int, int, float]], iou_threshold: float
+) -> list[tuple[int, int, float]]:
+    """Accept sorted candidates with IoU >= *iou_threshold*, each id at most once."""
+    used_pred: set[int] = set()
+    used_gt: set[int] = set()
+    pairs: list[tuple[int, int, float]] = []
+    for _, pid, gid, iou in candidates:
+        if iou < iou_threshold:
+            break
+        if pid in used_pred or gid in used_gt:
+            continue
+        used_pred.add(pid)
+        used_gt.add(gid)
+        pairs.append((pid, gid, iou))
+    return pairs
+
+
 def object_match(
     pred_components: list[DepressionComponent],
     gt_components: list[DepressionComponent],
@@ -150,24 +218,8 @@ def object_match(
     descending IoU (ties broken by ascending component ids).  Returns
     ``(tp, fp, fn, pairs)`` with pairs as (pred_id, gt_id, iou).
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-    candidates = []
-    for p in pred_components:
-        for g in gt_components:
-            iou = component_iou(p, g)
-            if iou >= iou_threshold:
-                candidates.append((-iou, p.id, g.id, iou))
-    candidates.sort()
-    used_pred: set[int] = set()
-    used_gt: set[int] = set()
-    pairs: list[tuple[int, int, float]] = []
-    for _, pid, gid, iou in candidates:
-        if pid in used_pred or gid in used_gt:
-            continue
-        used_pred.add(pid)
-        used_gt.add(gid)
-        pairs.append((pid, gid, iou))
+    _check_threshold(iou_threshold)
+    pairs = _greedy(_candidates(pred_components, gt_components), iou_threshold)
     tp = len(pairs)
     fp = len(pred_components) - tp
     fn = len(gt_components) - tp
@@ -179,14 +231,21 @@ def detection_curve(
     gt_components: list[DepressionComponent],
     thresholds=DEFAULT_THRESHOLDS,
 ) -> list[tuple[float, int, int, int]]:
-    """(threshold, tp, fp, fn) per IoU threshold; thresholds must ascend."""
+    """(threshold, tp, fp, fn) per IoU threshold; thresholds must ascend.
+
+    Rows equal :func:`object_match` at each threshold; the candidate pairs
+    are scored once for all of them.
+    """
     thresholds = list(thresholds)
     if thresholds != sorted(thresholds):
         raise ValueError("thresholds must be sorted ascending")
+    for t in thresholds:
+        _check_threshold(t)
+    candidates = _candidates(pred_components, gt_components)
     rows = []
     for t in thresholds:
-        tp, fp, fn, _ = object_match(pred_components, gt_components, t)
-        rows.append((float(t), tp, fp, fn))
+        tp = len(_greedy(candidates, t))
+        rows.append((float(t), tp, len(pred_components) - tp, len(gt_components) - tp))
     return rows
 
 

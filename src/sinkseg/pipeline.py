@@ -40,6 +40,7 @@ from .labeling import (
     PromptSet,
     boxes_from_components,
     filter_components,
+    keep_components,
     label_components,
     read_prompts,
     write_prompts,
@@ -147,6 +148,19 @@ def _manifest_windows(doc: dict) -> list[TileWindow]:
     return _plan(doc["width"], doc["height"], TileSpec(doc["patch"], doc["stride"]))
 
 
+def _read_stage_grid(path: Path, width: int, height: int, stage: str) -> Raster:
+    """Read a grid the *stage* wrote, checking it has the manifest's shape."""
+    if not path.exists():
+        raise InputError(f"{path} not found — run the {stage} stage first")
+    grid = read_ascii_grid(path)
+    if grid.values.shape != (height, width):
+        raise InputError(
+            f"{path} is {grid.width}x{grid.height}, expected {width}x{height} "
+            f"— rerun the {stage} stage"
+        )
+    return grid
+
+
 def _window_georef(doc: dict, window: TileWindow) -> tuple[float, float, float]:
     cellsize = doc["cellsize"]
     origin_x = doc["origin_x"] + window.col0 * cellsize
@@ -194,24 +208,21 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
     doc = _read_manifest(out)
     windows = _manifest_windows(doc)
 
-    depth_mosaic: Raster | None = None
+    mosaic_path = out / "depth.asc"
+    depth_mosaic = None
     if doc["fill_mode"] == "mosaic":
-        depth_path = out / "depth.asc"
-        if not depth_path.exists():
-            raise InputError(f"{depth_path} not found — run the fill stage first")
-        depth_mosaic = read_ascii_grid(depth_path)
-
-    def _depth_tile(window: TileWindow) -> Raster:
-        if depth_mosaic is not None:
-            return extract_tile(depth_mosaic, window)
-        path = patches / f"{patch_id(window)}.depth.asc"
-        if not path.exists():
-            raise InputError(f"{path} not found — run the fill stage first")
-        return read_ascii_grid(path)
+        depth_mosaic = _read_stage_grid(mosaic_path, doc["width"], doc["height"], "fill")
 
     def work(window: TileWindow):
-        depth_tile = _depth_tile(window)
-        components = label_components(depth_tile)
+        if depth_mosaic is not None:
+            depth_path, depth_tile = mosaic_path, extract_tile(depth_mosaic, window)
+        else:
+            depth_path = patches / f"{patch_id(window)}.depth.asc"
+            depth_tile = _read_stage_grid(depth_path, window.patch, window.patch, "fill")
+        try:
+            components = label_components(depth_tile)
+        except ValueError as exc:  # negative depth
+            raise InputError(f"{depth_path}: {exc} — rerun the fill stage") from exc
         kept = filter_components(components, cfg.filter)
         boxes = boxes_from_components(
             kept, cfg.pad_px, width=window.patch, height=window.patch
@@ -222,12 +233,7 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
             areas=[c.area_px for c in kept],
             max_depths=[c.max_depth for c in kept],
         )
-        values = depth_tile.values.copy()
-        removed = [c for c in components if c not in kept]
-        for comp in removed:
-            for r, c in comp.pixels:
-                values[r, c] = 0.0
-        return window, prompts, depth_tile.with_values(values)
+        return window, prompts, keep_components(depth_tile, kept)
 
     total_boxes = 0
     tiles: list[tuple[TileWindow, Raster]] = []
@@ -268,10 +274,9 @@ def cmd_segment(cfg: PipelineConfig) -> None:
             f"rgb mosaic is {rgb.width}x{rgb.height} but the fill manifest says "
             f"{doc['width']}x{doc['height']}"
         )
-    filtered_path = out / "depth_filtered.asc"
-    if not filtered_path.exists():
-        raise InputError(f"{filtered_path} not found — run the prompts stage first")
-    depth_filtered = read_ascii_grid(filtered_path)
+    depth_filtered = _read_stage_grid(
+        out / "depth_filtered.asc", doc["width"], doc["height"], "prompts"
+    )
 
     shared_backend = _build_shared_backend(cfg)
 
@@ -281,6 +286,12 @@ def cmd_segment(cfg: PipelineConfig) -> None:
         if not boxes_path.exists():
             raise InputError(f"{boxes_path} not found — run the prompts stage first")
         prompts = read_prompts(boxes_path)
+        for box in prompts.boxes:
+            if box.x1 > window.patch or box.y1 > window.patch:
+                raise InputError(
+                    f"{boxes_path}: box {box.as_list()} exceeds patch "
+                    f"{window.patch}x{window.patch} — rerun the prompts stage"
+                )
         patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(extract_tile(depth_filtered, window))
         outcome = segment_patch(backend, patch_img, prompts.boxes, patch_id=pid)

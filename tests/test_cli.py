@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, stdout/stderr discipline."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sinkseg.cli import main
-from sinkseg.raster import read_ascii_grid
+from sinkseg.raster import read_ascii_grid, write_ascii_grid
 from sinkseg.synth import export_scene, gen_terrain
 
 
@@ -27,6 +30,25 @@ def manifest_text(**overrides):
            "origin_x": 0.0, "origin_y": 0.0, "cellsize": 1.0, "nodata": -9999.0,
            "fill_mode": "patch", "invert_depth": False}
     return json.dumps({**doc, **overrides})
+
+
+def negate_first_cell(path):
+    grid = read_ascii_grid(path)
+    values = grid.values.copy()
+    values[0, 0] = -1.0
+    write_ascii_grid(grid.with_values(values), path)
+
+
+def cut_to(side):
+    def cut(path):
+        grid = read_ascii_grid(path)
+        write_ascii_grid(grid.with_values(grid.values[:side, :side].copy()), path)
+
+    return cut
+
+
+def oversized_box(path):
+    path.write_text('{"boxes":[[40,40,60,60]],"patch_id":"r00000_c00000"}\n')
 
 
 def run_args(scene_dir, out_dir, *extra):
@@ -135,6 +157,39 @@ class TestExitCodes:
         assert message in captured.err
         assert "internal error" not in captured.err
 
+    @pytest.mark.parametrize(
+        "fill_mode, stage, artifact, corrupt, message",
+        [
+            ("patch", "prompts", "patches/r00000_c00000.depth.asc", negate_first_cell,
+             "depth raster contains negative values"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.asc", cut_to(20),
+             "is 20x20, expected 48x48"),
+            ("mosaic", "prompts", "depth.asc", cut_to(60), "is 60x60, expected 96x96"),
+            ("mosaic", "segment", "depth_filtered.asc", cut_to(60),
+             "is 60x60, expected 96x96"),
+            ("patch", "segment", "patches/r00000_c00000.boxes.json", oversized_box,
+             "exceeds patch 48x48"),
+        ],
+        ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
+             "short-filtered-depth", "box-outside-patch"],
+    )
+    def test_malformed_stage_artifact_is_a_usage_error(
+        self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message
+    ):
+        out = tmp_path / "out"
+        common = ["--set", f"out_dir={out}", "--set", f"fill.mode={fill_mode}",
+                  "--set", "tile.patch=48", "--set", "tile.stride=24"]
+        assert main(["fill", "--set", f"depth_raster={scene_dir / 'dem.asc'}", *common]) == 0
+        if stage == "segment":
+            assert main(["prompts", *common]) == 0
+        corrupt(out / artifact)
+        capsys.readouterr()
+        code = main([stage, "--set", f"rgb_mosaic={scene_dir / 'rgb.ppm'}", *common])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "internal error" not in captured.err
+
     def test_unreachable_backend_is_an_operational_error(self, scene_dir, tmp_path, capsys):
         import socket
 
@@ -161,6 +216,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert "unreachable" in captured.err
+
+
+class TestImportTime:
+    def test_import_leaves_scipy_unloaded(self):
+        """The CLI and the library load scipy only when a stage first needs it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import sinkseg, sinkseg.pipeline, sinkseg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSynthCommand:

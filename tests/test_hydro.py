@@ -1,9 +1,6 @@
 """Depression filling: hand-derived fixtures, properties, a priority-flood oracle."""
 
 import heapq
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,17 +216,6 @@ class TestContract:
         res = fill_depressions(Raster(dem))
         assert np.array_equal(res.filled.values.view(np.int64), dem.view(np.int64))
         assert np.array_equal(res.depth.values, np.zeros((4, 5)))
-
-    def test_import_leaves_scipy_unloaded(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import sinkseg; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
 
 
 class TestProperties:

@@ -1,9 +1,12 @@
 """Component labeling, threshold filtering, and box prompts."""
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from sinkseg.labeling import (
@@ -15,6 +18,7 @@ from sinkseg.labeling import (
     boxes_from_components,
     components_from_mask,
     filter_components,
+    keep_components,
     label_components,
     prompts_from_json,
     prompts_to_json,
@@ -24,8 +28,63 @@ from sinkseg.labeling import (
 from sinkseg.raster import BinaryMask, Raster
 
 
-def depth_raster(values, nodata=-9999.0):
+NODATA = -9999.0
+OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def depth_raster(values, nodata=NODATA):
     return Raster(np.asarray(values, dtype=np.float64), nodata=nodata)
+
+
+def bfs_components(positive: np.ndarray, depth_values: np.ndarray) -> list[DepressionComponent]:
+    """Oracle: breadth-first search from each unvisited positive cell in scan order."""
+    h, w = positive.shape
+    visited = np.zeros_like(positive)
+    components: list[DepressionComponent] = []
+    for r0, c0 in np.argwhere(positive):
+        if visited[r0, c0]:
+            continue
+        visited[r0, c0] = True
+        queue = deque([(int(r0), int(c0))])
+        pixels = []
+        while queue:
+            r, c = queue.popleft()
+            pixels.append((r, c))
+            for dr, dc in OFFSETS:
+                nr, nc = r + dr, c + dc
+                if 0 <= nr < h and 0 <= nc < w and positive[nr, nc] and not visited[nr, nc]:
+                    visited[nr, nc] = True
+                    queue.append((nr, nc))
+        rows = [p[0] for p in pixels]
+        cols = [p[1] for p in pixels]
+        components.append(
+            DepressionComponent(
+                id=len(components) + 1,
+                pixels=frozenset(pixels),
+                area_px=len(pixels),
+                max_depth=float(max(depth_values[r, c] for r, c in pixels)),
+                bbox=PromptBox(min(cols), min(rows), max(cols) + 1, max(rows) + 1),
+            )
+        )
+    return components
+
+
+# Small grids, single rows and single columns.
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+)
+
+
+def random_depth(seed, shape, density, nodata_frac):
+    """Depths on a quantised scale (ties), zeros, signed zeros and nodata holes."""
+    rng = np.random.default_rng(seed)
+    depth = rng.integers(1, 6, size=shape) * 0.75
+    depth[rng.random(shape) >= density] = 0.0
+    depth[rng.random(shape) < 0.1] = -0.0
+    depth[rng.random(shape) < nodata_frac] = NODATA
+    return depth_raster(depth)
 
 
 class TestPromptBox:
@@ -115,6 +174,52 @@ class TestLabeling:
         (comp,) = components_from_mask(mask)
         assert comp.area_px == 2
         assert comp.max_depth == 1.0
+
+
+class TestBfsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        shape=SHAPES,
+        density=st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]),
+        nodata_frac=st.sampled_from([0.0, 0.0, 0.2, 1.0]),
+    )
+    def test_label_components_equals_bfs(self, seed, shape, density, nodata_frac):
+        depth = random_depth(seed, shape, density, nodata_frac)
+        positive = depth.valid_mask() & (depth.values > 0)
+        assert label_components(depth) == bfs_components(positive, depth.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31), shape=SHAPES, density=st.sampled_from([0.0, 0.4, 0.7, 1.0]))
+    def test_components_from_mask_equals_bfs(self, seed, shape, density):
+        values = np.random.default_rng(seed).random(shape) < density
+        expected = bfs_components(values, values.astype(np.float64))
+        assert components_from_mask(BinaryMask(values)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        shape=SHAPES,
+        density=st.sampled_from([0.3, 0.6, 1.0]),
+        nodata_frac=st.sampled_from([0.0, 0.2]),
+        min_depth=st.sampled_from([0.0, 1.5, 3.0, 9.0]),
+        min_area=st.sampled_from([0, 2, 5]),
+    )
+    def test_keep_components_zeroes_exactly_the_dropped_pixels(
+        self, seed, shape, density, nodata_frac, min_depth, min_area
+    ):
+        depth = random_depth(seed, shape, density, nodata_frac)
+        components = label_components(depth)
+        kept = filter_components(components, FilterThresholds(min_depth, min_area))
+        expected = depth.values.copy()
+        for comp in components:
+            if comp not in kept:
+                for r, c in comp.pixels:
+                    expected[r, c] = 0.0
+        got = keep_components(depth, kept)
+        assert np.array_equal(got.values.view(np.int64), expected.view(np.int64))
+        georef = ("nodata", "origin_x", "origin_y", "cellsize")
+        assert [getattr(got, k) for k in georef] == [getattr(depth, k) for k in georef]
 
 
 def make_component(area, max_depth, comp_id=1):

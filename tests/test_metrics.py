@@ -2,9 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkseg.labeling import DepressionComponent, PromptBox
 from sinkseg.metrics import (
@@ -63,6 +66,65 @@ def max_matching_oracle(preds, gts, threshold):
         return False
 
     return sum(augment(p.id, set()) for p in preds)
+
+
+def pairwise_match(preds, gts, threshold):
+    """Oracle: intersect every (pred, gt) pair, then match greedily as object_match does."""
+    candidates = []
+    for p in preds:
+        for g in gts:
+            iou = component_iou(p, g)
+            if iou >= threshold:
+                candidates.append((-iou, p.id, g.id, iou))
+    candidates.sort()
+    used_pred, used_gt, pairs = set(), set(), []
+    for _, pid, gid, iou in candidates:
+        if pid in used_pred or gid in used_gt:
+            continue
+        used_pred.add(pid)
+        used_gt.add(gid)
+        pairs.append((pid, gid, iou))
+    tp = len(pairs)
+    return tp, len(preds) - tp, len(gts) - tp, pairs
+
+
+PIXEL_SETS = st.frozensets(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=10)
+
+
+@st.composite
+def component_lists(draw, shared_sets):
+    """Components overlapping each other, some sharing pixel sets or ids, any bbox.
+
+    The bbox field is drawn independently of the pixels, so it usually
+    disagrees with them; pixel sets may be empty.
+    """
+    comps = []
+    for i in range(draw(st.integers(0, 7))):
+        pixels = draw(st.sampled_from(shared_sets) | PIXEL_SETS)
+        x0, y0 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        comps.append(
+            DepressionComponent(
+                id=draw(st.just(i + 1) | st.integers(1, 4)),
+                pixels=pixels,
+                area_px=len(pixels),
+                max_depth=1.0,
+                bbox=PromptBox(x0, y0, x0 + draw(st.integers(1, 3)), y0 + 1),
+            )
+        )
+    return comps
+
+
+@st.composite
+def matching_cases(draw):
+    shared = draw(st.lists(PIXEL_SETS, min_size=1, max_size=4))
+    thresholds = draw(
+        st.lists(
+            st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1e-9, 1 - 1e-9])
+            | st.floats(0.01, 0.99),
+            max_size=6,
+        )
+    )
+    return draw(component_lists(shared)), draw(component_lists(shared)), sorted(thresholds)
 
 
 class TestPixelConfusion:
@@ -228,6 +290,23 @@ class TestObjectMatching:
             assert tps == sorted(tps, reverse=True)
 
 
+class TestPairwiseOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=matching_cases())
+    def test_object_match_and_curve_equal_all_pairs_matching(self, case):
+        preds, gts, thresholds = case
+        expected = [pairwise_match(preds, gts, t) for t in thresholds]
+        assert [object_match(preds, gts, t) for t in thresholds] == expected
+        assert detection_curve(preds, gts, thresholds) == [
+            (t, tp, fp, fn) for t, (tp, fp, fn, _) in zip(thresholds, expected)
+        ]
+
+    def test_bbox_field_is_not_used_to_prune(self):
+        pred = [comp(1, [(0, 0), (0, 1)])]
+        gt = [replace(comp(1, [(0, 0), (0, 1)]), bbox=PromptBox(50, 50, 51, 51))]
+        assert object_match(pred, gt, 0.5) == (1, 0, 0, [(1, 1, 1.0)])
+
+
 class TestDetectionCurve:
     def test_perfect_detection_at_every_threshold(self):
         comps = [comp(1, [(0, 0), (0, 1)]), comp(2, [(5, 5), (5, 6)])]
@@ -248,6 +327,13 @@ class TestDetectionCurve:
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ValueError, match="sorted ascending"):
             detection_curve([], [], thresholds=(0.5, 0.3))
+
+    def test_threshold_range_and_empty_thresholds(self):
+        comps = [comp(1, [(0, 0)])]
+        for bad in ((0.0, 0.5), (0.5, 1.0), (float("nan"),)):
+            with pytest.raises(ValueError, match="iou_threshold"):
+                detection_curve(comps, comps, thresholds=bad)
+        assert detection_curve(comps, comps, thresholds=()) == []
 
 
 class TestLosses:
