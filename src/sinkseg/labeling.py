@@ -42,7 +42,7 @@ class PromptBox:
     def __post_init__(self) -> None:
         for name in ("x0", "y0", "x1", "y1"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"box coordinate {name} must be an integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.x0 < 0 or self.y0 < 0:
@@ -251,15 +251,19 @@ def prompts_from_json(text: str) -> PromptSet:
             raise PromptFormatError(f"box {i} invalid: {exc}") from exc
     areas = doc.get("areas", [])
     max_depths = doc.get("max_depths", [])
-    for name, seq in (("areas", areas), ("max_depths", max_depths)):
+    for name, seq, kinds in (("areas", areas, int), ("max_depths", max_depths, (int, float))):
         if not isinstance(seq, list):
             raise PromptFormatError(f"'{name}' must be a list")
         if seq and len(seq) != len(boxes):
             raise PromptFormatError(f"'{name}' length must match 'boxes'")
+        for i, v in enumerate(seq):
+            if not isinstance(v, kinds) or isinstance(v, bool):
+                kind = "an integer" if kinds is int else "a number"
+                raise PromptFormatError(f"'{name}' entry {i} must be {kind}, got {v!r}")
     return PromptSet(
         patch_id=str(doc["patch_id"]),
         boxes=boxes,
-        areas=[int(a) for a in areas],
+        areas=list(areas),
         max_depths=[float(d) for d in max_depths],
     )
 

@@ -51,6 +51,14 @@ def oversized_box(path):
     path.write_text('{"boxes":[[40,40,60,60]],"patch_id":"r00000_c00000"}\n')
 
 
+def string_area(path):
+    path.write_text('{"areas":["x"],"boxes":[[0,0,2,2]],"patch_id":"r00000_c00000"}\n')
+
+
+def bool_coordinate(path):
+    path.write_text('{"boxes":[[true,0,2,2]],"patch_id":"r00000_c00000"}\n')
+
+
 def run_args(scene_dir, out_dir, *extra):
     return [
         "run",
@@ -169,9 +177,13 @@ class TestExitCodes:
              "is 60x60, expected 96x96"),
             ("patch", "segment", "patches/r00000_c00000.boxes.json", oversized_box,
              "exceeds patch 48x48"),
+            ("patch", "segment", "patches/r00000_c00000.boxes.json", string_area,
+             "'areas' entry 0 must be an integer"),
+            ("patch", "segment", "patches/r00000_c00000.boxes.json", bool_coordinate,
+             "box coordinate x0 must be an integer, got True"),
         ],
         ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
-             "short-filtered-depth", "box-outside-patch"],
+             "short-filtered-depth", "box-outside-patch", "string-area", "bool-coordinate"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message

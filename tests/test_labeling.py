@@ -366,3 +366,26 @@ class TestPromptsJson:
     def test_stats_length_mismatch(self):
         with pytest.raises(PromptFormatError, match="'areas' length"):
             prompts_from_json('{"patch_id": "p", "boxes": [[0, 0, 1, 1]], "areas": [1, 2]}')
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"areas": [1.5]', "'areas' entry 0 must be an integer, got 1.5"),
+            ('"areas": ["x"]', "'areas' entry 0 must be an integer"),
+            ('"areas": [true]', "'areas' entry 0 must be an integer"),
+            ('"max_depths": ["2.5"]', "'max_depths' entry 0 must be a number"),
+            ('"max_depths": [false]', "'max_depths' entry 0 must be a number"),
+        ],
+        ids=["fractional-area", "string-area", "bool-area", "string-depth", "bool-depth"],
+    )
+    def test_stats_entries_type_checked(self, fields, message):
+        with pytest.raises(PromptFormatError, match=message):
+            prompts_from_json('{"patch_id": "p", "boxes": [[0, 0, 1, 1]], ' + fields + "}")
+
+    def test_integral_depth_accepted(self):
+        back = prompts_from_json('{"patch_id": "p", "boxes": [[0, 0, 1, 1]], "max_depths": [2]}')
+        assert back.max_depths == [2.0] and isinstance(back.max_depths[0], float)
+
+    def test_bool_coordinate_rejected(self):
+        with pytest.raises(PromptFormatError, match="box 0 invalid.*got True"):
+            prompts_from_json('{"patch_id": "p", "boxes": [[true, 0, 2, 2]]}')

@@ -1,13 +1,21 @@
 """Segmentation backends, output validation, and mask fusion."""
 
+import base64
+import contextlib
+import json
 import socket
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
-from sinkseg.image import RGBImage, pgm_bytes, write_pgm
+from sinkseg.image import RGBImage, pgm_bytes, ppm_bytes, write_pgm
 from sinkseg.labeling import PromptBox
 from sinkseg.mock_server import MockSegmentServer
 from sinkseg.raster import Raster, binarize
@@ -25,8 +33,20 @@ def gray_patch(height=16, width=16, value=128):
     return RGBImage(np.full((height, width, 3), value, dtype=np.uint8))
 
 
+def b64_pgm(values, maxval=255):
+    return base64.b64encode(pgm_bytes(np.asarray(values, dtype=np.uint8), maxval)).decode("ascii")
+
+
+def placed(shape, row0, col0, crop):
+    """*crop* written into a zero grid of *shape* at (row0, col0)."""
+    grid = np.zeros(shape)
+    grid[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
+    return grid
+
+
 class StubBackend:
-    """Returns whatever it was told to; lets tests violate the contract."""
+    """Returns the ``(row0, col0, array)`` crops and scores it was told to;
+    lets tests violate the contract."""
 
     def __init__(self, masks, scores):
         self.masks = masks
@@ -54,6 +74,25 @@ class TestProbabilityMask:
     def test_requires_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             ProbabilityMask(np.zeros(4))
+
+    def test_crop_materialises_on_access(self):
+        crop = np.array([[0.25, 1.0]])
+        pm = ProbabilityMask(crop, 1, 2, (3, 4))
+        assert pm.shape == (3, 4)
+        assert pm.probs.dtype == np.float64
+        assert np.array_equal(pm.probs, placed((3, 4), 1, 2, crop))
+        with pytest.raises(ValueError, match="read-only"):
+            pm.probs[0, 0] = 0.5
+
+    @pytest.mark.parametrize("row0, col0", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_crop_must_lie_inside_the_grid(self, row0, col0):
+        with pytest.raises(ValueError, match="outside the patch shape"):
+            ProbabilityMask(np.zeros((1, 2)), row0, col0, (3, 4))
+
+    @pytest.mark.parametrize("row0, col0", [(True, 0), (0, 1.0), ("0", 0), (None, 0)])
+    def test_offsets_must_be_integers(self, row0, col0):
+        with pytest.raises(ValueError, match="they must be integers"):
+            ProbabilityMask(np.zeros((1, 2)), row0, col0, (3, 4))
 
 
 class TestEchoBackend:
@@ -84,6 +123,14 @@ class TestEchoBackend:
         out = segment_patch(backend, gray_patch(), [PromptBox(0, 0, 16, 16)])
         assert np.array_equal(out.probs, (depth.values > 0).astype(np.float64))
 
+    def test_masks_are_box_sized_crops(self):
+        backend = EchoBackend(self.make_depth())
+        crops, scores = backend.masks_for(gray_patch(), [PromptBox(4, 4, 6, 8)])
+        ((row0, col0, crop),) = crops
+        assert (row0, col0) == (4, 4)
+        assert crop.shape == (4, 2) and crop.dtype == np.float64
+        assert np.all(crop == 1.0) and scores == [1.0]
+
     def test_patch_shape_mismatch(self):
         backend = EchoBackend(self.make_depth())
         with pytest.raises(BackendError, match="patch"):
@@ -103,7 +150,7 @@ class TestSegmentPatch:
         a[1, 1] = 0.4
         b[1, 1] = 0.9
         a[2, 2] = 0.6
-        backend = StubBackend([a, b], [0.5, 0.25])
+        backend = StubBackend([(0, 0, a), (0, 0, b)], [0.5, 0.25])
         boxes = [PromptBox(0, 0, 4, 4), PromptBox(0, 0, 4, 4)]
         out = segment_patch(backend, gray_patch(4, 4), boxes)
         assert np.array_equal(out.probs, np.maximum(a, b))
@@ -113,7 +160,7 @@ class TestSegmentPatch:
 
     def test_threshold_is_strict(self):
         mask = np.full((2, 2), 0.5)
-        backend = StubBackend([mask], [1.0])
+        backend = StubBackend([(0, 0, mask)], [1.0])
         out = segment_patch(backend, gray_patch(2, 2), [PromptBox(0, 0, 2, 2)])
         assert np.array_equal(out.probs, mask)
         assert not binarize(Raster(out.probs), 0.5).values.any()
@@ -123,30 +170,88 @@ class TestSegmentPatch:
             segment_patch(StubBackend([], []), gray_patch(4, 4), [PromptBox(0, 0, 5, 4)])
 
     def test_mask_count_mismatch_named(self):
-        backend = StubBackend([np.zeros((4, 4))], [1.0, 1.0])
+        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [1.0, 1.0])
         boxes = [PromptBox(0, 0, 2, 2), PromptBox(2, 2, 4, 4)]
         with pytest.raises(ProtocolError, match="mask count mismatch: 2 boxes but 1"):
             segment_patch(backend, gray_patch(4, 4), boxes)
 
     def test_score_count_mismatch_named(self):
-        backend = StubBackend([np.zeros((4, 4))], [])
+        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [])
         with pytest.raises(ProtocolError, match="score count mismatch"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     def test_mask_shape_mismatch_named(self):
-        backend = StubBackend([np.zeros((3, 4))], [1.0])
-        with pytest.raises(ProtocolError, match=r"mask 0 has shape \(3, 4\)"):
+        backend = StubBackend([(2, 0, np.zeros((3, 4)))], [1.0])
+        pattern = r"mask 0 has shape \(3, 4\) at \[2, 0\], outside the patch shape \(4, 4\)"
+        with pytest.raises(ProtocolError, match=pattern):
+            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+
+    @pytest.mark.parametrize(
+        "entry, pattern",
+        [
+            (np.zeros((4, 4)), "crop entry must be"),
+            ((0, np.zeros((4, 4))), "crop entry must be"),
+            ((True, 0, np.zeros((2, 2))), r"mask 0 has offsets \[True, 0\]; they must be integers"),
+            ((0, 1.0, np.zeros((2, 2))), "they must be integers"),
+            ((0, 0, "x"), "mask 0 is not a numeric grid"),
+            ((0, 0, np.zeros(4)), r"mask 0 has shape \(4,\), expected a 2-D"),
+        ],
+        ids=["bare-array", "two-items", "bool-offset", "float-offset", "not-numeric", "1-d"],
+    )
+    def test_malformed_crop_entry_named(self, entry, pattern):
+        backend = StubBackend([entry], [1.0])
+        with pytest.raises(ProtocolError, match=pattern):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     def test_mask_range_violation_named(self):
-        backend = StubBackend([np.full((4, 4), 1.25)], [1.0])
+        backend = StubBackend([(0, 0, np.full((4, 4), 1.25))], [1.0])
         with pytest.raises(ProtocolError, match=r"mask 0 has probabilities outside"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     def test_score_range_violation_named(self):
-        backend = StubBackend([np.zeros((4, 4))], [1.5])
+        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [1.5])
         with pytest.raises(ProtocolError, match=r"score 0 outside \[0, 1\]"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+
+
+@st.composite
+def patch_and_crops(draw):
+    """A patch shape and up to six crops inside it: anywhere, on an edge or
+    corner, 1x1 zero at [0, 0], or the whole patch; values drawn from a few
+    levels so that overlaps tie."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    levels = st.sampled_from([0.0, 0.25, 128 / 255, 1.0]) | st.floats(0.0, 1.0)
+    crops = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["anywhere", "edge", "zero", "full"]))
+        if kind == "zero":
+            crops.append((0, 0, np.zeros((1, 1))))
+            continue
+        ch, cw = (h, w) if kind == "full" else (draw(st.integers(1, h)), draw(st.integers(1, w)))
+        if kind == "edge":
+            row0 = draw(st.sampled_from([0, h - ch]))
+            col0 = draw(st.sampled_from([0, w - cw]))
+        else:
+            row0 = draw(st.integers(0, h - ch))
+            col0 = draw(st.integers(0, w - cw))
+        crops.append((row0, col0, draw(hnp.arrays(np.float64, (ch, cw), elements=levels))))
+    return (h, w), crops
+
+
+class TestStreamingFold:
+    @settings(max_examples=300, deadline=None)
+    @given(patch_and_crops())
+    def test_fold_equals_fuse_probabilities(self, case):
+        shape, crops = case
+        backend = StubBackend(crops, [1.0] * len(crops))
+        out = segment_patch(backend, gray_patch(*shape), [PromptBox(0, 0, 1, 1)] * len(crops))
+        assert len(out.masks) == len(crops)
+        for mask, (row0, col0, crop) in zip(out.masks, crops):
+            assert mask.probs.shape == shape and mask.probs.dtype == np.float64
+            assert not mask.probs.flags.writeable
+            assert np.array_equal(mask.probs, placed(shape, row0, col0, crop))
+        assert out.probs.dtype == np.float64
+        assert np.array_equal(out.probs, fuse_probabilities([m.probs for m in out.masks], shape))
 
 
 class TestFuseProbabilities:
@@ -207,6 +312,12 @@ class TestReplayBackend:
         with pytest.raises(BackendError, match="replay mask missing.*1.pgm"):
             segment_patch(backend, gray_patch(4, 4), boxes, patch_id="p0")
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 2)], ids=["one-row-short", "quarter"])
+    def test_wrong_size_rejected(self, tmp_path, shape):
+        backend = self.record(tmp_path, "p0", [np.full(shape, 255, dtype=np.uint8)])
+        with pytest.raises(ProtocolError, match=rf"mask 0 has shape \({shape[0]}, {shape[1]}\)"):
+            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
+
     def test_wrong_maxval_rejected(self, tmp_path):
         d = tmp_path / "p0"
         d.mkdir()
@@ -216,34 +327,100 @@ class TestReplayBackend:
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
 
 
-class TestHttpBackend:
+def send_json(handler, status, body):
+    data = json.dumps(body).encode("ascii")
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(data)))
+    handler.end_headers()
+    handler.wfile.write(data)
+
+
+def canned(status, body, seen=None):
+    """A handler answering every POST with *status* and JSON *body*; request
+    documents are appended to *seen*."""
+
+    class Canned(BaseHTTPRequestHandler):
+        def log_message(self, format, *args):  # noqa: A002
+            pass
+
+        def do_POST(self):  # noqa: N802
+            doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            if seen is not None:
+                seen.append(doc)
+            send_json(self, status, body)
+
+    return Canned
+
+
+def dropping_accept(upstream):
+    """A handler forwarding to *upstream* without the request's ``accept``
+    field, as a service that predates crop replies would ignore it."""
+
+    class Proxy(BaseHTTPRequestHandler):
+        def log_message(self, format, *args):  # noqa: A002
+            pass
+
+        def do_POST(self):  # noqa: N802
+            doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            doc.pop("accept")
+            reply = requests.post(upstream + self.path, json=doc, timeout=10)
+            send_json(self, reply.status_code, reply.json())
+
+    return Proxy
+
+
+@contextlib.contextmanager
+def serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def mock_service(form, **kwargs):
+    """A mock server and the endpoint at which it replies in *form*: its own
+    for ``crop``, or a :func:`dropping_accept` proxy's for ``full``."""
+    with MockSegmentServer(**kwargs) as server:
+        if form == "crop":
+            yield server, server.endpoint
+        else:
+            with serving(dropping_accept(server.endpoint)) as endpoint:
+                yield server, endpoint
+
+
+class RoundTrips:
+    """Round trips and faults against the mock service, replying in ``FORM``."""
+
+    FORM = "crop"
+
     def test_boxfill_round_trip(self):
-        with MockSegmentServer(mode="boxfill", value=255) as server:
-            backend = HttpBackend(server.endpoint)
+        with mock_service(self.FORM, mode="boxfill", value=255) as (server, endpoint):
+            backend = HttpBackend(endpoint)
             out = segment_patch(backend, gray_patch(8, 8), [PromptBox(2, 1, 5, 4)])
             expected = np.zeros((8, 8))
             expected[1:4, 2:5] = 1.0
             assert np.array_equal(out.probs, expected)
+            assert np.array_equal(out.masks[0].probs, expected)
             assert server.request_count == 1
 
     def test_constant_probabilities_bit_exact(self):
-        with MockSegmentServer(mode="constant", value=178) as server:
-            backend = HttpBackend(server.endpoint)
+        with mock_service(self.FORM, mode="constant", value=178) as (_, endpoint):
+            backend = HttpBackend(endpoint)
             out = segment_patch(backend, gray_patch(6, 6), [PromptBox(0, 0, 3, 3)])
             assert np.all(out.masks[0].probs == 178 / 255)
             assert np.all(out.probs == 178 / 255)
 
-    def test_unreachable_service(self):
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            free_port = s.getsockname()[1]
-        backend = HttpBackend(f"http://127.0.0.1:{free_port}", retries=0)
-        with pytest.raises(BackendUnreachableError, match="after 1 attempts"):
-            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
-
     def test_server_error_carries_detail(self):
-        with MockSegmentServer(fault="http_500") as server:
-            backend = HttpBackend(server.endpoint)
+        with mock_service(self.FORM, fault="http_500") as (_, endpoint):
+            backend = HttpBackend(endpoint)
             with pytest.raises(BackendError, match="HTTP 500: induced server failure"):
                 segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
@@ -257,10 +434,78 @@ class TestHttpBackend:
         ],
     )
     def test_protocol_faults_rejected(self, fault, pattern):
-        with MockSegmentServer(fault=fault) as server:
-            backend = HttpBackend(server.endpoint)
+        with mock_service(self.FORM, fault=fault) as (_, endpoint):
+            backend = HttpBackend(endpoint)
             with pytest.raises(ProtocolError, match=pattern):
                 segment_patch(backend, gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
+
+
+class TestHttpBackendFullForm(RoundTrips):
+    FORM = "full"
+
+
+class TestHttpBackend(RoundTrips):
+    def test_client_asks_for_crops_and_places_them(self):
+        crop = np.array([[0, 51], [255, 0]], dtype=np.uint8)
+        seen = []
+        reply = {"masks_crop": [[5, 6, b64_pgm(crop)]], "scores": [0.5]}
+        with serving(canned(200, reply, seen)) as endpoint:
+            out = segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(6, 5, 8, 7)])
+        assert seen[0]["accept"] == ["crop"]
+        assert seen[0]["boxes"] == [[6, 5, 8, 7]]
+        assert np.array_equal(out.probs, placed((8, 8), 5, 6, crop / 255.0))
+        assert out.scores == (0.5,)
+
+    def test_unreachable_service(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            free_port = s.getsockname()[1]
+        backend = HttpBackend(f"http://127.0.0.1:{free_port}", retries=0)
+        with pytest.raises(BackendUnreachableError, match="after 1 attempts"):
+            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+
+    @pytest.mark.parametrize("body", [["oops"], "oops", None, 3])
+    def test_error_body_that_is_not_an_object(self, body):
+        with serving(canned(503, body)) as endpoint:
+            with pytest.raises(BackendError, match=r"HTTP 503$"):
+                segment_patch(HttpBackend(endpoint), gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+
+    @pytest.mark.parametrize(
+        "reply, pattern",
+        [
+            ({"masks_crop": [[-1, 0, b64_pgm(np.ones((4, 4)))]]},
+             r"mask 0 has shape \(4, 4\) at \[-1, 0\], outside the patch shape \(8, 8\)"),
+            ({"masks_crop": [[6, 0, b64_pgm(np.ones((4, 4)))]]},
+             r"mask 0 has shape \(4, 4\) at \[6, 0\], outside the patch shape \(8, 8\)"),
+            ({"masks_crop": [[0, 5, b64_pgm(np.ones((1, 4)))]]},
+             r"mask 0 has shape \(1, 4\) at \[0, 5\], outside the patch shape \(8, 8\)"),
+            ({"masks_crop": [[True, 0, b64_pgm(np.ones((4, 4)))]]},
+             r"mask 0 has offsets \[True, 0\]; they must be integers"),
+            ({"masks_crop": [[0, 1.0, b64_pgm(np.ones((4, 4)))]]},
+             r"mask 0 has offsets \[0, 1.0\]; they must be integers"),
+            ({"masks_crop": [[0, b64_pgm(np.ones((4, 4)))]]}, "crop entry must be"),
+            ({"masks_crop": [b64_pgm(np.ones((8, 8)))]}, "crop entry must be"),
+            ({"masks_crop": [[0, 0, "not base64!"]]}, "mask 0: invalid base64"),
+            ({"masks_crop": [[0, 0, 7]]}, "mask 0: invalid base64"),
+            ({"masks_crop": [[0, 0, base64.b64encode(b"P6 1 1 255 x").decode()]]},
+             "mask 0: bad PGM"),
+            ({"masks_crop": "x"}, "'masks_crop' is not a list"),
+            ({"masks_pgm_b64": [b64_pgm(np.ones((7, 8)))]},
+             r"mask 0 has shape \(7, 8\), expected patch shape \(8, 8\)"),
+            ({"masks_pgm_b64": [b64_pgm(np.ones((4, 4)))]},
+             r"mask 0 has shape \(4, 4\), expected patch shape \(8, 8\)"),
+            ({"masks_pgm_b64": [[0, 0, b64_pgm(np.ones((8, 8)))]]}, "mask 0: invalid base64"),
+            ({}, "'masks_pgm_b64' missing or not a list"),
+        ],
+        ids=["negative-row", "overhang-bottom", "overhang-right", "bool-offset",
+             "float-offset", "two-items", "bare-string", "bad-base64", "int-payload",
+             "ppm-not-pgm", "not-a-list", "full-one-row-short", "full-quarter-patch",
+             "full-given-a-crop", "no-masks"],
+    )
+    def test_malformed_reply_rejected(self, reply, pattern):
+        with serving(canned(200, {"scores": [1.0], **reply})) as endpoint:
+            with pytest.raises(ProtocolError, match=pattern):
+                segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
 
     def test_concurrent_requests_all_served(self):
         with MockSegmentServer(mode="constant", value=255) as server:
@@ -290,3 +535,54 @@ class TestHttpBackend:
             HttpBackend("http://127.0.0.1:1", retries=-1)
         with pytest.raises(ValueError, match="max_inflight"):
             HttpBackend("http://127.0.0.1:1", max_inflight=0)
+
+
+def post_raw(endpoint, boxes, **extra):
+    patch = RGBImage(np.zeros((8, 8, 3), dtype=np.uint8))
+    doc = {"image_ppm_b64": base64.b64encode(ppm_bytes(patch)).decode("ascii"),
+           "boxes": boxes, **extra}
+    return requests.post(endpoint + "/segment", json=doc, timeout=10)
+
+
+@pytest.fixture(scope="module")
+def boxfill_server():
+    with MockSegmentServer(mode="boxfill", value=255) as server:
+        yield server
+
+
+class TestMockServer:
+    @pytest.mark.parametrize(
+        "mode, value, box, expected",
+        [
+            ("boxfill", 255, [2, 1, 5, 4], [1, 2, np.full((3, 3), 255)]),
+            ("constant", 178, [2, 1, 5, 4], [0, 0, np.full((8, 8), 178)]),
+            ("boxfill", 0, [2, 1, 5, 4], [0, 0, np.zeros((1, 1))]),
+        ],
+        ids=["tight-box", "spills-outside-box", "all-zero"],
+    )
+    def test_crop_reply_is_the_tight_nonzero_rectangle(self, mode, value, box, expected):
+        with MockSegmentServer(mode=mode, value=value) as server:
+            reply = post_raw(server.endpoint, [box], accept=["crop"])
+        assert reply.status_code == 200
+        assert reply.json() == {"masks_crop": [[expected[0], expected[1], b64_pgm(expected[2])]],
+                                "scores": [1.0]}
+
+    @pytest.mark.parametrize("extra", [{}, {"accept": ["rle"]}, {"accept": "crop"}],
+                             ids=["no-accept", "unknown-form", "accept-not-a-list"])
+    def test_full_reply_without_crop_in_accept(self, boxfill_server, extra):
+        reply = post_raw(boxfill_server.endpoint, [[2, 1, 5, 4]], **extra)
+        full = np.zeros((8, 8))
+        full[1:4, 2:5] = 255
+        assert reply.json() == {"masks_pgm_b64": [b64_pgm(full)], "scores": [1.0]}
+
+    @pytest.mark.parametrize(
+        "boxes",
+        [[[0, 0, "a", 2]], [[0, 0, 2]], "x", [[0, 0, 2.5, 2]], [[True, 0, 2, 2]],
+         [[0, 0, 9, 2]], [[-1, 0, 2, 2]], [[2, 0, 2, 2]], [None]],
+        ids=["string-coord", "three-coords", "not-a-list", "float-coord", "bool-coord",
+             "outside-image", "negative", "empty", "null-box"],
+    )
+    def test_malformed_boxes_get_a_400(self, boxfill_server, boxes):
+        reply = post_raw(boxfill_server.endpoint, boxes, accept=["crop"])
+        assert reply.status_code == 400
+        assert "bad request" in reply.json()["error"]
