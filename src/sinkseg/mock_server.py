@@ -32,6 +32,10 @@ from .image import image_from_ppm_bytes, pgm_bytes
 
 FAULTS = ("count_mismatch", "bad_dims", "bad_maxval", "bad_score", "http_500")
 
+# How often the serving thread checks for shutdown; stop() waits up to this
+# long.  The socketserver default of 0.5 s would make every stop() that long.
+_POLL_INTERVAL_S = 0.01
+
 
 class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
@@ -164,7 +168,9 @@ class MockSegmentServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "MockSegmentServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         return self
 

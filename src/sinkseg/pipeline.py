@@ -4,10 +4,12 @@ Stage artifacts (all deterministic — rerunning a stage overwrites the same
 bytes, regardless of worker pool size):
 
 ``fill``
-    ``patches/<id>.depth.asc`` (per-patch mode) or ``depth.asc`` (mosaic
+    ``patches/<id>.depth.npz`` (per-patch mode) or ``depth.npz`` (mosaic
     mode), plus ``manifest.json`` describing the mosaic and tiling so later
     stages need no access to the original input; every stage derives its
-    windows from the manifest.
+    windows from the manifest.  A depth file is a zlib-compressed NumPy
+    archive holding one float64 array, ``depth``; its georeference and nodata
+    come from the manifest.  Only the prompts stage reads it.
 ``prompts``
     ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
     ``depth_filtered.asc`` — the filtered depressions stitched back into a
@@ -15,6 +17,7 @@ bytes, regardless of worker pool size):
 ``segment``
     ``fused_mask.asc`` — per-box masks fused once per patch (pixelwise max),
     patches stitched with the configured merge rule, then binarized once.
+    Only the echo backend reads ``depth_filtered.asc``.
 ``eval``
     ``report.json`` and ``report.csv`` against the ground-truth mask.
 
@@ -29,8 +32,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
@@ -168,6 +175,50 @@ def _window_georef(doc: dict, window: TileWindow) -> tuple[float, float, float]:
     return origin_x, origin_y, cellsize
 
 
+def _write_depth(depth: Raster, path: Path) -> None:
+    np.savez_compressed(path, depth=depth.values)
+
+
+def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Raster:
+    """Load the depth the fill stage wrote for *window* (None: the mosaic).
+
+    The array must be float64 with the shape the manifest gives; georeference
+    and nodata are rebuilt from the manifest.
+    """
+    if not path.exists():
+        raise InputError(f"{path} not found — run the fill stage first")
+
+    def bad(what: str) -> InputError:
+        return InputError(f"{path}: {what} — rerun the fill stage")
+
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise bad("not an .npz archive")
+        with archive:
+            if archive.files != ["depth"]:
+                raise bad(f"expected exactly one array 'depth', found {archive.files}")
+            values = archive["depth"]
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise bad(f"unreadable depth archive ({exc})") from exc
+    if values.dtype != np.float64:
+        raise bad(f"depth has dtype {values.dtype}, expected float64")
+    if values.ndim != 2:
+        raise bad(f"depth has {values.ndim} dimensions, expected 2")
+    if window is None:
+        width, height = doc["width"], doc["height"]
+        georef = doc["origin_x"], doc["origin_y"], doc["cellsize"]
+    else:
+        width = height = window.patch
+        georef = _window_georef(doc, window)
+    if values.shape != (height, width):
+        raise bad(f"depth is {values.shape[1]}x{values.shape[0]}, expected {width}x{height}")
+    try:
+        return Raster(values, doc["nodata"], *georef)
+    except ValueError as exc:  # non-finite cells
+        raise bad(str(exc)) from exc
+
+
 def cmd_fill(cfg: PipelineConfig) -> None:
     """Fill depressions and write the depth rasters (per patch or mosaic)."""
     validate_for(cfg, "fill")
@@ -188,12 +239,12 @@ def cmd_fill(cfg: PipelineConfig) -> None:
             depth = extract_tile(dem, window)
             if depth.valid_mask().any():  # an all-nodata tile has nothing to fill
                 depth = fill_depressions(depth).depth
-            write_ascii_grid(depth, patches / f"{patch_id(window)}.depth.asc")
+            _write_depth(depth, patches / f"{patch_id(window)}.depth.npz")
 
         _pool_map(cfg.workers, work, windows)
         logger.info("filled %d patches into %s", len(windows), patches)
     else:
-        write_ascii_grid(fill_depressions(dem).depth, out / "depth.asc")
+        _write_depth(fill_depressions(dem).depth, out / "depth.npz")
         logger.info("filled mosaic into %s", out)
 
     _write_manifest(out, dem, cfg)
@@ -208,17 +259,17 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
     doc = _read_manifest(out)
     windows = _manifest_windows(doc)
 
-    mosaic_path = out / "depth.asc"
+    mosaic_path = out / "depth.npz"
     depth_mosaic = None
     if doc["fill_mode"] == "mosaic":
-        depth_mosaic = _read_stage_grid(mosaic_path, doc["width"], doc["height"], "fill")
+        depth_mosaic = _read_depth(mosaic_path, doc)
 
     def work(window: TileWindow):
         if depth_mosaic is not None:
             depth_path, depth_tile = mosaic_path, extract_tile(depth_mosaic, window)
         else:
-            depth_path = patches / f"{patch_id(window)}.depth.asc"
-            depth_tile = _read_stage_grid(depth_path, window.patch, window.patch, "fill")
+            depth_path = patches / f"{patch_id(window)}.depth.npz"
+            depth_tile = _read_depth(depth_path, doc, window)
         try:
             components = label_components(depth_tile)
         except ValueError as exc:  # negative depth
@@ -274,11 +325,11 @@ def cmd_segment(cfg: PipelineConfig) -> None:
             f"rgb mosaic is {rgb.width}x{rgb.height} but the fill manifest says "
             f"{doc['width']}x{doc['height']}"
         )
-    depth_filtered = _read_stage_grid(
-        out / "depth_filtered.asc", doc["width"], doc["height"], "prompts"
-    )
-
     shared_backend = _build_shared_backend(cfg)
+    if shared_backend is None:  # echo paints the filtered depth
+        depth_filtered = _read_stage_grid(
+            out / "depth_filtered.asc", doc["width"], doc["height"], "prompts"
+        )
 
     def work(window: TileWindow):
         pid = patch_id(window)

@@ -9,11 +9,19 @@ map coordinates of the lower-left corner of the lower-left cell and
 Values are written with :func:`repr`, i.e. the shortest decimal string that
 round-trips the exact float64, so write -> read is bit-exact.  Nodata cells
 are written as the same token that appears on the ``NODATA_value`` header
-line and are matched against it verbatim when reading.
+line.
+
+Reading takes one compiled pass (:func:`numpy.loadtxt`) over the data rows.
+Any grid that pass does not accept as exactly ``nrows`` x ``ncols`` floats is
+parsed again line by line, so a malformed file is reported with the number of
+the offending line.  Both passes split rows at line breaks (LF, CRLF or CR)
+and cells at whitespace, and both agree cell for cell, bit for bit: a token
+spelled like the nodata header value parses to the same float.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,7 +169,39 @@ def _parse_header(lines: list[str], path: Path) -> tuple[dict, int]:
 
 
 def _parse_grid(path: Path) -> tuple[dict, np.ndarray]:
-    lines = Path(path).read_text().splitlines()
+    with open(path) as fh:
+        try:
+            header, _ = _parse_header(
+                [fh.readline().rstrip("\n") for _ in _HEADER_KEYS], path
+            )
+            data = _load_rows(fh)
+        except (GridFormatError, ValueError):
+            data = None
+    if data is not None and data.shape == (header["nrows"], header["ncols"]):
+        return header, data
+    return _parse_grid_lines(path)
+
+
+def _load_rows(fh) -> np.ndarray | None:
+    """The data rows left in *fh* as one float64 array, or None if there are none.
+
+    Raises ValueError on anything numpy cannot read as a rectangle of floats.
+    """
+    for first in fh:
+        if first.strip():
+            break
+    else:
+        return None  # loadtxt would warn about empty input
+    # comments=None: a '#' cell is an error here, as in the line parser.
+    return np.loadtxt(
+        itertools.chain([first], fh), dtype=np.float64, comments=None, ndmin=2
+    )
+
+
+def _parse_grid_lines(path: Path) -> tuple[dict, np.ndarray]:
+    """The line-by-line parser: slow, but names the line of every error."""
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
     header, first_data = _parse_header(lines, Path(path))
     ncols, nrows = header["ncols"], header["nrows"]
     nodata_token = header["nodata_value"]
@@ -228,18 +268,21 @@ def _format_rows(values: np.ndarray, nodata: float) -> list[str]:
     return rows
 
 
+def _header_text(grid, nodata: float) -> str:
+    return (
+        f"ncols {grid.width}\n"
+        f"nrows {grid.height}\n"
+        f"xllcorner {repr(grid.origin_x)}\n"
+        f"yllcorner {repr(grid.origin_y)}\n"
+        f"cellsize {repr(grid.cellsize)}\n"
+        f"NODATA_value {repr(nodata)}\n"
+    )
+
+
 def write_ascii_grid(raster: Raster, path: str | Path) -> None:
     """Write *raster* as an ESRI ASCII grid (bit-exact round trip)."""
-    lines = [
-        f"ncols {raster.width}",
-        f"nrows {raster.height}",
-        f"xllcorner {repr(raster.origin_x)}",
-        f"yllcorner {repr(raster.origin_y)}",
-        f"cellsize {repr(raster.cellsize)}",
-        f"NODATA_value {repr(raster.nodata)}",
-    ]
-    lines.extend(_format_rows(raster.values, raster.nodata))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = _format_rows(raster.values, raster.nodata)
+    Path(path).write_text(_header_text(raster, raster.nodata) + "\n".join(rows) + "\n")
 
 
 def read_ascii_mask(path: str | Path) -> BinaryMask:
@@ -262,17 +305,12 @@ def read_ascii_mask(path: str | Path) -> BinaryMask:
 
 def write_ascii_mask(mask: BinaryMask, path: str | Path) -> None:
     """Write a :class:`BinaryMask` as an ASCII grid of 0/1 integers."""
-    lines = [
-        f"ncols {mask.width}",
-        f"nrows {mask.height}",
-        f"xllcorner {repr(mask.origin_x)}",
-        f"yllcorner {repr(mask.origin_y)}",
-        f"cellsize {repr(mask.cellsize)}",
-        f"NODATA_value {repr(DEFAULT_NODATA)}",
-    ]
-    ints = mask.values.astype(np.int64)
-    lines.extend(" ".join(str(v) for v in ints[r].tolist()) for r in range(mask.height))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # Each row is "d d ... d\n": a digit, then a space or the line break.
+    cells = np.full((mask.height, 2 * mask.width), ord(" "), dtype=np.uint8)
+    cells[:, 0::2] = mask.values
+    cells[:, 0::2] += ord("0")
+    cells[:, -1] = ord("\n")
+    Path(path).write_bytes(_header_text(mask, DEFAULT_NODATA).encode() + cells.tobytes())
 
 
 def _check_aligned(a, b, what: str) -> None:

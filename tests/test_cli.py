@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sinkseg.cli import main
-from sinkseg.raster import read_ascii_grid, write_ascii_grid
+from sinkseg.raster import Raster, read_ascii_grid, write_ascii_grid
 from sinkseg.synth import export_scene, gen_terrain
 
 
@@ -32,19 +32,64 @@ def manifest_text(**overrides):
     return json.dumps({**doc, **overrides})
 
 
+def load_depth(path):
+    with np.load(path) as archive:
+        return archive["depth"]
+
+
 def negate_first_cell(path):
-    grid = read_ascii_grid(path)
-    values = grid.values.copy()
-    values[0, 0] = -1.0
-    write_ascii_grid(grid.with_values(values), path)
+    depth = load_depth(path)
+    depth[0, 0] = -1.0
+    np.savez_compressed(path, depth=depth)
 
 
 def cut_to(side):
+    def cut(path):
+        np.savez_compressed(path, depth=load_depth(path)[:side, :side])
+
+    return cut
+
+
+def cut_grid_to(side):
     def cut(path):
         grid = read_ascii_grid(path)
         write_ascii_grid(grid.with_values(grid.values[:side, :side].copy()), path)
 
     return cut
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def ascii_grid(path):
+    write_ascii_grid(Raster(load_depth(path)), path)
+
+
+def bare_npy(path):
+    depth = load_depth(path)
+    with open(path, "wb") as fh:
+        np.save(fh, depth)
+
+
+def as_float32(path):
+    np.savez_compressed(path, depth=load_depth(path).astype(np.float32))
+
+
+def add_axis(path):
+    np.savez_compressed(path, depth=load_depth(path)[np.newaxis])
+
+
+def extra_member(path):
+    np.savez_compressed(path, depth=load_depth(path), filled=load_depth(path))
+
+
+def rename_member(path):
+    np.savez_compressed(path, values=load_depth(path))
+
+
+def object_array(path):
+    np.savez_compressed(path, depth=np.full((48, 48), None, dtype=object))
 
 
 def oversized_box(path):
@@ -168,12 +213,27 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "fill_mode, stage, artifact, corrupt, message",
         [
-            ("patch", "prompts", "patches/r00000_c00000.depth.asc", negate_first_cell,
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", negate_first_cell,
              "depth raster contains negative values"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.asc", cut_to(20),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", cut_to(20),
              "is 20x20, expected 48x48"),
-            ("mosaic", "prompts", "depth.asc", cut_to(60), "is 60x60, expected 96x96"),
-            ("mosaic", "segment", "depth_filtered.asc", cut_to(60),
+            ("mosaic", "prompts", "depth.npz", cut_to(60), "is 60x60, expected 96x96"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", truncate,
+             "unreadable depth archive"),
+            ("mosaic", "prompts", "depth.npz", ascii_grid, "unreadable depth archive"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", bare_npy,
+             "not an .npz archive"),
+            ("mosaic", "prompts", "depth.npz", as_float32,
+             "depth has dtype float32, expected float64"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", add_axis,
+             "depth has 3 dimensions, expected 2"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", rename_member,
+             "expected exactly one array 'depth', found ['values']"),
+            ("mosaic", "prompts", "depth.npz", extra_member,
+             "expected exactly one array 'depth', found ['depth', 'filled']"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", object_array,
+             "Object arrays cannot be loaded when allow_pickle=False"),
+            ("mosaic", "segment", "depth_filtered.asc", cut_grid_to(60),
              "is 60x60, expected 96x96"),
             ("patch", "segment", "patches/r00000_c00000.boxes.json", oversized_box,
              "exceeds patch 48x48"),
@@ -183,7 +243,9 @@ class TestExitCodes:
              "box coordinate x0 must be an integer, got True"),
         ],
         ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
-             "short-filtered-depth", "box-outside-patch", "string-area", "bool-coordinate"],
+             "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
+             "no-depth-member", "extra-member", "object-depth", "short-filtered-depth",
+             "box-outside-patch", "string-area", "bool-coordinate"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message

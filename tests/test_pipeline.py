@@ -1,6 +1,7 @@
 """Stage orchestration: artifacts, composition, determinism, backends."""
 
 import json
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,11 +10,12 @@ import pytest
 
 from conftest import tree_digests
 from sinkseg.config import PipelineConfig
-from sinkseg.errors import InputError
+from sinkseg.errors import GridFormatError, InputError
 from sinkseg.hydro import fill_depressions
 from sinkseg.image import write_ppm, write_pgm
 from sinkseg.labeling import FilterThresholds, read_prompts
 from sinkseg.mock_server import MockSegmentServer
+from sinkseg import pipeline
 from sinkseg.pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
 from sinkseg.raster import (
     Raster,
@@ -45,6 +47,15 @@ def manifest_windows(out_dir):
     return {patch_id(w): w for w in plan_tiles(doc["width"], doc["height"], spec)}
 
 
+def load_depth(path):
+    """The float64 array of a depth archive the fill stage wrote."""
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive.files == ["depth"]
+        depth = archive["depth"]
+    assert depth.dtype == np.float64
+    return depth
+
+
 def make_cfg(scene_dir, out_dir, **kw):
     kw.setdefault("tile", TILE)
     return PipelineConfig(
@@ -61,9 +72,9 @@ class TestFillStage:
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         patches = tmp_path / "out" / "patches"
-        depth = sorted(p.name for p in patches.glob("*.depth.asc"))
+        depth = sorted(p.name for p in patches.glob("*.depth.npz"))
         assert len(depth) == 9
-        assert depth[0] == "r00000_c00000.depth.asc"
+        assert depth[0] == "r00000_c00000.depth.npz"
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["width"] == 128 and manifest["height"] == 128
         assert manifest["patch"] == 64 and manifest["stride"] == 32
@@ -77,7 +88,7 @@ class TestFillStage:
         window = manifest_windows(tmp_path / "out")["r00032_c00032"]
         expected = fill_depressions(extract_tile(dem, window))
         assert np.array_equal(
-            read_ascii_grid(patches / "r00032_c00032.depth.asc").values,
+            load_depth(patches / "r00032_c00032.depth.npz"),
             expected.depth.values,
         )
 
@@ -87,9 +98,7 @@ class TestFillStage:
         out = tmp_path / "out"
         dem = read_ascii_grid(scene_dir / "dem.asc")
         expected = fill_depressions(dem)
-        assert np.array_equal(
-            read_ascii_grid(out / "depth.asc").values, expected.depth.values
-        )
+        assert np.array_equal(load_depth(out / "depth.npz"), expected.depth.values)
 
     def test_invert_depth_flag(self, tmp_path):
         values = np.full((70, 70), 40.0)
@@ -105,9 +114,9 @@ class TestFillStage:
         )
         cmd_fill(cfg)
         expected = fill_depressions(invert_depth(bumpy)).depth
-        got = read_ascii_grid(tmp_path / "out" / "depth.asc")
-        assert np.array_equal(got.values, expected.values)
-        assert got.values.max() == 7.0
+        got = load_depth(tmp_path / "out" / "depth.npz")
+        assert np.array_equal(got, expected.values)
+        assert got.max() == 7.0
 
     def test_all_nodata_tile_passes_through(self, tmp_path):
         values = np.full((96, 96), 25.0)
@@ -119,8 +128,30 @@ class TestFillStage:
             tile=TileSpec(patch=64, stride=32),
         )
         cmd_fill(cfg)
-        depth = read_ascii_grid(tmp_path / "out" / "patches" / "r00000_c00000.depth.asc")
-        assert np.all(depth.values == -9999.0)
+        depth = load_depth(tmp_path / "out" / "patches" / "r00000_c00000.depth.npz")
+        assert np.all(depth == -9999.0)
+
+    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
+    def test_depth_archive_rebuilds_georeference_and_nodata(self, scene_dir, tmp_path, mode):
+        values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
+        values[5:9, 70:80] = -32768.0
+        dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
+        write_ascii_grid(dem, tmp_path / "dem.asc")
+        out = tmp_path / "out"
+        cmd_fill(PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=out, tile=TILE,
+                                fill_mode=mode))
+        doc = json.loads((out / "manifest.json").read_text())
+        if mode == "mosaic":
+            expected = {None: fill_depressions(dem).depth}
+            paths = {None: out / "depth.npz"}
+        else:
+            windows = manifest_windows(out)
+            expected = {w: fill_depressions(extract_tile(dem, w)).depth for w in windows.values()}
+            paths = {w: out / "patches" / f"{pid}.depth.npz" for pid, w in windows.items()}
+        for window, want in expected.items():
+            got = pipeline._read_depth(paths[window], doc, window)
+            assert np.array_equal(got.values, want.values)
+            assert (got.nodata, got.geotransform) == (want.nodata, want.geotransform)
 
 
 class TestStageOrdering:
@@ -276,6 +307,27 @@ class TestSegmentAndEval:
         fused = read_ascii_mask(tmp_path / "out" / "fused_mask.asc")
         assert np.array_equal(fused.values, expected)
 
+    @pytest.mark.parametrize("kind", ["http", "replay"])
+    def test_only_echo_reads_the_filtered_depth(self, scene_dir, tmp_path, kind):
+        out = tmp_path / "out"
+        server = None
+        if kind == "http":
+            server = MockSegmentServer(mode="boxfill", value=255)
+            cfg = make_cfg(scene_dir, out, backend_kind="http", backend_endpoint=server.endpoint)
+        else:  # no boxes, so the replay directory needs no recordings
+            cfg = make_cfg(scene_dir, out, backend_kind="replay", backend_replay_dir=tmp_path,
+                           filter=FilterThresholds(min_depth=1000.0, min_area_px=50))
+        cmd_fill(cfg)
+        cmd_prompts(cfg)
+        with server or nullcontext():
+            cmd_segment(cfg)
+            fused = (out / "fused_mask.asc").read_bytes()
+            (out / "depth_filtered.asc").write_text("not a grid\n")
+            cmd_segment(cfg)
+        assert (out / "fused_mask.asc").read_bytes() == fused
+        with pytest.raises(GridFormatError):
+            cmd_segment(replace(cfg, backend_kind="echo"))
+
     def test_replay_backend_reproduces_echo_run(self, scene_dir, tmp_path):
         cfg, _ = self.run_all(scene_dir, tmp_path / "echo")
         # record per-box echo masks, then replay them through the pipeline
@@ -314,8 +366,8 @@ class TestArtifacts:
                   "report.json", "report.csv"}
         common |= {f"patches/{pid}.boxes.json" for pid in ids}
         expected = {
-            "patch": common | {f"patches/{pid}.depth.asc" for pid in ids},
-            "mosaic": common | {"depth.asc"},
+            "patch": common | {f"patches/{pid}.depth.npz" for pid in ids},
+            "mosaic": common | {"depth.npz"},
         }
         for mode, files in expected.items():
             out = tmp_path / mode

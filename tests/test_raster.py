@@ -1,10 +1,13 @@
 """Raster containers, ASCII grid I/O, and grid arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sinkseg import raster
 from sinkseg.errors import GridFormatError
 from sinkseg.raster import (
     BinaryMask,
@@ -202,7 +205,132 @@ class TestAsciiGridParsing:
             read_ascii_grid(path)
 
 
+GOOD_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["-0.0", "0.0", "-0", "+0", ".5", "5.", "1e5", "1E-5", "+1.5",
+                     "nan", "-nan", "Infinity", "-inf", "-9999", "-9999.0", "-9.999e3"]),
+)
+BAD_TOKENS = st.sampled_from(
+    ["#", "#1", "1_0", "abc", "1,5", "0x10", "1e", "--1", "1.2.3", "1d5", "'1'"]
+)
+NODATA_TOKENS = st.sampled_from(["-9999", "-9999.0", "-9.999e3", "-0.0", "0", "1_0"])
+
+
+@st.composite
+def grid_texts(draw):
+    """ASCII grid text, sometimes malformed: ragged, short, long or non-numeric."""
+    nodata = draw(NODATA_TOKENS)
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.one_of(GOOD_TOKENS, GOOD_TOKENS, GOOD_TOKENS, st.just(nodata), BAD_TOKENS)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [f"ncols {ncols}", f"nrows {nrows}", "xllcorner 0.0", "yllcorner 0.0",
+             "cellsize 1.0", f"NODATA_value {nodata}"]
+    for _ in range(max(0, nrows + draw(st.sampled_from([0, 0, 0, -1, 1])))):
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1)))
+        width = max(0, ncols + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        row = sep.join(draw(st.lists(cell, min_size=width, max_size=width)))
+        lines.append(draw(st.sampled_from(["", " "])) + row + draw(st.sampled_from(["", " ", "\t"])))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def parse_outcome(parse, path):
+    """A parser's result as comparable values: header and cell bits, or the error."""
+    try:
+        header, data = parse(path)
+    except GridFormatError as exc:
+        return str(exc)
+    return repr(header), data.shape, data.view(np.int64).tolist()
+
+
+class TestFastParserOracle:
+    """``_parse_grid`` reads with numpy; the line-by-line parser is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=grid_texts())
+    @example(text=grid_text([], 3, 1) + "-0.0 0.0 -0\n")  # signed zeros
+    @example(text=grid_text([], 2, 1, "-9999") + "-9999.0 -9.999e3\n")  # nodata respelled
+    @example(text=grid_text([], 2, 1, "1_0") + "1_0 10\n")  # nodata numpy cannot read
+    @example(text=grid_text([], 4, 1) + "1 2 3 4\n")  # 1xN
+    @example(text=grid_text([], 1, 3) + "1\n2\n3\n")  # Nx1
+    @example(text=grid_text([], 2, 2) + "\n1 2\n  \n\n3 4\n\n")  # blank lines
+    @example(text=grid_text([], 2, 2).replace("\n", "\r\n") + "1 2\r\n3 4\r\n")  # CRLF
+    @example(text=grid_text([], 2, 2) + "1 2  \n3 4\t\n")  # trailing spaces
+    @example(text=grid_text([], 2, 2) + "1 2\n3\n")  # ragged
+    @example(text=grid_text([], 2, 3) + "1 2\n3 4\n")  # a row missing
+    @example(text=grid_text([], 2, 1) + "1 2\n3 4\n")  # an extra row
+    @example(text=grid_text([], 2, 1) + "1 oops\n")  # non-numeric
+    @example(text=grid_text([], 2, 1) + "1 2 # x\n")  # '#' is a cell, not a comment
+    @example(text=grid_text([], 2, 1) + "1_0 2\n")  # Python reads 1_0, numpy does not
+    @example(text=grid_text([], 2, 2) + "1\x0c2\n3 4\n")  # form feed splits cells, not rows
+    @example(text=grid_text([], 2, 1))  # no data rows at all
+    def test_fast_path_equals_line_parser(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("grids") / "g.asc"
+        path.write_bytes(text.encode())
+        assert parse_outcome(raster._parse_grid, path) == parse_outcome(
+            raster._parse_grid_lines, path
+        )
+
+    def test_well_formed_grid_skips_line_parser(self, tmp_path, monkeypatch, rng):
+        values = rng.normal(size=(5, 7))
+        values[2, 3] = -9999.0
+        path = tmp_path / "g.asc"
+        write_ascii_grid(Raster(values), path)
+        monkeypatch.setattr(raster, "_parse_grid_lines", None)
+        assert np.array_equal(read_ascii_grid(path).values, values)
+
+    @pytest.mark.parametrize("body", ["", "\n  \n\t\n"])
+    def test_no_data_rows_is_an_error_not_a_warning(self, tmp_path, body):
+        path = tmp_path / "g.asc"
+        path.write_text(grid_text([], 2, 1) + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridFormatError, match="expected 1 data rows, found 0"):
+                read_ascii_grid(path)
+
+    def test_token_numpy_rejects_falls_back(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.asc"
+        path.write_text(grid_text([], 2, 1) + "1_0 2\n")
+        calls = []
+        original = raster._parse_grid_lines
+        monkeypatch.setattr(raster, "_parse_grid_lines", lambda p: calls.append(p) or original(p))
+        assert read_ascii_grid(path).values.tolist() == [[10.0, 2.0]]
+        assert calls == [path]
+
+
+def mask_bytes_by_join(mask):
+    """``write_ascii_mask`` output as built before it was vectorised."""
+    lines = [
+        f"ncols {mask.width}",
+        f"nrows {mask.height}",
+        f"xllcorner {repr(mask.origin_x)}",
+        f"yllcorner {repr(mask.origin_y)}",
+        f"cellsize {repr(mask.cellsize)}",
+        f"NODATA_value {repr(-9999.0)}",
+    ]
+    ints = mask.values.astype(np.int64)
+    lines.extend(" ".join(str(v) for v in ints[r].tolist()) for r in range(mask.height))
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestMaskIO:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.integers(1, 6).flatmap(
+            lambda w: st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
+                               min_size=1, max_size=6)
+        ),
+        origin=st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
+        cellsize=st.floats(1e-6, 1e6),
+    )
+    def test_bytes_equal_joined_rows(self, cells, origin, cellsize, tmp_path_factory):
+        mask = BinaryMask(np.array(cells), origin_x=origin[0], origin_y=origin[1],
+                          cellsize=cellsize)
+        path = tmp_path_factory.mktemp("masks") / "m.asc"
+        write_ascii_mask(mask, path)
+        assert path.read_bytes() == mask_bytes_by_join(mask)
+
     def test_round_trip(self, tmp_path, rng):
         m = BinaryMask(rng.random((7, 9)) > 0.5)
         path = tmp_path / "m.asc"
