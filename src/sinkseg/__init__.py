@@ -17,7 +17,7 @@ from .errors import (
     ProtocolError,
     SinksegError,
 )
-from .hydro import FilledResult, depression_depth, fill_depressions
+from .hydro import FilledResult, fill_depressions
 from .labeling import (
     DepressionComponent,
     FilterThresholds,
@@ -48,7 +48,6 @@ from .raster import (
     invert_depth,
     read_ascii_grid,
     read_ascii_mask,
-    subtract,
     write_ascii_grid,
     write_ascii_mask,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "brute_force_fill",
     "combined_loss",
     "components_from_mask",
-    "depression_depth",
     "detection_curve",
     "dice_loss",
     "evaluate_masks",
@@ -117,7 +115,6 @@ __all__ = [
     "read_ascii_mask",
     "segment_patch",
     "stitch",
-    "subtract",
     "write_ascii_grid",
     "write_ascii_mask",
 ]

@@ -11,7 +11,7 @@ Recognized keys (defaults in parentheses):
 ``depth_raster``         input elevation/depth ASCII grid (fill input)
 ``rgb_mosaic``           input RGB mosaic, binary PPM (segment input)
 ``out_dir``              output directory, created if absent
-``invert_depth``         flip depth so deep = high before filling (false)
+``invert_depth``         flip depth so deep = low before filling (false)
 ``fill.mode``            "patch" fills per tile, "mosaic" whole grid (patch)
 ``tile.patch``           tile side in pixels (512)
 ``tile.stride``          tile origin spacing in pixels (256)

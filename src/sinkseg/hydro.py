@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoOutletError
-from .raster import Raster, subtract
+from .raster import Raster
 
 _NEIGHBOURS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -125,7 +125,9 @@ def _spill_graph(rank: np.ndarray, valid: np.ndarray, outlet: np.ndarray):
     return csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
-def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray) -> np.ndarray:
+def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray, nodata: float):
+    """The filled surface and its depth: nodata where invalid, ``0.0`` where
+    not raised, ``filled - value`` where raised."""
     from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
     # ranks start at 1: csgraph reads a zero weight as "no edge"
@@ -149,7 +151,9 @@ def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray) -> 
     raised = level > rank
     filled = values.copy()
     filled[raised] = levels[level[raised] - 1]
-    return filled
+    depth = np.where(valid, 0.0, np.float64(nodata))
+    depth[raised] = filled[raised] - values[raised]
+    return filled, depth
 
 
 def fill_depressions(dem: Raster) -> FilledResult:
@@ -177,10 +181,5 @@ def fill_depressions(dem: Raster) -> FilledResult:
         raise NoOutletError(
             "no drainage outlet: raster has no valid cell on the edge or next to nodata"
         )
-    filled = dem.with_values(_minimax_fill(dem.values, valid, outlet))
-    return FilledResult(filled=filled, depth=subtract(filled, dem))
-
-
-def depression_depth(dem: Raster) -> Raster:
-    """Shortcut for ``fill_depressions(dem).depth``."""
-    return fill_depressions(dem).depth
+    filled, depth = _minimax_fill(dem.values, valid, outlet, dem.nodata)
+    return FilledResult(filled=dem.with_values(filled), depth=dem.with_values(depth))

@@ -2,17 +2,14 @@
 
 Speaks exactly the wire protocol the :class:`~sinkseg.segmenter.HttpBackend`
 client expects: ``POST /segment`` with a base64 PPM and box list, JSON reply
-with one base64 PGM mask per box plus scores.  A request whose ``accept``
-list holds ``"crop"`` gets each mask as ``[row0, col0, pgm_b64]`` under
-``masks_crop``, the PGM holding the tight rectangle of the mask's nonzero
-pixels (a 1x1 zero PGM at [0, 0] for an all-zero mask); any other request
-gets patch-sized PGMs under ``masks_pgm_b64``, as a service that predates
-crops would send.  Mask content is configurable (``constant`` paints every
-pixel the same value, ``boxfill`` paints only the prompted boxes), and a
-``fault`` can be injected to produce each of the protocol violations a
-robust client must reject, in either reply form.  Malformed requests,
-including boxes that are not four integers inside the image, get a 400
-reply with an ``{"error": ...}`` body.
+with one ``[row0, col0, pgm_b64]`` per box under ``masks_crop`` plus scores,
+the PGM holding the tight rectangle of the mask's nonzero pixels (a 1x1 zero
+PGM at [0, 0] for an all-zero mask).  Mask content is configurable
+(``constant`` paints every pixel the same value, ``boxfill`` paints only the
+prompted boxes), and a ``fault`` can be injected to produce each of the
+protocol violations a robust client must reject.  Malformed requests,
+including boxes that are not four integers inside the image, get a 400 reply
+with an ``{"error": ...}`` body.
 
 Runs on a background thread bound to 127.0.0.1; intended for tests and for
 manual experiments via ``python -m sinkseg.mock_server``.
@@ -65,7 +62,6 @@ class _Handler(BaseHTTPRequestHandler):
             image = image_from_ppm_bytes(base64.b64decode(doc["image_ppm_b64"]))
             boxes = doc["boxes"]
             _check_boxes(boxes, image.width, image.height)
-            accept = doc.get("accept")
         except Exception as exc:  # noqa: BLE001 - report malformed requests
             self._reply(400, {"error": f"bad request: {exc}"})
             return
@@ -81,24 +77,13 @@ class _Handler(BaseHTTPRequestHandler):
             maxval = 200
         elif owner.fault == "bad_score" and scores:
             scores[0] = 1.5
-
-        def b64(values: np.ndarray) -> str:
-            return base64.b64encode(pgm_bytes(values, maxval)).decode("ascii")
-
-        if isinstance(accept, list) and "crop" in accept:
-            if owner.fault == "bad_dims":  # shift each crop one row past the bottom edge
-                crops = [(h - c.shape[0] + 1, col0, c) for _, col0, c in crops]
-            masks = [[row0, col0, b64(c)] for row0, col0, c in crops]
-            self._reply(200, {"masks_crop": masks, "scores": scores})
-            return
-        full = []
-        for row0, col0, c in crops:
-            mask = np.zeros((h, w), dtype=np.uint8)
-            mask[row0 : row0 + c.shape[0], col0 : col0 + c.shape[1]] = c
-            if owner.fault == "bad_dims":
-                mask = mask[: max(1, h - 1), :]
-            full.append(b64(mask))
-        self._reply(200, {"masks_pgm_b64": full, "scores": scores})
+        elif owner.fault == "bad_dims":  # shift each crop one row past the bottom edge
+            crops = [(h - c.shape[0] + 1, col0, c) for _, col0, c in crops]
+        masks = [
+            [row0, col0, base64.b64encode(pgm_bytes(c, maxval)).decode("ascii")]
+            for row0, col0, c in crops
+        ]
+        self._reply(200, {"masks_crop": masks, "scores": scores})
 
 
 def _check_boxes(boxes, width: int, height: int) -> None:
@@ -140,8 +125,8 @@ class MockSegmentServer:
         Pixel value (0..255) painted by the chosen mode.
     fault : str or None
         One of :data:`FAULTS` to violate the protocol on purpose.
-        ``bad_dims`` cuts a row off each whole-patch mask, or moves each
-        crop so that it overhangs the bottom edge of the patch.
+        ``bad_dims`` moves each crop so that it overhangs the bottom edge of
+        the patch.
     port : int
         TCP port; 0 picks a free one.
     """

@@ -192,13 +192,14 @@ def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Rast
         return InputError(f"{path}: {what} — rerun the fill stage")
 
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise bad("not an .npz archive")
-        with archive:
-            if archive.files != ["depth"]:
-                raise bad(f"expected exactly one array 'depth', found {archive.files}")
-            values = archive["depth"]
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise bad("not an .npz archive")
+            with archive:
+                if archive.files != ["depth"]:
+                    raise bad(f"expected exactly one array 'depth', found {archive.files}")
+                values = archive["depth"]
     except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise bad(f"unreadable depth archive ({exc})") from exc
     if values.dtype != np.float64:

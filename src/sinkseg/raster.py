@@ -73,8 +73,7 @@ class Raster:
             raise ValueError("nodata sentinel must be finite")
         if not self.cellsize > 0:
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")
-        finite = self.values[self.values != self.nodata]
-        if finite.size and not np.isfinite(finite).all():
+        if not np.isfinite(self.values).all():  # nodata is finite, so this covers valid cells
             raise ValueError("raster contains non-finite values")
 
     @property
@@ -313,32 +312,8 @@ def write_ascii_mask(mask: BinaryMask, path: str | Path) -> None:
     Path(path).write_bytes(_header_text(mask, DEFAULT_NODATA).encode() + cells.tobytes())
 
 
-def _check_aligned(a, b, what: str) -> None:
-    if a.values.shape != b.values.shape:
-        raise ValueError(
-            f"{what}: shape mismatch {a.values.shape} vs {b.values.shape}"
-        )
-    if a.geotransform != b.geotransform:
-        raise ValueError(
-            f"{what}: georeference mismatch {a.geotransform} vs {b.geotransform}"
-        )
-
-
-def subtract(a: Raster, b: Raster) -> Raster:
-    """Cellwise ``a - b``; nodata in either input propagates to the output.
-
-    Both rasters must share shape and georeference.  The result keeps the
-    nodata sentinel of *a*.
-    """
-    _check_aligned(a, b, "subtract")
-    both = a.valid_mask() & b.valid_mask()
-    out = np.full(a.values.shape, a.nodata, dtype=np.float64)
-    out[both] = a.values[both] - b.values[both]
-    return a.with_values(out)
-
-
 def invert_depth(raster: Raster) -> Raster:
-    """Reflect values so deep cells become high: ``max(valid) - value``.
+    """Reflect values so deep cells become low: ``max(valid) - value``.
 
     Nodata cells pass through.  Raises ValueError if every cell is nodata.
     """

@@ -16,8 +16,7 @@ Three backends ship with the package:
   restricted to that box; needs no model and makes the pipeline
   self-contained for tests and dry runs.
 * :class:`HttpBackend` — speaks the JSON-over-HTTP wire protocol to a
-  remote model server (base64 PPM in, base64 PGM crops or whole-patch
-  masks out).
+  remote model server (base64 PPM in, base64 PGM crops out).
 * :class:`ReplayBackend` — replays masks recorded on disk, one PGM per
   box, for offline reproduction of a previous run.
 """
@@ -122,14 +121,6 @@ def _gray255(blob: bytes, where: str) -> np.ndarray:
     return gray
 
 
-def _whole_patch(i: int, gray: np.ndarray, patch: RGBImage):
-    """Mask *i*, which must cover the patch exactly, as a crop at [0, 0]."""
-    shape = (patch.height, patch.width)
-    if gray.shape != shape:
-        raise ProtocolError(f"mask {i} has shape {gray.shape}, expected patch shape {shape}")
-    return 0, 0, gray.astype(np.float64) / 255.0
-
-
 class EchoBackend:
     """Backend that echoes the (binarized) depression raster inside each box.
 
@@ -159,16 +150,13 @@ class HttpBackend:
     """Client for a remote box-prompt segmentation service.
 
     The request is ``POST <endpoint>/segment`` with JSON body
-    ``{"image_ppm_b64": ..., "boxes": [[x0, y0, x1, y1], ...],
-    "accept": ["crop"]}``.  A service that understands ``accept`` replies
-    with one ``[row0, col0, pgm_b64]`` per box under ``"masks_crop"``: a
+    ``{"image_ppm_b64": ..., "boxes": [[x0, y0, x1, y1], ...]}``.  The reply
+    carries one ``[row0, col0, pgm_b64]`` per box under ``"masks_crop"``: a
     base64 binary PGM (maxval 255) of any rectangle of the patch outside
-    which the mask is zero, and the row and column of its top-left cell.  A
-    service that ignores ``accept`` replies with one patch-sized PGM per box
-    under ``"masks_pgm_b64"``, taken as a crop at [0, 0] that must cover the
-    patch exactly.  Either way the reply carries one confidence per box
-    under ``"scores"``, and mask pixel values divide by 255 to
-    probabilities.  Error replies use a non-200 status, with an
+    which the mask is zero, and the row and column of its top-left cell (a
+    whole-patch mask is ``[0, 0, pgm_b64]``).  It also carries one
+    confidence per box under ``"scores"``.  Mask pixel values divide by 255
+    to probabilities.  Error replies use a non-200 status, with an
     ``{"error": ...}`` body that is surfaced in the raised exception.
 
     Connection failures and timeouts are retried ``retries`` times; at most
@@ -212,42 +200,24 @@ class HttpBackend:
         payload = {
             "image_ppm_b64": base64.b64encode(ppm_bytes(patch)).decode("ascii"),
             "boxes": [b.as_list() for b in boxes],
-            "accept": ["crop"],
         }
         doc = _reply_object(self._post(payload))
-        crop_form = "masks_crop" in doc
-        entries = doc["masks_crop"] if crop_form else doc.get("masks_pgm_b64")
-        scores = doc.get("scores")
+        entries, scores = doc.get("masks_crop"), doc.get("scores")
         if not isinstance(entries, list):
-            raise ProtocolError(
-                "reply field 'masks_crop' is not a list" if crop_form
-                else "reply field 'masks_pgm_b64' missing or not a list"
-            )
+            raise ProtocolError("reply field 'masks_crop' missing or not a list")
         if not isinstance(scores, list):
             raise ProtocolError("reply field 'scores' missing or not a list")
         crops = []
         for i, entry in enumerate(entries):
-            if crop_form:
-                if not (isinstance(entry, list) and len(entry) == 3):
-                    raise ProtocolError(f"mask {i}: crop entry must be [row0, col0, pgm_b64]")
-                row0, col0, b64 = entry  # offsets are checked by segment_patch
-            else:
-                b64 = entry
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ProtocolError(f"mask {i}: crop entry must be [row0, col0, pgm_b64]")
+            row0, col0, b64 = entry  # offsets are checked by segment_patch
             try:
                 blob = base64.b64decode(b64, validate=True)
             except (binascii.Error, TypeError) as exc:
                 raise ProtocolError(f"mask {i}: invalid base64: {exc}") from exc
-            gray = _gray255(blob, f"mask {i}")
-            if crop_form:
-                crops.append((row0, col0, gray.astype(np.float64) / 255.0))
-            else:
-                crops.append(_whole_patch(i, gray, patch))
-        out_scores = []
-        for i, s in enumerate(scores):
-            if not isinstance(s, (int, float)) or isinstance(s, bool):
-                raise ProtocolError(f"score {i} is not a number: {s!r}")
-            out_scores.append(float(s))
-        return crops, out_scores
+            crops.append((row0, col0, _gray255(blob, f"mask {i}").astype(np.float64) / 255.0))
+        return crops, scores
 
 
 def _reply_object(response) -> dict:
@@ -284,12 +254,16 @@ class ReplayBackend:
     def masks_for(self, patch: RGBImage, boxes: list[PromptBox], patch_id: str = ""):
         if not patch_id:
             raise BackendError("replay backend needs a patch_id to locate masks")
+        shape = (patch.height, patch.width)
         crops = []
         for i in range(len(boxes)):
             path = self._dir / patch_id / f"{i}.pgm"
             if not path.exists():
                 raise BackendError(f"replay mask missing: {path}")
-            crops.append(_whole_patch(i, _gray255(path.read_bytes(), str(path)), patch))
+            gray = _gray255(path.read_bytes(), str(path))
+            if gray.shape != shape:
+                raise ProtocolError(f"mask {i} has shape {gray.shape}, expected patch shape {shape}")
+            crops.append((0, 0, gray.astype(np.float64) / 255.0))
         return crops, [1.0] * len(boxes)
 
 
@@ -303,6 +277,8 @@ def _validate_outcome(crops, scores, boxes) -> None:
             f"score count mismatch: {len(boxes)} boxes but {len(scores)} scores"
         )
     for i, s in enumerate(scores):
+        if not isinstance(s, (int, float, np.integer, np.floating)) or isinstance(s, bool):
+            raise ProtocolError(f"score {i} is not a number: {s!r}")
         if not np.isfinite(s) or s < 0.0 or s > 1.0:
             raise ProtocolError(f"score {i} outside [0, 1]: {s!r}")
 
@@ -336,9 +312,9 @@ def segment_patch(
     Raises
     ------
     ProtocolError
-        If the backend output violates the contract (count, crop entry form,
-        integer offsets, placement inside the patch, or range), regardless of
-        which backend produced it.
+        If the backend output violates the contract (counts, numeric scores,
+        crop entry form, integer offsets, placement inside the patch, or
+        range), regardless of which backend produced it.
     """
     for box in boxes:
         if box.x1 > patch.width or box.y1 > patch.height:

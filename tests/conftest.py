@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,43 @@ def tree_digests(root: Path) -> dict[str, str]:
         if path.is_file():
             out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
+
+
+def canned(status, body, seen=None):
+    """A handler answering every POST with *status* and JSON *body*; request
+    documents are appended to *seen*."""
+
+    class Canned(BaseHTTPRequestHandler):
+        def log_message(self, format, *args):  # noqa: A002
+            pass
+
+        def do_POST(self):  # noqa: N802
+            doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            if seen is not None:
+                seen.append(doc)
+            data = json.dumps(body).encode("ascii")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+    return Canned
+
+
+@contextlib.contextmanager
+def serving(handler):
+    """Serve *handler* on a free local port; yields the endpoint URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import canned, serving
 from sinkseg.cli import main
 from sinkseg.raster import Raster, read_ascii_grid, write_ascii_grid
 from sinkseg.synth import export_scene, gen_terrain
@@ -290,6 +291,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert "unreachable" in captured.err
+
+    def test_whole_patch_reply_is_an_operational_error(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([
+            "fill",
+            "--set", f"depth_raster={scene_dir / 'dem.asc'}",
+            "--set", f"out_dir={out}",
+            "--set", "tile.patch=48", "--set", "tile.stride=24",
+        ]) == 0
+        assert main(["prompts", "--set", f"out_dir={out}"]) == 0
+        capsys.readouterr()
+        with serving(canned(200, {"masks_pgm_b64": [], "scores": []})) as endpoint:
+            code = main([
+                "segment",
+                "--set", f"rgb_mosaic={scene_dir / 'rgb.ppm'}",
+                "--set", f"out_dir={out}",
+                "--set", "backend.kind=http",
+                "--set", f"backend.endpoint={endpoint}",
+            ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "reply field 'masks_crop' missing or not a list" in captured.err
+        assert not (out / "fused_mask.asc").exists()
 
 
 class TestImportTime:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_dem
 from sinkseg.errors import NoOutletError
-from sinkseg.hydro import FilledResult, depression_depth, fill_depressions
+from sinkseg.hydro import FilledResult, fill_depressions
 from sinkseg.raster import Raster
 
 NODATA = -9999.0
@@ -192,19 +192,23 @@ class TestContract:
         assert res.filled.values.tolist() == [[7.0]]
 
     def test_depth_equals_filled_minus_input(self, rng):
-        dem = make_random_dem(rng, 12, 12, nodata_frac=0.1)
+        values = make_random_dem(rng, 12, 12, nodata_frac=0.1).values.copy()
+        values[0, 0] = -0.0  # an outlet: never raised, so its depth is +0.0
+        dem = Raster(values)
         res = fill_depressions(dem)
-        valid = dem.valid_mask()
-        assert np.array_equal(
-            res.depth.values[valid], res.filled.values[valid] - dem.values[valid]
-        )
-        assert np.all(res.depth.values[~valid] == NODATA)
+        expected = np.where(dem.valid_mask(), res.filled.values - values, NODATA)
+        assert np.array_equal(res.depth.values.view(np.int64), expected.view(np.int64))
 
-    def test_depression_depth_shortcut(self, rng):
-        dem = make_random_dem(rng, 9, 9)
-        assert np.array_equal(
-            depression_depth(dem).values, fill_depressions(dem).depth.values
-        )
+    def test_depth_keeps_the_input_nodata(self):
+        dem = np.full((4, 4), 5.0)
+        dem[1, 1] = 1.0
+        dem[3, 3] = -1.0
+        res = fill_depressions(Raster(dem, nodata=-1.0))
+        expected = np.zeros((4, 4))
+        expected[1, 1] = 4.0
+        expected[3, 3] = -1.0
+        assert res.depth.nodata == -1.0
+        assert np.array_equal(res.depth.values, expected)
 
     def test_returns_filled_result(self, rng):
         assert isinstance(fill_depressions(make_random_dem(rng, 4, 4)), FilledResult)
@@ -215,7 +219,7 @@ class TestContract:
         dem[1::2, ::2] = -0.0
         res = fill_depressions(Raster(dem))
         assert np.array_equal(res.filled.values.view(np.int64), dem.view(np.int64))
-        assert np.array_equal(res.depth.values, np.zeros((4, 5)))
+        assert np.array_equal(res.depth.values.view(np.int64), np.zeros((4, 5), np.int64))
 
 
 class TestProperties:

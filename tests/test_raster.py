@@ -16,7 +16,6 @@ from sinkseg.raster import (
     invert_depth,
     read_ascii_grid,
     read_ascii_mask,
-    subtract,
     write_ascii_grid,
     write_ascii_mask,
 )
@@ -58,6 +57,24 @@ class TestRasterType:
     def test_rejects_nan_values(self):
         with pytest.raises(ValueError, match="non-finite"):
             Raster(np.array([[1.0, np.nan]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -9999.0]),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    def test_accepted_iff_every_valid_cell_is_finite(self, cells):
+        values = np.array(cells).reshape(1, -1)
+        finite = bool(np.isfinite(values[values != -9999.0]).all())
+        try:
+            Raster(values)
+        except ValueError as exc:
+            assert "non-finite" in str(exc) and not finite
+        else:
+            assert finite
 
     def test_rejects_nonpositive_cellsize(self):
         with pytest.raises(ValueError, match="cellsize"):
@@ -348,29 +365,6 @@ class TestMaskIO:
         path.write_text(grid_text(["0 0.5"]))
         with pytest.raises(GridFormatError, match="non-binary"):
             read_ascii_mask(path)
-
-
-class TestSubtract:
-    def test_cellwise_difference(self):
-        a = Raster(np.array([[5.0, 7.0]]))
-        b = Raster(np.array([[2.0, 10.0]]))
-        assert subtract(a, b).values.tolist() == [[3.0, -3.0]]
-
-    def test_nodata_propagates_from_either_side(self):
-        a = Raster(np.array([[5.0, -9999.0, 4.0]]))
-        b = Raster(np.array([[2.0, 1.0, -9999.0]]))
-        out = subtract(a, b)
-        assert out.values.tolist() == [[3.0, -9999.0, -9999.0]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            subtract(Raster(np.zeros((2, 2))), Raster(np.zeros((2, 3))))
-
-    def test_georeference_mismatch(self):
-        a = Raster(np.zeros((2, 2)), origin_x=0.0)
-        b = Raster(np.zeros((2, 2)), origin_x=5.0)
-        with pytest.raises(ValueError, match="georeference mismatch"):
-            subtract(a, b)
 
 
 class TestInvertDepth:

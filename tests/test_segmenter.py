@@ -1,11 +1,8 @@
 """Segmentation backends, output validation, and mask fusion."""
 
 import base64
-import contextlib
-import json
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -14,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import canned, serving
 from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
 from sinkseg.image import RGBImage, pgm_bytes, ppm_bytes, write_pgm
 from sinkseg.labeling import PromptBox
@@ -213,6 +211,18 @@ class TestSegmentPatch:
         with pytest.raises(ProtocolError, match=r"score 0 outside \[0, 1\]"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
+    @pytest.mark.parametrize("score", [1, np.float32(0.5), np.int64(1)], ids=repr)
+    def test_integer_and_numpy_scalar_scores_accepted(self, score):
+        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [score])
+        out = segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+        assert out.scores == (float(score),) and type(out.scores[0]) is float
+
+    @pytest.mark.parametrize("score", ["0.5", None, [0.5], True], ids=repr)
+    def test_score_that_is_not_a_number_named(self, score):
+        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [score])
+        with pytest.raises(ProtocolError, match=r"score 0 is not a number: "):
+            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+
 
 @st.composite
 def patch_and_crops(draw):
@@ -327,83 +337,10 @@ class TestReplayBackend:
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
 
 
-def send_json(handler, status, body):
-    data = json.dumps(body).encode("ascii")
-    handler.send_response(status)
-    handler.send_header("Content-Type", "application/json")
-    handler.send_header("Content-Length", str(len(data)))
-    handler.end_headers()
-    handler.wfile.write(data)
-
-
-def canned(status, body, seen=None):
-    """A handler answering every POST with *status* and JSON *body*; request
-    documents are appended to *seen*."""
-
-    class Canned(BaseHTTPRequestHandler):
-        def log_message(self, format, *args):  # noqa: A002
-            pass
-
-        def do_POST(self):  # noqa: N802
-            doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            if seen is not None:
-                seen.append(doc)
-            send_json(self, status, body)
-
-    return Canned
-
-
-def dropping_accept(upstream):
-    """A handler forwarding to *upstream* without the request's ``accept``
-    field, as a service that predates crop replies would ignore it."""
-
-    class Proxy(BaseHTTPRequestHandler):
-        def log_message(self, format, *args):  # noqa: A002
-            pass
-
-        def do_POST(self):  # noqa: N802
-            doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            doc.pop("accept")
-            reply = requests.post(upstream + self.path, json=doc, timeout=10)
-            send_json(self, reply.status_code, reply.json())
-
-    return Proxy
-
-
-@contextlib.contextmanager
-def serving(handler):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-
-@contextlib.contextmanager
-def mock_service(form, **kwargs):
-    """A mock server and the endpoint at which it replies in *form*: its own
-    for ``crop``, or a :func:`dropping_accept` proxy's for ``full``."""
-    with MockSegmentServer(**kwargs) as server:
-        if form == "crop":
-            yield server, server.endpoint
-        else:
-            with serving(dropping_accept(server.endpoint)) as endpoint:
-                yield server, endpoint
-
-
-class RoundTrips:
-    """Round trips and faults against the mock service, replying in ``FORM``."""
-
-    FORM = "crop"
-
+class TestHttpBackend:
     def test_boxfill_round_trip(self):
-        with mock_service(self.FORM, mode="boxfill", value=255) as (server, endpoint):
-            backend = HttpBackend(endpoint)
+        with MockSegmentServer(mode="boxfill", value=255) as server:
+            backend = HttpBackend(server.endpoint)
             out = segment_patch(backend, gray_patch(8, 8), [PromptBox(2, 1, 5, 4)])
             expected = np.zeros((8, 8))
             expected[1:4, 2:5] = 1.0
@@ -412,15 +349,15 @@ class RoundTrips:
             assert server.request_count == 1
 
     def test_constant_probabilities_bit_exact(self):
-        with mock_service(self.FORM, mode="constant", value=178) as (_, endpoint):
-            backend = HttpBackend(endpoint)
+        with MockSegmentServer(mode="constant", value=178) as server:
+            backend = HttpBackend(server.endpoint)
             out = segment_patch(backend, gray_patch(6, 6), [PromptBox(0, 0, 3, 3)])
             assert np.all(out.masks[0].probs == 178 / 255)
             assert np.all(out.probs == 178 / 255)
 
     def test_server_error_carries_detail(self):
-        with mock_service(self.FORM, fault="http_500") as (_, endpoint):
-            backend = HttpBackend(endpoint)
+        with MockSegmentServer(fault="http_500") as server:
+            backend = HttpBackend(server.endpoint)
             with pytest.raises(BackendError, match="HTTP 500: induced server failure"):
                 segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
@@ -434,27 +371,35 @@ class RoundTrips:
         ],
     )
     def test_protocol_faults_rejected(self, fault, pattern):
-        with mock_service(self.FORM, fault=fault) as (_, endpoint):
-            backend = HttpBackend(endpoint)
+        with MockSegmentServer(fault=fault) as server:
+            backend = HttpBackend(server.endpoint)
             with pytest.raises(ProtocolError, match=pattern):
                 segment_patch(backend, gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
 
+    def test_request_holds_only_image_and_boxes(self):
+        seen = []
+        reply = {"masks_crop": [[0, 0, b64_pgm(np.zeros((1, 1)))]], "scores": [1.0]}
+        with serving(canned(200, reply, seen)) as endpoint:
+            segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(6, 5, 8, 7)])
+        assert set(seen[0]) == {"image_ppm_b64", "boxes"}
 
-class TestHttpBackendFullForm(RoundTrips):
-    FORM = "full"
-
-
-class TestHttpBackend(RoundTrips):
-    def test_client_asks_for_crops_and_places_them(self):
+    def test_crop_reply_is_placed_at_its_offset(self):
         crop = np.array([[0, 51], [255, 0]], dtype=np.uint8)
         seen = []
         reply = {"masks_crop": [[5, 6, b64_pgm(crop)]], "scores": [0.5]}
         with serving(canned(200, reply, seen)) as endpoint:
             out = segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(6, 5, 8, 7)])
-        assert seen[0]["accept"] == ["crop"]
         assert seen[0]["boxes"] == [[6, 5, 8, 7]]
         assert np.array_equal(out.probs, placed((8, 8), 5, 6, crop / 255.0))
         assert out.scores == (0.5,)
+
+    def test_patch_sized_crop_at_origin_bit_exact(self):
+        full = np.arange(64, dtype=np.uint8).reshape(8, 8) * 4
+        reply = {"masks_crop": [[0, 0, b64_pgm(full)]], "scores": [1.0]}
+        with serving(canned(200, reply)) as endpoint:
+            out = segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
+        assert out.masks[0].crop.shape == (8, 8)
+        assert np.array_equal(out.probs.view(np.int64), (full / 255.0).view(np.int64))
 
     def test_unreachable_service(self):
         with socket.socket() as s:
@@ -489,18 +434,21 @@ class TestHttpBackend(RoundTrips):
             ({"masks_crop": [[0, 0, 7]]}, "mask 0: invalid base64"),
             ({"masks_crop": [[0, 0, base64.b64encode(b"P6 1 1 255 x").decode()]]},
              "mask 0: bad PGM"),
-            ({"masks_crop": "x"}, "'masks_crop' is not a list"),
-            ({"masks_pgm_b64": [b64_pgm(np.ones((7, 8)))]},
-             r"mask 0 has shape \(7, 8\), expected patch shape \(8, 8\)"),
-            ({"masks_pgm_b64": [b64_pgm(np.ones((4, 4)))]},
-             r"mask 0 has shape \(4, 4\), expected patch shape \(8, 8\)"),
-            ({"masks_pgm_b64": [[0, 0, b64_pgm(np.ones((8, 8)))]]}, "mask 0: invalid base64"),
-            ({}, "'masks_pgm_b64' missing or not a list"),
+            ({"masks_crop": "x"}, "'masks_crop' missing or not a list"),
+            # whole-patch masks under the old field are refused, well-formed or not
+            ({"masks_pgm_b64": [b64_pgm(np.ones((8, 8)))]}, "'masks_crop' missing or not a list"),
+            ({"masks_pgm_b64": [b64_pgm(np.ones((7, 8)))]}, "'masks_crop' missing or not a list"),
+            ({"masks_pgm_b64": [b64_pgm(np.ones((4, 4)))]}, "'masks_crop' missing or not a list"),
+            ({"masks_pgm_b64": [[0, 0, b64_pgm(np.ones((4, 4)))]]},
+             "'masks_crop' missing or not a list"),
+            ({}, "'masks_crop' missing or not a list"),
+            ({"masks_crop": [[0, 0, b64_pgm(np.ones((4, 4)))]], "scores": "x"},
+             "'scores' missing or not a list"),
         ],
         ids=["negative-row", "overhang-bottom", "overhang-right", "bool-offset",
              "float-offset", "two-items", "bare-string", "bad-base64", "int-payload",
-             "ppm-not-pgm", "not-a-list", "full-one-row-short", "full-quarter-patch",
-             "full-given-a-crop", "no-masks"],
+             "ppm-not-pgm", "not-a-list", "full-patch-sized", "full-one-row-short",
+             "full-quarter-patch", "full-given-a-crop", "no-masks", "scores-not-a-list"],
     )
     def test_malformed_reply_rejected(self, reply, pattern):
         with serving(canned(200, {"scores": [1.0], **reply})) as endpoint:
@@ -537,10 +485,9 @@ class TestHttpBackend(RoundTrips):
             HttpBackend("http://127.0.0.1:1", max_inflight=0)
 
 
-def post_raw(endpoint, boxes, **extra):
+def post_raw(endpoint, boxes):
     patch = RGBImage(np.zeros((8, 8, 3), dtype=np.uint8))
-    doc = {"image_ppm_b64": base64.b64encode(ppm_bytes(patch)).decode("ascii"),
-           "boxes": boxes, **extra}
+    doc = {"image_ppm_b64": base64.b64encode(ppm_bytes(patch)).decode("ascii"), "boxes": boxes}
     return requests.post(endpoint + "/segment", json=doc, timeout=10)
 
 
@@ -562,18 +509,16 @@ class TestMockServer:
     )
     def test_crop_reply_is_the_tight_nonzero_rectangle(self, mode, value, box, expected):
         with MockSegmentServer(mode=mode, value=value) as server:
-            reply = post_raw(server.endpoint, [box], accept=["crop"])
+            reply = post_raw(server.endpoint, [box])
         assert reply.status_code == 200
         assert reply.json() == {"masks_crop": [[expected[0], expected[1], b64_pgm(expected[2])]],
                                 "scores": [1.0]}
 
-    @pytest.mark.parametrize("extra", [{}, {"accept": ["rle"]}, {"accept": "crop"}],
-                             ids=["no-accept", "unknown-form", "accept-not-a-list"])
-    def test_full_reply_without_crop_in_accept(self, boxfill_server, extra):
-        reply = post_raw(boxfill_server.endpoint, [[2, 1, 5, 4]], **extra)
-        full = np.zeros((8, 8))
-        full[1:4, 2:5] = 255
-        assert reply.json() == {"masks_pgm_b64": [b64_pgm(full)], "scores": [1.0]}
+    def test_bad_dims_moves_the_crop_one_row_past_the_bottom(self):
+        with MockSegmentServer(mode="boxfill", value=255, fault="bad_dims") as server:
+            reply = post_raw(server.endpoint, [[2, 1, 5, 4]])
+        assert reply.json() == {"masks_crop": [[6, 2, b64_pgm(np.full((3, 3), 255))]],
+                                "scores": [1.0]}
 
     @pytest.mark.parametrize(
         "boxes",
@@ -583,6 +528,6 @@ class TestMockServer:
              "outside-image", "negative", "empty", "null-box"],
     )
     def test_malformed_boxes_get_a_400(self, boxfill_server, boxes):
-        reply = post_raw(boxfill_server.endpoint, boxes, accept=["crop"])
+        reply = post_raw(boxfill_server.endpoint, boxes)
         assert reply.status_code == 400
         assert "bad request" in reply.json()["error"]
