@@ -21,6 +21,10 @@ bytes, regardless of worker pool size):
 ``eval``
     ``report.json`` and ``report.csv`` against the ground-truth mask.
 
+Every read of an artifact that an earlier stage wrote passes one gate,
+:func:`_upstream`: a missing or malformed artifact exits 2 and names its
+path and the stage that writes it.
+
 Prompting is per-patch and independent: a depression overlapping several
 windows may be prompted in each of them.  The duplicate masks collapse when
 patches are stitched, so the fused mosaic and everything downstream see one
@@ -35,6 +39,7 @@ import math
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +68,15 @@ from .raster import (
     write_ascii_mask,
 )
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
-from .tiling import TileSpec, TileWindow, extract_tile, patch_id, plan_tiles, stitch
+from .tiling import (
+    TileSpec,
+    TileWindow,
+    extract_tile,
+    patch_id,
+    plan_tiles,
+    stitch,
+    window_georef,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -79,13 +92,6 @@ def _pool_map(workers: int, fn, items):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _plan(width: int, height: int, spec: TileSpec) -> list[TileWindow]:
-    try:
-        return plan_tiles(width, height, spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _write_manifest(out: Path, mosaic: Raster, cfg: PipelineConfig) -> None:
@@ -106,42 +112,58 @@ def _write_manifest(out: Path, mosaic: Raster, cfg: PipelineConfig) -> None:
     )
 
 
-def _read_manifest(out: Path) -> dict:
-    path = out / MANIFEST_NAME
+@contextmanager
+def _upstream(path: Path, stage: str):
+    """Gate a read of *path*, an artifact the *stage* wrote.
+
+    A missing artifact asks for the stage to be run.  An ``InputError`` or
+    ``ValueError`` raised in the block is re-raised naming *path* once and
+    the stage to rerun; an ``InputError`` keeps its class.  Keep the block
+    to the read and its checks, so that an internal bug is not reported as
+    bad input.
+    """
     if not path.exists():
-        raise InputError(f"{path} not found — run the fill stage first")
+        raise InputError(f"{path} not found — run the {stage} stage first")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc}) — rerun the fill stage") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object — rerun the fill stage")
-    missing = [key for key in _MANIFEST_KEYS if key not in doc]
-    if missing:
-        raise InputError(f"{path}: missing {', '.join(missing)} — rerun the fill stage")
+        yield
+    except (InputError, ValueError) as exc:
+        what = str(exc).removeprefix(f"{path}: ")
+        error = type(exc) if isinstance(exc, InputError) else InputError
+        raise error(f"{path}: {what} — rerun the {stage} stage") from exc
 
-    def bad(key: str, expected: str) -> InputError:
-        return InputError(
-            f"{path}: {key} must be {expected}, got {doc[key]!r} — rerun the fill stage"
-        )
 
-    for key in _MANIFEST_INTS:
-        if type(doc[key]) is not int:
-            raise bad(key, "an integer")
-    for key in _MANIFEST_FLOATS:
-        if not _is_finite_number(doc[key]):
-            raise bad(key, "a finite number")
-    if not doc["cellsize"] > 0:
-        raise bad("cellsize", "> 0")
-    if doc["fill_mode"] not in FILL_MODES:
-        raise bad("fill_mode", f"one of {FILL_MODES}")
-    if type(doc["invert_depth"]) is not bool:
-        raise bad("invert_depth", "true or false")
-    try:
-        TileSpec(doc["patch"], doc["stride"])
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc} — rerun the fill stage") from exc
-    return doc
+def _read_manifest(out: Path) -> tuple[dict, list[TileWindow]]:
+    """The validated manifest and the windows it plans."""
+    path = out / MANIFEST_NAME
+    with _upstream(path, "fill"):
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise InputError(f"not valid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise InputError("expected a JSON object")
+        missing = [key for key in _MANIFEST_KEYS if key not in doc]
+        if missing:
+            raise InputError(f"missing {', '.join(missing)}")
+
+        def bad(key: str, expected: str) -> InputError:
+            return InputError(f"{key} must be {expected}, got {doc[key]!r}")
+
+        for key in _MANIFEST_INTS:
+            if type(doc[key]) is not int:
+                raise bad(key, "an integer")
+        for key in _MANIFEST_FLOATS:
+            if not _is_finite_number(doc[key]):
+                raise bad(key, "a finite number")
+        if not doc["cellsize"] > 0:
+            raise bad("cellsize", "> 0")
+        if doc["fill_mode"] not in FILL_MODES:
+            raise bad("fill_mode", f"one of {FILL_MODES}")
+        if type(doc["invert_depth"]) is not bool:
+            raise bad("invert_depth", "true or false")
+        spec = TileSpec(doc["patch"], doc["stride"])
+        windows = plan_tiles(doc["width"], doc["height"], spec)
+    return doc, windows
 
 
 def _is_finite_number(value) -> bool:
@@ -151,28 +173,10 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _manifest_windows(doc: dict) -> list[TileWindow]:
-    return _plan(doc["width"], doc["height"], TileSpec(doc["patch"], doc["stride"]))
-
-
-def _read_stage_grid(path: Path, width: int, height: int, stage: str) -> Raster:
-    """Read a grid the *stage* wrote, checking it has the manifest's shape."""
-    if not path.exists():
-        raise InputError(f"{path} not found — run the {stage} stage first")
-    grid = read_ascii_grid(path)
-    if grid.values.shape != (height, width):
-        raise InputError(
-            f"{path} is {grid.width}x{grid.height}, expected {width}x{height} "
-            f"— rerun the {stage} stage"
-        )
-    return grid
-
-
-def _window_georef(doc: dict, window: TileWindow) -> tuple[float, float, float]:
-    cellsize = doc["cellsize"]
-    origin_x = doc["origin_x"] + window.col0 * cellsize
-    origin_y = doc["origin_y"] + (doc["height"] - window.row0 - window.patch) * cellsize
-    return origin_x, origin_y, cellsize
+def _georef(doc: dict, window: TileWindow | None = None) -> tuple[float, float, float]:
+    """The manifest's mosaic georeference, or that of *window* within it."""
+    georef = doc["origin_x"], doc["origin_y"], doc["cellsize"]
+    return georef if window is None else window_georef(window, doc["height"], georef)
 
 
 def _write_depth(depth: Raster, path: Path) -> None:
@@ -185,39 +189,33 @@ def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Rast
     The array must be float64 with the shape the manifest gives; georeference
     and nodata are rebuilt from the manifest.
     """
-    if not path.exists():
-        raise InputError(f"{path} not found — run the fill stage first")
-
-    def bad(what: str) -> InputError:
-        return InputError(f"{path}: {what} — rerun the fill stage")
-
-    try:
-        with open(path, "rb") as fh:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise bad("not an .npz archive")
-            with archive:
-                if archive.files != ["depth"]:
-                    raise bad(f"expected exactly one array 'depth', found {archive.files}")
-                values = archive["depth"]
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-        raise bad(f"unreadable depth archive ({exc})") from exc
-    if values.dtype != np.float64:
-        raise bad(f"depth has dtype {values.dtype}, expected float64")
-    if values.ndim != 2:
-        raise bad(f"depth has {values.ndim} dimensions, expected 2")
     if window is None:
         width, height = doc["width"], doc["height"]
-        georef = doc["origin_x"], doc["origin_y"], doc["cellsize"]
     else:
         width = height = window.patch
-        georef = _window_georef(doc, window)
-    if values.shape != (height, width):
-        raise bad(f"depth is {values.shape[1]}x{values.shape[0]}, expected {width}x{height}")
-    try:
-        return Raster(values, doc["nodata"], *georef)
-    except ValueError as exc:  # non-finite cells
-        raise bad(str(exc)) from exc
+    with _upstream(path, "fill"):
+        try:
+            with open(path, "rb") as fh:
+                archive = np.load(fh, allow_pickle=False)
+                if not isinstance(archive, np.lib.npyio.NpzFile):
+                    raise InputError("not an .npz archive")
+                with archive:
+                    if archive.files != ["depth"]:
+                        raise InputError(
+                            f"expected exactly one array 'depth', found {archive.files}"
+                        )
+                    values = archive["depth"]
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+            raise InputError(f"unreadable depth archive ({exc})") from exc
+        if values.dtype != np.float64:
+            raise InputError(f"depth has dtype {values.dtype}, expected float64")
+        if values.ndim != 2:
+            raise InputError(f"depth has {values.ndim} dimensions, expected 2")
+        if values.shape != (height, width):
+            raise InputError(
+                f"depth is {values.shape[1]}x{values.shape[0]}, expected {width}x{height}"
+            )
+        return Raster(values, doc["nodata"], *_georef(doc, window))
 
 
 def cmd_fill(cfg: PipelineConfig) -> None:
@@ -234,7 +232,10 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     patches.mkdir(parents=True, exist_ok=True)
 
     if cfg.fill_mode == "patch":
-        windows = _plan(dem.width, dem.height, cfg.tile)
+        try:
+            windows = plan_tiles(dem.width, dem.height, cfg.tile)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
         def work(window: TileWindow) -> None:
             depth = extract_tile(dem, window)
@@ -257,8 +258,7 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
     out = Path(cfg.out_dir)
     patches = out / "patches"
     patches.mkdir(parents=True, exist_ok=True)
-    doc = _read_manifest(out)
-    windows = _manifest_windows(doc)
+    doc, windows = _read_manifest(out)
 
     mosaic_path = out / "depth.npz"
     depth_mosaic = None
@@ -271,10 +271,8 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
         else:
             depth_path = patches / f"{patch_id(window)}.depth.npz"
             depth_tile = _read_depth(depth_path, doc, window)
-        try:
+        with _upstream(depth_path, "fill"):  # negative depth
             components = label_components(depth_tile)
-        except ValueError as exc:  # negative depth
-            raise InputError(f"{depth_path}: {exc} — rerun the fill stage") from exc
         kept = filter_components(components, cfg.filter)
         boxes = boxes_from_components(
             kept, cfg.pad_px, width=window.patch, height=window.patch
@@ -317,8 +315,7 @@ def cmd_segment(cfg: PipelineConfig) -> None:
     validate_for(cfg, "segment")
     out = Path(cfg.out_dir)
     patches = out / "patches"
-    doc = _read_manifest(out)
-    windows = _manifest_windows(doc)
+    doc, windows = _read_manifest(out)
 
     rgb = read_ppm(cfg.rgb_mosaic)
     if (rgb.height, rgb.width) != (doc["height"], doc["width"]):
@@ -328,33 +325,31 @@ def cmd_segment(cfg: PipelineConfig) -> None:
         )
     shared_backend = _build_shared_backend(cfg)
     if shared_backend is None:  # echo paints the filtered depth
-        depth_filtered = _read_stage_grid(
-            out / "depth_filtered.asc", doc["width"], doc["height"], "prompts"
-        )
+        filtered_path = out / "depth_filtered.asc"
+        with _upstream(filtered_path, "prompts"):
+            depth_filtered = read_ascii_grid(filtered_path)
+            if depth_filtered.values.shape != (doc["height"], doc["width"]):
+                raise InputError(
+                    f"is {depth_filtered.width}x{depth_filtered.height}, "
+                    f"expected {doc['width']}x{doc['height']}"
+                )
 
     def work(window: TileWindow):
         pid = patch_id(window)
         boxes_path = patches / f"{pid}.boxes.json"
-        if not boxes_path.exists():
-            raise InputError(f"{boxes_path} not found — run the prompts stage first")
-        prompts = read_prompts(boxes_path)
-        for box in prompts.boxes:
-            if box.x1 > window.patch or box.y1 > window.patch:
-                raise InputError(
-                    f"{boxes_path}: box {box.as_list()} exceeds patch "
-                    f"{window.patch}x{window.patch} — rerun the prompts stage"
-                )
+        with _upstream(boxes_path, "prompts"):
+            prompts = read_prompts(boxes_path)
+            for box in prompts.boxes:
+                if box.x1 > window.patch or box.y1 > window.patch:
+                    raise InputError(
+                        f"box {box.as_list()} exceeds patch {window.patch}x{window.patch}"
+                    )
         patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(extract_tile(depth_filtered, window))
         outcome = segment_patch(backend, patch_img, prompts.boxes, patch_id=pid)
-        origin_x, origin_y, cellsize = _window_georef(doc, window)
-        tile = Raster(
-            outcome.probs,
-            nodata=doc["nodata"],
-            origin_x=origin_x,
-            origin_y=origin_y,
-            cellsize=cellsize,
-        )
+        origin_x, origin_y, cellsize = _georef(doc, window)
+        # Default nodata: the DEM's sentinel may be a probability, e.g. 0.0.
+        tile = Raster(outcome.probs, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)
         return window, tile
 
     tiles = _pool_map(cfg.workers, work, windows)
@@ -369,9 +364,8 @@ def cmd_eval(cfg: PipelineConfig) -> MetricsReport:
     validate_for(cfg, "eval")
     out = Path(cfg.out_dir)
     fused_path = out / "fused_mask.asc"
-    if not fused_path.exists():
-        raise InputError(f"{fused_path} not found — run the segment stage first")
-    pred = read_ascii_mask(fused_path)
+    with _upstream(fused_path, "segment"):
+        pred = read_ascii_mask(fused_path)
     gt = read_ascii_mask(cfg.eval_gt_mask)
     if pred.values.shape != gt.values.shape:
         raise InputError(

@@ -22,6 +22,7 @@ spelled like the nodata header value parses to the same float.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,12 +155,13 @@ def _parse_header(lines: list[str], path: Path) -> tuple[dict, int]:
     if ncols < 1 or nrows < 1:
         raise GridFormatError(f"{path}: ncols/nrows must be >= 1, got {ncols}x{nrows}")
     try:
-        header["xllcorner"] = float(header["xllcorner"])
-        header["yllcorner"] = float(header["yllcorner"])
-        header["cellsize"] = float(header["cellsize"])
-        header["nodata_float"] = float(header["nodata_value"])
+        numbers = [float(header[key]) for key in _HEADER_KEYS[2:]]
     except ValueError as exc:
         raise GridFormatError(f"{path}: non-numeric value in header") from exc
+    for key, value in zip(_HEADER_KEYS[2:], numbers):
+        if not math.isfinite(value):
+            raise GridFormatError(f"{path}: header {key} must be finite, got {value!r}")
+    header.update(zip(("xllcorner", "yllcorner", "cellsize", "nodata_float"), numbers))
     if not header["cellsize"] > 0:
         raise GridFormatError(f"{path}: cellsize must be positive")
     header["ncols"] = ncols
@@ -199,8 +201,11 @@ def _load_rows(fh) -> np.ndarray | None:
 
 def _parse_grid_lines(path: Path) -> tuple[dict, np.ndarray]:
     """The line-by-line parser: slow, but names the line of every error."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path) as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{path}: not a text grid ({exc})") from exc
     header, first_data = _parse_header(lines, Path(path))
     ncols, nrows = header["ncols"], header["nrows"]
     nodata_token = header["nodata_value"]
@@ -244,11 +249,19 @@ def read_ascii_grid(path: str | Path) -> Raster:
     Raises
     ------
     GridFormatError
-        On any layout violation; the message names the offending line.
+        On any layout violation, a file that is not text, or a non-finite
+        header value or cell; the message names the offending line or cell.
     FileNotFoundError
         If *path* does not exist.
     """
     header, data = _parse_grid(Path(path))
+    non_finite = np.argwhere(~np.isfinite(data))
+    if len(non_finite):
+        row, col = non_finite[0]
+        raise GridFormatError(
+            f"{path}: data row {row + 1}, column {col + 1}: "
+            f"non-finite value {float(data[row, col])!r}"
+        )
     return Raster(
         data,
         nodata=header["nodata_float"],

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .errors import BackendError, BackendUnreachableError, ProtocolError
 from .image import ImageFormatError, RGBImage, gray_from_pgm_bytes, ppm_bytes
@@ -170,6 +169,8 @@ class HttpBackend:
         retries: int = 2,
         max_inflight: int = 4,
     ):
+        import requests  # loaded only by runs that build an http client
+
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if max_inflight < 1:
@@ -179,6 +180,7 @@ class HttpBackend:
         self._retries = retries
         self._sem = threading.BoundedSemaphore(max_inflight)
         self._session = requests.Session()
+        self._transient = (requests.ConnectionError, requests.Timeout)
 
     def _post(self, payload: dict):
         last_exc: Exception | None = None
@@ -190,7 +192,7 @@ class HttpBackend:
                     return self._session.post(
                         self._url, json=payload, timeout=self._timeout
                     )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except self._transient as exc:
                 last_exc = exc
         raise BackendUnreachableError(
             f"segmentation service unreachable after {self._retries + 1} attempts: {last_exc}"

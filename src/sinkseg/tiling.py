@@ -108,35 +108,36 @@ def _check_window(window: TileWindow, width: int, height: int) -> None:
         )
 
 
+def window_georef(
+    window: TileWindow, height: int, georef: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """``(origin_x, origin_y, cellsize)`` of *window* cut from a grid *height*
+    rows tall whose own georeference is *georef*."""
+    origin_x, origin_y, cellsize = georef
+    return (
+        origin_x + window.col0 * cellsize,
+        origin_y + (height - window.row0 - window.patch) * cellsize,
+        cellsize,
+    )
+
+
 def extract_tile(source, window: TileWindow):
     """Cut one window out of a Raster, BinaryMask, or RGBImage.
 
     The returned object has the same type as *source*; rasters and masks
     get the georeference of the cut (origins shifted accordingly).
     """
+    if not isinstance(source, (Raster, BinaryMask, RGBImage)):
+        raise TypeError(f"cannot extract a tile from {type(source).__name__}")
+    _check_window(window, source.width, source.height)
     rs, cs = window.row0, window.col0
-    re_, ce = rs + window.patch, cs + window.patch
-    if isinstance(source, Raster):
-        _check_window(window, source.width, source.height)
-        return Raster(
-            source.values[rs:re_, cs:ce],
-            nodata=source.nodata,
-            origin_x=source.origin_x + cs * source.cellsize,
-            origin_y=source.origin_y + (source.height - re_) * source.cellsize,
-            cellsize=source.cellsize,
-        )
-    if isinstance(source, BinaryMask):
-        _check_window(window, source.width, source.height)
-        return BinaryMask(
-            source.values[rs:re_, cs:ce],
-            origin_x=source.origin_x + cs * source.cellsize,
-            origin_y=source.origin_y + (source.height - re_) * source.cellsize,
-            cellsize=source.cellsize,
-        )
+    cut = (slice(rs, rs + window.patch), slice(cs, cs + window.patch))
     if isinstance(source, RGBImage):
-        _check_window(window, source.width, source.height)
-        return RGBImage(source.pixels[rs:re_, cs:ce])
-    raise TypeError(f"cannot extract a tile from {type(source).__name__}")
+        return RGBImage(source.pixels[cut])
+    georef = window_georef(window, source.height, source.geotransform)
+    if isinstance(source, Raster):
+        return Raster(source.values[cut], source.nodata, *georef)
+    return BinaryMask(source.values[cut], *georef)
 
 
 def stitch(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, stdout/stderr discipline."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,32 @@ def string_area(path):
 
 def bool_coordinate(path):
     path.write_text('{"boxes":[[true,0,2,2]],"patch_id":"r00000_c00000"}\n')
+
+
+def halve(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def replace_line(index, text):
+    """Corrupt an ASCII grid by replacing its line *index* (0-based) with *text*."""
+
+    def edit(path):
+        lines = path.read_bytes().split(b"\n")
+        lines[index] = text
+        path.write_bytes(b"\n".join(lines))
+
+    return edit
+
+
+def first_cell(token):
+    """Corrupt an ASCII grid by replacing its first data cell with *token*."""
+
+    def edit(path):
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = b" ".join([token, *lines[6].split()[1:]])
+        path.write_bytes(b"\n".join(lines))
+
+    return edit
 
 
 def run_args(scene_dir, out_dir, *extra):
@@ -265,6 +292,76 @@ class TestExitCodes:
         assert message in captured.err
         assert "internal error" not in captured.err
 
+    @pytest.mark.parametrize(
+        "artifact, reader, writer",
+        [
+            ("manifest.json", "prompts", "fill"),
+            ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
+            ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
+            ("depth_filtered.asc", "segment", "prompts"),
+            ("fused_mask.asc", "eval", "segment"),
+        ],
+        ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
+    )
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_upstream_artifact_gate(
+        self, scene_dir, tmp_path, capsys, artifact, reader, writer, damage
+    ):
+        """Every stage reports a missing or broken upstream file the same way."""
+        out = tmp_path / "out"
+        args = run_args(scene_dir, out)
+        assert main(args) == 0
+        path = out / artifact
+        if damage == "deleted":
+            path.unlink()
+        else:
+            halve(path)
+        capsys.readouterr()
+        code = main([reader, *args[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "internal error" not in err
+        assert err.count(str(path)) == 1
+        if damage == "deleted":
+            assert f"{path} not found — run the {writer} stage first" in err
+        else:
+            assert f"{path}: " in err
+            assert f" — rerun the {writer} stage" in err
+
+    @pytest.mark.parametrize(
+        "target, corrupt, message",
+        [
+            ("dem", first_cell(b"\xff"), "not a text grid"),
+            ("dem", first_cell(b"nan"), "data row 1, column 1: non-finite value nan"),
+            ("dem", first_cell(b"-inf"), "data row 1, column 1: non-finite value -inf"),
+            ("dem", replace_line(5, b"NODATA_value nan"),
+             "header nodata_value must be finite, got nan"),
+            ("dem", replace_line(2, b"xllcorner nan"), "header xllcorner must be finite, got nan"),
+            ("dem", replace_line(4, b"cellsize inf"), "header cellsize must be finite, got inf"),
+            ("gt", first_cell(b"\xff"), "not a text grid"),
+            ("fused", first_cell(b"\xff"), "not a text grid"),
+        ],
+        ids=["dem-not-utf8", "dem-nan-cell", "dem-inf-cell", "dem-nan-nodata",
+             "dem-nan-xllcorner", "dem-inf-cellsize", "gt-not-utf8", "fused-not-utf8"],
+    )
+    def test_bad_grid_is_a_usage_error(self, scene_dir, tmp_path, capsys, target, corrupt, message):
+        grids = tmp_path / "grids"
+        shutil.copytree(scene_dir, grids)
+        out = tmp_path / "out"
+        args = run_args(grids, out)
+        if target != "dem":
+            assert main(args) == 0
+        path = {"dem": grids / "dem.asc", "gt": grids / "gt_mask.asc",
+                "fused": out / "fused_mask.asc"}[target]
+        corrupt(path)
+        capsys.readouterr()
+        code = main(["fill" if target == "dem" else "eval", *args[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: " in err
+        assert message in err
+        assert "internal error" not in err
+
     def test_unreachable_backend_is_an_operational_error(self, scene_dir, tmp_path, capsys):
         import socket
 
@@ -324,6 +421,20 @@ class TestImportTime:
             "import sys; sys.path.insert(0, sys.argv[1]); "
             "import sinkseg, sinkseg.pipeline, sinkseg.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
+    def test_import_leaves_requests_unloaded(self):
+        """The http client library loads only when an http backend is built."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import sinkseg, sinkseg.pipeline, sinkseg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True

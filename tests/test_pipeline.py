@@ -25,7 +25,7 @@ from sinkseg.raster import (
     write_ascii_grid,
 )
 from sinkseg.synth import export_scene, gen_terrain
-from sinkseg.tiling import TileSpec, extract_tile, patch_id, plan_tiles
+from sinkseg.tiling import MergeRule, TileSpec, extract_tile, patch_id, plan_tiles
 
 SCENE = dict(seed=21, width=128, height=128, n_sinkholes=3,
              depth_range=(3.0, 8.0), radius_range=(8.0, 12.0))
@@ -285,6 +285,25 @@ class TestSegmentAndEval:
     def test_mosaic_fill_mode_end_to_end(self, scene_dir, tmp_path):
         cfg, report = self.run_all(scene_dir, tmp_path / "out", fill_mode="mosaic")
         assert report.iou > 0.9
+
+    @pytest.mark.parametrize("merge", [MergeRule.MAX, MergeRule.MEAN])
+    def test_dem_nodata_does_not_mask_probabilities(self, scene_dir, tmp_path, merge):
+        """A DEM sentinel that is also a probability (0.0, 1.0) leaves the mask as is."""
+        dem = read_ascii_grid(scene_dir / "dem.asc")
+        masks = {}
+        for nodata in (-9999.0, 0.0, 1.0):
+            assert not (dem.values == nodata).any()
+            path = tmp_path / f"dem_{nodata}.asc"
+            write_ascii_grid(Raster(dem.values, nodata, *dem.geotransform), path)
+            out = tmp_path / f"out_{nodata}"
+            cfg = replace(make_cfg(scene_dir, out, merge=merge), depth_raster=path)
+            cmd_fill(cfg)
+            cmd_prompts(cfg)
+            cmd_segment(cfg)
+            masks[nodata] = read_ascii_mask(out / "fused_mask.asc").values
+        assert masks[-9999.0].sum() > 0
+        assert np.array_equal(masks[0.0], masks[-9999.0])
+        assert np.array_equal(masks[1.0], masks[-9999.0])
 
     def test_http_backend_paints_prompt_boxes(self, scene_dir, tmp_path):
         with MockSegmentServer(mode="boxfill", value=255) as server:
