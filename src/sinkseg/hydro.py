@@ -19,6 +19,15 @@ that halves the graph on most terrain and changes no minimax value.  The
 level is an index into the sorted input elevations, so the output is exact:
 a raised cell takes the bits of the elevation that bounds it, and every
 other cell keeps its input bits.
+
+The graph's nodes are numbered by elevation: the virtual node is 0 and the
+valid cells are 1..N from lowest to highest, so rank never falls as the
+node number rises.  Each edge is stored in the row of its higher node and
+weighs that node's rank, so the weights are already in order where the
+graph stores them.  Kruskal's algorithm inside ``minimum_spanning_tree``
+starts with a stable sort of the weights, which then finds one sorted run
+and takes linear time; on noisy terrain that sort was most of the kernel.
+The one sort left is that of the elevations, which numbers the nodes.
 """
 
 from __future__ import annotations
@@ -76,53 +85,70 @@ def _kept_diagonals(rank, valid, a, b, c, d) -> np.ndarray:
     return valid[a] & valid[b] & (rank[c] > top) & (rank[d] > top)
 
 
-def _spill_graph(rank: np.ndarray, valid: np.ndarray, outlet: np.ndarray):
+def _spill_graph(node: np.ndarray, rank: np.ndarray, outlet: np.ndarray):
     """8-neighbour graph of the valid cells plus a virtual outlet node.
 
-    Node ``r * w + c`` is cell (r, c) and node ``h * w`` the virtual outlet.
-    Each cell row of the CSR matrix lists its east, south-west, south and
-    south-east neighbours, then the virtual node if the cell is an outlet, so
-    every undirected edge appears once and the columns of a row ascend.  An
-    edge weighs the higher rank of its two cells; diagonals with a detour no
-    heavier than themselves are left out (see :func:`_kept_diagonals`).
+    ``node`` numbers the cells of the raster (``0`` on nodata cells) and
+    ``rank[k]`` is the elevation rank of node *k*, non-decreasing in *k*;
+    node ``0`` is the virtual outlet, rank ``0``.  Each undirected edge is
+    stored once, in the row of its higher node, and weighs that node's rank,
+    which is the higher rank of its two ends.  Every row then lists lower
+    nodes only, and ``data`` is non-decreasing in CSR storage order.  Edges
+    join 8-neighbours, less the diagonals with a detour no heavier than
+    themselves (see :func:`_kept_diagonals`), and every outlet cell to the
+    virtual node.
+
+    The rows are filled by counting, with no sort and no COO matrix, whose
+    conversion would hold every edge twice: one sweep counts each cell's
+    edges and a second writes each edge to the next free place of its
+    owner's row.  Each neighbour family is split into two passes by which
+    end is higher, so no cell owns two edges of one pass.  csgraph does not
+    check the indices it is given.
     """
     from scipy.sparse import csr_matrix
 
-    h, w = rank.shape
-    n = h * w
-    east, south_west, south, south_east = (np.zeros((h, w), dtype=bool) for _ in range(4))
-    east[:, :-1] = valid[:, :-1] & valid[:, 1:]
-    south[:-1, :] = valid[:-1, :] & valid[1:, :]
+    valid = node > 0
+    cell_rank = rank[node]
+    west, east, north, south = np.s_[:, :-1], np.s_[:, 1:], np.s_[:-1, :], np.s_[1:, :]
     top_left, top_right, bottom_left, bottom_right = (
         np.s_[:-1, :-1], np.s_[:-1, 1:], np.s_[1:, :-1], np.s_[1:, 1:]
     )
-    south_west[top_right] = _kept_diagonals(
-        rank, valid, top_right, bottom_left, top_left, bottom_right
+    families = (  # the two ends of each edge, and where the edge is kept
+        (west, east, valid[west] & valid[east]),
+        (north, south, valid[north] & valid[south]),
+        (top_right, bottom_left, _kept_diagonals(
+            cell_rank, valid, top_right, bottom_left, top_left, bottom_right)),
+        (top_left, bottom_right, _kept_diagonals(
+            cell_rank, valid, top_left, bottom_right, top_right, bottom_left)),
     )
-    south_east[top_left] = _kept_diagonals(
-        rank, valid, top_left, bottom_right, top_right, bottom_left
-    )
-    edges = ((east, 1), (south_west, w - 1), (south, w), (south_east, w + 1), (outlet, None))
+    del cell_rank
 
-    indptr = np.zeros(n + 2, dtype=np.int32)
-    for mask, _ in edges:
-        indptr[1 : n + 1] += mask.ravel()
-    np.cumsum(indptr, out=indptr)
+    def passes():
+        """Owner cells, other ends and where the edges are, pass by pass: the
+        owner is the higher end, and no cell owns two edges of one pass."""
+        for a, b, kept in families:
+            a_higher = node[a] > node[b]
+            yield a, b, kept & a_higher
+            yield b, a, kept & ~a_higher
+
+    count = outlet.astype(np.int32)  # per cell: the edges in its row
+    for owner, _, edge in passes():
+        count[owner] += edge
+    n = rank.size
+    row_count = np.zeros(n, dtype=np.int32)
+    row_count[node] = count  # nodata cells count 0 towards the virtual node's row
+    del count
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(row_count, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1], dtype=np.float64)  # csgraph's own dtype: no copy
-    slot = indptr[:n].copy()
-    rank = rank.ravel()
-    for mask, step in edges:
-        cells = np.flatnonzero(mask)
-        at = slot[cells]
-        if step is None:
-            indices[at] = n
-            data[at] = rank[cells]
-        else:
-            indices[at] = cells + step
-            data[at] = np.maximum(rank[cells], rank[cells + step])
-        slot[cells] += 1
-    return csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    slot = indptr[node]  # per cell: the next free place in its row
+    for owner, other, edge in passes():
+        indices[slot[owner][edge]] = node[other][edge]
+        slot[owner] += edge
+    indices[slot[outlet]] = 0
+    # each row weighs its own rank; float64 is csgraph's dtype, so no copy
+    data = np.repeat(rank, row_count).astype(np.float64)
+    return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray, nodata: float):
@@ -130,24 +156,38 @@ def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray, nod
     not raised, ``filled - value`` where raised."""
     from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
+    # node k is the k-th lowest valid cell and node 0 the virtual outlet.
+    # np.unique sorts the same way, so a run of tied elevations keeps the
+    # same representative level (its first member: -0.0 or 0.0).
+    elevation = values[valid]
+    order = np.argsort(elevation)
+    elevation = elevation[order]
+    node = np.zeros(values.shape, dtype=np.int32)
+    node_of = np.empty(order.size, dtype=np.int32)
+    node_of[order] = np.arange(1, order.size + 1, dtype=np.int32)
+    node[valid] = node_of
+    del order, node_of
+    first = np.empty(elevation.size, dtype=bool)  # the first node of each run of ties
+    first[0] = True
+    np.not_equal(elevation[1:], elevation[:-1], out=first[1:])
+    levels = elevation[first]
+    del elevation
     # ranks start at 1: csgraph reads a zero weight as "no edge"
-    levels, inverse = np.unique(values[valid], return_inverse=True)
-    rank = np.zeros(values.shape, dtype=np.int32)
-    rank[valid] = inverse + 1
-    del inverse
+    rank = np.zeros(first.size + 1, dtype=np.int32)
+    np.cumsum(first, out=rank[1:])
+    del first
 
-    n = values.size
-    tree = minimum_spanning_tree(_spill_graph(rank, valid, outlet), overwrite=True)
-    _, parent = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    tree = minimum_spanning_tree(_spill_graph(node, rank, outlet), overwrite=True)
+    _, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
     del tree
 
     # running max of ranks down the tree from the virtual node, by pointer jumping
-    parent[parent < 0] = n  # the virtual node itself and nodata cells
-    level = np.append(rank.ravel(), np.int32(0))
-    while (parent != n).any():
+    parent[parent < 0] = 0  # the virtual node itself
+    level = rank.copy()
+    while (parent != 0).any():
         np.maximum(level, level[parent], out=level)
         parent = parent[parent]
-    level = level[:n].reshape(values.shape)
+    level, rank = level[node], rank[node]
     raised = level > rank
     filled = values.copy()
     filled[raised] = levels[level[raised] - 1]

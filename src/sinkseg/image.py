@@ -115,8 +115,16 @@ def pgm_bytes(values: np.ndarray, maxval: int = 255) -> bytes:
     return header + arr.tobytes()
 
 
+def _read_pnm(path: str | Path, decode):
+    """*decode* the bytes of the file at *path*; a format error names *path*."""
+    try:
+        return decode(Path(path).read_bytes())
+    except ImageFormatError as exc:
+        raise ImageFormatError(f"{path}: {exc}") from exc
+
+
 def read_ppm(path: str | Path) -> RGBImage:
-    return image_from_ppm_bytes(Path(path).read_bytes())
+    return _read_pnm(path, image_from_ppm_bytes)
 
 
 def write_ppm(image: RGBImage, path: str | Path) -> None:
@@ -124,7 +132,7 @@ def write_ppm(image: RGBImage, path: str | Path) -> None:
 
 
 def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
-    return gray_from_pgm_bytes(Path(path).read_bytes())
+    return _read_pnm(path, gray_from_pgm_bytes)
 
 
 def write_pgm(values: np.ndarray, path: str | Path, maxval: int = 255) -> None:

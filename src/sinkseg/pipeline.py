@@ -339,6 +339,8 @@ def cmd_segment(cfg: PipelineConfig) -> None:
         boxes_path = patches / f"{pid}.boxes.json"
         with _upstream(boxes_path, "prompts"):
             prompts = read_prompts(boxes_path)
+            if prompts.patch_id != pid:
+                raise InputError(f"patch_id {prompts.patch_id!r} does not match window {pid!r}")
             for box in prompts.boxes:
                 if box.x1 > window.patch or box.y1 > window.patch:
                     raise InputError(

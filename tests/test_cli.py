@@ -106,6 +106,10 @@ def bool_coordinate(path):
     path.write_text('{"boxes":[[true,0,2,2]],"patch_id":"r00000_c00000"}\n')
 
 
+def foreign_boxes(path):
+    shutil.copyfile(path.with_name("r00000_c00024.boxes.json"), path)
+
+
 def halve(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
@@ -269,11 +273,13 @@ class TestExitCodes:
              "'areas' entry 0 must be an integer"),
             ("patch", "segment", "patches/r00000_c00000.boxes.json", bool_coordinate,
              "box coordinate x0 must be an integer, got True"),
+            ("patch", "segment", "patches/r00000_c00000.boxes.json", foreign_boxes,
+             "patch_id 'r00000_c00024' does not match window 'r00000_c00000'"),
         ],
         ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "short-filtered-depth",
-             "box-outside-patch", "string-area", "bool-coordinate"],
+             "box-outside-patch", "string-area", "bool-coordinate", "foreign-boxes"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message
@@ -360,6 +366,17 @@ class TestExitCodes:
         assert code == 2
         assert f"{path}: " in err
         assert message in err
+        assert "internal error" not in err
+
+    def test_truncated_rgb_mosaic_is_a_usage_error(self, scene_dir, tmp_path, capsys):
+        scene = tmp_path / "inputs"
+        shutil.copytree(scene_dir, scene)
+        rgb = scene / "rgb.ppm"
+        rgb.write_bytes(b"P6\n96 96\n255\n")
+        code = main(run_args(scene, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{rgb}: truncated pixel data: expected 27648 bytes, got 0" in err
         assert "internal error" not in err
 
     def test_unreachable_backend_is_an_operational_error(self, scene_dir, tmp_path, capsys):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import make_random_dem
 from sinkseg.errors import NoOutletError
-from sinkseg.hydro import FilledResult, fill_depressions
+from sinkseg.hydro import FilledResult, _outlet_mask, _spill_graph, fill_depressions
 from sinkseg.raster import Raster
+from sinkseg.synth import gen_terrain
 
 NODATA = -9999.0
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -297,3 +298,86 @@ class TestPriorityFloodOracle:
         produced = fill_depressions(dem).filled.values
         oracle = priority_flood_fill(dem)
         assert np.array_equal(produced.view(np.int64), oracle.view(np.int64))
+
+    @pytest.mark.parametrize("step", [None, 0.5], ids=["as-is", "half-metre-steps"])
+    @pytest.mark.parametrize("top, left", [(540, 304), (270, 486)], ids=["pit-0", "pits-5-9"])
+    def test_bit_identical_on_noisy_terrain_crops(self, noisy_terrain, top, left, step):
+        """128x128 crops around pits: long runs of tied ranks and deep trees."""
+        values = noisy_terrain[top : top + 128, left : left + 128].copy()
+        if step is not None:
+            values = np.round(values / step) * step
+        dem = Raster(values)
+        produced = fill_depressions(dem).filled.values
+        oracle = priority_flood_fill(dem)
+        assert np.array_equal(produced.view(np.int64), oracle.view(np.int64))
+        assert np.any(produced > values)
+
+
+@pytest.fixture(scope="module")
+def noisy_terrain():
+    return gen_terrain(42, 1024, 1024, 12, noise_amp=0.5).dem.values
+
+
+def elevation_numbering(dem: Raster):
+    """Nodes ``1..N`` for the valid cells in ascending elevation (``0`` on
+    nodata), and the elevation rank of each node (``0`` for node 0)."""
+    valid = dem.valid_mask()
+    cells = np.flatnonzero(valid)[np.argsort(dem.values[valid], kind="stable")]
+    node = np.zeros(dem.values.shape, dtype=np.int32)
+    node.ravel()[cells] = np.arange(1, cells.size + 1)
+    elevation = dem.values.ravel()[cells]
+    rank = np.zeros(cells.size + 1, dtype=np.int32)
+    rank[1:] = np.cumsum(np.r_[True, elevation[1:] != elevation[:-1]])
+    return node, rank
+
+
+def expected_edges(dem: Raster, node: np.ndarray, rank: np.ndarray) -> set:
+    """The 8-neighbour edges of the valid cells, less each diagonal whose two
+    other corners are not both valid and higher than its ends, plus an edge
+    from every outlet cell to node 0."""
+    valid = dem.valid_mask()
+    h, w = valid.shape
+
+    def inside(r, c):
+        return 0 <= r < h and 0 <= c < w
+
+    edges = set()
+    for r, c in zip(*np.nonzero(valid)):
+        a = int(node[r, c])
+        for dr, dc in OFFSETS:
+            nr, nc = r + dr, c + dc
+            if not (inside(nr, nc) and valid[nr, nc]):
+                edges.add(frozenset((a, 0)))  # an outlet
+                continue
+            b = int(node[nr, nc])
+            if dr and dc:
+                top = max(rank[a], rank[b])
+                if not all(valid[cr, cc] and rank[node[cr, cc]] > top
+                           for cr, cc in ((r, nc), (nr, c))):
+                    continue
+            edges.add(frozenset((a, b)))
+    return edges
+
+
+class TestSpillGraph:
+    """The CSR handed to csgraph, which checks none of its indices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dem=oracle_dems())
+    def test_rows_list_lower_nodes_in_weight_order(self, dem):
+        assume(dem.valid_mask().any())
+        node, rank = elevation_numbering(dem)
+        graph = _spill_graph(node, rank, _outlet_mask(dem.valid_mask()))
+        indptr, indices, data = graph.indptr, graph.indices, graph.data
+        assert graph.shape == (rank.size, rank.size)
+        assert indptr[0] == 0 and indptr[-1] == indices.size == data.size
+        assert np.all(np.diff(indptr) >= 0)
+        rows = np.repeat(np.arange(rank.size), np.diff(indptr))
+        assert np.all((indices >= 0) & (indices < rows))
+        # already in Kruskal's order, and in csgraph's dtype
+        assert data.dtype == np.float64
+        assert np.all(np.diff(data) >= 0)
+        assert np.array_equal(data, rank[rows])
+        edges = {frozenset(edge) for edge in zip(rows.tolist(), indices.tolist())}
+        assert len(edges) == indices.size
+        assert edges == expected_edges(dem, node, rank)

@@ -1,5 +1,7 @@
 """Binary PPM/PGM encoding and parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,14 @@ class TestParsing:
     def test_non_numeric_header_token(self):
         with pytest.raises(ImageFormatError, match="header"):
             gray_from_pgm_bytes(b"P5\nab 1\n255\n\x00")
+
+    @pytest.mark.parametrize("read, data", [(read_ppm, b"P6\n2 2\n255\n"),
+                                            (read_pgm, b"P5\n2 2\n255\n")])
+    def test_file_errors_name_the_path(self, tmp_path, read, data):
+        path = tmp_path / "short.pnm"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError, match=f"^{re.escape(str(path))}: truncated pixel data"):
+            read(path)
 
 
 class TestWriterValidation:
