@@ -86,16 +86,19 @@ def _run_command(args: argparse.Namespace) -> int:
         kwargs = {}
         if args.slope is not None:
             kwargs["slope"] = args.slope
-        scene = gen_terrain(
-            args.seed,
-            args.width,
-            args.height,
-            args.n,
-            depth_range=args.depth_range,
-            radius_range=args.radius_range,
-            noise_amp=args.noise_amp,
-            **kwargs,
-        )
+        try:
+            scene = gen_terrain(
+                args.seed,
+                args.width,
+                args.height,
+                args.n,
+                depth_range=args.depth_range,
+                radius_range=args.radius_range,
+                noise_amp=args.noise_amp,
+                **kwargs,
+            )
+        except ValueError as exc:  # an argument out of range
+            raise InputError(str(exc)) from exc
         export_scene(scene, args.out_dir)
         logger.info("scene with %d sinkholes written to %s", args.n, args.out_dir)
         return 0

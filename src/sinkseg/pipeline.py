@@ -7,9 +7,10 @@ bytes, regardless of worker pool size):
     ``patches/<id>.depth.npz`` (per-patch mode) or ``depth.npz`` (mosaic
     mode), plus ``manifest.json`` describing the mosaic and tiling so later
     stages need no access to the original input; every stage derives its
-    windows from the manifest.  A depth file is a zlib-compressed NumPy
-    archive holding one float64 array, ``depth``; its georeference and nodata
-    come from the manifest.  Only the prompts stage reads it.
+    windows from the manifest.  A depth file is a zip archive, deflated at
+    zlib level 1, whose one member ``depth.npy`` holds a float64 array; its
+    georeference and nodata come from the manifest.  Only the prompts stage
+    reads it.
 ``prompts``
     ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
     ``depth_filtered.asc`` — the filtered depressions stitched back into a
@@ -23,7 +24,10 @@ bytes, regardless of worker pool size):
 
 Every read of an artifact that an earlier stage wrote passes one gate,
 :func:`_upstream`: a missing or malformed artifact exits 2 and names its
-path and the stage that writes it.
+path and the stage that writes it.  :func:`cmd_run` still writes every
+artifact, but hands the filtered depth (to the echo backend) and the fused
+mask to the next stage in memory instead of reading them back; the depth
+archives remain the fill → prompts hand-off.
 
 Prompting is per-patch and independent: a depression overlapping several
 windows may be prompted in each of them.  The duplicate masks collapse when
@@ -59,6 +63,7 @@ from .labeling import (
 )
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
 from .raster import (
+    BinaryMask,
     Raster,
     binarize,
     invert_depth,
@@ -180,7 +185,14 @@ def _georef(doc: dict, window: TileWindow | None = None) -> tuple[float, float, 
 
 
 def _write_depth(depth: Raster, path: Path) -> None:
-    np.savez_compressed(path, depth=depth.values)
+    """Write *depth* as ``np.savez_compressed`` would, but deflated at level 1.
+
+    Level 1 takes half the time of level 6 for a slightly larger file.  The
+    member keeps ``ZipInfo``'s fixed 1980 timestamp, so the bytes are stable.
+    """
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
+        with archive.open("depth.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array(member, depth.values, allow_pickle=False)
 
 
 def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Raster:
@@ -252,8 +264,11 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     _write_manifest(out, dem, cfg)
 
 
-def cmd_prompts(cfg: PipelineConfig) -> None:
-    """Label, filter, and box the depressions of every patch."""
+def cmd_prompts(cfg: PipelineConfig) -> Raster:
+    """Label, filter, and box the depressions of every patch.
+
+    Returns the filtered depth mosaic it wrote to ``depth_filtered.asc``.
+    """
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
     patches = out / "patches"
@@ -295,6 +310,7 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
     mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
     write_ascii_grid(mosaic, out / "depth_filtered.asc")
     logger.info("wrote %d prompt boxes across %d patches", total_boxes, len(windows))
+    return mosaic
 
 
 def _build_shared_backend(cfg: PipelineConfig):
@@ -310,8 +326,13 @@ def _build_shared_backend(cfg: PipelineConfig):
     return None  # echo is built per patch from the filtered depth
 
 
-def cmd_segment(cfg: PipelineConfig) -> None:
-    """Segment every patch from its box prompts and stitch the fused mask."""
+def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> BinaryMask:
+    """Segment every patch from its box prompts and stitch the fused mask.
+
+    The echo backend paints *depth_filtered*, the prompts stage's product;
+    when it is None it is read from ``depth_filtered.asc``.  Returns the
+    fused mask it wrote to ``fused_mask.asc``.
+    """
     validate_for(cfg, "segment")
     out = Path(cfg.out_dir)
     patches = out / "patches"
@@ -324,7 +345,7 @@ def cmd_segment(cfg: PipelineConfig) -> None:
             f"{doc['width']}x{doc['height']}"
         )
     shared_backend = _build_shared_backend(cfg)
-    if shared_backend is None:  # echo paints the filtered depth
+    if shared_backend is None and depth_filtered is None:  # echo paints the filtered depth
         filtered_path = out / "depth_filtered.asc"
         with _upstream(filtered_path, "prompts"):
             depth_filtered = read_ascii_grid(filtered_path)
@@ -359,15 +380,22 @@ def cmd_segment(cfg: PipelineConfig) -> None:
     fused = binarize(prob_mosaic, cfg.binarize_threshold)
     write_ascii_mask(fused, out / "fused_mask.asc")
     logger.info("fused mask written to %s", out / "fused_mask.asc")
+    return fused
 
 
-def cmd_eval(cfg: PipelineConfig) -> MetricsReport:
-    """Evaluate the fused mask against ground truth; write JSON + CSV."""
+def cmd_eval(cfg: PipelineConfig, fused: BinaryMask | None = None) -> MetricsReport:
+    """Evaluate the fused mask against ground truth; write JSON + CSV.
+
+    *fused* is the segment stage's product; when it is None it is read from
+    ``fused_mask.asc``.
+    """
     validate_for(cfg, "eval")
     out = Path(cfg.out_dir)
-    fused_path = out / "fused_mask.asc"
-    with _upstream(fused_path, "segment"):
-        pred = read_ascii_mask(fused_path)
+    pred = fused
+    if pred is None:
+        fused_path = out / "fused_mask.asc"
+        with _upstream(fused_path, "segment"):
+            pred = read_ascii_mask(fused_path)
     gt = read_ascii_mask(cfg.eval_gt_mask)
     if pred.values.shape != gt.values.shape:
         raise InputError(
@@ -392,9 +420,18 @@ def cmd_eval(cfg: PipelineConfig) -> MetricsReport:
 
 
 def cmd_run(cfg: PipelineConfig) -> MetricsReport:
-    """Full pipeline: fill, prompts, segment, eval."""
+    """Full pipeline: fill, prompts, segment, eval.
+
+    Each stage still writes its artifacts, but the filtered depth and the
+    fused mask pass to their consumer in memory.  Each product is dropped as
+    soon as its consumer is done, so the run holds no more than the stages
+    run one by one.
+    """
     validate_for(cfg, "run")
     cmd_fill(cfg)
-    cmd_prompts(cfg)
-    cmd_segment(cfg)
-    return cmd_eval(cfg)
+    depth_filtered = cmd_prompts(cfg)
+    if cfg.backend_kind != "echo":  # the only backend that reads it
+        depth_filtered = None
+    fused = cmd_segment(cfg, depth_filtered)
+    del depth_filtered
+    return cmd_eval(cfg, fused)

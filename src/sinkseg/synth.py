@@ -192,9 +192,20 @@ def gen_terrain(
 
     Raises
     ------
+    ValueError
+        If a size or count is out of range, a range is empty or not
+        positive, ``noise_amp`` is negative, or a float is not finite.
     PlacementError
         If the non-overlapping placement budget is exhausted.
     """
+    for name, value in (
+        ("depth_range", depth_range),
+        ("radius_range", radius_range),
+        ("noise_amp", noise_amp),
+        ("slope", slope),
+    ):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     if width < 1 or height < 1:
         raise ValueError(f"scene must be at least 1x1, got {width}x{height}")
     if n_sinkholes < 0:

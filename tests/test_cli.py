@@ -487,6 +487,27 @@ class TestSynthCommand:
         assert code == 2
         assert "could not place" in captured.err
 
+    @pytest.mark.parametrize("arg, value, named", [
+        ("--width", "0", "at least 1x1"),
+        ("--height", "0", "at least 1x1"),
+        ("--n", "-1", "n_sinkholes"),
+        ("--depth-range", "5,1", "depth_range"),
+        ("--radius-range", "0,0", "radius_range"),
+        ("--noise-amp", "-1", "noise_amp"),
+        ("--noise-amp", "inf", "noise_amp"),
+        ("--noise-amp", "nan", "noise_amp"),
+        ("--slope", "nan", "slope"),
+        ("--slope", "inf", "slope"),
+    ])
+    def test_bad_argument_is_a_usage_error(self, tmp_path, capsys, arg, value, named):
+        out = tmp_path / "s"
+        code = main(["synth", "--seed", "1", "--width", "64", "--height", "64",
+                     "--n", "1", "--out-dir", str(out), arg, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "internal error" not in err
+        assert not out.exists()
+
     def test_bad_range_syntax_is_an_argparse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["synth", "--seed", "1", "--width", "64", "--height", "64",

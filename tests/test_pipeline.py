@@ -1,6 +1,8 @@
 """Stage orchestration: artifacts, composition, determinism, backends."""
 
 import json
+import time
+import zipfile
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -152,6 +154,29 @@ class TestFillStage:
             got = pipeline._read_depth(paths[window], doc, window)
             assert np.array_equal(got.values, want.values)
             assert (got.nodata, got.geotransform) == (want.nodata, want.geotransform)
+
+    def test_depth_archive_is_byte_stable_with_one_member(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(5).normal(size=(40, 48))
+        values[0, :3] = (-0.0, 0.0, -9999.0)
+        depth = Raster(values)
+        pipeline._write_depth(depth, tmp_path / "a.npz")
+        monkeypatch.setattr(time, "time", lambda: 1e9)  # a later wall clock
+        pipeline._write_depth(depth, tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        with zipfile.ZipFile(tmp_path / "a.npz") as archive:
+            assert archive.namelist() == ["depth.npy"]
+        assert np.array_equal(load_depth(tmp_path / "a.npz").view(np.int64),
+                              values.view(np.int64))
+
+    def test_reads_an_archive_from_savez_compressed(self, tmp_path):
+        # the form of out_dirs written before depth archives deflated at level 1
+        values = np.random.default_rng(6).normal(size=(30, 20))
+        values[1, 1] = -0.0
+        np.savez_compressed(tmp_path / "depth.npz", depth=values)
+        doc = {"width": 20, "height": 30, "nodata": -9999.0,
+               "origin_x": 0.0, "origin_y": 0.0, "cellsize": 1.0}
+        got = pipeline._read_depth(tmp_path / "depth.npz", doc)
+        assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
 
 
 class TestStageOrdering:
@@ -405,6 +430,35 @@ class TestDeterminism:
         composed = make_cfg(scene_dir, tmp_path / "composed")
         cmd_run(composed)
         assert tree_digests(tmp_path / "staged") == tree_digests(tmp_path / "composed")
+
+    @pytest.mark.parametrize("backend", ["echo", "http"])
+    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
+    def test_in_memory_hand_off_writes_the_staged_bytes(self, scene_dir, tmp_path, mode, backend):
+        server = MockSegmentServer(mode="boxfill", value=255) if backend == "http" else None
+        with server or nullcontext():
+            kw = {"backend_kind": "http", "backend_endpoint": server.endpoint} if server else {}
+            staged = make_cfg(scene_dir, tmp_path / "staged", fill_mode=mode, **kw)
+            for stage in (cmd_fill, cmd_prompts, cmd_segment, cmd_eval):
+                stage(staged)
+            cmd_run(make_cfg(scene_dir, tmp_path / "run", fill_mode=mode, **kw))
+        assert tree_digests(tmp_path / "staged") == tree_digests(tmp_path / "run")
+
+    def test_run_reads_back_no_product_it_wrote(self, scene_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        reads = []
+        for name in ("read_ascii_grid", "read_ascii_mask"):
+            def counting(path, *args, _read=getattr(pipeline, name), **kwargs):
+                reads.append(Path(path))
+                return _read(path, *args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counting)
+        cfg = make_cfg(scene_dir, out)  # echo: the one backend that paints the filtered depth
+        cmd_run(cfg)
+        assert reads == [scene_dir / "dem.asc", scene_dir / "gt_mask.asc"]
+        cmd_segment(cfg)  # a stage run on its own reads its input back
+        cmd_eval(cfg)
+        assert [p for p in reads if out in p.parents] == [out / "depth_filtered.asc",
+                                                         out / "fused_mask.asc"]
 
     def test_rerun_overwrites_identically(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")

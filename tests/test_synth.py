@@ -180,6 +180,19 @@ class TestMultiPitScenes:
         with pytest.raises(ValueError, match="noise_amp"):
             gen_terrain(seed=1, width=4, height=4, n_sinkholes=0, noise_amp=-0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"depth_range": (3.0, math.inf)},
+        {"radius_range": (math.nan, 2.0)},
+        {"noise_amp": math.nan},
+        {"noise_amp": math.inf},
+        {"slope": math.nan},
+        {"slope": -math.inf},
+    ])
+    def test_non_finite_parameters_are_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            gen_terrain(seed=1, width=4, height=4, n_sinkholes=1, **kwargs)
+
 
 class TestExportScene:
     def test_files_and_schema(self, tmp_path):
