@@ -36,12 +36,14 @@ Recognized keys (defaults in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .labeling import FilterThresholds
-from .metrics import DEFAULT_THRESHOLDS
+from .metrics import DEFAULT_THRESHOLDS, check_label
 from .tiling import MergeRule, TileSpec
 
 BACKEND_KINDS = ("echo", "http", "replay")
@@ -114,8 +116,11 @@ class PipelineConfig:
             raise ValueError(
                 f"backend.max_inflight must be >= 1, got {self.backend_max_inflight}"
             )
-        if self.backend_timeout <= 0:
-            raise ValueError(f"backend.timeout must be > 0, got {self.backend_timeout}")
+        if not (math.isfinite(self.backend_timeout) and self.backend_timeout > 0):
+            raise ValueError(
+                f"backend.timeout must be finite and > 0, got {self.backend_timeout}"
+            )
+        check_label(self.eval_label, "eval.label")
 
 
 # key -> (config field, parser); nested dataclass fields use "<field>:<sub>"
@@ -183,11 +188,13 @@ def build_config(pairs: list[tuple[str, str]]) -> PipelineConfig:
             nested[group][sub] = parsed
         else:
             flat[target] = parsed
+    for group, values in nested.items():
+        if values:
+            try:
+                flat[group] = replace(getattr(PipelineConfig(), group), **values)
+            except ValueError as exc:  # the group's own message names the sub-key
+                raise ConfigError(f"{group}.{exc}") from exc
     try:
-        if nested["tile"]:
-            flat["tile"] = replace(PipelineConfig().tile, **nested["tile"])
-        if nested["filter"]:
-            flat["filter"] = replace(PipelineConfig().filter, **nested["filter"])
         return PipelineConfig(**flat)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -216,17 +223,34 @@ def _require(cfg: PipelineConfig, field_name: str, key: str) -> Path:
     return value
 
 
-def _require_existing(cfg: PipelineConfig, field_name: str, key: str) -> Path:
+def _require_file(cfg: PipelineConfig, field_name: str, key: str) -> Path:
     path = _require(cfg, field_name, key)
     if not Path(path).exists():
         raise ConfigError(f"config key {key!r}: path does not exist: {path}")
+    if not Path(path).is_file():
+        raise ConfigError(f"config key {key!r}: not a file: {path}")
     return path
+
+
+def _check_endpoint(endpoint: str) -> None:
+    """An http(s) URL with a host and, if given, a numeric port."""
+    parts = urlsplit(endpoint)
+    try:
+        parts.port  # parsing the port is the check
+    except ValueError:
+        raise ConfigError(f"backend.endpoint has an invalid port: {endpoint!r}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(
+            f"backend.endpoint must be an http:// or https:// URL with a host, "
+            f"got {endpoint!r}"
+        )
 
 
 def validate_for(cfg: PipelineConfig, command: str) -> None:
     """Check that every input the given command touches is configured.
 
-    Raises :class:`ConfigError` on the first missing key or absent path.
+    Raises :class:`ConfigError` on the first missing key, absent path or
+    path of the wrong kind.
     """
     needs = {
         "fill": ("inputs_fill",),
@@ -238,13 +262,17 @@ def validate_for(cfg: PipelineConfig, command: str) -> None:
     if command not in needs:
         raise ValueError(f"unknown command {command!r}")
     checks = needs[command]
-    _require(cfg, "out_dir", "out_dir")
+    out = _require(cfg, "out_dir", "out_dir")
+    if Path(out).exists() and not Path(out).is_dir():
+        raise ConfigError(f"config key 'out_dir': not a directory: {out}")
     if "inputs_fill" in checks:
-        _require_existing(cfg, "depth_raster", "depth_raster")
+        _require_file(cfg, "depth_raster", "depth_raster")
     if "inputs_segment" in checks:
-        _require_existing(cfg, "rgb_mosaic", "rgb_mosaic")
-        if cfg.backend_kind == "http" and not cfg.backend_endpoint:
-            raise ConfigError("backend.endpoint is required when backend.kind = http")
+        _require_file(cfg, "rgb_mosaic", "rgb_mosaic")
+        if cfg.backend_kind == "http":
+            if not cfg.backend_endpoint:
+                raise ConfigError("backend.endpoint is required when backend.kind = http")
+            _check_endpoint(cfg.backend_endpoint)
         if cfg.backend_kind == "replay":
             if cfg.backend_replay_dir is None:
                 raise ConfigError("backend.replay_dir is required when backend.kind = replay")
@@ -253,11 +281,9 @@ def validate_for(cfg: PipelineConfig, command: str) -> None:
                     f"backend.replay_dir does not exist: {cfg.backend_replay_dir}"
                 )
     if "inputs_eval" in checks:
-        _require_existing(cfg, "eval_gt_mask", "eval.gt_mask")
-        if cfg.eval_ignore_mask is not None and not Path(cfg.eval_ignore_mask).exists():
-            raise ConfigError(
-                f"config key 'eval.ignore_mask': path does not exist: {cfg.eval_ignore_mask}"
-            )
+        _require_file(cfg, "eval_gt_mask", "eval.gt_mask")
+        if cfg.eval_ignore_mask is not None:
+            _require_file(cfg, "eval_ignore_mask", "eval.ignore_mask")
         if list(cfg.eval_thresholds) != sorted(cfg.eval_thresholds) or any(
             not 0.0 < t < 1.0 for t in cfg.eval_thresholds
         ):

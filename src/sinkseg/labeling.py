@@ -17,6 +17,7 @@ row, origin at the top-left, and the intervals are inclusive-exclusive
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,8 +81,8 @@ class FilterThresholds:
     min_area_px: int = 50
 
     def __post_init__(self) -> None:
-        if self.min_depth < 0:
-            raise ValueError(f"min_depth must be >= 0, got {self.min_depth}")
+        if not (math.isfinite(self.min_depth) and self.min_depth >= 0):
+            raise ValueError(f"min_depth must be finite and >= 0, got {self.min_depth}")
         if self.min_area_px < 0:
             raise ValueError(f"min_area_px must be >= 0, got {self.min_area_px}")
 

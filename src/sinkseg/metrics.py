@@ -320,12 +320,17 @@ def report_from_json(text: str) -> MetricsReport:
     )
 
 
+def check_label(label: str, key: str = "label") -> None:
+    """Reject a row label that a CSV results table cannot hold."""
+    if "," in label or "\n" in label:
+        raise ValueError(f"{key} may not contain commas or newlines: {label!r}")
+
+
 def report_to_csv(entries: list[tuple[str, MetricsReport]]) -> str:
     """One results-table row per (label, report): F1, IoU, Pre., Rec., Acc."""
     lines = ["label,f1,iou,precision,recall,accuracy"]
     for label, report in entries:
-        if "," in label or "\n" in label:
-            raise ValueError(f"label may not contain commas or newlines: {label!r}")
+        check_label(label)
         lines.append(
             f"{label},{repr(report.f1)},{repr(report.iou)},{repr(report.precision)},"
             f"{repr(report.recall)},{repr(report.accuracy)}"

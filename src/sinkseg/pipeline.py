@@ -29,6 +29,12 @@ artifact, but hands the filtered depth (to the echo backend) and the fused
 mask to the next stage in memory instead of reading them back; the depth
 archives remain the fill → prompts hand-off.
 
+Each stage maps its windows through one worker pool, :func:`_pool_map`,
+which yields results in window order as they are ready.  Prompts and
+segment hand that stream straight to :func:`~sinkseg.tiling.stitch`, which
+folds each tile into the mosaic as it arrives, so no stage holds a list of
+every tile.
+
 Prompting is per-patch and independent: a depression overlapping several
 windows may be prompted in each of them.  The duplicate masks collapse when
 patches are stitched, so the fused mosaic and everything downstream see one
@@ -42,6 +48,7 @@ import logging
 import math
 import zipfile
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -92,11 +99,24 @@ _MANIFEST_KEYS = (*_MANIFEST_INTS, *_MANIFEST_FLOATS, "fill_mode", "invert_depth
 
 
 def _pool_map(workers: int, fn, items):
-    """Apply *fn* over *items*, preserving order; thread pool if workers > 1."""
+    """Yield *fn* over *items* in order, each as it is ready; thread pool if
+    workers > 1.  A yielded result is not held here once the caller moves on,
+    and the pool runs at most ``2 * workers`` items ahead of the caller, so
+    results do not pile up behind a slower consumer."""
     if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    ahead = deque()
+    try:
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:  # after an error or an early close, start nothing more
+        pool.shutdown(cancel_futures=True)
 
 
 def _write_manifest(out: Path, mosaic: Raster, cfg: PipelineConfig) -> None:
@@ -255,7 +275,8 @@ def cmd_fill(cfg: PipelineConfig) -> None:
                 depth = fill_depressions(depth).depth
             _write_depth(depth, patches / f"{patch_id(window)}.depth.npz")
 
-        _pool_map(cfg.workers, work, windows)
+        for _ in _pool_map(cfg.workers, work, windows):
+            pass
         logger.info("filled %d patches into %s", len(windows), patches)
     else:
         _write_depth(fill_depressions(dem).depth, out / "depth.npz")
@@ -298,18 +319,15 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
             areas=[c.area_px for c in kept],
             max_depths=[c.max_depth for c in kept],
         )
-        return window, prompts, keep_components(depth_tile, kept)
-
-    total_boxes = 0
-    tiles: list[tuple[TileWindow, Raster]] = []
-    for window, prompts, filtered in _pool_map(cfg.workers, work, windows):
         write_prompts(prompts, patches / f"{prompts.patch_id}.boxes.json")
-        tiles.append((window, filtered))
-        total_boxes += len(prompts.boxes)
+        box_counts.append(len(boxes))  # one append: safe across pool threads
+        return window, keep_components(depth_tile, kept)
 
+    box_counts: list[int] = []
+    tiles = _pool_map(cfg.workers, work, windows)
     mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
     write_ascii_grid(mosaic, out / "depth_filtered.asc")
-    logger.info("wrote %d prompt boxes across %d patches", total_boxes, len(windows))
+    logger.info("wrote %d prompt boxes across %d patches", sum(box_counts), len(windows))
     return mosaic
 
 

@@ -7,12 +7,13 @@ never extend past the mosaic, and duplicates are removed).  The default
 geometry — 512-pixel patches with a 256-pixel stride, i.e. 50% overlap —
 matches the mapping campaign this pipeline was built for.
 
-Stitching merges overlapping tiles with a :class:`MergeRule`; cells covered
-by no tile become nodata.
+Stitching folds a stream of tiles into the mosaic one at a time, merging
+overlaps with a :class:`MergeRule`; cells covered by no tile become nodata.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,24 +142,36 @@ def extract_tile(source, window: TileWindow):
 
 
 def stitch(
-    tiles: list[tuple[TileWindow, Raster]],
+    tiles: Iterable[tuple[TileWindow, Raster]],
     width: int,
     height: int,
     merge: MergeRule = MergeRule.MAX,
 ) -> Raster:
     """Merge per-window rasters back into a ``width`` x ``height`` mosaic.
 
-    All tiles must share patch size, cellsize, and nodata.  Overlaps combine
-    per *merge*; for FIRST the earliest tile in list order wins.  A tile's
-    own nodata cells contribute nothing under every rule.  Mosaic cells
-    covered by no valid tile cell come out as nodata.
+    *tiles* may be any iterable, a one-shot generator included: it is read
+    once, and each tile is checked and folded in as it arrives, so only the
+    mosaic and the tile in hand are held.  All tiles must share patch size,
+    cellsize, and nodata.  Overlaps combine per *merge*; for FIRST the
+    earliest tile in iteration order wins.  A tile's own nodata cells
+    contribute nothing under every rule.  Mosaic cells covered by no valid
+    tile cell come out as nodata.
     """
-    if not tiles:
-        raise ValueError("stitch needs at least one tile")
-    patch = tiles[0][0].patch
-    nodata = tiles[0][1].nodata
-    cellsize = tiles[0][1].cellsize
+    out = None
     for window, tile in tiles:
+        if out is None:
+            patch, nodata, cellsize = window.patch, tile.nodata, tile.cellsize
+            # The mosaic origin is taken exactly from the first tile flush
+            # with its edge (col0 == 0 for x, bottom row for y); until one
+            # arrives, it is computed from the first tile.
+            origin_x = tile.origin_x - window.col0 * cellsize
+            origin_y = tile.origin_y - (height - window.row0 - patch) * cellsize
+            exact_x = exact_y = False
+            out = np.full((height, width), nodata, dtype=np.float64)
+            if merge is MergeRule.MEAN:
+                acc = np.zeros((height, width), dtype=np.float64)
+                cnt = np.zeros((height, width), dtype=np.int64)
+            covered = np.zeros((height, width), dtype=bool)
         _check_window(window, width, height)
         if window.patch != patch:
             raise ValueError(f"mixed patch sizes: {window.patch} vs {patch}")
@@ -168,28 +181,11 @@ def stitch(
             )
         if tile.nodata != nodata or tile.cellsize != cellsize:
             raise ValueError("tiles disagree on nodata or cellsize")
+        if window.col0 == 0 and not exact_x:
+            origin_x, exact_x = tile.origin_x, True
+        if window.row0 + patch == height and not exact_y:
+            origin_y, exact_y = tile.origin_y, True
 
-    # The mosaic origin is recovered exactly from a flush tile when one
-    # exists (col0 == 0 for x, bottom row for y); otherwise arithmetically.
-    w0, t0 = tiles[0]
-    origin_x = t0.origin_x - w0.col0 * cellsize
-    origin_y = t0.origin_y - (height - w0.row0 - patch) * cellsize
-    for window, tile in tiles:
-        if window.col0 == 0:
-            origin_x = tile.origin_x
-            break
-    for window, tile in tiles:
-        if window.row0 + patch == height:
-            origin_y = tile.origin_y
-            break
-
-    out = np.full((height, width), nodata, dtype=np.float64)
-    if merge is MergeRule.MEAN:
-        acc = np.zeros((height, width), dtype=np.float64)
-        cnt = np.zeros((height, width), dtype=np.int64)
-    covered = np.zeros((height, width), dtype=bool)
-
-    for window, tile in tiles:
         rs, cs = window.row0, window.col0
         sl = (slice(rs, rs + patch), slice(cs, cs + patch))
         tv = tile.values
@@ -205,8 +201,9 @@ def stitch(
             out[sl] = np.where(take, tv, out[sl])
         covered[sl] |= valid
 
+    if out is None:
+        raise ValueError("stitch needs at least one tile")
     if merge is MergeRule.MEAN:
         out[covered] = acc[covered] / cnt[covered]
 
     return Raster(out, nodata=nodata, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)
-

@@ -199,6 +199,44 @@ class TestExitCodes:
         assert code == 2
         assert "path does not exist" in captured.err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("filter.min_depth", "nan"),
+            ("backend.timeout", "nan"),
+            ("backend.timeout", "inf"),
+            ("eval.label", "a,b"),
+            ("backend.endpoint", "notaurl"),
+            ("backend.endpoint", "ftp://127.0.0.1:9"),
+            ("backend.endpoint", "http://"),
+            ("backend.endpoint", "http://127.0.0.1:notaport"),
+            ("depth_raster", "a directory"),
+            ("rgb_mosaic", "a directory"),
+            ("eval.gt_mask", "a directory"),
+            ("eval.ignore_mask", "a directory"),
+            ("out_dir", "a file"),
+        ],
+        ids=["nan-min-depth", "nan-timeout", "inf-timeout", "comma-label",
+             "schemeless-endpoint", "ftp-endpoint", "hostless-endpoint",
+             "bad-port-endpoint", "dir-depth-raster", "dir-rgb-mosaic", "dir-gt-mask",
+             "dir-ignore-mask", "file-out-dir"],
+    )
+    def test_unusable_config_value_fails_before_any_stage(
+        self, scene_dir, tmp_path, capsys, key, value
+    ):
+        out = tmp_path / "out"
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        value = {"a directory": str(scene_dir), "a file": str(taken)}.get(value, value)
+        http = ["--set", "backend.kind=http", "--set", "backend.endpoint=http://127.0.0.1:9"]
+        extra = http if key.startswith("backend.") else []
+        code = main(run_args(scene_dir, out, *extra, "--set", f"{key}={value}"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err
+        assert "internal error" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
         code = main(["fill", "--set", "tile.size=512"])
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import json
 import time
+import weakref
 import zipfile
 from contextlib import nullcontext
 from dataclasses import replace
@@ -15,7 +16,7 @@ from sinkseg.config import PipelineConfig
 from sinkseg.errors import GridFormatError, InputError
 from sinkseg.hydro import fill_depressions
 from sinkseg.image import write_ppm, write_pgm
-from sinkseg.labeling import FilterThresholds, read_prompts
+from sinkseg.labeling import FilterThresholds, keep_components, read_prompts
 from sinkseg.mock_server import MockSegmentServer
 from sinkseg import pipeline
 from sinkseg.pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
@@ -262,6 +263,25 @@ class TestPromptsStage:
         for path in (tmp_path / "out" / "patches").glob("*.boxes.json"):
             assert read_prompts(path).boxes == []
 
+    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
+    def test_each_filtered_tile_is_folded_as_it_is_made(
+        self, scene_dir, tmp_path, monkeypatch, mode
+    ):
+        made, held = [], []
+
+        def recording(depth, kept):
+            tile = keep_components(depth, kept)
+            held.append(sum(ref() is not None for ref in made))
+            made.append(weakref.ref(tile))
+            return tile
+
+        monkeypatch.setattr(pipeline, "keep_components", recording)
+        cfg = make_cfg(scene_dir, tmp_path / "out", fill_mode=mode, workers=1)
+        cmd_fill(cfg)
+        cmd_prompts(cfg)
+        assert len(made) == 9
+        assert max(held) <= 1  # only the tile being folded, not a list of all
+
     def test_filtered_mosaic_zeroes_discarded_components(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
@@ -473,3 +493,22 @@ class TestDeterminism:
         cmd_run(serial)
         cmd_run(threaded)
         assert tree_digests(tmp_path / "serial") == tree_digests(tmp_path / "threaded")
+
+
+class TestWorkerPool:
+    def test_runs_a_bounded_distance_ahead_and_stops_at_an_error(self):
+        started = []
+
+        def work(i):
+            started.append(i)
+            if i == 20:
+                raise ValueError("window 20")
+            return i
+
+        seen = []
+        with pytest.raises(ValueError, match="window 20"):
+            for result in pipeline._pool_map(2, work, range(100)):
+                assert len(started) - len(seen) <= 5  # 2 * workers ahead, plus this one
+                seen.append(result)
+        assert seen == list(range(20))
+        assert len(started) <= 25  # nothing is started once the error is read

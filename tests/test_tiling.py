@@ -1,5 +1,7 @@
 """Tile planning, extraction, and mosaic stitching."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,27 @@ class TestStitch:
         )
         back = self.reassemble(dem, TileSpec(patch=16, stride=11), MergeRule.MAX)
         assert back.geotransform == dem.geotransform
+
+    @pytest.mark.parametrize("merge", list(MergeRule))
+    def test_one_shot_stream_equals_list(self, rng, merge):
+        values = make_random_dem(rng, 30, 30, nodata_frac=0.1).values
+        dem = Raster(values, NODATA, origin_x=702462.1, origin_y=3585798.7, cellsize=0.3406)
+        windows = plan_tiles(dem.width, dem.height, TileSpec(patch=16, stride=11))
+        listed = stitch([(w, extract_tile(dem, w)) for w in windows], 30, 30, merge)
+        made = []
+
+        def stream():
+            for w in windows:
+                # when tile k is made, nothing before tile k-1 may be held
+                assert all(ref() is None for ref in made[:-1])
+                tile = extract_tile(dem, w)
+                made.append(weakref.ref(tile))
+                yield w, tile
+
+        streamed = stitch(stream(), 30, 30, merge)
+        assert len(made) == len(windows)
+        assert np.array_equal(streamed.values, listed.values)
+        assert streamed.geotransform == listed.geotransform == dem.geotransform
 
     def test_max_takes_larger_value(self):
         win = TileWindow(0, 0, 2)
