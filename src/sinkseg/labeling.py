@@ -2,12 +2,16 @@
 
 Components are 8-connected regions of strictly positive depression depth,
 numbered 1, 2, ... in raster scan order of their first-encountered pixel.
-The labelling is compiled (``scipy.ndimage.label`` with a 3x3 structure,
-imported on first use); each component still carries its pixel set.
-Shallow or tiny components are discarded before prompting; the survivors
-are turned into pixel-aligned bounding boxes that downstream segmenters
-consume as prompts, and :func:`keep_components` zeroes the dropped ones in
-the depth raster by label id.
+One compiled labelling (``scipy.ndimage.label`` with a 3x3 structure,
+imported on first use) gives a :class:`LabelGrid`: the label grid plus each
+component's area, maximum depth and extent as per-label arrays.  The
+prompts stage reads only that (:func:`tile_prompts`): shallow or tiny
+components are discarded, the survivors become pixel-aligned bounding boxes
+that downstream segmenters consume as prompts, and the dropped ones are
+zeroed in the depth raster by label id.  :func:`label_components` and
+:func:`components_from_mask` turn the same grid into
+:class:`DepressionComponent` objects, each with its pixel set, for callers
+that want one object per component.
 
 Box coordinates follow the image convention: ``x`` is the column, ``y`` the
 row, origin at the top-left, and the intervals are inclusive-exclusive
@@ -86,11 +90,9 @@ class FilterThresholds:
         if self.min_area_px < 0:
             raise ValueError(f"min_area_px must be >= 0, got {self.min_area_px}")
 
-    def keeps(self, component: "DepressionComponent") -> bool:
-        return (
-            component.max_depth >= self.min_depth
-            and component.area_px >= self.min_area_px
-        )
+    def keeps(self, max_depth, area_px):
+        """Whether a component survives; elementwise over per-label arrays."""
+        return (max_depth >= self.min_depth) & (area_px >= self.min_area_px)
 
 
 @dataclass(frozen=True)
@@ -108,41 +110,58 @@ class DepressionComponent:
             raise ValueError("area_px must equal len(pixels)")
 
 
-def _label_grid(positive: np.ndarray) -> tuple[np.ndarray, int]:
-    """8-connected labels of *positive*, numbered 1.. in scan order of first pixel."""
+@dataclass(frozen=True)
+class LabelGrid:
+    """Every component of one grid: a label grid plus per-label arrays.
+
+    ``labels`` holds 0 on background and k on component k.  ``area_px[k]``
+    and ``max_depth[k]`` describe component k (index 0 is the background),
+    and ``extents[k - 1]`` is its ``(rows, cols)`` slice pair.
+    """
+
+    labels: np.ndarray
+    area_px: np.ndarray
+    max_depth: np.ndarray
+    extents: list[tuple[slice, slice]]
+
+
+def _labelled(positive: np.ndarray, values: np.ndarray) -> LabelGrid:
+    """8-connected labels of *positive*, numbered 1.. in scan order of first
+    pixel, with the maximum of *values* over each."""
     from scipy import ndimage
 
-    return ndimage.label(positive, structure=np.ones((3, 3), dtype=bool))
+    labels, n = ndimage.label(positive, structure=np.ones((3, 3), dtype=bool))
+    max_depth = np.zeros(n + 1)  # every labelled value is > 0
+    np.maximum.at(max_depth, labels[positive], values[positive])
+    return LabelGrid(
+        labels=labels,
+        area_px=np.bincount(labels.ravel(), minlength=n + 1),
+        max_depth=max_depth,
+        extents=ndimage.find_objects(labels),
+    )
 
 
-def _components_from_positive(positive: np.ndarray, depth_values: np.ndarray) -> list[DepressionComponent]:
-    from scipy import ndimage
+def _bbox(rows: slice, cols: slice) -> PromptBox:
+    return PromptBox(cols.start, rows.start, cols.stop, rows.stop)
 
-    labels, _ = _label_grid(positive)
+
+def _components(grid: LabelGrid) -> list[DepressionComponent]:
     components: list[DepressionComponent] = []
-    for k, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
-        mine = labels[rows, cols] == k
-        rr, cc = np.nonzero(mine)
+    for k, (rows, cols) in enumerate(grid.extents, start=1):
+        rr, cc = np.nonzero(grid.labels[rows, cols] == k)
         components.append(
             DepressionComponent(
                 id=k,
                 pixels=frozenset(zip((rr + rows.start).tolist(), (cc + cols.start).tolist())),
-                area_px=rr.size,
-                max_depth=float(depth_values[rows, cols][mine].max()),
-                bbox=PromptBox(cols.start, rows.start, cols.stop, rows.stop),
+                area_px=int(grid.area_px[k]),
+                max_depth=float(grid.max_depth[k]),
+                bbox=_bbox(rows, cols),
             )
         )
     return components
 
 
-def _positive(depth: Raster) -> np.ndarray:
-    valid = depth.valid_mask()
-    if bool((depth.values[valid] < 0).any()):
-        raise ValueError("depth raster contains negative values")
-    return valid & (depth.values > 0)
-
-
-def label_components(depth: Raster) -> list[DepressionComponent]:
+def label_depth(depth: Raster) -> LabelGrid:
     """Label 8-connected regions of strictly positive depth.
 
     Nodata and zero-depth cells are background.  Components are numbered
@@ -153,31 +172,49 @@ def label_components(depth: Raster) -> list[DepressionComponent]:
     ValueError
         If any valid cell carries a negative depth.
     """
-    return _components_from_positive(_positive(depth), depth.values)
+    valid = depth.valid_mask()
+    if bool((depth.values[valid] < 0).any()):
+        raise ValueError("depth raster contains negative values")
+    return _labelled(valid & (depth.values > 0), depth.values)
+
+
+def label_components(depth: Raster) -> list[DepressionComponent]:
+    """The components of :func:`label_depth`, each with its pixel set."""
+    return _components(label_depth(depth))
+
+
+def label_mask(mask: BinaryMask) -> LabelGrid:
+    """Label the set pixels of a binary mask (max_depth reported as 1.0)."""
+    return _labelled(mask.values, mask.values)
 
 
 def components_from_mask(mask: BinaryMask) -> list[DepressionComponent]:
-    """Label the set pixels of a binary mask (max_depth reported as 1.0)."""
-    return _components_from_positive(mask.values, mask.values)
+    """The components of :func:`label_mask`, each with its pixel set."""
+    return _components(label_mask(mask))
 
 
 def filter_components(
     components: list[DepressionComponent], thresholds: FilterThresholds
 ) -> list[DepressionComponent]:
     """Keep only components at or above both thresholds (order preserved)."""
-    return [c for c in components if thresholds.keeps(c)]
+    return [c for c in components if thresholds.keeps(c.max_depth, c.area_px)]
 
 
-def keep_components(depth: Raster, kept: list[DepressionComponent]) -> Raster:
-    """*depth* with every positive cell outside the *kept* components set to 0.
-
-    The ids of *kept* must be those :func:`label_components` gave *depth*.
-    """
-    labels, n = _label_grid(_positive(depth))
-    keep = np.zeros(n + 1, dtype=bool)
-    keep[0] = True  # background keeps its value
-    keep[[c.id for c in kept]] = True
-    return depth.with_values(np.where(keep[labels], depth.values, 0.0))
+def _padded(
+    boxes: list[PromptBox], pad_px: int, width: int | None, height: int | None
+) -> list[PromptBox]:
+    if pad_px < 0:
+        raise ValueError(f"pad_px must be >= 0, got {pad_px}")
+    padded = []
+    for b in boxes:
+        x1 = b.x1 + pad_px
+        y1 = b.y1 + pad_px
+        if width is not None:
+            x1 = min(width, x1)
+        if height is not None:
+            y1 = min(height, y1)
+        padded.append(PromptBox(max(0, b.x0 - pad_px), max(0, b.y0 - pad_px), x1, y1))
+    return padded
 
 
 def boxes_from_components(
@@ -190,21 +227,7 @@ def boxes_from_components(
 
     ``width``/``height`` bound the clamp; omit them to clamp only at zero.
     """
-    if pad_px < 0:
-        raise ValueError(f"pad_px must be >= 0, got {pad_px}")
-    boxes = []
-    for comp in components:
-        b = comp.bbox
-        x0 = max(0, b.x0 - pad_px)
-        y0 = max(0, b.y0 - pad_px)
-        x1 = b.x1 + pad_px
-        y1 = b.y1 + pad_px
-        if width is not None:
-            x1 = min(width, x1)
-        if height is not None:
-            y1 = min(height, y1)
-        boxes.append(PromptBox(x0, y0, x1, y1))
-    return boxes
+    return _padded([c.bbox for c in components], pad_px, width, height)
 
 
 @dataclass(frozen=True)
@@ -215,6 +238,33 @@ class PromptSet:
     boxes: list[PromptBox]
     areas: list[int]
     max_depths: list[float]
+
+
+def tile_prompts(
+    depth: Raster,
+    grid: LabelGrid,
+    thresholds: FilterThresholds,
+    pad_px: int,
+    patch_id: str,
+) -> tuple[PromptSet, Raster]:
+    """The prompts of one tile, and the tile with its dropped components zeroed.
+
+    *grid* is :func:`label_depth` of *depth*.  The prompts equal those of
+    :func:`label_components`, :func:`filter_components` and
+    :func:`boxes_from_components` clamped to the tile, but no pixel set is
+    built.
+    """
+    keep = thresholds.keeps(grid.max_depth, grid.area_px)
+    keep[0] = True  # background keeps its value
+    ids = np.flatnonzero(keep[1:]) + 1
+    boxes = [_bbox(*grid.extents[k - 1]) for k in ids.tolist()]
+    prompts = PromptSet(
+        patch_id=patch_id,
+        boxes=_padded(boxes, pad_px, depth.width, depth.height),
+        areas=grid.area_px[ids].tolist(),
+        max_depths=grid.max_depth[ids].tolist(),
+    )
+    return prompts, depth.with_values(np.where(keep[grid.labels], depth.values, 0.0))
 
 
 def prompts_to_json(prompts: PromptSet) -> str:

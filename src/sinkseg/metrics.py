@@ -10,10 +10,13 @@ algebraic identity ``F1 = 2·IoU / (1 + IoU)``.
 
 Object metrics match predicted and ground-truth components one-to-one,
 greedily in descending pairwise IoU (ties broken by component ids), and
-report (tp, fp, fn) per IoU threshold — the detection-curve view.  Only
-pairs whose pixel extents overlap are intersected, so matching costs in
-proportion to the overlapping pairs, and the detection curve scores them
-once for all thresholds.
+report (tp, fp, fn) per IoU threshold — the detection-curve view.  The
+candidate pairs are scored once for all thresholds.  :func:`evaluate_masks`
+counts every intersection of two masks' components in one label-pair
+histogram over their label grids.  :func:`object_match` and
+:func:`detection_curve` take components as pixel sets and intersect only
+the pairs whose pixel extents overlap.  Both feed one IoU formula, one sort
+and one greedy match.
 
 Losses: binary cross-entropy with probabilities clamped to
 [eps, 1 - eps] (eps = 1e-7) and soft Dice with smoothing 1.0; the combined
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labeling import DepressionComponent
+from .labeling import DepressionComponent, LabelGrid, label_mask
 from .raster import BinaryMask
 
 BCE_EPS = 1e-7
@@ -162,15 +165,31 @@ def _extents(components: list[DepressionComponent]) -> np.ndarray:
     return extents
 
 
+def _ranked(
+    pred_ids: np.ndarray,
+    gt_ids: np.ndarray,
+    inter: np.ndarray,
+    pred_area: np.ndarray,
+    gt_area: np.ndarray,
+) -> list[tuple[float, int, int, float]]:
+    """Pairs with ``inter`` > 0 shared pixels as ``(-iou, pred_id, gt_id, iou)``.
+
+    Sorted in the greedy order: descending IoU, then ascending ids.
+    """
+    iou = inter / (pred_area + gt_area - inter)  # the float |a & b| / |a | b|
+    candidates = list(zip((-iou).tolist(), pred_ids.tolist(), gt_ids.tolist(), iou.tolist()))
+    candidates.sort()
+    return candidates
+
+
 def _candidates(
     pred_components: list[DepressionComponent],
     gt_components: list[DepressionComponent],
 ) -> list[tuple[float, int, int, float]]:
-    """Every pair with positive IoU as ``(-iou, pred_id, gt_id, iou)``, sorted.
+    """:func:`_ranked` over components given as pixel sets.
 
     Only pairs whose pixel extents overlap are intersected; the others
-    share no pixel.  The sort order is the greedy order: descending IoU,
-    then ascending ids.
+    share no pixel.
     """
     p = _extents(pred_components)[:, None, :]
     g = _extents(gt_components)[None, :, :]
@@ -178,15 +197,29 @@ def _candidates(
         (p[..., 0] <= g[..., 1]) & (g[..., 0] <= p[..., 1])
         & (p[..., 2] <= g[..., 3]) & (g[..., 2] <= p[..., 3])
     )
-    candidates = []
+    pairs = []
     for i, j in zip(*(idx.tolist() for idx in np.nonzero(overlap))):
         a, b = pred_components[i].pixels, gt_components[j].pixels
         inter = len(a & b)
         if inter:
-            iou = inter / (len(a) + len(b) - inter)  # the float len(a & b) / len(a | b)
-            candidates.append((-iou, pred_components[i].id, gt_components[j].id, iou))
-    candidates.sort()
-    return candidates
+            pairs.append((pred_components[i].id, gt_components[j].id, inter, len(a), len(b)))
+    columns = np.array(pairs, dtype=np.int64).reshape(-1, 5).T
+    return _ranked(*columns)
+
+
+def _mask_candidates(pred: LabelGrid, gt: LabelGrid) -> list[tuple[float, int, int, float]]:
+    """:func:`_ranked` over two label grids, from one label-pair histogram.
+
+    Each pixel labelled in both grids adds one to its pair ``(p, g)``; the
+    count of a pair is its intersection.
+    """
+    both = (pred.labels > 0) & (gt.labels > 0)
+    span = np.int64(len(gt.area_px))  # gt labels 0..n_gt
+    pairs, inter = np.unique(
+        pred.labels[both].astype(np.int64) * span + gt.labels[both], return_counts=True
+    )
+    pred_ids, gt_ids = pairs // span, pairs % span
+    return _ranked(pred_ids, gt_ids, inter, pred.area_px[pred_ids], gt.area_px[gt_ids])
 
 
 def _greedy(
@@ -226,6 +259,22 @@ def object_match(
     return tp, fp, fn, pairs
 
 
+def _curve(
+    candidates: list[tuple[float, int, int, float]], n_pred: int, n_gt: int, thresholds
+) -> list[tuple[float, int, int, int]]:
+    """(threshold, tp, fp, fn) per IoU threshold; thresholds must ascend."""
+    thresholds = list(thresholds)
+    if thresholds != sorted(thresholds):
+        raise ValueError("thresholds must be sorted ascending")
+    for t in thresholds:
+        _check_threshold(t)
+    rows = []
+    for t in thresholds:
+        tp = len(_greedy(candidates, t))
+        rows.append((float(t), tp, n_pred - tp, n_gt - tp))
+    return rows
+
+
 def detection_curve(
     pred_components: list[DepressionComponent],
     gt_components: list[DepressionComponent],
@@ -236,17 +285,8 @@ def detection_curve(
     Rows equal :func:`object_match` at each threshold; the candidate pairs
     are scored once for all of them.
     """
-    thresholds = list(thresholds)
-    if thresholds != sorted(thresholds):
-        raise ValueError("thresholds must be sorted ascending")
-    for t in thresholds:
-        _check_threshold(t)
     candidates = _candidates(pred_components, gt_components)
-    rows = []
-    for t in thresholds:
-        tp = len(_greedy(candidates, t))
-        rows.append((float(t), tp, len(pred_components) - tp, len(gt_components) - tp))
-    return rows
+    return _curve(candidates, len(pred_components), len(gt_components), thresholds)
 
 
 def _check_loss_shapes(probs: np.ndarray, gt: BinaryMask) -> np.ndarray:
@@ -344,13 +384,20 @@ def evaluate_masks(
     ignore: BinaryMask | None = None,
     thresholds=DEFAULT_THRESHOLDS,
 ) -> MetricsReport:
-    """Full report: pixel metrics plus the object detection curve."""
-    from .labeling import components_from_mask
+    """Full report: pixel metrics plus the object detection curve.
 
+    The object rows ignore *ignore* and equal :func:`detection_curve` of the
+    two masks' components, but are counted from their label grids: no pixel
+    set is built.
+    """
     confusion = pixel_confusion(pred, gt, ignore)
     base = metrics_from_confusion(confusion)
-    rows = detection_curve(
-        components_from_mask(pred), components_from_mask(gt), thresholds
+    pred_grid, gt_grid = label_mask(pred), label_mask(gt)
+    rows = _curve(
+        _mask_candidates(pred_grid, gt_grid),
+        len(pred_grid.extents),
+        len(gt_grid.extents),
+        thresholds,
     )
     return MetricsReport(
         accuracy=base.accuracy,

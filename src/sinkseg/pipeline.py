@@ -59,15 +59,7 @@ from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
 from .hydro import fill_depressions
 from .image import read_ppm
-from .labeling import (
-    PromptSet,
-    boxes_from_components,
-    filter_components,
-    keep_components,
-    label_components,
-    read_prompts,
-    write_prompts,
-)
+from .labeling import label_depth, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
 from .raster import (
     BinaryMask,
@@ -308,20 +300,13 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
             depth_path = patches / f"{patch_id(window)}.depth.npz"
             depth_tile = _read_depth(depth_path, doc, window)
         with _upstream(depth_path, "fill"):  # negative depth
-            components = label_components(depth_tile)
-        kept = filter_components(components, cfg.filter)
-        boxes = boxes_from_components(
-            kept, cfg.pad_px, width=window.patch, height=window.patch
-        )
-        prompts = PromptSet(
-            patch_id=patch_id(window),
-            boxes=boxes,
-            areas=[c.area_px for c in kept],
-            max_depths=[c.max_depth for c in kept],
+            grid = label_depth(depth_tile)
+        prompts, filtered = tile_prompts(
+            depth_tile, grid, cfg.filter, cfg.pad_px, patch_id(window)
         )
         write_prompts(prompts, patches / f"{prompts.patch_id}.boxes.json")
-        box_counts.append(len(boxes))  # one append: safe across pool threads
-        return window, keep_components(depth_tile, kept)
+        box_counts.append(len(prompts.boxes))  # one append: safe across pool threads
+        return window, filtered
 
     box_counts: list[int] = []
     tiles = _pool_map(cfg.workers, work, windows)

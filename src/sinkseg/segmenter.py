@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -171,6 +172,8 @@ class HttpBackend:
     ):
         import requests  # loaded only by runs that build an http client
 
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if max_inflight < 1:

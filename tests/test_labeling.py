@@ -18,11 +18,12 @@ from sinkseg.labeling import (
     boxes_from_components,
     components_from_mask,
     filter_components,
-    keep_components,
     label_components,
+    label_depth,
     prompts_from_json,
     prompts_to_json,
     read_prompts,
+    tile_prompts,
     write_prompts,
 )
 from sinkseg.raster import BinaryMask, Raster
@@ -196,30 +197,61 @@ class TestBfsOracle:
         expected = bfs_components(values, values.astype(np.float64))
         assert components_from_mask(BinaryMask(values)) == expected
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
         shape=SHAPES,
         density=st.sampled_from([0.3, 0.6, 1.0]),
         nodata_frac=st.sampled_from([0.0, 0.2]),
-        min_depth=st.sampled_from([0.0, 1.5, 3.0, 9.0]),
-        min_area=st.sampled_from([0, 2, 5]),
+        min_depth=st.sampled_from([0.0, 0.75, 1.5, 3.0, 3.75, 9.0]),  # on the depth scale
+        min_area=st.integers(0, 5),
+        pad_px=st.integers(0, 3),
     )
-    def test_keep_components_zeroes_exactly_the_dropped_pixels(
-        self, seed, shape, density, nodata_frac, min_depth, min_area
+    def test_tile_prompts_equal_the_component_path(
+        self, seed, shape, density, nodata_frac, min_depth, min_area, pad_px
     ):
         depth = random_depth(seed, shape, density, nodata_frac)
-        components = label_components(depth)
-        kept = filter_components(components, FilterThresholds(min_depth, min_area))
-        expected = depth.values.copy()
-        for comp in components:
-            if comp not in kept:
-                for r, c in comp.pixels:
-                    expected[r, c] = 0.0
-        got = keep_components(depth, kept)
-        assert np.array_equal(got.values.view(np.int64), expected.view(np.int64))
-        georef = ("nodata", "origin_x", "origin_y", "cellsize")
-        assert [getattr(got, k) for k in georef] == [getattr(depth, k) for k in georef]
+        assert_tile_prompts_equal_component_path(
+            depth, FilterThresholds(min_depth, min_area), pad_px
+        )
+
+    @pytest.mark.parametrize("pad_px", [0, 1, 2, 3])
+    @pytest.mark.parametrize("min_depth, min_area", [(0.0, 0), (2.0, 1), (2.0, 3), (5.0, 1)])
+    def test_tile_prompts_on_single_pixels_and_diagonal_touches(self, pad_px, min_depth, min_area):
+        depth = np.array([
+            [2.0, 0.0, 0.0, NODATA, 0.0],
+            [0.0, 5.0, 0.0, 0.0, 2.0],   # the diagonal chain (0,0)-(1,1)-(2,2): area 3
+            [0.0, 0.0, 2.0, 0.0, 0.0],
+            [NODATA, 0.0, 0.0, 0.0, 0.0],
+            [5.0, -0.0, 0.0, 0.0, 1.0],  # single pixels in three corners
+        ])
+        assert_tile_prompts_equal_component_path(
+            depth_raster(depth), FilterThresholds(min_depth, min_area), pad_px
+        )
+
+
+def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
+    """``tile_prompts`` equals label -> filter -> boxes, plus zeroing the dropped."""
+    components = label_components(depth)
+    kept = filter_components(components, thresholds)
+    expected = PromptSet(
+        patch_id="p",
+        boxes=boxes_from_components(kept, pad_px, width=depth.width, height=depth.height),
+        areas=[c.area_px for c in kept],
+        max_depths=[c.max_depth for c in kept],
+    )
+    expected_values = depth.values.copy()
+    for comp in components:
+        if comp not in kept:
+            for r, c in comp.pixels:
+                expected_values[r, c] = 0.0
+
+    prompts, filtered = tile_prompts(depth, label_depth(depth), thresholds, pad_px, "p")
+    assert prompts == expected
+    assert prompts_to_json(prompts) == prompts_to_json(expected)  # plain ints and floats
+    assert np.array_equal(filtered.values.view(np.int64), expected_values.view(np.int64))
+    georef = ("nodata", "origin_x", "origin_y", "cellsize")
+    assert [getattr(filtered, k) for k in georef] == [getattr(depth, k) for k in georef]
 
 
 def make_component(area, max_depth, comp_id=1):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkseg.labeling import DepressionComponent, PromptBox
+from sinkseg.labeling import DepressionComponent, PromptBox, components_from_mask
 from sinkseg.metrics import (
     DEFAULT_THRESHOLDS,
     LossValue,
@@ -334,6 +334,49 @@ class TestDetectionCurve:
             with pytest.raises(ValueError, match="iou_threshold"):
                 detection_curve(comps, comps, thresholds=bad)
         assert detection_curve(comps, comps, thresholds=()) == []
+
+
+class TestMaskObjectRows:
+    """``evaluate_masks`` scores objects from label grids, not pixel sets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 24), st.integers(1, 24)),
+            st.tuples(st.just(1), st.integers(1, 40)),
+        ),
+        pred_density=st.sampled_from([0.0, 0.2, 0.4, 0.7]),
+        gt_density=st.sampled_from([0.0, 0.2, 0.4, 0.7]),
+        ignore_density=st.sampled_from([0.0, 0.3, 1.0]),
+        thresholds=st.sampled_from([DEFAULT_THRESHOLDS, (0.25, 0.5, 0.75), ()]),
+    )
+    def test_object_rows_equal_detection_curve_of_components(
+        self, seed, shape, pred_density, gt_density, ignore_density, thresholds
+    ):
+        rng = np.random.default_rng(seed)
+        pred = mask(rng.random(shape) < pred_density)
+        gt = mask(rng.random(shape) < gt_density)
+        ignore = mask(rng.random(shape) < ignore_density)
+        expected = tuple(
+            detection_curve(components_from_mask(pred), components_from_mask(gt), thresholds)
+        )
+        assert evaluate_masks(pred, gt, ignore, thresholds).object_rows == expected
+        assert evaluate_masks(pred, gt, None, thresholds).object_rows == expected
+
+    def test_diagonal_touch_is_one_object(self):
+        pred = np.eye(3, dtype=bool)  # one 8-connected chain
+        gt = np.zeros((3, 3), dtype=bool)
+        gt[0, 0] = gt[2, 2] = True  # two objects, each 1/3 of the chain
+        rows = evaluate_masks(mask(pred), mask(gt), thresholds=(0.3, 0.4)).object_rows
+        assert rows == ((0.3, 1, 0, 1), (0.4, 0, 1, 2))
+
+    def test_thresholds_checked(self):
+        empty = mask(np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="sorted ascending"):
+            evaluate_masks(empty, empty, thresholds=(0.5, 0.3))
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate_masks(empty, empty, thresholds=(1.0,))
 
 
 class TestLosses:

@@ -409,6 +409,17 @@ class TestHttpBackend:
         with pytest.raises(BackendUnreachableError, match="after 1 attempts"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1.0])
+    def test_unusable_timeout_rejected_before_a_session_opens(self, timeout, monkeypatch):
+        import requests
+
+        def refuse():
+            raise AssertionError("a session was opened")
+
+        monkeypatch.setattr(requests, "Session", refuse)
+        with pytest.raises(ValueError, match=f"timeout must be finite and > 0, got {timeout}"):
+            HttpBackend("http://127.0.0.1:9", timeout=timeout)
+
     @pytest.mark.parametrize("body", [["oops"], "oops", None, 3])
     def test_error_body_that_is_not_an_object(self, body):
         with serving(canned(503, body)) as endpoint:
