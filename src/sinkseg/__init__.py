@@ -19,7 +19,6 @@ from .errors import (
 )
 from .hydro import FilledResult, fill_depressions
 from .labeling import (
-    DepressionComponent,
     FilterThresholds,
     PromptBox,
     PromptSet,
@@ -59,7 +58,7 @@ from .segmenter import (
     SegmentationOutcome,
     segment_patch,
 )
-from .synth import SynthScene, brute_force_fill, gen_terrain
+from .synth import DepressionComponent, SynthScene, brute_force_fill, gen_terrain
 from .tiling import MergeRule, TileSpec, TileWindow, extract_tile, plan_tiles, stitch
 
 __version__ = "0.1.0"

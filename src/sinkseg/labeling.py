@@ -1,17 +1,17 @@
 """Connected depressions and the box prompts derived from them.
 
-Components are 8-connected regions of strictly positive depression depth,
-numbered 1, 2, ... in raster scan order of their first-encountered pixel.
-One compiled labelling (``scipy.ndimage.label`` with a 3x3 structure,
-imported on first use) gives a :class:`LabelGrid`: the label grid plus each
-component's area, maximum depth and extent as per-label arrays.  The
-prompts stage reads only that (:func:`tile_prompts`): shallow or tiny
-components are discarded, the survivors become pixel-aligned bounding boxes
-that downstream segmenters consume as prompts, and the dropped ones are
-zeroed in the depth raster by label id.  :func:`label_components` and
-:func:`components_from_mask` turn the same grid into
-:class:`DepressionComponent` objects, each with its pixel set, for callers
-that want one object per component.
+A component is an 8-connected region of strictly positive depression depth
+(:func:`label_components`) or of set mask pixels
+(:func:`components_from_mask`), numbered 1, 2, ... in raster scan order of
+its first-encountered pixel.  Both give one :class:`LabelGrid`, labelled in
+compiled code (``scipy.ndimage.label`` with a 3x3 structure, imported on
+first use): the label grid plus each component's area, maximum depth and
+extent as per-label arrays.  That grid is the only representation of a
+component.  :func:`filter_components` keeps the ids of components deep and
+large enough, :func:`boxes_from_components` turns kept ids into
+pixel-aligned box prompts for the segmenters, and :func:`tile_prompts`
+builds a tile's prompts from those two and zeroes the dropped components in
+the depth raster by label id.
 
 Box coordinates follow the image convention: ``x`` is the column, ``y`` the
 row, origin at the top-left, and the intervals are inclusive-exclusive
@@ -96,33 +96,22 @@ class FilterThresholds:
 
 
 @dataclass(frozen=True)
-class DepressionComponent:
-    """One 8-connected region of positive depression depth."""
-
-    id: int
-    pixels: frozenset[tuple[int, int]]
-    area_px: int
-    max_depth: float
-    bbox: PromptBox
-
-    def __post_init__(self) -> None:
-        if self.area_px != len(self.pixels):
-            raise ValueError("area_px must equal len(pixels)")
-
-
-@dataclass(frozen=True)
 class LabelGrid:
     """Every component of one grid: a label grid plus per-label arrays.
 
     ``labels`` holds 0 on background and k on component k.  ``area_px[k]``
     and ``max_depth[k]`` describe component k (index 0 is the background),
-    and ``extents[k - 1]`` is its ``(rows, cols)`` slice pair.
+    and ``extents[k - 1]`` is its ``(rows, cols)`` slice pair.  ``len`` is
+    the number of components.
     """
 
     labels: np.ndarray
     area_px: np.ndarray
     max_depth: np.ndarray
     extents: list[tuple[slice, slice]]
+
+    def __len__(self) -> int:
+        return len(self.extents)
 
 
 def _labelled(positive: np.ndarray, values: np.ndarray) -> LabelGrid:
@@ -141,27 +130,7 @@ def _labelled(positive: np.ndarray, values: np.ndarray) -> LabelGrid:
     )
 
 
-def _bbox(rows: slice, cols: slice) -> PromptBox:
-    return PromptBox(cols.start, rows.start, cols.stop, rows.stop)
-
-
-def _components(grid: LabelGrid) -> list[DepressionComponent]:
-    components: list[DepressionComponent] = []
-    for k, (rows, cols) in enumerate(grid.extents, start=1):
-        rr, cc = np.nonzero(grid.labels[rows, cols] == k)
-        components.append(
-            DepressionComponent(
-                id=k,
-                pixels=frozenset(zip((rr + rows.start).tolist(), (cc + cols.start).tolist())),
-                area_px=int(grid.area_px[k]),
-                max_depth=float(grid.max_depth[k]),
-                bbox=_bbox(rows, cols),
-            )
-        )
-    return components
-
-
-def label_depth(depth: Raster) -> LabelGrid:
+def label_components(depth: Raster) -> LabelGrid:
     """Label 8-connected regions of strictly positive depth.
 
     Nodata and zero-depth cells are background.  Components are numbered
@@ -178,56 +147,35 @@ def label_depth(depth: Raster) -> LabelGrid:
     return _labelled(valid & (depth.values > 0), depth.values)
 
 
-def label_components(depth: Raster) -> list[DepressionComponent]:
-    """The components of :func:`label_depth`, each with its pixel set."""
-    return _components(label_depth(depth))
-
-
-def label_mask(mask: BinaryMask) -> LabelGrid:
+def components_from_mask(mask: BinaryMask) -> LabelGrid:
     """Label the set pixels of a binary mask (max_depth reported as 1.0)."""
     return _labelled(mask.values, mask.values)
 
 
-def components_from_mask(mask: BinaryMask) -> list[DepressionComponent]:
-    """The components of :func:`label_mask`, each with its pixel set."""
-    return _components(label_mask(mask))
-
-
-def filter_components(
-    components: list[DepressionComponent], thresholds: FilterThresholds
-) -> list[DepressionComponent]:
-    """Keep only components at or above both thresholds (order preserved)."""
-    return [c for c in components if thresholds.keeps(c.max_depth, c.area_px)]
-
-
-def _padded(
-    boxes: list[PromptBox], pad_px: int, width: int | None, height: int | None
-) -> list[PromptBox]:
-    if pad_px < 0:
-        raise ValueError(f"pad_px must be >= 0, got {pad_px}")
-    padded = []
-    for b in boxes:
-        x1 = b.x1 + pad_px
-        y1 = b.y1 + pad_px
-        if width is not None:
-            x1 = min(width, x1)
-        if height is not None:
-            y1 = min(height, y1)
-        padded.append(PromptBox(max(0, b.x0 - pad_px), max(0, b.y0 - pad_px), x1, y1))
-    return padded
+def filter_components(grid: LabelGrid, thresholds: FilterThresholds) -> np.ndarray:
+    """Ids of the components at or above both thresholds, ascending."""
+    return np.flatnonzero(thresholds.keeps(grid.max_depth[1:], grid.area_px[1:])) + 1
 
 
 def boxes_from_components(
-    components: list[DepressionComponent],
-    pad_px: int = 0,
-    width: int | None = None,
-    height: int | None = None,
+    grid: LabelGrid, ids, pad_px: int, width: int, height: int
 ) -> list[PromptBox]:
-    """Tight bounding boxes, grown by ``pad_px`` and clamped to the grid.
-
-    ``width``/``height`` bound the clamp; omit them to clamp only at zero.
-    """
-    return _padded([c.bbox for c in components], pad_px, width, height)
+    """Tight bounding boxes of components *ids*, grown by ``pad_px`` and
+    clamped to a ``width`` x ``height`` grid."""
+    if pad_px < 0:
+        raise ValueError(f"pad_px must be >= 0, got {pad_px}")
+    boxes = []
+    for k in np.asarray(ids).tolist():
+        if not 1 <= k <= len(grid):
+            raise ValueError(f"component id {k} not in 1..{len(grid)}")
+        rows, cols = grid.extents[k - 1]
+        boxes.append(PromptBox(
+            max(0, cols.start - pad_px),
+            max(0, rows.start - pad_px),
+            min(width, cols.stop + pad_px),
+            min(height, rows.stop + pad_px),
+        ))
+    return boxes
 
 
 @dataclass(frozen=True)
@@ -249,18 +197,15 @@ def tile_prompts(
 ) -> tuple[PromptSet, Raster]:
     """The prompts of one tile, and the tile with its dropped components zeroed.
 
-    *grid* is :func:`label_depth` of *depth*.  The prompts equal those of
-    :func:`label_components`, :func:`filter_components` and
-    :func:`boxes_from_components` clamped to the tile, but no pixel set is
-    built.
+    *grid* is :func:`label_components` of *depth*.
     """
-    keep = thresholds.keeps(grid.max_depth, grid.area_px)
+    ids = filter_components(grid, thresholds)
+    keep = np.zeros(len(grid) + 1, dtype=bool)
     keep[0] = True  # background keeps its value
-    ids = np.flatnonzero(keep[1:]) + 1
-    boxes = [_bbox(*grid.extents[k - 1]) for k in ids.tolist()]
+    keep[ids] = True
     prompts = PromptSet(
         patch_id=patch_id,
-        boxes=_padded(boxes, pad_px, depth.width, depth.height),
+        boxes=boxes_from_components(grid, ids, pad_px, depth.width, depth.height),
         areas=grid.area_px[ids].tolist(),
         max_depths=grid.max_depth[ids].tolist(),
     )

@@ -10,13 +10,10 @@ algebraic identity ``F1 = 2·IoU / (1 + IoU)``.
 
 Object metrics match predicted and ground-truth components one-to-one,
 greedily in descending pairwise IoU (ties broken by component ids), and
-report (tp, fp, fn) per IoU threshold — the detection-curve view.  The
-candidate pairs are scored once for all thresholds.  :func:`evaluate_masks`
-counts every intersection of two masks' components in one label-pair
-histogram over their label grids.  :func:`object_match` and
-:func:`detection_curve` take components as pixel sets and intersect only
-the pairs whose pixel extents overlap.  Both feed one IoU formula, one sort
-and one greedy match.
+report (tp, fp, fn) per IoU threshold — the detection-curve view.  A
+component is a label of a :class:`~sinkseg.labeling.LabelGrid`, and every
+intersection of two grids' components is counted once, in one label-pair
+histogram; the candidate pairs it gives are sorted once for all thresholds.
 
 Losses: binary cross-entropy with probabilities clamped to
 [eps, 1 - eps] (eps = 1e-7) and soft Dice with smoothing 1.0; the combined
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labeling import DepressionComponent, LabelGrid, label_mask
+from .labeling import LabelGrid, components_from_mask
 from .raster import BinaryMask
 
 BCE_EPS = 1e-7
@@ -137,89 +134,32 @@ def metrics_from_confusion(c: PixelConfusion) -> MetricsReport:
     )
 
 
-def component_iou(a: DepressionComponent, b: DepressionComponent) -> float:
-    """Pairwise IoU of two components' pixel sets."""
-    inter = len(a.pixels & b.pixels)
-    if inter == 0:
-        return 0.0
-    return inter / len(a.pixels | b.pixels)
-
-
 def _check_threshold(iou_threshold: float) -> None:
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
 
 
-def _extents(components: list[DepressionComponent]) -> np.ndarray:
-    """(n, 4) rows of (row_min, row_max, col_min, col_max) of each pixel set.
-
-    Taken from ``pixels``, not ``bbox``, which nothing checks against them.
-    An empty set gets an inverted extent that overlaps nothing.
-    """
-    big = np.iinfo(np.int64).max
-    extents = np.tile(np.array([big, -big, big, -big], dtype=np.int64), (len(components), 1))
-    for i, comp in enumerate(components):
-        if comp.pixels:
-            rows, cols = zip(*comp.pixels)
-            extents[i] = (min(rows), max(rows), min(cols), max(cols))
-    return extents
-
-
-def _ranked(
-    pred_ids: np.ndarray,
-    gt_ids: np.ndarray,
-    inter: np.ndarray,
-    pred_area: np.ndarray,
-    gt_area: np.ndarray,
-) -> list[tuple[float, int, int, float]]:
-    """Pairs with ``inter`` > 0 shared pixels as ``(-iou, pred_id, gt_id, iou)``.
-
-    Sorted in the greedy order: descending IoU, then ascending ids.
-    """
-    iou = inter / (pred_area + gt_area - inter)  # the float |a & b| / |a | b|
-    candidates = list(zip((-iou).tolist(), pred_ids.tolist(), gt_ids.tolist(), iou.tolist()))
-    candidates.sort()
-    return candidates
-
-
-def _candidates(
-    pred_components: list[DepressionComponent],
-    gt_components: list[DepressionComponent],
-) -> list[tuple[float, int, int, float]]:
-    """:func:`_ranked` over components given as pixel sets.
-
-    Only pairs whose pixel extents overlap are intersected; the others
-    share no pixel.
-    """
-    p = _extents(pred_components)[:, None, :]
-    g = _extents(gt_components)[None, :, :]
-    overlap = (
-        (p[..., 0] <= g[..., 1]) & (g[..., 0] <= p[..., 1])
-        & (p[..., 2] <= g[..., 3]) & (g[..., 2] <= p[..., 3])
-    )
-    pairs = []
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(overlap))):
-        a, b = pred_components[i].pixels, gt_components[j].pixels
-        inter = len(a & b)
-        if inter:
-            pairs.append((pred_components[i].id, gt_components[j].id, inter, len(a), len(b)))
-    columns = np.array(pairs, dtype=np.int64).reshape(-1, 5).T
-    return _ranked(*columns)
-
-
-def _mask_candidates(pred: LabelGrid, gt: LabelGrid) -> list[tuple[float, int, int, float]]:
-    """:func:`_ranked` over two label grids, from one label-pair histogram.
+def _candidates(pred: LabelGrid, gt: LabelGrid) -> list[tuple[float, int, int, float]]:
+    """Component pairs sharing a pixel as ``(-iou, pred_id, gt_id, iou)``.
 
     Each pixel labelled in both grids adds one to its pair ``(p, g)``; the
-    count of a pair is its intersection.
+    count of a pair is its intersection.  Sorted in the greedy order:
+    descending IoU, then ascending ids.
     """
+    if pred.labels.shape != gt.labels.shape:
+        raise ValueError(
+            f"pred/gt dimension mismatch: {pred.labels.shape} vs {gt.labels.shape}"
+        )
     both = (pred.labels > 0) & (gt.labels > 0)
-    span = np.int64(len(gt.area_px))  # gt labels 0..n_gt
+    span = np.int64(len(gt) + 1)  # gt labels 0..n_gt
     pairs, inter = np.unique(
         pred.labels[both].astype(np.int64) * span + gt.labels[both], return_counts=True
     )
     pred_ids, gt_ids = pairs // span, pairs % span
-    return _ranked(pred_ids, gt_ids, inter, pred.area_px[pred_ids], gt.area_px[gt_ids])
+    iou = inter / (pred.area_px[pred_ids] + gt.area_px[gt_ids] - inter)  # |a & b| / |a | b|
+    candidates = list(zip((-iou).tolist(), pred_ids.tolist(), gt_ids.tolist(), iou.tolist()))
+    candidates.sort()
+    return candidates
 
 
 def _greedy(
@@ -241,9 +181,7 @@ def _greedy(
 
 
 def object_match(
-    pred_components: list[DepressionComponent],
-    gt_components: list[DepressionComponent],
-    iou_threshold: float,
+    pred: LabelGrid, gt: LabelGrid, iou_threshold: float
 ) -> tuple[int, int, int, list[tuple[int, int, float]]]:
     """One-to-one match of predicted against ground-truth components.
 
@@ -252,41 +190,30 @@ def object_match(
     ``(tp, fp, fn, pairs)`` with pairs as (pred_id, gt_id, iou).
     """
     _check_threshold(iou_threshold)
-    pairs = _greedy(_candidates(pred_components, gt_components), iou_threshold)
+    pairs = _greedy(_candidates(pred, gt), iou_threshold)
     tp = len(pairs)
-    fp = len(pred_components) - tp
-    fn = len(gt_components) - tp
-    return tp, fp, fn, pairs
-
-
-def _curve(
-    candidates: list[tuple[float, int, int, float]], n_pred: int, n_gt: int, thresholds
-) -> list[tuple[float, int, int, int]]:
-    """(threshold, tp, fp, fn) per IoU threshold; thresholds must ascend."""
-    thresholds = list(thresholds)
-    if thresholds != sorted(thresholds):
-        raise ValueError("thresholds must be sorted ascending")
-    for t in thresholds:
-        _check_threshold(t)
-    rows = []
-    for t in thresholds:
-        tp = len(_greedy(candidates, t))
-        rows.append((float(t), tp, n_pred - tp, n_gt - tp))
-    return rows
+    return tp, len(pred) - tp, len(gt) - tp, pairs
 
 
 def detection_curve(
-    pred_components: list[DepressionComponent],
-    gt_components: list[DepressionComponent],
-    thresholds=DEFAULT_THRESHOLDS,
+    pred: LabelGrid, gt: LabelGrid, thresholds=DEFAULT_THRESHOLDS
 ) -> list[tuple[float, int, int, int]]:
     """(threshold, tp, fp, fn) per IoU threshold; thresholds must ascend.
 
     Rows equal :func:`object_match` at each threshold; the candidate pairs
     are scored once for all of them.
     """
-    candidates = _candidates(pred_components, gt_components)
-    return _curve(candidates, len(pred_components), len(gt_components), thresholds)
+    thresholds = list(thresholds)
+    if thresholds != sorted(thresholds):
+        raise ValueError("thresholds must be sorted ascending")
+    for t in thresholds:
+        _check_threshold(t)
+    candidates = _candidates(pred, gt)
+    rows = []
+    for t in thresholds:
+        tp = len(_greedy(candidates, t))
+        rows.append((float(t), tp, len(pred) - tp, len(gt) - tp))
+    return rows
 
 
 def _check_loss_shapes(probs: np.ndarray, gt: BinaryMask) -> np.ndarray:
@@ -386,19 +313,12 @@ def evaluate_masks(
 ) -> MetricsReport:
     """Full report: pixel metrics plus the object detection curve.
 
-    The object rows ignore *ignore* and equal :func:`detection_curve` of the
-    two masks' components, but are counted from their label grids: no pixel
-    set is built.
+    The object rows ignore *ignore*: they are :func:`detection_curve` of
+    the two masks' components.
     """
     confusion = pixel_confusion(pred, gt, ignore)
     base = metrics_from_confusion(confusion)
-    pred_grid, gt_grid = label_mask(pred), label_mask(gt)
-    rows = _curve(
-        _mask_candidates(pred_grid, gt_grid),
-        len(pred_grid.extents),
-        len(gt_grid.extents),
-        thresholds,
-    )
+    rows = detection_curve(components_from_mask(pred), components_from_mask(gt), thresholds)
     return MetricsReport(
         accuracy=base.accuracy,
         precision=base.precision,

@@ -59,7 +59,7 @@ from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
 from .hydro import fill_depressions
 from .image import read_ppm
-from .labeling import label_depth, read_prompts, tile_prompts, write_prompts
+from .labeling import label_components, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
 from .raster import (
     BinaryMask,
@@ -284,9 +284,9 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
     """
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
+    doc, windows = _read_manifest(out)
     patches = out / "patches"
     patches.mkdir(parents=True, exist_ok=True)
-    doc, windows = _read_manifest(out)
 
     mosaic_path = out / "depth.npz"
     depth_mosaic = None
@@ -300,7 +300,7 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
             depth_path = patches / f"{patch_id(window)}.depth.npz"
             depth_tile = _read_depth(depth_path, doc, window)
         with _upstream(depth_path, "fill"):  # negative depth
-            grid = label_depth(depth_tile)
+            grid = label_components(depth_tile)
         prompts, filtered = tile_prompts(
             depth_tile, grid, cfg.filter, cfg.pad_px, patch_id(window)
         )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 from .image import RGBImage, write_ppm
-from .labeling import DepressionComponent, PromptBox
+from .labeling import PromptBox
 from .raster import BinaryMask, Raster, write_ascii_grid, write_ascii_mask
 
 NOISE_LATTICE_PX = 32
@@ -63,6 +63,21 @@ class Lcg:
         if hi < lo:
             raise ValueError(f"empty integer range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
+
+
+@dataclass(frozen=True)
+class DepressionComponent:
+    """One 8-connected region of positive depression depth."""
+
+    id: int
+    pixels: frozenset[tuple[int, int]]
+    area_px: int
+    max_depth: float
+    bbox: PromptBox
+
+    def __post_init__(self) -> None:
+        if self.area_px != len(self.pixels):
+            raise ValueError("area_px must equal len(pixels)")
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ from sinkseg.errors import BackendError, NoOutletError, ProtocolError
 from sinkseg.hydro import fill_depressions
 from sinkseg.image import RGBImage
 from sinkseg.labeling import (
-    DepressionComponent,
     FilterThresholds,
     PromptBox,
     components_from_mask,
     filter_components,
+    label_components,
 )
 from sinkseg.metrics import (
     DEFAULT_THRESHOLDS,
@@ -181,23 +181,15 @@ def test_5_metric_identities_and_matching_monotonicity():
 
 
 def test_6_filter_keeps_boundary_and_removes_below_threshold():
-    def component(comp_id, area, max_depth):
-        pixels = frozenset((r, c) for r in range(1) for c in range(area))
-        return DepressionComponent(
-            id=comp_id,
-            pixels=pixels,
-            area_px=area,
-            max_depth=max_depth,
-            bbox=PromptBox(0, 0, area, 1),
-        )
-
-    too_shallow = component(1, area=1000, max_depth=1.99)
-    too_small = component(2, area=49, max_depth=10.0)
-    exactly_at = component(3, area=50, max_depth=2.0)
-    kept = filter_components(
-        [too_shallow, too_small, exactly_at], FilterThresholds(min_depth=2.0, min_area_px=50)
-    )
-    assert kept == [exactly_at]
+    depth = np.zeros((30, 50))
+    depth[0:20, :] = 1.99  # id 1: area 1000, too shallow
+    depth[21, 0:49] = 10.0  # id 2: area 49, too small
+    depth[23, 0:50] = 2.0  # id 3: area 50 at depth 2.0, exactly at both
+    grid = label_components(Raster(depth))
+    assert grid.area_px[1:].tolist() == [1000, 49, 50]
+    assert grid.max_depth[1:].tolist() == [1.99, 10.0, 2.0]
+    kept = filter_components(grid, FilterThresholds(min_depth=2.0, min_area_px=50))
+    assert kept.tolist() == [3]
 
 
 def test_7_end_to_end_echo_run_on_1024px_scene(tmp_path):

@@ -251,10 +251,16 @@ class TestExitCodes:
         assert "line 1" in capsys.readouterr().err
 
     def test_missing_stage_artifact_is_a_usage_error(self, scene_dir, tmp_path, capsys):
-        code = main(["prompts", "--set", f"out_dir={tmp_path / 'out'}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "run the fill stage first" in captured.err
+        out = tmp_path / "out"
+        for stage in ("prompts", "segment", "prompts"):
+            code = main([stage, "--set", f"out_dir={out}",
+                         "--set", f"rgb_mosaic={scene_dir / 'rgb.ppm'}"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "run the fill stage first" in captured.err
+            # the failed stage leaves the out_dir as it found it: absent, then empty
+            assert not out.exists() or list(out.iterdir()) == []
+            out.mkdir(exist_ok=True)
 
     @pytest.mark.parametrize(
         "text, message",

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from sinkseg.labeling import (
-    DepressionComponent,
     FilterThresholds,
+    LabelGrid,
     PromptBox,
     PromptFormatError,
     PromptSet,
@@ -19,7 +19,6 @@ from sinkseg.labeling import (
     components_from_mask,
     filter_components,
     label_components,
-    label_depth,
     prompts_from_json,
     prompts_to_json,
     read_prompts,
@@ -27,6 +26,7 @@ from sinkseg.labeling import (
     write_prompts,
 )
 from sinkseg.raster import BinaryMask, Raster
+from sinkseg.synth import DepressionComponent
 
 
 NODATA = -9999.0
@@ -65,6 +65,22 @@ def bfs_components(positive: np.ndarray, depth_values: np.ndarray) -> list[Depre
                 area_px=len(pixels),
                 max_depth=float(max(depth_values[r, c] for r, c in pixels)),
                 bbox=PromptBox(min(cols), min(rows), max(cols) + 1, max(rows) + 1),
+            )
+        )
+    return components
+
+
+def pixel_sets(grid: LabelGrid) -> list[DepressionComponent]:
+    """The components of *grid* as pixel-set records, for comparison with the oracle."""
+    components = []
+    for k, (rows, cols) in enumerate(grid.extents, start=1):
+        components.append(
+            DepressionComponent(
+                id=k,
+                pixels=frozenset(map(tuple, np.argwhere(grid.labels == k).tolist())),
+                area_px=int(grid.area_px[k]),
+                max_depth=float(grid.max_depth[k]),
+                bbox=PromptBox(cols.start, rows.start, cols.stop, rows.stop),
             )
         )
     return components
@@ -121,7 +137,7 @@ class TestLabeling:
         depth[4, 1] = 3.0  # lower-left, but later in scan order
         depth[0, 7] = 5.0  # first row wins id 1
         depth[2, 4] = 4.0
-        comps = label_components(depth_raster(depth))
+        comps = pixel_sets(label_components(depth_raster(depth)))
         assert [(c.id, min(c.pixels)) for c in comps] == [
             (1, (0, 7)),
             (2, (2, 4)),
@@ -131,17 +147,18 @@ class TestLabeling:
     def test_diagonal_pixels_are_one_component(self):
         depth = np.zeros((4, 4))
         depth[0, 0] = depth[1, 1] = depth[2, 2] = 1.0
-        comps = label_components(depth_raster(depth))
-        assert len(comps) == 1
-        assert comps[0].pixels == frozenset({(0, 0), (1, 1), (2, 2)})
+        grid = label_components(depth_raster(depth))
+        assert len(grid) == 1
+        assert pixel_sets(grid)[0].pixels == frozenset({(0, 0), (1, 1), (2, 2)})
 
     def test_zero_depth_is_background(self):
-        assert label_components(depth_raster(np.zeros((5, 5)))) == []
+        grid = label_components(depth_raster(np.zeros((5, 5))))
+        assert len(grid) == 0 and not grid.labels.any()
 
     def test_nodata_is_background_and_splits_components(self):
         depth = np.full((1, 3), 2.0)
         depth[0, 1] = -9999.0
-        comps = label_components(depth_raster(depth))
+        comps = pixel_sets(label_components(depth_raster(depth)))
         assert [c.pixels for c in comps] == [frozenset({(0, 0)}), frozenset({(0, 2)})]
 
     def test_negative_depth_rejected(self):
@@ -152,29 +169,31 @@ class TestLabeling:
         depth = np.zeros((3, 3))
         depth[1, 1] = 2.5
         depth[1, 2] = 7.25
-        (comp,) = label_components(depth_raster(depth))
-        assert comp.area_px == 2
-        assert comp.max_depth == 7.25
-        assert comp.bbox == PromptBox(1, 1, 3, 2)
+        grid = label_components(depth_raster(depth))
+        assert len(grid) == 1
+        assert grid.area_px[1] == 2
+        assert grid.max_depth[1] == 7.25
+        assert boxes_from_components(grid, [1], 0, 3, 3) == [PromptBox(1, 1, 3, 2)]
 
     def test_partition_matches_scipy_oracle(self, rng):
         structure = np.ones((3, 3), dtype=int)
         for _ in range(30):
             depth = np.maximum(rng.normal(size=(32, 32)), 0.0)
             depth[rng.random((32, 32)) < 0.6] = 0.0
-            comps = label_components(depth_raster(depth))
+            grid = label_components(depth_raster(depth))
             labels, n = ndimage.label(depth > 0, structure=structure)
             oracle = {
                 frozenset(map(tuple, np.argwhere(labels == k))) for k in range(1, n + 1)
             }
-            assert {c.pixels for c in comps} == oracle
-            assert len(comps) == n
+            assert {c.pixels for c in pixel_sets(grid)} == oracle
+            assert len(grid) == n
 
     def test_components_from_mask_reports_unit_depth(self):
         mask = BinaryMask(np.array([[1, 0], [0, 1]], dtype=bool))
-        (comp,) = components_from_mask(mask)
-        assert comp.area_px == 2
-        assert comp.max_depth == 1.0
+        grid = components_from_mask(mask)
+        assert len(grid) == 1
+        assert grid.area_px[1] == 2
+        assert grid.max_depth[1] == 1.0
 
 
 class TestBfsOracle:
@@ -188,14 +207,14 @@ class TestBfsOracle:
     def test_label_components_equals_bfs(self, seed, shape, density, nodata_frac):
         depth = random_depth(seed, shape, density, nodata_frac)
         positive = depth.valid_mask() & (depth.values > 0)
-        assert label_components(depth) == bfs_components(positive, depth.values)
+        assert pixel_sets(label_components(depth)) == bfs_components(positive, depth.values)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31), shape=SHAPES, density=st.sampled_from([0.0, 0.4, 0.7, 1.0]))
     def test_components_from_mask_equals_bfs(self, seed, shape, density):
         values = np.random.default_rng(seed).random(shape) < density
         expected = bfs_components(values, values.astype(np.float64))
-        assert components_from_mask(BinaryMask(values)) == expected
+        assert pixel_sets(components_from_mask(BinaryMask(values))) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -231,12 +250,24 @@ class TestBfsOracle:
 
 
 def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
-    """``tile_prompts`` equals label -> filter -> boxes, plus zeroing the dropped."""
-    components = label_components(depth)
-    kept = filter_components(components, thresholds)
+    """``tile_prompts`` equals the BFS components filtered, boxed, padded and
+    clamped one by one, plus zeroing the dropped."""
+    components = bfs_components(depth.valid_mask() & (depth.values > 0), depth.values)
+    kept = [
+        c for c in components
+        if c.max_depth >= thresholds.min_depth and c.area_px >= thresholds.min_area_px
+    ]
     expected = PromptSet(
         patch_id="p",
-        boxes=boxes_from_components(kept, pad_px, width=depth.width, height=depth.height),
+        boxes=[
+            PromptBox(
+                max(0, c.bbox.x0 - pad_px),
+                max(0, c.bbox.y0 - pad_px),
+                min(depth.width, c.bbox.x1 + pad_px),
+                min(depth.height, c.bbox.y1 + pad_px),
+            )
+            for c in kept
+        ],
         areas=[c.area_px for c in kept],
         max_depths=[c.max_depth for c in kept],
     )
@@ -246,7 +277,7 @@ def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
             for r, c in comp.pixels:
                 expected_values[r, c] = 0.0
 
-    prompts, filtered = tile_prompts(depth, label_depth(depth), thresholds, pad_px, "p")
+    prompts, filtered = tile_prompts(depth, label_components(depth), thresholds, pad_px, "p")
     assert prompts == expected
     assert prompts_to_json(prompts) == prompts_to_json(expected)  # plain ints and floats
     assert np.array_equal(filtered.values.view(np.int64), expected_values.view(np.int64))
@@ -254,50 +285,40 @@ def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
     assert [getattr(filtered, k) for k in georef] == [getattr(depth, k) for k in georef]
 
 
-def make_component(area, max_depth, comp_id=1):
-    pixels = frozenset((0, c) for c in range(area))
-    return DepressionComponent(
-        id=comp_id,
-        pixels=pixels,
-        area_px=area,
-        max_depth=max_depth,
-        bbox=PromptBox(0, 0, area, 1),
-    )
-
-
 class TestFiltering:
     def test_boundary_equality_is_kept(self):
-        thresholds = FilterThresholds(min_depth=2.0, min_area_px=50)
-        deep_but_tiny = make_component(area=49, max_depth=10.0, comp_id=1)
-        big_but_shallow = make_component(area=1000, max_depth=1.99, comp_id=2)
-        exactly_on_both = make_component(area=50, max_depth=2.0, comp_id=3)
-        kept = filter_components(
-            [deep_but_tiny, big_but_shallow, exactly_on_both], thresholds
-        )
-        assert [c.id for c in kept] == [3]
+        depth = np.zeros((24, 50))
+        depth[0, 0:49] = 10.0  # id 1: deep but tiny
+        depth[2:22, :] = 1.99  # id 2: big but shallow
+        depth[23, :] = 2.0  # id 3: exactly on both
+        grid = label_components(depth_raster(depth))
+        assert grid.area_px[1:].tolist() == [49, 1000, 50]
+        kept = filter_components(grid, FilterThresholds(min_depth=2.0, min_area_px=50))
+        assert kept.tolist() == [3]
 
     def test_filter_on_labelled_raster(self):
         depth = np.zeros((20, 20))
         depth[1, 1] = 1.99  # too shallow, area 1
         depth[5:10, 5:15] = 3.0  # 50 px at depth 3: survives
         depth[15, 0:10] = 10.0  # deep but only 10 px
-        comps = label_components(depth_raster(depth))
-        kept = filter_components(comps, FilterThresholds(2.0, 50))
-        assert len(comps) == 3
-        assert [c.bbox for c in kept] == [PromptBox(5, 5, 15, 10)]
+        grid = label_components(depth_raster(depth))
+        kept = filter_components(grid, FilterThresholds(2.0, 50))
+        assert len(grid) == 3
+        assert boxes_from_components(grid, kept, 0, 20, 20) == [PromptBox(5, 5, 15, 10)]
 
     def test_zero_thresholds_keep_everything(self, rng):
         depth = np.maximum(rng.normal(size=(16, 16)), 0.0)
-        comps = label_components(depth_raster(depth))
-        assert filter_components(comps, FilterThresholds(0.0, 0)) == comps
+        grid = label_components(depth_raster(depth))
+        kept = filter_components(grid, FilterThresholds(0.0, 0))
+        assert kept.tolist() == list(range(1, len(grid) + 1))
 
     def test_monotone_in_thresholds(self, rng):
         depth = np.maximum(rng.normal(size=(24, 24)) * 3, 0.0)
         depth[rng.random((24, 24)) < 0.5] = 0.0
-        comps = label_components(depth_raster(depth))
+        grid = label_components(depth_raster(depth))
         previous = None
         for min_depth, min_area in [(0.0, 0), (0.5, 1), (1.0, 2), (2.0, 4), (4.0, 8)]:
-            kept = {c.id for c in filter_components(comps, FilterThresholds(min_depth, min_area))}
+            kept = set(filter_components(grid, FilterThresholds(min_depth, min_area)).tolist())
             if previous is not None:
                 assert kept <= previous
             previous = kept
@@ -313,40 +334,44 @@ class TestBoxes:
     def test_single_pixel_box(self):
         depth = np.zeros((10, 10))
         depth[3, 5] = 4.0
-        comps = label_components(depth_raster(depth))
-        assert boxes_from_components(comps) == [PromptBox(5, 3, 6, 4)]
+        grid = label_components(depth_raster(depth))
+        assert boxes_from_components(grid, [1], 0, 10, 10) == [PromptBox(5, 3, 6, 4)]
 
     def test_padding_with_clamp_at_origin(self):
         depth = np.zeros((8, 12))
         depth[2:5, 1:8] = 3.0
-        comps = label_components(depth_raster(depth))
-        (box,) = boxes_from_components(comps, pad_px=2, width=12, height=8)
+        grid = label_components(depth_raster(depth))
+        (box,) = boxes_from_components(grid, [1], 2, 12, 8)
         assert box == PromptBox(0, 0, 10, 7)
 
     def test_padding_clamped_at_far_edges(self):
         depth = np.zeros((6, 6))
         depth[4:6, 4:6] = 1.0
-        comps = label_components(depth_raster(depth))
-        (box,) = boxes_from_components(comps, pad_px=3, width=6, height=6)
+        grid = label_components(depth_raster(depth))
+        (box,) = boxes_from_components(grid, [1], 3, 6, 6)
         assert box == PromptBox(1, 1, 6, 6)
-
-    def test_unbounded_pad_grows_past_grid(self):
-        comps = [make_component(area=2, max_depth=1.0)]
-        (box,) = boxes_from_components(comps, pad_px=4)
-        assert box == PromptBox(0, 0, 6, 5)
 
     def test_boxes_contain_their_pixels(self, rng):
         for _ in range(10):
             depth = np.maximum(rng.normal(size=(20, 20)) * 2, 0.0)
-            comps = label_components(depth_raster(depth))
+            grid = label_components(depth_raster(depth))
             pad = int(rng.integers(0, 4))
-            boxes = boxes_from_components(comps, pad_px=pad, width=20, height=20)
-            for comp, box in zip(comps, boxes):
+            ids = filter_components(grid, FilterThresholds(0.0, 0))
+            boxes = boxes_from_components(grid, ids, pad, 20, 20)
+            assert len(boxes) == len(grid)
+            for comp, box in zip(pixel_sets(grid), boxes):
                 assert all(box.contains(r, c) for r, c in comp.pixels)
 
     def test_negative_pad_rejected(self):
+        grid = label_components(depth_raster(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="pad_px"):
-            boxes_from_components([], pad_px=-1)
+            boxes_from_components(grid, [], -1, 2, 2)
+
+    @pytest.mark.parametrize("bad_id", [0, -1, 2])
+    def test_unknown_id_rejected(self, bad_id):
+        grid = label_components(depth_raster([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match=f"component id {bad_id} not in 1..1"):
+            boxes_from_components(grid, [bad_id], 0, 2, 1)
 
 
 class TestPromptsJson:

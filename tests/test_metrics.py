@@ -2,14 +2,13 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkseg.labeling import DepressionComponent, PromptBox, components_from_mask
+from sinkseg.labeling import LabelGrid, components_from_mask
 from sinkseg.metrics import (
     DEFAULT_THRESHOLDS,
     LossValue,
@@ -17,7 +16,6 @@ from sinkseg.metrics import (
     PixelConfusion,
     bce_loss,
     combined_loss,
-    component_iou,
     detection_curve,
     dice_loss,
     evaluate_masks,
@@ -35,23 +33,30 @@ def mask(values):
     return BinaryMask(np.asarray(values, dtype=bool))
 
 
-def comp(comp_id, pixels):
-    pixels = frozenset(pixels)
-    rows = [p[0] for p in pixels]
-    cols = [p[1] for p in pixels]
-    return DepressionComponent(
-        id=comp_id,
-        pixels=pixels,
-        area_px=len(pixels),
-        max_depth=1.0,
-        bbox=PromptBox(min(cols), min(rows), max(cols) + 1, max(rows) + 1),
-    )
+def grid(values):
+    """The components of a mask given as nested 0/1 rows."""
+    return components_from_mask(mask(values))
+
+
+def pixel_sets(g: LabelGrid) -> dict[int, frozenset]:
+    """Oracle input: each component of *g* as its set of (row, col) pixels."""
+    return {
+        k: frozenset(map(tuple, np.argwhere(g.labels == k).tolist()))
+        for k in range(1, len(g) + 1)
+    }
+
+
+def iou(a: frozenset, b: frozenset) -> float:
+    inter = len(a & b)
+    return inter / len(a | b) if inter else 0.0
 
 
 def max_matching_oracle(preds, gts, threshold):
     """Maximum bipartite matching via augmenting paths (independent of greedy)."""
+    pred_sets, gt_sets = pixel_sets(preds), pixel_sets(gts)
     adjacency = {
-        p.id: [g.id for g in gts if component_iou(p, g) >= threshold] for p in preds
+        pid: [gid for gid, g in gt_sets.items() if iou(p, g) >= threshold]
+        for pid, p in pred_sets.items()
     }
     match_of_gt = {}
 
@@ -65,58 +70,40 @@ def max_matching_oracle(preds, gts, threshold):
                 return True
         return False
 
-    return sum(augment(p.id, set()) for p in preds)
+    return sum(augment(pid, set()) for pid in pred_sets)
 
 
 def pairwise_match(preds, gts, threshold):
     """Oracle: intersect every (pred, gt) pair, then match greedily as object_match does."""
+    pred_sets, gt_sets = pixel_sets(preds), pixel_sets(gts)
     candidates = []
-    for p in preds:
-        for g in gts:
-            iou = component_iou(p, g)
-            if iou >= threshold:
-                candidates.append((-iou, p.id, g.id, iou))
+    for pid, p in pred_sets.items():
+        for gid, g in gt_sets.items():
+            pair_iou = iou(p, g)
+            if pair_iou >= threshold:
+                candidates.append((-pair_iou, pid, gid, pair_iou))
     candidates.sort()
     used_pred, used_gt, pairs = set(), set(), []
-    for _, pid, gid, iou in candidates:
+    for _, pid, gid, pair_iou in candidates:
         if pid in used_pred or gid in used_gt:
             continue
         used_pred.add(pid)
         used_gt.add(gid)
-        pairs.append((pid, gid, iou))
+        pairs.append((pid, gid, pair_iou))
     tp = len(pairs)
-    return tp, len(preds) - tp, len(gts) - tp, pairs
-
-
-PIXEL_SETS = st.frozensets(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=10)
-
-
-@st.composite
-def component_lists(draw, shared_sets):
-    """Components overlapping each other, some sharing pixel sets or ids, any bbox.
-
-    The bbox field is drawn independently of the pixels, so it usually
-    disagrees with them; pixel sets may be empty.
-    """
-    comps = []
-    for i in range(draw(st.integers(0, 7))):
-        pixels = draw(st.sampled_from(shared_sets) | PIXEL_SETS)
-        x0, y0 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-        comps.append(
-            DepressionComponent(
-                id=draw(st.just(i + 1) | st.integers(1, 4)),
-                pixels=pixels,
-                area_px=len(pixels),
-                max_depth=1.0,
-                bbox=PromptBox(x0, y0, x0 + draw(st.integers(1, 3)), y0 + 1),
-            )
-        )
-    return comps
+    return tp, len(pred_sets) - tp, len(gt_sets) - tp, pairs
 
 
 @st.composite
 def matching_cases(draw):
-    shared = draw(st.lists(PIXEL_SETS, min_size=1, max_size=4))
+    """Two random masks of one shape, and ascending IoU thresholds."""
+    seed = draw(st.integers(0, 2**31))
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    rng = np.random.default_rng(seed)
+    pred = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.4, 0.6, 1.0]))
+    gt = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.4, 0.6, 1.0]))
+    if draw(st.booleans()):
+        gt = gt | pred  # nested objects: every prediction overlaps a truth
     thresholds = draw(
         st.lists(
             st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1e-9, 1 - 1e-9])
@@ -124,7 +111,7 @@ def matching_cases(draw):
             max_size=6,
         )
     )
-    return draw(component_lists(shared)), draw(component_lists(shared)), sorted(thresholds)
+    return grid(pred), grid(gt), sorted(thresholds)
 
 
 class TestPixelConfusion:
@@ -220,60 +207,63 @@ class TestMetricValues:
 
 class TestObjectMatching:
     def test_component_iou(self):
-        a = comp(1, [(0, 0), (0, 1), (0, 2)])
-        b = comp(1, [(0, 1), (0, 2), (0, 3)])
-        assert component_iou(a, b) == 0.5
-        assert component_iou(a, comp(2, [(5, 5)])) == 0.0
+        a = grid([[1, 1, 1, 0]])
+        b = grid([[0, 1, 1, 1]])
+        assert object_match(a, b, 0.5) == (1, 0, 0, [(1, 1, 0.5)])
+        assert object_match(a, grid([[0, 0, 0, 1]]), 0.01) == (0, 1, 1, [])
 
     def test_identical_sets_match_fully(self):
-        comps = [comp(1, [(0, 0)]), comp(2, [(3, 3), (3, 4)])]
-        tp, fp, fn, pairs = object_match(comps, comps, 0.5)
+        g = grid([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]])
+        tp, fp, fn, pairs = object_match(g, g, 0.5)
         assert (tp, fp, fn) == (2, 0, 0)
         assert pairs == [(1, 1, 1.0), (2, 2, 1.0)]
 
     def test_one_prediction_cannot_match_two_truths(self):
-        pred = [comp(1, [(0, c) for c in range(4)])]
-        gts = [comp(1, [(0, 0), (0, 1)]), comp(2, [(0, 2), (0, 3)])]
+        pred = grid([[1, 1, 1, 1, 1]])
+        gts = grid([[1, 1, 0, 1, 1]])
         tp, fp, fn, pairs = object_match(pred, gts, 0.3)
         assert (tp, fp, fn) == (1, 0, 1)
         assert len(pairs) == 1
 
     def test_threshold_is_inclusive(self):
-        a = [comp(1, [(0, 0), (0, 1), (0, 2)])]
-        b = [comp(1, [(0, 1), (0, 2), (0, 3)])]  # IoU exactly 0.5
+        a = grid([[1, 1, 1, 0]])
+        b = grid([[0, 1, 1, 1]])  # IoU exactly 0.5
         assert object_match(a, b, 0.5)[0] == 1
         assert object_match(a, b, 0.51)[0] == 0
 
     def test_equal_iou_tie_broken_by_lower_id(self):
-        gt = [comp(7, [(0, 0), (0, 1)])]
-        preds = [comp(2, [(0, 0), (0, 1)]), comp(1, [(0, 0), (0, 1)])]
-        tp, fp, fn, pairs = object_match(preds, gt, 0.5)
+        gt = grid([[1, 1, 1, 1, 1]])
+        preds = grid([[1, 0, 0, 0, 1]])  # two single pixels, each IoU 1/5
+        tp, fp, fn, pairs = object_match(preds, gt, 0.2)
         assert (tp, fp, fn) == (1, 1, 0)
-        assert pairs == [(1, 7, 1.0)]
+        assert pairs == [(1, 1, 0.2)]
+        assert object_match(gt, preds, 0.2)[3] == [(1, 1, 0.2)]
 
     def test_invalid_threshold(self):
+        empty = grid([[0]])
         with pytest.raises(ValueError, match="iou_threshold"):
-            object_match([], [], 0.0)
+            object_match(empty, empty, 0.0)
         with pytest.raises(ValueError, match="iou_threshold"):
-            object_match([], [], 1.0)
+            object_match(empty, empty, 1.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="pred/gt dimension mismatch"):
+            object_match(grid([[1, 0]]), grid([[1], [0]]), 0.5)
 
     def make_separated_scene(self, rng, cells=4, cell=10):
         """One ground-truth blob per grid cell; prediction shifted within it."""
-        preds, gts = [], []
-        next_id = 1
+        pred = np.zeros((cells * cell, cells * cell), dtype=bool)
+        gt = np.zeros_like(pred)
         for cy in range(cells):
             for cx in range(cells):
                 if rng.random() < 0.25:
                     continue
                 r0, c0 = cy * cell + 2, cx * cell + 2
                 h, w = (int(v) for v in rng.integers(2, 5, size=2))
-                gt_px = {(r0 + r, c0 + c) for r in range(h) for c in range(w)}
                 dr, dc = (int(v) for v in rng.integers(0, 3, size=2))
-                pred_px = {(r + dr, c + dc) for r, c in gt_px}
-                gts.append(comp(next_id, gt_px))
-                preds.append(comp(next_id, pred_px))
-                next_id += 1
-        return preds, gts
+                gt[r0 : r0 + h, c0 : c0 + w] = True
+                pred[r0 + dr : r0 + dr + h, c0 + dc : c0 + dc + w] = True
+        return grid(pred), grid(gt)
 
     def test_greedy_matches_maximum_matching_on_separated_scenes(self, rng):
         for _ in range(100):
@@ -300,23 +290,22 @@ class TestPairwiseOracle:
         assert detection_curve(preds, gts, thresholds) == [
             (t, tp, fp, fn) for t, (tp, fp, fn, _) in zip(thresholds, expected)
         ]
-
-    def test_bbox_field_is_not_used_to_prune(self):
-        pred = [comp(1, [(0, 0), (0, 1)])]
-        gt = [replace(comp(1, [(0, 0), (0, 1)]), bbox=PromptBox(50, 50, 51, 51))]
-        assert object_match(pred, gt, 0.5) == (1, 0, 0, [(1, 1, 1.0)])
+        for t, (tp, *_) in zip(thresholds, expected):
+            best = max_matching_oracle(preds, gts, t)
+            # above IoU 1/2 each component has at most one partner, so greedy is optimal
+            assert tp == best if t > 0.5 else tp <= best
 
 
 class TestDetectionCurve:
     def test_perfect_detection_at_every_threshold(self):
-        comps = [comp(1, [(0, 0), (0, 1)]), comp(2, [(5, 5), (5, 6)])]
-        rows = detection_curve(comps, comps)
+        g = grid([[1, 1, 0, 0, 0], [0, 0, 0, 1, 1]])
+        rows = detection_curve(g, g)
         assert [t for t, *_ in rows] == list(DEFAULT_THRESHOLDS)
         assert all((tp, fp, fn) == (2, 0, 0) for _, tp, fp, fn in rows)
 
     def test_partial_overlap_drops_at_its_iou(self):
-        pred = [comp(1, [(0, 0), (0, 1)])]
-        gt = [comp(1, [(0, 1), (1, 1)])]  # IoU = 1/3
+        pred = grid([[1, 1], [0, 0]])
+        gt = grid([[0, 1], [0, 1]])  # IoU = 1/3
         rows = detection_curve(pred, gt)
         for t, tp, fp, fn in rows:
             if t <= 0.3:
@@ -325,19 +314,20 @@ class TestDetectionCurve:
                 assert (tp, fp, fn) == (0, 1, 1)
 
     def test_unsorted_thresholds_rejected(self):
+        empty = grid([[0]])
         with pytest.raises(ValueError, match="sorted ascending"):
-            detection_curve([], [], thresholds=(0.5, 0.3))
+            detection_curve(empty, empty, thresholds=(0.5, 0.3))
 
     def test_threshold_range_and_empty_thresholds(self):
-        comps = [comp(1, [(0, 0)])]
+        g = grid([[1]])
         for bad in ((0.0, 0.5), (0.5, 1.0), (float("nan"),)):
             with pytest.raises(ValueError, match="iou_threshold"):
-                detection_curve(comps, comps, thresholds=bad)
-        assert detection_curve(comps, comps, thresholds=()) == []
+                detection_curve(g, g, thresholds=bad)
+        assert detection_curve(g, g, thresholds=()) == []
 
 
 class TestMaskObjectRows:
-    """``evaluate_masks`` scores objects from label grids, not pixel sets."""
+    """``evaluate_masks`` scores the objects of two masks."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -358,9 +348,11 @@ class TestMaskObjectRows:
         pred = mask(rng.random(shape) < pred_density)
         gt = mask(rng.random(shape) < gt_density)
         ignore = mask(rng.random(shape) < ignore_density)
-        expected = tuple(
-            detection_curve(components_from_mask(pred), components_from_mask(gt), thresholds)
-        )
+        expected = []
+        for t in thresholds:
+            tp, fp, fn, _ = pairwise_match(grid(pred.values), grid(gt.values), t)
+            expected.append((t, tp, fp, fn))
+        expected = tuple(expected)
         assert evaluate_masks(pred, gt, ignore, thresholds).object_rows == expected
         assert evaluate_masks(pred, gt, None, thresholds).object_rows == expected
 

@@ -18,7 +18,7 @@ from sinkseg.hydro import fill_depressions
 from sinkseg.image import write_ppm, write_pgm
 from sinkseg.labeling import FilterThresholds, read_prompts, tile_prompts
 from sinkseg.mock_server import MockSegmentServer
-from sinkseg import labeling, metrics, pipeline
+from sinkseg import pipeline
 from sinkseg.pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
 from sinkseg.raster import (
     Raster,
@@ -479,23 +479,6 @@ class TestDeterminism:
         cmd_eval(cfg)
         assert [p for p in reads if out in p.parents] == [out / "depth_filtered.asc",
                                                          out / "fused_mask.asc"]
-
-    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_run_builds_no_pixel_set(self, scene_dir, tmp_path, monkeypatch, mode):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the pipeline built pixel-set components")
-
-        pixel_set_path = {
-            labeling: ("_components", "label_components",
-                       "components_from_mask", "filter_components",
-                       "boxes_from_components"),
-            metrics: ("detection_curve", "object_match", "_candidates"),
-        }
-        for module, names in pixel_set_path.items():
-            for name in names:
-                monkeypatch.setattr(module, name, refuse)
-        report = cmd_run(make_cfg(scene_dir, tmp_path / "out", fill_mode=mode))
-        assert report.object_rows[4][:3] == (0.5, 3, 0)  # all three pits found
 
     def test_rerun_overwrites_identically(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")

@@ -147,8 +147,9 @@ class TestMultiPitScenes:
     def test_noise_alone_creates_nothing_that_survives_the_filter(self):
         scene = gen_terrain(seed=11, width=128, height=128, n_sinkholes=0, noise_amp=0.5)
         depth = fill_depressions(scene.dem).depth
-        comps = label_components(depth)
-        assert filter_components(comps, FilterThresholds(2.0, 50)) == []
+        grid = label_components(depth)
+        assert len(grid) > 0  # the noise does make depressions
+        assert filter_components(grid, FilterThresholds(2.0, 50)).tolist() == []
 
     def test_impossible_packing_raises(self):
         with pytest.raises(PlacementError, match="could not place"):
