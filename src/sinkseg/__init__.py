@@ -53,9 +53,7 @@ from .raster import (
 from .segmenter import (
     EchoBackend,
     HttpBackend,
-    ProbabilityMask,
     ReplayBackend,
-    SegmentationOutcome,
     segment_patch,
 )
 from .synth import DepressionComponent, SynthScene, brute_force_fill, gen_terrain
@@ -80,13 +78,11 @@ __all__ = [
     "MetricsReport",
     "NoOutletError",
     "PixelConfusion",
-    "ProbabilityMask",
     "PromptBox",
     "PromptSet",
     "ProtocolError",
     "Raster",
     "ReplayBackend",
-    "SegmentationOutcome",
     "SinksegError",
     "SynthScene",
     "TileSpec",

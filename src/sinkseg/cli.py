@@ -21,7 +21,7 @@ import argparse
 import logging
 import sys
 
-from .config import load_config
+from .config import check_out_dir, load_config
 from .errors import InputError, SinksegError
 from .metrics import report_to_json
 from .pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
@@ -83,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args: argparse.Namespace) -> int:
     if args.command == "synth":
+        check_out_dir(args.out_dir, "--out-dir")
         kwargs = {}
         if args.slope is not None:
             kwargs["slope"] = args.slope

@@ -232,6 +232,20 @@ def _require_file(cfg: PipelineConfig, field_name: str, key: str) -> Path:
     return path
 
 
+def check_out_dir(out: str | Path, name: str) -> None:
+    """Raise :class:`ConfigError` unless *out* is, or can be made, a directory.
+
+    The nearest of *out* and its ancestors that exists must be a directory;
+    the message, prefixed by *name*, names the path that is not one.
+    """
+    out = Path(out)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"{name}: not a directory: {path}")
+            return
+
+
 def _check_endpoint(endpoint: str) -> None:
     """An http(s) URL with a host and, if given, a numeric port."""
     parts = urlsplit(endpoint)
@@ -262,9 +276,7 @@ def validate_for(cfg: PipelineConfig, command: str) -> None:
     if command not in needs:
         raise ValueError(f"unknown command {command!r}")
     checks = needs[command]
-    out = _require(cfg, "out_dir", "out_dir")
-    if Path(out).exists() and not Path(out).is_dir():
-        raise ConfigError(f"config key 'out_dir': not a directory: {out}")
+    check_out_dir(_require(cfg, "out_dir", "out_dir"), "config key 'out_dir'")
     if "inputs_fill" in checks:
         _require_file(cfg, "depth_raster", "depth_raster")
     if "inputs_segment" in checks:

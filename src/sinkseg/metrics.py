@@ -226,7 +226,7 @@ def _check_loss_shapes(probs: np.ndarray, gt: BinaryMask) -> np.ndarray:
 
 def bce_loss(probs, gt: BinaryMask, eps: float = BCE_EPS) -> float:
     """Mean binary cross-entropy; probabilities clamped to [eps, 1-eps]."""
-    p = np.asarray(getattr(probs, "probs", probs), dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
     y = _check_loss_shapes(p, gt)
     p = np.clip(p, eps, 1.0 - eps)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
@@ -234,7 +234,7 @@ def bce_loss(probs, gt: BinaryMask, eps: float = BCE_EPS) -> float:
 
 def dice_loss(probs, gt: BinaryMask, smooth: float = DICE_SMOOTH) -> float:
     """Soft Dice loss: ``1 - (2·Σp·y + s) / (Σp + Σy + s)``."""
-    p = np.asarray(getattr(probs, "probs", probs), dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
     y = _check_loss_shapes(p, gt)
     inter = float((p * y).sum())
     return 1.0 - (2.0 * inter + smooth) / (float(p.sum()) + float(y.sum()) + smooth)

@@ -372,10 +372,10 @@ def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> Bi
                     )
         patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(extract_tile(depth_filtered, window))
-        outcome = segment_patch(backend, patch_img, prompts.boxes, patch_id=pid)
+        probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=pid)
         origin_x, origin_y, cellsize = _georef(doc, window)
         # Default nodata: the DEM's sentinel may be a probability, e.g. 0.0.
-        tile = Raster(outcome.probs, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)
+        tile = Raster(probs, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)
         return window, tile
 
     tiles = _pool_map(cfg.workers, work, windows)

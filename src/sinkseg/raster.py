@@ -211,23 +211,29 @@ def _parse_grid_lines(path: Path) -> tuple[dict, np.ndarray]:
     nodata_token = header["nodata_value"]
     nodata = header["nodata_float"]
 
-    data = np.empty((nrows, ncols), dtype=np.float64)
-    row = 0
+    # The layout is checked before the grid is allocated, so a header that
+    # claims more cells than the file holds cannot ask for that much memory.
+    data_lines = []
     for lineno in range(first_data, len(lines)):
-        line = lines[lineno]
-        tokens = line.split()
-        if not tokens:
+        count = len(lines[lineno].split())
+        if not count:
             continue
-        if row >= nrows:
+        if len(data_lines) >= nrows:
             raise GridFormatError(
                 f"{path}: line {lineno + 1}: extra data row (expected {nrows} rows)"
             )
-        if len(tokens) != ncols:
+        if count != ncols:
             raise GridFormatError(
                 f"{path}: line {lineno + 1}: cell count mismatch "
-                f"(expected {ncols} values, got {len(tokens)})"
+                f"(expected {ncols} values, got {count})"
             )
-        for j, tok in enumerate(tokens):
+        data_lines.append(lineno)
+    if len(data_lines) != nrows:
+        raise GridFormatError(f"{path}: expected {nrows} data rows, found {len(data_lines)}")
+
+    data = np.empty((nrows, ncols), dtype=np.float64)
+    for row, lineno in enumerate(data_lines):
+        for j, tok in enumerate(lines[lineno].split()):
             if tok == nodata_token:
                 data[row, j] = nodata
                 continue
@@ -237,9 +243,6 @@ def _parse_grid_lines(path: Path) -> tuple[dict, np.ndarray]:
                 raise GridFormatError(
                     f"{path}: line {lineno + 1}: non-numeric token {tok!r}"
                 ) from exc
-        row += 1
-    if row != nrows:
-        raise GridFormatError(f"{path}: expected {nrows} data rows, found {row}")
     return header, data
 
 

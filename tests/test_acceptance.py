@@ -214,8 +214,8 @@ def test_8_wire_protocol_round_trip_and_fault_rejection():
     patch = RGBImage(np.zeros((8, 8, 3), dtype=np.uint8))
     box = [PromptBox(0, 0, 8, 8)]
     with MockSegmentServer(mode="constant", value=128) as server:
-        outcome = segment_patch(HttpBackend(server.endpoint), patch, box)
-        assert np.all(outcome.masks[0].probs == np.float64(128) / np.float64(255))
+        probs = segment_patch(HttpBackend(server.endpoint), patch, box)
+        assert np.all(probs == np.float64(128) / np.float64(255))
 
     expected_errors = {
         "count_mismatch": (ProtocolError, "mask count mismatch"),

@@ -52,7 +52,8 @@ def test_traced_run_counts_labelling_and_matching(scene_dir, tmp_path, mode):
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
     for key in ("labeling.components", "labeling.kept", "labeling.boxes",
-                "metrics.detection_curve_s"):
+                "metrics.detection_curve_s", "segmenter.segment_patch_s",
+                "segmenter.boxes_sent"):
         assert layers[key] > 0, key
 
     cmd_run(load_config(None, [*settings, f"out_dir={tmp_path / 'plain'}"]))

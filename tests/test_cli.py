@@ -136,6 +136,16 @@ def first_cell(token):
     return edit
 
 
+def claim_size(ncols, nrows):
+    """Corrupt an ASCII grid by making its header claim *ncols* x *nrows* cells."""
+
+    def edit(path):
+        replace_line(0, f"ncols {ncols}".encode())(path)
+        replace_line(1, f"nrows {nrows}".encode())(path)
+
+    return edit
+
+
 def run_args(scene_dir, out_dir, *extra):
     return [
         "run",
@@ -236,6 +246,31 @@ class TestExitCodes:
         assert key in err
         assert "internal error" not in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, under",
+        [("fill", True), ("run", True), ("synth", False), ("synth", True)],
+        ids=["fill-under-file", "run-under-file", "synth-file", "synth-under-file"],
+    )
+    def test_out_dir_on_a_file_is_a_usage_error(self, scene_dir, tmp_path, capsys, command, under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "sub" if under else taken
+        if command == "synth":
+            args = ["synth", "--seed", "1", "--width", "32", "--height", "32", "--n", "0",
+                    "--out-dir", str(out)]
+            named = "--out-dir"
+        else:
+            args = [command, *run_args(scene_dir, out)[1:]]
+            named = "config key 'out_dir'"
+        before = sorted(tmp_path.rglob("*"))
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{named}: not a directory: {taken}" in err
+        assert "internal error" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert taken.read_text() == "not a directory\n"
 
     def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
         code = main(["fill", "--set", "tile.size=512"])
@@ -390,9 +425,12 @@ class TestExitCodes:
             ("dem", replace_line(4, b"cellsize inf"), "header cellsize must be finite, got inf"),
             ("gt", first_cell(b"\xff"), "not a text grid"),
             ("fused", first_cell(b"\xff"), "not a text grid"),
+            ("dem", claim_size(10**6, 10**6),
+             "line 7: cell count mismatch (expected 1000000 values, got 96)"),
         ],
         ids=["dem-not-utf8", "dem-nan-cell", "dem-inf-cell", "dem-nan-nodata",
-             "dem-nan-xllcorner", "dem-inf-cellsize", "gt-not-utf8", "fused-not-utf8"],
+             "dem-nan-xllcorner", "dem-inf-cellsize", "gt-not-utf8", "fused-not-utf8",
+             "dem-oversized-header"],
     )
     def test_bad_grid_is_a_usage_error(self, scene_dir, tmp_path, capsys, target, corrupt, message):
         grids = tmp_path / "grids"

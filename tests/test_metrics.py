@@ -426,13 +426,6 @@ class TestLosses:
         with pytest.raises(ValueError, match="dimension mismatch"):
             bce_loss(np.zeros((2, 3)), mask(np.zeros((3, 2))))
 
-    def test_losses_accept_probability_mask_objects(self):
-        from sinkseg.segmenter import ProbabilityMask
-
-        pm = ProbabilityMask(np.full((4, 4), 0.5))
-        gt = mask(np.zeros((4, 4)))
-        assert bce_loss(pm, gt) == bce_loss(np.full((4, 4), 0.5), gt)
-
 
 class TestReports:
     def sample_report(self):

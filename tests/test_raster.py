@@ -1,5 +1,6 @@
 """Raster containers, ASCII grid I/O, and grid arithmetic."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,6 +201,28 @@ class TestAsciiGridParsing:
         path.write_text(grid_text(["1 2"], nrows=3))
         with pytest.raises(GridFormatError, match="expected 3 data rows"):
             read_ascii_grid(path)
+
+    @pytest.mark.parametrize(
+        "ncols, nrows, message",
+        [
+            (10**6, 10**6, r"line 7: cell count mismatch \(expected 1000000 values, got 3\)"),
+            (3, 10**9, "expected 1000000000 data rows, found 1"),
+        ],
+        ids=["wide-and-tall", "tall"],
+    )
+    def test_header_larger_than_the_file_fails_before_allocating(
+        self, tmp_path, ncols, nrows, message
+    ):
+        path = tmp_path / "g.asc"
+        path.write_text(grid_text(["1 2 3"], ncols=ncols, nrows=nrows))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridFormatError, match=message):
+                read_ascii_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_extra_rows(self, tmp_path):
         path = tmp_path / "g.asc"

@@ -20,7 +20,6 @@ from sinkseg.raster import Raster, binarize
 from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
-    ProbabilityMask,
     ReplayBackend,
     fuse_probabilities,
     segment_patch,
@@ -55,42 +54,25 @@ class StubBackend:
 
 
 class TestProbabilityMask:
-    def test_values_copied_and_frozen(self):
-        src = np.zeros((2, 2))
-        pm = ProbabilityMask(src)
-        src[0, 0] = 1.0
-        assert pm.probs[0, 0] == 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            pm.probs[0, 0] = 0.5
+    """The per-box probability-mask contract, as segment_patch enforces it."""
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ProbabilityMask(np.array([[1.5]]))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ProbabilityMask(np.array([[np.nan]]))
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            ProbabilityMask(np.zeros(4))
-
-    def test_crop_materialises_on_access(self):
-        crop = np.array([[0.25, 1.0]])
-        pm = ProbabilityMask(crop, 1, 2, (3, 4))
-        assert pm.shape == (3, 4)
-        assert pm.probs.dtype == np.float64
-        assert np.array_equal(pm.probs, placed((3, 4), 1, 2, crop))
-        with pytest.raises(ValueError, match="read-only"):
-            pm.probs[0, 0] = 0.5
+        for value in (1.5, -0.25, np.nan, np.inf):
+            backend = StubBackend([(0, 0, np.full((2, 2), value))], [1.0])
+            with pytest.raises(ProtocolError, match=r"mask 0 has probabilities outside \[0, 1\]"):
+                segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     @pytest.mark.parametrize("row0, col0", [(-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_crop_must_lie_inside_the_grid(self, row0, col0):
-        with pytest.raises(ValueError, match="outside the patch shape"):
-            ProbabilityMask(np.zeros((1, 2)), row0, col0, (3, 4))
+        backend = StubBackend([(row0, col0, np.zeros((1, 2)))], [1.0])
+        with pytest.raises(ProtocolError, match="outside the patch shape"):
+            segment_patch(backend, gray_patch(3, 4), [PromptBox(0, 0, 2, 1)])
 
-    @pytest.mark.parametrize("row0, col0", [(True, 0), (0, 1.0), ("0", 0), (None, 0)])
+    @pytest.mark.parametrize("row0, col0", [("0", 0), (None, 0)])
     def test_offsets_must_be_integers(self, row0, col0):
-        with pytest.raises(ValueError, match="they must be integers"):
-            ProbabilityMask(np.zeros((1, 2)), row0, col0, (3, 4))
+        backend = StubBackend([(row0, col0, np.zeros((1, 2)))], [1.0])
+        with pytest.raises(ProtocolError, match="they must be integers"):
+            segment_patch(backend, gray_patch(3, 4), [PromptBox(0, 0, 2, 1)])
 
 
 class TestEchoBackend:
@@ -102,24 +84,23 @@ class TestEchoBackend:
 
     def test_mask_is_depth_support_inside_box(self):
         backend = EchoBackend(self.make_depth())
-        out = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 8, 8)])
+        probs = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 8, 8)])
         expected = np.zeros((16, 16))
         expected[4:8, 4:8] = 1.0
-        assert np.array_equal(out.probs, expected)
-        assert out.scores == (1.0,)
+        assert np.array_equal(probs, expected)
 
     def test_box_crops_the_component(self):
         backend = EchoBackend(self.make_depth())
-        out = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 6, 8)])
+        probs = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 6, 8)])
         expected = np.zeros((16, 16))
         expected[4:8, 4:6] = 1.0
-        assert np.array_equal(out.probs, expected)
+        assert np.array_equal(probs, expected)
 
     def test_whole_patch_box_recovers_all_depressions(self):
         depth = self.make_depth()
         backend = EchoBackend(depth)
-        out = segment_patch(backend, gray_patch(), [PromptBox(0, 0, 16, 16)])
-        assert np.array_equal(out.probs, (depth.values > 0).astype(np.float64))
+        probs = segment_patch(backend, gray_patch(), [PromptBox(0, 0, 16, 16)])
+        assert np.array_equal(probs, (depth.values > 0).astype(np.float64))
 
     def test_masks_are_box_sized_crops(self):
         backend = EchoBackend(self.make_depth())
@@ -137,10 +118,18 @@ class TestEchoBackend:
 
 class TestSegmentPatch:
     def test_no_boxes_yields_empty_outcome(self):
-        out = segment_patch(StubBackend(None, None), gray_patch(4, 4), [])
-        assert out.masks == () and out.scores == ()
-        assert out.probs.shape == (4, 4) and out.probs.dtype == np.float64
-        assert not out.probs.any()
+        probs = segment_patch(StubBackend(None, None), gray_patch(4, 4), [])
+        assert probs.shape == (4, 4) and probs.dtype == np.float64
+        assert not probs.any()
+
+    def test_backend_arrays_are_not_written(self):
+        a = np.full((4, 4), 0.25)
+        b = np.full((2, 3), 0.75)
+        backend = StubBackend([(0, 0, a), (1, 1, b)], [1.0, 1.0])
+        probs = segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 4, 4)] * 2)
+        assert np.array_equal(probs, np.maximum(a, placed((4, 4), 1, 1, b)))
+        assert np.all(a == 0.25) and np.all(b == 0.75)
+        assert not np.shares_memory(probs, a)
 
     def test_fusion_takes_pixelwise_max(self):
         a = np.zeros((4, 4))
@@ -150,18 +139,17 @@ class TestSegmentPatch:
         a[2, 2] = 0.6
         backend = StubBackend([(0, 0, a), (0, 0, b)], [0.5, 0.25])
         boxes = [PromptBox(0, 0, 4, 4), PromptBox(0, 0, 4, 4)]
-        out = segment_patch(backend, gray_patch(4, 4), boxes)
-        assert np.array_equal(out.probs, np.maximum(a, b))
-        assert out.probs[1, 1] == 0.9 and out.probs[2, 2] == 0.6
-        assert np.count_nonzero(out.probs > 0.5) == 2
-        assert out.scores == (0.5, 0.25)
+        probs = segment_patch(backend, gray_patch(4, 4), boxes)
+        assert np.array_equal(probs, np.maximum(a, b))
+        assert probs[1, 1] == 0.9 and probs[2, 2] == 0.6
+        assert np.count_nonzero(probs > 0.5) == 2
 
     def test_threshold_is_strict(self):
         mask = np.full((2, 2), 0.5)
         backend = StubBackend([(0, 0, mask)], [1.0])
-        out = segment_patch(backend, gray_patch(2, 2), [PromptBox(0, 0, 2, 2)])
-        assert np.array_equal(out.probs, mask)
-        assert not binarize(Raster(out.probs), 0.5).values.any()
+        probs = segment_patch(backend, gray_patch(2, 2), [PromptBox(0, 0, 2, 2)])
+        assert np.array_equal(probs, mask)
+        assert not binarize(Raster(probs), 0.5).values.any()
 
     def test_box_exceeding_patch_rejected(self):
         with pytest.raises(ValueError, match="exceeds patch"):
@@ -214,8 +202,8 @@ class TestSegmentPatch:
     @pytest.mark.parametrize("score", [1, np.float32(0.5), np.int64(1)], ids=repr)
     def test_integer_and_numpy_scalar_scores_accepted(self, score):
         backend = StubBackend([(0, 0, np.zeros((4, 4)))], [score])
-        out = segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
-        assert out.scores == (float(score),) and type(out.scores[0]) is float
+        probs = segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+        assert not probs.any()
 
     @pytest.mark.parametrize("score", ["0.5", None, [0.5], True], ids=repr)
     def test_score_that_is_not_a_number_named(self, score):
@@ -254,14 +242,10 @@ class TestStreamingFold:
     def test_fold_equals_fuse_probabilities(self, case):
         shape, crops = case
         backend = StubBackend(crops, [1.0] * len(crops))
-        out = segment_patch(backend, gray_patch(*shape), [PromptBox(0, 0, 1, 1)] * len(crops))
-        assert len(out.masks) == len(crops)
-        for mask, (row0, col0, crop) in zip(out.masks, crops):
-            assert mask.probs.shape == shape and mask.probs.dtype == np.float64
-            assert not mask.probs.flags.writeable
-            assert np.array_equal(mask.probs, placed(shape, row0, col0, crop))
-        assert out.probs.dtype == np.float64
-        assert np.array_equal(out.probs, fuse_probabilities([m.probs for m in out.masks], shape))
+        expected = fuse_probabilities([placed(shape, *crop) for crop in crops], shape)
+        probs = segment_patch(backend, gray_patch(*shape), [PromptBox(0, 0, 1, 1)] * len(crops))
+        assert probs.shape == shape and probs.dtype == np.float64
+        assert np.array_equal(probs, expected)
 
 
 class TestFuseProbabilities:
@@ -301,15 +285,14 @@ class TestReplayBackend:
         recorded[0, 0] = 255
         recorded[1, 1] = 128
         backend = self.record(tmp_path, "r00000_c00000", [recorded])
-        out = segment_patch(
+        probs = segment_patch(
             backend, gray_patch(4, 4), [PromptBox(0, 0, 4, 4)], patch_id="r00000_c00000"
         )
-        probs = out.masks[0].probs
         assert probs[0, 0] == 1.0
         assert probs[1, 1] == 128 / 255
         assert probs[2, 2] == 0.0
-        assert np.array_equal(out.probs, recorded / 255)
-        assert np.array_equal(out.probs > 0.5, recorded > 127)
+        assert np.array_equal(probs, recorded / 255)
+        assert np.array_equal(probs > 0.5, recorded > 127)
 
     def test_requires_patch_id(self, tmp_path):
         backend = ReplayBackend(tmp_path)
@@ -341,19 +324,17 @@ class TestHttpBackend:
     def test_boxfill_round_trip(self):
         with MockSegmentServer(mode="boxfill", value=255) as server:
             backend = HttpBackend(server.endpoint)
-            out = segment_patch(backend, gray_patch(8, 8), [PromptBox(2, 1, 5, 4)])
+            probs = segment_patch(backend, gray_patch(8, 8), [PromptBox(2, 1, 5, 4)])
             expected = np.zeros((8, 8))
             expected[1:4, 2:5] = 1.0
-            assert np.array_equal(out.probs, expected)
-            assert np.array_equal(out.masks[0].probs, expected)
+            assert np.array_equal(probs, expected)
             assert server.request_count == 1
 
     def test_constant_probabilities_bit_exact(self):
         with MockSegmentServer(mode="constant", value=178) as server:
             backend = HttpBackend(server.endpoint)
-            out = segment_patch(backend, gray_patch(6, 6), [PromptBox(0, 0, 3, 3)])
-            assert np.all(out.masks[0].probs == 178 / 255)
-            assert np.all(out.probs == 178 / 255)
+            probs = segment_patch(backend, gray_patch(6, 6), [PromptBox(0, 0, 3, 3)])
+            assert np.all(probs == 178 / 255)
 
     def test_server_error_carries_detail(self):
         with MockSegmentServer(fault="http_500") as server:
@@ -388,18 +369,16 @@ class TestHttpBackend:
         seen = []
         reply = {"masks_crop": [[5, 6, b64_pgm(crop)]], "scores": [0.5]}
         with serving(canned(200, reply, seen)) as endpoint:
-            out = segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(6, 5, 8, 7)])
+            probs = segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(6, 5, 8, 7)])
         assert seen[0]["boxes"] == [[6, 5, 8, 7]]
-        assert np.array_equal(out.probs, placed((8, 8), 5, 6, crop / 255.0))
-        assert out.scores == (0.5,)
+        assert np.array_equal(probs, placed((8, 8), 5, 6, crop / 255.0))
 
     def test_patch_sized_crop_at_origin_bit_exact(self):
         full = np.arange(64, dtype=np.uint8).reshape(8, 8) * 4
         reply = {"masks_crop": [[0, 0, b64_pgm(full)]], "scores": [1.0]}
         with serving(canned(200, reply)) as endpoint:
-            out = segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
-        assert out.masks[0].crop.shape == (8, 8)
-        assert np.array_equal(out.probs.view(np.int64), (full / 255.0).view(np.int64))
+            probs = segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
+        assert np.array_equal(probs.view(np.int64), (full / 255.0).view(np.int64))
 
     def test_unreachable_service(self):
         with socket.socket() as s:
@@ -487,7 +466,7 @@ class TestHttpBackend:
                 t.join()
             assert not errors
             assert server.request_count == 8
-            assert all(np.all(r.probs == 1.0) for r in results)
+            assert all(np.all(r == 1.0) for r in results)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="retries"):
