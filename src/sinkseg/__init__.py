@@ -36,7 +36,6 @@ from .metrics import (
     detection_curve,
     dice_loss,
     evaluate_masks,
-    metrics_from_confusion,
     object_match,
     pixel_confusion,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "gen_terrain",
     "invert_depth",
     "label_components",
-    "metrics_from_confusion",
     "object_match",
     "pixel_confusion",
     "plan_tiles",

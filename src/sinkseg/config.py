@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .labeling import FilterThresholds
 from .metrics import DEFAULT_THRESHOLDS, check_label
+from .segmenter import check_endpoint
 from .tiling import MergeRule, TileSpec
 
 BACKEND_KINDS = ("echo", "http", "replay")
@@ -246,20 +246,6 @@ def check_out_dir(out: str | Path, name: str) -> None:
             return
 
 
-def _check_endpoint(endpoint: str) -> None:
-    """An http(s) URL with a host and, if given, a numeric port."""
-    parts = urlsplit(endpoint)
-    try:
-        parts.port  # parsing the port is the check
-    except ValueError:
-        raise ConfigError(f"backend.endpoint has an invalid port: {endpoint!r}") from None
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ConfigError(
-            f"backend.endpoint must be an http:// or https:// URL with a host, "
-            f"got {endpoint!r}"
-        )
-
-
 def validate_for(cfg: PipelineConfig, command: str) -> None:
     """Check that every input the given command touches is configured.
 
@@ -284,7 +270,10 @@ def validate_for(cfg: PipelineConfig, command: str) -> None:
         if cfg.backend_kind == "http":
             if not cfg.backend_endpoint:
                 raise ConfigError("backend.endpoint is required when backend.kind = http")
-            _check_endpoint(cfg.backend_endpoint)
+            try:
+                check_endpoint(cfg.backend_endpoint)
+            except ValueError as exc:
+                raise ConfigError(f"backend.{exc}") from None
         if cfg.backend_kind == "replay":
             if cfg.backend_replay_dir is None:
                 raise ConfigError("backend.replay_dir is required when backend.kind = replay")

@@ -156,9 +156,10 @@ def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray, nod
     not raised, ``filled - value`` where raised."""
     from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-    # node k is the k-th lowest valid cell and node 0 the virtual outlet.
-    # np.unique sorts the same way, so a run of tied elevations keeps the
-    # same representative level (its first member: -0.0 or 0.0).
+    # node k is the k-th lowest valid cell in np.argsort's default order and
+    # node 0 the virtual outlet.  Each run of tied elevations is represented
+    # by its first member in that order, which may carry either sign of zero;
+    # the depth, filled - value, is the same for both.
     elevation = values[valid]
     order = np.argsort(elevation)
     elevation = elevation[order]

@@ -1,10 +1,11 @@
 """Pixel- and object-level evaluation of predicted masks, plus losses.
 
-Pixel metrics follow the usual confusion-count formulas (accuracy,
-precision, recall, F1, IoU).  Degenerate cases use the standard
-conventions: when both masks are empty every ratio metric is 1.0; when the
-prediction is empty but the ground truth is not, precision is 0 (and
-mirrored for recall).  F1 is computed as ``2tp / (2tp + fp + fn)``, which
+A report holds only what was measured: the pixel confusion counts and the
+object detection rows.  Its accuracy, precision, recall, F1 and IoU are
+computed from the counts by the usual formulas.  Degenerate cases use the
+standard conventions: when both masks are empty every ratio metric is 1.0;
+when the prediction is empty but the ground truth is not, precision is 0
+(and mirrored for recall).  F1 is computed as ``2tp / (2tp + fp + fn)``, which
 equals the harmonic-mean form whenever that is defined and keeps the
 algebraic identity ``F1 = 2·IoU / (1 + IoU)``.
 
@@ -17,7 +18,7 @@ histogram; the candidate pairs it gives are sorted once for all thresholds.
 
 Losses: binary cross-entropy with probabilities clamped to
 [eps, 1 - eps] (eps = 1e-7) and soft Dice with smoothing 1.0; the combined
-loss is exactly their sum.
+loss holds both and reads its total as their sum.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class PixelConfusion:
     def __post_init__(self) -> None:
         for name in ("tp", "tn", "fp", "fn"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
             object.__setattr__(self, name, int(v))
 
@@ -58,30 +59,60 @@ class PixelConfusion:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Pixel metrics plus optional per-threshold object detection rows."""
+    """What eval measured: pixel counts and per-threshold detection rows.
 
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    iou: float
+    Accuracy, precision, recall, F1 and IoU are read from the counts.
+    """
+
     pixel_confusion: PixelConfusion
     object_rows: tuple[tuple[float, int, int, int], ...] = ()
+
+    @property
+    def accuracy(self) -> float:
+        c = self.pixel_confusion
+        return (c.tp + c.tn) / c.total if c.total else 1.0
+
+    @property
+    def precision(self) -> float:
+        c = self.pixel_confusion
+        if c.tp + c.fp:
+            return c.tp / (c.tp + c.fp)
+        return 1.0 if c.fn == 0 else 0.0
+
+    @property
+    def recall(self) -> float:
+        c = self.pixel_confusion
+        if c.tp + c.fn:
+            return c.tp / (c.tp + c.fn)
+        return 1.0 if c.fp == 0 else 0.0
+
+    @property
+    def f1(self) -> float:
+        c = self.pixel_confusion
+        denom = 2 * c.tp + c.fp + c.fn
+        return 2 * c.tp / denom if denom else 1.0
+
+    @property
+    def iou(self) -> float:
+        c = self.pixel_confusion
+        union = c.tp + c.fp + c.fn
+        return c.tp / union if union else 1.0
 
 
 @dataclass(frozen=True)
 class LossValue:
-    """Eq.-style combined loss; ``total`` is exactly ``bce + dice``."""
+    """Eq.-style combined loss; ``total`` is ``bce + dice``."""
 
     bce: float
     dice: float
-    total: float
 
     def __post_init__(self) -> None:
         if self.bce < 0:
             raise ValueError(f"bce must be non-negative, got {self.bce}")
-        if self.total != self.bce + self.dice:
-            raise ValueError("total must equal bce + dice exactly")
+
+    @property
+    def total(self) -> float:
+        return self.bce + self.dice
 
 
 def pixel_confusion(
@@ -107,31 +138,6 @@ def pixel_confusion(
     fn = int(np.count_nonzero(~p & g))
     tn = int(p.size - tp - fp - fn)
     return PixelConfusion(tp=tp, tn=tn, fp=fp, fn=fn)
-
-
-def metrics_from_confusion(c: PixelConfusion) -> MetricsReport:
-    """Accuracy, precision, recall, F1, and IoU from pixel counts."""
-    accuracy = (c.tp + c.tn) / c.total if c.total else 1.0
-    if c.tp + c.fp:
-        precision = c.tp / (c.tp + c.fp)
-    else:
-        precision = 1.0 if c.fn == 0 else 0.0
-    if c.tp + c.fn:
-        recall = c.tp / (c.tp + c.fn)
-    else:
-        recall = 1.0 if c.fp == 0 else 0.0
-    denom = 2 * c.tp + c.fp + c.fn
-    f1 = 2 * c.tp / denom if denom else 1.0
-    union = c.tp + c.fp + c.fn
-    iou = c.tp / union if union else 1.0
-    return MetricsReport(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        iou=iou,
-        pixel_confusion=c,
-    )
 
 
 def _check_threshold(iou_threshold: float) -> None:
@@ -242,9 +248,7 @@ def dice_loss(probs, gt: BinaryMask, smooth: float = DICE_SMOOTH) -> float:
 
 def combined_loss(probs, gt: BinaryMask) -> LossValue:
     """BCE plus Dice; ``total`` is their exact sum."""
-    b = bce_loss(probs, gt)
-    d = dice_loss(probs, gt)
-    return LossValue(bce=b, dice=d, total=b + d)
+    return LossValue(bce=bce_loss(probs, gt), dice=dice_loss(probs, gt))
 
 
 def report_to_json(report: MetricsReport) -> str:
@@ -266,25 +270,6 @@ def report_to_json(report: MetricsReport) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def report_from_json(text: str) -> MetricsReport:
-    doc = json.loads(text)
-    pc = doc["pixel_confusion"]
-    return MetricsReport(
-        accuracy=float(doc["accuracy"]),
-        precision=float(doc["precision"]),
-        recall=float(doc["recall"]),
-        f1=float(doc["f1"]),
-        iou=float(doc["iou"]),
-        pixel_confusion=PixelConfusion(
-            tp=int(pc["tp"]), tn=int(pc["tn"]), fp=int(pc["fp"]), fn=int(pc["fn"])
-        ),
-        object_rows=tuple(
-            (float(r["iou_threshold"]), int(r["tp"]), int(r["fp"]), int(r["fn"]))
-            for r in doc.get("detection", [])
-        ),
-    )
 
 
 def check_label(label: str, key: str = "label") -> None:
@@ -316,15 +301,7 @@ def evaluate_masks(
     The object rows ignore *ignore*: they are :func:`detection_curve` of
     the two masks' components.
     """
-    confusion = pixel_confusion(pred, gt, ignore)
-    base = metrics_from_confusion(confusion)
-    rows = detection_curve(components_from_mask(pred), components_from_mask(gt), thresholds)
     return MetricsReport(
-        accuracy=base.accuracy,
-        precision=base.precision,
-        recall=base.recall,
-        f1=base.f1,
-        iou=base.iou,
-        pixel_confusion=confusion,
-        object_rows=tuple(rows),
+        pixel_confusion(pred, gt, ignore),
+        tuple(detection_curve(components_from_mask(pred), components_from_mask(gt), thresholds)),
     )

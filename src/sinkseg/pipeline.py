@@ -210,8 +210,10 @@ def _write_depth(depth: Raster, path: Path) -> None:
 def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Raster:
     """Load the depth the fill stage wrote for *window* (None: the mosaic).
 
-    The array must be float64 with the shape the manifest gives; georeference
-    and nodata are rebuilt from the manifest.
+    The array must be float64 with the shape the manifest gives; the shape
+    is checked from the ``.npy`` header, before any data is read, so a header
+    that claims a huge array allocates nothing.  Georeference and nodata are
+    rebuilt from the manifest.
     """
     if window is None:
         width, height = doc["width"], doc["height"]
@@ -228,17 +230,24 @@ def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Rast
                         raise InputError(
                             f"expected exactly one array 'depth', found {archive.files}"
                         )
-                    values = archive["depth"]
+                    with archive.zip.open(archive.zip.namelist()[0]) as member:
+                        version = np.lib.format.read_magic(member)
+                        if version == (1, 0):
+                            shape, _, _ = np.lib.format.read_array_header_1_0(member)
+                        else:
+                            shape, _, _ = np.lib.format.read_array_header_2_0(member)
+                        if len(shape) != 2:
+                            raise InputError(f"depth has {len(shape)} dimensions, expected 2")
+                        if shape != (height, width):
+                            raise InputError(
+                                f"depth is {shape[1]}x{shape[0]}, expected {width}x{height}"
+                            )
+                        member.seek(0)
+                        values = np.lib.format.read_array(member, allow_pickle=False)
         except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
             raise InputError(f"unreadable depth archive ({exc})") from exc
         if values.dtype != np.float64:
             raise InputError(f"depth has dtype {values.dtype}, expected float64")
-        if values.ndim != 2:
-            raise InputError(f"depth has {values.ndim} dimensions, expected 2")
-        if values.shape != (height, width):
-            raise InputError(
-                f"depth is {values.shape[1]}x{values.shape[0]}, expected {width}x{height}"
-            )
         return Raster(values, doc["nodata"], *_georef(doc, window))
 
 

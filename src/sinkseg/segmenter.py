@@ -30,6 +30,7 @@ import math
 import threading
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -79,6 +80,22 @@ class EchoBackend:
         return crops, [1.0] * len(boxes)
 
 
+def check_endpoint(endpoint: str) -> None:
+    """Raise ``ValueError`` unless *endpoint* is an http(s) URL with a host.
+
+    A port, if given, must be numeric.  The message starts with ``endpoint``.
+    """
+    parts = urlsplit(endpoint)
+    try:
+        parts.port  # parsing the port is the check
+    except ValueError:
+        raise ValueError(f"endpoint has an invalid port: {endpoint!r}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(
+            f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}"
+        )
+
+
 class HttpBackend:
     """Client for a remote box-prompt segmentation service.
 
@@ -103,14 +120,15 @@ class HttpBackend:
         retries: int = 2,
         max_inflight: int = 4,
     ):
-        import requests  # loaded only by runs that build an http client
-
+        check_endpoint(endpoint)
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"timeout must be finite and > 0, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        import requests  # loaded only by runs that build an http client
+
         self._url = endpoint.rstrip("/") + "/segment"
         self._timeout = timeout
         self._retries = retries

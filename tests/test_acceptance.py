@@ -29,11 +29,11 @@ from sinkseg.labeling import (
 )
 from sinkseg.metrics import (
     DEFAULT_THRESHOLDS,
+    MetricsReport,
     PixelConfusion,
     bce_loss,
     combined_loss,
     dice_loss,
-    metrics_from_confusion,
     object_match,
     pixel_confusion,
 )
@@ -147,7 +147,7 @@ def test_4_metric_hand_checks_and_loss_identities():
     gt = np.zeros((4, 4), dtype=bool)
     pred[0:2, 0:2] = True
     gt[0:2, 1:3] = True
-    report = metrics_from_confusion(pixel_confusion(BinaryMask(pred), BinaryMask(gt)))
+    report = MetricsReport(pixel_confusion(BinaryMask(pred), BinaryMask(gt)))
     assert report.precision == 0.5
     assert report.recall == 0.5
     assert report.f1 == 0.5
@@ -170,7 +170,7 @@ def test_5_metric_identities_and_matching_monotonicity():
     rng = np.random.default_rng(505)
     for _ in range(1000):
         tp, fp, fn, tn = (int(v) for v in rng.integers(0, 1000, size=4))
-        r = metrics_from_confusion(PixelConfusion(tp=tp, tn=tn, fp=fp, fn=fn))
+        r = MetricsReport(PixelConfusion(tp=tp, tn=tn, fp=fp, fn=fn))
         assert math.isclose(r.f1, 2 * r.iou / (1 + r.iou), rel_tol=0, abs_tol=1e-12)
 
     for _ in range(100):

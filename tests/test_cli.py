@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,21 @@ def rename_member(path):
 
 def object_array(path):
     np.savez_compressed(path, depth=np.full((48, 48), None, dtype=object))
+
+
+def huge_header(path):
+    """An archive whose ``depth.npy`` header claims 10^6 x 10^6 float64 over 16 bytes."""
+    header = {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)}
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive, \
+            archive.open("depth.npy", "w") as member:
+        np.lib.format.write_array_header_1_0(member, header)
+        member.write(bytes(16))
+
+
+def raw_member(path):
+    """An archive whose one member ``depth`` holds bytes that are not an ``.npy`` array."""
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("depth", b"not an npy member")
 
 
 def oversized_box(path):
@@ -344,6 +360,10 @@ class TestExitCodes:
              "expected exactly one array 'depth', found ['depth', 'filled']"),
             ("patch", "prompts", "patches/r00000_c00000.depth.npz", object_array,
              "Object arrays cannot be loaded when allow_pickle=False"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", huge_header,
+             "r00000_c00000.depth.npz: depth is 1000000x1000000, expected 48x48"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", raw_member,
+             "unreadable depth archive (the magic string is not correct"),
             ("mosaic", "segment", "depth_filtered.asc", cut_grid_to(60),
              "is 60x60, expected 96x96"),
             ("patch", "segment", "patches/r00000_c00000.boxes.json", oversized_box,
@@ -357,7 +377,8 @@ class TestExitCodes:
         ],
         ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
-             "no-depth-member", "extra-member", "object-depth", "short-filtered-depth",
+             "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
+             "raw-member-depth", "short-filtered-depth",
              "box-outside-patch", "string-area", "bool-coordinate", "foreign-boxes"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(

@@ -1,5 +1,6 @@
 """Pixel metrics, object matching, losses, and report serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -19,10 +20,8 @@ from sinkseg.metrics import (
     detection_curve,
     dice_loss,
     evaluate_masks,
-    metrics_from_confusion,
     object_match,
     pixel_confusion,
-    report_from_json,
     report_to_csv,
     report_to_json,
 )
@@ -152,6 +151,11 @@ class TestPixelConfusion:
         with pytest.raises(ValueError, match="fp"):
             PixelConfusion(tp=1, tn=1, fp=-1, fn=0)
 
+    def test_bool_is_not_a_count(self):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match="tp must be a non-negative integer"):
+                PixelConfusion(tp=flag, tn=0, fp=0, fn=0)
+
 
 class TestMetricValues:
     def test_shifted_blocks_exact_values(self):
@@ -159,7 +163,7 @@ class TestMetricValues:
         gt = np.zeros((4, 4), dtype=bool)
         pred[0:2, 0:2] = True
         gt[0:2, 1:3] = True
-        r = metrics_from_confusion(pixel_confusion(mask(pred), mask(gt)))
+        r = MetricsReport(pixel_confusion(mask(pred), mask(gt)))
         assert r.precision == 0.5
         assert r.recall == 0.5
         assert r.f1 == 0.5
@@ -167,40 +171,40 @@ class TestMetricValues:
         assert r.accuracy == 0.75
 
     def test_perfect_prediction(self):
-        r = metrics_from_confusion(PixelConfusion(tp=7, tn=3, fp=0, fn=0))
+        r = MetricsReport(PixelConfusion(tp=7, tn=3, fp=0, fn=0))
         assert (r.accuracy, r.precision, r.recall, r.f1, r.iou) == (1.0,) * 5
 
     def test_both_empty_is_perfect(self):
-        r = metrics_from_confusion(PixelConfusion(tp=0, tn=16, fp=0, fn=0))
+        r = MetricsReport(PixelConfusion(tp=0, tn=16, fp=0, fn=0))
         assert (r.accuracy, r.precision, r.recall, r.f1, r.iou) == (1.0,) * 5
 
     def test_empty_prediction_against_nonempty_gt(self):
-        r = metrics_from_confusion(PixelConfusion(tp=0, tn=10, fp=0, fn=6))
+        r = MetricsReport(PixelConfusion(tp=0, tn=10, fp=0, fn=6))
         assert r.precision == 0.0
         assert r.recall == 0.0
         assert r.f1 == 0.0 and r.iou == 0.0
 
     def test_nonempty_prediction_against_empty_gt(self):
-        r = metrics_from_confusion(PixelConfusion(tp=0, tn=10, fp=6, fn=0))
+        r = MetricsReport(PixelConfusion(tp=0, tn=10, fp=6, fn=0))
         assert r.precision == 0.0
         assert r.recall == 0.0
 
     def test_zero_total_area(self):
-        r = metrics_from_confusion(PixelConfusion(tp=0, tn=0, fp=0, fn=0))
+        r = MetricsReport(PixelConfusion(tp=0, tn=0, fp=0, fn=0))
         assert r.accuracy == 1.0
 
     def test_f1_iou_identity_on_random_counts(self, rng):
         for _ in range(1000):
             tp, fp, fn = (int(v) for v in rng.integers(0, 500, size=3))
-            r = metrics_from_confusion(PixelConfusion(tp=tp, tn=5, fp=fp, fn=fn))
+            r = MetricsReport(PixelConfusion(tp=tp, tn=5, fp=fp, fn=fn))
             assert math.isclose(r.f1, 2 * r.iou / (1 + r.iou), rel_tol=0, abs_tol=1e-12)
 
     def test_swapping_pred_and_gt_swaps_precision_and_recall(self, rng):
         for _ in range(20):
             a = mask(rng.random((12, 12)) > 0.6)
             b = mask(rng.random((12, 12)) > 0.6)
-            fwd = metrics_from_confusion(pixel_confusion(a, b))
-            rev = metrics_from_confusion(pixel_confusion(b, a))
+            fwd = MetricsReport(pixel_confusion(a, b))
+            rev = MetricsReport(pixel_confusion(b, a))
             assert fwd.precision == rev.recall and fwd.recall == rev.precision
             assert fwd.f1 == rev.f1 and fwd.iou == rev.iou and fwd.accuracy == rev.accuracy
 
@@ -417,10 +421,8 @@ class TestLosses:
         assert loss.dice == dice_loss(probs, gt)
 
     def test_loss_value_validation(self):
-        with pytest.raises(ValueError, match="exactly"):
-            LossValue(bce=1.0, dice=0.5, total=1.6)
         with pytest.raises(ValueError, match="non-negative"):
-            LossValue(bce=-0.1, dice=0.5, total=0.4)
+            LossValue(bce=-0.1, dice=0.5)
 
     def test_loss_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -430,18 +432,27 @@ class TestLosses:
 class TestReports:
     def sample_report(self):
         return MetricsReport(
-            accuracy=0.75,
-            precision=0.5,
-            recall=0.5,
-            f1=0.5,
-            iou=1 / 3,
-            pixel_confusion=PixelConfusion(tp=2, tn=10, fp=2, fn=2),
-            object_rows=((0.1, 1, 0, 0), (0.5, 0, 1, 1)),
+            PixelConfusion(tp=2, tn=10, fp=2, fn=2),
+            ((0.1, 1, 0, 0), (0.5, 0, 1, 1)),
         )
 
-    def test_json_round_trip(self):
+    def test_report_files_are_pinned(self):
         report = self.sample_report()
-        assert report_from_json(report_to_json(report)) == report
+        assert report_to_json(report) == (
+            '{"accuracy":0.75,"detection":[{"fn":0,"fp":0,"iou_threshold":0.1,"tp":1},'
+            '{"fn":1,"fp":1,"iou_threshold":0.5,"tp":0}],"f1":0.5,"iou":0.3333333333333333,'
+            '"pixel_confusion":{"fn":2,"fp":2,"tn":10,"tp":2},"precision":0.5,"recall":0.5}\n'
+        )
+        assert report_to_csv([("run", report)]) == (
+            "label,f1,iou,precision,recall,accuracy\n"
+            "run,0.5,0.3333333333333333,0.5,0.5,0.75\n"
+        )
+
+    def test_record_holds_only_what_was_measured(self):
+        assert [f.name for f in dataclasses.fields(MetricsReport)] == [
+            "pixel_confusion", "object_rows",
+        ]
+        assert [f.name for f in dataclasses.fields(LossValue)] == ["bce", "dice"]
 
     def test_json_layout(self):
         doc = json.loads(report_to_json(self.sample_report()))

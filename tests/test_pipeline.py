@@ -310,11 +310,10 @@ class TestSegmentAndEval:
         assert fused.values.shape == gt.values.shape
 
     def test_report_files_match_returned_report(self, scene_dir, tmp_path):
-        from sinkseg.metrics import report_from_json
+        from sinkseg.metrics import report_to_json
 
         cfg, report = self.run_all(scene_dir, tmp_path / "out")
-        on_disk = report_from_json((tmp_path / "out" / "report.json").read_text())
-        assert on_disk == report
+        assert (tmp_path / "out" / "report.json").read_text() == report_to_json(report)
         csv_text = (tmp_path / "out" / "report.csv").read_text()
         assert csv_text.startswith("label,f1,iou,precision,recall,accuracy\nrun,")
 

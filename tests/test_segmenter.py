@@ -399,6 +399,28 @@ class TestHttpBackend:
         with pytest.raises(ValueError, match=f"timeout must be finite and > 0, got {timeout}"):
             HttpBackend("http://127.0.0.1:9", timeout=timeout)
 
+    @pytest.mark.parametrize(
+        "endpoint, pattern",
+        [
+            ("ftp://x", "endpoint must be an http:// or https:// URL with a host"),
+            ("localhost:8080", "endpoint must be an http:// or https:// URL with a host"),
+            ("http://", "endpoint must be an http:// or https:// URL with a host"),
+            ("http://127.0.0.1:notaport", "endpoint has an invalid port"),
+        ],
+        ids=["ftp", "schemeless", "hostless", "bad-port"],
+    )
+    def test_unusable_endpoint_rejected_before_a_session_opens(
+        self, endpoint, pattern, monkeypatch
+    ):
+        import requests
+
+        def refuse():
+            raise AssertionError("a session was opened")
+
+        monkeypatch.setattr(requests, "Session", refuse)
+        with pytest.raises(ValueError, match=pattern):
+            HttpBackend(endpoint)
+
     @pytest.mark.parametrize("body", [["oops"], "oops", None, 3])
     def test_error_body_that_is_not_an_object(self, body):
         with serving(canned(503, body)) as endpoint:
