@@ -222,18 +222,22 @@ def detection_curve(
     return rows
 
 
-def _check_loss_shapes(probs: np.ndarray, gt: BinaryMask) -> np.ndarray:
+def _check_loss_inputs(probs: np.ndarray, gt: BinaryMask) -> np.ndarray:
+    """*gt* as float64, once *probs* matches its shape and every probability
+    is finite and in [0, 1]."""
     if probs.shape != gt.values.shape:
         raise ValueError(
             f"probs/gt dimension mismatch: {probs.shape} vs {gt.values.shape}"
         )
+    if probs.size and not (np.isfinite(probs).all() and 0.0 <= probs.min() <= probs.max() <= 1.0):
+        raise ValueError("probabilities must be finite and in [0, 1]")
     return gt.values.astype(np.float64)
 
 
 def bce_loss(probs, gt: BinaryMask, eps: float = BCE_EPS) -> float:
     """Mean binary cross-entropy; probabilities clamped to [eps, 1-eps]."""
     p = np.asarray(probs, dtype=np.float64)
-    y = _check_loss_shapes(p, gt)
+    y = _check_loss_inputs(p, gt)
     p = np.clip(p, eps, 1.0 - eps)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
@@ -241,7 +245,7 @@ def bce_loss(probs, gt: BinaryMask, eps: float = BCE_EPS) -> float:
 def dice_loss(probs, gt: BinaryMask, smooth: float = DICE_SMOOTH) -> float:
     """Soft Dice loss: ``1 - (2·Σp·y + s) / (Σp + Σy + s)``."""
     p = np.asarray(probs, dtype=np.float64)
-    y = _check_loss_shapes(p, gt)
+    y = _check_loss_inputs(p, gt)
     inter = float((p * y).sum())
     return 1.0 - (2.0 * inter + smooth) / (float(p.sum()) + float(y.sum()) + smooth)
 

@@ -149,8 +149,13 @@ def _upstream(path: Path, stage: str):
         raise error(f"{path}: {what} — rerun the {stage} stage") from exc
 
 
-def _read_manifest(out: Path) -> tuple[dict, list[TileWindow]]:
-    """The validated manifest and the windows it plans."""
+def _read_manifest(out: Path) -> dict:
+    """The validated manifest.
+
+    Its windows are planned by :func:`_plan`, once the stage has compared
+    the claimed extent with a file of real size, so a claim larger than
+    what fill wrote is refused before it is planned or allocated.
+    """
     path = out / MANIFEST_NAME
     with _upstream(path, "fill"):
         try:
@@ -178,9 +183,15 @@ def _read_manifest(out: Path) -> tuple[dict, list[TileWindow]]:
             raise bad("fill_mode", f"one of {FILL_MODES}")
         if type(doc["invert_depth"]) is not bool:
             raise bad("invert_depth", "true or false")
-        spec = TileSpec(doc["patch"], doc["stride"])
-        windows = plan_tiles(doc["width"], doc["height"], spec)
-    return doc, windows
+        TileSpec(doc["patch"], doc["stride"])  # checks patch and stride
+    return doc
+
+
+def _plan(out: Path, doc: dict) -> list[TileWindow]:
+    """The windows of the manifest *doc*; a patch larger than the extent is
+    the manifest's fault."""
+    with _upstream(out / MANIFEST_NAME, "fill"):
+        return plan_tiles(doc["width"], doc["height"], TileSpec(doc["patch"], doc["stride"]))
 
 
 def _is_finite_number(value) -> bool:
@@ -207,6 +218,37 @@ def _write_depth(depth: Raster, path: Path) -> None:
             np.lib.format.write_array(member, depth.values, allow_pickle=False)
 
 
+@contextmanager
+def _depth_member(path: Path, width: int, height: int):
+    """The rewound ``depth.npy`` member of the fill archive *path*, once its
+    header shows a *width* x *height* grid; nothing else is read.  A read
+    error in the block is reported as one of *path*."""
+    try:
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise InputError("not an .npz archive")
+            with archive:
+                if archive.files != ["depth"]:
+                    raise InputError(f"expected exactly one array 'depth', found {archive.files}")
+                with archive.zip.open(archive.zip.namelist()[0]) as member:
+                    version = np.lib.format.read_magic(member)
+                    if version == (1, 0):
+                        shape, _, _ = np.lib.format.read_array_header_1_0(member)
+                    else:
+                        shape, _, _ = np.lib.format.read_array_header_2_0(member)
+                    if len(shape) != 2:
+                        raise InputError(f"depth has {len(shape)} dimensions, expected 2")
+                    if shape != (height, width):
+                        raise InputError(
+                            f"depth is {shape[1]}x{shape[0]}, expected {width}x{height}"
+                        )
+                    member.seek(0)
+                    yield member
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise InputError(f"unreadable depth archive ({exc})") from exc
+
+
 def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Raster:
     """Load the depth the fill stage wrote for *window* (None: the mosaic).
 
@@ -220,32 +262,8 @@ def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Rast
     else:
         width = height = window.patch
     with _upstream(path, "fill"):
-        try:
-            with open(path, "rb") as fh:
-                archive = np.load(fh, allow_pickle=False)
-                if not isinstance(archive, np.lib.npyio.NpzFile):
-                    raise InputError("not an .npz archive")
-                with archive:
-                    if archive.files != ["depth"]:
-                        raise InputError(
-                            f"expected exactly one array 'depth', found {archive.files}"
-                        )
-                    with archive.zip.open(archive.zip.namelist()[0]) as member:
-                        version = np.lib.format.read_magic(member)
-                        if version == (1, 0):
-                            shape, _, _ = np.lib.format.read_array_header_1_0(member)
-                        else:
-                            shape, _, _ = np.lib.format.read_array_header_2_0(member)
-                        if len(shape) != 2:
-                            raise InputError(f"depth has {len(shape)} dimensions, expected 2")
-                        if shape != (height, width):
-                            raise InputError(
-                                f"depth is {shape[1]}x{shape[0]}, expected {width}x{height}"
-                            )
-                        member.seek(0)
-                        values = np.lib.format.read_array(member, allow_pickle=False)
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-            raise InputError(f"unreadable depth archive ({exc})") from exc
+        with _depth_member(path, width, height) as member:
+            values = np.lib.format.read_array(member, allow_pickle=False)
         if values.dtype != np.float64:
             raise InputError(f"depth has dtype {values.dtype}, expected float64")
         return Raster(values, doc["nodata"], *_georef(doc, window))
@@ -293,7 +311,7 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
     """
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
-    doc, windows = _read_manifest(out)
+    doc = _read_manifest(out)
     patches = out / "patches"
     patches.mkdir(parents=True, exist_ok=True)
 
@@ -301,6 +319,14 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
     depth_mosaic = None
     if doc["fill_mode"] == "mosaic":
         depth_mosaic = _read_depth(mosaic_path, doc)
+    elif doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses the manifest
+        # the claimed bottom-right window has an archive only if fill wrote that extent
+        side = doc["patch"]
+        last = TileWindow(doc["height"] - side, doc["width"] - side, side)
+        last_path = patches / f"{patch_id(last)}.depth.npz"
+        with _upstream(last_path, "fill"), _depth_member(last_path, side, side):
+            pass
+    windows = _plan(out, doc)
 
     def work(window: TileWindow):
         if depth_mosaic is not None:
@@ -348,7 +374,7 @@ def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> Bi
     validate_for(cfg, "segment")
     out = Path(cfg.out_dir)
     patches = out / "patches"
-    doc, windows = _read_manifest(out)
+    doc = _read_manifest(out)
 
     rgb = read_ppm(cfg.rgb_mosaic)
     if (rgb.height, rgb.width) != (doc["height"], doc["width"]):
@@ -356,6 +382,7 @@ def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> Bi
             f"rgb mosaic is {rgb.width}x{rgb.height} but the fill manifest says "
             f"{doc['width']}x{doc['height']}"
         )
+    windows = _plan(out, doc)
     shared_backend = _build_shared_backend(cfg)
     if shared_backend is None and depth_filtered is None:  # echo paints the filtered depth
         filtered_path = out / "depth_filtered.asc"

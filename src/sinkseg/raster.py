@@ -136,7 +136,7 @@ class BinaryMask:
         return int(self.values.sum())
 
 
-def _parse_header(lines: list[str], path: Path) -> tuple[dict, int]:
+def _parse_header(lines: list[str], path: Path) -> dict:
     header = {}
     for i, key in enumerate(_HEADER_KEYS):
         if i >= len(lines):
@@ -166,13 +166,13 @@ def _parse_header(lines: list[str], path: Path) -> tuple[dict, int]:
         raise GridFormatError(f"{path}: cellsize must be positive")
     header["ncols"] = ncols
     header["nrows"] = nrows
-    return header, len(_HEADER_KEYS)
+    return header
 
 
 def _parse_grid(path: Path) -> tuple[dict, np.ndarray]:
     with open(path) as fh:
         try:
-            header, _ = _parse_header(
+            header = _parse_header(
                 [fh.readline().rstrip("\n") for _ in _HEADER_KEYS], path
             )
             data = _load_rows(fh)
@@ -206,15 +206,13 @@ def _parse_grid_lines(path: Path) -> tuple[dict, np.ndarray]:
             lines = [line.rstrip("\n") for line in fh]
     except UnicodeDecodeError as exc:
         raise GridFormatError(f"{path}: not a text grid ({exc})") from exc
-    header, first_data = _parse_header(lines, Path(path))
+    header = _parse_header(lines, Path(path))
     ncols, nrows = header["ncols"], header["nrows"]
-    nodata_token = header["nodata_value"]
-    nodata = header["nodata_float"]
 
     # The layout is checked before the grid is allocated, so a header that
     # claims more cells than the file holds cannot ask for that much memory.
     data_lines = []
-    for lineno in range(first_data, len(lines)):
+    for lineno in range(len(_HEADER_KEYS), len(lines)):
         count = len(lines[lineno].split())
         if not count:
             continue
@@ -234,9 +232,6 @@ def _parse_grid_lines(path: Path) -> tuple[dict, np.ndarray]:
     data = np.empty((nrows, ncols), dtype=np.float64)
     for row, lineno in enumerate(data_lines):
         for j, tok in enumerate(lines[lineno].split()):
-            if tok == nodata_token:
-                data[row, j] = nodata
-                continue
             try:
                 data[row, j] = float(tok)
             except ValueError as exc:

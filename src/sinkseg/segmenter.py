@@ -1,15 +1,15 @@
 """Prompt-driven segmentation backends and per-patch mask fusion.
 
 A backend turns one RGB patch plus a list of box prompts into one
-probability mask per box (values in [0, 1]) and a confidence score per box.
-Every mask travels as a crop: ``(row0, col0, array)``, the rectangle of the
-patch whose top-left cell is (``row0``, ``col0``), zero outside it.
-:func:`segment_patch` drives any backend, enforces the shared output
-contract, and returns one probability grid per patch (pixelwise max across
-boxes).  Each crop is checked once and folded into that grid in place, so a
-15-px mask never costs a patch-sized array or a copy of itself; the scores
-are checked and dropped.  Binarization happens later, once, on the stitched
-mosaic.
+probability mask per box (values in [0, 1]).  Every mask travels as a crop:
+``(row0, col0, array)``, the rectangle of the patch whose top-left cell is
+(``row0``, ``col0``), zero outside it, and a backend returns only the list
+of those crops.  :func:`segment_patch` drives any backend and returns one
+probability grid per patch (pixelwise max across boxes):
+:func:`fuse_probabilities` checks each crop once against the shared output
+contract and folds it into that grid in place, so a 15-px mask never costs
+a patch-sized array or a copy of itself.  Binarization happens later, once,
+on the stitched mosaic.
 
 Three backends ship with the package:
 
@@ -17,7 +17,8 @@ Three backends ship with the package:
   restricted to that box; needs no model and makes the pipeline
   self-contained for tests and dry runs.
 * :class:`HttpBackend` — speaks the JSON-over-HTTP wire protocol to a
-  remote model server (base64 PPM in, base64 PGM crops out).
+  remote model server (base64 PPM in, base64 PGM crops out); it checks the
+  confidence score the server sends per box and does not keep it.
 * :class:`ReplayBackend` — replays masks recorded on disk, one PGM per
   box, for offline reproduction of a previous run.
 """
@@ -73,11 +74,10 @@ class EchoBackend:
                 f"echo depth raster is {self._positive.shape}, patch is "
                 f"{(patch.height, patch.width)}"
             )
-        crops = [
+        return [
             (box.y0, box.x0, self._positive[box.y0 : box.y1, box.x0 : box.x1].astype(np.float64))
             for box in boxes
         ]
-        return crops, [1.0] * len(boxes)
 
 
 def check_endpoint(endpoint: str) -> None:
@@ -105,9 +105,10 @@ class HttpBackend:
     base64 binary PGM (maxval 255) of any rectangle of the patch outside
     which the mask is zero, and the row and column of its top-left cell (a
     whole-patch mask is ``[0, 0, pgm_b64]``).  It also carries one
-    confidence per box under ``"scores"``.  Mask pixel values divide by 255
-    to probabilities.  Error replies use a non-200 status, with an
-    ``{"error": ...}`` body that is surfaced in the raised exception.
+    confidence per box under ``"scores"``: each must be a number in [0, 1],
+    and none is kept.  Mask pixel values divide by 255 to probabilities.
+    Error replies use a non-200 status, with an ``{"error": ...}`` body that
+    is surfaced in the raised exception.
 
     Connection failures and timeouts are retried ``retries`` times; at most
     ``max_inflight`` requests run concurrently across threads.
@@ -167,13 +168,22 @@ class HttpBackend:
         for i, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise ProtocolError(f"mask {i}: crop entry must be [row0, col0, pgm_b64]")
-            row0, col0, b64 = entry  # offsets are checked by segment_patch
+            row0, col0, b64 = entry  # offsets are checked by fuse_probabilities
             try:
                 blob = base64.b64decode(b64, validate=True)
             except (binascii.Error, TypeError) as exc:
                 raise ProtocolError(f"mask {i}: invalid base64: {exc}") from exc
             crops.append((row0, col0, _gray255(blob, f"mask {i}") / 255.0))
-        return crops, scores
+        if len(scores) != len(boxes):
+            raise ProtocolError(
+                f"score count mismatch: {len(boxes)} boxes but {len(scores)} scores"
+            )
+        for i, score in enumerate(scores):  # checked, not kept
+            if not isinstance(score, (int, float)) or isinstance(score, bool):
+                raise ProtocolError(f"score {i} is not a number: {score!r}")
+            if not 0.0 <= score <= 1.0:  # NaN fails both comparisons
+                raise ProtocolError(f"score {i} outside [0, 1]: {score!r}")
+        return crops
 
 
 def _reply_object(response) -> dict:
@@ -220,41 +230,10 @@ class ReplayBackend:
             if gray.shape != shape:
                 raise ProtocolError(f"mask {i} has shape {gray.shape}, expected patch shape {shape}")
             crops.append((0, 0, gray / 255.0))
-        return crops, [1.0] * len(boxes)
+        return crops
 
 
-def _validate_outcome(crops, scores, boxes) -> None:
-    if len(crops) != len(boxes):
-        raise ProtocolError(
-            f"mask count mismatch: {len(boxes)} boxes but {len(crops)} masks"
-        )
-    if len(scores) != len(boxes):
-        raise ProtocolError(
-            f"score count mismatch: {len(boxes)} boxes but {len(scores)} scores"
-        )
-    for i, s in enumerate(scores):
-        if not isinstance(s, (int, float, np.integer, np.floating)) or isinstance(s, bool):
-            raise ProtocolError(f"score {i} is not a number: {s!r}")
-        if not np.isfinite(s) or s < 0.0 or s > 1.0:
-            raise ProtocolError(f"score {i} outside [0, 1]: {s!r}")
-
-
-def fuse_probabilities(masks, shape: tuple[int, int]) -> np.ndarray:
-    """Pixelwise maximum over whole-patch probability grids (zeros if empty).
-
-    :func:`segment_patch` computes the same maximum crop by crop; this
-    whole-grid form is the reference its fold is tested against, and the
-    benchmark tracer wraps it by name, so it keeps its name and signature.
-    """
-    if not masks:
-        return np.zeros(shape, dtype=np.float64)
-    out = masks[0].astype(np.float64, copy=True)
-    for m in masks[1:]:
-        np.maximum(out, m, out=out)
-    return out
-
-
-def _fold_crop(probs: np.ndarray, i: int, entry) -> None:
+def fuse_probabilities(probs: np.ndarray, i: int, entry) -> None:
     """Check backend entry *i*, ``(row0, col0, crop)``, and max it into *probs*.
 
     The crop is read in place, never copied or written; any contract breach
@@ -293,27 +272,29 @@ def segment_patch(
     """Run *backend* on one patch; return its float64 probability grid.
 
     The grid is the pixelwise maximum over all boxes' masks; with no boxes
-    the backend is not called and the grid is all zeros.  Each crop is
-    checked and folded into the grid once, as soon as it is read, and the
-    scores are checked but not kept.
+    the backend is not called and the grid is all zeros.  The backend
+    returns one crop per box, and each is checked and folded into the grid
+    once, by :func:`fuse_probabilities`.
 
     Raises
     ------
     ProtocolError
-        If the backend output violates the contract (counts, numeric scores,
-        crop entry form, integer offsets, placement inside the patch, or
-        range), regardless of which backend produced it.
+        If the backend output violates the contract (mask count, crop entry
+        form, integer offsets, a numeric 2-D grid, placement inside the
+        patch, or range), regardless of which backend produced it.
     """
     for box in boxes:
         if box.x1 > patch.width or box.y1 > patch.height:
             raise ValueError(f"box {box} exceeds patch {patch.width}x{patch.height}")
     probs = np.zeros((patch.height, patch.width), dtype=np.float64)
     if boxes:
-        crops, scores = backend.masks_for(patch, boxes, patch_id)
-        _validate_outcome(crops, scores, boxes)
-        crops = list(crops)
+        crops = list(backend.masks_for(patch, boxes, patch_id))
+        if len(crops) != len(boxes):
+            raise ProtocolError(
+                f"mask count mismatch: {len(boxes)} boxes but {len(crops)} masks"
+            )
         for i in range(len(crops)):
             entry = crops[i]
             crops[i] = None  # drop the backend's copy: one extra crop alive, not all
-            _fold_crop(probs, i, entry)
+            fuse_probabilities(probs, i, entry)
     return probs

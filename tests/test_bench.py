@@ -55,6 +55,8 @@ def test_traced_run_counts_labelling_and_matching(scene_dir, tmp_path, mode):
                 "metrics.detection_curve_s", "segmenter.segment_patch_s",
                 "segmenter.boxes_sent"):
         assert layers[key] > 0, key
+    # the traced fuse is the fold segment_patch runs: one call per crop
+    assert layers["segmenter.fuse_calls"] == layers["segmenter.boxes_sent"] > 0
 
     cmd_run(load_config(None, [*settings, f"out_dir={tmp_path / 'plain'}"]))
     assert tree_digests(tmp_path / "traced") == tree_digests(tmp_path / "plain")

@@ -338,6 +338,41 @@ class TestExitCodes:
         assert "internal error" not in captured.err
 
     @pytest.mark.parametrize(
+        "fill_mode, stage, message",
+        [
+            ("patch", "prompts", "r03984_c03984.depth.npz not found — run the fill stage first"),
+            ("mosaic", "prompts", "depth.npz: depth is 96x96, expected 4000x4000"),
+            ("patch", "segment", "rgb mosaic is 96x96 but the fill manifest says 4000x4000"),
+        ],
+        ids=["patch-prompts", "mosaic-prompts", "segment"],
+    )
+    def test_oversized_manifest_claim_is_refused_before_planning(
+        self, scene_dir, tmp_path, capsys, fill_mode, stage, message
+    ):
+        """A claim larger than fill wrote is compared with a real file first:
+        no window is planned and no mosaic allocated for it."""
+        import tracemalloc
+
+        out = tmp_path / "out"
+        common = ["--set", f"out_dir={out}", "--set", f"fill.mode={fill_mode}",
+                  "--set", "tile.patch=16", "--set", "tile.stride=16"]
+        assert main(["fill", "--set", f"depth_raster={scene_dir / 'dem.asc'}", *common]) == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "width": 4000, "height": 4000}))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main([stage, "--set", f"rgb_mosaic={scene_dir / 'rgb.ppm'}", *common])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert peak < 2_000_000, f"peak {peak / 1e6:.1f} MB"
+        assert message in err
+
+    @pytest.mark.parametrize(
         "fill_mode, stage, artifact, corrupt, message",
         [
             ("patch", "prompts", "patches/r00000_c00000.depth.npz", negate_first_cell,

@@ -428,6 +428,16 @@ class TestLosses:
         with pytest.raises(ValueError, match="dimension mismatch"):
             bce_loss(np.zeros((2, 3)), mask(np.zeros((3, 2))))
 
+    @pytest.mark.parametrize("loss", [bce_loss, dice_loss, combined_loss],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.5], ids=repr)
+    @pytest.mark.parametrize("where", [(1, 2), ...], ids=["one-cell", "every-cell"])
+    def test_probabilities_outside_unit_interval_rejected(self, loss, bad, where):
+        probs = np.full((3, 3), 0.5)
+        probs[where] = bad
+        with pytest.raises(ValueError, match=r"probabilities must be finite and in \[0, 1\]"):
+            loss(probs, mask(np.ones((3, 3))))
+
 
 class TestReports:
     def sample_report(self):

@@ -1,4 +1,8 @@
-"""Segmentation backends, output validation, and mask fusion."""
+"""Segmentation backends, output validation, and mask fusion.
+
+A backend returns one ``(row0, col0, crop)`` per box; ``segment_patch``
+checks the count and folds each crop with ``fuse_probabilities``.
+"""
 
 import base64
 import socket
@@ -21,7 +25,6 @@ from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
     ReplayBackend,
-    fuse_probabilities,
     segment_patch,
 )
 
@@ -41,16 +44,39 @@ def placed(shape, row0, col0, crop):
     return grid
 
 
-class StubBackend:
-    """Returns the ``(row0, col0, array)`` crops and scores it was told to;
-    lets tests violate the contract."""
+def whole_grid_fuse(masks, shape):
+    """Pixelwise maximum over whole-patch grids (zeros if empty): the
+    reference the crop fold is tested against."""
+    if not masks:
+        return np.zeros(shape, dtype=np.float64)
+    out = masks[0].astype(np.float64, copy=True)
+    for m in masks[1:]:
+        np.maximum(out, m, out=out)
+    return out
 
-    def __init__(self, masks, scores):
+
+class StubBackend:
+    """Returns the ``(row0, col0, array)`` crops it was told to; lets tests
+    violate the contract."""
+
+    def __init__(self, masks):
         self.masks = masks
-        self.scores = scores
 
     def masks_for(self, patch, boxes, patch_id=""):
-        return self.masks, self.scores
+        return self.masks
+
+
+def fold(crops, shape):
+    """The probability grid segment_patch folds from *crops*, one box each."""
+    boxes = [PromptBox(0, 0, 1, 1)] * len(crops)
+    return segment_patch(StubBackend(crops), gray_patch(*shape), boxes)
+
+
+def wire_reply(reply):
+    """segment_patch through the http client, on an 8x8 patch with one box,
+    when the service answers *reply*."""
+    with serving(canned(200, reply)) as endpoint:
+        return segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
 
 
 class TestProbabilityMask:
@@ -58,19 +84,19 @@ class TestProbabilityMask:
 
     def test_range_enforced(self):
         for value in (1.5, -0.25, np.nan, np.inf):
-            backend = StubBackend([(0, 0, np.full((2, 2), value))], [1.0])
+            backend = StubBackend([(0, 0, np.full((2, 2), value))])
             with pytest.raises(ProtocolError, match=r"mask 0 has probabilities outside \[0, 1\]"):
                 segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     @pytest.mark.parametrize("row0, col0", [(-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_crop_must_lie_inside_the_grid(self, row0, col0):
-        backend = StubBackend([(row0, col0, np.zeros((1, 2)))], [1.0])
+        backend = StubBackend([(row0, col0, np.zeros((1, 2)))])
         with pytest.raises(ProtocolError, match="outside the patch shape"):
             segment_patch(backend, gray_patch(3, 4), [PromptBox(0, 0, 2, 1)])
 
     @pytest.mark.parametrize("row0, col0", [("0", 0), (None, 0)])
     def test_offsets_must_be_integers(self, row0, col0):
-        backend = StubBackend([(row0, col0, np.zeros((1, 2)))], [1.0])
+        backend = StubBackend([(row0, col0, np.zeros((1, 2)))])
         with pytest.raises(ProtocolError, match="they must be integers"):
             segment_patch(backend, gray_patch(3, 4), [PromptBox(0, 0, 2, 1)])
 
@@ -104,11 +130,13 @@ class TestEchoBackend:
 
     def test_masks_are_box_sized_crops(self):
         backend = EchoBackend(self.make_depth())
-        crops, scores = backend.masks_for(gray_patch(), [PromptBox(4, 4, 6, 8)])
-        ((row0, col0, crop),) = crops
-        assert (row0, col0) == (4, 4)
+        crops = backend.masks_for(gray_patch(), [PromptBox(4, 4, 6, 8), PromptBox(1, 9, 7, 15)])
+        assert isinstance(crops, list) and len(crops) == 2
+        (row0, col0, crop), (row1, col1, other) = crops
+        assert (row0, col0, row1, col1) == (4, 4, 9, 1)
         assert crop.shape == (4, 2) and crop.dtype == np.float64
-        assert np.all(crop == 1.0) and scores == [1.0]
+        assert np.all(crop == 1.0)
+        assert other.shape == (6, 6) and other.sum() == 4 * 4  # the 4x4 pit at [10:14, 2:6]
 
     def test_patch_shape_mismatch(self):
         backend = EchoBackend(self.make_depth())
@@ -118,14 +146,14 @@ class TestEchoBackend:
 
 class TestSegmentPatch:
     def test_no_boxes_yields_empty_outcome(self):
-        probs = segment_patch(StubBackend(None, None), gray_patch(4, 4), [])
+        probs = segment_patch(StubBackend(None), gray_patch(4, 4), [])
         assert probs.shape == (4, 4) and probs.dtype == np.float64
         assert not probs.any()
 
     def test_backend_arrays_are_not_written(self):
         a = np.full((4, 4), 0.25)
         b = np.full((2, 3), 0.75)
-        backend = StubBackend([(0, 0, a), (1, 1, b)], [1.0, 1.0])
+        backend = StubBackend([(0, 0, a), (1, 1, b)])
         probs = segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 4, 4)] * 2)
         assert np.array_equal(probs, np.maximum(a, placed((4, 4), 1, 1, b)))
         assert np.all(a == 0.25) and np.all(b == 0.75)
@@ -137,7 +165,7 @@ class TestSegmentPatch:
         a[1, 1] = 0.4
         b[1, 1] = 0.9
         a[2, 2] = 0.6
-        backend = StubBackend([(0, 0, a), (0, 0, b)], [0.5, 0.25])
+        backend = StubBackend([(0, 0, a), (0, 0, b)])
         boxes = [PromptBox(0, 0, 4, 4), PromptBox(0, 0, 4, 4)]
         probs = segment_patch(backend, gray_patch(4, 4), boxes)
         assert np.array_equal(probs, np.maximum(a, b))
@@ -146,28 +174,37 @@ class TestSegmentPatch:
 
     def test_threshold_is_strict(self):
         mask = np.full((2, 2), 0.5)
-        backend = StubBackend([(0, 0, mask)], [1.0])
+        backend = StubBackend([(0, 0, mask)])
         probs = segment_patch(backend, gray_patch(2, 2), [PromptBox(0, 0, 2, 2)])
         assert np.array_equal(probs, mask)
         assert not binarize(Raster(probs), 0.5).values.any()
 
     def test_box_exceeding_patch_rejected(self):
         with pytest.raises(ValueError, match="exceeds patch"):
-            segment_patch(StubBackend([], []), gray_patch(4, 4), [PromptBox(0, 0, 5, 4)])
+            segment_patch(StubBackend([]), gray_patch(4, 4), [PromptBox(0, 0, 5, 4)])
+
+    @pytest.mark.parametrize("n_boxes, pattern", [(1, "mask count mismatch: 1 boxes but 2"),
+                                                  (2, "mask 0: crop entry must be")])
+    def test_crops_and_scores_pair_rejected(self, n_boxes, pattern):
+        """A backend that returns ``(crops, scores)`` fails loudly."""
+        crops = [(0, 0, np.zeros((2, 2)))] * n_boxes
+        backend = StubBackend((crops, [1.0] * n_boxes))
+        with pytest.raises(ProtocolError, match=pattern):
+            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)] * n_boxes)
 
     def test_mask_count_mismatch_named(self):
-        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [1.0, 1.0])
+        backend = StubBackend([(0, 0, np.zeros((4, 4)))])
         boxes = [PromptBox(0, 0, 2, 2), PromptBox(2, 2, 4, 4)]
         with pytest.raises(ProtocolError, match="mask count mismatch: 2 boxes but 1"):
             segment_patch(backend, gray_patch(4, 4), boxes)
 
     def test_score_count_mismatch_named(self):
-        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [])
-        with pytest.raises(ProtocolError, match="score count mismatch"):
-            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+        reply = {"masks_crop": [[0, 0, b64_pgm(np.zeros((4, 4)))]], "scores": []}
+        with pytest.raises(ProtocolError, match="score count mismatch: 1 boxes but 0 scores"):
+            wire_reply(reply)
 
     def test_mask_shape_mismatch_named(self):
-        backend = StubBackend([(2, 0, np.zeros((3, 4)))], [1.0])
+        backend = StubBackend([(2, 0, np.zeros((3, 4)))])
         pattern = r"mask 0 has shape \(3, 4\) at \[2, 0\], outside the patch shape \(4, 4\)"
         with pytest.raises(ProtocolError, match=pattern):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
@@ -185,31 +222,25 @@ class TestSegmentPatch:
         ids=["bare-array", "two-items", "bool-offset", "float-offset", "not-numeric", "1-d"],
     )
     def test_malformed_crop_entry_named(self, entry, pattern):
-        backend = StubBackend([entry], [1.0])
+        backend = StubBackend([entry])
         with pytest.raises(ProtocolError, match=pattern):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     def test_mask_range_violation_named(self):
-        backend = StubBackend([(0, 0, np.full((4, 4), 1.25))], [1.0])
+        backend = StubBackend([(0, 0, np.full((4, 4), 1.25))])
         with pytest.raises(ProtocolError, match=r"mask 0 has probabilities outside"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     def test_score_range_violation_named(self):
-        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [1.5])
-        with pytest.raises(ProtocolError, match=r"score 0 outside \[0, 1\]"):
-            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
-
-    @pytest.mark.parametrize("score", [1, np.float32(0.5), np.int64(1)], ids=repr)
-    def test_integer_and_numpy_scalar_scores_accepted(self, score):
-        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [score])
-        probs = segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
-        assert not probs.any()
+        reply = {"masks_crop": [[0, 0, b64_pgm(np.zeros((4, 4)))]], "scores": [1.5]}
+        with pytest.raises(ProtocolError, match=r"score 0 outside \[0, 1\]: 1.5"):
+            wire_reply(reply)
 
     @pytest.mark.parametrize("score", ["0.5", None, [0.5], True], ids=repr)
     def test_score_that_is_not_a_number_named(self, score):
-        backend = StubBackend([(0, 0, np.zeros((4, 4)))], [score])
+        reply = {"masks_crop": [[0, 0, b64_pgm(np.zeros((4, 4)))]], "scores": [score]}
         with pytest.raises(ProtocolError, match=r"score 0 is not a number: "):
-            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+            wire_reply(reply)
 
 
 @st.composite
@@ -241,34 +272,33 @@ class TestStreamingFold:
     @given(patch_and_crops())
     def test_fold_equals_fuse_probabilities(self, case):
         shape, crops = case
-        backend = StubBackend(crops, [1.0] * len(crops))
-        expected = fuse_probabilities([placed(shape, *crop) for crop in crops], shape)
-        probs = segment_patch(backend, gray_patch(*shape), [PromptBox(0, 0, 1, 1)] * len(crops))
+        expected = whole_grid_fuse([placed(shape, *crop) for crop in crops], shape)
+        probs = fold(crops, shape)
         assert probs.shape == shape and probs.dtype == np.float64
         assert np.array_equal(probs, expected)
 
 
 class TestFuseProbabilities:
-    def test_empty_list_gives_zeros(self):
-        assert not fuse_probabilities([], (3, 3)).any()
+    """The fold segment_patch runs, driven through a stub backend."""
 
     def test_order_independent(self, rng):
-        masks = [rng.random((6, 6)) for _ in range(5)]
-        fused = fuse_probabilities(masks, (6, 6))
-        assert np.array_equal(fuse_probabilities(masks[::-1], (6, 6)), fused)
+        crops = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)), rng.random((4, 4)))
+                 for _ in range(5)]
+        fused = fold(crops, (6, 6))
+        assert np.array_equal(fold(crops[::-1], (6, 6)), fused)
 
     def test_monotone_in_mask_count(self, rng):
-        masks = [rng.random((5, 5)) for _ in range(4)]
+        crops = [(0, 0, rng.random((5, 5))) for _ in range(4)]
         prev = np.zeros((5, 5))
         for k in range(1, 5):
-            fused = fuse_probabilities(masks[:k], (5, 5))
+            fused = fold(crops[:k], (5, 5))
             assert np.all(fused >= prev)
             prev = fused
 
     def test_does_not_mutate_inputs(self):
         a = np.full((2, 2), 0.2)
-        b = np.full((2, 2), 0.7)
-        fuse_probabilities([a, b], (2, 2))
+        b = np.full((1, 2), 0.7)
+        fold([(0, 0, a), (1, 0, b)], (2, 2))
         assert np.all(a == 0.2) and np.all(b == 0.7)
 
 
@@ -304,6 +334,15 @@ class TestReplayBackend:
         boxes = [PromptBox(0, 0, 2, 2), PromptBox(2, 2, 4, 4)]
         with pytest.raises(BackendError, match="replay mask missing.*1.pgm"):
             segment_patch(backend, gray_patch(4, 4), boxes, patch_id="p0")
+
+    def test_masks_are_patch_crops_at_origin(self, tmp_path):
+        recorded = [np.full((4, 4), v, dtype=np.uint8) for v in (0, 51, 255)]
+        backend = self.record(tmp_path, "p0", recorded)
+        crops = backend.masks_for(gray_patch(4, 4), [PromptBox(0, 0, 2, 2)] * 3, "p0")
+        assert isinstance(crops, list) and len(crops) == 3
+        for (row0, col0, crop), gray in zip(crops, recorded):
+            assert (row0, col0) == (0, 0)
+            assert np.array_equal(crop, gray / 255.0)
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 2)], ids=["one-row-short", "quarter"])
     def test_wrong_size_rejected(self, tmp_path, shape):
@@ -456,16 +495,33 @@ class TestHttpBackend:
             ({}, "'masks_crop' missing or not a list"),
             ({"masks_crop": [[0, 0, b64_pgm(np.ones((4, 4)))]], "scores": "x"},
              "'scores' missing or not a list"),
+            ({"masks_crop": [[0, 0, b64_pgm(np.ones((4, 4)))]], "scores": None},
+             "'scores' missing or not a list"),
+            ({"masks_crop": [[0, 0, b64_pgm(np.ones((4, 4)))]], "scores": [1.0, 1.0]},
+             "score count mismatch: 1 boxes but 2 scores"),
+            ({"masks_crop": [[0, 0, b64_pgm(np.ones((4, 4)))]], "scores": [float("nan")]},
+             r"score 0 outside \[0, 1\]: nan"),
+            ({"masks_crop": [[0, 0, b64_pgm(np.ones((4, 4)))]], "scores": [float("inf")]},
+             r"score 0 outside \[0, 1\]: inf"),
+            ({"masks_crop": [[0, 0, b64_pgm(np.ones((4, 4)))]], "scores": [-0.5]},
+             r"score 0 outside \[0, 1\]: -0.5"),
         ],
         ids=["negative-row", "overhang-bottom", "overhang-right", "bool-offset",
              "float-offset", "two-items", "bare-string", "bad-base64", "int-payload",
              "ppm-not-pgm", "not-a-list", "full-patch-sized", "full-one-row-short",
-             "full-quarter-patch", "full-given-a-crop", "no-masks", "scores-not-a-list"],
+             "full-quarter-patch", "full-given-a-crop", "no-masks", "scores-not-a-list",
+             "scores-null", "score-count", "nan-score", "inf-score", "negative-score"],
     )
     def test_malformed_reply_rejected(self, reply, pattern):
         with serving(canned(200, {"scores": [1.0], **reply})) as endpoint:
             with pytest.raises(ProtocolError, match=pattern):
                 segment_patch(HttpBackend(endpoint), gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
+
+    @pytest.mark.parametrize("score", [1, 0, 0.5], ids=repr)
+    def test_number_score_accepted(self, score):
+        probs = wire_reply({"masks_crop": [[0, 0, b64_pgm(np.full((2, 2), 255))]],
+                            "scores": [score]})
+        assert np.array_equal(probs, placed((8, 8), 0, 0, np.ones((2, 2))))
 
     def test_concurrent_requests_all_served(self):
         with MockSegmentServer(mode="constant", value=255) as server:
