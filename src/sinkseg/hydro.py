@@ -8,17 +8,18 @@ the unique lowest one that is >= the input everywhere, equals it at the
 outlets, and leaves no cell below all of its 8 neighbours: the surface that a
 priority flood (Barnes et al. 2014, *Computers & Geosciences* 62) builds.
 
-Minimax paths between any two nodes of a weighted graph run along every
-minimum spanning tree of it (Hu 1961, the maximum-capacity route problem).
-So the fill is one compiled pass: rank the elevations, weight each
-8-neighbour edge by the higher rank of its two cells, join every outlet to a
-virtual outlet node, take a minimum spanning tree, and give each cell the
-running maximum of ranks on its tree path from the virtual node.  A diagonal
-edge with a detour through its 2x2 block that is no heavier is left out;
-that halves the graph on most terrain and changes no minimax value.  The
-level is an index into the sorted input elevations, so the output is exact:
-a raised cell takes the bits of the elevation that bounds it, and every
-other cell keeps its input bits.
+**The block kernel.**  Minimax paths between any two nodes of a weighted
+graph run along every minimum spanning tree of it (Hu 1961, the
+maximum-capacity route problem).  So a block of cells is filled in one
+compiled pass: rank the elevations, weight each 8-neighbour edge by the
+higher rank of its two cells, join every outlet to a virtual outlet node,
+take a minimum spanning tree, and give each cell the running maximum of
+ranks on its tree path from the virtual node.  A diagonal edge with a detour
+through its 2x2 block that is no heavier is left out; that halves the graph
+on most terrain and changes no minimax value.  The level is an index into
+the sorted input elevations, so the output is exact: a raised cell takes
+the value of the elevation that bounds it, and every other cell keeps its
+input bits.
 
 The graph's nodes are numbered by elevation: the virtual node is 0 and the
 valid cells are 1..N from lowest to highest, so rank never falls as the
@@ -28,11 +29,52 @@ graph stores them.  Kruskal's algorithm inside ``minimum_spanning_tree``
 starts with a stable sort of the weights, which then finds one sorted run
 and takes linear time; on noisy terrain that sort was most of the kernel.
 The one sort left is that of the elevations, which numbers the nodes.
+
+**The tiled fill.**  A raster is cut into blocks of at most ``_BLOCK`` cells
+a side, and each block is filled once on its own, with its edge as outlets
+as well as its cells next to nodata.  Each cell *c* gets its level ``f(c)``
+within the block and its *drainage label*: the outlet through which its tree
+path leaves the block, the virtual node's child on that path.  A region (the
+raster, or one window of it that is a union of blocks) is then joined
+through a small graph (the parallel Priority-Flood of Barnes 2016,
+*Computers & Geosciences* 96).  Its nodes are the blocks' labels plus the
+virtual node; its edges are
+
+- each 8-neighbour pair in one block with different labels, and each pair
+  across a seam between two blocks: an edge between their labels that
+  weighs ``max(f(a), f(b))``, the lightest one kept per label pair;
+- each region outlet, a cell on the region's edge or next to nodata: an edge
+  from its label to the virtual node that weighs its own ``f``.
+
+The minimax level ``L`` of each label from the virtual node then gives each
+cell its filled level ``max(f(c), L(label(c)))``.
+
+*Why this is exact.*  Minimax distance ``d`` is an ultrametric:
+``d(x, z) <= max(d(x, y), d(y, z))``.  The tree path from *c* to
+``label(c)`` has bottleneck at most ``f(c)``, and each join edge stands for
+a path of cells no heavier than its weight, so ``max(f(c), L(label c))`` is
+the bottleneck of a real path from *c* to a region outlet: it is never below
+the true level ``F(c)``.  Conversely, ``f(x) <= F(x)`` for every cell *x*,
+since every region path from *x* meets an outlet of the block of *x*.  Along
+the best region path from *c*, each step from *x* to its neighbour *y* is
+either inside one label or a join edge no heavier than ``max(f(x), f(y))``,
+so ``L(label x) <= max(f(x), f(y), L(label y))``; and the path ends at a
+region outlet *o*, where ``L(label o) <= f(o)``.  Every ``f`` on the path is
+at most ``F(c)``, so ``max(f(c), L(label c)) <= F(c)``.
+
+**The sign of a zero level.**  Levels are compared as numbers, and ``-0.0``
+equals ``+0.0``, so a block cannot tell which zero bounds a cell that another
+block raises.  One rule makes the bits independent of the tiling: a raised
+cell whose level is zero is written as ``+0.0``.  Cells that are not raised
+keep their input bits, ``-0.0`` included.  Depth, ``filled - input``, is the
+same under either sign.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +82,14 @@ from .errors import NoOutletError
 from .raster import Raster
 
 _NEIGHBOURS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+# each 8-neighbour pair once: east, south, south-east and south-west
+_PAIRS = (
+    (np.s_[:, :-1], np.s_[:, 1:]),
+    (np.s_[:-1, :], np.s_[1:, :]),
+    (np.s_[:-1, :-1], np.s_[1:, 1:]),
+    (np.s_[:-1, 1:], np.s_[1:, :-1]),
+)
+_BLOCK = 256  # the largest block side; one block's graph stays a few MB
 
 
 @dataclass(frozen=True)
@@ -59,10 +109,11 @@ class FilledResult:
     depth: Raster
 
 
-def _outlet_mask(valid: np.ndarray) -> np.ndarray:
-    """Valid cells that drain off the grid: on the edge or touching nodata."""
+def _outlet_mask(valid: np.ndarray, edge: bool = True) -> np.ndarray:
+    """Valid cells that drain off the grid: touching nodata, or on the edge
+    unless *edge* is false."""
     h, w = valid.shape
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded = np.full((h + 2, w + 2), not edge)
     padded[1:-1, 1:-1] = valid
     interior = np.ones_like(valid)
     for dr, dc in _NEIGHBOURS:
@@ -151,15 +202,21 @@ def _spill_graph(node: np.ndarray, rank: np.ndarray, outlet: np.ndarray):
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray, nodata: float):
-    """The filled surface and its depth: nodata where invalid, ``0.0`` where
-    not raised, ``filled - value`` where raised."""
+def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray):
+    """Each cell's fill level with *outlet* cells draining, and its drainage label.
+
+    The level is the input's own bits where not raised, and the value of the
+    bounding elevation where raised (nodata cells keep their input).  The
+    label numbers, from 1, the outlets that are the virtual node's children
+    in the spanning tree: each valid cell gets the one its tree path from
+    the virtual node passes, and nodata cells get 0.
+    """
     from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
     # node k is the k-th lowest valid cell in np.argsort's default order and
-    # node 0 the virtual outlet.  Each run of tied elevations is represented
-    # by its first member in that order, which may carry either sign of zero;
-    # the depth, filled - value, is the same for both.
+    # node 0 the virtual outlet.  A run of tied elevations is one rank, whose
+    # level is that of its first member in that order; which sign of zero
+    # that is does not matter, as a raised zero is written as +0.0 in the end.
     elevation = values[valid]
     order = np.argsort(elevation)
     elevation = elevation[order]
@@ -182,28 +239,216 @@ def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray, nod
     _, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
     del tree
 
-    # running max of ranks down the tree from the virtual node, by pointer jumping
-    parent[parent < 0] = 0  # the virtual node itself
+    # pointer jumping, with the virtual node's children pointing at
+    # themselves: each node's pointer comes to rest on the child its tree
+    # path passes, carrying the running max of ranks down to the node
+    root_child = parent == 0
+    jump = np.where(root_child, np.arange(rank.size, dtype=np.int32), parent)
+    jump[0] = 0
     level = rank.copy()
-    while (parent != 0).any():
-        np.maximum(level, level[parent], out=level)
-        parent = parent[parent]
+    while True:
+        np.maximum(level, level[jump], out=level)
+        further = jump[jump]
+        if np.array_equal(further, jump):
+            break
+        jump = further
+    label = np.cumsum(root_child, dtype=np.int32)[jump][node]  # node 0 is no child
     level, rank = level[node], rank[node]
     raised = level > rank
     filled = values.copy()
     filled[raised] = levels[level[raised] - 1]
-    depth = np.where(valid, 0.0, np.float64(nodata))
-    depth[raised] = filled[raised] - values[raised]
-    return filled, depth
+    return filled, label
 
 
-def fill_depressions(dem: Raster) -> FilledResult:
+@dataclass(frozen=True)
+class _Block:
+    """One block filled on its own: the cells ``rows`` x ``cols`` of the raster.
+
+    ``level`` and ``label`` are :func:`_minimax_fill`'s, and ``labels`` is
+    how many labels there are.  ``edges`` holds ``(a, b, weight)`` arrays,
+    the lightest per label pair: between labels ``a < b`` that meet inside
+    the block, and from ``a = 0``, the virtual node, to each label with a
+    cell next to nodata inside the block.
+    """
+
+    rows: slice
+    cols: slice
+    level: np.ndarray
+    label: np.ndarray
+    labels: int
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _lightest(a: np.ndarray, b: np.ndarray, weight: np.ndarray):
+    """The lightest of the edges ``(a, b, weight)`` per node pair, as ``a < b``."""
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    key = a.astype(np.int64) * (int(b.max(initial=0)) + 1) + b
+    order = np.lexsort((weight, key))
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    order = order[first]
+    return a[order], b[order], weight[order]
+
+
+def _solve_block(values: np.ndarray, valid: np.ndarray, cut: tuple[slice, slice]) -> _Block:
+    """Fill the block *cut* of the raster on its own, with its edge as outlets."""
+    block_values, block_valid = values[cut], valid[cut]
+    if not block_valid.any():
+        nothing = np.zeros(0, dtype=np.int32)
+        return _Block(*cut, block_values, np.zeros(block_values.shape, np.int32), 0,
+                      (nothing, nothing, np.zeros(0)))
+    level, label = _minimax_fill(block_values, block_valid, _outlet_mask(block_valid))
+    ends = []
+    for a, b in _PAIRS:
+        label_a, label_b = label[a], label[b]
+        meet = (label_a != label_b) & (label_a > 0) & (label_b > 0)
+        ends.append((label_a[meet], label_b[meet],
+                     np.maximum(level[a][meet], level[b][meet])))
+    drain = _outlet_mask(block_valid, edge=False)
+    ends.append((np.zeros(np.count_nonzero(drain), np.int32), label[drain], level[drain]))
+    edges = _lightest(*(np.concatenate(column) for column in zip(*ends)))
+    return _Block(*cut, level, label, int(label.max()), edges)
+
+
+def _seam_edges(ids_a, level_a, ids_b, level_b):
+    """Edges between two facing lines of cells, cell *i* facing cell *i*:
+    straight across and along both diagonals.  Ids are ``0`` and levels
+    ``-inf`` on nodata or outside the region, so a valid cell facing one
+    drains to the virtual node at its own level."""
+    for a, b in ((np.s_[:], np.s_[:]), (np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1])):
+        meet = ids_a[a] != ids_b[b]
+        yield ids_a[a][meet], ids_b[b][meet], np.maximum(level_a[a], level_b[b])[meet]
+
+
+def _region_levels(grid: Sequence[Sequence[_Block]]) -> list[np.ndarray]:
+    """The region level ``L`` of each label of each block of *grid*, the rows
+    of blocks that tile a region: per block, row-major, an array indexed by
+    label, ``-inf`` at label 0."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+
+    blocks = [block for row in grid for block in row]
+    rows, cols = len(grid), len(grid[0])
+    offset = np.cumsum([0] + [block.labels for block in blocks]).tolist()
+
+    def region_ids(k, label):  # block k's labels as region nodes; 0 stays 0
+        return np.where(label > 0, label + offset[k], 0)
+
+    def line(i, j, side):
+        k = i * cols + j
+        label = blocks[k].label[side]
+        return region_ids(k, label), np.where(label > 0, blocks[k].level[side], -np.inf)
+
+    def joined(pieces, cells):
+        """One line of cells from *pieces*; with none, the outside of the region."""
+        if not pieces:
+            return np.zeros(cells, np.int64), np.full(cells, -np.inf)
+        return tuple(np.concatenate(part) for part in zip(*pieces))
+
+    ends = [(region_ids(k, a), b + offset[k], weight)
+            for k, (a, b, weight) in enumerate(block.edges for block in blocks)]
+    width = sum(block.label.shape[1] for block in grid[0])
+    height = sum(row[0].label.shape[0] for row in grid)
+    for i in range(rows + 1):  # seams between block rows; the top and bottom edges
+        above = joined([line(i - 1, j, np.s_[-1, :]) for j in range(cols)] if i else [], width)
+        below = joined([line(i, j, np.s_[0, :]) for j in range(cols)] if i < rows else [], width)
+        ends.extend(_seam_edges(*above, *below))
+    for j in range(cols + 1):  # seams between block columns; the side edges
+        left = joined([line(i, j - 1, np.s_[:, -1]) for i in range(rows)] if j else [], height)
+        right = joined([line(i, j, np.s_[:, 0]) for i in range(rows)] if j < cols else [], height)
+        ends.extend(_seam_edges(*left, *right))
+
+    a, b, weight = _lightest(*(np.concatenate(column) for column in zip(*ends)))
+    weights, rank = np.unique(weight, return_inverse=True)
+    nodes = offset[-1] + 1
+    # ranks start at 1: csgraph reads a zero weight as "no edge"
+    graph = csr_matrix(((rank + 1).astype(np.float64), (a, b)), shape=(nodes, nodes))
+    tree = minimum_spanning_tree(graph).tocoo()
+    _, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
+    # the rank of the tree edge above each node, then the running max down from node 0
+    below = np.where(parent[tree.row] == tree.col, tree.row, tree.col)
+    level = np.zeros(nodes, dtype=np.int64)
+    level[below] = tree.data
+    parent[0] = 0
+    while (parent != 0).any():
+        np.maximum(level, level[parent], out=level)
+        parent = parent[parent]
+    region_level = np.concatenate(([-np.inf], weights))[level]
+    return [np.concatenate(([-np.inf], region_level[start + 1 : stop + 1]))
+            for start, stop in zip(offset[:-1], offset[1:])]
+
+
+def _settled(grid: Sequence[Sequence[_Block]], values: np.ndarray):
+    """Per block of the region *grid*: its cut, its cells' filled levels in
+    the region, and where those raise *values*, the raster's input."""
+    blocks = [block for row in grid for block in row]
+    if not any(block.labels for block in blocks):  # all nodata: nothing to join
+        return
+    for block, label_level in zip(blocks, _region_levels(grid)):
+        cut = block.rows, block.cols
+        top = np.maximum(block.level, label_level[block.label])
+        yield cut, top, top > values[cut]
+
+
+def _cuts(extent: int, bounds: set[int]) -> list[slice]:
+    """Cut ``0..extent`` at every bound, then split each piece into near-equal
+    parts of at most ``_BLOCK``."""
+    edges = sorted(bounds | {0, extent})
+    out = []
+    for start, stop in zip(edges[:-1], edges[1:]):
+        parts = -(-(stop - start) // _BLOCK)
+        cut = [start + (stop - start) * k // parts for k in range(parts + 1)]
+        out.extend(slice(a, b) for a, b in zip(cut[:-1], cut[1:]))
+    return out
+
+
+def _grids(dem: Raster, valid: np.ndarray, regions, map_blocks):
+    """The blocks of each region ``(top, left, height, width)`` of *dem*, as
+    rows of blocks.
+
+    Each axis is cut at every region start and end, so each region is a
+    union of blocks.  Each block is filled once, by *map_blocks*, and kept
+    only while a later region needs it; the regions come in row-major
+    order, so at most the block rows of one region are held.
+    """
+    rows = _cuts(dem.height, {b for top, _, height, _ in regions for b in (top, top + height)})
+    cols = _cuts(dem.width, {b for _, left, _, width in regions for b in (left, left + width)})
+    solved = iter(map_blocks(partial(_solve_block, dem.values, valid),
+                             [(r, c) for r in rows for c in cols]))
+    alive: dict[tuple[int, int], _Block] = {}
+    done = 0  # blocks taken from *solved*, row-major
+    for top, left, height, width in regions:
+        i0 = [r.start for r in rows].index(top)
+        i1 = [r.stop for r in rows].index(top + height) + 1
+        j0 = [c.start for c in cols].index(left)
+        j1 = [c.stop for c in cols].index(left + width) + 1
+        for key in [key for key in alive if key[0] < i0]:  # no later region needs it
+            del alive[key]
+        while done < i1 * len(cols):
+            alive[divmod(done, len(cols))] = next(solved)
+            done += 1
+        yield [[alive[i, j] for j in range(j0, j1)] for i in range(i0, i1)]
+
+
+def _check_outlet(valid: np.ndarray) -> None:
+    # any valid cell has an outlet: its component meets the edge or nodata
+    if not valid.any():
+        raise NoOutletError(
+            "no drainage outlet: raster has no valid cell on the edge or next to nodata"
+        )
+
+
+def fill_depressions(dem: Raster, map_blocks=map) -> FilledResult:
     """Fill every closed depression of *dem* to its spill level.
 
     Parameters
     ----------
     dem : Raster
         Elevation grid; nodata cells act as outlets for their neighbours.
+    map_blocks : callable
+        ``map``-like: applied to a function and the list of blocks, it
+        yields the filled blocks in order.  A thread pool may run them.
 
     Returns
     -------
@@ -217,10 +462,42 @@ def fill_depressions(dem: Raster) -> FilledResult:
         (in particular if it is entirely nodata).
     """
     valid = dem.valid_mask()
-    outlet = _outlet_mask(valid)
-    if not outlet.any():
-        raise NoOutletError(
-            "no drainage outlet: raster has no valid cell on the edge or next to nodata"
-        )
-    filled, depth = _minimax_fill(dem.values, valid, outlet, dem.nodata)
+    _check_outlet(valid)
+    (grid,) = _grids(dem, valid, [(0, 0, dem.height, dem.width)], map_blocks)
+    filled = dem.values.copy()
+    depth = np.where(valid, 0.0, np.float64(dem.nodata))
+    for cut, top, raised in _settled(grid, dem.values):
+        filled[cut][raised] = top[raised] + 0.0  # a raised zero is +0.0
+        depth[cut][raised] = top[raised] - dem.values[cut][raised]
+    del grid  # free the blocks before Raster copies the two results
     return FilledResult(filled=dem.with_values(filled), depth=dem.with_values(depth))
+
+
+def window_depths(dem: Raster, windows: Sequence, map_blocks=map) -> Iterator[np.ndarray]:
+    """The depth of ``fill_depressions`` on each window of *dem*, in order.
+
+    *windows* are square ``TileWindow``-like cuts (``row0``, ``col0``,
+    ``patch``) in row-major order.  Each block is filled once and joined
+    into every window that holds it.  A window that is all nodata gets an
+    all-nodata depth.  *map_blocks* is as for :func:`fill_depressions`.
+
+    Raises
+    ------
+    NoOutletError
+        At once, if *dem* has no valid cell.
+    """
+    valid = dem.valid_mask()
+    _check_outlet(valid)
+    grids = _grids(dem, valid, [(w.row0, w.col0, w.patch, w.patch) for w in windows], map_blocks)
+    return (_window_depth(dem, valid, window, next(grids)) for window in windows)
+
+
+def _window_depth(dem: Raster, valid: np.ndarray, window, grid) -> np.ndarray:
+    """The depth of *window*, joined from *grid*, the rows of its blocks."""
+    top, left, side = window.row0, window.col0, window.patch
+    depth = np.where(valid[top : top + side, left : left + side], 0.0, np.float64(dem.nodata))
+    for (rows, cols), level, raised in _settled(grid, dem.values):
+        inside = (slice(rows.start - top, rows.stop - top),
+                  slice(cols.start - left, cols.stop - left))
+        depth[inside][raised] = level[raised] - dem.values[rows, cols][raised]
+    return depth

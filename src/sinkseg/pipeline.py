@@ -4,13 +4,16 @@ Stage artifacts (all deterministic — rerunning a stage overwrites the same
 bytes, regardless of worker pool size):
 
 ``fill``
-    ``patches/<id>.depth.npz`` (per-patch mode) or ``depth.npz`` (mosaic
-    mode), plus ``manifest.json`` describing the mosaic and tiling so later
-    stages need no access to the original input; every stage derives its
-    windows from the manifest.  A depth file is a zip archive, deflated at
-    zlib level 1, whose one member ``depth.npy`` holds a float64 array; its
-    georeference and nodata come from the manifest.  Only the prompts stage
-    reads it.
+    ``patches/<id>.depth.npz`` (per-patch mode: each window filled as if it
+    were the whole raster) or ``depth.npz`` (mosaic mode), plus
+    ``manifest.json`` describing the mosaic and tiling so later stages need
+    no access to the original input; every stage derives its windows from
+    the manifest.  Both modes run :mod:`~sinkseg.hydro`'s tiled fill: each
+    block of the raster is filled once, in the worker pool, and the blocks
+    are joined per window or once for the mosaic.  A depth file is a zip
+    archive, deflated at zlib level 1, whose one member ``depth.npy`` holds
+    a float64 array; its georeference and nodata come from the manifest.
+    Only the prompts stage reads it.
 ``prompts``
     ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
     ``depth_filtered.asc`` — the filtered depressions stitched back into a
@@ -29,11 +32,11 @@ artifact, but hands the filtered depth (to the echo backend) and the fused
 mask to the next stage in memory instead of reading them back; the depth
 archives remain the fill → prompts hand-off.
 
-Each stage maps its windows through one worker pool, :func:`_pool_map`,
-which yields results in window order as they are ready.  Prompts and
-segment hand that stream straight to :func:`~sinkseg.tiling.stitch`, which
-folds each tile into the mosaic as it arrives, so no stage holds a list of
-every tile.
+Each stage maps its windows (fill: its blocks) through one worker pool,
+:func:`_pool_map`, which yields results in order as they are ready.
+Prompts and segment hand that stream straight to
+:func:`~sinkseg.tiling.stitch`, which folds each tile into the mosaic as it
+arrives, so no stage holds a list of every tile.
 
 Prompting is per-patch and independent: a depression overlapping several
 windows may be prompted in each of them.  The duplicate masks collapse when
@@ -51,13 +54,14 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
-from .hydro import fill_depressions
+from .hydro import fill_depressions, window_depths
 from .image import read_ppm
 from .labeling import label_components, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
@@ -282,23 +286,19 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     patches = out / "patches"
     patches.mkdir(parents=True, exist_ok=True)
 
+    map_blocks = partial(_pool_map, cfg.workers)
     if cfg.fill_mode == "patch":
         try:
             windows = plan_tiles(dem.width, dem.height, cfg.tile)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-
-        def work(window: TileWindow) -> None:
-            depth = extract_tile(dem, window)
-            if depth.valid_mask().any():  # an all-nodata tile has nothing to fill
-                depth = fill_depressions(depth).depth
-            _write_depth(depth, patches / f"{patch_id(window)}.depth.npz")
-
-        for _ in _pool_map(cfg.workers, work, windows):
-            pass
+        depths = window_depths(dem, windows, map_blocks)
+        for window, depth in zip(windows, depths):
+            _write_depth(extract_tile(dem, window).with_values(depth),
+                         patches / f"{patch_id(window)}.depth.npz")
         logger.info("filled %d patches into %s", len(windows), patches)
     else:
-        _write_depth(fill_depressions(dem).depth, out / "depth.npz")
+        _write_depth(fill_depressions(dem, map_blocks).depth, out / "depth.npz")
         logger.info("filled mosaic into %s", out)
 
     _write_manifest(out, dem, cfg)

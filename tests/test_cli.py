@@ -517,6 +517,21 @@ class TestExitCodes:
         assert f"{rgb}: truncated pixel data: expected 27648 bytes, got 0" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
+    def test_all_nodata_dem_is_a_usage_error(self, tmp_path, capsys, mode):
+        write_ascii_grid(Raster(np.full((64, 64), -9999.0)), tmp_path / "void.asc")
+        out = tmp_path / "out"
+        code = main(["fill",
+                     "--set", f"depth_raster={tmp_path / 'void.asc'}",
+                     "--set", f"out_dir={out}",
+                     "--set", f"fill.mode={mode}",
+                     "--set", "tile.patch=32", "--set", "tile.stride=16"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no drainage outlet" in err
+        assert "internal error" not in err
+        assert list(out.rglob("*.npz")) == [] and not (out / "manifest.json").exists()
+
     def test_unreachable_backend_is_an_operational_error(self, scene_dir, tmp_path, capsys):
         import socket
 

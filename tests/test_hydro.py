@@ -1,6 +1,8 @@
 """Depression filling: hand-derived fixtures, properties, a priority-flood oracle."""
 
 import heapq
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import make_random_dem
 from sinkseg.errors import NoOutletError
-from sinkseg.hydro import FilledResult, _outlet_mask, _spill_graph, fill_depressions
+from sinkseg import hydro
+from sinkseg.hydro import (
+    FilledResult,
+    _outlet_mask,
+    _spill_graph,
+    fill_depressions,
+    window_depths,
+)
 from sinkseg.raster import Raster
-from sinkseg.synth import gen_terrain
+from sinkseg.synth import brute_force_fill, gen_terrain
+from sinkseg.tiling import TileSpec, extract_tile, plan_tiles
 
 NODATA = -9999.0
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -84,6 +94,19 @@ def drains_everywhere(filled: Raster) -> bool:
                 reached[nr, nc] = True
                 stack.append((nr, nc))
     return bool(reached[valid].all())
+
+
+def zero_rule(dem: Raster, filled: np.ndarray) -> np.ndarray:
+    """An oracle's *filled* written as :func:`fill_depressions` writes it:
+    cells not raised keep their input bits, and a raised zero is ``+0.0``.
+    The oracles give a zero level either sign, and the relaxation's ``max``
+    may give an unraised zero the other sign too."""
+    return np.where(filled > dem.values, filled + 0.0, dem.values)
+
+
+def tiled(block: int):
+    """Fill with blocks of at most *block* cells a side."""
+    return mock.patch.object(hydro, "_BLOCK", block)
 
 
 class TestSinglePit:
@@ -214,6 +237,11 @@ class TestContract:
     def test_returns_filled_result(self, rng):
         assert isinstance(fill_depressions(make_random_dem(rng, 4, 4)), FilledResult)
 
+    def test_all_nodata_windows_raise_before_any_window(self):
+        dem = Raster(np.full((8, 8), NODATA))
+        with pytest.raises(NoOutletError, match="no drainage outlet"):
+            window_depths(dem, plan_tiles(8, 8, TileSpec(4, 2)))
+
     def test_signed_zeros_keep_their_bits(self):
         dem = np.zeros((4, 5))
         dem[::2, 1::2] = -0.0
@@ -275,9 +303,9 @@ def oracle_dems(draw):
     if levels is None:
         values = rng.normal(50.0, 10.0, size=(height, width))
     else:
-        # ties and flats; no -0.0, as a cell raised to a zero level takes the
-        # sign of whichever zero bounds it, which depends on the flood order
-        values = rng.integers(0, levels, size=(height, width)) * 2.5
+        # ties, flats and both signs of zero around negative pits
+        values = (rng.integers(0, levels, size=(height, width)) - levels // 2) * 2.5
+        values[rng.random((height, width)) < 0.5] *= -1.0
     holes = draw(st.sampled_from(["none", "scatter", "moat"]))
     if holes == "scatter":
         values[rng.random((height, width)) < rng.uniform(0.1, 0.6)] = NODATA
@@ -294,9 +322,18 @@ class TestPriorityFloodOracle:
     @settings(max_examples=300, deadline=None)
     @given(dem=oracle_dems())
     def test_bit_identical_to_priority_flood(self, dem):
+        """Bit for bit, once the oracle's raised zeros are written as +0.0."""
         assume(dem.valid_mask().any())
         produced = fill_depressions(dem).filled.values
-        oracle = priority_flood_fill(dem)
+        oracle = zero_rule(dem, priority_flood_fill(dem))
+        assert np.array_equal(produced.view(np.int64), oracle.view(np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(dem=oracle_dems())
+    def test_bit_identical_to_relaxation(self, dem):
+        assume(dem.valid_mask().any())
+        produced = fill_depressions(dem).filled.values
+        oracle = zero_rule(dem, brute_force_fill(dem).values)
         assert np.array_equal(produced.view(np.int64), oracle.view(np.int64))
 
     @pytest.mark.parametrize("step", [None, 0.5], ids=["as-is", "half-metre-steps"])
@@ -381,3 +418,74 @@ class TestSpillGraph:
         edges = {frozenset(edge) for edge in zip(rows.tolist(), indices.tolist())}
         assert len(edges) == indices.size
         assert edges == expected_edges(dem, node, rank)
+
+
+class TestTiledFill:
+    """Blocks filled on their own, then joined through their drainage labels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dem=oracle_dems(), block=st.integers(2, 7))
+    def test_any_tiling_matches_one_block(self, dem, block):
+        assume(dem.valid_mask().any())
+        whole = fill_depressions(dem)
+        with tiled(block):
+            blocks = fill_depressions(dem)
+        for got, want in ((blocks.filled, whole.filled), (blocks.depth, whole.depth)):
+            assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    @settings(max_examples=120, deadline=None)
+    @given(dem=oracle_dems(), data=st.data())
+    def test_window_depths_match_filling_each_window(self, dem, data):
+        assume(dem.valid_mask().any())
+        height, width = dem.values.shape
+        patch = data.draw(st.integers(1, min(height, width)), label="patch")
+        stride = data.draw(st.integers(1, patch), label="stride")
+        block = data.draw(st.sampled_from([2, 3, 7, 256]), label="block")
+        windows = plan_tiles(width, height, TileSpec(patch, stride))
+        with tiled(block):
+            depths = list(window_depths(dem, windows))
+        assert len(depths) == len(windows)
+        for window, depth in zip(windows, depths):
+            tile = extract_tile(dem, window)
+            want = (fill_depressions(tile).depth.values if tile.valid_mask().any()
+                    else np.full((patch, patch), NODATA))
+            assert np.array_equal(depth.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 256])
+    @pytest.mark.parametrize("side", [5, 9, 33, 101])
+    def test_a_raised_zero_level_is_positive(self, side, block):
+        """Pits on a plain of both signs of zero fill to ``+0.0``; every
+        other cell keeps its bits."""
+        rng = np.random.default_rng(side)
+        values = np.where(rng.random((side, side)) < 0.5, -0.0, 0.0)
+        pits = np.zeros((side, side), dtype=bool)
+        pits[1:-1, 1:-1] = rng.random((side - 2, side - 2)) < 0.3
+        values[pits] = -rng.uniform(1.0, 5.0, size=np.count_nonzero(pits))
+        dem = Raster(values)
+        with tiled(block):
+            res = fill_depressions(dem)
+        expected = np.where(pits, 0.0, values)
+        assert np.array_equal(res.filled.values.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(res.depth.values, np.where(pits, -values, 0.0))
+
+    def test_window_depths_hold_at_most_two_block_rows(self, monkeypatch):
+        dem = make_random_dem(np.random.default_rng(3), 128, 128)
+        windows = plan_tiles(128, 128, TileSpec(64, 32))  # cut every 32 cells: 4 x 4 blocks
+        made = []
+        solve = hydro._solve_block
+
+        def alive():
+            return sum(ref() is not None for ref in made)
+
+        def recording(*args):
+            block = solve(*args)
+            made.append(weakref.ref(block))
+            held.append(alive())
+            return block
+
+        monkeypatch.setattr(hydro, "_solve_block", recording)
+        held = []
+        for _ in window_depths(dem, windows):
+            held.append(alive())
+        assert len(held) == 16 + 9 and len(made) == 16
+        assert max(held) == 8

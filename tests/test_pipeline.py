@@ -18,7 +18,7 @@ from sinkseg.hydro import fill_depressions
 from sinkseg.image import write_ppm, write_pgm
 from sinkseg.labeling import FilterThresholds, read_prompts, tile_prompts
 from sinkseg.mock_server import MockSegmentServer
-from sinkseg import pipeline
+from sinkseg import hydro, pipeline
 from sinkseg.pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
 from sinkseg.raster import (
     Raster,
@@ -131,8 +131,10 @@ class TestFillStage:
             tile=TileSpec(patch=64, stride=32),
         )
         cmd_fill(cfg)
-        depth = load_depth(tmp_path / "out" / "patches" / "r00000_c00000.depth.npz")
-        assert np.all(depth == -9999.0)
+        written = tmp_path / "out" / "patches" / "r00000_c00000.depth.npz"
+        assert np.all(load_depth(written) == -9999.0)
+        pipeline._write_depth(Raster(np.full((64, 64), -9999.0)), tmp_path / "void.npz")
+        assert written.read_bytes() == (tmp_path / "void.npz").read_bytes()
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
     def test_depth_archive_rebuilds_georeference_and_nodata(self, scene_dir, tmp_path, mode):
@@ -485,6 +487,16 @@ class TestDeterminism:
         first = tree_digests(tmp_path / "out")
         cmd_run(cfg)
         assert tree_digests(tmp_path / "out") == first
+
+    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
+    def test_fill_archives_do_not_depend_on_workers(
+        self, scene_dir, tmp_path, monkeypatch, mode
+    ):
+        monkeypatch.setattr(hydro, "_BLOCK", 48)  # several blocks in both modes
+        for workers in (1, 2):
+            cmd_fill(make_cfg(scene_dir, tmp_path / f"w{workers}", fill_mode=mode,
+                              workers=workers))
+        assert tree_digests(tmp_path / "w1") == tree_digests(tmp_path / "w2")
 
     def test_worker_count_does_not_change_bytes(self, scene_dir, tmp_path):
         serial = make_cfg(scene_dir, tmp_path / "serial", workers=1)
