@@ -36,14 +36,13 @@ Recognized keys (defaults in parentheses):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .labeling import FilterThresholds
 from .metrics import DEFAULT_THRESHOLDS, check_label
-from .segmenter import check_endpoint
+from .segmenter import check_endpoint, check_http_settings
 from .tiling import MergeRule, TileSpec
 
 BACKEND_KINDS = ("echo", "http", "replay")
@@ -110,16 +109,11 @@ class PipelineConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.backend_retries < 0:
-            raise ValueError(f"backend.retries must be >= 0, got {self.backend_retries}")
-        if self.backend_max_inflight < 1:
-            raise ValueError(
-                f"backend.max_inflight must be >= 1, got {self.backend_max_inflight}"
-            )
-        if not (math.isfinite(self.backend_timeout) and self.backend_timeout > 0):
-            raise ValueError(
-                f"backend.timeout must be finite and > 0, got {self.backend_timeout}"
-            )
+        try:
+            check_http_settings(self.backend_timeout, self.backend_retries,
+                                self.backend_max_inflight)
+        except ValueError as exc:
+            raise ValueError(f"backend.{exc}") from None
         check_label(self.eval_label, "eval.label")
 
 

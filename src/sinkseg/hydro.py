@@ -473,13 +473,14 @@ def fill_depressions(dem: Raster, map_blocks=map) -> FilledResult:
     return FilledResult(filled=dem.with_values(filled), depth=dem.with_values(depth))
 
 
-def window_depths(dem: Raster, windows: Sequence, map_blocks=map) -> Iterator[np.ndarray]:
-    """The depth of ``fill_depressions`` on each window of *dem*, in order.
+def region_depths(dem: Raster, regions: Sequence, map_blocks=map) -> Iterator[np.ndarray]:
+    """The depth of ``fill_depressions`` on each region of *dem*, in order.
 
-    *windows* are square ``TileWindow``-like cuts (``row0``, ``col0``,
-    ``patch``) in row-major order.  Each block is filled once and joined
-    into every window that holds it.  A window that is all nodata gets an
-    all-nodata depth.  *map_blocks* is as for :func:`fill_depressions`.
+    A region is a ``(top, left, height, width)`` cut of *dem*, such as a
+    tiling window or the whole raster; *regions* come in row-major order
+    (``top`` never falls).  Each block is filled once and joined into every
+    region that holds it.  A region that is all nodata gets an all-nodata
+    depth.  *map_blocks* is as for :func:`fill_depressions`.
 
     Raises
     ------
@@ -488,14 +489,14 @@ def window_depths(dem: Raster, windows: Sequence, map_blocks=map) -> Iterator[np
     """
     valid = dem.valid_mask()
     _check_outlet(valid)
-    grids = _grids(dem, valid, [(w.row0, w.col0, w.patch, w.patch) for w in windows], map_blocks)
-    return (_window_depth(dem, valid, window, next(grids)) for window in windows)
+    grids = _grids(dem, valid, regions, map_blocks)
+    return (_region_depth(dem, valid, region, next(grids)) for region in regions)
 
 
-def _window_depth(dem: Raster, valid: np.ndarray, window, grid) -> np.ndarray:
-    """The depth of *window*, joined from *grid*, the rows of its blocks."""
-    top, left, side = window.row0, window.col0, window.patch
-    depth = np.where(valid[top : top + side, left : left + side], 0.0, np.float64(dem.nodata))
+def _region_depth(dem: Raster, valid: np.ndarray, region, grid) -> np.ndarray:
+    """The depth of *region*, joined from *grid*, the rows of its blocks."""
+    top, left, height, width = region
+    depth = np.where(valid[top : top + height, left : left + width], 0.0, np.float64(dem.nodata))
     for (rows, cols), level, raised in _settled(grid, dem.values):
         inside = (slice(rows.start - top, rows.stop - top),
                   slice(cols.start - left, cols.stop - left))

@@ -8,12 +8,12 @@ bytes, regardless of worker pool size):
     were the whole raster) or ``depth.npz`` (mosaic mode), plus
     ``manifest.json`` describing the mosaic and tiling so later stages need
     no access to the original input; every stage derives its windows from
-    the manifest.  Both modes run :mod:`~sinkseg.hydro`'s tiled fill: each
-    block of the raster is filled once, in the worker pool, and the blocks
-    are joined per window or once for the mosaic.  A depth file is a zip
-    archive, deflated at zlib level 1, whose one member ``depth.npy`` holds
-    a float64 array; its georeference and nodata come from the manifest.
-    Only the prompts stage reads it.
+    the manifest.  Both modes are one :func:`~sinkseg.hydro.region_depths`
+    call over the windows (patch) or the one region covering the raster
+    (mosaic): each block is filled once, in the worker pool, and joined into
+    every region that holds it.  A depth file is a zip archive, deflated at
+    zlib level 1, whose one member ``depth.npy`` holds a float64 array; its
+    georeference and nodata come from the manifest.  Only prompts reads it.
 ``prompts``
     ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
     ``depth_filtered.asc`` — the filtered depressions stitched back into a
@@ -61,7 +61,7 @@ import numpy as np
 
 from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
-from .hydro import fill_depressions, window_depths
+from .hydro import region_depths
 from .image import read_ppm
 from .labeling import label_components, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
@@ -137,18 +137,18 @@ def _write_manifest(out: Path, mosaic: Raster, cfg: PipelineConfig) -> None:
 def _upstream(path: Path, stage: str):
     """Gate a read of *path*, an artifact the *stage* wrote.
 
-    A missing artifact asks for the stage to be run.  An ``InputError`` or
-    ``ValueError`` raised in the block is re-raised naming *path* once and
-    the stage to rerun; an ``InputError`` keeps its class.  Keep the block
-    to the read and its checks, so that an internal bug is not reported as
-    bad input.
+    A missing artifact asks for the stage to be run.  An ``InputError``,
+    ``ValueError`` or ``OSError`` (say, a directory where the file should
+    be) raised in the block is re-raised naming *path* once and the stage to
+    rerun; an ``InputError`` keeps its class.  Keep the block to the read
+    and its checks, so that an internal bug is not reported as bad input.
     """
     if not path.exists():
         raise InputError(f"{path} not found — run the {stage} stage first")
     try:
         yield
-    except (InputError, ValueError) as exc:
-        what = str(exc).removeprefix(f"{path}: ")
+    except (InputError, ValueError, OSError) as exc:  # an OSError by its reason, not its path
+        what = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{path}: ")
         error = type(exc) if isinstance(exc, InputError) else InputError
         raise error(f"{path}: {what} — rerun the {stage} stage") from exc
 
@@ -211,7 +211,7 @@ def _georef(doc: dict, window: TileWindow | None = None) -> tuple[float, float, 
     return georef if window is None else window_georef(window, doc["height"], georef)
 
 
-def _write_depth(depth: Raster, path: Path) -> None:
+def _write_depth(depth: np.ndarray, path: Path) -> None:
     """Write *depth* as ``np.savez_compressed`` would, but deflated at level 1.
 
     Level 1 takes half the time of level 6 for a slightly larger file.  The
@@ -219,7 +219,7 @@ def _write_depth(depth: Raster, path: Path) -> None:
     """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
         with archive.open("depth.npy", "w", force_zip64=True) as member:
-            np.lib.format.write_array(member, depth.values, allow_pickle=False)
+            np.lib.format.write_array(member, depth, allow_pickle=False)
 
 
 @contextmanager
@@ -274,7 +274,8 @@ def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Rast
 
 
 def cmd_fill(cfg: PipelineConfig) -> None:
-    """Fill depressions and write the depth rasters (per patch or mosaic)."""
+    """Fill depressions and write the depth per window or of the mosaic.
+    The windows are planned first in both modes, before anything is written."""
     validate_for(cfg, "fill")
     dem = read_ascii_grid(cfg.depth_raster)
     if cfg.invert_depth:
@@ -282,25 +283,22 @@ def cmd_fill(cfg: PipelineConfig) -> None:
             dem = invert_depth(dem)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+    try:
+        windows = plan_tiles(dem.width, dem.height, cfg.tile)
+    except ValueError as exc:
+        raise InputError(f"tile.{exc}") from exc
     out = Path(cfg.out_dir)
     patches = out / "patches"
-    patches.mkdir(parents=True, exist_ok=True)
-
-    map_blocks = partial(_pool_map, cfg.workers)
     if cfg.fill_mode == "patch":
-        try:
-            windows = plan_tiles(dem.width, dem.height, cfg.tile)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        depths = window_depths(dem, windows, map_blocks)
-        for window, depth in zip(windows, depths):
-            _write_depth(extract_tile(dem, window).with_values(depth),
-                         patches / f"{patch_id(window)}.depth.npz")
-        logger.info("filled %d patches into %s", len(windows), patches)
+        regions = [(w.row0, w.col0, w.patch, w.patch) for w in windows]
+        paths = [patches / f"{patch_id(w)}.depth.npz" for w in windows]
     else:
-        _write_depth(fill_depressions(dem, map_blocks).depth, out / "depth.npz")
-        logger.info("filled mosaic into %s", out)
-
+        regions, paths = [(0, 0, dem.height, dem.width)], [out / "depth.npz"]
+    depths = region_depths(dem, regions, partial(_pool_map, cfg.workers))
+    patches.mkdir(parents=True, exist_ok=True)
+    for depth, path in zip(depths, paths):
+        _write_depth(depth, path)
+    logger.info("filled %d depth archives (%s mode) into %s", len(paths), cfg.fill_mode, out)
     _write_manifest(out, dem, cfg)
 
 

@@ -96,6 +96,16 @@ def check_endpoint(endpoint: str) -> None:
         )
 
 
+def check_http_settings(timeout: float, retries: int, max_inflight: int) -> None:
+    """Raise ``ValueError``, its message starting with the setting, unless all are usable."""
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be finite and > 0, got {timeout}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if max_inflight < 1:
+        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+
+
 class HttpBackend:
     """Client for a remote box-prompt segmentation service.
 
@@ -122,12 +132,7 @@ class HttpBackend:
         max_inflight: int = 4,
     ):
         check_endpoint(endpoint)
-        if not (math.isfinite(timeout) and timeout > 0):
-            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        check_http_settings(timeout, retries, max_inflight)
         import requests  # loaded only by runs that build an http client
 
         self._url = endpoint.rstrip("/") + "/segment"

@@ -241,11 +241,12 @@ class TestExitCodes:
             ("eval.gt_mask", "a directory"),
             ("eval.ignore_mask", "a directory"),
             ("out_dir", "a file"),
+            ("tile.patch", "512"),
         ],
         ids=["nan-min-depth", "nan-timeout", "inf-timeout", "comma-label",
              "schemeless-endpoint", "ftp-endpoint", "hostless-endpoint",
              "bad-port-endpoint", "dir-depth-raster", "dir-rgb-mosaic", "dir-gt-mask",
-             "dir-ignore-mask", "file-out-dir"],
+             "dir-ignore-mask", "file-out-dir", "mosaic-patch-over-extent"],
     )
     def test_unusable_config_value_fails_before_any_stage(
         self, scene_dir, tmp_path, capsys, key, value
@@ -255,7 +256,8 @@ class TestExitCodes:
         taken.write_text("not a directory\n")
         value = {"a directory": str(scene_dir), "a file": str(taken)}.get(value, value)
         http = ["--set", "backend.kind=http", "--set", "backend.endpoint=http://127.0.0.1:9"]
-        extra = http if key.startswith("backend.") else []
+        mosaic = ["--set", "fill.mode=mosaic"]  # a tiling the mosaic cannot hold
+        extra = {"backend": http, "tile": mosaic}.get(key.split(".")[0], [])
         code = main(run_args(scene_dir, out, *extra, "--set", f"{key}={value}"))
         err = capsys.readouterr().err
         assert code == 2
@@ -468,6 +470,33 @@ class TestExitCodes:
         else:
             assert f"{path}: " in err
             assert f" — rerun the {writer} stage" in err
+
+    @pytest.mark.parametrize(
+        "artifact, reader, writer",
+        [
+            ("manifest.json", "prompts", "fill"),
+            ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
+            ("depth_filtered.asc", "segment", "prompts"),
+            ("fused_mask.asc", "eval", "segment"),
+        ],
+        ids=["manifest", "boxes", "filtered-depth", "fused-mask"],
+    )
+    def test_directory_in_place_of_an_artifact_is_a_usage_error(
+        self, scene_dir, tmp_path, capsys, artifact, reader, writer
+    ):
+        out = tmp_path / "out"
+        args = run_args(scene_dir, out)
+        assert main(args) == 0
+        path = out / artifact
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        code = main([reader, *args[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "internal error" not in err
+        assert err.count(str(path)) == 1
+        assert f"{path}: Is a directory — rerun the {writer} stage" in err
 
     @pytest.mark.parametrize(
         "target, corrupt, message",

@@ -8,6 +8,7 @@ from sinkseg.config import PipelineConfig, build_config, load_config, validate_f
 from sinkseg.errors import ConfigError
 from sinkseg.labeling import FilterThresholds
 from sinkseg.metrics import DEFAULT_THRESHOLDS
+from sinkseg.segmenter import HttpBackend
 from sinkseg.tiling import MergeRule, TileSpec
 
 
@@ -149,6 +150,24 @@ class TestConstraints:
     def test_out_of_range_values(self, key, value, pattern):
         with pytest.raises(ConfigError, match=pattern):
             build_config([(key, value)])
+
+    @pytest.mark.parametrize(
+        "setting, value, text",
+        [
+            ("timeout", 0.0, "timeout must be finite and > 0, got 0.0"),
+            ("timeout", float("nan"), "timeout must be finite and > 0, got nan"),
+            ("retries", -2, "retries must be >= 0, got -2"),
+            ("max_inflight", 0, "max_inflight must be >= 1, got 0"),
+        ],
+        ids=["zero-timeout", "nan-timeout", "negative-retries", "zero-max-inflight"],
+    )
+    def test_http_settings_follow_the_client_rules(self, setting, value, text):
+        with pytest.raises(ValueError) as client:
+            HttpBackend("http://127.0.0.1:9", **{setting: value})
+        with pytest.raises(ValueError) as config:
+            PipelineConfig(**{f"backend_{setting}": value})
+        assert str(client.value) == text
+        assert str(config.value) == f"backend.{text}"
 
     def test_stride_may_not_exceed_patch(self):
         with pytest.raises(ConfigError, match="stride"):

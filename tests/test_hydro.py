@@ -17,11 +17,11 @@ from sinkseg.hydro import (
     _outlet_mask,
     _spill_graph,
     fill_depressions,
-    window_depths,
+    region_depths,
 )
 from sinkseg.raster import Raster
 from sinkseg.synth import brute_force_fill, gen_terrain
-from sinkseg.tiling import TileSpec, extract_tile, plan_tiles
+from sinkseg.tiling import TileSpec, plan_tiles
 
 NODATA = -9999.0
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -107,6 +107,11 @@ def zero_rule(dem: Raster, filled: np.ndarray) -> np.ndarray:
 def tiled(block: int):
     """Fill with blocks of at most *block* cells a side."""
     return mock.patch.object(hydro, "_BLOCK", block)
+
+
+def window_regions(windows):
+    """Tiling windows as ``(top, left, height, width)`` regions."""
+    return [(w.row0, w.col0, w.patch, w.patch) for w in windows]
 
 
 class TestSinglePit:
@@ -240,7 +245,7 @@ class TestContract:
     def test_all_nodata_windows_raise_before_any_window(self):
         dem = Raster(np.full((8, 8), NODATA))
         with pytest.raises(NoOutletError, match="no drainage outlet"):
-            window_depths(dem, plan_tiles(8, 8, TileSpec(4, 2)))
+            region_depths(dem, window_regions(plan_tiles(8, 8, TileSpec(4, 2))))
 
     def test_signed_zeros_keep_their_bits(self):
         dem = np.zeros((4, 5))
@@ -433,22 +438,34 @@ class TestTiledFill:
         for got, want in ((blocks.filled, whole.filled), (blocks.depth, whole.depth)):
             assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(dem=oracle_dems(), data=st.data())
-    def test_window_depths_match_filling_each_window(self, dem, data):
+    def test_region_depths_match_filling_each_region(self, dem, data):
+        """Tiling windows, or rectangles in row-major order that may be
+        non-square, overlap or be the whole raster: each region's depth is
+        that of filling its cut alone."""
         assume(dem.valid_mask().any())
         height, width = dem.values.shape
-        patch = data.draw(st.integers(1, min(height, width)), label="patch")
-        stride = data.draw(st.integers(1, patch), label="stride")
+        if data.draw(st.booleans(), label="windows"):
+            patch = data.draw(st.integers(1, min(height, width)), label="patch")
+            stride = data.draw(st.integers(1, patch), label="stride")
+            regions = window_regions(plan_tiles(width, height, TileSpec(patch, stride)))
+        else:
+            regions = [(0, 0, height, width)] if data.draw(st.booleans(), label="whole") else []
+            for _ in range(data.draw(st.integers(0 if regions else 1, 5), label="rectangles")):
+                top = data.draw(st.integers(0, height - 1), label="top")
+                left = data.draw(st.integers(0, width - 1), label="left")
+                regions.append((top, left, data.draw(st.integers(1, height - top), label="height"),
+                                data.draw(st.integers(1, width - left), label="width")))
+            regions.sort()
         block = data.draw(st.sampled_from([2, 3, 7, 256]), label="block")
-        windows = plan_tiles(width, height, TileSpec(patch, stride))
         with tiled(block):
-            depths = list(window_depths(dem, windows))
-        assert len(depths) == len(windows)
-        for window, depth in zip(windows, depths):
-            tile = extract_tile(dem, window)
-            want = (fill_depressions(tile).depth.values if tile.valid_mask().any()
-                    else np.full((patch, patch), NODATA))
+            depths = list(region_depths(dem, regions))
+        assert len(depths) == len(regions)
+        for (top, left, rows, cols), depth in zip(regions, depths):
+            cut = Raster(dem.values[top : top + rows, left : left + cols], dem.nodata)
+            want = (fill_depressions(cut).depth.values if cut.valid_mask().any()
+                    else np.full((rows, cols), NODATA))
             assert np.array_equal(depth.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("block", [2, 3, 7, 256])
@@ -485,7 +502,7 @@ class TestTiledFill:
 
         monkeypatch.setattr(hydro, "_solve_block", recording)
         held = []
-        for _ in window_depths(dem, windows):
+        for _ in region_depths(dem, window_regions(windows)):
             held.append(alive())
         assert len(held) == 16 + 9 and len(made) == 16
         assert max(held) == 8

@@ -133,7 +133,7 @@ class TestFillStage:
         cmd_fill(cfg)
         written = tmp_path / "out" / "patches" / "r00000_c00000.depth.npz"
         assert np.all(load_depth(written) == -9999.0)
-        pipeline._write_depth(Raster(np.full((64, 64), -9999.0)), tmp_path / "void.npz")
+        pipeline._write_depth(np.full((64, 64), -9999.0), tmp_path / "void.npz")
         assert written.read_bytes() == (tmp_path / "void.npz").read_bytes()
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
@@ -161,10 +161,9 @@ class TestFillStage:
     def test_depth_archive_is_byte_stable_with_one_member(self, tmp_path, monkeypatch):
         values = np.random.default_rng(5).normal(size=(40, 48))
         values[0, :3] = (-0.0, 0.0, -9999.0)
-        depth = Raster(values)
-        pipeline._write_depth(depth, tmp_path / "a.npz")
+        pipeline._write_depth(values, tmp_path / "a.npz")
         monkeypatch.setattr(time, "time", lambda: 1e9)  # a later wall clock
-        pipeline._write_depth(depth, tmp_path / "b.npz")
+        pipeline._write_depth(values, tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
         with zipfile.ZipFile(tmp_path / "a.npz") as archive:
             assert archive.namelist() == ["depth.npy"]
