@@ -38,13 +38,10 @@ path leaves the block, the virtual node's child on that path.  A region (the
 raster, or one window of it that is a union of blocks) is then joined
 through a small graph (the parallel Priority-Flood of Barnes 2016,
 *Computers & Geosciences* 96).  Its nodes are the blocks' labels plus the
-virtual node; its edges are
-
-- each 8-neighbour pair in one block with different labels, and each pair
-  across a seam between two blocks: an edge between their labels that
-  weighs ``max(f(a), f(b))``, the lightest one kept per label pair;
-- each region outlet, a cell on the region's edge or next to nodata: an edge
-  from its label to the virtual node that weighs its own ``f``.
+virtual node, the label of nodata cells and of a ring of cells around the
+region, where ``f`` is ``-inf``; its edges are the 8-neighbour pairs of cells
+with different labels, each weighing ``max(f(a), f(b))``, the lightest one
+kept per label pair.
 
 The minimax level ``L`` of each label from the virtual node then gives each
 cell its filled level ``max(f(c), L(label(c)))``.
@@ -109,11 +106,10 @@ class FilledResult:
     depth: Raster
 
 
-def _outlet_mask(valid: np.ndarray, edge: bool = True) -> np.ndarray:
-    """Valid cells that drain off the grid: touching nodata, or on the edge
-    unless *edge* is false."""
+def _outlet_mask(valid: np.ndarray) -> np.ndarray:
+    """Valid cells that drain off the grid: on its edge or touching nodata."""
     h, w = valid.shape
-    padded = np.full((h + 2, w + 2), not edge)
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = valid
     interior = np.ones_like(valid)
     for dr, dc in _NEIGHBOURS:
@@ -265,10 +261,7 @@ class _Block:
     """One block filled on its own: the cells ``rows`` x ``cols`` of the raster.
 
     ``level`` and ``label`` are :func:`_minimax_fill`'s, and ``labels`` is
-    how many labels there are.  ``edges`` holds ``(a, b, weight)`` arrays,
-    the lightest per label pair: between labels ``a < b`` that meet inside
-    the block, and from ``a = 0``, the virtual node, to each label with a
-    cell next to nodata inside the block.
+    how many labels there are.
     """
 
     rows: slice
@@ -276,119 +269,78 @@ class _Block:
     level: np.ndarray
     label: np.ndarray
     labels: int
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _lightest(a: np.ndarray, b: np.ndarray, weight: np.ndarray):
     """The lightest of the edges ``(a, b, weight)`` per node pair, as ``a < b``."""
     a, b = np.minimum(a, b), np.maximum(a, b)
     key = a.astype(np.int64) * (int(b.max(initial=0)) + 1) + b
-    order = np.lexsort((weight, key))
+    order = np.argsort(key)
     key = key[order]
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    order = order[first]
-    return a[order], b[order], weight[order]
+    start = np.flatnonzero(first)
+    return a[order[start]], b[order[start]], np.minimum.reduceat(weight[order], start)
 
 
 def _solve_block(values: np.ndarray, valid: np.ndarray, cut: tuple[slice, slice]) -> _Block:
     """Fill the block *cut* of the raster on its own, with its edge as outlets."""
     block_values, block_valid = values[cut], valid[cut]
     if not block_valid.any():
-        nothing = np.zeros(0, dtype=np.int32)
-        return _Block(*cut, block_values, np.zeros(block_values.shape, np.int32), 0,
-                      (nothing, nothing, np.zeros(0)))
+        return _Block(*cut, block_values, np.zeros(block_values.shape, np.int32), 0)
     level, label = _minimax_fill(block_values, block_valid, _outlet_mask(block_valid))
-    ends = []
-    for a, b in _PAIRS:
-        label_a, label_b = label[a], label[b]
-        meet = (label_a != label_b) & (label_a > 0) & (label_b > 0)
-        ends.append((label_a[meet], label_b[meet],
-                     np.maximum(level[a][meet], level[b][meet])))
-    drain = _outlet_mask(block_valid, edge=False)
-    ends.append((np.zeros(np.count_nonzero(drain), np.int32), label[drain], level[drain]))
-    edges = _lightest(*(np.concatenate(column) for column in zip(*ends)))
-    return _Block(*cut, level, label, int(label.max()), edges)
+    return _Block(*cut, level, label, int(label.max()))
 
 
-def _seam_edges(ids_a, level_a, ids_b, level_b):
-    """Edges between two facing lines of cells, cell *i* facing cell *i*:
-    straight across and along both diagonals.  Ids are ``0`` and levels
-    ``-inf`` on nodata or outside the region, so a valid cell facing one
-    drains to the virtual node at its own level."""
-    for a, b in ((np.s_[:], np.s_[:]), (np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1])):
-        meet = ids_a[a] != ids_b[b]
-        yield ids_a[a][meet], ids_b[b][meet], np.maximum(level_a[a], level_b[b])[meet]
-
-
-def _region_levels(grid: Sequence[Sequence[_Block]]) -> list[np.ndarray]:
-    """The region level ``L`` of each label of each block of *grid*, the rows
-    of blocks that tile a region: per block, row-major, an array indexed by
-    label, ``-inf`` at label 0."""
+def _join(grid: list[list[_Block]]) -> np.ndarray:
+    """The filled level of each cell of the region that *grid*, rows of
+    blocks, tiles: ``-inf`` on nodata.  Each block is taken out of *grid* as
+    it is copied into the region image."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-    blocks = [block for row in grid for block in row]
-    rows, cols = len(grid), len(grid[0])
-    offset = np.cumsum([0] + [block.labels for block in blocks]).tolist()
+    top, left = grid[0][0].rows.start, grid[0][0].cols.start
+    height, width = grid[-1][0].rows.stop - top, grid[0][-1].cols.stop - left
+    # the region image; a ring of label 0 and level -inf is the outside
+    label = np.zeros((height + 2, width + 2), dtype=np.int32)
+    level = np.empty(label.shape)
+    level[[0, -1], :] = level[:, [0, -1]] = -np.inf
+    nodes = 0  # the labels so far; each block's are numbered on from there
+    for row in grid:
+        while row:
+            block = row.pop()
+            cut = (slice(block.rows.start - top + 1, block.rows.stop - top + 1),
+                   slice(block.cols.start - left + 1, block.cols.stop - left + 1))
+            valid = block.label > 0
+            label[cut] = np.where(valid, block.label + nodes, 0)
+            level[cut] = np.where(valid, block.level, -np.inf)
+            nodes += block.labels
+            del block
 
-    def region_ids(k, label):  # block k's labels as region nodes; 0 stays 0
-        return np.where(label > 0, label + offset[k], 0)
-
-    def line(i, j, side):
-        k = i * cols + j
-        label = blocks[k].label[side]
-        return region_ids(k, label), np.where(label > 0, blocks[k].level[side], -np.inf)
-
-    def joined(pieces, cells):
-        """One line of cells from *pieces*; with none, the outside of the region."""
-        if not pieces:
-            return np.zeros(cells, np.int64), np.full(cells, -np.inf)
-        return tuple(np.concatenate(part) for part in zip(*pieces))
-
-    ends = [(region_ids(k, a), b + offset[k], weight)
-            for k, (a, b, weight) in enumerate(block.edges for block in blocks)]
-    width = sum(block.label.shape[1] for block in grid[0])
-    height = sum(row[0].label.shape[0] for row in grid)
-    for i in range(rows + 1):  # seams between block rows; the top and bottom edges
-        above = joined([line(i - 1, j, np.s_[-1, :]) for j in range(cols)] if i else [], width)
-        below = joined([line(i, j, np.s_[0, :]) for j in range(cols)] if i < rows else [], width)
-        ends.extend(_seam_edges(*above, *below))
-    for j in range(cols + 1):  # seams between block columns; the side edges
-        left = joined([line(i, j - 1, np.s_[:, -1]) for i in range(rows)] if j else [], height)
-        right = joined([line(i, j, np.s_[:, 0]) for i in range(rows)] if j < cols else [], height)
-        ends.extend(_seam_edges(*left, *right))
-
+    ends = []
+    for a, b in _PAIRS:
+        label_a, label_b = label[a], label[b]
+        meet = label_a != label_b
+        ends.append((label_a[meet], label_b[meet], np.maximum(level[a][meet], level[b][meet])))
     a, b, weight = _lightest(*(np.concatenate(column) for column in zip(*ends)))
     weights, rank = np.unique(weight, return_inverse=True)
-    nodes = offset[-1] + 1
     # ranks start at 1: csgraph reads a zero weight as "no edge"
-    graph = csr_matrix(((rank + 1).astype(np.float64), (a, b)), shape=(nodes, nodes))
+    graph = csr_matrix(((rank + 1).astype(np.float64), (a, b)), shape=(nodes + 1, nodes + 1))
     tree = minimum_spanning_tree(graph).tocoo()
     _, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
     # the rank of the tree edge above each node, then the running max down from node 0
     below = np.where(parent[tree.row] == tree.col, tree.row, tree.col)
-    level = np.zeros(nodes, dtype=np.int64)
-    level[below] = tree.data
+    rank = np.zeros(nodes + 1, dtype=np.int64)
+    rank[below] = tree.data
     parent[0] = 0
     while (parent != 0).any():
-        np.maximum(level, level[parent], out=level)
+        np.maximum(rank, rank[parent], out=rank)
         parent = parent[parent]
-    region_level = np.concatenate(([-np.inf], weights))[level]
-    return [np.concatenate(([-np.inf], region_level[start + 1 : stop + 1]))
-            for start, stop in zip(offset[:-1], offset[1:])]
-
-
-def _settled(grid: Sequence[Sequence[_Block]], values: np.ndarray):
-    """Per block of the region *grid*: its cut, its cells' filled levels in
-    the region, and where those raise *values*, the raster's input."""
-    blocks = [block for row in grid for block in row]
-    if not any(block.labels for block in blocks):  # all nodata: nothing to join
-        return
-    for block, label_level in zip(blocks, _region_levels(grid)):
-        cut = block.rows, block.cols
-        top = np.maximum(block.level, label_level[block.label])
-        yield cut, top, top > values[cut]
+    label_level = np.concatenate(([-np.inf], weights))[rank]
+    for start in range(0, level.shape[0], _BLOCK):  # by bands: no third image is held
+        band = np.s_[start : start + _BLOCK]
+        np.maximum(level[band], label_level[label[band]], out=level[band])
+    return level[1:-1, 1:-1]
 
 
 def _cuts(extent: int, bounds: set[int]) -> list[slice]:
@@ -408,27 +360,29 @@ def _grids(dem: Raster, valid: np.ndarray, regions, map_blocks):
     rows of blocks.
 
     Each axis is cut at every region start and end, so each region is a
-    union of blocks.  Each block is filled once, by *map_blocks*, and kept
-    only while a later region needs it; the regions come in row-major
-    order, so at most the block rows of one region are held.
+    union of blocks.  Each block is filled once, by *map_blocks*, and held
+    only while this or a later region needs it: before a region's blocks
+    are yielded, those of the rows above the next region are dropped.  The
+    regions come in row-major order, so at most the block rows of one
+    region are held.
     """
     rows = _cuts(dem.height, {b for top, _, height, _ in regions for b in (top, top + height)})
     cols = _cuts(dem.width, {b for _, left, _, width in regions for b in (left, left + width)})
     solved = iter(map_blocks(partial(_solve_block, dem.values, valid),
                              [(r, c) for r in rows for c in cols]))
+    spans = [([r.start for r in rows].index(top), [r.stop for r in rows].index(top + height) + 1,
+              [c.start for c in cols].index(left), [c.stop for c in cols].index(left + width) + 1)
+             for top, left, height, width in regions]
     alive: dict[tuple[int, int], _Block] = {}
     done = 0  # blocks taken from *solved*, row-major
-    for top, left, height, width in regions:
-        i0 = [r.start for r in rows].index(top)
-        i1 = [r.stop for r in rows].index(top + height) + 1
-        j0 = [c.start for c in cols].index(left)
-        j1 = [c.stop for c in cols].index(left + width) + 1
-        for key in [key for key in alive if key[0] < i0]:  # no later region needs it
-            del alive[key]
+    for (i0, i1, j0, j1), needed in zip(spans, [span[0] for span in spans[1:]] + [len(rows)]):
         while done < i1 * len(cols):
             alive[divmod(done, len(cols))] = next(solved)
             done += 1
-        yield [[alive[i, j] for j in range(j0, j1)] for i in range(i0, i1)]
+        grid = [[alive[i, j] for j in range(j0, j1)] for i in range(i0, i1)]
+        for key in [key for key in alive if key[0] < needed]:  # no later region needs it
+            del alive[key]
+        yield grid
 
 
 def _check_outlet(valid: np.ndarray) -> None:
@@ -464,12 +418,12 @@ def fill_depressions(dem: Raster, map_blocks=map) -> FilledResult:
     valid = dem.valid_mask()
     _check_outlet(valid)
     (grid,) = _grids(dem, valid, [(0, 0, dem.height, dem.width)], map_blocks)
+    level = _join(grid)
+    raised = level > dem.values
     filled = dem.values.copy()
-    depth = np.where(valid, 0.0, np.float64(dem.nodata))
-    for cut, top, raised in _settled(grid, dem.values):
-        filled[cut][raised] = top[raised] + 0.0  # a raised zero is +0.0
-        depth[cut][raised] = top[raised] - dem.values[cut][raised]
-    del grid  # free the blocks before Raster copies the two results
+    filled[raised] = level[raised] + 0.0  # a raised zero is +0.0
+    del level, raised  # free the region image before Raster copies the two results
+    depth = np.where(valid, filled - dem.values, np.float64(dem.nodata))
     return FilledResult(filled=dem.with_values(filled), depth=dem.with_values(depth))
 
 
@@ -496,9 +450,10 @@ def region_depths(dem: Raster, regions: Sequence, map_blocks=map) -> Iterator[np
 def _region_depth(dem: Raster, valid: np.ndarray, region, grid) -> np.ndarray:
     """The depth of *region*, joined from *grid*, the rows of its blocks."""
     top, left, height, width = region
-    depth = np.where(valid[top : top + height, left : left + width], 0.0, np.float64(dem.nodata))
-    for (rows, cols), level, raised in _settled(grid, dem.values):
-        inside = (slice(rows.start - top, rows.stop - top),
-                  slice(cols.start - left, cols.stop - left))
-        depth[inside][raised] = level[raised] - dem.values[rows, cols][raised]
+    cut = np.s_[top : top + height, left : left + width]
+    values = dem.values[cut]
+    level = _join(grid)
+    raised = level > values
+    depth = np.where(valid[cut], 0.0, np.float64(dem.nodata))
+    depth[raised] = level[raised] - values[raised]
     return depth

@@ -226,7 +226,8 @@ def _write_depth(depth: np.ndarray, path: Path) -> None:
 def _depth_member(path: Path, width: int, height: int):
     """The rewound ``depth.npy`` member of the fill archive *path*, once its
     header shows a *width* x *height* grid; nothing else is read.  A read
-    error in the block is reported as one of *path*."""
+    error in the block is reported as one of *path*; an ``OSError``, which
+    names *path* itself, is left to :func:`_upstream`."""
     try:
         with open(path, "rb") as fh:
             archive = np.load(fh, allow_pickle=False)
@@ -249,7 +250,7 @@ def _depth_member(path: Path, width: int, height: int):
                         )
                     member.seek(0)
                     yield member
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise InputError(f"unreadable depth archive ({exc})") from exc
 
 

@@ -475,11 +475,12 @@ class TestExitCodes:
         "artifact, reader, writer",
         [
             ("manifest.json", "prompts", "fill"),
+            ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
             ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
             ("depth_filtered.asc", "segment", "prompts"),
             ("fused_mask.asc", "eval", "segment"),
         ],
-        ids=["manifest", "boxes", "filtered-depth", "fused-mask"],
+        ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
     )
     def test_directory_in_place_of_an_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, artifact, reader, writer

@@ -486,9 +486,10 @@ class TestTiledFill:
         assert np.array_equal(res.depth.values, np.where(pits, -values, 0.0))
 
     def test_window_depths_hold_at_most_two_block_rows(self, monkeypatch):
+        """Windows hold at most two block rows, and no block outlives the
+        join that yields the last depth, for windows or one mosaic region."""
         dem = make_random_dem(np.random.default_rng(3), 128, 128)
-        windows = plan_tiles(128, 128, TileSpec(64, 32))  # cut every 32 cells: 4 x 4 blocks
-        made = []
+        made, held = [], []
         solve = hydro._solve_block
 
         def alive():
@@ -500,9 +501,20 @@ class TestTiledFill:
             held.append(alive())
             return block
 
+        def blocks_alive(regions):
+            """Blocks alive after each block is made and each depth is yielded."""
+            made.clear()
+            held.clear()
+            for _ in region_depths(dem, regions):
+                held.append(alive())
+            return list(held)
+
         monkeypatch.setattr(hydro, "_solve_block", recording)
-        held = []
-        for _ in region_depths(dem, window_regions(windows)):
-            held.append(alive())
-        assert len(held) == 16 + 9 and len(made) == 16
-        assert max(held) == 8
+        windows = plan_tiles(128, 128, TileSpec(64, 32))  # cut every 32 cells: 4 x 4 blocks
+        patch = blocks_alive(window_regions(windows))
+        assert len(patch) == 16 + 9 and len(made) == 16
+        assert max(patch) == 8 and patch[-1] == 0
+        with tiled(32):
+            mosaic = blocks_alive([(0, 0, 128, 128)])
+        assert len(made) == 16
+        assert mosaic == [*range(1, 17), 0]
