@@ -16,12 +16,13 @@ bytes, regardless of worker pool size):
     georeference and nodata come from the manifest.  Only prompts reads it.
 ``prompts``
     ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
-    ``depth_filtered.asc`` — the filtered depressions stitched back into a
-    mosaic.
+    ``depth_filtered.npz`` — the filtered depressions stitched back into a
+    mosaic, written as the fill's depth archives are.
 ``segment``
     ``fused_mask.asc`` — per-box masks fused once per patch (pixelwise max),
     patches stitched with the configured merge rule, then binarized once.
-    Only the echo backend reads ``depth_filtered.asc``.
+    Only the echo backend reads ``depth_filtered.npz``; like prompts, it
+    checks the archive's shape against the manifest before reading data.
 ``eval``
     ``report.json`` and ``report.csv`` against the ground-truth mask.
 
@@ -29,8 +30,8 @@ Every read of an artifact that an earlier stage wrote passes one gate,
 :func:`_upstream`: a missing or malformed artifact exits 2 and names its
 path and the stage that writes it.  :func:`cmd_run` still writes every
 artifact, but hands the filtered depth (to the echo backend) and the fused
-mask to the next stage in memory instead of reading them back; the depth
-archives remain the fill → prompts hand-off.
+mask to the next stage in memory instead of reading them back; the fill's
+depth archives remain the fill → prompts hand-off.
 
 Each stage maps its windows (fill: its blocks) through one worker pool,
 :func:`_pool_map`, which yields results in order as they are ready.
@@ -72,7 +73,6 @@ from .raster import (
     invert_depth,
     read_ascii_grid,
     read_ascii_mask,
-    write_ascii_grid,
     write_ascii_mask,
 )
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
@@ -216,15 +216,20 @@ def _write_depth(depth: np.ndarray, path: Path) -> None:
 
     Level 1 takes half the time of level 6 for a slightly larger file.  The
     member keeps ``ZipInfo``'s fixed 1980 timestamp, so the bytes are stable.
+    The array's own buffer is deflated, so no copy of it is made (numpy's
+    ``write_array`` copies a zip member out in 16 MiB chunks).
     """
+    depth = np.ascontiguousarray(depth)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
         with archive.open("depth.npy", "w", force_zip64=True) as member:
-            np.lib.format.write_array(member, depth, allow_pickle=False)
+            header = np.lib.format.header_data_from_array_1_0(depth)
+            np.lib.format.write_array_header_1_0(member, header)
+            member.write(memoryview(depth))
 
 
 @contextmanager
 def _depth_member(path: Path, width: int, height: int):
-    """The rewound ``depth.npy`` member of the fill archive *path*, once its
+    """The rewound ``depth.npy`` member of the depth archive *path*, once its
     header shows a *width* x *height* grid; nothing else is read.  A read
     error in the block is reported as one of *path*; an ``OSError``, which
     names *path* itself, is left to :func:`_upstream`."""
@@ -254,8 +259,8 @@ def _depth_member(path: Path, width: int, height: int):
         raise InputError(f"unreadable depth archive ({exc})") from exc
 
 
-def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Raster:
-    """Load the depth the fill stage wrote for *window* (None: the mosaic).
+def _read_depth(path: Path, stage: str, doc: dict, window: TileWindow | None = None) -> Raster:
+    """Load the depth archive the *stage* wrote for *window* (None: the mosaic).
 
     The array must be float64 with the shape the manifest gives; the shape
     is checked from the ``.npy`` header, before any data is read, so a header
@@ -266,7 +271,7 @@ def _read_depth(path: Path, doc: dict, window: TileWindow | None = None) -> Rast
         width, height = doc["width"], doc["height"]
     else:
         width = height = window.patch
-    with _upstream(path, "fill"):
+    with _upstream(path, stage):
         with _depth_member(path, width, height) as member:
             values = np.lib.format.read_array(member, allow_pickle=False)
         if values.dtype != np.float64:
@@ -306,7 +311,7 @@ def cmd_fill(cfg: PipelineConfig) -> None:
 def cmd_prompts(cfg: PipelineConfig) -> Raster:
     """Label, filter, and box the depressions of every patch.
 
-    Returns the filtered depth mosaic it wrote to ``depth_filtered.asc``.
+    Returns the filtered depth mosaic it wrote to ``depth_filtered.npz``.
     """
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
@@ -317,7 +322,7 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
     mosaic_path = out / "depth.npz"
     depth_mosaic = None
     if doc["fill_mode"] == "mosaic":
-        depth_mosaic = _read_depth(mosaic_path, doc)
+        depth_mosaic = _read_depth(mosaic_path, "fill", doc)
     elif doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses the manifest
         # the claimed bottom-right window has an archive only if fill wrote that extent
         side = doc["patch"]
@@ -332,7 +337,7 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
             depth_path, depth_tile = mosaic_path, extract_tile(depth_mosaic, window)
         else:
             depth_path = patches / f"{patch_id(window)}.depth.npz"
-            depth_tile = _read_depth(depth_path, doc, window)
+            depth_tile = _read_depth(depth_path, "fill", doc, window)
         with _upstream(depth_path, "fill"):  # negative depth
             grid = label_components(depth_tile)
         prompts, filtered = tile_prompts(
@@ -345,7 +350,7 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
     box_counts: list[int] = []
     tiles = _pool_map(cfg.workers, work, windows)
     mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
-    write_ascii_grid(mosaic, out / "depth_filtered.asc")
+    _write_depth(mosaic.values, out / "depth_filtered.npz")
     logger.info("wrote %d prompt boxes across %d patches", sum(box_counts), len(windows))
     return mosaic
 
@@ -367,7 +372,7 @@ def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> Bi
     """Segment every patch from its box prompts and stitch the fused mask.
 
     The echo backend paints *depth_filtered*, the prompts stage's product;
-    when it is None it is read from ``depth_filtered.asc``.  Returns the
+    when it is None it is read from ``depth_filtered.npz``.  Returns the
     fused mask it wrote to ``fused_mask.asc``.
     """
     validate_for(cfg, "segment")
@@ -384,14 +389,7 @@ def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> Bi
     windows = _plan(out, doc)
     shared_backend = _build_shared_backend(cfg)
     if shared_backend is None and depth_filtered is None:  # echo paints the filtered depth
-        filtered_path = out / "depth_filtered.asc"
-        with _upstream(filtered_path, "prompts"):
-            depth_filtered = read_ascii_grid(filtered_path)
-            if depth_filtered.values.shape != (doc["height"], doc["width"]):
-                raise InputError(
-                    f"is {depth_filtered.width}x{depth_filtered.height}, "
-                    f"expected {doc['width']}x{doc['height']}"
-                )
+        depth_filtered = _read_depth(out / "depth_filtered.npz", "prompts", doc)
 
     def work(window: TileWindow):
         pid = patch_id(window)

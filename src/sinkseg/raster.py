@@ -16,7 +16,9 @@ Any grid that pass does not accept as exactly ``nrows`` x ``ncols`` floats is
 parsed again line by line, so a malformed file is reported with the number of
 the offending line.  Both passes split rows at line breaks (LF, CRLF or CR)
 and cells at whitespace, and both agree cell for cell, bit for bit: a token
-spelled like the nodata header value parses to the same float.
+spelled like the nodata header value parses to the same float.  A mask laid
+out exactly as :func:`write_ascii_mask` writes it is read as one byte buffer
+instead; any other mask goes through the grid parser.
 """
 
 from __future__ import annotations
@@ -278,13 +280,14 @@ def _format_rows(values: np.ndarray, nodata: float) -> list[str]:
     return rows
 
 
-def _header_text(grid, nodata: float) -> str:
+def _header_text(width: int, height: int, origin_x: float, origin_y: float,
+                 cellsize: float, nodata: float) -> str:
     return (
-        f"ncols {grid.width}\n"
-        f"nrows {grid.height}\n"
-        f"xllcorner {repr(grid.origin_x)}\n"
-        f"yllcorner {repr(grid.origin_y)}\n"
-        f"cellsize {repr(grid.cellsize)}\n"
+        f"ncols {width}\n"
+        f"nrows {height}\n"
+        f"xllcorner {repr(origin_x)}\n"
+        f"yllcorner {repr(origin_y)}\n"
+        f"cellsize {repr(cellsize)}\n"
         f"NODATA_value {repr(nodata)}\n"
     )
 
@@ -292,15 +295,54 @@ def _header_text(grid, nodata: float) -> str:
 def write_ascii_grid(raster: Raster, path: str | Path) -> None:
     """Write *raster* as an ESRI ASCII grid (bit-exact round trip)."""
     rows = _format_rows(raster.values, raster.nodata)
-    Path(path).write_text(_header_text(raster, raster.nodata) + "\n".join(rows) + "\n")
+    header = _header_text(raster.width, raster.height, *raster.geotransform, raster.nodata)
+    Path(path).write_text(header + "\n".join(rows) + "\n")
+
+
+def _read_mask_bytes(path: Path) -> BinaryMask | None:
+    """The mask at *path* if it is laid out exactly as :func:`write_ascii_mask`
+    writes it, else None: the header it would write, then ``d d … d\\n`` rows
+    of ``0`` and ``1``, every separator and digit checked."""
+    data = path.read_bytes()
+    end = -1
+    for _ in _HEADER_KEYS:
+        end = data.find(b"\n", end + 1)
+        if end < 0:
+            return None
+    head = data[: end + 1]
+    try:
+        header = _parse_header(head.decode("ascii").split("\n"), path)
+    except (UnicodeDecodeError, GridFormatError):
+        return None
+    ncols, nrows = header["ncols"], header["nrows"]
+    georef = header["xllcorner"], header["yllcorner"], header["cellsize"]
+    if head != _header_text(ncols, nrows, *georef, header["nodata_float"]).encode():
+        return None
+    if len(data) - len(head) != nrows * 2 * ncols:
+        return None
+    cells = np.frombuffer(data, np.uint8, offset=len(head)).reshape(nrows, 2 * ncols)
+    digits = cells[:, 0::2]
+    ones = digits == ord("1")
+    if not (
+        (cells[:, 1:-1:2] == ord(" ")).all()
+        and (cells[:, -1] == ord("\n")).all()
+        and (ones | (digits == ord("0"))).all()
+    ):
+        return None
+    return BinaryMask(ones, *georef)
 
 
 def read_ascii_mask(path: str | Path) -> BinaryMask:
     """Read a 0/1 ASCII grid as a :class:`BinaryMask`.
 
     Nodata cells are not allowed in masks; any value other than 0 or 1
-    (including the nodata sentinel) is a format error.
+    (including the nodata sentinel) is a format error.  The layout
+    :func:`write_ascii_mask` writes is read as one byte buffer; any other
+    layout goes through the grid parser, which names the line of an error.
     """
+    mask = _read_mask_bytes(Path(path))
+    if mask is not None:
+        return mask
     header, data = _parse_grid(Path(path))
     if not np.isin(data, (0.0, 1.0)).all():
         bad = data[~np.isin(data, (0.0, 1.0))][0]
@@ -320,7 +362,8 @@ def write_ascii_mask(mask: BinaryMask, path: str | Path) -> None:
     cells[:, 0::2] = mask.values
     cells[:, 0::2] += ord("0")
     cells[:, -1] = ord("\n")
-    Path(path).write_bytes(_header_text(mask, DEFAULT_NODATA).encode() + cells.tobytes())
+    header = _header_text(mask.width, mask.height, *mask.geotransform, DEFAULT_NODATA)
+    Path(path).write_bytes(header.encode() + cells.tobytes())
 
 
 def invert_depth(raster: Raster) -> Raster:

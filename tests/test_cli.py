@@ -53,14 +53,6 @@ def cut_to(side):
     return cut
 
 
-def cut_grid_to(side):
-    def cut(path):
-        grid = read_ascii_grid(path)
-        write_ascii_grid(grid.with_values(grid.values[:side, :side].copy()), path)
-
-    return cut
-
-
 def truncate(path):
     path.write_bytes(path.read_bytes()[:100])
 
@@ -401,8 +393,11 @@ class TestExitCodes:
              "r00000_c00000.depth.npz: depth is 1000000x1000000, expected 48x48"),
             ("patch", "prompts", "patches/r00000_c00000.depth.npz", raw_member,
              "unreadable depth archive (the magic string is not correct"),
-            ("mosaic", "segment", "depth_filtered.asc", cut_grid_to(60),
-             "is 60x60, expected 96x96"),
+            ("mosaic", "segment", "depth_filtered.npz", cut_to(60),
+             "depth_filtered.npz: depth is 60x60, expected 96x96 — rerun the prompts stage"),
+            ("patch", "segment", "depth_filtered.npz", huge_header,
+             "depth_filtered.npz: depth is 1000000x1000000, expected 96x96"
+             " — rerun the prompts stage"),
             ("patch", "segment", "patches/r00000_c00000.boxes.json", oversized_box,
              "exceeds patch 48x48"),
             ("patch", "segment", "patches/r00000_c00000.boxes.json", string_area,
@@ -415,7 +410,7 @@ class TestExitCodes:
         ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
-             "raw-member-depth", "short-filtered-depth",
+             "raw-member-depth", "short-filtered-depth", "huge-header-filtered-depth",
              "box-outside-patch", "string-area", "bool-coordinate", "foreign-boxes"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
@@ -441,7 +436,7 @@ class TestExitCodes:
             ("manifest.json", "prompts", "fill"),
             ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
             ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
-            ("depth_filtered.asc", "segment", "prompts"),
+            ("depth_filtered.npz", "segment", "prompts"),
             ("fused_mask.asc", "eval", "segment"),
         ],
         ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
@@ -477,7 +472,7 @@ class TestExitCodes:
             ("manifest.json", "prompts", "fill"),
             ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
             ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
-            ("depth_filtered.asc", "segment", "prompts"),
+            ("depth_filtered.npz", "segment", "prompts"),
             ("fused_mask.asc", "eval", "segment"),
         ],
         ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import tree_digests
 from sinkseg.config import PipelineConfig
-from sinkseg.errors import GridFormatError, InputError
+from sinkseg.errors import InputError
 from sinkseg.hydro import fill_depressions
 from sinkseg.image import write_ppm, write_pgm
 from sinkseg.labeling import FilterThresholds, read_prompts, tile_prompts
@@ -51,12 +51,19 @@ def manifest_windows(out_dir):
 
 
 def load_depth(path):
-    """The float64 array of a depth archive the fill stage wrote."""
+    """The float64 array of a depth archive the fill or prompts stage wrote."""
     with np.load(path, allow_pickle=False) as archive:
         assert archive.files == ["depth"]
         depth = archive["depth"]
     assert depth.dtype == np.float64
     return depth
+
+
+def load_filtered(out_dir):
+    """The filtered depth mosaic the prompts stage wrote, georeferenced by the manifest."""
+    doc = json.loads((Path(out_dir) / "manifest.json").read_text())
+    return Raster(load_depth(Path(out_dir) / "depth_filtered.npz"), doc["nodata"],
+                  doc["origin_x"], doc["origin_y"], doc["cellsize"])
 
 
 def make_cfg(scene_dir, out_dir, **kw):
@@ -154,7 +161,7 @@ class TestFillStage:
             expected = {w: fill_depressions(extract_tile(dem, w)).depth for w in windows.values()}
             paths = {w: out / "patches" / f"{pid}.depth.npz" for pid, w in windows.items()}
         for window, want in expected.items():
-            got = pipeline._read_depth(paths[window], doc, window)
+            got = pipeline._read_depth(paths[window], "fill", doc, window)
             assert np.array_equal(got.values, want.values)
             assert (got.nodata, got.geotransform) == (want.nodata, want.geotransform)
 
@@ -177,8 +184,38 @@ class TestFillStage:
         np.savez_compressed(tmp_path / "depth.npz", depth=values)
         doc = {"width": 20, "height": 30, "nodata": -9999.0,
                "origin_x": 0.0, "origin_y": 0.0, "cellsize": 1.0}
-        got = pipeline._read_depth(tmp_path / "depth.npz", doc)
+        got = pipeline._read_depth(tmp_path / "depth.npz", "fill", doc)
         assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
+
+    def test_depth_archive_holds_the_bytes_numpy_writes(self, tmp_path):
+        """The copy-free write gives numpy's own ``.npy`` member, bit for bit,
+        for an array larger than ``write_array``'s 16 MiB chunks and for arrays
+        that are not C-contiguous."""
+        rng = np.random.default_rng(7)
+        big = np.zeros((1500, 1500))  # 18 MB
+        big[::7, ::5] = rng.normal(size=big[::7, ::5].shape)
+        small = rng.normal(size=(30, 40))
+        for values in (big, small, small.T, np.asfortranarray(small), small[::2, ::3]):
+            pipeline._write_depth(values, tmp_path / "fast.npz")
+            with zipfile.ZipFile(tmp_path / "numpy.npz", "w", zipfile.ZIP_DEFLATED,
+                                 compresslevel=1) as archive:
+                with archive.open("depth.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, np.ascontiguousarray(values))
+            assert (tmp_path / "fast.npz").read_bytes() == (tmp_path / "numpy.npz").read_bytes()
+            assert np.array_equal(load_depth(tmp_path / "fast.npz"), values)
+
+    def test_depth_archive_write_copies_no_array(self, tmp_path):
+        import tracemalloc
+
+        values = np.zeros((1024, 1024))  # 8 MB, mostly flat as depth is
+        values[100:140, 200:260] = 1.5
+        tracemalloc.start()
+        try:
+            pipeline._write_depth(values, tmp_path / "depth.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestStageOrdering:
@@ -247,7 +284,7 @@ class TestPromptsStage:
         cmd_prompts(cfg)
         for path in (tmp_path / "out" / "patches").glob("*.boxes.json"):
             assert read_prompts(path).boxes == []
-        filtered = read_ascii_grid(tmp_path / "out" / "depth_filtered.asc")
+        filtered = load_filtered(tmp_path / "out")
         valid = filtered.valid_mask()
         assert np.all(filtered.values[valid] == 0.0)
 
@@ -287,11 +324,28 @@ class TestPromptsStage:
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         cmd_prompts(cfg)
-        filtered = read_ascii_grid(tmp_path / "out" / "depth_filtered.asc")
+        filtered = load_filtered(tmp_path / "out")
         gt = read_ascii_mask(scene_dir / "gt_mask.asc")
         # surviving depressions sit exactly where the ground truth says
         on_gt = filtered.values[gt.values]
         assert (on_gt > 0).mean() > 0.9
+
+    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
+    def test_filtered_archive_is_the_returned_mosaic(self, scene_dir, tmp_path, mode):
+        values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
+        values[5:9, 70:80] = -32768.0
+        dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
+        write_ascii_grid(dem, tmp_path / "dem.asc")
+        out = tmp_path / "out"
+        cfg = replace(make_cfg(scene_dir, out, fill_mode=mode), depth_raster=tmp_path / "dem.asc")
+        cmd_fill(cfg)
+        mosaic = cmd_prompts(cfg)
+        assert (mosaic.values == -32768.0).sum() == 40 and (mosaic.values > 0).any()
+        written = load_depth(out / "depth_filtered.npz")
+        assert np.array_equal(written.view(np.int64), mosaic.values.view(np.int64))
+        doc = json.loads((out / "manifest.json").read_text())
+        got = pipeline._read_depth(out / "depth_filtered.npz", "prompts", doc)
+        assert (got.nodata, got.geotransform) == (mosaic.nodata, mosaic.geotransform)
 
 
 class TestSegmentAndEval:
@@ -386,17 +440,17 @@ class TestSegmentAndEval:
         with server or nullcontext():
             cmd_segment(cfg)
             fused = (out / "fused_mask.asc").read_bytes()
-            (out / "depth_filtered.asc").write_text("not a grid\n")
+            (out / "depth_filtered.npz").write_text("not an archive\n")
             cmd_segment(cfg)
         assert (out / "fused_mask.asc").read_bytes() == fused
-        with pytest.raises(GridFormatError):
+        with pytest.raises(InputError, match="rerun the prompts stage"):
             cmd_segment(replace(cfg, backend_kind="echo"))
 
     def test_replay_backend_reproduces_echo_run(self, scene_dir, tmp_path):
         cfg, _ = self.run_all(scene_dir, tmp_path / "echo")
         # record per-box echo masks, then replay them through the pipeline
         patches = tmp_path / "echo" / "patches"
-        depth_filtered = read_ascii_grid(tmp_path / "echo" / "depth_filtered.asc")
+        depth_filtered = load_filtered(tmp_path / "echo")
         windows = manifest_windows(tmp_path / "echo")
         replay_dir = tmp_path / "recorded"
         for boxes_path in sorted(patches.glob("*.boxes.json")):
@@ -426,7 +480,7 @@ class TestSegmentAndEval:
 class TestArtifacts:
     def test_run_writes_exactly_the_consumed_artifacts(self, scene_dir, tmp_path):
         ids = [f"r{r:05d}_c{c:05d}" for r in (0, 32, 64) for c in (0, 32, 64)]
-        common = {"manifest.json", "depth_filtered.asc", "fused_mask.asc",
+        common = {"manifest.json", "depth_filtered.npz", "fused_mask.asc",
                   "report.json", "report.csv"}
         common |= {f"patches/{pid}.boxes.json" for pid in ids}
         expected = {
@@ -466,19 +520,24 @@ class TestDeterminism:
     def test_run_reads_back_no_product_it_wrote(self, scene_dir, tmp_path, monkeypatch):
         out = tmp_path / "out"
         reads = []
-        for name in ("read_ascii_grid", "read_ascii_mask"):
+        for name in ("read_ascii_grid", "read_ascii_mask", "_read_depth"):
             def counting(path, *args, _read=getattr(pipeline, name), **kwargs):
                 reads.append(Path(path))
                 return _read(path, *args, **kwargs)
 
             monkeypatch.setattr(pipeline, name, counting)
+
+        def products():  # all but the fill archives, the fill -> prompts hand-off
+            return [p for p in reads if not p.name.endswith(".depth.npz")]
+
         cfg = make_cfg(scene_dir, out)  # echo: the one backend that paints the filtered depth
         cmd_run(cfg)
-        assert reads == [scene_dir / "dem.asc", scene_dir / "gt_mask.asc"]
+        assert len(reads) - len(products()) == 9  # one archive per window
+        assert products() == [scene_dir / "dem.asc", scene_dir / "gt_mask.asc"]
         cmd_segment(cfg)  # a stage run on its own reads its input back
         cmd_eval(cfg)
-        assert [p for p in reads if out in p.parents] == [out / "depth_filtered.asc",
-                                                         out / "fused_mask.asc"]
+        assert [p for p in products() if out in p.parents] == [out / "depth_filtered.npz",
+                                                              out / "fused_mask.asc"]
 
     def test_rerun_overwrites_identically(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")

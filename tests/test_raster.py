@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,6 +389,74 @@ class TestMaskIO:
         path.write_text(grid_text(["0 0.5"]))
         with pytest.raises(GridFormatError, match="non-binary"):
             read_ascii_mask(path)
+
+
+def mask_outcome(path):
+    """``read_ascii_mask``'s result as comparable values, or its error text."""
+    try:
+        mask = read_ascii_mask(path)
+    except GridFormatError as exc:
+        return str(exc)
+    return mask.values.tolist(), mask.geotransform
+
+
+def mask_outcome_by_parser(path):
+    """:func:`mask_outcome` with the byte reader switched off: the grid parser's."""
+    with mock.patch.object(raster, "_read_mask_bytes", lambda path: None):
+        return mask_outcome(path)
+
+
+class TestMaskBytesReader:
+    """``read_ascii_mask`` reads ``write_ascii_mask``'s layout as one byte buffer;
+    the grid parser it falls back to for any other layout is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.integers(1, 9).flatmap(
+            lambda w: st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
+                               min_size=1, max_size=9)
+        ),
+        origin=st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
+        cellsize=st.floats(1e-6, 1e6),
+    )
+    def test_equals_the_grid_parser(self, cells, origin, cellsize, tmp_path_factory):
+        mask = BinaryMask(np.array(cells), origin_x=origin[0], origin_y=origin[1],
+                          cellsize=cellsize)
+        path = tmp_path_factory.mktemp("masks") / "m.asc"
+        write_ascii_mask(mask, path)
+        assert raster._read_mask_bytes(path) is not None  # the byte reader took it
+        assert mask_outcome(path) == mask_outcome_by_parser(path)
+        assert mask_outcome(path) == (cells, mask.geotransform)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda b: b.replace(b"\n", b"\r\n"), None),
+            (lambda b: b.replace(b" ", b"  "), None),
+            (lambda b: b + b"\n", None),
+            (lambda b: b.replace(b"xllcorner 0.0", b"xllcorner 0"), None),
+            (lambda b: b.replace(b"NODATA_value -9999.0", b"NODATA_value 0"), None),
+            (lambda b: b[:-8] + b"2" + b[-7:], "mask contains non-binary value"),
+            (lambda b: b[:-3], "line 10: cell count mismatch (expected 4 values, got 3)"),
+            (lambda b: b.replace(b"ncols 4", b"ncols 1000000"),
+             "line 7: cell count mismatch (expected 1000000 values, got 4)"),
+            (lambda b: b.replace(b"xllcorner", b"\xffllcorner"), "not a text grid"),
+        ],
+        ids=["crlf", "doubled-spaces", "trailing-blank-line", "respelled-header",
+             "other-nodata", "digit-2", "truncated-body", "huge-header", "not-utf8"],
+    )
+    def test_any_other_layout_goes_to_the_grid_parser(self, tmp_path, edit, error):
+        values = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
+        path = tmp_path / "m.asc"
+        write_ascii_mask(BinaryMask(values), path)
+        path.write_bytes(edit(path.read_bytes()))
+        assert raster._read_mask_bytes(path) is None
+        outcome = mask_outcome(path)
+        assert outcome == mask_outcome_by_parser(path)
+        if error is None:
+            assert outcome == (values.astype(bool).tolist(), (0.0, 0.0, 1.0))
+        else:
+            assert error in outcome
 
 
 class TestInvertDepth:
