@@ -10,25 +10,41 @@ priority flood (Barnes et al. 2014, *Computers & Geosciences* 62) builds.
 
 **The block kernel.**  Minimax paths between any two nodes of a weighted
 graph run along every minimum spanning tree of it (Hu 1961, the
-maximum-capacity route problem).  So a block of cells is filled in one
-compiled pass: rank the elevations, weight each 8-neighbour edge by the
-higher rank of its two cells, join every outlet to a virtual outlet node,
-take a minimum spanning tree, and give each cell the running maximum of
-ranks on its tree path from the virtual node.  A diagonal edge with a detour
-through its 2x2 block that is no heavier is left out; that halves the graph
-on most terrain and changes no minimax value.  The level is an index into
-the sorted input elevations, so the output is exact: a raised cell takes
-the value of the elevation that bounds it, and every other cell keeps its
-input bits.
+maximum-capacity route problem).  So a block is filled by finding the
+minimum spanning tree of its 8-neighbour graph plus a virtual outlet node
+joined to every outlet, and giving each cell the heaviest edge on its tree
+path to the virtual node.  The level is an index into the sorted input
+elevations, so the output is exact: a raised cell takes the value of the
+elevation that bounds it, and every other cell keeps its input bits.
 
 The graph's nodes are numbered by elevation: the virtual node is 0 and the
-valid cells are 1..N from lowest to highest, so rank never falls as the
-node number rises.  Each edge is stored in the row of its higher node and
-weighs that node's rank, so the weights are already in order where the
-graph stores them.  Kruskal's algorithm inside ``minimum_spanning_tree``
-starts with a stable sort of the weights, which then finds one sorted run
-and takes linear time; on noisy terrain that sort was most of the kernel.
-The one sort left is that of the elevations, which numbers the nodes.
+valid cells are 1..N from lowest to highest (``np.argsort`` order breaks
+ties).  An edge weighs the rank of its higher end, and its key ``hi * (N +
+1) + lo`` orders edges by weight and breaks every tie, so the tree is
+unique; a virtual edge from cell *c* has the key ``c * (N + 1) + N``, the
+heaviest of the edges whose higher end is *c*.
+
+The tree is found by Borůvka's algorithm (1926), in numpy: each round hooks
+every tree on its lightest edge, and trees hooked on each other merge.  In
+the first round the trees are single cells, and the lightest edge of a cell
+goes to its lowest 8-neighbour, or to the virtual node if the cell is an
+outlet with no lower neighbour: a steepest-descent step, computed on the
+grid.  The trees it leaves are contracted to nodes, with the lightest edge
+between each pair of trees, and later rounds run over that graph
+(:func:`_boruvka`) until every tree has joined the virtual node's.  Ranking
+outlets' virtual edges last keeps each block's drainage labels (below) few:
+an outlet drains through a lower neighbour if it has one.
+
+*Why the level is exact.*  A tree hooks on its lightest edge out, and the
+tree it hooks on has that edge as one of its own, so its lightest edge out
+is no heavier: hook keys never rise along the hooks towards a root.  Let
+*x* lie in a tree *T* whose contracted node has level ``L(T)``, the
+virtual node's tree counting as 0.  Every path from *x* starts with an edge
+no lighter than the hook of *x*, and leaves *T* no lower than ``L(T)``.
+Conversely, *x* climbs its hooks to the root of *T* no higher than its own
+hook, and the best way out of *T* starts at a node whose own hook is no
+heavier than that way's first edge.  So ``level(x) = max(hook key of x,
+L(T))``, and each round's levels follow from the next round's.
 
 **The tiled fill.**  A raster is cut into blocks of at most ``_BLOCK`` cells
 a side, and each block is filled once on its own, with its edge as outlets
@@ -117,85 +133,82 @@ def _outlet_mask(valid: np.ndarray) -> np.ndarray:
     return valid & ~interior
 
 
-def _kept_diagonals(rank, valid, a, b, c, d) -> np.ndarray:
-    """Where the diagonal edge between corners *a* and *b* of a 2x2 block is kept.
+def _settle(hook: np.ndarray):
+    """One Borůvka round's trees, from each node's *hook*: the other end of
+    its lightest edge, or itself for node 0, which hooks on nothing.
 
-    The detour over one of the other corners *c*, *d* weighs ``max(rank a,
-    rank b, rank c)``: no more than the diagonal itself unless that corner is
-    higher than both ends.  The diagonal is dropped when either corner gives
-    such a detour, which runs over 4-neighbour edges, all kept, so no minimax
-    path value changes.  A nodata corner (rank 0) makes *a* and *b* outlets,
-    joined through the virtual node at the diagonal's own weight, so that
-    diagonal is dropped too.
+    A 2-cycle is one edge chosen from both ends; its lower end becomes its
+    tree's root.  Nodes hooked on node 0 are roots too, so pointer jumping
+    brings each node to rest on the node by which its tree meets node 0, or
+    on its tree's root.  Returns that *rest* node, whether each node has
+    joined node 0's tree, and each node's tree in the next round: 0 for
+    node 0's, then the other roots in order.
     """
-    top = np.maximum(rank[a], rank[b])
-    return valid[a] & valid[b] & (rank[c] > top) & (rank[d] > top)
+    ids = np.arange(hook.size)
+    hook = hook.copy()
+    cycle = (hook[hook] == ids) & (ids < hook)
+    hook[cycle] = ids[cycle]
+    meets = hook == 0
+    meets[0] = False
+    rest = np.where(meets, ids, hook)
+    while not np.array_equal(further := rest[rest], rest):
+        rest = further
+    joined = meets[rest]
+    joined[0] = True
+    root = (rest == ids) & ~joined
+    return rest, joined, np.where(joined, 0, np.cumsum(root)[rest])
 
 
-def _spill_graph(node: np.ndarray, rank: np.ndarray, outlet: np.ndarray):
-    """8-neighbour graph of the valid cells plus a virtual outlet node.
+def _boruvka(n: int, a: np.ndarray, b: np.ndarray):
+    """The minimum spanning tree of a connected graph, seen from node 0.
 
-    ``node`` numbers the cells of the raster (``0`` on nodata cells) and
-    ``rank[k]`` is the elevation rank of node *k*, non-decreasing in *k*;
-    node ``0`` is the virtual outlet, rank ``0``.  Each undirected edge is
-    stored once, in the row of its higher node, and weighs that node's rank,
-    which is the higher rank of its two ends.  Every row then lists lower
-    nodes only, and ``data`` is non-decreasing in CSR storage order.  Edges
-    join 8-neighbours, less the diagonals with a detour no heavier than
-    themselves (see :func:`_kept_diagonals`), and every outlet cell to the
-    virtual node.
+    The graph has nodes ``0..n-1`` and edges ``(a[k], b[k])`` that weigh
+    their index *k*: the edges come in weight order and no two weigh the
+    same, so the tree is unique.  Returns, per node, its *level*: the
+    heaviest edge on its tree path to node 0 (``-1`` for node 0); and its
+    *branch*: the last edge of that path, the one at node 0.
 
-    The rows are filled by counting, with no sort and no COO matrix, whose
-    conversion would hold every edge twice: one sweep counts each cell's
-    edges and a second writes each edge to the next free place of its
-    owner's row.  Each neighbour family is split into two passes by which
-    end is higher, so no cell owns two edges of one pass.  csgraph does not
-    check the indices it is given.
+    Each round hooks every tree but node 0's on its lightest edge, settles
+    the trees (:func:`_settle`), and contracts each tree to one node, keeping
+    the lightest edge between each pair of trees.  A node's level is the
+    heaviest hook of the trees that held it until its tree joined node 0's:
+    hooks never grow heavier towards a root, as a tree's hook is the
+    lightest edge of the tree it hooks on.
     """
-    from scipy.sparse import csr_matrix
-
-    valid = node > 0
-    cell_rank = rank[node]
-    west, east, north, south = np.s_[:, :-1], np.s_[:, 1:], np.s_[:-1, :], np.s_[1:, :]
-    top_left, top_right, bottom_left, bottom_right = (
-        np.s_[:-1, :-1], np.s_[:-1, 1:], np.s_[1:, :-1], np.s_[1:, 1:]
-    )
-    families = (  # the two ends of each edge, and where the edge is kept
-        (west, east, valid[west] & valid[east]),
-        (north, south, valid[north] & valid[south]),
-        (top_right, bottom_left, _kept_diagonals(
-            cell_rank, valid, top_right, bottom_left, top_left, bottom_right)),
-        (top_left, bottom_right, _kept_diagonals(
-            cell_rank, valid, top_left, bottom_right, top_right, bottom_left)),
-    )
-    del cell_rank
-
-    def passes():
-        """Owner cells, other ends and where the edges are, pass by pass: the
-        owner is the higher end, and no cell owns two edges of one pass."""
-        for a, b, kept in families:
-            a_higher = node[a] > node[b]
-            yield a, b, kept & a_higher
-            yield b, a, kept & ~a_higher
-
-    count = outlet.astype(np.int32)  # per cell: the edges in its row
-    for owner, _, edge in passes():
-        count[owner] += edge
-    n = rank.size
-    row_count = np.zeros(n, dtype=np.int32)
-    row_count[node] = count  # nodata cells count 0 towards the virtual node's row
-    del count
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(row_count, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    slot = indptr[node]  # per cell: the next free place in its row
-    for owner, other, edge in passes():
-        indices[slot[owner][edge]] = node[other][edge]
-        slot[owner] += edge
-    indices[slot[outlet]] = 0
-    # each row weighs its own rank; float64 is csgraph's dtype, so no copy
-    data = np.repeat(rank, row_count).astype(np.float64)
-    return csr_matrix((data, indices, indptr), shape=(n, n))
+    level = np.full(n, -1, dtype=np.int64)
+    branch = np.full(n, -1, dtype=np.int64)
+    tree = np.arange(n)  # each node's tree this round; node 0's is 0
+    key = np.arange(a.size)
+    ends = a, b
+    while key.size:
+        trees = int(tree.max()) + 1
+        edge = np.arange(key.size)
+        lightest = np.full(trees, key.size)
+        for end in ends:
+            np.minimum.at(lightest, end, edge)
+        lightest[0] = 0
+        hook = np.where(ends[0][lightest] == np.arange(trees), ends[1][lightest], ends[0][lightest])
+        hook[0] = 0
+        hook_key = key[lightest]
+        hook_key[0] = -1
+        rest, joined, renumber = _settle(hook)
+        np.maximum(level, hook_key[tree], out=level)
+        # a tree meeting node 0's through an edge from node z in it takes z's branch
+        meets = np.flatnonzero((rest == np.arange(trees)) & joined)[1:]
+        k = hook_key[meets]
+        z = np.where(tree[a[k]] == 0, a[k], b[k])
+        tree_branch = np.zeros(trees, dtype=np.int64)
+        tree_branch[meets] = np.where(z == 0, k, branch[z])
+        now = (tree != 0) & joined[tree]
+        branch[now] = tree_branch[rest[tree[now]]]
+        tree = renumber[tree]
+        ends = renumber[ends[0]], renumber[ends[1]]
+        cross = ends[0] != ends[1]
+        low, high = np.minimum(*ends)[cross], np.maximum(*ends)[cross]
+        _, first = np.unique(low * (int(renumber.max()) + 1) + high, return_index=True)
+        first.sort()  # the lightest edge of each pair, still in weight order
+        ends, key = (low[first], high[first]), key[cross][first]
+    return level, branch
 
 
 def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray):
@@ -207,8 +220,6 @@ def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray):
     in the spanning tree: each valid cell gets the one its tree path from
     the virtual node passes, and nodata cells get 0.
     """
-    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
-
     # node k is the k-th lowest valid cell in np.argsort's default order and
     # node 0 the virtual outlet.  A run of tied elevations is one rank, whose
     # level is that of its first member in that order; which sign of zero
@@ -226,30 +237,70 @@ def _minimax_fill(values: np.ndarray, valid: np.ndarray, outlet: np.ndarray):
     np.not_equal(elevation[1:], elevation[:-1], out=first[1:])
     levels = elevation[first]
     del elevation
-    # ranks start at 1: csgraph reads a zero weight as "no edge"
     rank = np.zeros(first.size + 1, dtype=np.int32)
     np.cumsum(first, out=rank[1:])
     del first
 
-    tree = minimum_spanning_tree(_spill_graph(node, rank, outlet), overwrite=True)
-    _, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
-    del tree
+    # the first round, on the grid: each cell hooks on its lowest neighbour,
+    # or on the virtual node if it is an outlet with no lower neighbour
+    n = rank.size
+    h, w = values.shape
+    padded = np.full((h + 2, w + 2), n, dtype=np.int32)  # n: no neighbour
+    padded[1:-1, 1:-1][valid] = node[valid]
+    low = np.full(values.shape, n, dtype=np.int32)
+    for dr, dc in _NEIGHBOURS:
+        np.minimum(low, padded[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc], out=low)
+    del padded
+    ids = np.arange(n, dtype=np.int64)
+    lowest = np.zeros(n, dtype=np.int64)
+    lowest[node[valid]] = low[valid]
+    del low
+    direct = np.zeros(n, dtype=bool)
+    direct[node[outlet]] = True
+    down = lowest < ids
+    direct &= ~down
+    hook = np.where(direct, 0, lowest)
+    # an edge's key is hi * n + lo; a virtual edge from c has c * n + n - 1
+    hook_key = np.where(down | direct, ids * n + np.where(direct, n - 1, lowest), lowest * n + ids)
+    del lowest, down
+    rest, joined, tree = _settle(hook)
 
-    # pointer jumping, with the virtual node's children pointing at
-    # themselves: each node's pointer comes to rest on the child its tree
-    # path passes, carrying the running max of ranks down to the node
-    root_child = parent == 0
-    jump = np.where(root_child, np.arange(rank.size, dtype=np.int32), parent)
-    jump[0] = 0
-    level = rank.copy()
-    while True:
-        np.maximum(level, level[jump], out=level)
-        further = jump[jump]
-        if np.array_equal(further, jump):
-            break
-        jump = further
-    label = np.cumsum(root_child, dtype=np.int32)[jump][node]  # node 0 is no child
-    level, rank = level[node], rank[node]
+    # the other rounds, over the trees
+    cell_tree = np.where(valid, tree[node], -1)
+    ends = []
+    for a, b in _PAIRS:
+        tree_a, tree_b = cell_tree[a], cell_tree[b]
+        meet = (tree_a != tree_b) & (tree_a >= 0) & (tree_b >= 0)
+        node_a, node_b = node[a][meet], node[b][meet]
+        ends.append((tree_a[meet], tree_b[meet],
+                     np.maximum(node_a, node_b).astype(np.int64) * n + np.minimum(node_a, node_b)))
+    del cell_tree
+    spill = node[outlet]
+    spill = spill[tree[spill] > 0]
+    ends.append((tree[spill], np.zeros_like(spill), spill.astype(np.int64) * n + n - 1))
+    tree_a, tree_b, key = (np.concatenate(column) for column in zip(*ends))
+    del ends
+    order = np.argsort(key)
+    key = key[order]
+    tree_level, tree_branch = _boruvka(int(tree.max()) + 1, tree_a[order], tree_b[order])
+    del tree_a, tree_b, order
+
+    level = np.maximum(hook_key, np.concatenate(([0], key))[tree_level + 1][tree])
+    # labels: first the outlets hooked on the virtual node in the first
+    # round, each labelling the cells that rest on it.  A later tree's branch
+    # meets tree 0 at a cell, whose label it takes, or at the virtual node,
+    # where its outlet is a new label.
+    label = np.cumsum(direct)[rest]
+    above, below = np.divmod(key[tree_branch[1:]], n)
+    virtual = below == n - 1
+    new_label = np.zeros(virtual.size, dtype=np.int64)
+    new_label[virtual] = np.unique(tree_branch[1:][virtual], return_inverse=True)[1] + 1
+    new_label[virtual] += np.count_nonzero(direct)
+    entry = np.where(tree[above] == 0, above, below)
+    tree_label = np.concatenate(([0], np.where(virtual, new_label, label[entry])))
+    label = np.where(joined, label, tree_label[tree])[node].astype(np.int32)
+
+    level, rank = rank[level // n][node], rank[node]
     raised = level > rank
     filled = values.copy()
     filled[raised] = levels[level[raised] - 1]
@@ -296,9 +347,6 @@ def _join(grid: list[list[_Block]]) -> np.ndarray:
     """The filled level of each cell of the region that *grid*, rows of
     blocks, tiles: ``-inf`` on nodata.  Each block is taken out of *grid* as
     it is copied into the region image."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
-
     top, left = grid[0][0].rows.start, grid[0][0].cols.start
     height, width = grid[-1][0].rows.stop - top, grid[0][-1].cols.stop - left
     # the region image; a ring of label 0 and level -inf is the outside
@@ -323,20 +371,9 @@ def _join(grid: list[list[_Block]]) -> np.ndarray:
         meet = label_a != label_b
         ends.append((label_a[meet], label_b[meet], np.maximum(level[a][meet], level[b][meet])))
     a, b, weight = _lightest(*(np.concatenate(column) for column in zip(*ends)))
-    weights, rank = np.unique(weight, return_inverse=True)
-    # ranks start at 1: csgraph reads a zero weight as "no edge"
-    graph = csr_matrix(((rank + 1).astype(np.float64), (a, b)), shape=(nodes + 1, nodes + 1))
-    tree = minimum_spanning_tree(graph).tocoo()
-    _, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
-    # the rank of the tree edge above each node, then the running max down from node 0
-    below = np.where(parent[tree.row] == tree.col, tree.row, tree.col)
-    rank = np.zeros(nodes + 1, dtype=np.int64)
-    rank[below] = tree.data
-    parent[0] = 0
-    while (parent != 0).any():
-        np.maximum(rank, rank[parent], out=rank)
-        parent = parent[parent]
-    label_level = np.concatenate(([-np.inf], weights))[rank]
+    order = np.lexsort((b, a, weight))  # each edge's key is its place in this order
+    heaviest, _ = _boruvka(nodes + 1, a[order], b[order])
+    label_level = np.concatenate(([-np.inf], weight[order]))[heaviest + 1]
     for start in range(0, level.shape[0], _BLOCK):  # by bands: no third image is held
         band = np.s_[start : start + _BLOCK]
         np.maximum(level[band], label_level[label[band]], out=level[band])

@@ -3,15 +3,19 @@
 A component is an 8-connected region of strictly positive depression depth
 (:func:`label_components`) or of set mask pixels
 (:func:`components_from_mask`), numbered 1, 2, ... in raster scan order of
-its first-encountered pixel.  Both give one :class:`LabelGrid`, labelled in
-compiled code (``scipy.ndimage.label`` with a 3x3 structure, imported on
-first use): the label grid plus each component's area, maximum depth and
-extent as per-label arrays.  That grid is the only representation of a
-component.  :func:`filter_components` keeps the ids of components deep and
-large enough, :func:`boxes_from_components` turns kept ids into
-pixel-aligned box prompts for the segmenters, and :func:`tile_prompts`
-builds a tile's prompts from those two and zeroes the dropped components in
-the depth raster by label id.
+its first-encountered pixel, as ``scipy.ndimage.label`` with a 3x3
+structure numbers them.  Both give one :class:`LabelGrid`: the label grid
+plus each component's area, maximum depth and extent as per-label arrays.
+The labelling works on the row runs of set pixels: runs of adjacent rows
+that touch in 8-connectivity are found with ``searchsorted``, and each run
+is hooked on the lowest run of its component, its first in scan order.
+
+That grid is the only representation of a component.
+:func:`filter_components` keeps the ids of components deep and large
+enough, :func:`boxes_from_components` turns kept ids into pixel-aligned box
+prompts for the segmenters, and :func:`tile_prompts` builds a tile's
+prompts from those two and zeroes the dropped components in the depth
+raster by label id.
 
 Box coordinates follow the image convention: ``x`` is the column, ``y`` the
 row, origin at the top-left, and the intervals are inclusive-exclusive
@@ -117,16 +121,52 @@ class LabelGrid:
 def _labelled(positive: np.ndarray, values: np.ndarray) -> LabelGrid:
     """8-connected labels of *positive*, numbered 1.. in scan order of first
     pixel, with the maximum of *values* over each."""
-    from scipy import ndimage
+    stride = positive.shape[1] + 2  # a clear column each side keeps rows apart
+    padded = np.zeros((positive.shape[0], stride), dtype=np.int8)
+    padded[:, 1:-1] = positive
+    step = np.diff(padded.ravel())
+    del padded
+    # the runs of set pixels in scan order, as padded flat indices of their
+    # first pixel and one past their last
+    starts, stops = np.flatnonzero(step == 1) + 1, np.flatnonzero(step == -1) + 1
+    del step
+    # run i touches the runs first[i] .. last[i] - 1 of the next row
+    first = np.searchsorted(stops, starts + stride)
+    last = np.searchsorted(starts, stops + stride, side="right")
+    count = last - first
+    upper = np.repeat(np.arange(starts.size), count)
+    lower = np.arange(upper.size) - np.repeat(np.cumsum(count) - count - first, count)
+    # hook each root on the lowest root it touches, then jump, until no two
+    # touching runs have different roots: a component's root is its first run
+    root = np.arange(starts.size)
+    while True:
+        a, b = root[upper], root[lower]
+        joins = a != b
+        if not joins.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
+        while not np.array_equal(further := root[root], root):
+            root = further
+    is_first = root == np.arange(starts.size)
+    label = np.cumsum(is_first, dtype=np.int32)[root]
+    n = int(np.count_nonzero(is_first))
+    labels = np.zeros(positive.shape, dtype=np.int32)
+    labels[positive] = np.repeat(label, stops - starts)
 
-    labels, n = ndimage.label(positive, structure=np.ones((3, 3), dtype=bool))
+    rows = starts // stride
+    start_cols, stop_cols = starts - rows * stride - 1, stops - rows * stride - 1
+    bottom, left, right = np.zeros(n + 1, np.int64), np.full(n + 1, stride), np.zeros(n + 1, np.int64)
+    np.maximum.at(bottom, label, rows + 1)
+    np.minimum.at(left, label, start_cols)
+    np.maximum.at(right, label, stop_cols)
     max_depth = np.zeros(n + 1)  # every labelled value is > 0
     np.maximum.at(max_depth, labels[positive], values[positive])
     return LabelGrid(
         labels=labels,
         area_px=np.bincount(labels.ravel(), minlength=n + 1),
         max_depth=max_depth,
-        extents=ndimage.find_objects(labels),
+        extents=[(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in zip(
+            rows[is_first].tolist(), bottom[1:].tolist(), left[1:].tolist(), right[1:].tolist())],
     )
 
 

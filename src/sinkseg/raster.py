@@ -346,7 +346,7 @@ def read_ascii_mask(path: str | Path) -> BinaryMask:
     header, data = _parse_grid(Path(path))
     if not np.isin(data, (0.0, 1.0)).all():
         bad = data[~np.isin(data, (0.0, 1.0))][0]
-        raise GridFormatError(f"{path}: mask contains non-binary value {bad!r}")
+        raise GridFormatError(f"{path}: mask contains non-binary value {float(bad)}")
     return BinaryMask(
         data.astype(bool),
         origin_x=header["xllcorner"],

@@ -623,6 +623,42 @@ class TestImportTime:
         assert out.stdout.strip() == "[]"
 
 
+    @pytest.fixture()
+    def run_128(self, tmp_path):
+        """The arguments of an echo run over a 128x128 scene, by out dir."""
+        scene = tmp_path / "scene"
+        export_scene(gen_terrain(seed=5, width=128, height=128, n_sinkholes=4,
+                                 radius_range=(6.0, 10.0)), scene)
+        return lambda out: ["-q", *run_args(scene, tmp_path / out, "--set", "tile.patch=64",
+                                            "--set", "tile.stride=32")]
+
+    @staticmethod
+    def run_fresh(prelude: str, args: list[str]) -> subprocess.CompletedProcess:
+        """``sinkseg`` *args* in a fresh interpreter, after *prelude*; the
+        scipy modules loaded by the end are printed on stderr."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, sys.argv[1]); {prelude}; "
+            "from sinkseg.cli import main; code = main(sys.argv[2:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr); "
+            "sys.exit(code)"
+        )
+        return subprocess.run([sys.executable, "-c", code, str(src), *args],
+                              capture_output=True, text=True)
+
+    def test_a_run_loads_no_scipy(self, run_128):
+        out = self.run_fresh("pass", run_128("out"))
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.strip() == "[]"
+        assert json.loads(out.stdout)["iou"] > 0.9
+
+    def test_a_run_needs_no_scipy(self, run_128, capsys):
+        """With scipy unimportable, a run exits 0 and prints the same report."""
+        out = self.run_fresh("sys.modules['scipy'] = None", run_128("blocked"))
+        assert out.returncode == 0, out.stderr
+        assert main(run_128("out")) == 0
+        assert out.stdout == capsys.readouterr().out
+
     def test_import_leaves_requests_unloaded(self):
         """The http client library loads only when an http backend is built."""
         src = Path(__file__).resolve().parents[1] / "src"

@@ -14,8 +14,7 @@ from sinkseg.errors import NoOutletError
 from sinkseg import hydro
 from sinkseg.hydro import (
     FilledResult,
-    _outlet_mask,
-    _spill_graph,
+    _boruvka,
     fill_depressions,
     region_depths,
 )
@@ -360,69 +359,114 @@ def noisy_terrain():
     return gen_terrain(42, 1024, 1024, 12, noise_amp=0.5).dem.values
 
 
-def elevation_numbering(dem: Raster):
-    """Nodes ``1..N`` for the valid cells in ascending elevation (``0`` on
-    nodata), and the elevation rank of each node (``0`` for node 0)."""
-    valid = dem.valid_mask()
-    cells = np.flatnonzero(valid)[np.argsort(dem.values[valid], kind="stable")]
-    node = np.zeros(dem.values.shape, dtype=np.int32)
-    node.ravel()[cells] = np.arange(1, cells.size + 1)
-    elevation = dem.values.ravel()[cells]
-    rank = np.zeros(cells.size + 1, dtype=np.int32)
-    rank[1:] = np.cumsum(np.r_[True, elevation[1:] != elevation[:-1]])
-    return node, rank
+@st.composite
+def keyed_graphs(draw):
+    """Connected graphs of at most 12 nodes, parallel edges allowed, whose
+    edges come in a random order: edge *k* weighs *k*."""
+    n = draw(st.integers(1, 12))
+    edges = [(node, draw(st.integers(0, node - 1))) for node in range(1, n)]  # a spanning tree
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(pairs, max_size=3 * n))
+    edges = draw(st.permutations([draw(st.sampled_from([edge, edge[::-1]])) for edge in edges]))
+    return n, np.array([x for x, _ in edges], np.int64), np.array([y for _, y in edges], np.int64)
 
 
-def expected_edges(dem: Raster, node: np.ndarray, rank: np.ndarray) -> set:
-    """The 8-neighbour edges of the valid cells, less each diagonal whose two
-    other corners are not both valid and higher than its ends, plus an edge
-    from every outlet cell to node 0."""
-    valid = dem.valid_mask()
-    h, w = valid.shape
-
-    def inside(r, c):
-        return 0 <= r < h and 0 <= c < w
-
-    edges = set()
-    for r, c in zip(*np.nonzero(valid)):
-        a = int(node[r, c])
-        for dr, dc in OFFSETS:
-            nr, nc = r + dr, c + dc
-            if not (inside(nr, nc) and valid[nr, nc]):
-                edges.add(frozenset((a, 0)))  # an outlet
-                continue
-            b = int(node[nr, nc])
-            if dr and dc:
-                top = max(rank[a], rank[b])
-                if not all(valid[cr, cc] and rank[node[cr, cc]] > top
-                           for cr, cc in ((r, nc), (nr, c))):
-                    continue
-            edges.add(frozenset((a, b)))
-    return edges
+def relaxed_levels(n: int, a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Oracle: the minimax key from each node to node 0, by relaxing every
+    edge until nothing changes."""
+    level = [-1] + [np.inf] * (n - 1)
+    changed = True
+    while changed:
+        changed = False
+        for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            for u, v in ((x, y), (y, x)):
+                if max(level[v], k) < level[u]:
+                    level[u] = max(level[v], k)
+                    changed = True
+    return level
 
 
-class TestSpillGraph:
-    """The CSR handed to csgraph, which checks none of its indices."""
+def tree_branches(n: int, a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Oracle: the edge at node 0 of each node's path in Kruskal's tree."""
+    root = list(range(n))
 
-    @settings(max_examples=200, deadline=None)
-    @given(dem=oracle_dems())
-    def test_rows_list_lower_nodes_in_weight_order(self, dem):
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    near = {x: [] for x in range(n)}
+    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        if find(x) != find(y):
+            root[find(x)] = find(y)
+            near[x].append((y, k))
+            near[y].append((x, k))
+    branch = [-1] * n
+    stack = [(x, k) for x, k in near[0]]
+    for x, k in stack:  # grows as it goes: a breadth-first walk from node 0
+        branch[x] = k
+        stack.extend((y, k) for y, _ in near[x] if y and branch[y] < 0)
+    return branch
+
+
+class TestBoruvka:
+    """The spanning-tree routine that fills each block and joins the blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=keyed_graphs())
+    def test_levels_and_branches_equal_brute_force(self, graph):
+        n, a, b = graph
+        level, branch = _boruvka(n, a, b)
+        assert level.tolist() == relaxed_levels(n, a, b)
+        assert branch.tolist() == tree_branches(n, a, b)
+
+
+class TestMetamorphic:
+    """Bit-exact properties of ``region_depths`` under small blocks: the
+    kernel breaks ties in scan order, and no depth may depend on that."""
+
+    @staticmethod
+    def depth(dem: Raster, block: int) -> np.ndarray:
+        with tiled(block):
+            (depth,) = region_depths(dem, [(0, 0, dem.height, dem.width)])
+        return depth
+
+    @settings(max_examples=60, deadline=None)
+    @given(dem=oracle_dems(), block=st.integers(2, 7), turns=st.integers(0, 3), flip=st.booleans())
+    def test_commutes_with_the_symmetries_of_the_square(self, dem, block, turns, flip):
         assume(dem.valid_mask().any())
-        node, rank = elevation_numbering(dem)
-        graph = _spill_graph(node, rank, _outlet_mask(dem.valid_mask()))
-        indptr, indices, data = graph.indptr, graph.indices, graph.data
-        assert graph.shape == (rank.size, rank.size)
-        assert indptr[0] == 0 and indptr[-1] == indices.size == data.size
-        assert np.all(np.diff(indptr) >= 0)
-        rows = np.repeat(np.arange(rank.size), np.diff(indptr))
-        assert np.all((indices >= 0) & (indices < rows))
-        # already in Kruskal's order, and in csgraph's dtype
-        assert data.dtype == np.float64
-        assert np.all(np.diff(data) >= 0)
-        assert np.array_equal(data, rank[rows])
-        edges = {frozenset(edge) for edge in zip(rows.tolist(), indices.tolist())}
-        assert len(edges) == indices.size
-        assert edges == expected_edges(dem, node, rank)
+
+        def move(grid):
+            grid = np.rot90(grid, turns)
+            return np.ascontiguousarray(grid.T if flip else grid)
+
+        moved = self.depth(Raster(move(dem.values), nodata=NODATA), block)
+        assert np.array_equal(moved.view(np.int64), move(self.depth(dem, block)).view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dem=oracle_dems(), block=st.integers(2, 7), width=st.integers(1, 3))
+    def test_a_nodata_moat_changes_no_depth(self, dem, block, width):
+        assume(dem.valid_mask().any())
+        moated = np.pad(dem.values, width, constant_values=NODATA)
+        depth = self.depth(Raster(moated, nodata=NODATA), block)
+        inside = np.s_[width:-width, width:-width]
+        assert np.array_equal(depth[inside].view(np.int64), self.depth(dem, block).view(np.int64))
+        depth[inside] = NODATA
+        assert np.all(depth == NODATA)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dem=oracle_dems(), block=st.integers(2, 7), power=st.integers(0, 10))
+    def test_adding_a_power_of_two_changes_no_depth(self, dem, block, power):
+        """Quantised to quarter steps, the elevations and every depth stay
+        exact when shifted."""
+        valid = dem.valid_mask()
+        assume(valid.any())
+        quantised = np.where(valid, np.round(dem.values * 4) / 4, NODATA)
+        shifted = np.where(valid, quantised + 2.0**power, NODATA)
+        want = self.depth(Raster(quantised, nodata=NODATA), block)
+        got = self.depth(Raster(shifted, nodata=NODATA), block)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestTiledFill:

@@ -175,18 +175,23 @@ class TestLabeling:
         assert grid.max_depth[1] == 7.25
         assert boxes_from_components(grid, [1], 0, 3, 3) == [PromptBox(1, 1, 3, 2)]
 
-    def test_partition_matches_scipy_oracle(self, rng):
-        structure = np.ones((3, 3), dtype=int)
-        for _ in range(30):
-            depth = np.maximum(rng.normal(size=(32, 32)), 0.0)
-            depth[rng.random((32, 32)) < 0.6] = 0.0
-            grid = label_components(depth_raster(depth))
-            labels, n = ndimage.label(depth > 0, structure=structure)
-            oracle = {
-                frozenset(map(tuple, np.argwhere(labels == k))) for k in range(1, n + 1)
-            }
-            assert {c.pixels for c in pixel_sets(grid)} == oracle
-            assert len(grid) == n
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        shape=st.one_of(SHAPES, st.tuples(st.integers(1, 48), st.integers(1, 48))),
+        density=st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.9, 1.0]),
+    )
+    def test_partition_matches_scipy_oracle(self, seed, shape, density):
+        """The label grid itself and the extents, in ndimage's scan-order
+        numbering, which fixes the order of the boxes."""
+        rng = np.random.default_rng(seed)
+        positive = rng.random(shape) < density  # empty at 0.0, full at 1.0
+        grid = label_components(depth_raster(np.where(positive, rng.uniform(0.5, 3.0, shape), 0.0)))
+        labels, n = ndimage.label(positive, structure=np.ones((3, 3), dtype=int))
+        assert grid.labels.dtype == labels.dtype
+        assert np.array_equal(grid.labels, labels)
+        assert grid.extents == ndimage.find_objects(labels)
+        assert len(grid) == n
 
     def test_components_from_mask_reports_unit_depth(self):
         mask = BinaryMask(np.array([[1, 0], [0, 1]], dtype=bool))

@@ -387,7 +387,7 @@ class TestMaskIO:
     def test_rejects_non_binary_values(self, tmp_path):
         path = tmp_path / "m.asc"
         path.write_text(grid_text(["0 0.5"]))
-        with pytest.raises(GridFormatError, match="non-binary"):
+        with pytest.raises(GridFormatError, match=r"non-binary value 0\.5$"):
             read_ascii_mask(path)
 
 
