@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import base64
 import binascii
+import json
 import math
 import threading
 import time
 from pathlib import Path
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 import numpy as np
 
@@ -83,9 +84,14 @@ class EchoBackend:
 def check_endpoint(endpoint: str) -> None:
     """Raise ``ValueError`` unless *endpoint* is an http(s) URL with a host.
 
-    A port, if given, must be numeric.  The message starts with ``endpoint``.
+    A port, if given, must be numeric.  A query, a fragment or a
+    ``user:password@`` part is refused: ``/segment`` is appended to the
+    path, and the client sends no credentials.  The message starts with
+    ``endpoint``.
     """
     parts = urlsplit(endpoint)
+    if "@" in parts.netloc:  # the message leaves the URL out: it may hold a password
+        raise ValueError("endpoint must not hold user info (user:password@)")
     try:
         parts.port  # parsing the port is the check
     except ValueError:
@@ -94,6 +100,8 @@ def check_endpoint(endpoint: str) -> None:
         raise ValueError(
             f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}"
         )
+    if "?" in endpoint or "#" in endpoint:
+        raise ValueError(f"endpoint must have no query or fragment, got {endpoint!r}")
 
 
 def check_http_settings(timeout: float, retries: int, max_inflight: int) -> None:
@@ -120,8 +128,11 @@ class HttpBackend:
     Error replies use a non-200 status, with an ``{"error": ...}`` body that
     is surfaced in the raised exception.
 
-    Connection failures and timeouts are retried ``retries`` times; at most
-    ``max_inflight`` requests run concurrently across threads.
+    Each attempt opens one connection (``http.client``; no keep-alive, no
+    proxy, HTTPS verified against the system CA store) and closes it.
+    Connection failures, timeouts and broken replies are retried
+    ``retries`` times; at most ``max_inflight`` requests run concurrently
+    across threads.  A redirect is a non-200 status and is not followed.
     """
 
     def __init__(
@@ -133,37 +144,51 @@ class HttpBackend:
     ):
         check_endpoint(endpoint)
         check_http_settings(timeout, retries, max_inflight)
-        import requests  # loaded only by runs that build an http client
+        import http.client  # loaded only by runs that build an http client
 
-        self._url = endpoint.rstrip("/") + "/segment"
+        parts = urlsplit(endpoint)
+        https = parts.scheme == "https"
+        self._connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._host, self._port = parts.hostname, parts.port
+        # a space or a non-ASCII character is percent-encoded; delimiters stay as written
+        self._path = quote(parts.path.rstrip("/") + "/segment", safe="/%:@!$&'()*+,;=")
+        self._url = f"{parts.scheme}://{parts.netloc}{self._path}"
         self._timeout = timeout
         self._retries = retries
         self._sem = threading.BoundedSemaphore(max_inflight)
-        self._session = requests.Session()
-        self._transient = (requests.ConnectionError, requests.Timeout)
+        self._transient = (OSError, http.client.HTTPException)
 
-    def _post(self, payload: dict):
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """POST *body* as JSON to the service; the reply's status and body."""
         last_exc: Exception | None = None
         for attempt in range(self._retries + 1):
             if attempt:
                 time.sleep(0.1 * attempt)
-            try:
-                with self._sem:
-                    return self._session.post(
-                        self._url, json=payload, timeout=self._timeout
-                    )
-            except self._transient as exc:
-                last_exc = exc
+            with self._sem:
+                conn = self._connection(self._host, self._port, timeout=self._timeout)
+                try:
+                    conn.request("POST", self._path, body, {"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    return response.status, response.read()
+                except self._transient as exc:
+                    last_exc = exc
+                finally:
+                    conn.close()
         raise BackendUnreachableError(
-            f"segmentation service unreachable after {self._retries + 1} attempts: {last_exc}"
+            f"segmentation service {self._url} unreachable after "
+            f"{self._retries + 1} attempts: {last_exc}"
         ) from last_exc
 
     def masks_for(self, patch: RGBImage, boxes: list[PromptBox], patch_id: str = ""):
-        payload = {
-            "image_ppm_b64": base64.b64encode(ppm_bytes(patch)).decode("ascii"),
-            "boxes": [b.as_list() for b in boxes],
-        }
-        doc = _reply_object(self._post(payload))
+        # base64 needs no JSON escaping, so the image is spliced in, not dumped
+        body = b"".join((
+            b'{"image_ppm_b64": "',
+            base64.b64encode(ppm_bytes(patch)),
+            b'", "boxes": ',
+            json.dumps([b.as_list() for b in boxes]).encode("ascii"),
+            b"}",
+        ))
+        doc = _reply_object(*self._post(body))
         entries, scores = doc.get("masks_crop"), doc.get("scores")
         if not isinstance(entries, list):
             raise ProtocolError("reply field 'masks_crop' missing or not a list")
@@ -191,20 +216,19 @@ class HttpBackend:
         return crops
 
 
-def _reply_object(response) -> dict:
+def _reply_object(status: int, body: bytes) -> dict:
     """The JSON object of a 200 reply; any other status is a BackendError."""
-    if response.status_code != 200:
+    if status != 200:
         try:
-            body = response.json()
+            doc = json.loads(body)
         except ValueError:
-            body = None
-        detail = body.get("error", "") if isinstance(body, dict) else ""
+            doc = None
+        detail = doc.get("error", "") if isinstance(doc, dict) else ""
         raise BackendError(
-            f"segmentation service returned HTTP {response.status_code}"
-            + (f": {detail}" if detail else "")
+            f"segmentation service returned HTTP {status}" + (f": {detail}" if detail else "")
         )
     try:
-        doc = response.json()
+        doc = json.loads(body)
     except ValueError as exc:
         raise ProtocolError(f"service reply is not JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -228,6 +228,9 @@ class TestExitCodes:
             ("backend.endpoint", "ftp://127.0.0.1:9"),
             ("backend.endpoint", "http://"),
             ("backend.endpoint", "http://127.0.0.1:notaport"),
+            ("backend.endpoint", "http://127.0.0.1:9/api?k=v"),
+            ("backend.endpoint", "http://127.0.0.1:9/api#frag"),
+            ("backend.endpoint", "http://user:pw@127.0.0.1:9"),
             ("depth_raster", "a directory"),
             ("rgb_mosaic", "a directory"),
             ("eval.gt_mask", "a directory"),
@@ -237,7 +240,8 @@ class TestExitCodes:
         ],
         ids=["nan-min-depth", "nan-timeout", "inf-timeout", "comma-label",
              "schemeless-endpoint", "ftp-endpoint", "hostless-endpoint",
-             "bad-port-endpoint", "dir-depth-raster", "dir-rgb-mosaic", "dir-gt-mask",
+             "bad-port-endpoint", "query-endpoint", "fragment-endpoint", "userinfo-endpoint",
+             "dir-depth-raster", "dir-rgb-mosaic", "dir-gt-mask",
              "dir-ignore-mask", "file-out-dir", "mosaic-patch-over-extent"],
     )
     def test_unusable_config_value_fails_before_any_stage(
@@ -633,14 +637,17 @@ class TestImportTime:
                                             "--set", "tile.stride=32")]
 
     @staticmethod
-    def run_fresh(prelude: str, args: list[str]) -> subprocess.CompletedProcess:
+    def run_fresh(
+        prelude: str, args: list[str], package: str = "scipy"
+    ) -> subprocess.CompletedProcess:
         """``sinkseg`` *args* in a fresh interpreter, after *prelude*; the
-        scipy modules loaded by the end are printed on stderr."""
+        modules of *package* loaded by the end are printed on stderr."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             f"import sys; sys.path.insert(0, sys.argv[1]); {prelude}; "
             "from sinkseg.cli import main; code = main(sys.argv[2:]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr); "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}), "
+            "file=sys.stderr); "
             "sys.exit(code)"
         )
         return subprocess.run([sys.executable, "-c", code, str(src), *args],
@@ -659,18 +666,22 @@ class TestImportTime:
         assert main(run_128("out")) == 0
         assert out.stdout == capsys.readouterr().out
 
-    def test_import_leaves_requests_unloaded(self):
-        """The http client library loads only when an http backend is built."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); "
+    def test_an_http_run_loads_no_requests(self, run_128):
+        """An http run posts through the standard library: against a mock
+        service in the same interpreter it exits 0 with no ``requests``
+        module loaded, and importing the package loads no http client."""
+        prelude = (
             "import sinkseg, sinkseg.pipeline, sinkseg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+            "assert 'http.client' not in sys.modules, 'the import loaded http.client'; "
+            "from sinkseg.mock_server import MockSegmentServer; "
+            "server = MockSegmentServer(mode='boxfill').start(); "
+            "sys.argv += ['--set', 'backend.kind=http', "
+            "'--set', 'backend.endpoint=' + server.endpoint]"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        out = self.run_fresh(prelude, run_128("out"), package="requests")
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.strip() == "[]"
+        assert json.loads(out.stdout)["f1"] > 0.5
 
 
 class TestSynthCommand:
