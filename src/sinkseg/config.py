@@ -201,7 +201,13 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        pairs.extend(parse_config_text(p.read_text(), source=str(p)))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {p} is not text: {exc}") from exc
+        except OSError as exc:  # a directory, say
+            raise ConfigError(f"config file {p}: {exc.strerror or exc}") from exc
+        pairs.extend(parse_config_text(text, source=str(p)))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

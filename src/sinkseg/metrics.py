@@ -277,9 +277,12 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def check_label(label: str, key: str = "label") -> None:
-    """Reject a row label that a CSV results table cannot hold."""
-    if "," in label or "\n" in label:
-        raise ValueError(f"{key} may not contain commas or newlines: {label!r}")
+    """Reject a row label that a CSV results table cannot hold as one field:
+    a comma or a line break splits it, and a double quote opens a quoted field."""
+    if any(c in label for c in ',\n\r"'):
+        raise ValueError(
+            f"{key} may not contain commas, line breaks or double quotes: {label!r}"
+        )
 
 
 def report_to_csv(entries: list[tuple[str, MetricsReport]]) -> str:

@@ -11,27 +11,30 @@ bytes, regardless of worker pool size):
     the manifest.  Both modes are one :func:`~sinkseg.hydro.region_depths`
     call over the windows (patch) or the one region covering the raster
     (mosaic): each block is filled once, in the worker pool, and joined into
-    every region that holds it.  A depth file is a zip archive, deflated at
-    zlib level 1, whose one member ``depth.npy`` holds a float64 array; its
-    georeference and nodata come from the manifest.  Only prompts reads it.
+    every region that holds it.  A depth file is a zip archive whose one
+    member ``depth.npy`` holds a float64 array; its georeference and nodata
+    come from the manifest.  Only prompts reads it.
 ``prompts``
     ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
-    ``depth_filtered.npz`` — the filtered depressions stitched back into a
-    mosaic, written as the fill's depth archives are.
+    ``kept_mask.npz`` — the filtered depressions stitched back into a mosaic
+    with the configured merge rule, kept as the one bool member
+    ``mask.npy``: True where that mosaic is valid and > 0.
 ``segment``
     ``fused_mask.asc`` — per-box masks fused once per patch (pixelwise max),
     patches stitched with the configured merge rule, then binarized once.
-    Only the echo backend reads ``depth_filtered.npz``; like prompts, it
-    checks the archive's shape against the manifest before reading data.
+    Only the echo backend reads ``kept_mask.npz``; like prompts, it checks
+    the archive's header against the manifest before reading data.
 ``eval``
     ``report.json`` and ``report.csv`` against the ground-truth mask.
 
 Every read of an artifact that an earlier stage wrote passes one gate,
 :func:`_upstream`: a missing or malformed artifact exits 2 and names its
 path and the stage that writes it.  :func:`cmd_run` still writes every
-artifact, but hands the filtered depth (to the echo backend) and the fused
-mask to the next stage in memory instead of reading them back; the fill's
-depth archives remain the fill → prompts hand-off.
+artifact, but hands the kept mask (to the echo backend) and the fused mask
+to the next stage in memory instead of reading them back; the fill's depth
+archives remain the fill → prompts hand-off.  Every ``.npz`` archive is
+written by :func:`_write_archive`: zlib level 1 with the run-length
+strategy, without a copy of the array.
 
 Each stage maps its windows (fill: its blocks) through one worker pool,
 :func:`_pool_map`, which yields results in order as they are ready.
@@ -211,71 +214,82 @@ def _georef(doc: dict, window: TileWindow | None = None) -> tuple[float, float, 
     return georef if window is None else window_georef(window, doc["height"], georef)
 
 
-def _write_depth(depth: np.ndarray, path: Path) -> None:
-    """Write *depth* as ``np.savez_compressed`` would, but deflated at level 1.
+def _write_archive(array: np.ndarray, path: Path, name: str) -> None:
+    """Write *array* as ``np.savez_compressed(path, **{name: array})`` would,
+    but deflated at zlib level 1 with the run-length strategy.
 
-    Level 1 takes half the time of level 6 for a slightly larger file.  The
-    member keeps ``ZipInfo``'s fixed 1980 timestamp, so the bytes are stable.
-    The array's own buffer is deflated, so no copy of it is made (numpy's
+    ``zlib.Z_RLE`` looks for runs of one byte value only, which is what the
+    zeros of a depth grid and the flat stretches of a mask are made of: on
+    the bench scenes it deflates faster than level 1's default strategy and
+    writes fewer bytes for every archive.  zipfile takes no strategy, so the
+    member's compressor is swapped before its first write; the stream is
+    plain deflate, and any zip reader inflates it.  The member keeps
+    ``ZipInfo``'s fixed 1980 timestamp, so the bytes are stable.  The
+    array's own buffer is deflated, so no copy of it is made (numpy's
     ``write_array`` copies a zip member out in 16 MiB chunks).
     """
-    depth = np.ascontiguousarray(depth)
+    array = np.ascontiguousarray(array)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
-        with archive.open("depth.npy", "w", force_zip64=True) as member:
-            header = np.lib.format.header_data_from_array_1_0(depth)
+        with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+            member._compressor = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+            header = np.lib.format.header_data_from_array_1_0(array)
             np.lib.format.write_array_header_1_0(member, header)
-            member.write(memoryview(depth))
+            member.write(memoryview(array))
 
 
 @contextmanager
-def _depth_member(path: Path, width: int, height: int):
-    """The rewound ``depth.npy`` member of the depth archive *path*, once its
-    header shows a *width* x *height* grid; nothing else is read.  A read
-    error in the block is reported as one of *path*; an ``OSError``, which
-    names *path* itself, is left to :func:`_upstream`."""
+def _archive_member(path: Path, name: str, dtype, shape: tuple[int, int]):
+    """The rewound ``<name>.npy`` member of the archive *path*, once its
+    header shows a 2-D array of *shape* and *dtype*; nothing else is read.
+    A read error in the block is reported as one of *path*; an ``OSError``,
+    which names *path* itself, is left to :func:`_upstream`."""
     try:
         with open(path, "rb") as fh:
             archive = np.load(fh, allow_pickle=False)
             if not isinstance(archive, np.lib.npyio.NpzFile):
                 raise InputError("not an .npz archive")
             with archive:
-                if archive.files != ["depth"]:
-                    raise InputError(f"expected exactly one array 'depth', found {archive.files}")
+                if archive.files != [name]:
+                    raise InputError(f"expected exactly one array '{name}', found {archive.files}")
                 with archive.zip.open(archive.zip.namelist()[0]) as member:
                     version = np.lib.format.read_magic(member)
                     if version == (1, 0):
-                        shape, _, _ = np.lib.format.read_array_header_1_0(member)
+                        found, _, found_dtype = np.lib.format.read_array_header_1_0(member)
                     else:
-                        shape, _, _ = np.lib.format.read_array_header_2_0(member)
-                    if len(shape) != 2:
-                        raise InputError(f"depth has {len(shape)} dimensions, expected 2")
-                    if shape != (height, width):
+                        found, _, found_dtype = np.lib.format.read_array_header_2_0(member)
+                    if len(found) != 2:
+                        raise InputError(f"{name} has {len(found)} dimensions, expected 2")
+                    if found != shape:
                         raise InputError(
-                            f"depth is {shape[1]}x{shape[0]}, expected {width}x{height}"
+                            f"{name} is {found[1]}x{found[0]}, expected {shape[1]}x{shape[0]}"
+                        )
+                    if found_dtype != dtype:
+                        raise InputError(
+                            f"{name} has dtype {found_dtype}, expected {np.dtype(dtype)}"
                         )
                     member.seek(0)
                     yield member
     except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-        raise InputError(f"unreadable depth archive ({exc})") from exc
+        raise InputError(f"unreadable {name} archive ({exc})") from exc
+
+
+def _read_array(path: Path, name: str, dtype, shape: tuple[int, int]) -> np.ndarray:
+    """The array of the one-member archive *path*, checked by
+    :func:`_archive_member` before any data is read, so a header that claims
+    a huge array allocates nothing.  Call it inside :func:`_upstream`."""
+    with _archive_member(path, name, dtype, shape) as member:
+        return np.lib.format.read_array(member, allow_pickle=False)
 
 
 def _read_depth(path: Path, stage: str, doc: dict, window: TileWindow | None = None) -> Raster:
     """Load the depth archive the *stage* wrote for *window* (None: the mosaic).
 
-    The array must be float64 with the shape the manifest gives; the shape
-    is checked from the ``.npy`` header, before any data is read, so a header
-    that claims a huge array allocates nothing.  Georeference and nodata are
-    rebuilt from the manifest.
+    The array must be float64 with the shape the manifest gives.
+    Georeference and nodata are rebuilt from the manifest.
     """
-    if window is None:
-        width, height = doc["width"], doc["height"]
-    else:
-        width = height = window.patch
+    shape = (doc["height"], doc["width"]) if window is None else (window.patch,) * 2
     with _upstream(path, stage):
-        with _depth_member(path, width, height) as member:
-            values = np.lib.format.read_array(member, allow_pickle=False)
-        if values.dtype != np.float64:
-            raise InputError(f"depth has dtype {values.dtype}, expected float64")
+        values = _read_array(path, "depth", np.float64, shape)
         return Raster(values, doc["nodata"], *_georef(doc, window))
 
 
@@ -303,15 +317,16 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     depths = region_depths(dem, regions, partial(_pool_map, cfg.workers))
     patches.mkdir(parents=True, exist_ok=True)
     for depth, path in zip(depths, paths):
-        _write_depth(depth, path)
+        _write_archive(depth, path, "depth")
     logger.info("filled %d depth archives (%s mode) into %s", len(paths), cfg.fill_mode, out)
     _write_manifest(out, dem, cfg)
 
 
-def cmd_prompts(cfg: PipelineConfig) -> Raster:
+def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
     """Label, filter, and box the depressions of every patch.
 
-    Returns the filtered depth mosaic it wrote to ``depth_filtered.npz``.
+    Returns the kept-depression mask it wrote to ``kept_mask.npz``: the
+    cells of the filtered tiles, stitched, that are valid and > 0.
     """
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
@@ -328,7 +343,9 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
         side = doc["patch"]
         last = TileWindow(doc["height"] - side, doc["width"] - side, side)
         last_path = patches / f"{patch_id(last)}.depth.npz"
-        with _upstream(last_path, "fill"), _depth_member(last_path, side, side):
+        with _upstream(last_path, "fill"), _archive_member(
+            last_path, "depth", np.float64, (side, side)
+        ):
             pass
     windows = _plan(out, doc)
 
@@ -350,9 +367,11 @@ def cmd_prompts(cfg: PipelineConfig) -> Raster:
     box_counts: list[int] = []
     tiles = _pool_map(cfg.workers, work, windows)
     mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
-    _write_depth(mosaic.values, out / "depth_filtered.npz")
+    kept = BinaryMask(mosaic.valid_mask() & (mosaic.values > 0), *_georef(doc))
+    del mosaic
+    _write_archive(kept.values, out / "kept_mask.npz", "mask")
     logger.info("wrote %d prompt boxes across %d patches", sum(box_counts), len(windows))
-    return mosaic
+    return kept
 
 
 def _build_shared_backend(cfg: PipelineConfig):
@@ -365,14 +384,14 @@ def _build_shared_backend(cfg: PipelineConfig):
         )
     if cfg.backend_kind == "replay":
         return ReplayBackend(cfg.backend_replay_dir)
-    return None  # echo is built per patch from the filtered depth
+    return None  # echo is built per patch from the kept mask
 
 
-def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> BinaryMask:
+def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMask:
     """Segment every patch from its box prompts and stitch the fused mask.
 
-    The echo backend paints *depth_filtered*, the prompts stage's product;
-    when it is None it is read from ``depth_filtered.npz``.  Returns the
+    The echo backend paints *kept*, the prompts stage's kept-depression
+    mask; when it is None it is read from ``kept_mask.npz``.  Returns the
     fused mask it wrote to ``fused_mask.asc``.
     """
     validate_for(cfg, "segment")
@@ -388,8 +407,11 @@ def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> Bi
         )
     windows = _plan(out, doc)
     shared_backend = _build_shared_backend(cfg)
-    if shared_backend is None and depth_filtered is None:  # echo paints the filtered depth
-        depth_filtered = _read_depth(out / "depth_filtered.npz", "prompts", doc)
+    if shared_backend is None and kept is None:  # echo paints the kept mask
+        kept_path = out / "kept_mask.npz"
+        with _upstream(kept_path, "prompts"):
+            values = _read_array(kept_path, "mask", np.bool_, (doc["height"], doc["width"]))
+            kept = BinaryMask(values, *_georef(doc))
 
     def work(window: TileWindow):
         pid = patch_id(window)
@@ -404,7 +426,7 @@ def cmd_segment(cfg: PipelineConfig, depth_filtered: Raster | None = None) -> Bi
                         f"box {box.as_list()} exceeds patch {window.patch}x{window.patch}"
                     )
         patch_img = extract_tile(rgb, window)
-        backend = shared_backend or EchoBackend(extract_tile(depth_filtered, window))
+        backend = shared_backend or EchoBackend(extract_tile(kept, window))
         probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=pid)
         origin_x, origin_y, cellsize = _georef(doc, window)
         # Default nodata: the DEM's sentinel may be a probability, e.g. 0.0.
@@ -458,16 +480,16 @@ def cmd_eval(cfg: PipelineConfig, fused: BinaryMask | None = None) -> MetricsRep
 def cmd_run(cfg: PipelineConfig) -> MetricsReport:
     """Full pipeline: fill, prompts, segment, eval.
 
-    Each stage still writes its artifacts, but the filtered depth and the
-    fused mask pass to their consumer in memory.  Each product is dropped as
+    Each stage still writes its artifacts, but the kept mask and the fused
+    mask pass to their consumer in memory.  Each product is dropped as
     soon as its consumer is done, so the run holds no more than the stages
     run one by one.
     """
     validate_for(cfg, "run")
     cmd_fill(cfg)
-    depth_filtered = cmd_prompts(cfg)
+    kept = cmd_prompts(cfg)
     if cfg.backend_kind != "echo":  # the only backend that reads it
-        depth_filtered = None
-    fused = cmd_segment(cfg, depth_filtered)
-    del depth_filtered
+        kept = None
+    fused = cmd_segment(cfg, kept)
+    del kept
     return cmd_eval(cfg, fused)

@@ -13,7 +13,7 @@ on the stitched mosaic.
 
 Three backends ship with the package:
 
-* :class:`EchoBackend` — answers each box with the depression mask
+* :class:`EchoBackend` — answers each box with a depression mask
   restricted to that box; needs no model and makes the pipeline
   self-contained for tests and dry runs.
 * :class:`HttpBackend` — speaks the JSON-over-HTTP wire protocol to a
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BackendError, BackendUnreachableError, ProtocolError
 from .image import ImageFormatError, RGBImage, gray_from_pgm_bytes, ppm_bytes
 from .labeling import PromptBox
-from .raster import Raster
+from .raster import BinaryMask
 
 
 def _is_int(v) -> bool:
@@ -59,24 +59,24 @@ def _gray255(blob: bytes, where: str) -> np.ndarray:
 
 
 class EchoBackend:
-    """Backend that echoes the (binarized) depression raster inside each box.
+    """Backend that echoes a depression mask inside each box.
 
     Useful for end-to-end runs without a model: with box prompts derived
-    from the same depth raster, the fused mask reproduces the depressions.
-    Each mask is the box-sized window of the raster, at the box's corner.
+    from the same depressions, the fused mask reproduces them.  Each mask is
+    the box-sized window of the mask, at the box's corner.
     """
 
-    def __init__(self, depth: Raster):
-        self._positive = depth.valid_mask() & (depth.values > 0)
+    def __init__(self, mask: BinaryMask):
+        self._mask = mask.values
 
     def masks_for(self, patch: RGBImage, boxes: list[PromptBox], patch_id: str = ""):
-        if self._positive.shape != (patch.height, patch.width):
+        if self._mask.shape != (patch.height, patch.width):
             raise BackendError(
-                f"echo depth raster is {self._positive.shape}, patch is "
+                f"echo mask is {self._mask.shape}, patch is "
                 f"{(patch.height, patch.width)}"
             )
         return [
-            (box.y0, box.x0, self._positive[box.y0 : box.y1, box.x0 : box.x1].astype(np.float64))
+            (box.y0, box.x0, self._mask[box.y0 : box.y1, box.x0 : box.x1].astype(np.float64))
             for box in boxes
         ]
 

@@ -40,6 +40,11 @@ def load_depth(path):
         return archive["depth"]
 
 
+def load_mask(path):
+    with np.load(path) as archive:
+        return archive["mask"]
+
+
 def negate_first_cell(path):
     depth = load_depth(path)
     depth[0, 0] = -1.0
@@ -49,6 +54,13 @@ def negate_first_cell(path):
 def cut_to(side):
     def cut(path):
         np.savez_compressed(path, depth=load_depth(path)[:side, :side])
+
+    return cut
+
+
+def cut_mask_to(side):
+    def cut(path):
+        np.savez_compressed(path, mask=load_mask(path)[:side, :side])
 
     return cut
 
@@ -71,6 +83,14 @@ def as_float32(path):
     np.savez_compressed(path, depth=load_depth(path).astype(np.float32))
 
 
+def as_uint8(path):
+    np.savez_compressed(path, mask=load_mask(path).astype(np.uint8))
+
+
+def mask_as_depth(path):
+    np.savez_compressed(path, depth=load_mask(path))
+
+
 def add_axis(path):
     np.savez_compressed(path, depth=load_depth(path)[np.newaxis])
 
@@ -87,13 +107,17 @@ def object_array(path):
     np.savez_compressed(path, depth=np.full((48, 48), None, dtype=object))
 
 
-def huge_header(path):
-    """An archive whose ``depth.npy`` header claims 10^6 x 10^6 float64 over 16 bytes."""
-    header = {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)}
-    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive, \
-            archive.open("depth.npy", "w") as member:
-        np.lib.format.write_array_header_1_0(member, header)
-        member.write(bytes(16))
+def huge_header(name, descr):
+    """An archive whose ``<name>.npy`` header claims 10^6 x 10^6 *descr* over 16 bytes."""
+
+    def claim(path):
+        header = {"descr": descr, "fortran_order": False, "shape": (10**6, 10**6)}
+        with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive, \
+                archive.open(f"{name}.npy", "w") as member:
+            np.lib.format.write_array_header_1_0(member, header)
+            member.write(bytes(16))
+
+    return claim
 
 
 def raw_member(path):
@@ -224,6 +248,8 @@ class TestExitCodes:
             ("backend.timeout", "nan"),
             ("backend.timeout", "inf"),
             ("eval.label", "a,b"),
+            ("eval.label", "a\rb"),
+            ("eval.label", '"a'),
             ("backend.endpoint", "notaurl"),
             ("backend.endpoint", "ftp://127.0.0.1:9"),
             ("backend.endpoint", "http://"),
@@ -238,7 +264,8 @@ class TestExitCodes:
             ("out_dir", "a file"),
             ("tile.patch", "512"),
         ],
-        ids=["nan-min-depth", "nan-timeout", "inf-timeout", "comma-label",
+        ids=["nan-min-depth", "nan-timeout", "inf-timeout", "comma-label", "cr-label",
+             "quote-label",
              "schemeless-endpoint", "ftp-endpoint", "hostless-endpoint",
              "bad-port-endpoint", "query-endpoint", "fragment-endpoint", "userinfo-endpoint",
              "dir-depth-raster", "dir-rgb-mosaic", "dir-gt-mask",
@@ -298,6 +325,19 @@ class TestExitCodes:
         code = main(["fill", "--config", str(bad)])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.cfg"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff")
+        code = main(["fill", "--config", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config file {bad}" in err
+        assert "internal error" not in err
 
     def test_missing_stage_artifact_is_a_usage_error(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -392,15 +432,20 @@ class TestExitCodes:
             ("mosaic", "prompts", "depth.npz", extra_member,
              "expected exactly one array 'depth', found ['depth', 'filled']"),
             ("patch", "prompts", "patches/r00000_c00000.depth.npz", object_array,
-             "Object arrays cannot be loaded when allow_pickle=False"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", huge_header,
+             "depth has dtype object, expected float64"),
+            ("patch", "prompts", "patches/r00000_c00000.depth.npz", huge_header("depth", "<f8"),
              "r00000_c00000.depth.npz: depth is 1000000x1000000, expected 48x48"),
             ("patch", "prompts", "patches/r00000_c00000.depth.npz", raw_member,
              "unreadable depth archive (the magic string is not correct"),
-            ("mosaic", "segment", "depth_filtered.npz", cut_to(60),
-             "depth_filtered.npz: depth is 60x60, expected 96x96 — rerun the prompts stage"),
-            ("patch", "segment", "depth_filtered.npz", huge_header,
-             "depth_filtered.npz: depth is 1000000x1000000, expected 96x96"
+            ("mosaic", "segment", "kept_mask.npz", cut_mask_to(60),
+             "kept_mask.npz: mask is 60x60, expected 96x96 — rerun the prompts stage"),
+            ("patch", "segment", "kept_mask.npz", huge_header("mask", "|b1"),
+             "kept_mask.npz: mask is 1000000x1000000, expected 96x96"
+             " — rerun the prompts stage"),
+            ("patch", "segment", "kept_mask.npz", as_uint8,
+             "kept_mask.npz: mask has dtype uint8, expected bool — rerun the prompts stage"),
+            ("mosaic", "segment", "kept_mask.npz", mask_as_depth,
+             "kept_mask.npz: expected exactly one array 'mask', found ['depth']"
              " — rerun the prompts stage"),
             ("patch", "segment", "patches/r00000_c00000.boxes.json", oversized_box,
              "exceeds patch 48x48"),
@@ -415,6 +460,7 @@ class TestExitCodes:
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
              "raw-member-depth", "short-filtered-depth", "huge-header-filtered-depth",
+             "uint8-kept-mask", "depth-member-kept-mask",
              "box-outside-patch", "string-area", "bool-coordinate", "foreign-boxes"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
@@ -440,7 +486,7 @@ class TestExitCodes:
             ("manifest.json", "prompts", "fill"),
             ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
             ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
-            ("depth_filtered.npz", "segment", "prompts"),
+            ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.asc", "eval", "segment"),
         ],
         ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
@@ -476,7 +522,7 @@ class TestExitCodes:
             ("manifest.json", "prompts", "fill"),
             ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
             ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
-            ("depth_filtered.npz", "segment", "prompts"),
+            ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.asc", "eval", "segment"),
         ],
         ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],

@@ -360,6 +360,29 @@ class TestMaskObjectRows:
         assert evaluate_masks(pred, gt, ignore, thresholds).object_rows == expected
         assert evaluate_masks(pred, gt, None, thresholds).object_rows == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        pred_density=st.sampled_from([0.0, 0.2, 0.4, 0.7]),
+        gt_density=st.sampled_from([0.0, 0.2, 0.4, 0.7]),
+        ignore_density=st.sampled_from([0.0, 0.3]),
+    )
+    def test_report_is_the_same_under_the_symmetries_of_the_square(
+        self, seed, shape, pred_density, gt_density, ignore_density
+    ):
+        """Turning or mirroring both masks (and the ignore mask) changes no
+        count: components and their overlaps do not depend on scan order."""
+        rng = np.random.default_rng(seed)
+        pred, gt, ignore = (rng.random(shape) < density
+                            for density in (pred_density, gt_density, ignore_density))
+        want = evaluate_masks(mask(pred), mask(gt), mask(ignore))
+        for turns in range(4):
+            for flip in (False, True):
+                turned = [np.rot90(m, turns) for m in (pred, gt, ignore)]
+                moved = [m.T if flip else m for m in turned]
+                assert evaluate_masks(*map(mask, moved)) == want, (turns, flip)
+
     def test_diagonal_touch_is_one_object(self):
         pred = np.eye(3, dtype=bool)  # one 8-connected chain
         gt = np.zeros((3, 3), dtype=bool)
@@ -484,6 +507,11 @@ class TestReports:
     def test_csv_label_with_comma_rejected(self):
         with pytest.raises(ValueError, match="label"):
             report_to_csv([("a,b", self.sample_report())])
+
+    @pytest.mark.parametrize("label", ["a\rb", "a\nb", '"a', 'a"b'])
+    def test_csv_label_that_breaks_a_row_rejected(self, label):
+        with pytest.raises(ValueError, match="label"):
+            report_to_csv([(label, self.sample_report())])
 
     def test_evaluate_masks_combines_pixels_and_objects(self, rng):
         pred = np.zeros((20, 20), dtype=bool)

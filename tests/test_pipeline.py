@@ -4,12 +4,16 @@ import json
 import time
 import weakref
 import zipfile
+import zlib
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import tree_digests
 from sinkseg.config import PipelineConfig
@@ -28,7 +32,7 @@ from sinkseg.raster import (
     write_ascii_grid,
 )
 from sinkseg.synth import export_scene, gen_terrain
-from sinkseg.tiling import MergeRule, TileSpec, extract_tile, patch_id, plan_tiles
+from sinkseg.tiling import MergeRule, TileSpec, extract_tile, patch_id, plan_tiles, stitch
 
 SCENE = dict(seed=21, width=128, height=128, n_sinkholes=3,
              depth_range=(3.0, 8.0), radius_range=(8.0, 12.0))
@@ -51,7 +55,7 @@ def manifest_windows(out_dir):
 
 
 def load_depth(path):
-    """The float64 array of a depth archive the fill or prompts stage wrote."""
+    """The float64 array of a depth archive the fill stage wrote."""
     with np.load(path, allow_pickle=False) as archive:
         assert archive.files == ["depth"]
         depth = archive["depth"]
@@ -59,11 +63,25 @@ def load_depth(path):
     return depth
 
 
-def load_filtered(out_dir):
-    """The filtered depth mosaic the prompts stage wrote, georeferenced by the manifest."""
-    doc = json.loads((Path(out_dir) / "manifest.json").read_text())
-    return Raster(load_depth(Path(out_dir) / "depth_filtered.npz"), doc["nodata"],
-                  doc["origin_x"], doc["origin_y"], doc["cellsize"])
+def load_kept(out_dir):
+    """The bool array of the kept-depression mask the prompts stage wrote."""
+    with np.load(Path(out_dir) / "kept_mask.npz", allow_pickle=False) as archive:
+        assert archive.files == ["mask"]
+        kept = archive["mask"]
+    assert kept.dtype == np.bool_
+    return kept
+
+
+def stored_bytes(path, name):
+    """The deflated bytes of the member *name* of the zip archive *path*, as stored."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(name)
+    data = Path(path).read_bytes()
+    at = info.header_offset  # a local file header: 30 fixed bytes, the name, the extra field
+    name_len = int.from_bytes(data[at + 26 : at + 28], "little")
+    extra_len = int.from_bytes(data[at + 28 : at + 30], "little")
+    start = at + 30 + name_len + extra_len
+    return data[start : start + info.compress_size]
 
 
 def make_cfg(scene_dir, out_dir, **kw):
@@ -140,7 +158,7 @@ class TestFillStage:
         cmd_fill(cfg)
         written = tmp_path / "out" / "patches" / "r00000_c00000.depth.npz"
         assert np.all(load_depth(written) == -9999.0)
-        pipeline._write_depth(np.full((64, 64), -9999.0), tmp_path / "void.npz")
+        pipeline._write_archive(np.full((64, 64), -9999.0), tmp_path / "void.npz", "depth")
         assert written.read_bytes() == (tmp_path / "void.npz").read_bytes()
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
@@ -168,9 +186,9 @@ class TestFillStage:
     def test_depth_archive_is_byte_stable_with_one_member(self, tmp_path, monkeypatch):
         values = np.random.default_rng(5).normal(size=(40, 48))
         values[0, :3] = (-0.0, 0.0, -9999.0)
-        pipeline._write_depth(values, tmp_path / "a.npz")
+        pipeline._write_archive(values, tmp_path / "a.npz", "depth")
         monkeypatch.setattr(time, "time", lambda: 1e9)  # a later wall clock
-        pipeline._write_depth(values, tmp_path / "b.npz")
+        pipeline._write_archive(values, tmp_path / "b.npz", "depth")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
         with zipfile.ZipFile(tmp_path / "a.npz") as archive:
             assert archive.namelist() == ["depth.npy"]
@@ -178,7 +196,7 @@ class TestFillStage:
                               values.view(np.int64))
 
     def test_reads_an_archive_from_savez_compressed(self, tmp_path):
-        # the form of out_dirs written before depth archives deflated at level 1
+        # the form older out_dirs hold: numpy's own writer at its default level
         values = np.random.default_rng(6).normal(size=(30, 20))
         values[1, 1] = -0.0
         np.savez_compressed(tmp_path / "depth.npz", depth=values)
@@ -188,21 +206,33 @@ class TestFillStage:
         assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
 
     def test_depth_archive_holds_the_bytes_numpy_writes(self, tmp_path):
-        """The copy-free write gives numpy's own ``.npy`` member, bit for bit,
-        for an array larger than ``write_array``'s 16 MiB chunks and for arrays
-        that are not C-contiguous."""
+        """Every archive member is a raw run-length deflate at level 1 of the
+        ``.npy`` bytes numpy writes, bit for bit: for an array larger than
+        ``write_array``'s 16 MiB chunks, for arrays that are not C-contiguous
+        and for a bool mask.  A zipfile that ignored the swapped compressor
+        would store a default-strategy stream and fail here."""
+        import io
+
         rng = np.random.default_rng(7)
         big = np.zeros((1500, 1500))  # 18 MB
         big[::7, ::5] = rng.normal(size=big[::7, ::5].shape)
         small = rng.normal(size=(30, 40))
-        for values in (big, small, small.T, np.asfortranarray(small), small[::2, ::3]):
-            pipeline._write_depth(values, tmp_path / "fast.npz")
-            with zipfile.ZipFile(tmp_path / "numpy.npz", "w", zipfile.ZIP_DEFLATED,
-                                 compresslevel=1) as archive:
-                with archive.open("depth.npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, np.ascontiguousarray(values))
-            assert (tmp_path / "fast.npz").read_bytes() == (tmp_path / "numpy.npz").read_bytes()
-            assert np.array_equal(load_depth(tmp_path / "fast.npz"), values)
+        mask = rng.random((50, 70)) < 0.2
+        cases = [(big, "depth"), (small, "depth"), (small.T, "depth"),
+                 (np.asfortranarray(small), "depth"), (small[::2, ::3], "depth"),
+                 (mask, "mask"), (mask[::3, 1::2], "mask")]
+        for values, name in cases:
+            path = tmp_path / f"{name}.npz"
+            pipeline._write_archive(values, path, name)
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, np.ascontiguousarray(values))
+            rle = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+            assert stored_bytes(path, f"{name}.npy") == rle.compress(npy.getvalue()) + rle.flush()
+            with zipfile.ZipFile(path) as archive:
+                assert archive.namelist() == [f"{name}.npy"]
+                assert archive.testzip() is None
+            with np.load(path, allow_pickle=False) as archive:
+                assert np.array_equal(archive[name], values)
 
     def test_depth_archive_write_copies_no_array(self, tmp_path):
         import tracemalloc
@@ -211,11 +241,48 @@ class TestFillStage:
         values[100:140, 200:260] = 1.5
         tracemalloc.start()
         try:
-            pipeline._write_depth(values, tmp_path / "depth.npz")
+            pipeline._write_archive(values, tmp_path / "depth.npz", "depth")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
+@st.composite
+def square_dems(draw):
+    """Small square rasters with ties, signed zeros and nodata holes, at least one cell valid."""
+    side = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 3, 8, None]))
+    if levels is None:
+        values = rng.normal(50.0, 10.0, size=(side, side))
+    else:
+        values = (rng.integers(0, levels, size=(side, side)) - levels // 2) * 2.5
+        values[rng.random((side, side)) < 0.5] *= -1.0
+    if draw(st.booleans()):
+        values[rng.random((side, side)) < rng.uniform(0.1, 0.6)] = -9999.0
+    values.flat[draw(st.integers(0, side * side - 1))] = 1.5
+    return Raster(values)
+
+
+class TestFillModes:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dem=square_dems(), block=st.integers(2, 7))
+    def test_one_window_writes_the_mosaic_depth(self, tmp_path_factory, dem, block):
+        """Patch mode with one window over the whole raster writes the bytes
+        mosaic mode writes, with blocks small enough to need joining."""
+        root = tmp_path_factory.mktemp("modes")
+        write_ascii_grid(dem, root / "dem.asc")
+        side = dem.width
+        written = {}
+        with mock.patch.object(hydro, "_BLOCK", block):
+            for mode, name in (("patch", "patches/r00000_c00000.depth.npz"),
+                               ("mosaic", "depth.npz")):
+                cmd_fill(PipelineConfig(depth_raster=root / "dem.asc", out_dir=root / mode,
+                                        fill_mode=mode, tile=TileSpec(side, side)))
+                written[mode] = (root / mode / name).read_bytes()
+        assert written["patch"] == written["mosaic"]
 
 
 class TestStageOrdering:
@@ -284,9 +351,7 @@ class TestPromptsStage:
         cmd_prompts(cfg)
         for path in (tmp_path / "out" / "patches").glob("*.boxes.json"):
             assert read_prompts(path).boxes == []
-        filtered = load_filtered(tmp_path / "out")
-        valid = filtered.valid_mask()
-        assert np.all(filtered.values[valid] == 0.0)
+        assert not load_kept(tmp_path / "out").any()
 
     def test_flat_ramp_yields_no_boxes(self, tmp_path):
         ramp = Raster(np.tile(np.arange(96.0), (96, 1)))
@@ -324,28 +389,41 @@ class TestPromptsStage:
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         cmd_prompts(cfg)
-        filtered = load_filtered(tmp_path / "out")
+        kept = load_kept(tmp_path / "out")
         gt = read_ascii_mask(scene_dir / "gt_mask.asc")
         # surviving depressions sit exactly where the ground truth says
-        on_gt = filtered.values[gt.values]
-        assert (on_gt > 0).mean() > 0.9
+        assert kept[gt.values].mean() > 0.9
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_filtered_archive_is_the_returned_mosaic(self, scene_dir, tmp_path, mode):
+    def test_filtered_archive_is_the_returned_mosaic(self, scene_dir, tmp_path, monkeypatch, mode):
+        """``kept_mask.npz`` holds the returned mask: under every merge rule,
+        the cells of the stitched filtered mosaic that are valid and > 0."""
         values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
         values[5:9, 70:80] = -32768.0
         dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
         write_ascii_grid(dem, tmp_path / "dem.asc")
+        stitched = []
+
+        def recording(*args):
+            mosaic = stitch(*args)
+            stitched.append(mosaic)
+            return mosaic
+
+        monkeypatch.setattr(pipeline, "stitch", recording)
         out = tmp_path / "out"
         cfg = replace(make_cfg(scene_dir, out, fill_mode=mode), depth_raster=tmp_path / "dem.asc")
         cmd_fill(cfg)
-        mosaic = cmd_prompts(cfg)
-        assert (mosaic.values == -32768.0).sum() == 40 and (mosaic.values > 0).any()
-        written = load_depth(out / "depth_filtered.npz")
-        assert np.array_equal(written.view(np.int64), mosaic.values.view(np.int64))
-        doc = json.loads((out / "manifest.json").read_text())
-        got = pipeline._read_depth(out / "depth_filtered.npz", "prompts", doc)
-        assert (got.nodata, got.geotransform) == (mosaic.nodata, mosaic.geotransform)
+        for merge in MergeRule:
+            kept = cmd_prompts(replace(cfg, merge=merge))
+            filtered = stitched.pop()
+            assert (filtered.values == -32768.0).sum() == 40
+            expected = filtered.valid_mask() & (filtered.values > 0)
+            assert expected.any() and np.array_equal(kept.values, expected)
+            assert np.array_equal(load_kept(out), kept.values)
+            assert kept.geotransform == dem.geotransform
+            with pipeline._upstream(out / "kept_mask.npz", "prompts"):
+                got = pipeline._read_array(out / "kept_mask.npz", "mask", np.bool_, (128, 128))
+            assert np.array_equal(got, kept.values)
 
 
 class TestSegmentAndEval:
@@ -427,6 +505,7 @@ class TestSegmentAndEval:
 
     @pytest.mark.parametrize("kind", ["http", "replay"])
     def test_only_echo_reads_the_filtered_depth(self, scene_dir, tmp_path, kind):
+        """No backend but echo opens the kept mask of the filtered depressions."""
         out = tmp_path / "out"
         server = None
         if kind == "http":
@@ -440,7 +519,7 @@ class TestSegmentAndEval:
         with server or nullcontext():
             cmd_segment(cfg)
             fused = (out / "fused_mask.asc").read_bytes()
-            (out / "depth_filtered.npz").write_text("not an archive\n")
+            (out / "kept_mask.npz").write_text("not an archive\n")
             cmd_segment(cfg)
         assert (out / "fused_mask.asc").read_bytes() == fused
         with pytest.raises(InputError, match="rerun the prompts stage"):
@@ -450,14 +529,14 @@ class TestSegmentAndEval:
         cfg, _ = self.run_all(scene_dir, tmp_path / "echo")
         # record per-box echo masks, then replay them through the pipeline
         patches = tmp_path / "echo" / "patches"
-        depth_filtered = load_filtered(tmp_path / "echo")
+        kept = load_kept(tmp_path / "echo")
         windows = manifest_windows(tmp_path / "echo")
         replay_dir = tmp_path / "recorded"
         for boxes_path in sorted(patches.glob("*.boxes.json")):
             prompts = read_prompts(boxes_path)
             window = windows[prompts.patch_id]
-            tile = extract_tile(depth_filtered, window)
-            positive = tile.valid_mask() & (tile.values > 0)
+            positive = kept[window.row0 : window.row0 + window.patch,
+                            window.col0 : window.col0 + window.patch]
             mask_dir = replay_dir / prompts.patch_id
             mask_dir.mkdir(parents=True, exist_ok=True)
             for i, box in enumerate(prompts.boxes):
@@ -480,7 +559,7 @@ class TestSegmentAndEval:
 class TestArtifacts:
     def test_run_writes_exactly_the_consumed_artifacts(self, scene_dir, tmp_path):
         ids = [f"r{r:05d}_c{c:05d}" for r in (0, 32, 64) for c in (0, 32, 64)]
-        common = {"manifest.json", "depth_filtered.npz", "fused_mask.asc",
+        common = {"manifest.json", "kept_mask.npz", "fused_mask.asc",
                   "report.json", "report.csv"}
         common |= {f"patches/{pid}.boxes.json" for pid in ids}
         expected = {
@@ -520,7 +599,7 @@ class TestDeterminism:
     def test_run_reads_back_no_product_it_wrote(self, scene_dir, tmp_path, monkeypatch):
         out = tmp_path / "out"
         reads = []
-        for name in ("read_ascii_grid", "read_ascii_mask", "_read_depth"):
+        for name in ("read_ascii_grid", "read_ascii_mask", "_read_array"):
             def counting(path, *args, _read=getattr(pipeline, name), **kwargs):
                 reads.append(Path(path))
                 return _read(path, *args, **kwargs)
@@ -530,13 +609,13 @@ class TestDeterminism:
         def products():  # all but the fill archives, the fill -> prompts hand-off
             return [p for p in reads if not p.name.endswith(".depth.npz")]
 
-        cfg = make_cfg(scene_dir, out)  # echo: the one backend that paints the filtered depth
+        cfg = make_cfg(scene_dir, out)  # echo: the one backend that paints the kept mask
         cmd_run(cfg)
         assert len(reads) - len(products()) == 9  # one archive per window
         assert products() == [scene_dir / "dem.asc", scene_dir / "gt_mask.asc"]
         cmd_segment(cfg)  # a stage run on its own reads its input back
         cmd_eval(cfg)
-        assert [p for p in products() if out in p.parents] == [out / "depth_filtered.npz",
+        assert [p for p in products() if out in p.parents] == [out / "kept_mask.npz",
                                                               out / "fused_mask.asc"]
 
     def test_rerun_overwrites_identically(self, scene_dir, tmp_path):

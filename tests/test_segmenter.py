@@ -23,7 +23,7 @@ from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
 from sinkseg.image import RGBImage, pgm_bytes, ppm_bytes, write_pgm
 from sinkseg.labeling import PromptBox
 from sinkseg.mock_server import MockSegmentServer
-from sinkseg.raster import Raster, binarize
+from sinkseg.raster import BinaryMask, Raster, binarize
 from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
@@ -144,34 +144,34 @@ class TestProbabilityMask:
 
 
 class TestEchoBackend:
-    def make_depth(self):
-        depth = np.zeros((16, 16))
-        depth[4:8, 4:8] = 3.0
-        depth[10:14, 2:6] = 5.0
-        return Raster(depth)
+    def make_mask(self):
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[4:8, 4:8] = True
+        mask[10:14, 2:6] = True
+        return BinaryMask(mask)
 
     def test_mask_is_depth_support_inside_box(self):
-        backend = EchoBackend(self.make_depth())
+        backend = EchoBackend(self.make_mask())
         probs = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 8, 8)])
         expected = np.zeros((16, 16))
         expected[4:8, 4:8] = 1.0
         assert np.array_equal(probs, expected)
 
     def test_box_crops_the_component(self):
-        backend = EchoBackend(self.make_depth())
+        backend = EchoBackend(self.make_mask())
         probs = segment_patch(backend, gray_patch(), [PromptBox(4, 4, 6, 8)])
         expected = np.zeros((16, 16))
         expected[4:8, 4:6] = 1.0
         assert np.array_equal(probs, expected)
 
     def test_whole_patch_box_recovers_all_depressions(self):
-        depth = self.make_depth()
-        backend = EchoBackend(depth)
+        mask = self.make_mask()
+        backend = EchoBackend(mask)
         probs = segment_patch(backend, gray_patch(), [PromptBox(0, 0, 16, 16)])
-        assert np.array_equal(probs, (depth.values > 0).astype(np.float64))
+        assert np.array_equal(probs, mask.values.astype(np.float64))
 
     def test_masks_are_box_sized_crops(self):
-        backend = EchoBackend(self.make_depth())
+        backend = EchoBackend(self.make_mask())
         crops = backend.masks_for(gray_patch(), [PromptBox(4, 4, 6, 8), PromptBox(1, 9, 7, 15)])
         assert isinstance(crops, list) and len(crops) == 2
         (row0, col0, crop), (row1, col1, other) = crops
@@ -181,7 +181,7 @@ class TestEchoBackend:
         assert other.shape == (6, 6) and other.sum() == 4 * 4  # the 4x4 pit at [10:14, 2:6]
 
     def test_patch_shape_mismatch(self):
-        backend = EchoBackend(self.make_depth())
+        backend = EchoBackend(self.make_mask())
         with pytest.raises(BackendError, match="patch"):
             segment_patch(backend, gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
 
