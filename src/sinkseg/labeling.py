@@ -263,10 +263,12 @@ def prompts_to_json(prompts: PromptSet) -> str:
 
 
 def prompts_from_json(text: str) -> PromptSet:
-    """Parse a prompts document; also accepts externally produced box files.
+    """Parse one prompts document, as :func:`prompts_to_json` writes it.
 
-    ``areas``/``max_depths`` may be omitted by external producers, in which
-    case they default to empty lists.
+    A box file holds one such document per line (:func:`read_prompts`), and
+    externally produced box files are read the same way.  ``areas`` and
+    ``max_depths`` may be omitted by external producers, in which case they
+    default to empty lists.
     """
     try:
         doc = json.loads(text)
@@ -304,9 +306,19 @@ def prompts_from_json(text: str) -> PromptSet:
     )
 
 
-def write_prompts(prompts: PromptSet, path: str | Path) -> None:
-    Path(path).write_text(prompts_to_json(prompts))
+def write_prompts(prompt_sets: list[PromptSet], path: str | Path) -> None:
+    """Write *prompt_sets* as a box file: one :func:`prompts_to_json` line each."""
+    Path(path).write_text("".join(map(prompts_to_json, prompt_sets)))
 
 
-def read_prompts(path: str | Path) -> PromptSet:
-    return prompts_from_json(Path(path).read_text())
+def read_prompts(path: str | Path) -> list[PromptSet]:
+    """The prompt sets of the box file *path*, one per line; a malformed
+    line's error names its line number."""
+    text = Path(path).read_text()
+    prompt_sets = []
+    for number, line in enumerate(text.removesuffix("\n").split("\n") if text else [], 1):
+        try:
+            prompt_sets.append(prompts_from_json(line))
+        except PromptFormatError as exc:
+            raise PromptFormatError(f"line {number}: {exc}") from exc
+    return prompt_sets

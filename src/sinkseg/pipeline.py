@@ -4,26 +4,25 @@ Stage artifacts (all deterministic — rerunning a stage overwrites the same
 bytes, regardless of worker pool size):
 
 ``fill``
-    ``patches/<id>.depth.npz`` (per-patch mode: each window filled as if it
-    were the whole raster) or ``depth.npz`` (mosaic mode), plus
-    ``manifest.json`` describing the mosaic and tiling so later stages need
-    no access to the original input; every stage derives its windows from
-    the manifest.  Both modes are one :func:`~sinkseg.hydro.region_depths`
-    call over the windows (patch) or the one region covering the raster
-    (mosaic): each block is filled once, in the worker pool, and joined into
-    every region that holds it.  A depth file is a zip archive whose one
-    member ``depth.npy`` holds a float64 array; its georeference and nodata
-    come from the manifest.  Only prompts reads it.
+    ``depth.npz``: one float64 member ``<patch id>.npy`` per window in plan
+    order, each window filled as if it were the whole raster (patch mode),
+    or the one member ``depth.npy`` (mosaic mode); plus ``manifest.json``,
+    the mosaic and tiling from which every later stage plans its windows.
+    Both modes are one :func:`~sinkseg.hydro.region_depths` call: each
+    block is filled once, in the worker pool, and joined into every region
+    that holds it.  Prompts compares the member names with the manifest's
+    windows, from the zip's central directory, before it reads any depth.
 ``prompts``
-    ``patches/<id>.boxes.json`` per patch (possibly empty box lists) and
-    ``kept_mask.npz`` — the filtered depressions stitched back into a mosaic
-    with the configured merge rule, kept as the one bool member
-    ``mask.npy``: True where that mosaic is valid and > 0.
+    ``boxes.jsonl``, one line per window in plan order (possibly with no
+    boxes), and ``kept_mask.npz`` — the filtered depressions stitched back
+    into a mosaic with the configured merge rule, kept as the one bool
+    member ``mask.npy``: True where that mosaic is valid and > 0.
 ``segment``
     ``fused_mask.asc`` — per-box masks fused once per patch (pixelwise max),
     patches stitched with the configured merge rule, then binarized once.
-    Only the echo backend reads ``kept_mask.npz``; like prompts, it checks
-    the archive's header against the manifest before reading data.
+    It reads ``boxes.jsonl`` once and refuses patch ids that differ from
+    the plan.  Only the echo backend reads ``kept_mask.npz``; like prompts,
+    it checks the archive's header against the manifest before reading data.
 ``eval``
     ``report.json`` and ``report.csv`` against the ground-truth mask.
 
@@ -32,9 +31,7 @@ Every read of an artifact that an earlier stage wrote passes one gate,
 path and the stage that writes it.  :func:`cmd_run` still writes every
 artifact, but hands the kept mask (to the echo backend) and the fused mask
 to the next stage in memory instead of reading them back; the fill's depth
-archives remain the fill → prompts hand-off.  Every ``.npz`` archive is
-written by :func:`_write_archive`: zlib level 1 with the run-length
-strategy, without a copy of the array.
+archive remains the fill → prompts hand-off.
 
 Each stage maps its windows (fill: its blocks) through one worker pool,
 :func:`_pool_map`, which yields results in order as they are ready.
@@ -57,7 +54,7 @@ import zipfile
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -67,7 +64,7 @@ from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
 from .hydro import region_depths
 from .image import read_ppm
-from .labeling import label_components, read_prompts, tile_prompts, write_prompts
+from .labeling import PromptSet, label_components, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
 from .raster import (
     BinaryMask,
@@ -214,88 +211,96 @@ def _georef(doc: dict, window: TileWindow | None = None) -> tuple[float, float, 
     return georef if window is None else window_georef(window, doc["height"], georef)
 
 
-def _write_archive(array: np.ndarray, path: Path, name: str) -> None:
-    """Write *array* as ``np.savez_compressed(path, **{name: array})`` would,
-    but deflated at zlib level 1 with the run-length strategy.
+def _write_archive(path: Path, members) -> None:
+    """Write the ``(name, array)`` pairs *members*, drawn one at a time, as
+    ``np.savez_compressed`` would, but deflated at zlib level 1 with the
+    run-length strategy.
 
-    ``zlib.Z_RLE`` looks for runs of one byte value only, which is what the
-    zeros of a depth grid and the flat stretches of a mask are made of: on
-    the bench scenes it deflates faster than level 1's default strategy and
-    writes fewer bytes for every archive.  zipfile takes no strategy, so the
-    member's compressor is swapped before its first write; the stream is
-    plain deflate, and any zip reader inflates it.  The member keeps
-    ``ZipInfo``'s fixed 1980 timestamp, so the bytes are stable.  The
-    array's own buffer is deflated, so no copy of it is made (numpy's
-    ``write_array`` copies a zip member out in 16 MiB chunks).
+    ``zlib.Z_RLE`` looks for runs of one byte value, as the zeros of a depth
+    grid and the flat stretches of a mask are: on the bench scenes it is
+    faster and smaller than level 1's default strategy for every archive.
+    zipfile takes no strategy, so each member's compressor is swapped before
+    its first write; any zip reader inflates the stream.  Members keep
+    ``ZipInfo``'s fixed 1980 timestamp, so the bytes are stable.  Each
+    array's own buffer is deflated, with no copy (numpy's ``write_array``
+    copies a zip member out in 16 MiB chunks).
     """
-    array = np.ascontiguousarray(array)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
-        with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-            member._compressor = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
-            header = np.lib.format.header_data_from_array_1_0(array)
-            np.lib.format.write_array_header_1_0(member, header)
-            member.write(memoryview(array))
+        for name, array in members:
+            array = np.ascontiguousarray(array)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                member._compressor = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(array))
 
 
 @contextmanager
-def _archive_member(path: Path, name: str, dtype, shape: tuple[int, int]):
-    """The rewound ``<name>.npy`` member of the archive *path*, once its
-    header shows a 2-D array of *shape* and *dtype*; nothing else is read.
-    A read error in the block is reported as one of *path*; an ``OSError``,
-    which names *path* itself, is left to :func:`_upstream`."""
-    try:
-        with open(path, "rb") as fh:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise InputError("not an .npz archive")
-            with archive:
-                if archive.files != [name]:
-                    raise InputError(f"expected exactly one array '{name}', found {archive.files}")
-                with archive.zip.open(archive.zip.namelist()[0]) as member:
-                    version = np.lib.format.read_magic(member)
-                    if version == (1, 0):
-                        found, _, found_dtype = np.lib.format.read_array_header_1_0(member)
-                    else:
-                        found, _, found_dtype = np.lib.format.read_array_header_2_0(member)
-                    if len(found) != 2:
-                        raise InputError(f"{name} has {len(found)} dimensions, expected 2")
-                    if found != shape:
-                        raise InputError(
-                            f"{name} is {found[1]}x{found[0]}, expected {shape[1]}x{shape[0]}"
-                        )
-                    if found_dtype != dtype:
-                        raise InputError(
-                            f"{name} has dtype {found_dtype}, expected {np.dtype(dtype)}"
-                        )
-                    member.seek(0)
-                    yield member
-    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-        raise InputError(f"unreadable {name} archive ({exc})") from exc
-
-
-def _read_array(path: Path, name: str, dtype, shape: tuple[int, int]) -> np.ndarray:
-    """The array of the one-member archive *path*, checked by
-    :func:`_archive_member` before any data is read, so a header that claims
-    a huge array allocates nothing.  Call it inside :func:`_upstream`."""
-    with _archive_member(path, name, dtype, shape) as member:
-        return np.lib.format.read_array(member, allow_pickle=False)
-
-
-def _read_depth(path: Path, stage: str, doc: dict, window: TileWindow | None = None) -> Raster:
-    """Load the depth archive the *stage* wrote for *window* (None: the mosaic).
-
-    The array must be float64 with the shape the manifest gives.
-    Georeference and nodata are rebuilt from the manifest.
-    """
-    shape = (doc["height"], doc["width"]) if window is None else (window.patch,) * 2
+def _open_archive(path: Path, stage: str):
+    """The zip archive *path*, which the *stage* wrote, opened and its
+    directory read under :func:`_upstream`; the block runs outside it.
+    Pool threads may read members at once: zipfile serialises their reads,
+    and it never closes a file object it was given (``ZipFile.open`` counts
+    the users of a file it opened itself without a lock)."""
     with _upstream(path, stage):
-        values = _read_array(path, "depth", np.float64, shape)
-        return Raster(values, doc["nodata"], *_georef(doc, window))
+        fh = open(path, "rb")
+    with fh:
+        with _upstream(path, stage):
+            try:
+                archive = zipfile.ZipFile(fh)
+            except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+                raise InputError(f"unreadable archive ({exc})") from exc
+        with archive:
+            yield archive
+
+
+def _check_order(found: list[str], expected: list[str], item: str) -> None:
+    """Refuse *found* unless it is *expected*, naming the first *item*
+    (counted from 1) that differs."""
+    for number, (got, want) in enumerate(zip(found, expected), 1):
+        if got != want:
+            raise InputError(f"{item} {number} is {got!r}, expected {want!r}")
+    if len(found) != len(expected):
+        raise InputError(f"holds {len(found)} {item}s, expected {len(expected)}")
+
+
+def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) -> np.ndarray:
+    """The array of the member *info*, once its ``.npy`` header shows a 2-D
+    array of *shape* and *dtype*: nothing else is read before, so a header
+    that claims a huge array allocates nothing.  Call it inside
+    :func:`_upstream`."""
+    name = info.filename.removesuffix(".npy")
+    try:
+        with archive.open(info) as member:
+            version = np.lib.format.read_magic(member)
+            if version == (1, 0):
+                found, _, found_dtype = np.lib.format.read_array_header_1_0(member)
+            else:
+                found, _, found_dtype = np.lib.format.read_array_header_2_0(member)
+            if len(found) != 2:
+                raise InputError(f"{name} has {len(found)} dimensions, expected 2")
+            if found != shape:
+                raise InputError(f"{name} is {found[1]}x{found[0]}, expected {shape[1]}x{shape[0]}")
+            if found_dtype != dtype:
+                raise InputError(f"{name} has dtype {found_dtype}, expected {np.dtype(dtype)}")
+            member.seek(0)
+            return np.lib.format.read_array(member, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise InputError(f"unreadable member {name} ({exc})") from exc
+
+
+def _read_array(path: Path, stage: str, name: str, dtype, shape: tuple[int, int]) -> np.ndarray:
+    """The array of the one-member archive *path*, which the *stage* wrote,
+    checked by :func:`_read_member` before any data is read."""
+    with _open_archive(path, stage) as archive, _upstream(path, stage):
+        _check_order([n.removesuffix(".npy") for n in archive.namelist()], [name], "array")
+        return _read_member(archive, archive.infolist()[0], dtype, shape)
 
 
 def cmd_fill(cfg: PipelineConfig) -> None:
-    """Fill depressions and write the depth per window or of the mosaic.
-    The windows are planned first in both modes, before anything is written."""
+    """Fill depressions and write the depth of each window, or of the
+    mosaic, to ``depth.npz``.  The windows are planned first in both modes,
+    before anything is written."""
     validate_for(cfg, "fill")
     dem = read_ascii_grid(cfg.depth_raster)
     if cfg.invert_depth:
@@ -308,17 +313,15 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     except ValueError as exc:
         raise InputError(f"tile.{exc}") from exc
     out = Path(cfg.out_dir)
-    patches = out / "patches"
     if cfg.fill_mode == "patch":
         regions = [(w.row0, w.col0, w.patch, w.patch) for w in windows]
-        paths = [patches / f"{patch_id(w)}.depth.npz" for w in windows]
+        names = [patch_id(w) for w in windows]
     else:
-        regions, paths = [(0, 0, dem.height, dem.width)], [out / "depth.npz"]
+        regions, names = [(0, 0, dem.height, dem.width)], ["depth"]
     depths = region_depths(dem, regions, partial(_pool_map, cfg.workers))
-    patches.mkdir(parents=True, exist_ok=True)
-    for depth, path in zip(depths, paths):
-        _write_archive(depth, path, "depth")
-    logger.info("filled %d depth archives (%s mode) into %s", len(paths), cfg.fill_mode, out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_archive(out / "depth.npz", zip(names, depths))
+    logger.info("filled %d depth arrays (%s mode) into %s", len(names), cfg.fill_mode, out)
     _write_manifest(out, dem, cfg)
 
 
@@ -331,46 +334,55 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
     doc = _read_manifest(out)
-    patches = out / "patches"
-    patches.mkdir(parents=True, exist_ok=True)
+    depth_path = out / "depth.npz"
+    with _open_archive(depth_path, "fill") as archive:
+        infos = archive.infolist()
+        names = [info.filename.removesuffix(".npy") for info in infos]
+        mosaic = None
+        with _upstream(depth_path, "fill"):
+            if doc["fill_mode"] == "mosaic":
+                _check_order(names, ["depth"], "array")
+                shape = (doc["height"], doc["width"])
+                values = _read_member(archive, infos[0], np.float64, shape)
+                mosaic = Raster(values, doc["nodata"], *_georef(doc))
+            elif doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses it
+                # the claimed bottom-right window is the last array only if
+                # fill wrote that extent
+                side = doc["patch"]
+                last = patch_id(TileWindow(doc["height"] - side, doc["width"] - side, side))
+                if names[-1:] != [last]:
+                    raise InputError(f"ends with {names[-1:]}, but the manifest's last "
+                                     f"window is {last!r}")
+        windows = _plan(out, doc)
+        if mosaic is None:
+            with _upstream(depth_path, "fill"):  # exact: the last origins are extent - patch
+                _check_order(names, [patch_id(w) for w in windows], "array")
+        members = dict(zip(names, infos))
 
-    mosaic_path = out / "depth.npz"
-    depth_mosaic = None
-    if doc["fill_mode"] == "mosaic":
-        depth_mosaic = _read_depth(mosaic_path, "fill", doc)
-    elif doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses the manifest
-        # the claimed bottom-right window has an archive only if fill wrote that extent
-        side = doc["patch"]
-        last = TileWindow(doc["height"] - side, doc["width"] - side, side)
-        last_path = patches / f"{patch_id(last)}.depth.npz"
-        with _upstream(last_path, "fill"), _archive_member(
-            last_path, "depth", np.float64, (side, side)
-        ):
-            pass
-    windows = _plan(out, doc)
+        def work(window: TileWindow):
+            pid = patch_id(window)
+            with _upstream(depth_path, "fill"):
+                if mosaic is None:
+                    values = _read_member(archive, members[pid], np.float64, (window.patch,) * 2)
+                    depth_tile = Raster(values, doc["nodata"], *_georef(doc, window))
+                else:
+                    depth_tile = extract_tile(mosaic, window)
+                try:
+                    grid = label_components(depth_tile)
+                except ValueError as exc:  # a negative depth
+                    raise InputError(f"{pid}: {exc}") from exc
+            prompts[pid], filtered = tile_prompts(depth_tile, grid, cfg.filter, cfg.pad_px, pid)
+            return window, filtered
 
-    def work(window: TileWindow):
-        if depth_mosaic is not None:
-            depth_path, depth_tile = mosaic_path, extract_tile(depth_mosaic, window)
-        else:
-            depth_path = patches / f"{patch_id(window)}.depth.npz"
-            depth_tile = _read_depth(depth_path, "fill", doc, window)
-        with _upstream(depth_path, "fill"):  # negative depth
-            grid = label_components(depth_tile)
-        prompts, filtered = tile_prompts(
-            depth_tile, grid, cfg.filter, cfg.pad_px, patch_id(window)
-        )
-        write_prompts(prompts, patches / f"{prompts.patch_id}.boxes.json")
-        box_counts.append(len(prompts.boxes))  # one append: safe across pool threads
-        return window, filtered
-
-    box_counts: list[int] = []
-    tiles = _pool_map(cfg.workers, work, windows)
-    mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
-    kept = BinaryMask(mosaic.valid_mask() & (mosaic.values > 0), *_georef(doc))
-    del mosaic
-    _write_archive(kept.values, out / "kept_mask.npz", "mask")
-    logger.info("wrote %d prompt boxes across %d patches", sum(box_counts), len(windows))
+        prompts: dict[str, PromptSet] = {}  # one item per pool thread: safe
+        with closing(_pool_map(cfg.workers, work, windows)) as tiles:
+            stitched = stitch(tiles, doc["width"], doc["height"], cfg.merge)
+    kept = BinaryMask(stitched.valid_mask() & (stitched.values > 0), *_georef(doc))
+    del stitched
+    write_prompts([prompts[patch_id(w)] for w in windows], out / "boxes.jsonl")
+    _write_archive(out / "kept_mask.npz", [("mask", kept.values)])
+    boxes = sum(len(p.boxes) for p in prompts.values())
+    logger.info("wrote %d prompt boxes across %d patches", boxes, len(windows))
     return kept
 
 
@@ -396,7 +408,6 @@ def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMa
     """
     validate_for(cfg, "segment")
     out = Path(cfg.out_dir)
-    patches = out / "patches"
     doc = _read_manifest(out)
 
     rgb = read_ppm(cfg.rgb_mosaic)
@@ -408,32 +419,30 @@ def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMa
     windows = _plan(out, doc)
     shared_backend = _build_shared_backend(cfg)
     if shared_backend is None and kept is None:  # echo paints the kept mask
-        kept_path = out / "kept_mask.npz"
-        with _upstream(kept_path, "prompts"):
-            values = _read_array(kept_path, "mask", np.bool_, (doc["height"], doc["width"]))
-            kept = BinaryMask(values, *_georef(doc))
-
-    def work(window: TileWindow):
-        pid = patch_id(window)
-        boxes_path = patches / f"{pid}.boxes.json"
-        with _upstream(boxes_path, "prompts"):
-            prompts = read_prompts(boxes_path)
-            if prompts.patch_id != pid:
-                raise InputError(f"patch_id {prompts.patch_id!r} does not match window {pid!r}")
+        shape = (doc["height"], doc["width"])
+        values = _read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_, shape)
+        kept = BinaryMask(values, *_georef(doc))
+    boxes_path = out / "boxes.jsonl"
+    with _upstream(boxes_path, "prompts"):
+        prompt_sets = read_prompts(boxes_path)
+        _check_order([p.patch_id for p in prompt_sets], [patch_id(w) for w in windows], "line")
+        for line, (prompts, window) in enumerate(zip(prompt_sets, windows), 1):
             for box in prompts.boxes:
                 if box.x1 > window.patch or box.y1 > window.patch:
-                    raise InputError(
-                        f"box {box.as_list()} exceeds patch {window.patch}x{window.patch}"
-                    )
+                    raise InputError(f"line {line}: box {box.as_list()} exceeds patch "
+                                     f"{window.patch}x{window.patch}")
+
+    def work(item: tuple[TileWindow, PromptSet]):
+        window, prompts = item
         patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(extract_tile(kept, window))
-        probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=pid)
+        probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=prompts.patch_id)
         origin_x, origin_y, cellsize = _georef(doc, window)
         # Default nodata: the DEM's sentinel may be a probability, e.g. 0.0.
         tile = Raster(probs, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)
         return window, tile
 
-    tiles = _pool_map(cfg.workers, work, windows)
+    tiles = _pool_map(cfg.workers, work, zip(windows, prompt_sets))
     prob_mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
     fused = binarize(prob_mosaic, cfg.binarize_threshold)
     write_ascii_mask(fused, out / "fused_mask.asc")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, stdout/stderr discipline."""
 
+import io
 import json
 import shutil
 import subprocess
@@ -35,34 +36,77 @@ def manifest_text(**overrides):
     return json.dumps({**doc, **overrides})
 
 
-def load_depth(path):
+def first_array(path):
+    """The array of the first member of the archive *path*."""
     with np.load(path) as archive:
-        return archive["depth"]
+        return archive[archive.files[0]]
 
 
-def load_mask(path):
-    with np.load(path) as archive:
-        return archive["mask"]
+def rewrite_first(write):
+    """Corrupt an archive by storing ``write(archive, name, data)`` in place
+    of its first member, named *name* (``.npy`` dropped) and holding the
+    bytes *data*; the other members are copied as they are."""
+
+    def rewrite(path):
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+            members = [(info.filename, archive.read(info)) for info in infos]
+        with zipfile.ZipFile(path, "w") as archive:
+            write(archive, members[0][0].removesuffix(".npy"), members[0][1])
+            for name, data in members[1:]:
+                archive.writestr(name, data)
+
+    return rewrite
 
 
-def negate_first_cell(path):
-    depth = load_depth(path)
-    depth[0, 0] = -1.0
-    np.savez_compressed(path, depth=depth)
+def edit_first(edit):
+    """Corrupt an archive by storing ``edit(array)`` as its first member's array."""
+
+    def write(archive, name, data):
+        with archive.open(f"{name}.npy", "w") as member:
+            np.lib.format.write_array(member, edit(np.load(io.BytesIO(data))))
+
+    return rewrite_first(write)
+
+
+def negated_first_cell(array):
+    array = array.copy()
+    array[0, 0] = -1.0
+    return array
 
 
 def cut_to(side):
-    def cut(path):
-        np.savez_compressed(path, depth=load_depth(path)[:side, :side])
-
-    return cut
+    return edit_first(lambda array: array[:side, :side])
 
 
-def cut_mask_to(side):
-    def cut(path):
-        np.savez_compressed(path, mask=load_mask(path)[:side, :side])
+def renamed(new_name):
+    return rewrite_first(lambda archive, name, data: archive.writestr(f"{new_name}.npy", data))
 
-    return cut
+
+def extra_member(path):
+    def write(archive, name, data):
+        archive.writestr(f"{name}.npy", data)
+        archive.writestr("filled.npy", data)
+
+    rewrite_first(write)(path)
+
+
+def huge_header(descr):
+    """An archive whose first member's header claims 10^6 x 10^6 *descr* over 16 bytes."""
+
+    def write(archive, name, data):
+        header = {"descr": descr, "fortran_order": False, "shape": (10**6, 10**6)}
+        with archive.open(f"{name}.npy", "w") as member:
+            np.lib.format.write_array_header_1_0(member, header)
+            member.write(bytes(16))
+
+    return rewrite_first(write)
+
+
+def raw_member(path):
+    """An archive whose first member, stored without ``.npy``, holds bytes
+    that are not an ``.npy`` array."""
+    rewrite_first(lambda archive, name, data: archive.writestr(name, b"not an npy member"))(path)
 
 
 def truncate(path):
@@ -70,76 +114,33 @@ def truncate(path):
 
 
 def ascii_grid(path):
-    write_ascii_grid(Raster(load_depth(path)), path)
+    write_ascii_grid(Raster(first_array(path)), path)
 
 
 def bare_npy(path):
-    depth = load_depth(path)
+    array = first_array(path)
     with open(path, "wb") as fh:
-        np.save(fh, depth)
+        np.save(fh, array)
 
 
-def as_float32(path):
-    np.savez_compressed(path, depth=load_depth(path).astype(np.float32))
+def box_line(number, text):
+    """Corrupt a box file by replacing its line *number* (from 1) with *text*."""
+
+    def edit(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[number - 1] = text + "\n"
+        path.write_text("".join(lines))
+
+    return edit
 
 
-def as_uint8(path):
-    np.savez_compressed(path, mask=load_mask(path).astype(np.uint8))
+def box_lines(edit):
+    """Corrupt a box file by writing ``edit(lines)`` in place of its lines."""
 
+    def corrupt(path):
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
 
-def mask_as_depth(path):
-    np.savez_compressed(path, depth=load_mask(path))
-
-
-def add_axis(path):
-    np.savez_compressed(path, depth=load_depth(path)[np.newaxis])
-
-
-def extra_member(path):
-    np.savez_compressed(path, depth=load_depth(path), filled=load_depth(path))
-
-
-def rename_member(path):
-    np.savez_compressed(path, values=load_depth(path))
-
-
-def object_array(path):
-    np.savez_compressed(path, depth=np.full((48, 48), None, dtype=object))
-
-
-def huge_header(name, descr):
-    """An archive whose ``<name>.npy`` header claims 10^6 x 10^6 *descr* over 16 bytes."""
-
-    def claim(path):
-        header = {"descr": descr, "fortran_order": False, "shape": (10**6, 10**6)}
-        with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive, \
-                archive.open(f"{name}.npy", "w") as member:
-            np.lib.format.write_array_header_1_0(member, header)
-            member.write(bytes(16))
-
-    return claim
-
-
-def raw_member(path):
-    """An archive whose one member ``depth`` holds bytes that are not an ``.npy`` array."""
-    with zipfile.ZipFile(path, "w") as archive:
-        archive.writestr("depth", b"not an npy member")
-
-
-def oversized_box(path):
-    path.write_text('{"boxes":[[40,40,60,60]],"patch_id":"r00000_c00000"}\n')
-
-
-def string_area(path):
-    path.write_text('{"areas":["x"],"boxes":[[0,0,2,2]],"patch_id":"r00000_c00000"}\n')
-
-
-def bool_coordinate(path):
-    path.write_text('{"boxes":[[true,0,2,2]],"patch_id":"r00000_c00000"}\n')
-
-
-def foreign_boxes(path):
-    shutil.copyfile(path.with_name("r00000_c00024.boxes.json"), path)
+    return corrupt
 
 
 def halve(path):
@@ -378,7 +379,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "fill_mode, stage, message",
         [
-            ("patch", "prompts", "r03984_c03984.depth.npz not found — run the fill stage first"),
+            ("patch", "prompts", "depth.npz: ends with ['r00080_c00080'], but the manifest's"
+                                 " last window is 'r03984_c03984' — rerun the fill stage"),
             ("mosaic", "prompts", "depth.npz: depth is 96x96, expected 4000x4000"),
             ("patch", "segment", "rgb mosaic is 96x96 but the fill manifest says 4000x4000"),
         ],
@@ -411,57 +413,98 @@ class TestExitCodes:
         assert message in err
 
     @pytest.mark.parametrize(
+        "fill_mode, claim, message",
+        [
+            ("patch", {"width": 48, "height": 48},
+             "depth.npz: ends with ['r00048_c00048'], but the manifest's last window is"
+             " 'r00032_c00032' — rerun the fill stage"),
+            ("patch", {"stride": 8},
+             "depth.npz: array 2 is 'r00000_c00016', expected 'r00000_c00008'"
+             " — rerun the fill stage"),
+            ("mosaic", {"width": 48, "height": 48},
+             "depth.npz: depth is 64x64, expected 48x48 — rerun the fill stage"),
+        ],
+        ids=["patch-smaller-extent", "patch-other-stride", "mosaic-smaller-extent"],
+    )
+    def test_manifest_that_fill_did_not_write_is_refused(self, tmp_path, capsys, fill_mode,
+                                                         claim, message):
+        """A manifest edited after the fill, to a smaller extent or to another
+        tiling of the same extent, does not match the depth archive."""
+        scene = tmp_path / "scene"
+        export_scene(gen_terrain(seed=3, width=64, height=64, n_sinkholes=2,
+                                 radius_range=(4.0, 6.0)), scene)
+        out = tmp_path / "out"
+        common = ["--set", f"out_dir={out}", "--set", f"fill.mode={fill_mode}",
+                  "--set", "tile.patch=16", "--set", "tile.stride=16"]
+        assert main(["fill", "--set", f"depth_raster={scene / 'dem.asc'}", *common]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **claim}))
+        capsys.readouterr()
+        code = main(["prompts", "--set", f"out_dir={out}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert not (out / "boxes.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "fill_mode, stage, artifact, corrupt, message",
         [
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", negate_first_cell,
-             "depth raster contains negative values"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", cut_to(20),
-             "is 20x20, expected 48x48"),
-            ("mosaic", "prompts", "depth.npz", cut_to(60), "is 60x60, expected 96x96"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", truncate,
-             "unreadable depth archive"),
-            ("mosaic", "prompts", "depth.npz", ascii_grid, "unreadable depth archive"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", bare_npy,
-             "not an .npz archive"),
-            ("mosaic", "prompts", "depth.npz", as_float32,
+            ("patch", "prompts", "depth.npz", edit_first(negated_first_cell),
+             "depth.npz: r00000_c00000: depth raster contains negative values"),
+            ("patch", "prompts", "depth.npz", cut_to(20), "r00000_c00000 is 20x20, expected 48x48"),
+            ("mosaic", "prompts", "depth.npz", cut_to(60), "depth is 60x60, expected 96x96"),
+            ("patch", "prompts", "depth.npz", truncate, "depth.npz: unreadable archive"),
+            ("mosaic", "prompts", "depth.npz", ascii_grid,
+             "unreadable archive (File is not a zip file)"),
+            ("patch", "prompts", "depth.npz", bare_npy,
+             "unreadable archive (File is not a zip file)"),
+            ("mosaic", "prompts", "depth.npz", edit_first(lambda a: a.astype(np.float32)),
              "depth has dtype float32, expected float64"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", add_axis,
-             "depth has 3 dimensions, expected 2"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", rename_member,
-             "expected exactly one array 'depth', found ['values']"),
-            ("mosaic", "prompts", "depth.npz", extra_member,
-             "expected exactly one array 'depth', found ['depth', 'filled']"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", object_array,
-             "depth has dtype object, expected float64"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", huge_header("depth", "<f8"),
-             "r00000_c00000.depth.npz: depth is 1000000x1000000, expected 48x48"),
-            ("patch", "prompts", "patches/r00000_c00000.depth.npz", raw_member,
-             "unreadable depth archive (the magic string is not correct"),
-            ("mosaic", "segment", "kept_mask.npz", cut_mask_to(60),
+            ("patch", "prompts", "depth.npz", edit_first(lambda a: a[np.newaxis]),
+             "r00000_c00000 has 3 dimensions, expected 2"),
+            ("patch", "prompts", "depth.npz", renamed("values"),
+             "array 1 is 'values', expected 'r00000_c00000'"),
+            ("mosaic", "prompts", "depth.npz", extra_member, "holds 2 arrays, expected 1"),
+            ("patch", "prompts", "depth.npz",
+             edit_first(lambda a: np.full(a.shape, None, dtype=object)),
+             "r00000_c00000 has dtype object, expected float64"),
+            ("patch", "prompts", "depth.npz", huge_header("<f8"),
+             "depth.npz: r00000_c00000 is 1000000x1000000, expected 48x48"),
+            ("patch", "prompts", "depth.npz", raw_member,
+             "unreadable member r00000_c00000 (the magic string is not correct"),
+            ("mosaic", "segment", "kept_mask.npz", cut_to(60),
              "kept_mask.npz: mask is 60x60, expected 96x96 — rerun the prompts stage"),
-            ("patch", "segment", "kept_mask.npz", huge_header("mask", "|b1"),
+            ("patch", "segment", "kept_mask.npz", huge_header("|b1"),
              "kept_mask.npz: mask is 1000000x1000000, expected 96x96"
              " — rerun the prompts stage"),
-            ("patch", "segment", "kept_mask.npz", as_uint8,
+            ("patch", "segment", "kept_mask.npz", edit_first(lambda a: a.astype(np.uint8)),
              "kept_mask.npz: mask has dtype uint8, expected bool — rerun the prompts stage"),
-            ("mosaic", "segment", "kept_mask.npz", mask_as_depth,
-             "kept_mask.npz: expected exactly one array 'mask', found ['depth']"
-             " — rerun the prompts stage"),
-            ("patch", "segment", "patches/r00000_c00000.boxes.json", oversized_box,
-             "exceeds patch 48x48"),
-            ("patch", "segment", "patches/r00000_c00000.boxes.json", string_area,
-             "'areas' entry 0 must be an integer"),
-            ("patch", "segment", "patches/r00000_c00000.boxes.json", bool_coordinate,
-             "box coordinate x0 must be an integer, got True"),
-            ("patch", "segment", "patches/r00000_c00000.boxes.json", foreign_boxes,
-             "patch_id 'r00000_c00024' does not match window 'r00000_c00000'"),
+            ("mosaic", "segment", "kept_mask.npz", renamed("depth"),
+             "kept_mask.npz: array 1 is 'depth', expected 'mask' — rerun the prompts stage"),
+            ("patch", "segment", "boxes.jsonl",
+             box_line(1, '{"boxes":[[40,40,60,60]],"patch_id":"r00000_c00000"}'),
+             "boxes.jsonl: line 1: box [40, 40, 60, 60] exceeds patch 48x48"),
+            ("patch", "segment", "boxes.jsonl",
+             box_line(2, '{"areas":["x"],"boxes":[[0,0,2,2]],"patch_id":"r00000_c00024"}'),
+             "boxes.jsonl: line 2: 'areas' entry 0 must be an integer"),
+            ("patch", "segment", "boxes.jsonl",
+             box_line(2, '{"boxes":[[true,0,2,2]],"patch_id":"r00000_c00024"}'),
+             "boxes.jsonl: line 2: box 0 invalid: box coordinate x0 must be an integer, got True"),
+            ("patch", "segment", "boxes.jsonl",
+             box_lines(lambda lines: [lines[1], lines[0], *lines[2:]]),
+             "boxes.jsonl: line 1 is 'r00000_c00024', expected 'r00000_c00000'"),
+            ("mosaic", "segment", "boxes.jsonl", box_lines(lambda lines: lines[:-1]),
+             "boxes.jsonl: holds 8 lines, expected 9"),
+            ("patch", "segment", "boxes.jsonl", box_lines(lambda lines: [*lines, lines[-1]]),
+             "boxes.jsonl: holds 10 lines, expected 9"),
         ],
         ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
              "raw-member-depth", "short-filtered-depth", "huge-header-filtered-depth",
              "uint8-kept-mask", "depth-member-kept-mask",
-             "box-outside-patch", "string-area", "bool-coordinate", "foreign-boxes"],
+             "box-outside-patch", "string-area", "bool-coordinate", "swapped-boxes",
+             "missing-boxes", "extra-boxes"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message
@@ -484,8 +527,8 @@ class TestExitCodes:
         "artifact, reader, writer",
         [
             ("manifest.json", "prompts", "fill"),
-            ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
-            ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
+            ("depth.npz", "prompts", "fill"),
+            ("boxes.jsonl", "segment", "prompts"),
             ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.asc", "eval", "segment"),
         ],
@@ -520,8 +563,8 @@ class TestExitCodes:
         "artifact, reader, writer",
         [
             ("manifest.json", "prompts", "fill"),
-            ("patches/r00000_c00000.depth.npz", "prompts", "fill"),
-            ("patches/r00000_c00000.boxes.json", "segment", "prompts"),
+            ("depth.npz", "prompts", "fill"),
+            ("boxes.jsonl", "segment", "prompts"),
             ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.asc", "eval", "segment"),
         ],

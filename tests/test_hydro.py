@@ -468,6 +468,33 @@ class TestMetamorphic:
         got = self.depth(Raster(shifted, nodata=NODATA), block)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=40, deadline=None)
+    @given(dem=oracle_dems(), block=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_sees_only_the_order_of_elevations(self, dem, block, seed):
+        """A cell's level is a minimax over paths to an outlet, so always
+        some cell's elevation.  So a strictly increasing map f of the valid
+        values, nodata untouched, raises the same cells, and the filled
+        surface of f(dem) is f of the filled surface, bit for bit."""
+        valid = dem.valid_mask()
+        assume(valid.any())
+        steps = np.unique(dem.values[valid])  # -0.0 and 0.0 are one value
+        gaps = np.random.default_rng(seed).integers(1, 9, size=steps.size)
+        image = (np.cumsum(gaps) - int(gaps.sum() // 2)) / 4.0  # exact, so no two collide
+
+        def f(values):
+            at = np.searchsorted(steps, values[valid])
+            assert np.array_equal(steps[at], values[valid])  # each level is an elevation
+            mapped = values.copy()
+            mapped[valid] = image[at]
+            return mapped
+
+        with tiled(block):
+            before = fill_depressions(dem)
+            after = fill_depressions(Raster(f(dem.values), nodata=NODATA))
+        assert np.array_equal(after.depth.values > 0, before.depth.values > 0)
+        assert np.array_equal(after.filled.values.view(np.int64),
+                              f(before.filled.values).view(np.int64))
+
 
 class TestTiledFill:
     """Blocks filled on their own, then joined through their drainage labels."""

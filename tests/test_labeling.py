@@ -393,9 +393,37 @@ class TestPromptsJson:
         assert back == self.prompt_set()
 
     def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "prompts.json"
-        write_prompts(self.prompt_set(), path)
-        assert read_prompts(path) == self.prompt_set()
+        """A box file is one document per line, in the order given."""
+        path = tmp_path / "boxes.jsonl"
+        empty = PromptSet(patch_id="r00000_c00000", boxes=[], areas=[], max_depths=[])
+        sets = [self.prompt_set(), empty]
+        write_prompts(sets, path)
+        assert path.read_text() == "".join(prompts_to_json(p) for p in sets)
+        assert read_prompts(path) == sets
+        write_prompts([], path)
+        assert read_prompts(path) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"patch_id": "p", "boxes": []}\n{nope\n', "line 2: prompts file is not valid JSON"),
+            ('{"patch_id": "p", "boxes": []}\n\n{"patch_id": "q", "boxes": []}\n',
+             "line 2: prompts file is not valid JSON"),
+            ('{"patch_id": "p", "boxes": [[1, 2, 3]]}\n', "line 1: box 0 must be"),
+        ],
+        ids=["bad-json", "blank-line", "bad-box"],
+    )
+    def test_malformed_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "boxes.jsonl"
+        path.write_text(text)
+        with pytest.raises(PromptFormatError, match=message):
+            read_prompts(path)
+
+    def test_external_file_with_crlf_lines_is_read(self, tmp_path):
+        path = tmp_path / "boxes.jsonl"
+        path.write_bytes(b'{"patch_id": "p", "boxes": [[0, 0, 3, 3]]}\r\n'
+                         b'{"patch_id": "q", "boxes": []}')
+        assert [p.patch_id for p in read_prompts(path)] == ["p", "q"]
 
     def test_serialization_is_compact_and_sorted(self):
         text = prompts_to_json(self.prompt_set())

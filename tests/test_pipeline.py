@@ -19,17 +19,20 @@ from conftest import tree_digests
 from sinkseg.config import PipelineConfig
 from sinkseg.errors import InputError
 from sinkseg.hydro import fill_depressions
-from sinkseg.image import write_ppm, write_pgm
-from sinkseg.labeling import FilterThresholds, read_prompts, tile_prompts
+from sinkseg.image import RGBImage, write_ppm, write_pgm
+from sinkseg.labeling import FilterThresholds, label_components, read_prompts, tile_prompts
+from sinkseg.metrics import report_to_json
 from sinkseg.mock_server import MockSegmentServer
 from sinkseg import hydro, pipeline
 from sinkseg.pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
 from sinkseg.raster import (
+    BinaryMask,
     Raster,
     invert_depth,
     read_ascii_grid,
     read_ascii_mask,
     write_ascii_grid,
+    write_ascii_mask,
 )
 from sinkseg.synth import export_scene, gen_terrain
 from sinkseg.tiling import MergeRule, TileSpec, extract_tile, patch_id, plan_tiles, stitch
@@ -54,11 +57,11 @@ def manifest_windows(out_dir):
     return {patch_id(w): w for w in plan_tiles(doc["width"], doc["height"], spec)}
 
 
-def load_depth(path):
-    """The float64 array of a depth archive the fill stage wrote."""
+def load_depth(path, name="depth"):
+    """The float64 array *name* of the depth archive the fill stage wrote:
+    a patch id in patch mode, ``depth`` in mosaic mode."""
     with np.load(path, allow_pickle=False) as archive:
-        assert archive.files == ["depth"]
-        depth = archive["depth"]
+        depth = archive[name]
     assert depth.dtype == np.float64
     return depth
 
@@ -70,6 +73,11 @@ def load_kept(out_dir):
         kept = archive["mask"]
     assert kept.dtype == np.bool_
     return kept
+
+
+def load_boxes(out_dir):
+    """The prompt sets of the box file the prompts stage wrote, in plan order."""
+    return read_prompts(Path(out_dir) / "boxes.jsonl")
 
 
 def stored_bytes(path, name):
@@ -99,10 +107,10 @@ class TestFillStage:
     def test_patch_mode_artifacts(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
-        patches = tmp_path / "out" / "patches"
-        depth = sorted(p.name for p in patches.glob("*.depth.npz"))
-        assert len(depth) == 9
-        assert depth[0] == "r00000_c00000.depth.npz"
+        with zipfile.ZipFile(tmp_path / "out" / "depth.npz") as archive:
+            names = archive.namelist()
+        assert names == [f"{pid}.npy" for pid in manifest_windows(tmp_path / "out")]
+        assert names[:2] == ["r00000_c00000.npy", "r00000_c00032.npy"]  # plan order
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["width"] == 128 and manifest["height"] == 128
         assert manifest["patch"] == 64 and manifest["stride"] == 32
@@ -112,11 +120,10 @@ class TestFillStage:
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         dem = read_ascii_grid(scene_dir / "dem.asc")
-        patches = tmp_path / "out" / "patches"
         window = manifest_windows(tmp_path / "out")["r00032_c00032"]
         expected = fill_depressions(extract_tile(dem, window))
         assert np.array_equal(
-            load_depth(patches / "r00032_c00032.depth.npz"),
+            load_depth(tmp_path / "out" / "depth.npz", "r00032_c00032"),
             expected.depth.values,
         )
 
@@ -156,39 +163,44 @@ class TestFillStage:
             tile=TileSpec(patch=64, stride=32),
         )
         cmd_fill(cfg)
-        written = tmp_path / "out" / "patches" / "r00000_c00000.depth.npz"
-        assert np.all(load_depth(written) == -9999.0)
-        pipeline._write_archive(np.full((64, 64), -9999.0), tmp_path / "void.npz", "depth")
-        assert written.read_bytes() == (tmp_path / "void.npz").read_bytes()
+        written = tmp_path / "out" / "depth.npz"
+        assert np.all(load_depth(written, "r00000_c00000") == -9999.0)
+        void = tmp_path / "void.npz"
+        pipeline._write_archive(void, [("depth", np.full((64, 64), -9999.0))])
+        assert stored_bytes(written, "r00000_c00000.npy") == stored_bytes(void, "depth.npy")
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_depth_archive_rebuilds_georeference_and_nodata(self, scene_dir, tmp_path, mode):
+    def test_depth_archive_rebuilds_georeference_and_nodata(
+        self, scene_dir, tmp_path, monkeypatch, mode
+    ):
+        """Prompts labels each window's depth with the values fill computed
+        and the georeference and nodata of the manifest."""
         values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
         values[5:9, 70:80] = -32768.0
         dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
         write_ascii_grid(dem, tmp_path / "dem.asc")
         out = tmp_path / "out"
-        cmd_fill(PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=out, tile=TILE,
-                                fill_mode=mode))
-        doc = json.loads((out / "manifest.json").read_text())
-        if mode == "mosaic":
-            expected = {None: fill_depressions(dem).depth}
-            paths = {None: out / "depth.npz"}
-        else:
-            windows = manifest_windows(out)
-            expected = {w: fill_depressions(extract_tile(dem, w)).depth for w in windows.values()}
-            paths = {w: out / "patches" / f"{pid}.depth.npz" for pid, w in windows.items()}
-        for window, want in expected.items():
-            got = pipeline._read_depth(paths[window], "fill", doc, window)
+        cfg = PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=out, tile=TILE,
+                             fill_mode=mode)
+        cmd_fill(cfg)
+        labelled = []
+        monkeypatch.setattr(pipeline, "label_components",
+                            lambda depth: labelled.append(depth) or label_components(depth))
+        cmd_prompts(replace(cfg, workers=1))
+        mosaic = fill_depressions(dem).depth
+        for window, got in zip(manifest_windows(out).values(), labelled, strict=True):
+            want = extract_tile(mosaic if mode == "mosaic" else dem, window)
+            if mode == "patch":
+                want = fill_depressions(want).depth
             assert np.array_equal(got.values, want.values)
             assert (got.nodata, got.geotransform) == (want.nodata, want.geotransform)
 
     def test_depth_archive_is_byte_stable_with_one_member(self, tmp_path, monkeypatch):
         values = np.random.default_rng(5).normal(size=(40, 48))
         values[0, :3] = (-0.0, 0.0, -9999.0)
-        pipeline._write_archive(values, tmp_path / "a.npz", "depth")
+        pipeline._write_archive(tmp_path / "a.npz", [("depth", values)])
         monkeypatch.setattr(time, "time", lambda: 1e9)  # a later wall clock
-        pipeline._write_archive(values, tmp_path / "b.npz", "depth")
+        pipeline._write_archive(tmp_path / "b.npz", [("depth", values)])
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
         with zipfile.ZipFile(tmp_path / "a.npz") as archive:
             assert archive.namelist() == ["depth.npy"]
@@ -200,17 +212,16 @@ class TestFillStage:
         values = np.random.default_rng(6).normal(size=(30, 20))
         values[1, 1] = -0.0
         np.savez_compressed(tmp_path / "depth.npz", depth=values)
-        doc = {"width": 20, "height": 30, "nodata": -9999.0,
-               "origin_x": 0.0, "origin_y": 0.0, "cellsize": 1.0}
-        got = pipeline._read_depth(tmp_path / "depth.npz", "fill", doc)
-        assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
+        got = pipeline._read_array(tmp_path / "depth.npz", "fill", "depth", np.float64, (30, 20))
+        assert np.array_equal(got.view(np.int64), values.view(np.int64))
 
     def test_depth_archive_holds_the_bytes_numpy_writes(self, tmp_path):
         """Every archive member is a raw run-length deflate at level 1 of the
         ``.npy`` bytes numpy writes, bit for bit: for an array larger than
         ``write_array``'s 16 MiB chunks, for arrays that are not C-contiguous
         and for a bool mask.  A zipfile that ignored the swapped compressor
-        would store a default-strategy stream and fail here."""
+        would store a default-strategy stream and fail here.  Several members
+        are written in order into one archive, each as if it were alone."""
         import io
 
         rng = np.random.default_rng(7)
@@ -223,7 +234,7 @@ class TestFillStage:
                  (mask, "mask"), (mask[::3, 1::2], "mask")]
         for values, name in cases:
             path = tmp_path / f"{name}.npz"
-            pipeline._write_archive(values, path, name)
+            pipeline._write_archive(path, [(name, values)])
             npy = io.BytesIO()
             np.lib.format.write_array(npy, np.ascontiguousarray(values))
             rle = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
@@ -233,6 +244,13 @@ class TestFillStage:
                 assert archive.testzip() is None
             with np.load(path, allow_pickle=False) as archive:
                 assert np.array_equal(archive[name], values)
+        pipeline._write_archive(tmp_path / "both.npz", iter([("b", mask), ("a", small)]))
+        for name, values in (("a", small), ("b", mask)):
+            pipeline._write_archive(tmp_path / f"{name}.npz", [(name, values)])
+            alone = stored_bytes(tmp_path / f"{name}.npz", f"{name}.npy")
+            assert stored_bytes(tmp_path / "both.npz", f"{name}.npy") == alone
+        with zipfile.ZipFile(tmp_path / "both.npz") as archive:
+            assert archive.namelist() == ["b.npy", "a.npy"]
 
     def test_depth_archive_write_copies_no_array(self, tmp_path):
         import tracemalloc
@@ -241,7 +259,7 @@ class TestFillStage:
         values[100:140, 200:260] = 1.5
         tracemalloc.start()
         try:
-            pipeline._write_archive(values, tmp_path / "depth.npz", "depth")
+            pipeline._write_archive(tmp_path / "depth.npz", [("depth", values)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -270,18 +288,18 @@ class TestFillModes:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dem=square_dems(), block=st.integers(2, 7))
     def test_one_window_writes_the_mosaic_depth(self, tmp_path_factory, dem, block):
-        """Patch mode with one window over the whole raster writes the bytes
-        mosaic mode writes, with blocks small enough to need joining."""
+        """Patch mode with one window over the whole raster stores the bytes
+        mosaic mode stores, under the window's name, with blocks small enough
+        to need joining."""
         root = tmp_path_factory.mktemp("modes")
         write_ascii_grid(dem, root / "dem.asc")
         side = dem.width
         written = {}
         with mock.patch.object(hydro, "_BLOCK", block):
-            for mode, name in (("patch", "patches/r00000_c00000.depth.npz"),
-                               ("mosaic", "depth.npz")):
+            for mode, name in (("patch", "r00000_c00000.npy"), ("mosaic", "depth.npy")):
                 cmd_fill(PipelineConfig(depth_raster=root / "dem.asc", out_dir=root / mode,
                                         fill_mode=mode, tile=TileSpec(side, side)))
-                written[mode] = (root / mode / name).read_bytes()
+                written[mode] = stored_bytes(root / mode / "depth.npz", name)
         assert written["patch"] == written["mosaic"]
 
 
@@ -337,7 +355,8 @@ class TestPromptsStage:
                        tile=TileSpec(patch=96, stride=48))
         cmd_fill(cfg)
         cmd_prompts(cfg)
-        prompts = read_prompts(tmp_path / "out" / "patches" / "r00000_c00000.boxes.json")
+        (prompts,) = load_boxes(tmp_path / "out")
+        assert prompts.patch_id == "r00000_c00000"
         assert len(prompts.boxes) == 3
         assert len(prompts.areas) == 3 and len(prompts.max_depths) == 3
         # every truth bbox appears among the prompt boxes
@@ -349,8 +368,8 @@ class TestPromptsStage:
                        filter=FilterThresholds(min_depth=1000.0, min_area_px=50))
         cmd_fill(cfg)
         cmd_prompts(cfg)
-        for path in (tmp_path / "out" / "patches").glob("*.boxes.json"):
-            assert read_prompts(path).boxes == []
+        prompt_sets = load_boxes(tmp_path / "out")
+        assert len(prompt_sets) == 9 and all(p.boxes == [] for p in prompt_sets)
         assert not load_kept(tmp_path / "out").any()
 
     def test_flat_ramp_yields_no_boxes(self, tmp_path):
@@ -363,8 +382,8 @@ class TestPromptsStage:
         )
         cmd_fill(cfg)
         cmd_prompts(cfg)
-        for path in (tmp_path / "out" / "patches").glob("*.boxes.json"):
-            assert read_prompts(path).boxes == []
+        prompt_sets = load_boxes(tmp_path / "out")
+        assert len(prompt_sets) == 9 and all(p.boxes == [] for p in prompt_sets)
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
     def test_each_filtered_tile_is_folded_as_it_is_made(
@@ -421,8 +440,8 @@ class TestPromptsStage:
             assert expected.any() and np.array_equal(kept.values, expected)
             assert np.array_equal(load_kept(out), kept.values)
             assert kept.geotransform == dem.geotransform
-            with pipeline._upstream(out / "kept_mask.npz", "prompts"):
-                got = pipeline._read_array(out / "kept_mask.npz", "mask", np.bool_, (128, 128))
+            got = pipeline._read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_,
+                                       (128, 128))
             assert np.array_equal(got, kept.values)
 
 
@@ -492,8 +511,7 @@ class TestSegmentAndEval:
         # expected mosaic: every prompt box of every window, painted in place
         expected = np.zeros((128, 128), dtype=bool)
         windows = manifest_windows(tmp_path / "out")
-        for boxes_path in (tmp_path / "out" / "patches").glob("*.boxes.json"):
-            prompts = read_prompts(boxes_path)
+        for prompts in load_boxes(tmp_path / "out"):
             window = windows[prompts.patch_id]
             for box in prompts.boxes:
                 expected[
@@ -528,12 +546,10 @@ class TestSegmentAndEval:
     def test_replay_backend_reproduces_echo_run(self, scene_dir, tmp_path):
         cfg, _ = self.run_all(scene_dir, tmp_path / "echo")
         # record per-box echo masks, then replay them through the pipeline
-        patches = tmp_path / "echo" / "patches"
         kept = load_kept(tmp_path / "echo")
         windows = manifest_windows(tmp_path / "echo")
         replay_dir = tmp_path / "recorded"
-        for boxes_path in sorted(patches.glob("*.boxes.json")):
-            prompts = read_prompts(boxes_path)
+        for prompts in load_boxes(tmp_path / "echo"):
             window = windows[prompts.patch_id]
             positive = kept[window.row0 : window.row0 + window.patch,
                             window.col0 : window.col0 + window.patch]
@@ -558,18 +574,12 @@ class TestSegmentAndEval:
 
 class TestArtifacts:
     def test_run_writes_exactly_the_consumed_artifacts(self, scene_dir, tmp_path):
-        ids = [f"r{r:05d}_c{c:05d}" for r in (0, 32, 64) for c in (0, 32, 64)]
-        common = {"manifest.json", "kept_mask.npz", "fused_mask.asc",
-                  "report.json", "report.csv"}
-        common |= {f"patches/{pid}.boxes.json" for pid in ids}
-        expected = {
-            "patch": common | {f"patches/{pid}.depth.npz" for pid in ids},
-            "mosaic": common | {"depth.npz"},
-        }
-        for mode, files in expected.items():
+        files = {"manifest.json", "depth.npz", "boxes.jsonl", "kept_mask.npz",
+                 "fused_mask.asc", "report.json", "report.csv"}
+        for mode in ("patch", "mosaic"):
             out = tmp_path / mode
             cmd_run(make_cfg(scene_dir, out, fill_mode=mode))
-            written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+            written = {p.relative_to(out).as_posix() for p in out.rglob("*")}
             assert written == files, mode
 
 
@@ -599,19 +609,19 @@ class TestDeterminism:
     def test_run_reads_back_no_product_it_wrote(self, scene_dir, tmp_path, monkeypatch):
         out = tmp_path / "out"
         reads = []
-        for name in ("read_ascii_grid", "read_ascii_mask", "_read_array"):
+        for name in ("read_ascii_grid", "read_ascii_mask", "_open_archive"):
             def counting(path, *args, _read=getattr(pipeline, name), **kwargs):
                 reads.append(Path(path))
                 return _read(path, *args, **kwargs)
 
             monkeypatch.setattr(pipeline, name, counting)
 
-        def products():  # all but the fill archives, the fill -> prompts hand-off
-            return [p for p in reads if not p.name.endswith(".depth.npz")]
+        def products():  # all but the fill archive, the fill -> prompts hand-off
+            return [p for p in reads if p != out / "depth.npz"]
 
         cfg = make_cfg(scene_dir, out)  # echo: the one backend that paints the kept mask
         cmd_run(cfg)
-        assert len(reads) - len(products()) == 9  # one archive per window
+        assert len(reads) - len(products()) == 1  # one archive, opened once
         assert products() == [scene_dir / "dem.asc", scene_dir / "gt_mask.asc"]
         cmd_segment(cfg)  # a stage run on its own reads its input back
         cmd_eval(cfg)
@@ -635,12 +645,58 @@ class TestDeterminism:
                               workers=workers))
         assert tree_digests(tmp_path / "w1") == tree_digests(tmp_path / "w2")
 
+    def test_pool_threads_share_one_depth_archive(self, scene_dir, tmp_path):
+        """Four threads, more than the cores, read the 225 members of one
+        ``depth.npz`` through one ``ZipFile`` with the interpreter switching
+        threads as often as it can; they label what one thread labels."""
+        import sys
+
+        tile = TileSpec(patch=16, stride=8)
+        serial = make_cfg(scene_dir, tmp_path / "serial", tile=tile, workers=1)
+        cmd_fill(serial)
+        cmd_prompts(serial)
+        threaded = replace(serial, out_dir=tmp_path / "threaded", workers=4)
+        cmd_fill(threaded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cmd_prompts(threaded)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(load_boxes(tmp_path / "threaded")) == 225
+        assert tree_digests(tmp_path / "serial") == tree_digests(tmp_path / "threaded")
+
     def test_worker_count_does_not_change_bytes(self, scene_dir, tmp_path):
         serial = make_cfg(scene_dir, tmp_path / "serial", workers=1)
         threaded = make_cfg(scene_dir, tmp_path / "threaded", workers=4)
         cmd_run(serial)
         cmd_run(threaded)
         assert tree_digests(tmp_path / "serial") == tree_digests(tmp_path / "threaded")
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("seed, pits, noise", [(1, 8, 0.3), (5, 10, 0.5)])
+    def test_report_is_the_same_under_the_symmetries_of_the_square(
+        self, tmp_path, seed, pits, noise
+    ):
+        """The 3x3 windows of a 128-pixel side map onto themselves under the
+        8 symmetries of the square, so turning or mirroring every input
+        leaves the report as it is, while every input byte moves."""
+        scene = gen_terrain(seed=seed, width=128, height=128, n_sinkholes=pits,
+                            radius_range=(5.0, 12.0), noise_amp=noise)
+        reports = set()
+        for k in range(8):  # bit 2 transposes, bits 0-1 count quarter turns
+            def turn(grid):
+                return np.ascontiguousarray(np.rot90(grid.swapaxes(0, 1) if k & 4 else grid, k))
+
+            scene_dir = tmp_path / f"k{k}"
+            scene_dir.mkdir()
+            write_ascii_grid(Raster(turn(scene.dem.values), scene.dem.nodata),
+                             scene_dir / "dem.asc")
+            write_ppm(RGBImage(turn(scene.rgb.pixels)), scene_dir / "rgb.ppm")
+            write_ascii_mask(BinaryMask(turn(scene.gt_mask.values)), scene_dir / "gt_mask.asc")
+            reports.add(report_to_json(cmd_run(make_cfg(scene_dir, scene_dir / "out"))))
+        assert len(reports) == 1
 
 
 class TestWorkerPool:
