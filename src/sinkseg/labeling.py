@@ -263,13 +263,10 @@ def prompts_to_json(prompts: PromptSet) -> str:
 
 
 def prompts_from_json(text: str) -> PromptSet:
-    """Parse one prompts document, as :func:`prompts_to_json` writes it.
-
-    A box file holds one such document per line (:func:`read_prompts`), and
-    externally produced box files are read the same way.  ``areas`` and
-    ``max_depths`` may be omitted by external producers, in which case they
-    default to empty lists.
-    """
+    """Parse one prompts document, as :func:`prompts_to_json` writes it and a
+    box file, external ones too, holds one per line (:func:`read_prompts`).
+    External producers may omit ``areas`` and ``max_depths``; they default
+    to empty lists."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -10,8 +10,7 @@ bytes, regardless of worker pool size):
     the mosaic and tiling from which every later stage plans its windows.
     Both modes are one :func:`~sinkseg.hydro.region_depths` call: each
     block is filled once, in the worker pool, and joined into every region
-    that holds it.  Prompts compares the member names with the manifest's
-    windows, from the zip's central directory, before it reads any depth.
+    that holds it.
 ``prompts``
     ``boxes.jsonl``, one line per window in plan order (possibly with no
     boxes), and ``kept_mask.npz`` — the filtered depressions stitched back
@@ -54,7 +53,7 @@ import zipfile
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -214,16 +213,11 @@ def _georef(doc: dict, window: TileWindow | None = None) -> tuple[float, float, 
 def _write_archive(path: Path, members) -> None:
     """Write the ``(name, array)`` pairs *members*, drawn one at a time, as
     ``np.savez_compressed`` would, but deflated at zlib level 1 with the
-    run-length strategy.
-
-    ``zlib.Z_RLE`` looks for runs of one byte value, as the zeros of a depth
-    grid and the flat stretches of a mask are: on the bench scenes it is
-    faster and smaller than level 1's default strategy for every archive.
-    zipfile takes no strategy, so each member's compressor is swapped before
-    its first write; any zip reader inflates the stream.  Members keep
-    ``ZipInfo``'s fixed 1980 timestamp, so the bytes are stable.  Each
-    array's own buffer is deflated, with no copy (numpy's ``write_array``
-    copies a zip member out in 16 MiB chunks).
+    run-length strategy, ``zlib.Z_RLE``: on the bench scenes it is faster
+    and smaller than level 1's default for every archive.  zipfile takes no
+    strategy, so each member's compressor is swapped before its first write.
+    Members keep ``ZipInfo``'s fixed 1980 timestamp, so the bytes are
+    stable, and each array's own buffer is deflated, with no copy.
     """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
         for name, array in members:
@@ -237,21 +231,18 @@ def _write_archive(path: Path, members) -> None:
 
 @contextmanager
 def _open_archive(path: Path, stage: str):
-    """The zip archive *path*, which the *stage* wrote, opened and its
-    directory read under :func:`_upstream`; the block runs outside it.
-    Pool threads may read members at once: zipfile serialises their reads,
-    and it never closes a file object it was given (``ZipFile.open`` counts
-    the users of a file it opened itself without a lock)."""
-    with _upstream(path, stage):
-        fh = open(path, "rb")
-    with fh:
+    """The zip archive *path*, which the *stage* wrote, opened from a file
+    object and its directory read under :func:`_upstream`; the block runs
+    outside it.  Read its members on one thread: ``ZipFile.open`` counts
+    the readers of the archive's file without a lock."""
+    with ExitStack() as stack:
         with _upstream(path, stage):
+            fh = stack.enter_context(open(path, "rb"))
             try:
-                archive = zipfile.ZipFile(fh)
+                archive = stack.enter_context(zipfile.ZipFile(fh))
             except (EOFError, ValueError, zipfile.BadZipFile) as exc:
                 raise InputError(f"unreadable archive ({exc})") from exc
-        with archive:
-            yield archive
+        yield archive
 
 
 def _check_order(found: list[str], expected: list[str], item: str) -> None:
@@ -298,9 +289,8 @@ def _read_array(path: Path, stage: str, name: str, dtype, shape: tuple[int, int]
 
 
 def cmd_fill(cfg: PipelineConfig) -> None:
-    """Fill depressions and write the depth of each window, or of the
-    mosaic, to ``depth.npz``.  The windows are planned first in both modes,
-    before anything is written."""
+    """Fill depressions and write each window's depth, or the mosaic's, to
+    ``depth.npz``; the windows are planned before anything is written."""
     validate_for(cfg, "fill")
     dem = read_ascii_grid(cfg.depth_raster)
     if cfg.invert_depth:
@@ -346,9 +336,7 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
                 values = _read_member(archive, infos[0], np.float64, shape)
                 mosaic = Raster(values, doc["nodata"], *_georef(doc))
             elif doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses it
-                # the claimed bottom-right window is the last array only if
-                # fill wrote that extent
-                side = doc["patch"]
+                side = doc["patch"]  # the claimed last window is there only if fill wrote it
                 last = patch_id(TileWindow(doc["height"] - side, doc["width"] - side, side))
                 if names[-1:] != [last]:
                     raise InputError(f"ends with {names[-1:]}, but the manifest's last "
@@ -357,16 +345,16 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
         if mosaic is None:
             with _upstream(depth_path, "fill"):  # exact: the last origins are extent - patch
                 _check_order(names, [patch_id(w) for w in windows], "array")
-        members = dict(zip(names, infos))
 
-        def work(window: TileWindow):
+        def read(window: TileWindow, info: zipfile.ZipInfo) -> Raster:
+            with _upstream(depth_path, "fill"):
+                values = _read_member(archive, info, np.float64, (window.patch,) * 2)
+            return Raster(values, doc["nodata"], *_georef(doc, window))
+
+        def work(item: tuple[TileWindow, Raster]):
+            window, depth_tile = item
             pid = patch_id(window)
             with _upstream(depth_path, "fill"):
-                if mosaic is None:
-                    values = _read_member(archive, members[pid], np.float64, (window.patch,) * 2)
-                    depth_tile = Raster(values, doc["nodata"], *_georef(doc, window))
-                else:
-                    depth_tile = extract_tile(mosaic, window)
                 try:
                     grid = label_components(depth_tile)
                 except ValueError as exc:  # a negative depth
@@ -374,8 +362,12 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
             prompts[pid], filtered = tile_prompts(depth_tile, grid, cfg.filter, cfg.pad_px, pid)
             return window, filtered
 
-        prompts: dict[str, PromptSet] = {}  # one item per pool thread: safe
-        with closing(_pool_map(cfg.workers, work, windows)) as tiles:
+        prompts: dict[str, PromptSet] = {}
+        if mosaic is None:  # the pool draws its items, so the archive's reads, on this thread
+            items = ((w, read(w, info)) for w, info in zip(windows, infos))
+        else:
+            items = ((w, extract_tile(mosaic, w)) for w in windows)
+        with closing(_pool_map(cfg.workers, work, items)) as tiles:
             stitched = stitch(tiles, doc["width"], doc["height"], cfg.merge)
     kept = BinaryMask(stitched.valid_mask() & (stitched.values > 0), *_georef(doc))
     del stitched

@@ -645,24 +645,36 @@ class TestDeterminism:
                               workers=workers))
         assert tree_digests(tmp_path / "w1") == tree_digests(tmp_path / "w2")
 
-    def test_pool_threads_share_one_depth_archive(self, scene_dir, tmp_path):
-        """Four threads, more than the cores, read the 225 members of one
-        ``depth.npz`` through one ``ZipFile`` with the interpreter switching
-        threads as often as it can; they label what one thread labels."""
+    def test_pool_reads_the_depth_archive_on_one_thread(self, scene_dir, tmp_path, monkeypatch):
+        """Eight threads, more than the cores, label the 225 windows of one
+        ``depth.npz`` with the interpreter switching threads as often as it
+        can, and label what one thread labels.  Every member is opened on
+        the calling thread: ``ZipFile.open`` counts the readers of the
+        archive's file without a lock, so a member opened on a pool thread
+        may lose a count and fail an assert when the archive closes."""
         import sys
+        import threading
 
         tile = TileSpec(patch=16, stride=8)
         serial = make_cfg(scene_dir, tmp_path / "serial", tile=tile, workers=1)
         cmd_fill(serial)
         cmd_prompts(serial)
-        threaded = replace(serial, out_dir=tmp_path / "threaded", workers=4)
+        threaded = replace(serial, out_dir=tmp_path / "threaded", workers=8)
         cmd_fill(threaded)
+        openers = set()
+
+        def recording(archive, *args, _open=zipfile.ZipFile.open, **kwargs):
+            openers.add(threading.current_thread())
+            return _open(archive, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             cmd_prompts(threaded)
         finally:
             sys.setswitchinterval(interval)
+        assert openers == {threading.current_thread()}
         assert len(load_boxes(tmp_path / "threaded")) == 225
         assert tree_digests(tmp_path / "serial") == tree_digests(tmp_path / "threaded")
 
