@@ -17,15 +17,20 @@ bytes, regardless of worker pool size):
     into a mosaic with the configured merge rule, kept as the one bool
     member ``mask.npy``: True where that mosaic is valid and > 0.
 ``segment``
-    ``fused_mask.asc`` — per-box masks fused once per patch (pixelwise max),
-    patches stitched with the configured merge rule, then binarized once.
-    It reads ``boxes.jsonl`` once and refuses patch ids that differ from
-    the plan.  Only the echo backend reads ``kept_mask.npz``; like prompts,
-    it checks the archive's header against the manifest before reading data.
+    ``fused_mask.npz`` — per-box masks fused once per patch (pixelwise max),
+    patches stitched with the configured merge rule, then binarized once,
+    kept as the one bool member ``mask.npy``.  It reads ``boxes.jsonl``
+    once and refuses patch ids that differ from the plan.  Only the echo
+    backend reads ``kept_mask.npz``; like prompts, it checks the archive's
+    header against the manifest before reading data.
 ``eval``
-    ``report.json`` and ``report.csv`` against the ground-truth mask.
+    ``report.json`` and ``report.csv`` against the ground-truth mask; run
+    on its own, it reads ``fused_mask.npz`` as segment reads the kept mask.
 
-Every read of an artifact that an earlier stage wrote passes one gate,
+Every artifact is written to a temporary sibling and moved onto its name
+with ``os.replace`` (:func:`_replacing`), so a stage that fails part-way
+leaves no partial file and keeps what an earlier run wrote there.  Every
+read of an artifact that an earlier stage wrote passes one gate,
 :func:`_upstream`: a missing or malformed artifact exits 2 and names its
 path and the stage that writes it.  :func:`cmd_run` still writes every
 artifact, but hands the kept mask (to the echo backend) and the fused mask
@@ -49,6 +54,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import zipfile
 import zlib
 from collections import deque
@@ -72,7 +78,6 @@ from .raster import (
     invert_depth,
     read_ascii_grid,
     read_ascii_mask,
-    write_ascii_mask,
 )
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
 from .tiling import (
@@ -114,6 +119,25 @@ def _pool_map(workers: int, fn, items):
         pool.shutdown(cancel_futures=True)
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A temporary sibling of *path* for the block to write, moved onto
+    *path* with ``os.replace`` when the block ends.  If the block raises,
+    the temporary file is removed and *path* keeps what it held."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(text)
+
+
 def _write_manifest(out: Path, mosaic: Raster, cfg: PipelineConfig) -> None:
     doc = {
         "width": mosaic.width,
@@ -127,9 +151,8 @@ def _write_manifest(out: Path, mosaic: Raster, cfg: PipelineConfig) -> None:
         "fill_mode": cfg.fill_mode,
         "invert_depth": cfg.invert_depth,
     }
-    (out / MANIFEST_NAME).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    _write_text(out / MANIFEST_NAME, text)
 
 
 @contextmanager
@@ -217,9 +240,12 @@ def _write_archive(path: Path, members) -> None:
     and smaller than level 1's default for every archive.  zipfile takes no
     strategy, so each member's compressor is swapped before its first write.
     Members keep ``ZipInfo``'s fixed 1980 timestamp, so the bytes are
-    stable, and each array's own buffer is deflated, with no copy.
+    stable, and each array's own buffer is deflated, with no copy.  The
+    archive appears under *path* only once its last member is written.
     """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
+    with _replacing(path) as tmp, zipfile.ZipFile(
+        tmp, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as archive:
         for name, array in members:
             array = np.ascontiguousarray(array)
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
@@ -371,7 +397,8 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
             stitched = stitch(tiles, doc["width"], doc["height"], cfg.merge)
     kept = BinaryMask(stitched.valid_mask() & (stitched.values > 0), *_georef(doc))
     del stitched
-    write_prompts([prompts[patch_id(w)] for w in windows], out / "boxes.jsonl")
+    with _replacing(out / "boxes.jsonl") as tmp:
+        write_prompts([prompts[patch_id(w)] for w in windows], tmp)
     _write_archive(out / "kept_mask.npz", [("mask", kept.values)])
     boxes = sum(len(p.boxes) for p in prompts.values())
     logger.info("wrote %d prompt boxes across %d patches", boxes, len(windows))
@@ -396,7 +423,7 @@ def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMa
 
     The echo backend paints *kept*, the prompts stage's kept-depression
     mask; when it is None it is read from ``kept_mask.npz``.  Returns the
-    fused mask it wrote to ``fused_mask.asc``.
+    fused mask it wrote to ``fused_mask.npz``.
     """
     validate_for(cfg, "segment")
     out = Path(cfg.out_dir)
@@ -437,8 +464,8 @@ def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMa
     tiles = _pool_map(cfg.workers, work, zip(windows, prompt_sets))
     prob_mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
     fused = binarize(prob_mosaic, cfg.binarize_threshold)
-    write_ascii_mask(fused, out / "fused_mask.asc")
-    logger.info("fused mask written to %s", out / "fused_mask.asc")
+    _write_archive(out / "fused_mask.npz", [("mask", fused.values)])
+    logger.info("fused mask written to %s", out / "fused_mask.npz")
     return fused
 
 
@@ -446,15 +473,16 @@ def cmd_eval(cfg: PipelineConfig, fused: BinaryMask | None = None) -> MetricsRep
     """Evaluate the fused mask against ground truth; write JSON + CSV.
 
     *fused* is the segment stage's product; when it is None it is read from
-    ``fused_mask.asc``.
+    ``fused_mask.npz``, its shape and georeference from the manifest.
     """
     validate_for(cfg, "eval")
     out = Path(cfg.out_dir)
     pred = fused
     if pred is None:
-        fused_path = out / "fused_mask.asc"
-        with _upstream(fused_path, "segment"):
-            pred = read_ascii_mask(fused_path)
+        doc = _read_manifest(out)
+        shape = (doc["height"], doc["width"])
+        values = _read_array(out / "fused_mask.npz", "segment", "mask", np.bool_, shape)
+        pred = BinaryMask(values, *_georef(doc))
     gt = read_ascii_mask(cfg.eval_gt_mask)
     if pred.values.shape != gt.values.shape:
         raise InputError(
@@ -467,8 +495,8 @@ def cmd_eval(cfg: PipelineConfig, fused: BinaryMask | None = None) -> MetricsRep
         if ignore.values.shape != gt.values.shape:
             raise InputError("ignore mask dimensions do not match ground truth")
     report = evaluate_masks(pred, gt, ignore=ignore, thresholds=cfg.eval_thresholds)
-    (out / "report.json").write_text(report_to_json(report))
-    (out / "report.csv").write_text(report_to_csv([(cfg.eval_label, report)]))
+    _write_text(out / "report.json", report_to_json(report))
+    _write_text(out / "report.csv", report_to_csv([(cfg.eval_label, report)]))
     logger.info(
         "evaluation: f1=%.4f iou=%.4f over %d pixels",
         report.f1,

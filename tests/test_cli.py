@@ -497,6 +497,15 @@ class TestExitCodes:
              "boxes.jsonl: holds 8 lines, expected 9"),
             ("patch", "segment", "boxes.jsonl", box_lines(lambda lines: [*lines, lines[-1]]),
              "boxes.jsonl: holds 10 lines, expected 9"),
+            ("patch", "eval", "fused_mask.npz", edit_first(lambda a: a.astype(np.uint8)),
+             "fused_mask.npz: mask has dtype uint8, expected bool — rerun the segment stage"),
+            ("mosaic", "eval", "fused_mask.npz", renamed("depth"),
+             "fused_mask.npz: array 1 is 'depth', expected 'mask' — rerun the segment stage"),
+            ("patch", "eval", "fused_mask.npz", cut_to(60),
+             "fused_mask.npz: mask is 60x60, expected 96x96 — rerun the segment stage"),
+            ("mosaic", "eval", "fused_mask.npz", huge_header("|b1"),
+             "fused_mask.npz: mask is 1000000x1000000, expected 96x96"
+             " — rerun the segment stage"),
         ],
         ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
@@ -504,7 +513,8 @@ class TestExitCodes:
              "raw-member-depth", "short-filtered-depth", "huge-header-filtered-depth",
              "uint8-kept-mask", "depth-member-kept-mask",
              "box-outside-patch", "string-area", "bool-coordinate", "swapped-boxes",
-             "missing-boxes", "extra-boxes"],
+             "missing-boxes", "extra-boxes", "uint8-fused-mask", "depth-member-fused-mask",
+             "short-fused-mask", "huge-header-fused-mask"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message
@@ -512,12 +522,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         common = ["--set", f"out_dir={out}", "--set", f"fill.mode={fill_mode}",
                   "--set", "tile.patch=48", "--set", "tile.stride=24"]
+        inputs = ["--set", f"rgb_mosaic={scene_dir / 'rgb.ppm'}",
+                  "--set", f"eval.gt_mask={scene_dir / 'gt_mask.asc'}"]
         assert main(["fill", "--set", f"depth_raster={scene_dir / 'dem.asc'}", *common]) == 0
-        if stage == "segment":
-            assert main(["prompts", *common]) == 0
+        upstream = {"prompts": [], "segment": ["prompts"], "eval": ["prompts", "segment"]}
+        for before in upstream[stage]:
+            assert main([before, *inputs, *common]) == 0
         corrupt(out / artifact)
         capsys.readouterr()
-        code = main([stage, "--set", f"rgb_mosaic={scene_dir / 'rgb.ppm'}", *common])
+        code = main([stage, *inputs, *common])
         captured = capsys.readouterr()
         assert code == 2
         assert message in captured.err
@@ -530,7 +543,7 @@ class TestExitCodes:
             ("depth.npz", "prompts", "fill"),
             ("boxes.jsonl", "segment", "prompts"),
             ("kept_mask.npz", "segment", "prompts"),
-            ("fused_mask.asc", "eval", "segment"),
+            ("fused_mask.npz", "eval", "segment"),
         ],
         ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
     )
@@ -566,7 +579,7 @@ class TestExitCodes:
             ("depth.npz", "prompts", "fill"),
             ("boxes.jsonl", "segment", "prompts"),
             ("kept_mask.npz", "segment", "prompts"),
-            ("fused_mask.asc", "eval", "segment"),
+            ("fused_mask.npz", "eval", "segment"),
         ],
         ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
     )
@@ -598,13 +611,11 @@ class TestExitCodes:
             ("dem", replace_line(2, b"xllcorner nan"), "header xllcorner must be finite, got nan"),
             ("dem", replace_line(4, b"cellsize inf"), "header cellsize must be finite, got inf"),
             ("gt", first_cell(b"\xff"), "not a text grid"),
-            ("fused", first_cell(b"\xff"), "not a text grid"),
             ("dem", claim_size(10**6, 10**6),
              "line 7: cell count mismatch (expected 1000000 values, got 96)"),
         ],
         ids=["dem-not-utf8", "dem-nan-cell", "dem-inf-cell", "dem-nan-nodata",
-             "dem-nan-xllcorner", "dem-inf-cellsize", "gt-not-utf8", "fused-not-utf8",
-             "dem-oversized-header"],
+             "dem-nan-xllcorner", "dem-inf-cellsize", "gt-not-utf8", "dem-oversized-header"],
     )
     def test_bad_grid_is_a_usage_error(self, scene_dir, tmp_path, capsys, target, corrupt, message):
         grids = tmp_path / "grids"
@@ -613,8 +624,7 @@ class TestExitCodes:
         args = run_args(grids, out)
         if target != "dem":
             assert main(args) == 0
-        path = {"dem": grids / "dem.asc", "gt": grids / "gt_mask.asc",
-                "fused": out / "fused_mask.asc"}[target]
+        path = {"dem": grids / "dem.asc", "gt": grids / "gt_mask.asc"}[target]
         corrupt(path)
         capsys.readouterr()
         code = main(["fill" if target == "dem" else "eval", *args[1:]])
@@ -698,7 +708,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert "reply field 'masks_crop' missing or not a list" in captured.err
-        assert not (out / "fused_mask.asc").exists()
+        assert not (out / "fused_mask.npz").exists()
 
 
 class TestImportTime:

@@ -1,6 +1,7 @@
 """Stage orchestration: artifacts, composition, determinism, backends."""
 
 import json
+import os
 import time
 import weakref
 import zipfile
@@ -66,13 +67,14 @@ def load_depth(path, name="depth"):
     return depth
 
 
-def load_kept(out_dir):
-    """The bool array of the kept-depression mask the prompts stage wrote."""
-    with np.load(Path(out_dir) / "kept_mask.npz", allow_pickle=False) as archive:
+def load_mask(out_dir, name="kept_mask"):
+    """The bool array of a mask archive: the kept-depression mask the prompts
+    stage wrote, or (*name* ``fused_mask``) the segment stage's fused mask."""
+    with np.load(Path(out_dir) / f"{name}.npz", allow_pickle=False) as archive:
         assert archive.files == ["mask"]
-        kept = archive["mask"]
-    assert kept.dtype == np.bool_
-    return kept
+        mask = archive["mask"]
+    assert mask.dtype == np.bool_
+    return mask
 
 
 def load_boxes(out_dir):
@@ -370,7 +372,7 @@ class TestPromptsStage:
         cmd_prompts(cfg)
         prompt_sets = load_boxes(tmp_path / "out")
         assert len(prompt_sets) == 9 and all(p.boxes == [] for p in prompt_sets)
-        assert not load_kept(tmp_path / "out").any()
+        assert not load_mask(tmp_path / "out").any()
 
     def test_flat_ramp_yields_no_boxes(self, tmp_path):
         ramp = Raster(np.tile(np.arange(96.0), (96, 1)))
@@ -408,7 +410,7 @@ class TestPromptsStage:
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         cmd_prompts(cfg)
-        kept = load_kept(tmp_path / "out")
+        kept = load_mask(tmp_path / "out")
         gt = read_ascii_mask(scene_dir / "gt_mask.asc")
         # surviving depressions sit exactly where the ground truth says
         assert kept[gt.values].mean() > 0.9
@@ -438,7 +440,7 @@ class TestPromptsStage:
             assert (filtered.values == -32768.0).sum() == 40
             expected = filtered.valid_mask() & (filtered.values > 0)
             assert expected.any() and np.array_equal(kept.values, expected)
-            assert np.array_equal(load_kept(out), kept.values)
+            assert np.array_equal(load_mask(out), kept.values)
             assert kept.geotransform == dem.geotransform
             got = pipeline._read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_,
                                        (128, 128))
@@ -457,9 +459,9 @@ class TestSegmentAndEval:
         cfg, report = self.run_all(scene_dir, tmp_path / "out")
         assert report.iou > 0.9
         assert report.object_rows[4][:3] == (0.5, 3, 0)  # all three pits found
-        fused = read_ascii_mask(tmp_path / "out" / "fused_mask.asc")
+        fused = load_mask(tmp_path / "out", "fused_mask")
         gt = read_ascii_mask(scene_dir / "gt_mask.asc")
-        assert fused.values.shape == gt.values.shape
+        assert fused.shape == gt.values.shape
 
     def test_report_files_match_returned_report(self, scene_dir, tmp_path):
         from sinkseg.metrics import report_to_json
@@ -474,8 +476,7 @@ class TestSegmentAndEval:
             scene_dir, tmp_path / "out",
             filter=FilterThresholds(min_depth=1000.0, min_area_px=50),
         )
-        fused = read_ascii_mask(tmp_path / "out" / "fused_mask.asc")
-        assert fused.count() == 0
+        assert not load_mask(tmp_path / "out", "fused_mask").any()
         assert report.recall == 0.0 and report.precision == 0.0
 
     def test_mosaic_fill_mode_end_to_end(self, scene_dir, tmp_path):
@@ -496,10 +497,27 @@ class TestSegmentAndEval:
             cmd_fill(cfg)
             cmd_prompts(cfg)
             cmd_segment(cfg)
-            masks[nodata] = read_ascii_mask(out / "fused_mask.asc").values
+            masks[nodata] = load_mask(out, "fused_mask")
         assert masks[-9999.0].sum() > 0
         assert np.array_equal(masks[0.0], masks[-9999.0])
         assert np.array_equal(masks[1.0], masks[-9999.0])
+
+    @pytest.mark.parametrize("merge", [MergeRule.MAX, MergeRule.FIRST])
+    @pytest.mark.parametrize("mode", ["patch", "mosaic"])
+    @pytest.mark.parametrize("seed, pits, noise", [(1, 8, 0.3), (5, 10, 0.5)])
+    def test_echo_fuses_exactly_the_kept_mask(self, tmp_path, seed, pits, noise, mode, merge):
+        """Echo paints the kept cells inside each box, and a cell that a
+        window's filtered tile keeps lies in that window's box of its
+        component.  So under ``max`` and ``first`` the fused mosaic is the
+        kept mosaic; ``mean`` may average a painted cell below the threshold."""
+        scene_dir = tmp_path / "scene"
+        export_scene(gen_terrain(seed=seed, width=128, height=128, n_sinkholes=pits,
+                                 radius_range=(5.0, 12.0), noise_amp=noise), scene_dir)
+        out = tmp_path / "out"
+        cmd_run(make_cfg(scene_dir, out, fill_mode=mode, merge=merge))
+        kept = load_mask(out)
+        assert kept.any()
+        assert np.array_equal(load_mask(out, "fused_mask"), kept)
 
     def test_http_backend_paints_prompt_boxes(self, scene_dir, tmp_path):
         with MockSegmentServer(mode="boxfill", value=255) as server:
@@ -518,8 +536,7 @@ class TestSegmentAndEval:
                     window.row0 + box.y0 : window.row0 + box.y1,
                     window.col0 + box.x0 : window.col0 + box.x1,
                 ] = True
-        fused = read_ascii_mask(tmp_path / "out" / "fused_mask.asc")
-        assert np.array_equal(fused.values, expected)
+        assert np.array_equal(load_mask(tmp_path / "out", "fused_mask"), expected)
 
     @pytest.mark.parametrize("kind", ["http", "replay"])
     def test_only_echo_reads_the_filtered_depth(self, scene_dir, tmp_path, kind):
@@ -536,17 +553,17 @@ class TestSegmentAndEval:
         cmd_prompts(cfg)
         with server or nullcontext():
             cmd_segment(cfg)
-            fused = (out / "fused_mask.asc").read_bytes()
+            fused = (out / "fused_mask.npz").read_bytes()
             (out / "kept_mask.npz").write_text("not an archive\n")
             cmd_segment(cfg)
-        assert (out / "fused_mask.asc").read_bytes() == fused
+        assert (out / "fused_mask.npz").read_bytes() == fused
         with pytest.raises(InputError, match="rerun the prompts stage"):
             cmd_segment(replace(cfg, backend_kind="echo"))
 
     def test_replay_backend_reproduces_echo_run(self, scene_dir, tmp_path):
         cfg, _ = self.run_all(scene_dir, tmp_path / "echo")
         # record per-box echo masks, then replay them through the pipeline
-        kept = load_kept(tmp_path / "echo")
+        kept = load_mask(tmp_path / "echo")
         windows = manifest_windows(tmp_path / "echo")
         replay_dir = tmp_path / "recorded"
         for prompts in load_boxes(tmp_path / "echo"):
@@ -567,20 +584,68 @@ class TestSegmentAndEval:
         cmd_fill(replay_cfg)
         cmd_prompts(replay_cfg)
         cmd_segment(replay_cfg)
-        echo_fused = (tmp_path / "echo" / "fused_mask.asc").read_bytes()
-        replay_fused = (tmp_path / "replayed" / "fused_mask.asc").read_bytes()
+        echo_fused = (tmp_path / "echo" / "fused_mask.npz").read_bytes()
+        replay_fused = (tmp_path / "replayed" / "fused_mask.npz").read_bytes()
         assert replay_fused == echo_fused
 
 
 class TestArtifacts:
     def test_run_writes_exactly_the_consumed_artifacts(self, scene_dir, tmp_path):
         files = {"manifest.json", "depth.npz", "boxes.jsonl", "kept_mask.npz",
-                 "fused_mask.asc", "report.json", "report.csv"}
+                 "fused_mask.npz", "report.json", "report.csv"}
         for mode in ("patch", "mosaic"):
             out = tmp_path / mode
             cmd_run(make_cfg(scene_dir, out, fill_mode=mode))
             written = {p.relative_to(out).as_posix() for p in out.rglob("*")}
             assert written == files, mode
+
+    def test_every_artifact_is_moved_into_place(self, scene_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        moved = []
+
+        def recording(src, dst, _replace=os.replace):
+            if Path(dst).parent == out:
+                moved.append(Path(dst).name)
+            _replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        cmd_run(make_cfg(scene_dir, out))
+        assert sorted(moved) == sorted(p.name for p in out.iterdir())
+
+    def test_failed_archive_write_leaves_no_file(self, tmp_path):
+        """A member stream that raises part-way leaves nothing under the
+        archive's name, the earlier archive there as it was, and no
+        temporary file."""
+
+        def members():
+            yield "first", np.arange(16.0).reshape(4, 4)
+            raise RuntimeError("stopped after the first member")
+
+        fresh, earlier = tmp_path / "fresh.npz", tmp_path / "earlier.npz"
+        pipeline._write_archive(earlier, [("mask", np.eye(4, dtype=bool))])
+        before = earlier.read_bytes()
+        for path in (fresh, earlier):
+            with pytest.raises(RuntimeError, match="first member"):
+                pipeline._write_archive(path, members())
+        assert earlier.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["earlier.npz"]
+
+    def test_readme_ascii_export_writes_the_fused_mask(self, scene_dir, tmp_path, monkeypatch):
+        """The README's snippet turns ``fused_mask.npz`` and the manifest into
+        the ESRI ASCII grid of the fused mask, georeference included."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+        (snippet,) = [block for block in blocks if "fused_mask.npz" in block]
+        cfg = make_cfg(scene_dir, tmp_path / "out")
+        cmd_fill(cfg)
+        cmd_prompts(cfg)
+        fused = cmd_segment(cfg)
+        monkeypatch.chdir(tmp_path)
+        exec(snippet, {})
+        exported = read_ascii_mask(tmp_path / "fused_mask.asc")
+        assert exported.count() > 0
+        assert np.array_equal(exported.values, fused.values)
+        assert exported.geotransform == fused.geotransform
 
 
 class TestDeterminism:
@@ -623,10 +688,11 @@ class TestDeterminism:
         cmd_run(cfg)
         assert len(reads) - len(products()) == 1  # one archive, opened once
         assert products() == [scene_dir / "dem.asc", scene_dir / "gt_mask.asc"]
+        assert out / "fused_mask.npz" not in reads
         cmd_segment(cfg)  # a stage run on its own reads its input back
         cmd_eval(cfg)
         assert [p for p in products() if out in p.parents] == [out / "kept_mask.npz",
-                                                              out / "fused_mask.asc"]
+                                                              out / "fused_mask.npz"]
 
     def test_rerun_overwrites_identically(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")
@@ -709,6 +775,48 @@ class TestSymmetry:
             write_ascii_mask(BinaryMask(turn(scene.gt_mask.values)), scene_dir / "gt_mask.asc")
             reports.add(report_to_json(cmd_run(make_cfg(scene_dir, scene_dir / "out"))))
         assert len(reports) == 1
+
+
+class TestOrderOfElevations:
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.sampled_from([1, 2, 5]), mode=st.sampled_from(["patch", "mosaic"]),
+           holes=st.integers(0, 40), scale=st.integers(1, 5),
+           offset=st.integers(-1000, 1000), squared=st.booleans())
+    def test_prompts_see_only_the_order_of_elevations(
+        self, tmp_path_factory, seed, mode, holes, scale, offset, squared
+    ):
+        """The fill raises the same cells of any strictly increasing map of
+        the valid elevations, so with no depth threshold the boxes, their
+        areas, the kept mask and the echo fused mask stay as they are; only
+        the boxes' max depths change."""
+        root = tmp_path_factory.mktemp("order")
+        scene = gen_terrain(seed=seed, width=128, height=128, n_sinkholes=8,
+                            radius_range=(5.0, 12.0), noise_amp=0.3)
+        export_scene(scene, root)
+        rng = np.random.default_rng(seed)
+        values = scene.dem.values.copy()
+        values.flat[rng.choice(values.size, holes, replace=False)] = scene.dem.nodata
+        valid = values != scene.dem.nodata
+        _, rank = np.unique(values[valid], return_inverse=True)
+        rank = rank.astype(np.float64) + 1.0
+        mapped = values.copy()
+        mapped[valid] = scale * (rank * rank if squared else rank) + offset
+        runs = {}
+        for name, grid in (("dem", values), ("mapped", mapped)):
+            write_ascii_grid(Raster(grid, scene.dem.nodata), root / f"{name}.asc")
+            cfg = replace(make_cfg(root, root / name, fill_mode=mode,
+                                   filter=FilterThresholds(min_depth=0.0, min_area_px=10)),
+                          depth_raster=root / f"{name}.asc")
+            cmd_run(cfg)
+            boxes = [(p.patch_id, [b.as_list() for b in p.boxes], p.areas)
+                     for p in load_boxes(root / name)]
+            runs[name] = boxes, load_mask(root / name), load_mask(root / name, "fused_mask")
+        (boxes, kept, fused), (mapped_boxes, mapped_kept, mapped_fused) = runs.values()
+        assert any(b for _, b, _ in boxes)
+        assert mapped_boxes == boxes
+        assert np.array_equal(mapped_kept, kept)
+        assert np.array_equal(mapped_fused, fused)
 
 
 class TestWorkerPool:
