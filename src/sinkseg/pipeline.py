@@ -24,18 +24,16 @@ bytes, regardless of worker pool size):
     backend reads ``kept_mask.npz``; like prompts, it checks the archive's
     header against the manifest before reading data.
 ``eval``
-    ``report.json`` and ``report.csv`` against the ground-truth mask; run
-    on its own, it reads ``fused_mask.npz`` as segment reads the kept mask.
+    ``report.json`` and ``report.csv`` against the ground-truth mask; it
+    reads ``fused_mask.npz`` as segment reads the kept mask.
 
 Every artifact is written to a temporary sibling and moved onto its name
 with ``os.replace`` (:func:`_replacing`), so a stage that fails part-way
 leaves no partial file and keeps what an earlier run wrote there.  Every
 read of an artifact that an earlier stage wrote passes one gate,
 :func:`_upstream`: a missing or malformed artifact exits 2 and names its
-path and the stage that writes it.  :func:`cmd_run` still writes every
-artifact, but hands the kept mask (to the echo backend) and the fused mask
-to the next stage in memory instead of reading them back; the fill's depth
-archive remains the fill → prompts hand-off.
+path and the stage that writes it.  :func:`cmd_run` runs the four stages
+in order and passes nothing between them.
 
 Each stage maps its windows (fill: its blocks) through one worker pool,
 :func:`_pool_map`, which yields results in order as they are ready.
@@ -51,6 +49,8 @@ object per depression.
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import logging
 import math
@@ -266,7 +266,7 @@ def _open_archive(path: Path, stage: str):
             fh = stack.enter_context(open(path, "rb"))
             try:
                 archive = stack.enter_context(zipfile.ZipFile(fh))
-            except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            except (EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
                 raise InputError(f"unreadable archive ({exc})") from exc
         yield archive
 
@@ -284,16 +284,25 @@ def _check_order(found: list[str], expected: list[str], item: str) -> None:
 def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) -> np.ndarray:
     """The array of the member *info*, once its ``.npy`` header shows a 2-D
     array of *shape* and *dtype*: nothing else is read before, so a header
-    that claims a huge array allocates nothing.  Call it inside
-    :func:`_upstream`."""
+    that claims a huge array allocates nothing.  Only a plain stored or
+    deflated member with a version 1.0 header, as :func:`_write_archive`
+    writes, is read.  Call it inside :func:`_upstream`."""
     name = info.filename.removesuffix(".npy")
+    plain = info.compress_type in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+    if not plain or info.flag_bits & 0x61:  # encrypted (flag bits 0, 6) or patched (bit 5)
+        raise InputError(f"member {name} is not a plain stored or deflated member "
+                         f"(method {info.compress_type}, flags {info.flag_bits:#x})")
     try:
         with archive.open(info) as member:
-            version = np.lib.format.read_magic(member)
-            if version == (1, 0):
-                found, _, found_dtype = np.lib.format.read_array_header_1_0(member)
-            else:
-                found, _, found_dtype = np.lib.format.read_array_header_2_0(member)
+            if np.lib.format.read_magic(member) != (1, 0):
+                raise InputError(f"member {name} is not a version 1.0 .npy array")
+            size = member.read(2)
+            header = member.read(int.from_bytes(size, "little"))
+            try:  # else numpy would repair it as a header that Python 2 wrote
+                ast.literal_eval(header.decode("latin1"))
+            except (SyntaxError, RecursionError, MemoryError) as exc:
+                raise InputError(f"member {name} has a header that is no Python literal") from exc
+            found, _, found_dtype = np.lib.format.read_array_header_1_0(io.BytesIO(size + header))
             if len(found) != 2:
                 raise InputError(f"{name} has {len(found)} dimensions, expected 2")
             if found != shape:
@@ -373,9 +382,9 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
                 _check_order(names, [patch_id(w) for w in windows], "array")
 
         def read(window: TileWindow, info: zipfile.ZipInfo) -> Raster:
-            with _upstream(depth_path, "fill"):
+            with _upstream(depth_path, "fill"):  # a NaN depth is the archive's fault
                 values = _read_member(archive, info, np.float64, (window.patch,) * 2)
-            return Raster(values, doc["nodata"], *_georef(doc, window))
+                return Raster(values, doc["nodata"], *_georef(doc, window))
 
         def work(item: tuple[TileWindow, Raster]):
             window, depth_tile = item
@@ -418,12 +427,11 @@ def _build_shared_backend(cfg: PipelineConfig):
     return None  # echo is built per patch from the kept mask
 
 
-def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMask:
+def cmd_segment(cfg: PipelineConfig) -> BinaryMask:
     """Segment every patch from its box prompts and stitch the fused mask.
 
-    The echo backend paints *kept*, the prompts stage's kept-depression
-    mask; when it is None it is read from ``kept_mask.npz``.  Returns the
-    fused mask it wrote to ``fused_mask.npz``.
+    The echo backend paints the kept mask it reads from ``kept_mask.npz``.
+    Returns the fused mask it wrote to ``fused_mask.npz``.
     """
     validate_for(cfg, "segment")
     out = Path(cfg.out_dir)
@@ -437,7 +445,7 @@ def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMa
         )
     windows = _plan(out, doc)
     shared_backend = _build_shared_backend(cfg)
-    if shared_backend is None and kept is None:  # echo paints the kept mask
+    if shared_backend is None:  # echo paints the kept mask
         shape = (doc["height"], doc["width"])
         values = _read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_, shape)
         kept = BinaryMask(values, *_georef(doc))
@@ -469,20 +477,15 @@ def cmd_segment(cfg: PipelineConfig, kept: BinaryMask | None = None) -> BinaryMa
     return fused
 
 
-def cmd_eval(cfg: PipelineConfig, fused: BinaryMask | None = None) -> MetricsReport:
-    """Evaluate the fused mask against ground truth; write JSON + CSV.
-
-    *fused* is the segment stage's product; when it is None it is read from
-    ``fused_mask.npz``, its shape and georeference from the manifest.
-    """
+def cmd_eval(cfg: PipelineConfig) -> MetricsReport:
+    """Evaluate ``fused_mask.npz``, shaped and georeferenced by the
+    manifest, against ground truth; write JSON + CSV."""
     validate_for(cfg, "eval")
     out = Path(cfg.out_dir)
-    pred = fused
-    if pred is None:
-        doc = _read_manifest(out)
-        shape = (doc["height"], doc["width"])
-        values = _read_array(out / "fused_mask.npz", "segment", "mask", np.bool_, shape)
-        pred = BinaryMask(values, *_georef(doc))
+    doc = _read_manifest(out)
+    shape = (doc["height"], doc["width"])
+    values = _read_array(out / "fused_mask.npz", "segment", "mask", np.bool_, shape)
+    pred = BinaryMask(values, *_georef(doc))
     gt = read_ascii_mask(cfg.eval_gt_mask)
     if pred.values.shape != gt.values.shape:
         raise InputError(
@@ -507,18 +510,9 @@ def cmd_eval(cfg: PipelineConfig, fused: BinaryMask | None = None) -> MetricsRep
 
 
 def cmd_run(cfg: PipelineConfig) -> MetricsReport:
-    """Full pipeline: fill, prompts, segment, eval.
-
-    Each stage still writes its artifacts, but the kept mask and the fused
-    mask pass to their consumer in memory.  Each product is dropped as
-    soon as its consumer is done, so the run holds no more than the stages
-    run one by one.
-    """
+    """Full pipeline: fill, prompts, segment, eval, each reading what the last wrote."""
     validate_for(cfg, "run")
     cmd_fill(cfg)
-    kept = cmd_prompts(cfg)
-    if cfg.backend_kind != "echo":  # the only backend that reads it
-        kept = None
-    fused = cmd_segment(cfg, kept)
-    del kept
-    return cmd_eval(cfg, fused)
+    cmd_prompts(cfg)
+    cmd_segment(cfg)
+    return cmd_eval(cfg)

@@ -54,8 +54,8 @@ class Raster:
     Parameters
     ----------
     values : numpy.ndarray
-        2-D array, row 0 is the top (northernmost) row.  Stored as float64
-        and marked read-only.
+        2-D array, row 0 is the top (northernmost) row.  Copied as float64
+        and marked read-only, so the caller's array stays its own.
     nodata : float
         Sentinel marking cells with no data.
     origin_x, origin_y : float
@@ -103,7 +103,7 @@ class Raster:
 
 @dataclass(frozen=True)
 class BinaryMask:
-    """A 0/1 grid sharing the Raster georeference conventions."""
+    """A 0/1 grid sharing the Raster georeference conventions; copied as bool, read-only."""
 
     values: np.ndarray
     origin_x: float = 0.0
@@ -116,7 +116,6 @@ class BinaryMask:
             uniq = np.unique(arr)
             if not np.isin(uniq, (0, 1)).all():
                 raise ValueError("mask values must be 0 or 1")
-            arr = arr.astype(bool)
         object.__setattr__(self, "values", _freeze(arr, np.bool_))
         if not self.cellsize > 0:
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")

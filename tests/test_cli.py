@@ -69,10 +69,15 @@ def edit_first(edit):
     return rewrite_first(write)
 
 
-def negated_first_cell(array):
-    array = array.copy()
-    array[0, 0] = -1.0
-    return array
+def with_first_cell(value):
+    """An array edit that sets the first cell of a copy to *value*."""
+
+    def edit(array):
+        array = array.copy()
+        array[0, 0] = value
+        return array
+
+    return edit
 
 
 def cut_to(side):
@@ -107,6 +112,27 @@ def raw_member(path):
     """An archive whose first member, stored without ``.npy``, holds bytes
     that are not an ``.npy`` array."""
     rewrite_first(lambda archive, name, data: archive.writestr(name, b"not an npy member"))(path)
+
+
+def raw_header(text):
+    """An archive whose first member is the version 1.0 ``.npy`` header *text*
+    and no data."""
+    body = text.encode("latin1")
+    member = b"\x93NUMPY\x01\x00" + len(body).to_bytes(2, "little") + body
+    return rewrite_first(lambda archive, name, data: archive.writestr(f"{name}.npy", member))
+
+
+def central_entry(offset, value):
+    """Corrupt a one-member archive by setting the 2-byte field at *offset*
+    of its central directory entry: 8 holds the flags, 10 the method."""
+
+    def edit(path):
+        data = bytearray(path.read_bytes())
+        at = data.rindex(b"PK\x01\x02") + offset
+        data[at : at + 2] = value.to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+
+    return edit
 
 
 def truncate(path):
@@ -449,8 +475,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "fill_mode, stage, artifact, corrupt, message",
         [
-            ("patch", "prompts", "depth.npz", edit_first(negated_first_cell),
+            ("patch", "prompts", "depth.npz", edit_first(with_first_cell(-1.0)),
              "depth.npz: r00000_c00000: depth raster contains negative values"),
+            ("patch", "prompts", "depth.npz", edit_first(with_first_cell(np.nan)),
+             "depth.npz: raster contains non-finite values — rerun the fill stage"),
             ("patch", "prompts", "depth.npz", cut_to(20), "r00000_c00000 is 20x20, expected 48x48"),
             ("mosaic", "prompts", "depth.npz", cut_to(60), "depth is 60x60, expected 96x96"),
             ("patch", "prompts", "depth.npz", truncate, "depth.npz: unreadable archive"),
@@ -472,11 +500,19 @@ class TestExitCodes:
              "depth.npz: r00000_c00000 is 1000000x1000000, expected 48x48"),
             ("patch", "prompts", "depth.npz", raw_member,
              "unreadable member r00000_c00000 (the magic string is not correct"),
+            # numpy reads Python 2's longs only through a repair that may raise
+            # tokenize.TokenError or warn
+            ("mosaic", "prompts", "depth.npz",
+             raw_header("{'descr': '<f8', 'fortran_order': False, 'shape': (96L, 96L), }\n"),
+             "depth.npz: member depth has a header that is no Python literal"),
             ("mosaic", "segment", "kept_mask.npz", cut_to(60),
              "kept_mask.npz: mask is 60x60, expected 96x96 — rerun the prompts stage"),
             ("patch", "segment", "kept_mask.npz", huge_header("|b1"),
              "kept_mask.npz: mask is 1000000x1000000, expected 96x96"
              " — rerun the prompts stage"),
+            ("patch", "segment", "kept_mask.npz", central_entry(8, 0x01),
+             "kept_mask.npz: member mask is not a plain stored or deflated member"
+             " (method 8, flags 0x1) — rerun the prompts stage"),
             ("patch", "segment", "kept_mask.npz", edit_first(lambda a: a.astype(np.uint8)),
              "kept_mask.npz: mask has dtype uint8, expected bool — rerun the prompts stage"),
             ("mosaic", "segment", "kept_mask.npz", renamed("depth"),
@@ -506,15 +542,21 @@ class TestExitCodes:
             ("mosaic", "eval", "fused_mask.npz", huge_header("|b1"),
              "fused_mask.npz: mask is 1000000x1000000, expected 96x96"
              " — rerun the segment stage"),
+            ("patch", "eval", "fused_mask.npz", central_entry(10, 99),
+             "fused_mask.npz: member mask is not a plain stored or deflated member"
+             " (method 99, flags 0x0) — rerun the segment stage"),
+            # too deep for the parser: a RecursionError on Python 3.11
+            ("patch", "eval", "fused_mask.npz", raw_header("1+" * 4990 + "1"), "member mask"),
         ],
-        ids=["negative-depth", "short-patch-depth", "short-mosaic-depth",
+        ids=["negative-depth", "nan-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
-             "raw-member-depth", "short-filtered-depth", "huge-header-filtered-depth",
-             "uint8-kept-mask", "depth-member-kept-mask",
+             "raw-member-depth", "python2-header-depth", "short-filtered-depth",
+             "huge-header-filtered-depth", "encrypted-kept-mask", "uint8-kept-mask",
+             "depth-member-kept-mask",
              "box-outside-patch", "string-area", "bool-coordinate", "swapped-boxes",
              "missing-boxes", "extra-boxes", "uint8-fused-mask", "depth-member-fused-mask",
-             "short-fused-mask", "huge-header-fused-mask"],
+             "short-fused-mask", "huge-header-fused-mask", "aes-fused-mask", "deep-header"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message
@@ -599,6 +641,34 @@ class TestExitCodes:
         assert "internal error" not in err
         assert err.count(str(path)) == 1
         assert f"{path}: Is a directory — rerun the {writer} stage" in err
+
+    @pytest.mark.parametrize("artifact, stage, stride", [
+        ("depth.npz", "prompts", 29),
+        ("kept_mask.npz", "segment", 1),
+        ("fused_mask.npz", "eval", 1),
+    ])
+    def test_flipped_archive_byte_is_read_or_refused(self, tmp_path, capsys, artifact, stage,
+                                                     stride):
+        """Each byte of *artifact* at a multiple of *stride*, XORed with 0x01,
+        0x80 or 0xFF by turns: the stage that reads it exits 0 or 2, never 1."""
+        scene = tmp_path / "scene"
+        export_scene(gen_terrain(3, 64, 64, 2, radius_range=(4.0, 8.0)), scene)
+        out = tmp_path / "out"
+        args = ["--set", f"out_dir={out}", "--set", "tile.patch=32", "--set", "tile.stride=16",
+                "--set", f"depth_raster={scene / 'dem.asc'}",
+                "--set", f"rgb_mosaic={scene / 'rgb.ppm'}",
+                "--set", f"eval.gt_mask={scene / 'gt_mask.asc'}"]
+        assert main(["--quiet", "run", *args]) == 0
+        path = out / artifact
+        good = path.read_bytes()
+        codes = {}
+        for count, at in enumerate(range(0, len(good), stride)):
+            bits = (0x01, 0x80, 0xFF)[count % 3]
+            path.write_bytes(good[:at] + bytes([good[at] ^ bits]) + good[at + 1 :])
+            codes[at, bits] = main(["--quiet", stage, *args])
+        capsys.readouterr()
+        assert {flip: code for flip, code in codes.items() if code not in (0, 2)} == {}
+        assert 2 in codes.values()
 
     @pytest.mark.parametrize(
         "target, corrupt, message",

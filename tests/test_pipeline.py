@@ -649,19 +649,9 @@ class TestArtifacts:
 
 
 class TestDeterminism:
-    def test_run_equals_stage_composition(self, scene_dir, tmp_path):
-        staged = make_cfg(scene_dir, tmp_path / "staged")
-        cmd_fill(staged)
-        cmd_prompts(staged)
-        cmd_segment(staged)
-        cmd_eval(staged)
-        composed = make_cfg(scene_dir, tmp_path / "composed")
-        cmd_run(composed)
-        assert tree_digests(tmp_path / "staged") == tree_digests(tmp_path / "composed")
-
     @pytest.mark.parametrize("backend", ["echo", "http"])
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_in_memory_hand_off_writes_the_staged_bytes(self, scene_dir, tmp_path, mode, backend):
+    def test_run_writes_the_staged_bytes(self, scene_dir, tmp_path, mode, backend):
         server = MockSegmentServer(mode="boxfill", value=255) if backend == "http" else None
         with server or nullcontext():
             kw = {"backend_kind": "http", "backend_endpoint": server.endpoint} if server else {}
@@ -671,28 +661,25 @@ class TestDeterminism:
             cmd_run(make_cfg(scene_dir, tmp_path / "run", fill_mode=mode, **kw))
         assert tree_digests(tmp_path / "staged") == tree_digests(tmp_path / "run")
 
-    def test_run_reads_back_no_product_it_wrote(self, scene_dir, tmp_path, monkeypatch):
-        out = tmp_path / "out"
+    def test_run_opens_what_the_staged_commands_open(self, scene_dir, tmp_path, monkeypatch):
+        """A run reads back every product it wrote, once, as the four stages
+        run one by one do: nothing passes between its stages in memory."""
         reads = []
         for name in ("read_ascii_grid", "read_ascii_mask", "_open_archive"):
             def counting(path, *args, _read=getattr(pipeline, name), **kwargs):
-                reads.append(Path(path))
+                reads.append(Path(path).name)
                 return _read(path, *args, **kwargs)
 
             monkeypatch.setattr(pipeline, name, counting)
 
-        def products():  # all but the fill archive, the fill -> prompts hand-off
-            return [p for p in reads if p != out / "depth.npz"]
-
-        cfg = make_cfg(scene_dir, out)  # echo: the one backend that paints the kept mask
+        cfg = make_cfg(scene_dir, tmp_path / "out")  # echo: the one backend that reads kept
+        for stage in (cmd_fill, cmd_prompts, cmd_segment, cmd_eval):
+            stage(cfg)
+        staged = reads[:]
+        reads.clear()
         cmd_run(cfg)
-        assert len(reads) - len(products()) == 1  # one archive, opened once
-        assert products() == [scene_dir / "dem.asc", scene_dir / "gt_mask.asc"]
-        assert out / "fused_mask.npz" not in reads
-        cmd_segment(cfg)  # a stage run on its own reads its input back
-        cmd_eval(cfg)
-        assert [p for p in products() if out in p.parents] == [out / "kept_mask.npz",
-                                                              out / "fused_mask.npz"]
+        assert reads == staged == ["dem.asc", "depth.npz", "kept_mask.npz",
+                                   "fused_mask.npz", "gt_mask.asc"]
 
     def test_rerun_overwrites_identically(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")

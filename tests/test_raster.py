@@ -44,6 +44,19 @@ class TestRasterType:
         with pytest.raises(ValueError, match="read-only"):
             r.values[0, 0] = 9.0
 
+    @pytest.mark.parametrize("kind", [Raster, BinaryMask])
+    def test_values_are_copied(self, kind):
+        """The container copies the caller's float64 array: writing the
+        caller's array afterwards leaves the stored values as they were, and
+        the caller's array stays writable."""
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        grid = kind(values)
+        values[:] = 1.0 - values
+        assert values.flags.writeable
+        assert np.array_equal(grid.values, [[0, 1], [1, 0]])
+        assert not grid.values.flags.writeable
+        assert not np.shares_memory(grid.values, values)
+
     def test_dimensions(self):
         r = Raster(np.zeros((3, 5)))
         assert (r.height, r.width) == (3, 5)
