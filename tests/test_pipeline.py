@@ -649,9 +649,22 @@ class TestArtifacts:
 
 
 class TestDeterminism:
+    def test_run_equals_stage_composition(self, scene_dir, tmp_path):
+        staged = make_cfg(scene_dir, tmp_path / "staged")
+        cmd_fill(staged)
+        cmd_prompts(staged)
+        cmd_segment(staged)
+        cmd_eval(staged)
+        composed = make_cfg(scene_dir, tmp_path / "composed")
+        cmd_run(composed)
+        assert tree_digests(tmp_path / "staged") == tree_digests(tmp_path / "composed")
+
     @pytest.mark.parametrize("backend", ["echo", "http"])
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_run_writes_the_staged_bytes(self, scene_dir, tmp_path, mode, backend):
+    def test_in_memory_hand_off_writes_the_staged_bytes(self, scene_dir, tmp_path, mode, backend):
+        """cmd_run writes, byte for byte, what the four stages run one by one
+        write, in both fill modes and with both backends. The name is kept
+        from when cmd_run handed masks between its stages in memory."""
         server = MockSegmentServer(mode="boxfill", value=255) if backend == "http" else None
         with server or nullcontext():
             kw = {"backend_kind": "http", "backend_endpoint": server.endpoint} if server else {}
