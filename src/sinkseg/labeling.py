@@ -14,8 +14,7 @@ That grid is the only representation of a component.
 :func:`filter_components` keeps the ids of components deep and large
 enough, :func:`boxes_from_components` turns kept ids into pixel-aligned box
 prompts for the segmenters, and :func:`tile_prompts` builds a tile's
-prompts from those two and zeroes the dropped components in the depth
-raster by label id.
+prompts from those two and its kept cells by label id.
 
 Box coordinates follow the image convention: ``x`` is the column, ``y`` the
 row, origin at the top-left, and the intervals are inclusive-exclusive
@@ -234,14 +233,14 @@ def tile_prompts(
     thresholds: FilterThresholds,
     pad_px: int,
     patch_id: str,
-) -> tuple[PromptSet, Raster]:
-    """The prompts of one tile, and the tile with its dropped components zeroed.
+) -> tuple[PromptSet, np.ndarray]:
+    """The prompts of one tile, and its kept cells: a bool grid, True on
+    the components that the *thresholds* keep.
 
     *grid* is :func:`label_components` of *depth*.
     """
     ids = filter_components(grid, thresholds)
     keep = np.zeros(len(grid) + 1, dtype=bool)
-    keep[0] = True  # background keeps its value
     keep[ids] = True
     prompts = PromptSet(
         patch_id=patch_id,
@@ -249,7 +248,7 @@ def tile_prompts(
         areas=grid.area_px[ids].tolist(),
         max_depths=grid.max_depth[ids].tolist(),
     )
-    return prompts, depth.with_values(np.where(keep[grid.labels], depth.values, 0.0))
+    return prompts, keep[grid.labels]
 
 
 def prompts_to_json(prompts: PromptSet) -> str:

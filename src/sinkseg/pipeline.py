@@ -13,12 +13,13 @@ bytes, regardless of worker pool size):
     that holds it.
 ``prompts``
     ``boxes.jsonl``, one line per window in plan order (possibly with no
-    boxes), and ``kept_mask.npz`` — the filtered depressions stitched back
-    into a mosaic with the configured merge rule, kept as the one bool
-    member ``mask.npy``: True where that mosaic is valid and > 0.
+    boxes), and ``kept_mask.npz`` — each window's kept depression cells,
+    folded into a mosaic with the configured merge rule over the cells
+    where the window's depth is valid, kept as the one bool member
+    ``mask.npy``.
 ``segment``
     ``fused_mask.npz`` — per-box masks fused once per patch (pixelwise max),
-    patches stitched with the configured merge rule, then binarized once,
+    patches folded with the configured merge rule, then binarized once,
     kept as the one bool member ``mask.npy``.  It reads ``boxes.jsonl``
     once and refuses patch ids that differ from the plan.  Only the echo
     backend reads ``kept_mask.npz``; like prompts, it checks the archive's
@@ -38,12 +39,12 @@ in order and passes nothing between them.
 Each stage maps its windows (fill: its blocks) through one worker pool,
 :func:`_pool_map`, which yields results in order as they are ready.
 Prompts and segment hand that stream straight to
-:func:`~sinkseg.tiling.stitch`, which folds each tile into the mosaic as it
-arrives, so no stage holds a list of every tile.
+:func:`~sinkseg.tiling.fold_tiles`, which folds each tile into the mosaic as
+it arrives, so no stage holds a list of every tile.
 
 Prompting is per-patch and independent: a depression overlapping several
 windows may be prompted in each of them.  The duplicate masks collapse when
-patches are stitched, so the fused mosaic and everything downstream see one
+patches are folded, so the fused mosaic and everything downstream see one
 object per depression.
 """
 
@@ -71,24 +72,9 @@ from .hydro import region_depths
 from .image import read_ppm
 from .labeling import PromptSet, label_components, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
-from .raster import (
-    BinaryMask,
-    Raster,
-    binarize,
-    invert_depth,
-    read_ascii_grid,
-    read_ascii_mask,
-)
+from .raster import BinaryMask, Raster, invert_depth, read_ascii_grid, read_ascii_mask
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
-from .tiling import (
-    TileSpec,
-    TileWindow,
-    extract_tile,
-    patch_id,
-    plan_tiles,
-    stitch,
-    window_georef,
-)
+from .tiling import TileSpec, TileWindow, extract_tile, fold_tiles, patch_id, plan_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -227,10 +213,9 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _georef(doc: dict, window: TileWindow | None = None) -> tuple[float, float, float]:
-    """The manifest's mosaic georeference, or that of *window* within it."""
-    georef = doc["origin_x"], doc["origin_y"], doc["cellsize"]
-    return georef if window is None else window_georef(window, doc["height"], georef)
+def _georef(doc: dict) -> tuple[float, float, float]:
+    """The manifest's mosaic georeference."""
+    return doc["origin_x"], doc["origin_y"], doc["cellsize"]
 
 
 def _write_archive(path: Path, members) -> None:
@@ -353,8 +338,9 @@ def cmd_fill(cfg: PipelineConfig) -> None:
 def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
     """Label, filter, and box the depressions of every patch.
 
-    Returns the kept-depression mask it wrote to ``kept_mask.npz``: the
-    cells of the filtered tiles, stitched, that are valid and > 0.
+    Returns the kept-depression mask it wrote to ``kept_mask.npz``: each
+    tile's kept cells, folded with the configured merge rule where the
+    tile's depth is valid.
     """
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
@@ -368,8 +354,7 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
             if doc["fill_mode"] == "mosaic":
                 _check_order(names, ["depth"], "array")
                 shape = (doc["height"], doc["width"])
-                values = _read_member(archive, infos[0], np.float64, shape)
-                mosaic = Raster(values, doc["nodata"], *_georef(doc))
+                mosaic = _read_member(archive, infos[0], np.float64, shape)
             elif doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses it
                 side = doc["patch"]  # the claimed last window is there only if fill wrote it
                 last = patch_id(TileWindow(doc["height"] - side, doc["width"] - side, side))
@@ -381,10 +366,14 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
             with _upstream(depth_path, "fill"):  # exact: the last origins are extent - patch
                 _check_order(names, [patch_id(w) for w in windows], "array")
 
-        def read(window: TileWindow, info: zipfile.ZipInfo) -> Raster:
+        def read(k: int, window: TileWindow) -> Raster:
             with _upstream(depth_path, "fill"):  # a NaN depth is the archive's fault
-                values = _read_member(archive, info, np.float64, (window.patch,) * 2)
-                return Raster(values, doc["nodata"], *_georef(doc, window))
+                if mosaic is None:
+                    values = _read_member(archive, infos[k], np.float64, (window.patch,) * 2)
+                else:
+                    values = mosaic[window.row0 : window.row0 + window.patch,
+                                    window.col0 : window.col0 + window.patch]
+                return Raster(values, doc["nodata"])
 
         def work(item: tuple[TileWindow, Raster]):
             window, depth_tile = item
@@ -394,18 +383,15 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
                     grid = label_components(depth_tile)
                 except ValueError as exc:  # a negative depth
                     raise InputError(f"{pid}: {exc}") from exc
-            prompts[pid], filtered = tile_prompts(depth_tile, grid, cfg.filter, cfg.pad_px, pid)
-            return window, filtered
+            prompts[pid], kept = tile_prompts(depth_tile, grid, cfg.filter, cfg.pad_px, pid)
+            return window, kept, depth_tile.valid_mask()
 
         prompts: dict[str, PromptSet] = {}
-        if mosaic is None:  # the pool draws its items, so the archive's reads, on this thread
-            items = ((w, read(w, info)) for w, info in zip(windows, infos))
-        else:
-            items = ((w, extract_tile(mosaic, w)) for w in windows)
+        # the pool draws its items, so the archive's reads, on this thread
+        items = ((w, read(k, w)) for k, w in enumerate(windows))
         with closing(_pool_map(cfg.workers, work, items)) as tiles:
-            stitched = stitch(tiles, doc["width"], doc["height"], cfg.merge)
-    kept = BinaryMask(stitched.valid_mask() & (stitched.values > 0), *_georef(doc))
-    del stitched
+            kept, _ = fold_tiles(tiles, doc["height"], doc["width"], cfg.merge)
+    kept = BinaryMask(kept > 0, *_georef(doc))
     with _replacing(out / "boxes.jsonl") as tmp:
         write_prompts([prompts[patch_id(w)] for w in windows], tmp)
     _write_archive(out / "kept_mask.npz", [("mask", kept.values)])
@@ -428,7 +414,7 @@ def _build_shared_backend(cfg: PipelineConfig):
 
 
 def cmd_segment(cfg: PipelineConfig) -> BinaryMask:
-    """Segment every patch from its box prompts and stitch the fused mask.
+    """Segment every patch from its box prompts and fold the fused mask.
 
     The echo backend paints the kept mask it reads from ``kept_mask.npz``.
     Returns the fused mask it wrote to ``fused_mask.npz``.
@@ -464,14 +450,11 @@ def cmd_segment(cfg: PipelineConfig) -> BinaryMask:
         patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(extract_tile(kept, window))
         probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=prompts.patch_id)
-        origin_x, origin_y, cellsize = _georef(doc, window)
-        # Default nodata: the DEM's sentinel may be a probability, e.g. 0.0.
-        tile = Raster(probs, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)
-        return window, tile
+        return window, probs, None  # every probability is valid, whatever the DEM's nodata
 
     tiles = _pool_map(cfg.workers, work, zip(windows, prompt_sets))
-    prob_mosaic = stitch(tiles, doc["width"], doc["height"], cfg.merge)
-    fused = binarize(prob_mosaic, cfg.binarize_threshold)
+    probs, _ = fold_tiles(tiles, doc["height"], doc["width"], cfg.merge)
+    fused = BinaryMask(probs > cfg.binarize_threshold, *_georef(doc))
     _write_archive(out / "fused_mask.npz", [("mask", fused.values)])
     logger.info("fused mask written to %s", out / "fused_mask.npz")
     return fused

@@ -7,8 +7,9 @@ never extend past the mosaic, and duplicates are removed).  The default
 geometry — 512-pixel patches with a 256-pixel stride, i.e. 50% overlap —
 matches the mapping campaign this pipeline was built for.
 
-Stitching folds a stream of tiles into the mosaic one at a time, merging
-overlaps with a :class:`MergeRule`; cells covered by no tile become nodata.
+:func:`fold_tiles` folds a stream of tiles into one grid a tile at a time,
+merging overlaps with a :class:`MergeRule`.  :func:`stitch` is its checked
+wrapper for rasters: cells covered by no tile become nodata.
 """
 
 from __future__ import annotations
@@ -109,19 +110,6 @@ def _check_window(window: TileWindow, width: int, height: int) -> None:
         )
 
 
-def window_georef(
-    window: TileWindow, height: int, georef: tuple[float, float, float]
-) -> tuple[float, float, float]:
-    """``(origin_x, origin_y, cellsize)`` of *window* cut from a grid *height*
-    rows tall whose own georeference is *georef*."""
-    origin_x, origin_y, cellsize = georef
-    return (
-        origin_x + window.col0 * cellsize,
-        origin_y + (height - window.row0 - window.patch) * cellsize,
-        cellsize,
-    )
-
-
 def extract_tile(source, window: TileWindow):
     """Cut one window out of a Raster, BinaryMask, or RGBImage.
 
@@ -135,10 +123,53 @@ def extract_tile(source, window: TileWindow):
     cut = (slice(rs, rs + window.patch), slice(cs, cs + window.patch))
     if isinstance(source, RGBImage):
         return RGBImage(source.pixels[cut])
-    georef = window_georef(window, source.height, source.geotransform)
+    origin_x = source.origin_x + cs * source.cellsize
+    origin_y = source.origin_y + (source.height - rs - window.patch) * source.cellsize
     if isinstance(source, Raster):
-        return Raster(source.values[cut], source.nodata, *georef)
-    return BinaryMask(source.values[cut], *georef)
+        return Raster(source.values[cut], source.nodata, origin_x, origin_y, source.cellsize)
+    return BinaryMask(source.values[cut], origin_x, origin_y, source.cellsize)
+
+
+def fold_tiles(
+    tiles: Iterable[tuple[TileWindow, np.ndarray, np.ndarray | None]],
+    height: int,
+    width: int,
+    merge: MergeRule = MergeRule.MAX,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ``(window, values, valid)`` tiles into one ``height`` x ``width``
+    grid; return the grid and its coverage, a bool grid.
+
+    *tiles* is read once, one tile at a time.  *valid* is a bool array of
+    the tile's cells that count, or None when every cell does; the others
+    contribute nothing under every rule.  For FIRST the earliest valid tile
+    in iteration order wins; MAX keeps the earlier value on a tie.  The grid
+    has the tiles' dtype, or float64 under MEAN, and holds 0 where no valid
+    cell fell.  The windows are not checked: :func:`stitch` checks them.
+    """
+    grid = None
+    for window, values, valid in tiles:
+        if grid is None:
+            grid = np.zeros((height, width), np.float64 if merge is MergeRule.MEAN else values.dtype)
+            covered = np.zeros((height, width), dtype=bool)
+            if merge is MergeRule.MEAN:
+                cnt = np.zeros((height, width), dtype=np.int64)
+        sl = (slice(window.row0, window.row0 + window.patch),
+              slice(window.col0, window.col0 + window.patch))
+        valid = np.True_ if valid is None else valid
+        if merge is MergeRule.MEAN:
+            grid[sl] += np.where(valid, values, 0)
+            cnt[sl] += valid
+        else:
+            take = ~covered[sl]
+            if merge is MergeRule.MAX:
+                take |= values > grid[sl]
+            np.copyto(grid[sl], values, where=take & valid)
+        covered[sl] |= valid
+    if grid is None:
+        raise ValueError("fold_tiles needs at least one tile")
+    if merge is MergeRule.MEAN:
+        grid[covered] /= cnt[covered]
+    return grid, covered
 
 
 def stitch(
@@ -150,60 +181,46 @@ def stitch(
     """Merge per-window rasters back into a ``width`` x ``height`` mosaic.
 
     *tiles* may be any iterable, a one-shot generator included: it is read
-    once, and each tile is checked and folded in as it arrives, so only the
-    mosaic and the tile in hand are held.  All tiles must share patch size,
-    cellsize, and nodata.  Overlaps combine per *merge*; for FIRST the
-    earliest tile in iteration order wins.  A tile's own nodata cells
-    contribute nothing under every rule.  Mosaic cells covered by no valid
-    tile cell come out as nodata.
+    once, and each tile is checked and folded in as it arrives, by
+    :func:`fold_tiles`, so only the mosaic and the tile in hand are held.
+    All tiles must share patch size, cellsize, and nodata.  Overlaps combine
+    per *merge*; for FIRST the earliest tile in iteration order wins.  A
+    tile's own nodata cells contribute nothing under every rule.  Mosaic
+    cells covered by no valid tile cell come out as nodata.
     """
-    out = None
-    for window, tile in tiles:
-        if out is None:
-            patch, nodata, cellsize = window.patch, tile.nodata, tile.cellsize
-            # The mosaic origin is taken exactly from the first tile flush
-            # with its edge (col0 == 0 for x, bottom row for y); until one
-            # arrives, it is computed from the first tile.
-            origin_x = tile.origin_x - window.col0 * cellsize
-            origin_y = tile.origin_y - (height - window.row0 - patch) * cellsize
-            exact_x = exact_y = False
-            out = np.full((height, width), nodata, dtype=np.float64)
-            if merge is MergeRule.MEAN:
-                acc = np.zeros((height, width), dtype=np.float64)
-                cnt = np.zeros((height, width), dtype=np.int64)
-            covered = np.zeros((height, width), dtype=bool)
-        _check_window(window, width, height)
-        if window.patch != patch:
-            raise ValueError(f"mixed patch sizes: {window.patch} vs {patch}")
-        if tile.values.shape != (patch, patch):
-            raise ValueError(
-                f"tile shape {tile.values.shape} does not match window patch {patch}"
-            )
-        if tile.nodata != nodata or tile.cellsize != cellsize:
-            raise ValueError("tiles disagree on nodata or cellsize")
-        if window.col0 == 0 and not exact_x:
-            origin_x, exact_x = tile.origin_x, True
-        if window.row0 + patch == height and not exact_y:
-            origin_y, exact_y = tile.origin_y, True
+    first = None  # (patch, nodata, cellsize) of the first tile
+    origin_x = origin_y = None
+    exact_x = exact_y = False
 
-        rs, cs = window.row0, window.col0
-        sl = (slice(rs, rs + patch), slice(cs, cs + patch))
-        tv = tile.values
-        valid = tile.valid_mask()
-        if merge is MergeRule.MAX:
-            take = valid & (~covered[sl] | (tv > out[sl]))
-            out[sl] = np.where(take, tv, out[sl])
-        elif merge is MergeRule.MEAN:
-            acc[sl] += np.where(valid, tv, 0.0)
-            cnt[sl] += valid
-        else:  # FIRST
-            take = valid & ~covered[sl]
-            out[sl] = np.where(take, tv, out[sl])
-        covered[sl] |= valid
+    def checked():
+        nonlocal first, origin_x, origin_y, exact_x, exact_y
+        for window, tile in tiles:
+            if first is None:
+                first = window.patch, tile.nodata, tile.cellsize
+                # The mosaic origin is taken exactly from the first tile
+                # flush with its edge (col0 == 0 for x, bottom row for y);
+                # until one arrives, it is computed from the first tile.
+                origin_x = tile.origin_x - window.col0 * tile.cellsize
+                origin_y = tile.origin_y - (height - window.row0 - window.patch) * tile.cellsize
+            patch, nodata, cellsize = first
+            _check_window(window, width, height)
+            if window.patch != patch:
+                raise ValueError(f"mixed patch sizes: {window.patch} vs {patch}")
+            if tile.values.shape != (patch, patch):
+                raise ValueError(
+                    f"tile shape {tile.values.shape} does not match window patch {patch}"
+                )
+            if tile.nodata != nodata or tile.cellsize != cellsize:
+                raise ValueError("tiles disagree on nodata or cellsize")
+            if window.col0 == 0 and not exact_x:
+                origin_x, exact_x = tile.origin_x, True
+            if window.row0 + patch == height and not exact_y:
+                origin_y, exact_y = tile.origin_y, True
+            yield window, tile.values, tile.valid_mask()
+        if first is None:
+            raise ValueError("stitch needs at least one tile")
 
-    if out is None:
-        raise ValueError("stitch needs at least one tile")
-    if merge is MergeRule.MEAN:
-        out[covered] = acc[covered] / cnt[covered]
-
+    out, covered = fold_tiles(checked(), height, width, merge)
+    _, nodata, cellsize = first
+    out[~covered] = nodata
     return Raster(out, nodata=nodata, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)

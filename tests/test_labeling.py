@@ -256,7 +256,7 @@ class TestBfsOracle:
 
 def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
     """``tile_prompts`` equals the BFS components filtered, boxed, padded and
-    clamped one by one, plus zeroing the dropped."""
+    clamped one by one, plus the cells of the kept."""
     components = bfs_components(depth.valid_mask() & (depth.values > 0), depth.values)
     kept = [
         c for c in components
@@ -276,18 +276,16 @@ def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
         areas=[c.area_px for c in kept],
         max_depths=[c.max_depth for c in kept],
     )
-    expected_values = depth.values.copy()
-    for comp in components:
-        if comp not in kept:
-            for r, c in comp.pixels:
-                expected_values[r, c] = 0.0
+    expected_cells = np.zeros(depth.values.shape, dtype=bool)
+    for comp in kept:
+        for r, c in comp.pixels:
+            expected_cells[r, c] = True
 
-    prompts, filtered = tile_prompts(depth, label_components(depth), thresholds, pad_px, "p")
+    prompts, cells = tile_prompts(depth, label_components(depth), thresholds, pad_px, "p")
     assert prompts == expected
     assert prompts_to_json(prompts) == prompts_to_json(expected)  # plain ints and floats
-    assert np.array_equal(filtered.values.view(np.int64), expected_values.view(np.int64))
-    georef = ("nodata", "origin_x", "origin_y", "cellsize")
-    assert [getattr(filtered, k) for k in georef] == [getattr(depth, k) for k in georef]
+    assert cells.dtype == np.bool_
+    assert np.array_equal(cells, expected_cells)
 
 
 class TestFiltering:

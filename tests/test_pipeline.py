@@ -36,7 +36,7 @@ from sinkseg.raster import (
     write_ascii_mask,
 )
 from sinkseg.synth import export_scene, gen_terrain
-from sinkseg.tiling import MergeRule, TileSpec, extract_tile, patch_id, plan_tiles, stitch
+from sinkseg.tiling import MergeRule, TileSpec, extract_tile, fold_tiles, patch_id, plan_tiles
 
 SCENE = dict(seed=21, width=128, height=128, n_sinkholes=3,
              depth_range=(3.0, 8.0), radius_range=(8.0, 12.0))
@@ -176,7 +176,7 @@ class TestFillStage:
         self, scene_dir, tmp_path, monkeypatch, mode
     ):
         """Prompts labels each window's depth with the values fill computed
-        and the georeference and nodata of the manifest."""
+        and the nodata of the manifest."""
         values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
         values[5:9, 70:80] = -32768.0
         dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
@@ -195,7 +195,7 @@ class TestFillStage:
             if mode == "patch":
                 want = fill_depressions(want).depth
             assert np.array_equal(got.values, want.values)
-            assert (got.nodata, got.geotransform) == (want.nodata, want.geotransform)
+            assert got.nodata == want.nodata
 
     def test_depth_archive_is_byte_stable_with_one_member(self, tmp_path, monkeypatch):
         values = np.random.default_rng(5).normal(size=(40, 48))
@@ -406,7 +406,7 @@ class TestPromptsStage:
         assert len(made) == 9
         assert max(held) <= 1  # only the tile being folded, not a list of all
 
-    def test_filtered_mosaic_zeroes_discarded_components(self, scene_dir, tmp_path):
+    def test_kept_mask_holds_the_ground_truth_depressions(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         cmd_prompts(cfg)
@@ -416,35 +416,52 @@ class TestPromptsStage:
         assert kept[gt.values].mean() > 0.9
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_filtered_archive_is_the_returned_mosaic(self, scene_dir, tmp_path, monkeypatch, mode):
+    def test_kept_mask_archive_is_the_returned_mask(self, scene_dir, tmp_path, monkeypatch, mode):
         """``kept_mask.npz`` holds the returned mask: under every merge rule,
-        the cells of the stitched filtered mosaic that are valid and > 0."""
+        the cells > 0 of the folded kept tiles, none where no depth is valid."""
         values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
         values[5:9, 70:80] = -32768.0
         dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
         write_ascii_grid(dem, tmp_path / "dem.asc")
-        stitched = []
+        folded = []
 
         def recording(*args):
-            mosaic = stitch(*args)
-            stitched.append(mosaic)
-            return mosaic
+            grid, covered = fold_tiles(*args)
+            folded.append((grid, covered))
+            return grid, covered
 
-        monkeypatch.setattr(pipeline, "stitch", recording)
+        monkeypatch.setattr(pipeline, "fold_tiles", recording)
         out = tmp_path / "out"
         cfg = replace(make_cfg(scene_dir, out, fill_mode=mode), depth_raster=tmp_path / "dem.asc")
         cmd_fill(cfg)
         for merge in MergeRule:
             kept = cmd_prompts(replace(cfg, merge=merge))
-            filtered = stitched.pop()
-            assert (filtered.values == -32768.0).sum() == 40
-            expected = filtered.valid_mask() & (filtered.values > 0)
+            grid, covered = folded.pop()
+            assert (~covered).sum() == 40
+            expected = grid > 0
             assert expected.any() and np.array_equal(kept.values, expected)
+            assert not kept.values[~covered].any()
             assert np.array_equal(load_mask(out), kept.values)
             assert kept.geotransform == dem.geotransform
             got = pipeline._read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_,
                                        (128, 128))
             assert np.array_equal(got, kept.values)
+
+    def test_mean_depth_equal_to_nodata_stays_kept(self, tmp_path):
+        """Under mean, a cell kept in the windows that hold it stays kept
+        where its mean depth happens to equal the DEM's nodata, 1.0 here:
+        the kept cells are folded, not a depth mosaic read through nodata."""
+        out = tmp_path / "out"
+        cfg = PipelineConfig(out_dir=out, tile=TileSpec(patch=4, stride=2), merge=MergeRule.MEAN,
+                             filter=FilterThresholds(min_depth=0.0, min_area_px=0))
+        out.mkdir()
+        pipeline._write_manifest(out, Raster(np.zeros((4, 6)), nodata=1.0), cfg)
+        windows = plan_tiles(6, 4, cfg.tile)  # columns 0-3 and 2-5
+        depths = [np.full((4, 4), 0.5), np.full((4, 4), 1.5)]
+        pipeline._write_archive(out / "depth.npz",
+                                [(patch_id(w), d) for w, d in zip(windows, depths, strict=True)])
+        assert cmd_prompts(cfg).values.all()
+        assert load_mask(out).all()
 
 
 class TestSegmentAndEval:

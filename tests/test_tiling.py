@@ -1,9 +1,11 @@
-"""Tile planning, extraction, and mosaic stitching."""
+"""Tile planning, extraction, tile folding and mosaic stitching."""
 
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_dem
 from sinkseg.image import RGBImage
@@ -13,6 +15,7 @@ from sinkseg.tiling import (
     TileSpec,
     TileWindow,
     extract_tile,
+    fold_tiles,
     patch_id,
     plan_tiles,
     stitch,
@@ -252,3 +255,100 @@ class TestStitch:
         with pytest.raises(ValueError, match="does not fit"):
             stitch([(TileWindow(3, 0, 2), Raster(np.zeros((2, 2))))], 4, 4)
 
+
+
+@st.composite
+def tile_streams(draw):
+    """A random plan's tiles, then repeats of some of its windows, as
+    ``(window, values, valid)``: bool tiles, or float tiles of few levels
+    with signed zeros.  Cell (0, 0), which only the first window covers, is
+    invalid in every tile there but the last two, which hold ties: +0.0
+    and -0.0 (or -0.0 and +0.0) when the tiles are floats."""
+    patch = draw(st.integers(1, 5))
+    spec = TileSpec(patch, draw(st.integers(1, patch)))
+    height, width = draw(st.integers(patch, 12)), draw(st.integers(patch, 12))
+    windows = plan_tiles(width, height, spec)
+    windows += draw(st.lists(st.sampled_from(windows), max_size=4)) + [windows[0]] * 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boolean = draw(st.booleans())
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    tiles = []
+    for k, window in enumerate(windows):
+        if boolean:
+            values = rng.random((patch, patch)) < 0.4
+        else:
+            values = rng.choice([0.0, -0.0, 1.5, 2.5], size=(patch, patch))
+        valid = rng.random((patch, patch)) < draw(st.sampled_from([0.4, 0.8, 1.0]))
+        if window == windows[0]:
+            valid[0, 0] = k >= len(windows) - 2
+            if not boolean and valid[0, 0]:
+                values[0, 0] = zero if k == len(windows) - 2 else -zero
+        tiles.append((window, values, valid))
+    return height, width, tiles
+
+
+def fold_reference(tiles, height, width, merge):
+    """Each cell's value and coverage from the rule's definition: the valid
+    values there in tile order; FIRST takes the first, MAX the first of the
+    largest, MEAN their sum in order over their count.  0 where none."""
+    out = np.zeros((height, width), np.float64 if merge is MergeRule.MEAN else tiles[0][1].dtype)
+    covered = np.zeros((height, width), dtype=bool)
+    for r in range(height):
+        for c in range(width):
+            seen = [values[r - w.row0, c - w.col0] for w, values, valid in tiles
+                    if w.row0 <= r < w.row0 + w.patch and w.col0 <= c < w.col0 + w.patch
+                    and valid[r - w.row0, c - w.col0]]
+            if not seen:
+                continue
+            covered[r, c] = True
+            if merge is MergeRule.FIRST:
+                out[r, c] = seen[0]
+            elif merge is MergeRule.MAX:
+                best = seen[0]
+                for v in seen[1:]:
+                    if v > best:
+                        best = v
+                out[r, c] = best
+            else:
+                total = 0.0
+                for v in seen:
+                    total += float(v)
+                out[r, c] = total / len(seen)
+    return out, covered
+
+
+def bits(grid):
+    return grid.view(np.int64) if grid.dtype == np.float64 else grid
+
+
+class TestFoldTiles:
+    @settings(max_examples=60, deadline=None)
+    @given(stream=tile_streams(), merge=st.sampled_from(list(MergeRule)))
+    def test_fold_and_stitch_follow_the_rule(self, stream, merge):
+        height, width, tiles = stream
+        want, want_covered = fold_reference(tiles, height, width, merge)
+        grid, covered = fold_tiles(iter(tiles), height, width, merge)
+        assert grid.dtype == want.dtype
+        assert np.array_equal(covered, want_covered)
+        assert np.array_equal(bits(grid), bits(want))
+        if tiles[0][1].dtype == np.bool_:
+            seen = [[] for _ in range(height * width)]
+            for w, values, valid in tiles:
+                for (r, c) in zip(*np.nonzero(valid)):
+                    seen[(w.row0 + r) * width + w.col0 + c].append(bool(values[r, c]))
+            if merge is MergeRule.FIRST:  # the first valid tile
+                assert grid.ravel().tolist() == [bool(s) and s[0] for s in seen]
+            else:  # max and mean > 0 both mean "any"
+                assert (grid > 0).ravel().tolist() == [any(s) for s in seen]
+            return
+        if merge is not MergeRule.MEAN:  # cell (0, 0) keeps the earlier signed zero
+            assert bits(grid[:1, :1]) == bits(np.array([[tiles[-2][1][0, 0]]]))
+        rasters = [(w, Raster(np.where(valid, values, NODATA), NODATA)) for w, values, valid in tiles]
+        stitched = stitch(iter(rasters), width, height, merge)
+        assert np.array_equal(bits(stitched.values), bits(np.where(want_covered, want, NODATA)))
+
+    def test_valid_none_counts_every_cell(self):
+        window = TileWindow(0, 1, 2)
+        grid, covered = fold_tiles([(window, np.full((2, 2), 0.25), None)], 2, 3, MergeRule.MEAN)
+        assert np.array_equal(grid, [[0.0, 0.25, 0.25], [0.0, 0.25, 0.25]])
+        assert np.array_equal(covered, [[False, True, True], [False, True, True]])
