@@ -42,7 +42,6 @@ from .metrics import (
 from .raster import (
     BinaryMask,
     Raster,
-    binarize,
     invert_depth,
     read_ascii_grid,
     read_ascii_mask,
@@ -87,7 +86,6 @@ __all__ = [
     "TileSpec",
     "TileWindow",
     "bce_loss",
-    "binarize",
     "boxes_from_components",
     "brute_force_fill",
     "combined_loss",

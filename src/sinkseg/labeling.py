@@ -13,8 +13,9 @@ is hooked on the lowest run of its component, its first in scan order.
 That grid is the only representation of a component.
 :func:`filter_components` keeps the ids of components deep and large
 enough, :func:`boxes_from_components` turns kept ids into pixel-aligned box
-prompts for the segmenters, and :func:`tile_prompts` builds a tile's
-prompts from those two and its kept cells by label id.
+prompts for the segmenters, clamped to the label grid's own shape, and
+:func:`tile_prompts` builds a tile's prompts from those two and its kept
+cells by label id.
 
 Box coordinates follow the image convention: ``x`` is the column, ``y`` the
 row, origin at the top-left, and the intervals are inclusive-exclusive
@@ -196,13 +197,12 @@ def filter_components(grid: LabelGrid, thresholds: FilterThresholds) -> np.ndarr
     return np.flatnonzero(thresholds.keeps(grid.max_depth[1:], grid.area_px[1:])) + 1
 
 
-def boxes_from_components(
-    grid: LabelGrid, ids, pad_px: int, width: int, height: int
-) -> list[PromptBox]:
+def boxes_from_components(grid: LabelGrid, ids, pad_px: int) -> list[PromptBox]:
     """Tight bounding boxes of components *ids*, grown by ``pad_px`` and
-    clamped to a ``width`` x ``height`` grid."""
+    clamped to the label grid."""
     if pad_px < 0:
         raise ValueError(f"pad_px must be >= 0, got {pad_px}")
+    height, width = grid.labels.shape
     boxes = []
     for k in np.asarray(ids).tolist():
         if not 1 <= k <= len(grid):
@@ -228,23 +228,16 @@ class PromptSet:
 
 
 def tile_prompts(
-    depth: Raster,
-    grid: LabelGrid,
-    thresholds: FilterThresholds,
-    pad_px: int,
-    patch_id: str,
+    grid: LabelGrid, thresholds: FilterThresholds, pad_px: int, patch_id: str
 ) -> tuple[PromptSet, np.ndarray]:
-    """The prompts of one tile, and its kept cells: a bool grid, True on
-    the components that the *thresholds* keep.
-
-    *grid* is :func:`label_components` of *depth*.
-    """
+    """The prompts of one tile's label *grid*, and its kept cells: a bool
+    grid, True on the components that the *thresholds* keep."""
     ids = filter_components(grid, thresholds)
     keep = np.zeros(len(grid) + 1, dtype=bool)
     keep[ids] = True
     prompts = PromptSet(
         patch_id=patch_id,
-        boxes=boxes_from_components(grid, ids, pad_px, depth.width, depth.height),
+        boxes=boxes_from_components(grid, ids, pad_px),
         areas=grid.area_px[ids].tolist(),
         max_depths=grid.max_depth[ids].tolist(),
     )

@@ -34,7 +34,10 @@ leaves no partial file and keeps what an earlier run wrote there.  Every
 read of an artifact that an earlier stage wrote passes one gate,
 :func:`_upstream`: a missing or malformed artifact exits 2 and names its
 path and the stage that writes it.  :func:`cmd_run` runs the four stages
-in order and passes nothing between them.
+in order and passes nothing between them: fill, prompts and segment return
+nothing, and only eval returns its report.  The masks are bare bool
+grids; their georeference is the one ``manifest.json`` records (and
+checks) for the mosaic.
 
 Each stage maps its windows (fill: its blocks) through one worker pool,
 :func:`_pool_map`, which yields results in order as they are ready.
@@ -213,11 +216,6 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _georef(doc: dict) -> tuple[float, float, float]:
-    """The manifest's mosaic georeference."""
-    return doc["origin_x"], doc["origin_y"], doc["cellsize"]
-
-
 def _write_archive(path: Path, members) -> None:
     """Write the ``(name, array)`` pairs *members*, drawn one at a time, as
     ``np.savez_compressed`` would, but deflated at zlib level 1 with the
@@ -335,13 +333,11 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     _write_manifest(out, dem, cfg)
 
 
-def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
-    """Label, filter, and box the depressions of every patch.
-
-    Returns the kept-depression mask it wrote to ``kept_mask.npz``: each
-    tile's kept cells, folded with the configured merge rule where the
-    tile's depth is valid.
-    """
+def cmd_prompts(cfg: PipelineConfig) -> None:
+    """Label, filter, and box the depressions of every patch; write the
+    boxes to ``boxes.jsonl`` and the kept-depression mask to
+    ``kept_mask.npz``: each tile's kept cells, folded with the configured
+    merge rule where the tile's depth is valid."""
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
     doc = _read_manifest(out)
@@ -383,7 +379,7 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
                     grid = label_components(depth_tile)
                 except ValueError as exc:  # a negative depth
                     raise InputError(f"{pid}: {exc}") from exc
-            prompts[pid], kept = tile_prompts(depth_tile, grid, cfg.filter, cfg.pad_px, pid)
+            prompts[pid], kept = tile_prompts(grid, cfg.filter, cfg.pad_px, pid)
             return window, kept, depth_tile.valid_mask()
 
         prompts: dict[str, PromptSet] = {}
@@ -391,13 +387,11 @@ def cmd_prompts(cfg: PipelineConfig) -> BinaryMask:
         items = ((w, read(k, w)) for k, w in enumerate(windows))
         with closing(_pool_map(cfg.workers, work, items)) as tiles:
             kept, _ = fold_tiles(tiles, doc["height"], doc["width"], cfg.merge)
-    kept = BinaryMask(kept > 0, *_georef(doc))
     with _replacing(out / "boxes.jsonl") as tmp:
         write_prompts([prompts[patch_id(w)] for w in windows], tmp)
-    _write_archive(out / "kept_mask.npz", [("mask", kept.values)])
+    _write_archive(out / "kept_mask.npz", [("mask", kept > 0)])
     boxes = sum(len(p.boxes) for p in prompts.values())
     logger.info("wrote %d prompt boxes across %d patches", boxes, len(windows))
-    return kept
 
 
 def _build_shared_backend(cfg: PipelineConfig):
@@ -413,11 +407,11 @@ def _build_shared_backend(cfg: PipelineConfig):
     return None  # echo is built per patch from the kept mask
 
 
-def cmd_segment(cfg: PipelineConfig) -> BinaryMask:
-    """Segment every patch from its box prompts and fold the fused mask.
+def cmd_segment(cfg: PipelineConfig) -> None:
+    """Segment every patch from its box prompts, fold the patches and write
+    the cells above ``binarize_threshold`` to ``fused_mask.npz``.
 
     The echo backend paints the kept mask it reads from ``kept_mask.npz``.
-    Returns the fused mask it wrote to ``fused_mask.npz``.
     """
     validate_for(cfg, "segment")
     out = Path(cfg.out_dir)
@@ -434,7 +428,7 @@ def cmd_segment(cfg: PipelineConfig) -> BinaryMask:
     if shared_backend is None:  # echo paints the kept mask
         shape = (doc["height"], doc["width"])
         values = _read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_, shape)
-        kept = BinaryMask(values, *_georef(doc))
+        kept = BinaryMask(values)
     boxes_path = out / "boxes.jsonl"
     with _upstream(boxes_path, "prompts"):
         prompt_sets = read_prompts(boxes_path)
@@ -454,21 +448,19 @@ def cmd_segment(cfg: PipelineConfig) -> BinaryMask:
 
     tiles = _pool_map(cfg.workers, work, zip(windows, prompt_sets))
     probs, _ = fold_tiles(tiles, doc["height"], doc["width"], cfg.merge)
-    fused = BinaryMask(probs > cfg.binarize_threshold, *_georef(doc))
-    _write_archive(out / "fused_mask.npz", [("mask", fused.values)])
+    _write_archive(out / "fused_mask.npz", [("mask", probs > cfg.binarize_threshold)])
     logger.info("fused mask written to %s", out / "fused_mask.npz")
-    return fused
 
 
 def cmd_eval(cfg: PipelineConfig) -> MetricsReport:
-    """Evaluate ``fused_mask.npz``, shaped and georeferenced by the
-    manifest, against ground truth; write JSON + CSV."""
+    """Evaluate ``fused_mask.npz``, shaped by the manifest, against ground
+    truth; write JSON + CSV."""
     validate_for(cfg, "eval")
     out = Path(cfg.out_dir)
     doc = _read_manifest(out)
     shape = (doc["height"], doc["width"])
     values = _read_array(out / "fused_mask.npz", "segment", "mask", np.bool_, shape)
-    pred = BinaryMask(values, *_georef(doc))
+    pred = BinaryMask(values)
     gt = read_ascii_mask(cfg.eval_gt_mask)
     if pred.values.shape != gt.values.shape:
         raise InputError(

@@ -378,13 +378,3 @@ def invert_depth(raster: Raster) -> Raster:
     out[valid] = top - raster.values[valid]
     return raster.with_values(out)
 
-
-def binarize(raster: Raster, threshold: float) -> BinaryMask:
-    """Threshold a raster into a mask: cell = 1 iff ``value > threshold``.
-
-    Nodata cells map to 0.
-    """
-    on = raster.valid_mask() & (raster.values > threshold)
-    return BinaryMask(
-        on, origin_x=raster.origin_x, origin_y=raster.origin_y, cellsize=raster.cellsize
-    )

@@ -187,6 +187,10 @@ def stitch(
     per *merge*; for FIRST the earliest tile in iteration order wins.  A
     tile's own nodata cells contribute nothing under every rule.  Mosaic
     cells covered by no valid tile cell come out as nodata.
+
+    Raises ValueError, naming the first such cell, if a covered cell would
+    come out equal to nodata and so read as uncovered.  Only a MEAN can hit
+    the sentinel: under MAX and FIRST every covered cell holds a valid value.
     """
     first = None  # (patch, nodata, cellsize) of the first tile
     origin_x = origin_y = None
@@ -222,5 +226,8 @@ def stitch(
 
     out, covered = fold_tiles(checked(), height, width, merge)
     _, nodata, cellsize = first
+    if (hit := np.argwhere(covered & (out == nodata))).size:
+        row, col = hit[0]
+        raise ValueError(f"covered cell (row {row}, col {col}) merges to nodata {nodata}")
     out[~covered] = nodata
     return Raster(out, nodata=nodata, origin_x=origin_x, origin_y=origin_y, cellsize=cellsize)

@@ -173,7 +173,7 @@ class TestLabeling:
         assert len(grid) == 1
         assert grid.area_px[1] == 2
         assert grid.max_depth[1] == 7.25
-        assert boxes_from_components(grid, [1], 0, 3, 3) == [PromptBox(1, 1, 3, 2)]
+        assert boxes_from_components(grid, [1], 0) == [PromptBox(1, 1, 3, 2)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -281,7 +281,7 @@ def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
         for r, c in comp.pixels:
             expected_cells[r, c] = True
 
-    prompts, cells = tile_prompts(depth, label_components(depth), thresholds, pad_px, "p")
+    prompts, cells = tile_prompts(label_components(depth), thresholds, pad_px, "p")
     assert prompts == expected
     assert prompts_to_json(prompts) == prompts_to_json(expected)  # plain ints and floats
     assert cells.dtype == np.bool_
@@ -307,7 +307,7 @@ class TestFiltering:
         grid = label_components(depth_raster(depth))
         kept = filter_components(grid, FilterThresholds(2.0, 50))
         assert len(grid) == 3
-        assert boxes_from_components(grid, kept, 0, 20, 20) == [PromptBox(5, 5, 15, 10)]
+        assert boxes_from_components(grid, kept, 0) == [PromptBox(5, 5, 15, 10)]
 
     def test_zero_thresholds_keep_everything(self, rng):
         depth = np.maximum(rng.normal(size=(16, 16)), 0.0)
@@ -338,20 +338,20 @@ class TestBoxes:
         depth = np.zeros((10, 10))
         depth[3, 5] = 4.0
         grid = label_components(depth_raster(depth))
-        assert boxes_from_components(grid, [1], 0, 10, 10) == [PromptBox(5, 3, 6, 4)]
+        assert boxes_from_components(grid, [1], 0) == [PromptBox(5, 3, 6, 4)]
 
     def test_padding_with_clamp_at_origin(self):
         depth = np.zeros((8, 12))
         depth[2:5, 1:8] = 3.0
         grid = label_components(depth_raster(depth))
-        (box,) = boxes_from_components(grid, [1], 2, 12, 8)
+        (box,) = boxes_from_components(grid, [1], 2)
         assert box == PromptBox(0, 0, 10, 7)
 
     def test_padding_clamped_at_far_edges(self):
         depth = np.zeros((6, 6))
         depth[4:6, 4:6] = 1.0
         grid = label_components(depth_raster(depth))
-        (box,) = boxes_from_components(grid, [1], 3, 6, 6)
+        (box,) = boxes_from_components(grid, [1], 3)
         assert box == PromptBox(1, 1, 6, 6)
 
     def test_boxes_contain_their_pixels(self, rng):
@@ -360,7 +360,7 @@ class TestBoxes:
             grid = label_components(depth_raster(depth))
             pad = int(rng.integers(0, 4))
             ids = filter_components(grid, FilterThresholds(0.0, 0))
-            boxes = boxes_from_components(grid, ids, pad, 20, 20)
+            boxes = boxes_from_components(grid, ids, pad)
             assert len(boxes) == len(grid)
             for comp, box in zip(pixel_sets(grid), boxes):
                 assert all(box.contains(r, c) for r, c in comp.pixels)
@@ -368,13 +368,13 @@ class TestBoxes:
     def test_negative_pad_rejected(self):
         grid = label_components(depth_raster(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="pad_px"):
-            boxes_from_components(grid, [], -1, 2, 2)
+            boxes_from_components(grid, [], -1)
 
     @pytest.mark.parametrize("bad_id", [0, -1, 2])
     def test_unknown_id_rejected(self, bad_id):
         grid = label_components(depth_raster([[1.0, 0.0]]))
         with pytest.raises(ValueError, match=f"component id {bad_id} not in 1..1"):
-            boxes_from_components(grid, [bad_id], 0, 2, 1)
+            boxes_from_components(grid, [bad_id], 0)
 
 
 class TestPromptsJson:

@@ -388,7 +388,7 @@ class TestPromptsStage:
         assert len(prompt_sets) == 9 and all(p.boxes == [] for p in prompt_sets)
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_each_filtered_tile_is_folded_as_it_is_made(
+    def test_each_kept_tile_is_folded_as_it_is_made(
         self, scene_dir, tmp_path, monkeypatch, mode
     ):
         made, held = [], []
@@ -416,9 +416,9 @@ class TestPromptsStage:
         assert kept[gt.values].mean() > 0.9
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_kept_mask_archive_is_the_returned_mask(self, scene_dir, tmp_path, monkeypatch, mode):
-        """``kept_mask.npz`` holds the returned mask: under every merge rule,
-        the cells > 0 of the folded kept tiles, none where no depth is valid."""
+    def test_kept_mask_archive_is_the_folded_mask(self, scene_dir, tmp_path, monkeypatch, mode):
+        """``kept_mask.npz`` holds, under every merge rule, the cells > 0 of
+        the folded kept tiles, none where no depth is valid."""
         values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
         values[5:9, 70:80] = -32768.0
         dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
@@ -435,17 +435,15 @@ class TestPromptsStage:
         cfg = replace(make_cfg(scene_dir, out, fill_mode=mode), depth_raster=tmp_path / "dem.asc")
         cmd_fill(cfg)
         for merge in MergeRule:
-            kept = cmd_prompts(replace(cfg, merge=merge))
+            cmd_prompts(replace(cfg, merge=merge))
             grid, covered = folded.pop()
             assert (~covered).sum() == 40
             expected = grid > 0
-            assert expected.any() and np.array_equal(kept.values, expected)
-            assert not kept.values[~covered].any()
-            assert np.array_equal(load_mask(out), kept.values)
-            assert kept.geotransform == dem.geotransform
+            assert expected.any() and np.array_equal(load_mask(out), expected)
+            assert not expected[~covered].any()
             got = pipeline._read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_,
                                        (128, 128))
-            assert np.array_equal(got, kept.values)
+            assert np.array_equal(got, expected)
 
     def test_mean_depth_equal_to_nodata_stays_kept(self, tmp_path):
         """Under mean, a cell kept in the windows that hold it stays kept
@@ -460,7 +458,7 @@ class TestPromptsStage:
         depths = [np.full((4, 4), 0.5), np.full((4, 4), 1.5)]
         pipeline._write_archive(out / "depth.npz",
                                 [(patch_id(w), d) for w, d in zip(windows, depths, strict=True)])
-        assert cmd_prompts(cfg).values.all()
+        cmd_prompts(cfg)
         assert load_mask(out).all()
 
 
@@ -499,6 +497,30 @@ class TestSegmentAndEval:
     def test_mosaic_fill_mode_end_to_end(self, scene_dir, tmp_path):
         cfg, report = self.run_all(scene_dir, tmp_path / "out", fill_mode="mosaic")
         assert report.iou > 0.9
+
+    @pytest.mark.parametrize("threshold, kept", [(128 / 255, False), (0.5, True)],
+                             ids=["equal", "below"])
+    def test_fused_mask_is_strictly_above_the_threshold(self, tmp_path, threshold, kept):
+        """The mock paints every prompted patch 128/255: segment keeps those
+        cells only under a threshold strictly below that probability."""
+        export_scene(gen_terrain(seed=3, width=64, height=64, n_sinkholes=1,
+                                 radius_range=(6.0, 8.0)), tmp_path / "scene")
+        out = tmp_path / "out"
+        with MockSegmentServer(mode="constant", value=128) as server:
+            cfg = make_cfg(tmp_path / "scene", out, tile=TileSpec(32, 16), merge=MergeRule.MAX,
+                           backend_kind="http", backend_endpoint=server.endpoint,
+                           binarize_threshold=threshold)
+            cmd_fill(cfg)
+            cmd_prompts(cfg)
+            cmd_segment(cfg)
+        prompted = np.zeros((64, 64), dtype=bool)
+        windows = manifest_windows(out)
+        for prompts in load_boxes(out):
+            if prompts.boxes:
+                w = windows[prompts.patch_id]
+                prompted[w.row0 : w.row0 + w.patch, w.col0 : w.col0 + w.patch] = True
+        assert prompted.any()
+        assert np.array_equal(load_mask(out, "fused_mask"), prompted & kept)
 
     @pytest.mark.parametrize("merge", [MergeRule.MAX, MergeRule.MEAN])
     def test_dem_nodata_does_not_mask_probabilities(self, scene_dir, tmp_path, merge):
@@ -556,7 +578,7 @@ class TestSegmentAndEval:
         assert np.array_equal(load_mask(tmp_path / "out", "fused_mask"), expected)
 
     @pytest.mark.parametrize("kind", ["http", "replay"])
-    def test_only_echo_reads_the_filtered_depth(self, scene_dir, tmp_path, kind):
+    def test_only_echo_reads_the_kept_mask(self, scene_dir, tmp_path, kind):
         """No backend but echo opens the kept mask of the filtered depressions."""
         out = tmp_path / "out"
         server = None
@@ -649,20 +671,20 @@ class TestArtifacts:
 
     def test_readme_ascii_export_writes_the_fused_mask(self, scene_dir, tmp_path, monkeypatch):
         """The README's snippet turns ``fused_mask.npz`` and the manifest into
-        the ESRI ASCII grid of the fused mask, georeference included."""
+        the ESRI ASCII grid of the fused mask, with the scene DEM's georeference."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
         (snippet,) = [block for block in blocks if "fused_mask.npz" in block]
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
         cmd_prompts(cfg)
-        fused = cmd_segment(cfg)
+        cmd_segment(cfg)
         monkeypatch.chdir(tmp_path)
         exec(snippet, {})
         exported = read_ascii_mask(tmp_path / "fused_mask.asc")
         assert exported.count() > 0
-        assert np.array_equal(exported.values, fused.values)
-        assert exported.geotransform == fused.geotransform
+        assert np.array_equal(exported.values, load_mask(tmp_path / "out", "fused_mask"))
+        assert exported.geotransform == read_ascii_grid(scene_dir / "dem.asc").geotransform
 
 
 class TestDeterminism:

@@ -14,7 +14,6 @@ from sinkseg.errors import GridFormatError
 from sinkseg.raster import (
     BinaryMask,
     Raster,
-    binarize,
     invert_depth,
     read_ascii_grid,
     read_ascii_mask,
@@ -492,12 +491,3 @@ class TestInvertDepth:
         twice = invert_depth(invert_depth(r))
         assert np.allclose(twice.values, values - values.min())
 
-
-class TestBinarize:
-    def test_strictly_greater_than_threshold(self):
-        r = Raster(np.array([[0.4, 0.5, 0.6]]))
-        assert binarize(r, 0.5).values.tolist() == [[False, False, True]]
-
-    def test_nodata_maps_to_zero(self):
-        r = Raster(np.array([[-9999.0, 1.0]]))
-        assert binarize(r, 0.5).values.tolist() == [[False, True]]

@@ -23,7 +23,7 @@ from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
 from sinkseg.image import RGBImage, pgm_bytes, ppm_bytes, write_pgm
 from sinkseg.labeling import PromptBox
 from sinkseg.mock_server import MockSegmentServer
-from sinkseg.raster import BinaryMask, Raster, binarize
+from sinkseg.raster import BinaryMask
 from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
@@ -219,7 +219,6 @@ class TestSegmentPatch:
         backend = StubBackend([(0, 0, mask)])
         probs = segment_patch(backend, gray_patch(2, 2), [PromptBox(0, 0, 2, 2)])
         assert np.array_equal(probs, mask)
-        assert not binarize(Raster(probs), 0.5).values.any()
 
     def test_box_exceeding_patch_rejected(self):
         with pytest.raises(ValueError, match="exceeds patch"):

@@ -195,6 +195,16 @@ class TestStitch:
         )
         assert np.array_equal(out.values, np.array([[1.0, 1.5, 2.0], [1.0, 1.5, 2.0]]))
 
+    def test_mean_equal_to_nodata_is_refused(self):
+        """A covered cell whose mean is the nodata value would read as
+        uncovered; the first such cell is named instead."""
+        windows = plan_tiles(6, 4, TileSpec(patch=4, stride=2))  # columns 0-3 and 2-5
+        tiles = [(w, Raster(np.full((4, 4), v), nodata=1.0)) for w, v in zip(windows, [0.5, 1.5])]
+        with pytest.raises(ValueError, match=r"cell \(row 0, col 2\) merges to nodata 1.0"):
+            stitch(tiles, 6, 4, merge=MergeRule.MEAN)
+        for merge in (MergeRule.MAX, MergeRule.FIRST):
+            assert (stitch(tiles, 6, 4, merge).values != 1.0).all()
+
     def test_first_keeps_earliest_tile(self):
         win = TileWindow(0, 0, 2)
         first = Raster(np.full((2, 2), 5.0))
