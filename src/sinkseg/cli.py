@@ -25,7 +25,7 @@ from .config import check_out_dir, load_config
 from .errors import InputError, SinksegError
 from .metrics import report_to_json
 from .pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
-from .synth import export_scene, gen_terrain
+from .synth import DEFAULT_SLOPE, export_scene, gen_terrain
 
 logger = logging.getLogger("sinkseg")
 
@@ -77,16 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--depth-range", type=_parse_range, default=(3.0, 8.0))
     synth.add_argument("--radius-range", type=_parse_range, default=(8.0, 24.0))
     synth.add_argument("--noise-amp", type=float, default=0.0)
-    synth.add_argument("--slope", type=float, default=None)
+    synth.add_argument("--slope", type=float, default=DEFAULT_SLOPE)
     return parser
 
 
 def _run_command(args: argparse.Namespace) -> int:
     if args.command == "synth":
         check_out_dir(args.out_dir, "--out-dir")
-        kwargs = {}
-        if args.slope is not None:
-            kwargs["slope"] = args.slope
         try:
             scene = gen_terrain(
                 args.seed,
@@ -96,7 +93,7 @@ def _run_command(args: argparse.Namespace) -> int:
                 depth_range=args.depth_range,
                 radius_range=args.radius_range,
                 noise_amp=args.noise_amp,
-                **kwargs,
+                slope=args.slope,
             )
         except ValueError as exc:  # an argument out of range
             raise InputError(str(exc)) from exc
@@ -130,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _run_command(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, PermissionError) as exc:
         logger.error("%s", exc)
         return 2
     except SinksegError as exc:

@@ -252,20 +252,12 @@ def validate_for(cfg: PipelineConfig, command: str) -> None:
     Raises :class:`ConfigError` on the first missing key, absent path or
     path of the wrong kind.
     """
-    needs = {
-        "fill": ("inputs_fill",),
-        "prompts": ("out",),
-        "segment": ("out", "inputs_segment"),
-        "eval": ("out", "inputs_eval"),
-        "run": ("inputs_fill", "inputs_segment", "inputs_eval"),
-    }
-    if command not in needs:
+    if command not in ("fill", "prompts", "segment", "eval", "run"):
         raise ValueError(f"unknown command {command!r}")
-    checks = needs[command]
     check_out_dir(_require(cfg, "out_dir", "out_dir"), "config key 'out_dir'")
-    if "inputs_fill" in checks:
+    if command in ("fill", "run"):
         _require_file(cfg, "depth_raster", "depth_raster")
-    if "inputs_segment" in checks:
+    if command in ("segment", "run"):
         _require_file(cfg, "rgb_mosaic", "rgb_mosaic")
         if cfg.backend_kind == "http":
             if not cfg.backend_endpoint:
@@ -281,7 +273,7 @@ def validate_for(cfg: PipelineConfig, command: str) -> None:
                 raise ConfigError(
                     f"backend.replay_dir does not exist: {cfg.backend_replay_dir}"
                 )
-    if "inputs_eval" in checks:
+    if command in ("eval", "run"):
         _require_file(cfg, "eval_gt_mask", "eval.gt_mask")
         if cfg.eval_ignore_mask is not None:
             _require_file(cfg, "eval_ignore_mask", "eval.ignore_mask")

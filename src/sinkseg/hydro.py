@@ -435,16 +435,13 @@ def _check_outlet(valid: np.ndarray) -> None:
         )
 
 
-def fill_depressions(dem: Raster, map_blocks=map) -> FilledResult:
+def fill_depressions(dem: Raster) -> FilledResult:
     """Fill every closed depression of *dem* to its spill level.
 
     Parameters
     ----------
     dem : Raster
         Elevation grid; nodata cells act as outlets for their neighbours.
-    map_blocks : callable
-        ``map``-like: applied to a function and the list of blocks, it
-        yields the filled blocks in order.  A thread pool may run them.
 
     Returns
     -------
@@ -459,7 +456,7 @@ def fill_depressions(dem: Raster, map_blocks=map) -> FilledResult:
     """
     valid = dem.valid_mask()
     _check_outlet(valid)
-    (grid,) = _grids(dem, valid, [(0, 0, dem.height, dem.width)], map_blocks)
+    (grid,) = _grids(dem, valid, [(0, 0, dem.height, dem.width)], map)
     level = _join(grid)
     raised = level > dem.values
     filled = dem.values.copy()
@@ -476,7 +473,9 @@ def region_depths(dem: Raster, regions: Sequence, map_blocks=map) -> Iterator[np
     tiling window or the whole raster; *regions* come in row-major order
     (``top`` never falls).  Each block is filled once and joined into every
     region that holds it.  A region that is all nodata gets an all-nodata
-    depth.  *map_blocks* is as for :func:`fill_depressions`.
+    depth.  *map_blocks* is ``map``-like: applied to a function and the
+    list of blocks, it yields the filled blocks in order, so a thread pool
+    may run them.
 
     Raises
     ------

@@ -135,5 +135,5 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return _read_pnm(path, gray_from_pgm_bytes)
 
 
-def write_pgm(values: np.ndarray, path: str | Path, maxval: int = 255) -> None:
-    Path(path).write_bytes(pgm_bytes(values, maxval))
+def write_pgm(values: np.ndarray, path: str | Path) -> None:
+    Path(path).write_bytes(pgm_bytes(values))

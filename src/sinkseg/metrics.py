@@ -234,20 +234,21 @@ def _check_loss_inputs(probs: np.ndarray, gt: BinaryMask) -> np.ndarray:
     return gt.values.astype(np.float64)
 
 
-def bce_loss(probs, gt: BinaryMask, eps: float = BCE_EPS) -> float:
-    """Mean binary cross-entropy; probabilities clamped to [eps, 1-eps]."""
+def bce_loss(probs, gt: BinaryMask) -> float:
+    """Mean binary cross-entropy; probabilities clamped to
+    ``[BCE_EPS, 1 - BCE_EPS]``."""
     p = np.asarray(probs, dtype=np.float64)
     y = _check_loss_inputs(p, gt)
-    p = np.clip(p, eps, 1.0 - eps)
+    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def dice_loss(probs, gt: BinaryMask, smooth: float = DICE_SMOOTH) -> float:
-    """Soft Dice loss: ``1 - (2·Σp·y + s) / (Σp + Σy + s)``."""
+def dice_loss(probs, gt: BinaryMask) -> float:
+    """Soft Dice loss: ``1 - (2·Σp·y + s) / (Σp + Σy + s)`` with ``s = DICE_SMOOTH``."""
     p = np.asarray(probs, dtype=np.float64)
     y = _check_loss_inputs(p, gt)
     inter = float((p * y).sum())
-    return 1.0 - (2.0 * inter + smooth) / (float(p.sum()) + float(y.sum()) + smooth)
+    return 1.0 - (2.0 * inter + DICE_SMOOTH) / (float(p.sum()) + float(y.sum()) + DICE_SMOOTH)
 
 
 def combined_loss(probs, gt: BinaryMask) -> LossValue:

@@ -14,8 +14,9 @@ bytes, regardless of worker pool size):
 ``prompts``
     ``boxes.jsonl``, one line per window in plan order (possibly with no
     boxes), and ``kept_mask.npz`` — each window's kept depression cells,
-    folded into a mosaic with the configured merge rule over the cells
-    where the window's depth is valid, kept as the one bool member
+    folded into a mosaic with the configured merge rule over every cell of
+    the window (a kept cell is a positive, valid depth, so the depth's
+    nodata need not be consulted), kept as the one bool member
     ``mask.npy``.
 ``segment``
     ``fused_mask.npz`` — per-box masks fused once per patch (pixelwise max),
@@ -337,7 +338,7 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
     """Label, filter, and box the depressions of every patch; write the
     boxes to ``boxes.jsonl`` and the kept-depression mask to
     ``kept_mask.npz``: each tile's kept cells, folded with the configured
-    merge rule where the tile's depth is valid."""
+    merge rule over every cell of the tile, as segment folds its tiles."""
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
     doc = _read_manifest(out)
@@ -380,7 +381,7 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
                 except ValueError as exc:  # a negative depth
                     raise InputError(f"{pid}: {exc}") from exc
             prompts[pid], kept = tile_prompts(grid, cfg.filter, cfg.pad_px, pid)
-            return window, kept, depth_tile.valid_mask()
+            return window, kept, None  # a kept cell is a valid depth, whatever the nodata
 
         prompts: dict[str, PromptSet] = {}
         # the pool draws its items, so the archive's reads, on this thread

@@ -155,7 +155,8 @@ def fold_tiles(
                 cnt = np.zeros((height, width), dtype=np.int64)
         sl = (slice(window.row0, window.row0 + window.patch),
               slice(window.col0, window.col0 + window.patch))
-        valid = np.True_ if valid is None else valid
+        if valid is None:  # an array: numpy's bool ops with a scalar are several times slower
+            valid = np.ones(values.shape, dtype=bool)
         if merge is MergeRule.MEAN:
             grid[sl] += np.where(valid, values, 0)
             cnt[sl] += valid

@@ -50,8 +50,8 @@ def tree_digests(root: Path) -> dict[str, str]:
 
 
 def canned(status, body, seen=None):
-    """A handler answering every POST with *status* and JSON *body*; request
-    documents are appended to *seen*."""
+    """A handler answering every POST with *status* and JSON *body* (bytes
+    are sent as they are); request documents are appended to *seen*."""
 
     class Canned(BaseHTTPRequestHandler):
         def log_message(self, format, *args):  # noqa: A002
@@ -61,7 +61,7 @@ def canned(status, body, seen=None):
             doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             if seen is not None:
                 seen.append(doc)
-            data = json.dumps(body).encode("ascii")
+            data = body if isinstance(body, bytes) else json.dumps(body).encode("ascii")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))

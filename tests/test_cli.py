@@ -13,7 +13,7 @@ import pytest
 
 from conftest import canned, serving
 from sinkseg.cli import main
-from sinkseg.raster import Raster, read_ascii_grid, write_ascii_grid
+from sinkseg.raster import BinaryMask, Raster, read_ascii_grid, write_ascii_grid, write_ascii_mask
 from sinkseg.synth import export_scene, gen_terrain
 
 
@@ -112,6 +112,16 @@ def raw_member(path):
     """An archive whose first member, stored without ``.npy``, holds bytes
     that are not an ``.npy`` array."""
     rewrite_first(lambda archive, name, data: archive.writestr(name, b"not an npy member"))(path)
+
+
+def npy_version_2(path):
+    """An archive whose first member holds its array as a version 2.0 ``.npy``."""
+
+    def write(archive, name, data):
+        with archive.open(f"{name}.npy", "w") as member:
+            np.lib.format.write_array(member, np.load(io.BytesIO(data)), version=(2, 0))
+
+    rewrite_first(write)(path)
 
 
 def raw_header(text):
@@ -388,9 +398,13 @@ class TestExitCodes:
             (manifest_text(patch=0), "patch must be >= 1"),
             (manifest_text(fill_mode="bogus"), "fill_mode must be one of"),
             (manifest_text(cellsize=None), "cellsize must be a finite number"),
+            (manifest_text(cellsize=0.0), "cellsize must be > 0, got 0.0"),
+            (manifest_text(invert_depth="yes"), "invert_depth must be true or false, got 'yes'"),
+            (manifest_text(nodata=10**400), "nodata must be a finite number"),
         ],
         ids=["truncated", "not-an-object", "missing-keys", "string-width",
-             "zero-patch", "unknown-fill-mode", "null-cellsize"],
+             "zero-patch", "unknown-fill-mode", "null-cellsize", "zero-cellsize",
+             "string-invert-depth", "int-too-large-for-a-float"],
     )
     def test_malformed_manifest_is_a_usage_error(self, tmp_path, capsys, text, message):
         out = tmp_path / "out"
@@ -547,16 +561,19 @@ class TestExitCodes:
              " (method 99, flags 0x0) — rerun the segment stage"),
             # too deep for the parser: a RecursionError on Python 3.11
             ("patch", "eval", "fused_mask.npz", raw_header("1+" * 4990 + "1"), "member mask"),
+            ("mosaic", "prompts", "depth.npz", npy_version_2,
+             "depth.npz: member depth is not a version 1.0 .npy array — rerun the fill stage"),
         ],
         ids=["negative-depth", "nan-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
-             "raw-member-depth", "python2-header-depth", "short-filtered-depth",
-             "huge-header-filtered-depth", "encrypted-kept-mask", "uint8-kept-mask",
+             "raw-member-depth", "python2-header-depth", "short-kept-mask",
+             "huge-header-kept-mask", "encrypted-kept-mask", "uint8-kept-mask",
              "depth-member-kept-mask",
              "box-outside-patch", "string-area", "bool-coordinate", "swapped-boxes",
              "missing-boxes", "extra-boxes", "uint8-fused-mask", "depth-member-fused-mask",
-             "short-fused-mask", "huge-header-fused-mask", "aes-fused-mask", "deep-header"],
+             "short-fused-mask", "huge-header-fused-mask", "aes-fused-mask", "deep-header",
+             "npy-version-2-depth"],
     )
     def test_malformed_stage_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, fill_mode, stage, artifact, corrupt, message
@@ -587,7 +604,7 @@ class TestExitCodes:
             ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.npz", "eval", "segment"),
         ],
-        ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
+        ids=["manifest", "depth", "boxes", "kept-mask", "fused-mask"],
     )
     @pytest.mark.parametrize("damage", ["deleted", "truncated"])
     def test_upstream_artifact_gate(
@@ -623,7 +640,7 @@ class TestExitCodes:
             ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.npz", "eval", "segment"),
         ],
-        ids=["manifest", "depth", "boxes", "filtered-depth", "fused-mask"],
+        ids=["manifest", "depth", "boxes", "kept-mask", "fused-mask"],
     )
     def test_directory_in_place_of_an_artifact_is_a_usage_error(
         self, scene_dir, tmp_path, capsys, artifact, reader, writer
@@ -729,6 +746,65 @@ class TestExitCodes:
         assert "no drainage outlet" in err
         assert "internal error" not in err
         assert list(out.rglob("*.npz")) == [] and not (out / "manifest.json").exists()
+
+    def test_inverting_an_all_nodata_dem_is_a_usage_error(self, tmp_path, capsys):
+        write_ascii_grid(Raster(np.full((64, 64), -9999.0)), tmp_path / "void.asc")
+        out = tmp_path / "out"
+        code = main(["fill",
+                     "--set", f"depth_raster={tmp_path / 'void.asc'}",
+                     "--set", f"out_dir={out}",
+                     "--set", "invert_depth=true",
+                     "--set", "tile.patch=32", "--set", "tile.stride=16"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "invert_depth: all cells are nodata" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+    def test_ignore_mask_of_another_shape_is_a_usage_error(self, scene_dir, tmp_path, capsys):
+        write_ascii_mask(BinaryMask(np.zeros((96, 95), dtype=bool)), tmp_path / "ignore.asc")
+        out = tmp_path / "out"
+        ignore = f"eval.ignore_mask={tmp_path / 'ignore.asc'}"
+        code = main(run_args(scene_dir, out, "--set", ignore))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ignore mask dimensions do not match ground truth" in err
+        assert "internal error" not in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("key", ["depth_raster", "rgb_mosaic", "eval.gt_mask",
+                                     "eval.ignore_mask", "out_dir"])
+    def test_input_the_process_cannot_read_is_a_usage_error(
+        self, scene_dir, tmp_path, capsys, monkeypatch, key
+    ):
+        """An input (or the out_dir) that ``open`` refuses with a
+        PermissionError exits 2 naming its path.  The tests may run as root,
+        which chmod does not stop, so ``open`` is patched."""
+        import builtins
+        import errno
+
+        out = tmp_path / "out"
+        out.mkdir()
+        ignore = tmp_path / "ignore.asc"
+        write_ascii_mask(BinaryMask(np.zeros((96, 96), dtype=bool)), ignore)
+        paths = {"depth_raster": scene_dir / "dem.asc", "rgb_mosaic": scene_dir / "rgb.ppm",
+                 "eval.gt_mask": scene_dir / "gt_mask.asc", "eval.ignore_mask": ignore,
+                 "out_dir": out}
+        refused = str(paths[key])
+        real_open = io.open
+
+        def refusing(file, *args, **kwargs):
+            if str(file).startswith(refused):
+                raise PermissionError(errno.EACCES, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing)
+        monkeypatch.setattr(io, "open", refusing)
+        code = main(run_args(scene_dir, out, "--set", f"eval.ignore_mask={ignore}"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"Permission denied: '{refused}" in err
+        assert "internal error" not in err
 
     def test_unreachable_backend_is_an_operational_error(self, scene_dir, tmp_path, capsys):
         import socket

@@ -408,8 +408,10 @@ class TestPromptsJson:
             ('{"patch_id": "p", "boxes": []}\n\n{"patch_id": "q", "boxes": []}\n',
              "line 2: prompts file is not valid JSON"),
             ('{"patch_id": "p", "boxes": [[1, 2, 3]]}\n', "line 1: box 0 must be"),
+            ('{"patch_id": "p", "boxes": "x"}\n', "line 1: 'boxes' must be a list"),
+            ('{"patch_id": "p", "boxes": [], "areas": 3}\n', "line 1: 'areas' must be a list"),
         ],
-        ids=["bad-json", "blank-line", "bad-box"],
+        ids=["bad-json", "blank-line", "bad-box", "boxes-not-a-list", "areas-not-a-list"],
     )
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "boxes.jsonl"

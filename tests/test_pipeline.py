@@ -22,7 +22,7 @@ from sinkseg.errors import InputError
 from sinkseg.hydro import fill_depressions
 from sinkseg.image import RGBImage, write_ppm, write_pgm
 from sinkseg.labeling import FilterThresholds, label_components, read_prompts, tile_prompts
-from sinkseg.metrics import report_to_json
+from sinkseg.metrics import evaluate_masks, report_to_json
 from sinkseg.mock_server import MockSegmentServer
 from sinkseg import hydro, pipeline
 from sinkseg.pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
@@ -172,7 +172,7 @@ class TestFillStage:
         assert stored_bytes(written, "r00000_c00000.npy") == stored_bytes(void, "depth.npy")
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_depth_archive_rebuilds_georeference_and_nodata(
+    def test_depth_archive_holds_the_values_and_nodata(
         self, scene_dir, tmp_path, monkeypatch, mode
     ):
         """Prompts labels each window's depth with the values fill computed
@@ -436,11 +436,10 @@ class TestPromptsStage:
         cmd_fill(cfg)
         for merge in MergeRule:
             cmd_prompts(replace(cfg, merge=merge))
-            grid, covered = folded.pop()
-            assert (~covered).sum() == 40
+            grid, _ = folded.pop()
             expected = grid > 0
             assert expected.any() and np.array_equal(load_mask(out), expected)
-            assert not expected[~covered].any()
+            assert not load_mask(out)[5:9, 70:80].any()  # the 40 DEM-nodata cells
             got = pipeline._read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_,
                                        (128, 128))
             assert np.array_equal(got, expected)
@@ -460,6 +459,23 @@ class TestPromptsStage:
                                 [(patch_id(w), d) for w, d in zip(windows, depths, strict=True)])
         cmd_prompts(cfg)
         assert load_mask(out).all()
+
+    def test_first_window_decides_where_its_depth_equals_nodata(self, tmp_path):
+        """Under first, the first window decides a cell even where its depth
+        equals the DEM's nodata, 0.0 here: a zero depth is not kept, and the
+        DEM's nodata does not hand the cell to a later window."""
+        out = tmp_path / "out"
+        cfg = PipelineConfig(out_dir=out, tile=TileSpec(patch=4, stride=2), merge=MergeRule.FIRST,
+                             filter=FilterThresholds(min_depth=0.0, min_area_px=0))
+        out.mkdir()
+        pipeline._write_manifest(out, Raster(np.zeros((4, 6)), nodata=0.0), cfg)
+        windows = plan_tiles(6, 4, cfg.tile)  # columns 0-3 and 2-5
+        depths = [np.full((4, 4), 0.0), np.full((4, 4), 1.0)]
+        pipeline._write_archive(out / "depth.npz",
+                                [(patch_id(w), d) for w, d in zip(windows, depths, strict=True)])
+        cmd_prompts(cfg)
+        kept = load_mask(out)
+        assert not kept[:, :4].any() and kept[:, 4:].all()
 
 
 class TestSegmentAndEval:
@@ -485,6 +501,19 @@ class TestSegmentAndEval:
         assert (tmp_path / "out" / "report.json").read_text() == report_to_json(report)
         csv_text = (tmp_path / "out" / "report.csv").read_text()
         assert csv_text.startswith("label,f1,iou,precision,recall,accuracy\nrun,")
+
+    def test_ignore_mask_is_left_out_of_the_pixel_counts(self, scene_dir, tmp_path):
+        gt = read_ascii_mask(scene_dir / "gt_mask.asc")
+        ignore = np.zeros(gt.values.shape, dtype=bool)
+        ignore[:, :64] = True  # the left half, through at least one pit
+        assert gt.values[ignore].any()
+        write_ascii_mask(BinaryMask(ignore), tmp_path / "ignore.asc")
+        cfg, report = self.run_all(scene_dir, tmp_path / "out",
+                                   eval_ignore_mask=tmp_path / "ignore.asc")
+        pred = BinaryMask(load_mask(tmp_path / "out", "fused_mask"))
+        assert report == evaluate_masks(pred, gt, ignore=BinaryMask(ignore),
+                                        thresholds=cfg.eval_thresholds)
+        assert report.pixel_confusion.total == 128 * 64
 
     def test_zero_boxes_yield_empty_mask_and_zero_recall(self, scene_dir, tmp_path):
         cfg, report = self.run_all(
