@@ -59,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
-        ("fill", "fill depressions, write depth rasters"),
+        ("fill", "fill depressions, write the depth archive and the manifest"),
         ("prompts", "label depressions and write per-patch box prompts"),
-        ("segment", "run the segmentation backend and stitch the fused mask"),
+        ("segment", "run the segmentation backend and fold the fused mask"),
         ("eval", "score the fused mask against ground truth"),
         ("run", "all four stages in sequence"),
     ):

@@ -112,14 +112,16 @@ class FilledResult:
     Attributes
     ----------
     filled : Raster
-        The depression-free surface (>= the input everywhere).
-    depth : Raster
-        ``filled - input``; zero outside depressions, nodata where the
-        input is nodata.
+        The depression-free surface (>= the input everywhere), with the
+        input's georeference and nodata.
+    depth : numpy.ndarray
+        ``filled - input`` as a bare float64 array: zero outside
+        depressions, and zero on nodata cells, which are outlets and never
+        part of a depression.
     """
 
     filled: Raster
-    depth: Raster
+    depth: np.ndarray
 
 
 def _outlet_mask(valid: np.ndarray) -> np.ndarray:
@@ -461,9 +463,8 @@ def fill_depressions(dem: Raster) -> FilledResult:
     raised = level > dem.values
     filled = dem.values.copy()
     filled[raised] = level[raised] + 0.0  # a raised zero is +0.0
-    del level, raised  # free the region image before Raster copies the two results
-    depth = np.where(valid, filled - dem.values, np.float64(dem.nodata))
-    return FilledResult(filled=dem.with_values(filled), depth=dem.with_values(depth))
+    del level, raised  # free the region image before Raster copies the filled surface
+    return FilledResult(filled=dem.with_values(filled), depth=filled - dem.values)
 
 
 def region_depths(dem: Raster, regions: Sequence, map_blocks=map) -> Iterator[np.ndarray]:
@@ -472,10 +473,10 @@ def region_depths(dem: Raster, regions: Sequence, map_blocks=map) -> Iterator[np
     A region is a ``(top, left, height, width)`` cut of *dem*, such as a
     tiling window or the whole raster; *regions* come in row-major order
     (``top`` never falls).  Each block is filled once and joined into every
-    region that holds it.  A region that is all nodata gets an all-nodata
-    depth.  *map_blocks* is ``map``-like: applied to a function and the
-    list of blocks, it yields the filled blocks in order, so a thread pool
-    may run them.
+    region that holds it.  A nodata cell's depth is 0.0, so a region that
+    is all nodata gets an all-zero depth.  *map_blocks* is ``map``-like:
+    applied to a function and the list of blocks, it yields the filled
+    blocks in order, so a thread pool may run them.
 
     Raises
     ------
@@ -485,16 +486,16 @@ def region_depths(dem: Raster, regions: Sequence, map_blocks=map) -> Iterator[np
     valid = dem.valid_mask()
     _check_outlet(valid)
     grids = _grids(dem, valid, regions, map_blocks)
-    return (_region_depth(dem, valid, region, next(grids)) for region in regions)
+    return (_region_depth(dem, region, next(grids)) for region in regions)
 
 
-def _region_depth(dem: Raster, valid: np.ndarray, region, grid) -> np.ndarray:
-    """The depth of *region*, joined from *grid*, the rows of its blocks."""
+def _region_depth(dem: Raster, region, grid) -> np.ndarray:
+    """The depth of *region*, joined from *grid*, the rows of its blocks:
+    0.0 on every cell that is not raised, nodata cells included."""
     top, left, height, width = region
-    cut = np.s_[top : top + height, left : left + width]
-    values = dem.values[cut]
+    values = dem.values[top : top + height, left : left + width]
     level = _join(grid)
     raised = level > values
-    depth = np.where(valid[cut], 0.0, np.float64(dem.nodata))
+    depth = np.zeros(values.shape)
     depth[raised] = level[raised] - values[raised]
     return depth

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .raster import BinaryMask, Raster
+from .raster import BinaryMask
 
 
 class PromptFormatError(InputError):
@@ -170,21 +170,24 @@ def _labelled(positive: np.ndarray, values: np.ndarray) -> LabelGrid:
     )
 
 
-def label_components(depth: Raster) -> LabelGrid:
-    """Label 8-connected regions of strictly positive depth.
+def label_components(depth: np.ndarray) -> LabelGrid:
+    """Label 8-connected regions of strictly positive *depth*, a 2-D float
+    array as :func:`~sinkseg.hydro.fill_depressions` gives it.
 
-    Nodata and zero-depth cells are background.  Components are numbered
-    in scan order (row-major) of their first pixel.
+    Zero-depth cells are background; the fill writes 0.0 on nodata cells
+    too.  Components are numbered in scan order (row-major) of their first
+    pixel.
 
     Raises
     ------
     ValueError
-        If any valid cell carries a negative depth.
+        If any cell carries a non-finite or a negative depth.
     """
-    valid = depth.valid_mask()
-    if bool((depth.values[valid] < 0).any()):
+    if not np.isfinite(depth).all():
+        raise ValueError("depth raster contains non-finite values")
+    if (depth < 0).any():
         raise ValueError("depth raster contains negative values")
-    return _labelled(valid & (depth.values > 0), depth.values)
+    return _labelled(depth > 0, depth)
 
 
 def components_from_mask(mask: BinaryMask) -> LabelGrid:

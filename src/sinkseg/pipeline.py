@@ -7,17 +7,17 @@ bytes, regardless of worker pool size):
     ``depth.npz``: one float64 member ``<patch id>.npy`` per window in plan
     order, each window filled as if it were the whole raster (patch mode),
     or the one member ``depth.npy`` (mosaic mode); plus ``manifest.json``,
-    the mosaic and tiling from which every later stage plans its windows.
-    Both modes are one :func:`~sinkseg.hydro.region_depths` call: each
-    block is filled once, in the worker pool, and joined into every region
-    that holds it.
+    the mosaic's extent and georeference and the tiling from which every
+    later stage plans its windows.  Both modes are one
+    :func:`~sinkseg.hydro.region_depths` call: each block is filled once,
+    in the worker pool, and joined into every region that holds it.  The
+    DEM's nodata ends here: a nodata cell is an outlet, so its depth is
+    0.0, and neither the archive nor the manifest records the sentinel.
 ``prompts``
     ``boxes.jsonl``, one line per window in plan order (possibly with no
     boxes), and ``kept_mask.npz`` — each window's kept depression cells,
     folded into a mosaic with the configured merge rule over every cell of
-    the window (a kept cell is a positive, valid depth, so the depth's
-    nodata need not be consulted), kept as the one bool member
-    ``mask.npy``.
+    the window, kept as the one bool member ``mask.npy``.
 ``segment``
     ``fused_mask.npz`` — per-box masks fused once per patch (pixelwise max),
     patches folded with the configured merge rule, then binarized once,
@@ -76,7 +76,7 @@ from .hydro import region_depths
 from .image import read_ppm
 from .labeling import PromptSet, label_components, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
-from .raster import BinaryMask, Raster, invert_depth, read_ascii_grid, read_ascii_mask
+from .raster import BinaryMask, invert_depth, read_ascii_grid, read_ascii_mask
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
 from .tiling import TileSpec, TileWindow, extract_tile, fold_tiles, patch_id, plan_tiles
 
@@ -84,8 +84,8 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_INTS = ("width", "height", "patch", "stride")
-_MANIFEST_FLOATS = ("origin_x", "origin_y", "cellsize", "nodata")
-_MANIFEST_KEYS = (*_MANIFEST_INTS, *_MANIFEST_FLOATS, "fill_mode", "invert_depth")
+_GEOREFERENCE = ("origin_x", "origin_y", "cellsize")
+_MANIFEST_KEYS = (*_MANIFEST_INTS, *_GEOREFERENCE, "fill_mode", "invert_depth")
 
 
 def _pool_map(workers: int, fn, items):
@@ -113,36 +113,22 @@ def _pool_map(workers: int, fn, items):
 def _replacing(path: Path):
     """A temporary sibling of *path* for the block to write, moved onto
     *path* with ``os.replace`` when the block ends.  If the block raises,
-    the temporary file is removed and *path* keeps what it held."""
+    the temporary file is removed and *path* keeps what it held; an
+    ``OSError`` on the temporary file is re-raised naming *path*."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename, exc.filename2 = str(path), None
         raise
 
 
 def _write_text(path: Path, text: str) -> None:
     with _replacing(path) as tmp:
         tmp.write_text(text)
-
-
-def _write_manifest(out: Path, mosaic: Raster, cfg: PipelineConfig) -> None:
-    doc = {
-        "width": mosaic.width,
-        "height": mosaic.height,
-        "patch": cfg.tile.patch,
-        "stride": cfg.tile.stride,
-        "origin_x": mosaic.origin_x,
-        "origin_y": mosaic.origin_y,
-        "cellsize": mosaic.cellsize,
-        "nodata": mosaic.nodata,
-        "fill_mode": cfg.fill_mode,
-        "invert_depth": cfg.invert_depth,
-    }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    _write_text(out / MANIFEST_NAME, text)
 
 
 @contextmanager
@@ -190,7 +176,7 @@ def _read_manifest(out: Path) -> dict:
         for key in _MANIFEST_INTS:
             if type(doc[key]) is not int:
                 raise bad(key, "an integer")
-        for key in _MANIFEST_FLOATS:
+        for key in _GEOREFERENCE:
             if not _is_finite_number(doc[key]):
                 raise bad(key, "a finite number")
         if not doc["cellsize"] > 0:
@@ -331,7 +317,11 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_archive(out / "depth.npz", zip(names, depths))
     logger.info("filled %d depth arrays (%s mode) into %s", len(names), cfg.fill_mode, out)
-    _write_manifest(out, dem, cfg)
+    doc = {"width": dem.width, "height": dem.height, "patch": cfg.tile.patch,
+           "stride": cfg.tile.stride, "origin_x": dem.origin_x, "origin_y": dem.origin_y,
+           "cellsize": dem.cellsize, "fill_mode": cfg.fill_mode, "invert_depth": cfg.invert_depth}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    _write_text(out / MANIFEST_NAME, text)
 
 
 def cmd_prompts(cfg: PipelineConfig) -> None:
@@ -363,25 +353,23 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
             with _upstream(depth_path, "fill"):  # exact: the last origins are extent - patch
                 _check_order(names, [patch_id(w) for w in windows], "array")
 
-        def read(k: int, window: TileWindow) -> Raster:
-            with _upstream(depth_path, "fill"):  # a NaN depth is the archive's fault
-                if mosaic is None:
-                    values = _read_member(archive, infos[k], np.float64, (window.patch,) * 2)
-                else:
-                    values = mosaic[window.row0 : window.row0 + window.patch,
-                                    window.col0 : window.col0 + window.patch]
-                return Raster(values, doc["nodata"])
+        def read(k: int, window: TileWindow) -> np.ndarray:
+            if mosaic is None:
+                with _upstream(depth_path, "fill"):
+                    return _read_member(archive, infos[k], np.float64, (window.patch,) * 2)
+            return mosaic[window.row0 : window.row0 + window.patch,
+                          window.col0 : window.col0 + window.patch]
 
-        def work(item: tuple[TileWindow, Raster]):
-            window, depth_tile = item
+        def work(item: tuple[TileWindow, np.ndarray]):
+            window, depth = item
             pid = patch_id(window)
             with _upstream(depth_path, "fill"):
                 try:
-                    grid = label_components(depth_tile)
-                except ValueError as exc:  # a negative depth
+                    grid = label_components(depth)
+                except ValueError as exc:  # a non-finite or negative depth
                     raise InputError(f"{pid}: {exc}") from exc
             prompts[pid], kept = tile_prompts(grid, cfg.filter, cfg.pad_px, pid)
-            return window, kept, None  # a kept cell is a valid depth, whatever the nodata
+            return window, kept, None
 
         prompts: dict[str, PromptSet] = {}
         # the pool draws its items, so the archive's reads, on this thread
@@ -445,7 +433,7 @@ def cmd_segment(cfg: PipelineConfig) -> None:
         patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(extract_tile(kept, window))
         probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=prompts.patch_id)
-        return window, probs, None  # every probability is valid, whatever the DEM's nodata
+        return window, probs, None  # every probability counts
 
     tiles = _pool_map(cfg.workers, work, zip(windows, prompt_sets))
     probs, _ = fold_tiles(tiles, doc["height"], doc["width"], cfg.merge)

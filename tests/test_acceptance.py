@@ -185,7 +185,7 @@ def test_6_filter_keeps_boundary_and_removes_below_threshold():
     depth[0:20, :] = 1.99  # id 1: area 1000, too shallow
     depth[21, 0:49] = 10.0  # id 2: area 49, too small
     depth[23, 0:50] = 2.0  # id 3: area 50 at depth 2.0, exactly at both
-    grid = label_components(Raster(depth))
+    grid = label_components(depth)
     assert grid.area_px[1:].tolist() == [1000, 49, 50]
     assert grid.max_depth[1:].tolist() == [1.99, 10.0, 2.0]
     kept = filter_components(grid, FilterThresholds(min_depth=2.0, min_area_px=50))

@@ -31,7 +31,7 @@ def scene_dir(tmp_path):
 def manifest_text(**overrides):
     """A well-formed 128x128 patch-mode manifest, with *overrides* applied."""
     doc = {"width": 128, "height": 128, "patch": 64, "stride": 32,
-           "origin_x": 0.0, "origin_y": 0.0, "cellsize": 1.0, "nodata": -9999.0,
+           "origin_x": 0.0, "origin_y": 0.0, "cellsize": 1.0,
            "fill_mode": "patch", "invert_depth": False}
     return json.dumps({**doc, **overrides})
 
@@ -400,7 +400,7 @@ class TestExitCodes:
             (manifest_text(cellsize=None), "cellsize must be a finite number"),
             (manifest_text(cellsize=0.0), "cellsize must be > 0, got 0.0"),
             (manifest_text(invert_depth="yes"), "invert_depth must be true or false, got 'yes'"),
-            (manifest_text(nodata=10**400), "nodata must be a finite number"),
+            (manifest_text(origin_x=10**400), "origin_x must be a finite number"),
         ],
         ids=["truncated", "not-an-object", "missing-keys", "string-width",
              "zero-patch", "unknown-fill-mode", "null-cellsize", "zero-cellsize",
@@ -492,7 +492,11 @@ class TestExitCodes:
             ("patch", "prompts", "depth.npz", edit_first(with_first_cell(-1.0)),
              "depth.npz: r00000_c00000: depth raster contains negative values"),
             ("patch", "prompts", "depth.npz", edit_first(with_first_cell(np.nan)),
-             "depth.npz: raster contains non-finite values — rerun the fill stage"),
+             "depth.npz: r00000_c00000: depth raster contains non-finite values"
+             " — rerun the fill stage"),
+            ("mosaic", "prompts", "depth.npz", edit_first(with_first_cell(np.inf)),
+             "depth.npz: r00000_c00000: depth raster contains non-finite values"
+             " — rerun the fill stage"),
             ("patch", "prompts", "depth.npz", cut_to(20), "r00000_c00000 is 20x20, expected 48x48"),
             ("mosaic", "prompts", "depth.npz", cut_to(60), "depth is 60x60, expected 96x96"),
             ("patch", "prompts", "depth.npz", truncate, "depth.npz: unreadable archive"),
@@ -564,7 +568,7 @@ class TestExitCodes:
             ("mosaic", "prompts", "depth.npz", npy_version_2,
              "depth.npz: member depth is not a version 1.0 .npy array — rerun the fill stage"),
         ],
-        ids=["negative-depth", "nan-depth", "short-patch-depth", "short-mosaic-depth",
+        ids=["negative-depth", "nan-depth", "inf-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
              "raw-member-depth", "python2-header-depth", "short-kept-mask",
@@ -803,7 +807,9 @@ class TestExitCodes:
         code = main(run_args(scene_dir, out, "--set", f"eval.ignore_mask={ignore}"))
         err = capsys.readouterr().err
         assert code == 2
-        assert f"Permission denied: '{refused}" in err
+        named = str(out / "depth.npz") if key == "out_dir" else refused  # the first write
+        assert f"Permission denied: '{named}'" in err
+        assert ".tmp" not in err
         assert "internal error" not in err
 
     def test_unreachable_backend_is_an_operational_error(self, scene_dir, tmp_path, capsys):

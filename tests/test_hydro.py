@@ -127,7 +127,7 @@ class TestSinglePit:
     def test_depth_is_six_at_the_pit_only(self):
         expected = np.zeros((5, 5))
         expected[2, 2] = 6.0
-        assert np.array_equal(self.result.depth.values, expected)
+        assert np.array_equal(self.result.depth, expected)
 
 
 class TestNestedRim:
@@ -158,7 +158,7 @@ class TestNestedRim:
         expected = np.zeros((7, 7))
         expected[2:5, 2:5] = 5.0
         expected[3, 3] = 7.0
-        assert np.array_equal(self.result.depth.values, expected)
+        assert np.array_equal(self.result.depth, expected)
 
 
 class TestNodataAsOutlet:
@@ -175,9 +175,8 @@ class TestNodataAsOutlet:
         assert np.array_equal(self.result.filled.values, self.dem)
 
     def test_depth_is_zero_on_valid_and_nodata_elsewhere(self):
-        expected = np.zeros((5, 5))
-        expected[2, 3] = NODATA
-        assert np.array_equal(self.result.depth.values, expected)
+        """No cell is raised, and a nodata cell's depth is 0.0 too."""
+        assert np.array_equal(self.result.depth, np.zeros((5, 5)))
 
 
 class TestFlatsAndRamps:
@@ -185,7 +184,7 @@ class TestFlatsAndRamps:
         r = Raster(np.full((6, 6), 3.5))
         res = fill_depressions(r)
         assert np.array_equal(res.filled.values, r.values)
-        assert np.array_equal(res.depth.values, np.zeros((6, 6)))
+        assert np.array_equal(res.depth, np.zeros((6, 6)))
 
     def test_monotone_ramp_unchanged(self):
         r = Raster(np.tile(np.arange(8.0), (5, 1)))
@@ -196,7 +195,7 @@ class TestFlatsAndRamps:
         dem[1:4, 1:4] = 4.0
         res = fill_depressions(Raster(dem))
         assert np.array_equal(res.filled.values, np.full((5, 5), 10.0))
-        assert np.array_equal(np.unique(res.depth.values), np.array([0.0, 6.0]))
+        assert np.array_equal(np.unique(res.depth), np.array([0.0, 6.0]))
 
 
 class TestDiagonalGap:
@@ -224,19 +223,20 @@ class TestContract:
         values[0, 0] = -0.0  # an outlet: never raised, so its depth is +0.0
         dem = Raster(values)
         res = fill_depressions(dem)
-        expected = np.where(dem.valid_mask(), res.filled.values - values, NODATA)
-        assert np.array_equal(res.depth.values.view(np.int64), expected.view(np.int64))
+        expected = np.where(dem.valid_mask(), res.filled.values - values, 0.0)
+        assert np.array_equal(res.depth.view(np.int64), expected.view(np.int64))
 
     def test_depth_keeps_the_input_nodata(self):
+        """The filled surface keeps the input's nodata; the depth is a bare
+        array, 0.0 on a nodata cell."""
         dem = np.full((4, 4), 5.0)
         dem[1, 1] = 1.0
         dem[3, 3] = -1.0
         res = fill_depressions(Raster(dem, nodata=-1.0))
         expected = np.zeros((4, 4))
         expected[1, 1] = 4.0
-        expected[3, 3] = -1.0
-        assert res.depth.nodata == -1.0
-        assert np.array_equal(res.depth.values, expected)
+        assert res.filled.nodata == -1.0 and res.filled.values[3, 3] == -1.0
+        assert np.array_equal(res.depth, expected)
 
     def test_returns_filled_result(self, rng):
         assert isinstance(fill_depressions(make_random_dem(rng, 4, 4)), FilledResult)
@@ -252,7 +252,7 @@ class TestContract:
         dem[1::2, ::2] = -0.0
         res = fill_depressions(Raster(dem))
         assert np.array_equal(res.filled.values.view(np.int64), dem.view(np.int64))
-        assert np.array_equal(res.depth.values.view(np.int64), np.zeros((4, 5), np.int64))
+        assert np.array_equal(res.depth.view(np.int64), np.zeros((4, 5), np.int64))
 
 
 class TestProperties:
@@ -452,8 +452,8 @@ class TestMetamorphic:
         depth = self.depth(Raster(moated, nodata=NODATA), block)
         inside = np.s_[width:-width, width:-width]
         assert np.array_equal(depth[inside].view(np.int64), self.depth(dem, block).view(np.int64))
-        depth[inside] = NODATA
-        assert np.all(depth == NODATA)
+        depth[inside] = 0.0
+        assert np.array_equal(depth.view(np.int64), np.zeros(depth.shape, np.int64))  # +0.0
 
     @settings(max_examples=60, deadline=None)
     @given(dem=oracle_dems(), block=st.integers(2, 7), power=st.integers(0, 10))
@@ -491,7 +491,7 @@ class TestMetamorphic:
         with tiled(block):
             before = fill_depressions(dem)
             after = fill_depressions(Raster(f(dem.values), nodata=NODATA))
-        assert np.array_equal(after.depth.values > 0, before.depth.values > 0)
+        assert np.array_equal(after.depth > 0, before.depth > 0)
         assert np.array_equal(after.filled.values.view(np.int64),
                               f(before.filled.values).view(np.int64))
 
@@ -506,8 +506,9 @@ class TestTiledFill:
         whole = fill_depressions(dem)
         with tiled(block):
             blocks = fill_depressions(dem)
-        for got, want in ((blocks.filled, whole.filled), (blocks.depth, whole.depth)):
-            assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        for got, want in ((blocks.filled.values, whole.filled.values),
+                          (blocks.depth, whole.depth)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=200, deadline=None)
     @given(dem=oracle_dems(), data=st.data())
@@ -535,8 +536,8 @@ class TestTiledFill:
         assert len(depths) == len(regions)
         for (top, left, rows, cols), depth in zip(regions, depths):
             cut = Raster(dem.values[top : top + rows, left : left + cols], dem.nodata)
-            want = (fill_depressions(cut).depth.values if cut.valid_mask().any()
-                    else np.full((rows, cols), NODATA))
+            want = (fill_depressions(cut).depth if cut.valid_mask().any()
+                    else np.zeros((rows, cols)))
             assert np.array_equal(depth.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("block", [2, 3, 7, 256])
@@ -554,7 +555,7 @@ class TestTiledFill:
             res = fill_depressions(dem)
         expected = np.where(pits, 0.0, values)
         assert np.array_equal(res.filled.values.view(np.int64), expected.view(np.int64))
-        assert np.array_equal(res.depth.values, np.where(pits, -values, 0.0))
+        assert np.array_equal(res.depth, np.where(pits, -values, 0.0))
 
     def test_window_depths_hold_at_most_two_block_rows(self, monkeypatch):
         """Windows hold at most two block rows, and no block outlives the

@@ -25,16 +25,11 @@ from sinkseg.labeling import (
     tile_prompts,
     write_prompts,
 )
-from sinkseg.raster import BinaryMask, Raster
+from sinkseg.raster import BinaryMask
 from sinkseg.synth import DepressionComponent
 
 
-NODATA = -9999.0
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
-
-def depth_raster(values, nodata=NODATA):
-    return Raster(np.asarray(values, dtype=np.float64), nodata=nodata)
 
 
 def bfs_components(positive: np.ndarray, depth_values: np.ndarray) -> list[DepressionComponent]:
@@ -95,13 +90,14 @@ SHAPES = st.one_of(
 
 
 def random_depth(seed, shape, density, nodata_frac):
-    """Depths on a quantised scale (ties), zeros, signed zeros and nodata holes."""
+    """Depths on a quantised scale (ties), zeros, signed zeros and the 0.0
+    that the fill writes on nodata holes."""
     rng = np.random.default_rng(seed)
     depth = rng.integers(1, 6, size=shape) * 0.75
     depth[rng.random(shape) >= density] = 0.0
     depth[rng.random(shape) < 0.1] = -0.0
-    depth[rng.random(shape) < nodata_frac] = NODATA
-    return depth_raster(depth)
+    depth[rng.random(shape) < nodata_frac] = 0.0
+    return depth
 
 
 class TestPromptBox:
@@ -137,7 +133,7 @@ class TestLabeling:
         depth[4, 1] = 3.0  # lower-left, but later in scan order
         depth[0, 7] = 5.0  # first row wins id 1
         depth[2, 4] = 4.0
-        comps = pixel_sets(label_components(depth_raster(depth)))
+        comps = pixel_sets(label_components(depth))
         assert [(c.id, min(c.pixels)) for c in comps] == [
             (1, (0, 7)),
             (2, (2, 4)),
@@ -147,29 +143,28 @@ class TestLabeling:
     def test_diagonal_pixels_are_one_component(self):
         depth = np.zeros((4, 4))
         depth[0, 0] = depth[1, 1] = depth[2, 2] = 1.0
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         assert len(grid) == 1
         assert pixel_sets(grid)[0].pixels == frozenset({(0, 0), (1, 1), (2, 2)})
 
     def test_zero_depth_is_background(self):
-        grid = label_components(depth_raster(np.zeros((5, 5))))
+        grid = label_components(np.zeros((5, 5)))
         assert len(grid) == 0 and not grid.labels.any()
-
-    def test_nodata_is_background_and_splits_components(self):
-        depth = np.full((1, 3), 2.0)
-        depth[0, 1] = -9999.0
-        comps = pixel_sets(label_components(depth_raster(depth)))
-        assert [c.pixels for c in comps] == [frozenset({(0, 0)}), frozenset({(0, 2)})]
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            label_components(depth_raster([[1.0, -0.5]]))
+            label_components(np.array([[1.0, -0.5]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            label_components(np.array([[1.0, value]]))
 
     def test_max_depth_and_area(self):
         depth = np.zeros((3, 3))
         depth[1, 1] = 2.5
         depth[1, 2] = 7.25
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         assert len(grid) == 1
         assert grid.area_px[1] == 2
         assert grid.max_depth[1] == 7.25
@@ -186,7 +181,7 @@ class TestLabeling:
         numbering, which fixes the order of the boxes."""
         rng = np.random.default_rng(seed)
         positive = rng.random(shape) < density  # empty at 0.0, full at 1.0
-        grid = label_components(depth_raster(np.where(positive, rng.uniform(0.5, 3.0, shape), 0.0)))
+        grid = label_components(np.where(positive, rng.uniform(0.5, 3.0, shape), 0.0))
         labels, n = ndimage.label(positive, structure=np.ones((3, 3), dtype=int))
         assert grid.labels.dtype == labels.dtype
         assert np.array_equal(grid.labels, labels)
@@ -211,8 +206,7 @@ class TestBfsOracle:
     )
     def test_label_components_equals_bfs(self, seed, shape, density, nodata_frac):
         depth = random_depth(seed, shape, density, nodata_frac)
-        positive = depth.valid_mask() & (depth.values > 0)
-        assert pixel_sets(label_components(depth)) == bfs_components(positive, depth.values)
+        assert pixel_sets(label_components(depth)) == bfs_components(depth > 0, depth)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31), shape=SHAPES, density=st.sampled_from([0.0, 0.4, 0.7, 1.0]))
@@ -243,21 +237,21 @@ class TestBfsOracle:
     @pytest.mark.parametrize("min_depth, min_area", [(0.0, 0), (2.0, 1), (2.0, 3), (5.0, 1)])
     def test_tile_prompts_on_single_pixels_and_diagonal_touches(self, pad_px, min_depth, min_area):
         depth = np.array([
-            [2.0, 0.0, 0.0, NODATA, 0.0],
+            [2.0, 0.0, 0.0, 0.0, 0.0],
             [0.0, 5.0, 0.0, 0.0, 2.0],   # the diagonal chain (0,0)-(1,1)-(2,2): area 3
             [0.0, 0.0, 2.0, 0.0, 0.0],
-            [NODATA, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
             [5.0, -0.0, 0.0, 0.0, 1.0],  # single pixels in three corners
         ])
         assert_tile_prompts_equal_component_path(
-            depth_raster(depth), FilterThresholds(min_depth, min_area), pad_px
+            depth, FilterThresholds(min_depth, min_area), pad_px
         )
 
 
 def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
     """``tile_prompts`` equals the BFS components filtered, boxed, padded and
     clamped one by one, plus the cells of the kept."""
-    components = bfs_components(depth.valid_mask() & (depth.values > 0), depth.values)
+    components = bfs_components(depth > 0, depth)
     kept = [
         c for c in components
         if c.max_depth >= thresholds.min_depth and c.area_px >= thresholds.min_area_px
@@ -268,15 +262,15 @@ def assert_tile_prompts_equal_component_path(depth, thresholds, pad_px):
             PromptBox(
                 max(0, c.bbox.x0 - pad_px),
                 max(0, c.bbox.y0 - pad_px),
-                min(depth.width, c.bbox.x1 + pad_px),
-                min(depth.height, c.bbox.y1 + pad_px),
+                min(depth.shape[1], c.bbox.x1 + pad_px),
+                min(depth.shape[0], c.bbox.y1 + pad_px),
             )
             for c in kept
         ],
         areas=[c.area_px for c in kept],
         max_depths=[c.max_depth for c in kept],
     )
-    expected_cells = np.zeros(depth.values.shape, dtype=bool)
+    expected_cells = np.zeros(depth.shape, dtype=bool)
     for comp in kept:
         for r, c in comp.pixels:
             expected_cells[r, c] = True
@@ -294,7 +288,7 @@ class TestFiltering:
         depth[0, 0:49] = 10.0  # id 1: deep but tiny
         depth[2:22, :] = 1.99  # id 2: big but shallow
         depth[23, :] = 2.0  # id 3: exactly on both
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         assert grid.area_px[1:].tolist() == [49, 1000, 50]
         kept = filter_components(grid, FilterThresholds(min_depth=2.0, min_area_px=50))
         assert kept.tolist() == [3]
@@ -304,21 +298,21 @@ class TestFiltering:
         depth[1, 1] = 1.99  # too shallow, area 1
         depth[5:10, 5:15] = 3.0  # 50 px at depth 3: survives
         depth[15, 0:10] = 10.0  # deep but only 10 px
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         kept = filter_components(grid, FilterThresholds(2.0, 50))
         assert len(grid) == 3
         assert boxes_from_components(grid, kept, 0) == [PromptBox(5, 5, 15, 10)]
 
     def test_zero_thresholds_keep_everything(self, rng):
         depth = np.maximum(rng.normal(size=(16, 16)), 0.0)
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         kept = filter_components(grid, FilterThresholds(0.0, 0))
         assert kept.tolist() == list(range(1, len(grid) + 1))
 
     def test_monotone_in_thresholds(self, rng):
         depth = np.maximum(rng.normal(size=(24, 24)) * 3, 0.0)
         depth[rng.random((24, 24)) < 0.5] = 0.0
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         previous = None
         for min_depth, min_area in [(0.0, 0), (0.5, 1), (1.0, 2), (2.0, 4), (4.0, 8)]:
             kept = set(filter_components(grid, FilterThresholds(min_depth, min_area)).tolist())
@@ -337,27 +331,27 @@ class TestBoxes:
     def test_single_pixel_box(self):
         depth = np.zeros((10, 10))
         depth[3, 5] = 4.0
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         assert boxes_from_components(grid, [1], 0) == [PromptBox(5, 3, 6, 4)]
 
     def test_padding_with_clamp_at_origin(self):
         depth = np.zeros((8, 12))
         depth[2:5, 1:8] = 3.0
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         (box,) = boxes_from_components(grid, [1], 2)
         assert box == PromptBox(0, 0, 10, 7)
 
     def test_padding_clamped_at_far_edges(self):
         depth = np.zeros((6, 6))
         depth[4:6, 4:6] = 1.0
-        grid = label_components(depth_raster(depth))
+        grid = label_components(depth)
         (box,) = boxes_from_components(grid, [1], 3)
         assert box == PromptBox(1, 1, 6, 6)
 
     def test_boxes_contain_their_pixels(self, rng):
         for _ in range(10):
             depth = np.maximum(rng.normal(size=(20, 20)) * 2, 0.0)
-            grid = label_components(depth_raster(depth))
+            grid = label_components(depth)
             pad = int(rng.integers(0, 4))
             ids = filter_components(grid, FilterThresholds(0.0, 0))
             boxes = boxes_from_components(grid, ids, pad)
@@ -366,13 +360,13 @@ class TestBoxes:
                 assert all(box.contains(r, c) for r, c in comp.pixels)
 
     def test_negative_pad_rejected(self):
-        grid = label_components(depth_raster(np.zeros((2, 2))))
+        grid = label_components(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="pad_px"):
             boxes_from_components(grid, [], -1)
 
     @pytest.mark.parametrize("bad_id", [0, -1, 2])
     def test_unknown_id_rejected(self, bad_id):
-        grid = label_components(depth_raster([[1.0, 0.0]]))
+        grid = label_components(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match=f"component id {bad_id} not in 1..1"):
             boxes_from_components(grid, [bad_id], 0)
 

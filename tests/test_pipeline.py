@@ -126,7 +126,7 @@ class TestFillStage:
         expected = fill_depressions(extract_tile(dem, window))
         assert np.array_equal(
             load_depth(tmp_path / "out" / "depth.npz", "r00032_c00032"),
-            expected.depth.values,
+            expected.depth,
         )
 
     def test_mosaic_mode_artifacts(self, scene_dir, tmp_path):
@@ -135,7 +135,7 @@ class TestFillStage:
         out = tmp_path / "out"
         dem = read_ascii_grid(scene_dir / "dem.asc")
         expected = fill_depressions(dem)
-        assert np.array_equal(load_depth(out / "depth.npz"), expected.depth.values)
+        assert np.array_equal(load_depth(out / "depth.npz"), expected.depth)
 
     def test_invert_depth_flag(self, tmp_path):
         values = np.full((70, 70), 40.0)
@@ -152,7 +152,7 @@ class TestFillStage:
         cmd_fill(cfg)
         expected = fill_depressions(invert_depth(bumpy)).depth
         got = load_depth(tmp_path / "out" / "depth.npz")
-        assert np.array_equal(got, expected.values)
+        assert np.array_equal(got, expected)
         assert got.max() == 7.0
 
     def test_all_nodata_tile_passes_through(self, tmp_path):
@@ -166,17 +166,17 @@ class TestFillStage:
         )
         cmd_fill(cfg)
         written = tmp_path / "out" / "depth.npz"
-        assert np.all(load_depth(written, "r00000_c00000") == -9999.0)
+        assert np.all(load_depth(written, "r00000_c00000") == 0.0)  # nodata is no depression
         void = tmp_path / "void.npz"
-        pipeline._write_archive(void, [("depth", np.full((64, 64), -9999.0))])
+        pipeline._write_archive(void, [("depth", np.zeros((64, 64)))])
         assert stored_bytes(written, "r00000_c00000.npy") == stored_bytes(void, "depth.npy")
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
     def test_depth_archive_holds_the_values_and_nodata(
         self, scene_dir, tmp_path, monkeypatch, mode
     ):
-        """Prompts labels each window's depth with the values fill computed
-        and the nodata of the manifest."""
+        """Prompts labels each window's depth array as fill computed it,
+        0.0 on the DEM's nodata cells; the manifest records no nodata."""
         values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
         values[5:9, 70:80] = -32768.0
         dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
@@ -189,13 +189,15 @@ class TestFillStage:
         monkeypatch.setattr(pipeline, "label_components",
                             lambda depth: labelled.append(depth) or label_components(depth))
         cmd_prompts(replace(cfg, workers=1))
+        assert "nodata" not in json.loads((out / "manifest.json").read_text())
         mosaic = fill_depressions(dem).depth
         for window, got in zip(manifest_windows(out).values(), labelled, strict=True):
-            want = extract_tile(mosaic if mode == "mosaic" else dem, window)
-            if mode == "patch":
-                want = fill_depressions(want).depth
-            assert np.array_equal(got.values, want.values)
-            assert got.nodata == want.nodata
+            cut = np.s_[window.row0 : window.row0 + window.patch,
+                        window.col0 : window.col0 + window.patch]
+            want = (mosaic[cut] if mode == "mosaic"
+                    else fill_depressions(extract_tile(dem, window)).depth)
+            assert np.array_equal(got, want)
+            assert np.all(got[values[cut] == -32768.0] == 0.0)
 
     def test_depth_archive_is_byte_stable_with_one_member(self, tmp_path, monkeypatch):
         values = np.random.default_rng(5).normal(size=(40, 48))
@@ -447,12 +449,13 @@ class TestPromptsStage:
     def test_mean_depth_equal_to_nodata_stays_kept(self, tmp_path):
         """Under mean, a cell kept in the windows that hold it stays kept
         where its mean depth happens to equal the DEM's nodata, 1.0 here:
-        the kept cells are folded, not a depth mosaic read through nodata."""
+        the kept cells are folded, and prompts never sees the DEM's nodata."""
         out = tmp_path / "out"
-        cfg = PipelineConfig(out_dir=out, tile=TileSpec(patch=4, stride=2), merge=MergeRule.MEAN,
+        write_ascii_grid(Raster(np.full((4, 6), 10.0), nodata=1.0), tmp_path / "dem.asc")
+        cfg = PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=out,
+                             tile=TileSpec(patch=4, stride=2), merge=MergeRule.MEAN,
                              filter=FilterThresholds(min_depth=0.0, min_area_px=0))
-        out.mkdir()
-        pipeline._write_manifest(out, Raster(np.zeros((4, 6)), nodata=1.0), cfg)
+        cmd_fill(cfg)
         windows = plan_tiles(6, 4, cfg.tile)  # columns 0-3 and 2-5
         depths = [np.full((4, 4), 0.5), np.full((4, 4), 1.5)]
         pipeline._write_archive(out / "depth.npz",
@@ -465,10 +468,11 @@ class TestPromptsStage:
         equals the DEM's nodata, 0.0 here: a zero depth is not kept, and the
         DEM's nodata does not hand the cell to a later window."""
         out = tmp_path / "out"
-        cfg = PipelineConfig(out_dir=out, tile=TileSpec(patch=4, stride=2), merge=MergeRule.FIRST,
+        write_ascii_grid(Raster(np.full((4, 6), 10.0), nodata=0.0), tmp_path / "dem.asc")
+        cfg = PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=out,
+                             tile=TileSpec(patch=4, stride=2), merge=MergeRule.FIRST,
                              filter=FilterThresholds(min_depth=0.0, min_area_px=0))
-        out.mkdir()
-        pipeline._write_manifest(out, Raster(np.zeros((4, 6)), nodata=0.0), cfg)
+        cmd_fill(cfg)
         windows = plan_tiles(6, 4, cfg.tile)  # columns 0-3 and 2-5
         depths = [np.full((4, 4), 0.0), np.full((4, 4), 1.0)]
         pipeline._write_archive(out / "depth.npz",
@@ -553,22 +557,30 @@ class TestSegmentAndEval:
 
     @pytest.mark.parametrize("merge", [MergeRule.MAX, MergeRule.MEAN])
     def test_dem_nodata_does_not_mask_probabilities(self, scene_dir, tmp_path, merge):
-        """A DEM sentinel that is also a probability (0.0, 1.0) leaves the mask as is."""
-        dem = read_ascii_grid(scene_dir / "dem.asc")
-        masks = {}
-        for nodata in (-9999.0, 0.0, 1.0):
-            assert not (dem.values == nodata).any()
-            path = tmp_path / f"dem_{nodata}.asc"
-            write_ascii_grid(Raster(dem.values, nodata, *dem.geotransform), path)
-            out = tmp_path / f"out_{nodata}"
-            cfg = replace(make_cfg(scene_dir, out, merge=merge), depth_raster=path)
-            cmd_fill(cfg)
-            cmd_prompts(cfg)
-            cmd_segment(cfg)
-            masks[nodata] = load_mask(out, "fused_mask")
-        assert masks[-9999.0].sum() > 0
-        assert np.array_equal(masks[0.0], masks[-9999.0])
-        assert np.array_equal(masks[1.0], masks[-9999.0])
+        """A DEM sentinel that no cell holds leaves the out tree as it is,
+        ``manifest.json`` included, in both fill modes, even one that is also
+        a probability or a depth (0.0, 1.0).  The 256² scene's elevations are
+        rounded to 0.5 m, so many of its depths are 1.0."""
+        rounded = tmp_path / "rounded"
+        export_scene(gen_terrain(42, 256, 256, 4), rounded)
+        dem = read_ascii_grid(rounded / "dem.asc")
+        write_ascii_grid(dem.with_values(np.round(dem.values * 2) / 2), rounded / "dem.asc")
+        assert (fill_depressions(read_ascii_grid(rounded / "dem.asc")).depth == 1.0).any()
+        for scene, tile in ((scene_dir, TILE), (rounded, TileSpec(128, 64))):
+            dem = read_ascii_grid(scene / "dem.asc")
+            for mode in ("patch", "mosaic"):
+                trees = {}
+                for nodata in (-9999.0, 0.0, 1.0):
+                    assert not (dem.values == nodata).any()
+                    path = tmp_path / f"dem_{nodata}.asc"
+                    write_ascii_grid(Raster(dem.values, nodata, *dem.geotransform), path)
+                    out = tmp_path / f"out_{scene.name}_{mode}_{nodata}"
+                    cfg = make_cfg(scene, out, tile=tile, fill_mode=mode, merge=merge)
+                    cmd_run(replace(cfg, depth_raster=path))
+                    trees[nodata] = tree_digests(out)
+                assert load_mask(out, "fused_mask").any()
+                assert trees[0.0] == trees[-9999.0]
+                assert trees[1.0] == trees[-9999.0]
 
     @pytest.mark.parametrize("merge", [MergeRule.MAX, MergeRule.FIRST])
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
@@ -729,10 +741,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("backend", ["echo", "http"])
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_in_memory_hand_off_writes_the_staged_bytes(self, scene_dir, tmp_path, mode, backend):
+    def test_run_writes_the_staged_bytes(self, scene_dir, tmp_path, mode, backend):
         """cmd_run writes, byte for byte, what the four stages run one by one
-        write, in both fill modes and with both backends. The name is kept
-        from when cmd_run handed masks between its stages in memory."""
+        write, in both fill modes and with both backends."""
         server = MockSegmentServer(mode="boxfill", value=255) if backend == "http" else None
         with server or nullcontext():
             kw = {"backend_kind": "http", "backend_endpoint": server.endpoint} if server else {}

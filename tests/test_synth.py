@@ -93,7 +93,7 @@ class TestSinglePitGeometry:
         assert np.array_equal(self.scene.gt_mask.values, self.scene.dem.values < 100.0)
 
     def test_filled_depth_support_recovers_the_footprint(self):
-        depth = fill_depressions(self.scene.dem).depth.values
+        depth = fill_depressions(self.scene.dem).depth
         assert np.array_equal(depth > 0, self.scene.gt_mask.values)
 
     def test_truth_component_matches_mask(self):
