@@ -368,13 +368,17 @@ def write_ascii_mask(mask: BinaryMask, path: str | Path) -> None:
 def invert_depth(raster: Raster) -> Raster:
     """Reflect values so deep cells become low: ``max(valid) - value``.
 
-    Nodata cells pass through.  Raises ValueError if every cell is nodata.
+    Nodata cells stay nodata.  Every reflected value is ``>= +0.0``, so
+    nodata cells take the input's sentinel when it is negative, and
+    :data:`DEFAULT_NODATA` otherwise: a sentinel of 0.0 would mark the
+    deepest cell nodata.  Raises ValueError if every cell is nodata.
     """
     valid = raster.valid_mask()
     if not valid.any():
         raise ValueError("invert_depth: all cells are nodata")
     top = raster.values[valid].max()
-    out = np.full(raster.values.shape, raster.nodata, dtype=np.float64)
+    nodata = raster.nodata if raster.nodata < 0 else DEFAULT_NODATA
+    out = np.full(raster.values.shape, nodata, dtype=np.float64)
     out[valid] = top - raster.values[valid]
-    return raster.with_values(out)
+    return Raster(out, nodata, *raster.geotransform)
 

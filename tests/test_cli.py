@@ -877,6 +877,20 @@ class TestImportTime:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_import_loads_no_submodule(self):
+        """The package re-exports nothing: ``import sinkseg`` loads none of
+        its modules, and no numpy."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import sinkseg; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('sinkseg.') or m.split('.')[0] == 'numpy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
 
     @pytest.fixture()
     def run_128(self, tmp_path):

@@ -174,7 +174,7 @@ class TestNodataAsOutlet:
     def test_pit_is_not_filled(self):
         assert np.array_equal(self.result.filled.values, self.dem)
 
-    def test_depth_is_zero_on_valid_and_nodata_elsewhere(self):
+    def test_depth_is_zero_everywhere(self):
         """No cell is raised, and a nodata cell's depth is 0.0 too."""
         assert np.array_equal(self.result.depth, np.zeros((5, 5)))
 
@@ -226,7 +226,7 @@ class TestContract:
         expected = np.where(dem.valid_mask(), res.filled.values - values, 0.0)
         assert np.array_equal(res.depth.view(np.int64), expected.view(np.int64))
 
-    def test_depth_keeps_the_input_nodata(self):
+    def test_depth_is_zero_on_nodata(self):
         """The filled surface keeps the input's nodata; the depth is a bare
         array, 0.0 on a nodata cell."""
         dem = np.full((4, 4), 5.0)

@@ -582,6 +582,28 @@ class TestSegmentAndEval:
                 assert trees[0.0] == trees[-9999.0]
                 assert trees[1.0] == trees[-9999.0]
 
+    def test_depth_map_nodata_does_not_change_the_inverted_tree(self, tmp_path):
+        """With ``invert_depth``, a depth-map sentinel that no cell holds
+        leaves the out tree as it is in both fill modes, even 0.0, the value
+        the deepest cell takes after the inversion."""
+        scene = tmp_path / "scene"
+        export_scene(gen_terrain(42, 256, 256, 4), scene)
+        dem = read_ascii_grid(scene / "dem.asc")
+        depth_map = dem.values.max() - dem.values + 1.0  # larger = deeper
+        assert not np.isin(depth_map, (-9999.0, 0.0)).any()
+        for mode in ("patch", "mosaic"):
+            trees = {}
+            for nodata in (-9999.0, 0.0):
+                path = tmp_path / f"depth_{nodata}.asc"
+                write_ascii_grid(Raster(depth_map, nodata, *dem.geotransform), path)
+                out = tmp_path / f"out_{mode}_{nodata}"
+                cfg = make_cfg(scene, out, tile=TileSpec(128, 64), fill_mode=mode,
+                               invert_depth=True)
+                cmd_run(replace(cfg, depth_raster=path))
+                trees[nodata] = tree_digests(out)
+            assert load_mask(out, "fused_mask").any()
+            assert trees[0.0] == trees[-9999.0]
+
     @pytest.mark.parametrize("merge", [MergeRule.MAX, MergeRule.FIRST])
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
     @pytest.mark.parametrize("seed, pits, noise", [(1, 8, 0.3), (5, 10, 0.5)])

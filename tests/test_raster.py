@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sinkseg import raster
 from sinkseg.errors import GridFormatError
+from sinkseg.hydro import fill_depressions
 from sinkseg.raster import (
     BinaryMask,
     Raster,
@@ -479,6 +480,22 @@ class TestInvertDepth:
     def test_nodata_passes_through(self):
         r = Raster(np.array([[1.0, -9999.0, 3.0]]))
         assert invert_depth(r).values.tolist() == [[2.0, -9999.0, 0.0]]
+
+    def test_nodata_zero_keeps_the_top_cell_valid(self):
+        """The deepest cell reflects to 0.0; under a nodata of 0.0 it stays
+        valid, and the fill's depth is the one under -9999."""
+        values = np.full((7, 7), 1.0)
+        values[2:5, 2:5] = 2.0
+        values[3, 3] = 3.0  # the deepest cell, the pit's bottom after inversion
+        values[0, 6] = 0.0
+        zero = invert_depth(Raster(values, nodata=0.0))
+        assert zero.valid_mask().sum() == 48 and zero.values[3, 3] == 0.0
+        values[0, 6] = -9999.0
+        default = invert_depth(Raster(values))
+        assert np.array_equal(zero.values, default.values)
+        depth = fill_depressions(zero).depth
+        assert depth[3, 3] == 2.0
+        assert np.array_equal(depth, fill_depressions(default).depth)
 
     def test_all_nodata_rejected(self):
         r = Raster(np.full((2, 2), -9999.0))
