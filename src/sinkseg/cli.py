@@ -25,7 +25,7 @@ from .config import check_out_dir, load_config
 from .errors import InputError, SinksegError
 from .metrics import report_to_json
 from .pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
-from .synth import DEFAULT_SLOPE, export_scene, gen_terrain
+from .synth import DEFAULT_DEPTH_RANGE, DEFAULT_RADIUS_RANGE, DEFAULT_SLOPE, export_scene, gen_terrain
 
 logger = logging.getLogger("sinkseg")
 
@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--height", type=int, required=True)
     synth.add_argument("--n", type=int, required=True, help="number of sinkholes")
     synth.add_argument("--out-dir", required=True)
-    synth.add_argument("--depth-range", type=_parse_range, default=(3.0, 8.0))
-    synth.add_argument("--radius-range", type=_parse_range, default=(8.0, 24.0))
+    synth.add_argument("--depth-range", type=_parse_range, default=DEFAULT_DEPTH_RANGE)
+    synth.add_argument("--radius-range", type=_parse_range, default=DEFAULT_RADIUS_RANGE)
     synth.add_argument("--noise-amp", type=float, default=0.0)
     synth.add_argument("--slope", type=float, default=DEFAULT_SLOPE)
     return parser

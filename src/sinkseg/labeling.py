@@ -264,7 +264,7 @@ def prompts_from_json(text: str) -> PromptSet:
     to empty lists."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise PromptFormatError(f"prompts file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "patch_id" not in doc or "boxes" not in doc:
         raise PromptFormatError("prompts document needs 'patch_id' and 'boxes' keys")

@@ -162,7 +162,7 @@ def _read_manifest(out: Path) -> dict:
     with _upstream(path, "fill"):
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise InputError(f"not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise InputError("expected a JSON object")
@@ -254,9 +254,12 @@ def _check_order(found: list[str], expected: list[str], item: str) -> None:
 def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) -> np.ndarray:
     """The array of the member *info*, once its ``.npy`` header shows a 2-D
     array of *shape* and *dtype*: nothing else is read before, so a header
-    that claims a huge array allocates nothing.  Only a plain stored or
-    deflated member with a version 1.0 header, as :func:`_write_archive`
-    writes, is read.  Call it inside :func:`_upstream`."""
+    that claims a huge array allocates nothing.  Then at most one byte more
+    than the header promises is read, so a member short of its claim is
+    refused having allocated no more than it holds, and the array is a
+    read-only view of those bytes.  Only a plain stored or deflated member
+    with a version 1.0 header, as :func:`_write_archive` writes, is read.
+    Call it inside :func:`_upstream`."""
     name = info.filename.removesuffix(".npy")
     plain = info.compress_type in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
     if not plain or info.flag_bits & 0x61:  # encrypted (flag bits 0, 6) or patched (bit 5)
@@ -272,15 +275,19 @@ def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) 
                 ast.literal_eval(header.decode("latin1"))
             except (SyntaxError, RecursionError, MemoryError) as exc:
                 raise InputError(f"member {name} has a header that is no Python literal") from exc
-            found, _, found_dtype = np.lib.format.read_array_header_1_0(io.BytesIO(size + header))
+            found, fortran, found_dtype = np.lib.format.read_array_header_1_0(io.BytesIO(size + header))
             if len(found) != 2:
                 raise InputError(f"{name} has {len(found)} dimensions, expected 2")
             if found != shape:
                 raise InputError(f"{name} is {found[1]}x{found[0]}, expected {shape[1]}x{shape[0]}")
             if found_dtype != dtype:
                 raise InputError(f"{name} has dtype {found_dtype}, expected {np.dtype(dtype)}")
-            member.seek(0)
-            return np.lib.format.read_array(member, allow_pickle=False)
+            count = math.prod(shape) * found_dtype.itemsize
+            data = member.read(count + 1)  # one byte over, to see the member end
+            if len(data) != count:
+                raise InputError(f"member {name} does not hold the {count} data bytes "
+                                 f"its header claims")
+            return np.frombuffer(data, found_dtype).reshape(shape, order="F" if fortran else "C")
     except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise InputError(f"unreadable member {name} ({exc})") from exc
 

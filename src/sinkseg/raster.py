@@ -103,12 +103,10 @@ class Raster:
 
 @dataclass(frozen=True)
 class BinaryMask:
-    """A 0/1 grid sharing the Raster georeference conventions; copied as bool, read-only."""
+    """A 0/1 grid, copied as bool and read-only.  It holds cells only: its
+    place on the map is its grid's, which :func:`write_ascii_mask` is handed."""
 
     values: np.ndarray
-    origin_x: float = 0.0
-    origin_y: float = 0.0
-    cellsize: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values)
@@ -117,8 +115,6 @@ class BinaryMask:
             if not np.isin(uniq, (0, 1)).all():
                 raise ValueError("mask values must be 0 or 1")
         object.__setattr__(self, "values", _freeze(arr, np.bool_))
-        if not self.cellsize > 0:
-            raise ValueError(f"cellsize must be positive, got {self.cellsize}")
 
     @property
     def height(self) -> int:
@@ -127,10 +123,6 @@ class BinaryMask:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def geotransform(self) -> tuple[float, float, float]:
-        return (self.origin_x, self.origin_y, self.cellsize)
 
     def count(self) -> int:
         """Number of set (1) cells."""
@@ -162,12 +154,10 @@ def _parse_header(lines: list[str], path: Path) -> dict:
     for key, value in zip(_HEADER_KEYS[2:], numbers):
         if not math.isfinite(value):
             raise GridFormatError(f"{path}: header {key} must be finite, got {value!r}")
-    header.update(zip(("xllcorner", "yllcorner", "cellsize", "nodata_float"), numbers))
-    if not header["cellsize"] > 0:
+    if not numbers[2] > 0:
         raise GridFormatError(f"{path}: cellsize must be positive")
-    header["ncols"] = ncols
-    header["nrows"] = nrows
-    return header
+    return {"ncols": ncols, "nrows": nrows, "geotransform": tuple(numbers[:3]),
+            "nodata": numbers[3]}
 
 
 def _parse_grid(path: Path) -> tuple[dict, np.ndarray]:
@@ -261,13 +251,7 @@ def read_ascii_grid(path: str | Path) -> Raster:
             f"{path}: data row {row + 1}, column {col + 1}: "
             f"non-finite value {float(data[row, col])!r}"
         )
-    return Raster(
-        data,
-        nodata=header["nodata_float"],
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        cellsize=header["cellsize"],
-    )
+    return Raster(data, header["nodata"], *header["geotransform"])
 
 
 def _format_rows(values: np.ndarray, nodata: float) -> list[str]:
@@ -314,8 +298,7 @@ def _read_mask_bytes(path: Path) -> BinaryMask | None:
     except (UnicodeDecodeError, GridFormatError):
         return None
     ncols, nrows = header["ncols"], header["nrows"]
-    georef = header["xllcorner"], header["yllcorner"], header["cellsize"]
-    if head != _header_text(ncols, nrows, *georef, header["nodata_float"]).encode():
+    if head != _header_text(ncols, nrows, *header["geotransform"], header["nodata"]).encode():
         return None
     if len(data) - len(head) != nrows * 2 * ncols:
         return None
@@ -328,40 +311,43 @@ def _read_mask_bytes(path: Path) -> BinaryMask | None:
         and (ones | (digits == ord("0"))).all()
     ):
         return None
-    return BinaryMask(ones, *georef)
+    return BinaryMask(ones)
 
 
 def read_ascii_mask(path: str | Path) -> BinaryMask:
-    """Read a 0/1 ASCII grid as a :class:`BinaryMask`.
+    """Read the cells of a 0/1 ASCII grid as a :class:`BinaryMask`.
 
-    Nodata cells are not allowed in masks; any value other than 0 or 1
-    (including the nodata sentinel) is a format error.  The layout
+    The whole header is checked, but the mask keeps only the cells: read
+    the file with :func:`read_ascii_grid` for its georeference.  Nodata
+    cells are not allowed in masks; any value other than 0 or 1 (including
+    the nodata sentinel) is a format error.  The layout
     :func:`write_ascii_mask` writes is read as one byte buffer; any other
     layout goes through the grid parser, which names the line of an error.
     """
     mask = _read_mask_bytes(Path(path))
     if mask is not None:
         return mask
-    header, data = _parse_grid(Path(path))
+    _, data = _parse_grid(Path(path))
     if not np.isin(data, (0.0, 1.0)).all():
         bad = data[~np.isin(data, (0.0, 1.0))][0]
         raise GridFormatError(f"{path}: mask contains non-binary value {float(bad)}")
-    return BinaryMask(
-        data.astype(bool),
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        cellsize=header["cellsize"],
-    )
+    return BinaryMask(data.astype(bool))
 
 
-def write_ascii_mask(mask: BinaryMask, path: str | Path) -> None:
-    """Write a :class:`BinaryMask` as an ASCII grid of 0/1 integers."""
+def write_ascii_mask(
+    mask: BinaryMask, path: str | Path, geotransform: tuple[float, float, float]
+) -> None:
+    """Write a :class:`BinaryMask` as an ASCII grid of 0/1 integers placed at
+    *geotransform*, ``(origin_x, origin_y, cellsize)`` as
+    :attr:`Raster.geotransform` spells it; a cellsize <= 0 is a ValueError."""
+    if not geotransform[2] > 0:
+        raise ValueError(f"cellsize must be positive, got {geotransform[2]}")
     # Each row is "d d ... d\n": a digit, then a space or the line break.
     cells = np.full((mask.height, 2 * mask.width), ord(" "), dtype=np.uint8)
     cells[:, 0::2] = mask.values
     cells[:, 0::2] += ord("0")
     cells[:, -1] = ord("\n")
-    header = _header_text(mask.width, mask.height, *mask.geotransform, DEFAULT_NODATA)
+    header = _header_text(mask.width, mask.height, *geotransform, DEFAULT_NODATA)
     Path(path).write_bytes(header.encode() + cells.tobytes())
 
 

@@ -221,7 +221,7 @@ def _reply_object(status: int, body: bytes) -> dict:
     if status != 200:
         try:
             doc = json.loads(body)
-        except ValueError:
+        except (ValueError, RecursionError):
             doc = None
         detail = doc.get("error", "") if isinstance(doc, dict) else ""
         raise BackendError(
@@ -229,7 +229,7 @@ def _reply_object(status: int, body: bytes) -> dict:
         )
     try:
         doc = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deep
         raise ProtocolError(f"service reply is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError("service reply must be a JSON object")

@@ -33,6 +33,8 @@ from .raster import BinaryMask, Raster, write_ascii_grid, write_ascii_mask
 
 NOISE_LATTICE_PX = 32
 DEFAULT_SLOPE = 2e-4
+DEFAULT_DEPTH_RANGE = (3.0, 8.0)
+DEFAULT_RADIUS_RANGE = (8.0, 24.0)
 _BASE_ELEVATION = 100.0
 
 
@@ -181,8 +183,8 @@ def gen_terrain(
     width: int,
     height: int,
     n_sinkholes: int,
-    depth_range: tuple[float, float] = (3.0, 8.0),
-    radius_range: tuple[float, float] = (8.0, 24.0),
+    depth_range: tuple[float, float] = DEFAULT_DEPTH_RANGE,
+    radius_range: tuple[float, float] = DEFAULT_RADIUS_RANGE,
     noise_amp: float = 0.0,
     slope: float = DEFAULT_SLOPE,
 ) -> SynthScene:
@@ -281,12 +283,13 @@ def gen_terrain(
 
 
 def export_scene(scene: SynthScene, out_dir: str | Path) -> None:
-    """Write dem.asc, rgb.ppm, gt_mask.asc, and truths.json into *out_dir*."""
+    """Write dem.asc, rgb.ppm, gt_mask.asc (on the DEM's grid), and truths.json
+    into *out_dir*."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(scene.dem, out / "dem.asc")
     write_ppm(scene.rgb, out / "rgb.ppm")
-    write_ascii_mask(scene.gt_mask, out / "gt_mask.asc")
+    write_ascii_mask(scene.gt_mask, out / "gt_mask.asc", scene.dem.geotransform)
     doc = {
         "seed": scene.seed,
         "sinkholes": [

@@ -113,8 +113,8 @@ def _check_window(window: TileWindow, width: int, height: int) -> None:
 def extract_tile(source, window: TileWindow):
     """Cut one window out of a Raster, BinaryMask, or RGBImage.
 
-    The returned object has the same type as *source*; rasters and masks
-    get the georeference of the cut (origins shifted accordingly).
+    The returned object has the same type as *source*; a raster gets the
+    georeference of the cut (origins shifted accordingly).
     """
     if not isinstance(source, (Raster, BinaryMask, RGBImage)):
         raise TypeError(f"cannot extract a tile from {type(source).__name__}")
@@ -123,11 +123,11 @@ def extract_tile(source, window: TileWindow):
     cut = (slice(rs, rs + window.patch), slice(cs, cs + window.patch))
     if isinstance(source, RGBImage):
         return RGBImage(source.pixels[cut])
+    if isinstance(source, BinaryMask):
+        return BinaryMask(source.values[cut])
     origin_x = source.origin_x + cs * source.cellsize
     origin_y = source.origin_y + (source.height - rs - window.patch) * source.cellsize
-    if isinstance(source, Raster):
-        return Raster(source.values[cut], source.nodata, origin_x, origin_y, source.cellsize)
-    return BinaryMask(source.values[cut], origin_x, origin_y, source.cellsize)
+    return Raster(source.values[cut], source.nodata, origin_x, origin_y, source.cellsize)
 
 
 def fold_tiles(

@@ -401,10 +401,11 @@ class TestExitCodes:
             (manifest_text(cellsize=0.0), "cellsize must be > 0, got 0.0"),
             (manifest_text(invert_depth="yes"), "invert_depth must be true or false, got 'yes'"),
             (manifest_text(origin_x=10**400), "origin_x must be a finite number"),
+            ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
         ],
         ids=["truncated", "not-an-object", "missing-keys", "string-width",
              "zero-patch", "unknown-fill-mode", "null-cellsize", "zero-cellsize",
-             "string-invert-depth", "int-too-large-for-a-float"],
+             "string-invert-depth", "int-too-large-for-a-float", "nested-too-deep"],
     )
     def test_malformed_manifest_is_a_usage_error(self, tmp_path, capsys, text, message):
         out = tmp_path / "out"
@@ -451,6 +452,49 @@ class TestExitCodes:
         assert code == 2
         assert peak < 2_000_000, f"peak {peak / 1e6:.1f} MB"
         assert message in err
+
+    @pytest.mark.parametrize(
+        "stage, side, artifact, message",
+        [
+            ("prompts", 10_000, "depth.npz", "member depth does not hold the 800000000 data bytes"
+                                             " its header claims — rerun the fill stage"),
+            ("prompts", 60_000, "depth.npz", "member depth does not hold the 28800000000 data"
+                                             " bytes its header claims — rerun the fill stage"),
+            ("eval", 100_000, "fused_mask.npz", "member mask does not hold the 10000000000 data"
+                                                " bytes its header claims — rerun the segment stage"),
+        ],
+        ids=["depth-10000", "depth-60000", "fused-mask-100000"],
+    )
+    def test_forged_member_claim_reads_no_more_than_the_member_holds(
+        self, scene_dir, tmp_path, capsys, stage, side, artifact, message
+    ):
+        """A manifest and a member header that agree on a huge array, over a
+        member with no data, are refused having read only what is there."""
+        import tracemalloc
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(
+            manifest_text(width=side, height=side, fill_mode="mosaic"))
+        name, descr = ("depth", "<f8") if stage == "prompts" else ("mask", "|b1")
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": descr, "fortran_order": False, "shape": (side, side)})
+        with zipfile.ZipFile(out / artifact, "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr(f"{name}.npy", header.getvalue())
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main([stage, "--set", f"out_dir={out}",
+                         "--set", f"eval.gt_mask={scene_dir / 'gt_mask.asc'}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"
+        assert message in err
+        assert "internal error" not in err
 
     @pytest.mark.parametrize(
         "fill_mode, claim, message",
@@ -544,6 +588,8 @@ class TestExitCodes:
             ("patch", "segment", "boxes.jsonl",
              box_line(2, '{"boxes":[[true,0,2,2]],"patch_id":"r00000_c00024"}'),
              "boxes.jsonl: line 2: box 0 invalid: box coordinate x0 must be an integer, got True"),
+            ("patch", "segment", "boxes.jsonl", box_line(2, "[" * 100_000 + "]" * 100_000),
+             "boxes.jsonl: line 2: prompts file is not valid JSON"),
             ("patch", "segment", "boxes.jsonl",
              box_lines(lambda lines: [lines[1], lines[0], *lines[2:]]),
              "boxes.jsonl: line 1 is 'r00000_c00024', expected 'r00000_c00000'"),
@@ -574,7 +620,8 @@ class TestExitCodes:
              "raw-member-depth", "python2-header-depth", "short-kept-mask",
              "huge-header-kept-mask", "encrypted-kept-mask", "uint8-kept-mask",
              "depth-member-kept-mask",
-             "box-outside-patch", "string-area", "bool-coordinate", "swapped-boxes",
+             "box-outside-patch", "string-area", "bool-coordinate", "nested-too-deep-boxes",
+             "swapped-boxes",
              "missing-boxes", "extra-boxes", "uint8-fused-mask", "depth-member-fused-mask",
              "short-fused-mask", "huge-header-fused-mask", "aes-fused-mask", "deep-header",
              "npy-version-2-depth"],
@@ -766,7 +813,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_ignore_mask_of_another_shape_is_a_usage_error(self, scene_dir, tmp_path, capsys):
-        write_ascii_mask(BinaryMask(np.zeros((96, 95), dtype=bool)), tmp_path / "ignore.asc")
+        write_ascii_mask(BinaryMask(np.zeros((96, 95), dtype=bool)), tmp_path / "ignore.asc",
+                         (0.0, 0.0, 1.0))
         out = tmp_path / "out"
         ignore = f"eval.ignore_mask={tmp_path / 'ignore.asc'}"
         code = main(run_args(scene_dir, out, "--set", ignore))
@@ -790,7 +838,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         out.mkdir()
         ignore = tmp_path / "ignore.asc"
-        write_ascii_mask(BinaryMask(np.zeros((96, 96), dtype=bool)), ignore)
+        write_ascii_mask(BinaryMask(np.zeros((96, 96), dtype=bool)), ignore, (0.0, 0.0, 1.0))
         paths = {"depth_raster": scene_dir / "dem.asc", "rgb_mosaic": scene_dir / "rgb.ppm",
                  "eval.gt_mask": scene_dir / "gt_mask.asc", "eval.ignore_mask": ignore,
                  "out_dir": out}
@@ -960,6 +1008,18 @@ class TestSynthCommand:
         assert (out / "gt_mask.asc").exists()
         doc = json.loads((out / "truths.json").read_text())
         assert len(doc["sinkholes"]) == 2
+
+    def test_default_options_are_the_library_defaults(self, tmp_path):
+        args = ["synth", "--seed", "5", "--width", "96", "--height", "80", "--n", "2"]
+        assert main([*args, "--out-dir", str(tmp_path / "default")]) == 0
+        assert main([*args, "--out-dir", str(tmp_path / "spelled"), "--depth-range", "3,8",
+                     "--radius-range", "8,24", "--slope", "0.0002"]) == 0
+        for name in ("dem.asc", "rgb.ppm", "gt_mask.asc", "truths.json"):
+            assert (tmp_path / "default" / name).read_bytes() == (
+                tmp_path / "spelled" / name).read_bytes()
+        dem, gt = ((tmp_path / "default" / name).read_text().splitlines()[:5]
+                   for name in ("dem.asc", "gt_mask.asc"))
+        assert gt == dem  # the ground truth is placed on the DEM's grid
 
     def test_flat_slope_option(self, tmp_path):
         out = tmp_path / "scene"

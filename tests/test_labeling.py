@@ -404,8 +404,11 @@ class TestPromptsJson:
             ('{"patch_id": "p", "boxes": [[1, 2, 3]]}\n', "line 1: box 0 must be"),
             ('{"patch_id": "p", "boxes": "x"}\n', "line 1: 'boxes' must be a list"),
             ('{"patch_id": "p", "boxes": [], "areas": 3}\n', "line 1: 'areas' must be a list"),
+            ('{"patch_id": "p", "boxes": []}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
+             "line 2: prompts file is not valid JSON"),
         ],
-        ids=["bad-json", "blank-line", "bad-box", "boxes-not-a-list", "areas-not-a-list"],
+        ids=["bad-json", "blank-line", "bad-box", "boxes-not-a-list", "areas-not-a-list",
+             "nested-too-deep"],
     )
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "boxes.jsonl"

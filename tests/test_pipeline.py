@@ -344,7 +344,7 @@ class TestStageOrdering:
         cmd_segment(cfg)
         from sinkseg.raster import BinaryMask, write_ascii_mask
 
-        write_ascii_mask(BinaryMask(np.zeros((4, 4), dtype=bool)), tmp_path / "tiny.asc")
+        write_ascii_mask(BinaryMask(np.zeros((4, 4), dtype=bool)), tmp_path / "tiny.asc", (0.0, 0.0, 1.0))
         bad = replace(cfg, eval_gt_mask=tmp_path / "tiny.asc")
         with pytest.raises(InputError, match="ground truth"):
             cmd_eval(bad)
@@ -511,7 +511,7 @@ class TestSegmentAndEval:
         ignore = np.zeros(gt.values.shape, dtype=bool)
         ignore[:, :64] = True  # the left half, through at least one pit
         assert gt.values[ignore].any()
-        write_ascii_mask(BinaryMask(ignore), tmp_path / "ignore.asc")
+        write_ascii_mask(BinaryMask(ignore), tmp_path / "ignore.asc", (0.0, 0.0, 1.0))
         cfg, report = self.run_all(scene_dir, tmp_path / "out",
                                    eval_ignore_mask=tmp_path / "ignore.asc")
         pred = BinaryMask(load_mask(tmp_path / "out", "fused_mask"))
@@ -747,7 +747,8 @@ class TestArtifacts:
         exported = read_ascii_mask(tmp_path / "fused_mask.asc")
         assert exported.count() > 0
         assert np.array_equal(exported.values, load_mask(tmp_path / "out", "fused_mask"))
-        assert exported.geotransform == read_ascii_grid(scene_dir / "dem.asc").geotransform
+        placed = read_ascii_grid(tmp_path / "fused_mask.asc").geotransform
+        assert placed == read_ascii_grid(scene_dir / "dem.asc").geotransform
 
 
 class TestDeterminism:
@@ -873,7 +874,8 @@ class TestSymmetry:
             write_ascii_grid(Raster(turn(scene.dem.values), scene.dem.nodata),
                              scene_dir / "dem.asc")
             write_ppm(RGBImage(turn(scene.rgb.pixels)), scene_dir / "rgb.ppm")
-            write_ascii_mask(BinaryMask(turn(scene.gt_mask.values)), scene_dir / "gt_mask.asc")
+            write_ascii_mask(BinaryMask(turn(scene.gt_mask.values)), scene_dir / "gt_mask.asc",
+                             (0.0, 0.0, 1.0))
             reports.add(report_to_json(cmd_run(make_cfg(scene_dir, scene_dir / "out"))))
         assert len(reports) == 1
 

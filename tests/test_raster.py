@@ -1,5 +1,6 @@
 """Raster containers, ASCII grid I/O, and grid arithmetic."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from unittest import mock
@@ -109,6 +110,9 @@ class TestBinaryMask:
     def test_rejects_other_values(self):
         with pytest.raises(ValueError, match="0 or 1"):
             BinaryMask(np.array([[0, 2]]))
+
+    def test_holds_cells_only(self):
+        assert [field.name for field in dataclasses.fields(BinaryMask)] == ["values"]
 
 
 class TestAsciiGridRoundTrip:
@@ -353,14 +357,15 @@ class TestFastParserOracle:
         assert calls == [path]
 
 
-def mask_bytes_by_join(mask):
+def mask_bytes_by_join(mask, geotransform):
     """``write_ascii_mask`` output as built before it was vectorised."""
+    origin_x, origin_y, cellsize = geotransform
     lines = [
         f"ncols {mask.width}",
         f"nrows {mask.height}",
-        f"xllcorner {repr(mask.origin_x)}",
-        f"yllcorner {repr(mask.origin_y)}",
-        f"cellsize {repr(mask.cellsize)}",
+        f"xllcorner {repr(origin_x)}",
+        f"yllcorner {repr(origin_y)}",
+        f"cellsize {repr(cellsize)}",
         f"NODATA_value {repr(-9999.0)}",
     ]
     ints = mask.values.astype(np.int64)
@@ -379,23 +384,31 @@ class TestMaskIO:
         cellsize=st.floats(1e-6, 1e6),
     )
     def test_bytes_equal_joined_rows(self, cells, origin, cellsize, tmp_path_factory):
-        mask = BinaryMask(np.array(cells), origin_x=origin[0], origin_y=origin[1],
-                          cellsize=cellsize)
+        mask = BinaryMask(np.array(cells))
+        georef = (*origin, cellsize)
         path = tmp_path_factory.mktemp("masks") / "m.asc"
-        write_ascii_mask(mask, path)
-        assert path.read_bytes() == mask_bytes_by_join(mask)
+        write_ascii_mask(mask, path, georef)
+        assert path.read_bytes() == mask_bytes_by_join(mask, georef)
+        assert read_ascii_grid(path).geotransform == georef
 
     def test_round_trip(self, tmp_path, rng):
         m = BinaryMask(rng.random((7, 9)) > 0.5)
         path = tmp_path / "m.asc"
-        write_ascii_mask(m, path)
+        write_ascii_mask(m, path, (0.0, 0.0, 1.0))
         back = read_ascii_mask(path)
         assert np.array_equal(back.values, m.values)
 
     def test_writes_integer_tokens(self, tmp_path):
         path = tmp_path / "m.asc"
-        write_ascii_mask(BinaryMask(np.array([[1, 0]])), path)
+        write_ascii_mask(BinaryMask(np.array([[1, 0]])), path, (0.0, 0.0, 1.0))
         assert path.read_text().splitlines()[6] == "1 0"
+
+    @pytest.mark.parametrize("cellsize", [0.0, -1.0])
+    def test_rejects_nonpositive_cellsize(self, tmp_path, cellsize):
+        path = tmp_path / "m.asc"
+        with pytest.raises(ValueError, match="cellsize must be positive"):
+            write_ascii_mask(BinaryMask(np.array([[1, 0]])), path, (0.0, 0.0, cellsize))
+        assert not path.exists()
 
     def test_rejects_non_binary_values(self, tmp_path):
         path = tmp_path / "m.asc"
@@ -405,12 +418,12 @@ class TestMaskIO:
 
 
 def mask_outcome(path):
-    """``read_ascii_mask``'s result as comparable values, or its error text."""
+    """``read_ascii_mask``'s cells as nested lists, or its error text."""
     try:
         mask = read_ascii_mask(path)
     except GridFormatError as exc:
         return str(exc)
-    return mask.values.tolist(), mask.geotransform
+    return mask.values.tolist()
 
 
 def mask_outcome_by_parser(path):
@@ -433,13 +446,13 @@ class TestMaskBytesReader:
         cellsize=st.floats(1e-6, 1e6),
     )
     def test_equals_the_grid_parser(self, cells, origin, cellsize, tmp_path_factory):
-        mask = BinaryMask(np.array(cells), origin_x=origin[0], origin_y=origin[1],
-                          cellsize=cellsize)
+        georef = (*origin, cellsize)
         path = tmp_path_factory.mktemp("masks") / "m.asc"
-        write_ascii_mask(mask, path)
+        write_ascii_mask(BinaryMask(np.array(cells)), path, georef)
         assert raster._read_mask_bytes(path) is not None  # the byte reader took it
         assert mask_outcome(path) == mask_outcome_by_parser(path)
-        assert mask_outcome(path) == (cells, mask.geotransform)
+        assert mask_outcome(path) == cells
+        assert read_ascii_grid(path).geotransform == georef
 
     @pytest.mark.parametrize(
         "edit, error",
@@ -461,13 +474,14 @@ class TestMaskBytesReader:
     def test_any_other_layout_goes_to_the_grid_parser(self, tmp_path, edit, error):
         values = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
         path = tmp_path / "m.asc"
-        write_ascii_mask(BinaryMask(values), path)
+        write_ascii_mask(BinaryMask(values), path, (0.0, 0.0, 1.0))
         path.write_bytes(edit(path.read_bytes()))
         assert raster._read_mask_bytes(path) is None
         outcome = mask_outcome(path)
         assert outcome == mask_outcome_by_parser(path)
         if error is None:
-            assert outcome == (values.astype(bool).tolist(), (0.0, 0.0, 1.0))
+            assert outcome == values.astype(bool).tolist()
+            assert read_ascii_grid(path).geotransform == (0.0, 0.0, 1.0)
         else:
             assert error in outcome
 

@@ -565,7 +565,10 @@ class TestHttpBackend:
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
         assert paths == ["/api%20v1;x=%C3%A9/segment"]
 
-    @pytest.mark.parametrize("body", [["oops"], "oops", None, 3, b"<html>busy</html>"])
+    @pytest.mark.parametrize("body", [
+        ["oops"], "oops", None, 3, b"<html>busy</html>",
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deep"),
+    ])
     def test_error_body_that_is_not_an_object(self, body):
         with serving(canned(503, body)) as endpoint:
             with pytest.raises(BackendError, match=r"HTTP 503$"):
@@ -574,7 +577,8 @@ class TestHttpBackend:
     @pytest.mark.parametrize("body, pattern", [
         (b"<html>ok</html>", "service reply is not JSON"),
         ([{"masks_crop": [], "scores": []}], "service reply must be a JSON object"),
-    ], ids=["not-json", "not-an-object"])
+        (b"[" * 100_000 + b"]" * 100_000, "service reply is not JSON"),
+    ], ids=["not-json", "not-an-object", "nested-too-deep"])
     def test_ok_reply_that_is_not_a_json_object(self, body, pattern):
         with serving(canned(200, body)) as endpoint:
             with pytest.raises(ProtocolError, match=pattern):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,16 @@ class TestExportScene:
             assert entry["radius"] == pit.radius
             assert entry["depth"] == pit.depth
             assert entry["bbox"] == truth.bbox.as_list()
+
+    def test_ground_truth_is_placed_on_the_dem_grid(self, tmp_path):
+        scene = gen_terrain(seed=4, width=80, height=64, n_sinkholes=2)
+        georef = (500000.0, 4000000.0, 0.5)
+        dem = Raster(scene.dem.values, origin_x=georef[0], origin_y=georef[1], cellsize=georef[2])
+        export_scene(replace(scene, dem=dem), tmp_path)
+        assert read_ascii_grid(tmp_path / "dem.asc").geotransform == georef
+        gt = read_ascii_grid(tmp_path / "gt_mask.asc")
+        assert gt.geotransform == georef
+        assert np.array_equal(gt.values, scene.gt_mask.values)
 
     def test_export_is_byte_deterministic(self, tmp_path):
         scene = gen_terrain(seed=4, width=80, height=64, n_sinkholes=2, noise_amp=0.3)
