@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .raster import BinaryMask
+from .raster import check_mask
 
 
 class PromptFormatError(InputError):
@@ -190,9 +190,9 @@ def label_components(depth: np.ndarray) -> LabelGrid:
     return _labelled(depth > 0, depth)
 
 
-def components_from_mask(mask: BinaryMask) -> LabelGrid:
-    """Label the set pixels of a binary mask (max_depth reported as 1.0)."""
-    return _labelled(mask.values, mask.values)
+def components_from_mask(mask: np.ndarray) -> LabelGrid:
+    """Label the set pixels of a mask, a 2-D bool array (max_depth reported as 1.0)."""
+    return _labelled(check_mask(mask), mask)
 
 
 def filter_components(grid: LabelGrid, thresholds: FilterThresholds) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labeling import LabelGrid, components_from_mask
-from .raster import BinaryMask
+from .raster import check_mask
 
 BCE_EPS = 1e-7
 DICE_SMOOTH = 1.0
@@ -116,21 +116,18 @@ class LossValue:
 
 
 def pixel_confusion(
-    pred: BinaryMask, gt: BinaryMask, ignore: BinaryMask | None = None
+    pred: np.ndarray, gt: np.ndarray, ignore: np.ndarray | None = None
 ) -> PixelConfusion:
-    """Count tp/tn/fp/fn over pixels, skipping any marked in *ignore*."""
-    if pred.values.shape != gt.values.shape:
-        raise ValueError(
-            f"pred/gt dimension mismatch: {pred.values.shape} vs {gt.values.shape}"
-        )
-    p = pred.values
-    g = gt.values
+    """Count tp/tn/fp/fn over the pixels of two masks, 2-D bool arrays,
+    skipping any marked in the mask *ignore*."""
+    p = check_mask(pred, "pred")
+    g = check_mask(gt, "gt")
+    if p.shape != g.shape:
+        raise ValueError(f"pred/gt dimension mismatch: {p.shape} vs {g.shape}")
     if ignore is not None:
-        if ignore.values.shape != p.shape:
-            raise ValueError(
-                f"ignore mask dimension mismatch: {ignore.values.shape} vs {p.shape}"
-            )
-        keep = ~ignore.values
+        if check_mask(ignore, "ignore").shape != p.shape:
+            raise ValueError(f"ignore mask dimension mismatch: {ignore.shape} vs {p.shape}")
+        keep = ~ignore
         p = p[keep]
         g = g[keep]
     tp = int(np.count_nonzero(p & g))
@@ -222,19 +219,17 @@ def detection_curve(
     return rows
 
 
-def _check_loss_inputs(probs: np.ndarray, gt: BinaryMask) -> np.ndarray:
-    """*gt* as float64, once *probs* matches its shape and every probability
-    is finite and in [0, 1]."""
-    if probs.shape != gt.values.shape:
-        raise ValueError(
-            f"probs/gt dimension mismatch: {probs.shape} vs {gt.values.shape}"
-        )
+def _check_loss_inputs(probs: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """The mask *gt* as float64, once *probs* matches its shape and every
+    probability is finite and in [0, 1]."""
+    if probs.shape != check_mask(gt, "gt").shape:
+        raise ValueError(f"probs/gt dimension mismatch: {probs.shape} vs {gt.shape}")
     if probs.size and not (np.isfinite(probs).all() and 0.0 <= probs.min() <= probs.max() <= 1.0):
         raise ValueError("probabilities must be finite and in [0, 1]")
-    return gt.values.astype(np.float64)
+    return gt.astype(np.float64)
 
 
-def bce_loss(probs, gt: BinaryMask) -> float:
+def bce_loss(probs, gt: np.ndarray) -> float:
     """Mean binary cross-entropy; probabilities clamped to
     ``[BCE_EPS, 1 - BCE_EPS]``."""
     p = np.asarray(probs, dtype=np.float64)
@@ -243,7 +238,7 @@ def bce_loss(probs, gt: BinaryMask) -> float:
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def dice_loss(probs, gt: BinaryMask) -> float:
+def dice_loss(probs, gt: np.ndarray) -> float:
     """Soft Dice loss: ``1 - (2·Σp·y + s) / (Σp + Σy + s)`` with ``s = DICE_SMOOTH``."""
     p = np.asarray(probs, dtype=np.float64)
     y = _check_loss_inputs(p, gt)
@@ -251,7 +246,7 @@ def dice_loss(probs, gt: BinaryMask) -> float:
     return 1.0 - (2.0 * inter + DICE_SMOOTH) / (float(p.sum()) + float(y.sum()) + DICE_SMOOTH)
 
 
-def combined_loss(probs, gt: BinaryMask) -> LossValue:
+def combined_loss(probs, gt: np.ndarray) -> LossValue:
     """BCE plus Dice; ``total`` is their exact sum."""
     return LossValue(bce=bce_loss(probs, gt), dice=dice_loss(probs, gt))
 
@@ -299,12 +294,13 @@ def report_to_csv(entries: list[tuple[str, MetricsReport]]) -> str:
 
 
 def evaluate_masks(
-    pred: BinaryMask,
-    gt: BinaryMask,
-    ignore: BinaryMask | None = None,
+    pred: np.ndarray,
+    gt: np.ndarray,
+    ignore: np.ndarray | None = None,
     thresholds=DEFAULT_THRESHOLDS,
 ) -> MetricsReport:
-    """Full report: pixel metrics plus the object detection curve.
+    """Full report on two masks, 2-D bool arrays: pixel metrics plus the
+    object detection curve.
 
     The object rows ignore *ignore*: they are :func:`detection_curve` of
     the two masks' components.

@@ -76,7 +76,7 @@ from .hydro import region_depths
 from .image import read_ppm
 from .labeling import PromptSet, label_components, read_prompts, tile_prompts, write_prompts
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
-from .raster import BinaryMask, invert_depth, read_ascii_grid, read_ascii_mask
+from .raster import invert_depth, read_ascii_grid, read_ascii_mask
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
 from .tiling import TileSpec, TileWindow, extract_tile, fold_tiles, patch_id, plan_tiles
 
@@ -86,6 +86,8 @@ MANIFEST_NAME = "manifest.json"
 _MANIFEST_INTS = ("width", "height", "patch", "stride")
 _GEOREFERENCE = ("origin_x", "origin_y", "cellsize")
 _MANIFEST_KEYS = (*_MANIFEST_INTS, *_GEOREFERENCE, "fill_mode", "invert_depth")
+_INFLATE_MAX = 1032  # the most bytes that deflate inflates one compressed byte to
+_READ_PIECE = 1 << 18
 
 
 def _pool_map(workers: int, fn, items):
@@ -254,12 +256,14 @@ def _check_order(found: list[str], expected: list[str], item: str) -> None:
 def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) -> np.ndarray:
     """The array of the member *info*, once its ``.npy`` header shows a 2-D
     array of *shape* and *dtype*: nothing else is read before, so a header
-    that claims a huge array allocates nothing.  Then at most one byte more
-    than the header promises is read, so a member short of its claim is
-    refused having allocated no more than it holds, and the array is a
-    read-only view of those bytes.  Only a plain stored or deflated member
-    with a version 1.0 header, as :func:`_write_archive` writes, is read.
-    Call it inside :func:`_upstream`."""
+    that claims a huge array allocates nothing.  The array is allocated
+    only once the archive's directory gives the member the size that header
+    implies, a size deflate could inflate the archive's bytes to, so a
+    forged directory cannot ask for more either.  The data is read into it
+    in pieces, so one copy is live, and one byte more shows the member end:
+    a member short or long of its claim is refused.  Only a plain stored or
+    deflated member with a version 1.0 header, as :func:`_write_archive`
+    writes, is read.  Call it inside :func:`_upstream`."""
     name = info.filename.removesuffix(".npy")
     plain = info.compress_type in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
     if not plain or info.flag_bits & 0x61:  # encrypted (flag bits 0, 6) or patched (bit 5)
@@ -283,11 +287,16 @@ def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) 
             if found_dtype != dtype:
                 raise InputError(f"{name} has dtype {found_dtype}, expected {np.dtype(dtype)}")
             count = math.prod(shape) * found_dtype.itemsize
-            data = member.read(count + 1)  # one byte over, to see the member end
-            if len(data) != count:
-                raise InputError(f"member {name} does not hold the {count} data bytes "
-                                 f"its header claims")
-            return np.frombuffer(data, found_dtype).reshape(shape, order="F" if fortran else "C")
+            on_disk = os.fstat(archive.fp.fileno()).st_size
+            if info.file_size == member.tell() + count and count <= _INFLATE_MAX * on_disk:
+                data = np.empty(count, np.uint8)
+                view, got = memoryview(data), 0
+                while got < count and (n := member.readinto(view[got : got + _READ_PIECE])):
+                    got += n
+                if got == count and not member.read(1):  # one byte over, to see the member end
+                    return data.view(found_dtype).reshape(shape, order="F" if fortran else "C")
+            raise InputError(f"member {name} does not hold the {count} data bytes "
+                             f"its header claims")
     except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise InputError(f"unreadable member {name} ({exc})") from exc
 
@@ -364,8 +373,7 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
             if mosaic is None:
                 with _upstream(depth_path, "fill"):
                     return _read_member(archive, infos[k], np.float64, (window.patch,) * 2)
-            return mosaic[window.row0 : window.row0 + window.patch,
-                          window.col0 : window.col0 + window.patch]
+            return mosaic[window.cells]
 
         def work(item: tuple[TileWindow, np.ndarray]):
             window, depth = item
@@ -423,8 +431,7 @@ def cmd_segment(cfg: PipelineConfig) -> None:
     shared_backend = _build_shared_backend(cfg)
     if shared_backend is None:  # echo paints the kept mask
         shape = (doc["height"], doc["width"])
-        values = _read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_, shape)
-        kept = BinaryMask(values)
+        kept = _read_array(out / "kept_mask.npz", "prompts", "mask", np.bool_, shape)
     boxes_path = out / "boxes.jsonl"
     with _upstream(boxes_path, "prompts"):
         prompt_sets = read_prompts(boxes_path)
@@ -438,7 +445,7 @@ def cmd_segment(cfg: PipelineConfig) -> None:
     def work(item: tuple[TileWindow, PromptSet]):
         window, prompts = item
         patch_img = extract_tile(rgb, window)
-        backend = shared_backend or EchoBackend(extract_tile(kept, window))
+        backend = shared_backend or EchoBackend(kept[window.cells])
         probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=prompts.patch_id)
         return window, probs, None  # every probability counts
 
@@ -455,18 +462,17 @@ def cmd_eval(cfg: PipelineConfig) -> MetricsReport:
     out = Path(cfg.out_dir)
     doc = _read_manifest(out)
     shape = (doc["height"], doc["width"])
-    values = _read_array(out / "fused_mask.npz", "segment", "mask", np.bool_, shape)
-    pred = BinaryMask(values)
+    pred = _read_array(out / "fused_mask.npz", "segment", "mask", np.bool_, shape)
     gt = read_ascii_mask(cfg.eval_gt_mask)
-    if pred.values.shape != gt.values.shape:
+    if pred.shape != gt.shape:
         raise InputError(
-            f"prediction is {pred.width}x{pred.height} but ground truth is "
-            f"{gt.width}x{gt.height}"
+            f"prediction is {pred.shape[1]}x{pred.shape[0]} but ground truth is "
+            f"{gt.shape[1]}x{gt.shape[0]}"
         )
     ignore = None
     if cfg.eval_ignore_mask is not None:
         ignore = read_ascii_mask(cfg.eval_ignore_mask)
-        if ignore.values.shape != gt.values.shape:
+        if ignore.shape != gt.shape:
             raise InputError("ignore mask dimensions do not match ground truth")
     report = evaluate_masks(pred, gt, ignore=ignore, thresholds=cfg.eval_thresholds)
     _write_text(out / "report.json", report_to_json(report))

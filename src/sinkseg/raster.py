@@ -47,6 +47,25 @@ def _freeze(values: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def check_mask(values, name: str = "mask") -> np.ndarray:
+    """*values* itself if it is a mask, a 2-D ``numpy.bool_`` array of at
+    least one cell; anything else, a 0/1 array of another dtype included,
+    is a ValueError naming *name*."""
+    if isinstance(values, np.ndarray) and values.dtype == np.bool_ and values.ndim == 2 and values.size:
+        return values
+    got = f"{values.dtype} {values.shape}" if isinstance(values, np.ndarray) else type(values).__name__
+    raise ValueError(f"{name} must be a 2-D bool array of at least one cell, got {got}")
+
+
+def _check_georeference(origin_x: float, origin_y: float, cellsize: float) -> None:
+    """Refuse a georeference that :func:`read_ascii_grid` would refuse to read."""
+    for key, value in (("origin_x", origin_x), ("origin_y", origin_y), ("cellsize", cellsize)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    if not cellsize > 0:
+        raise ValueError(f"cellsize must be positive, got {cellsize}")
+
+
 @dataclass(frozen=True)
 class Raster:
     """A single-band grid plus georeference and nodata sentinel.
@@ -59,9 +78,9 @@ class Raster:
     nodata : float
         Sentinel marking cells with no data.
     origin_x, origin_y : float
-        Map coordinates of the lower-left corner.
+        Map coordinates of the lower-left corner (finite).
     cellsize : float
-        Cell edge length in map units (must be > 0).
+        Cell edge length in map units (finite and > 0).
     """
 
     values: np.ndarray
@@ -74,8 +93,7 @@ class Raster:
         object.__setattr__(self, "values", _freeze(self.values, np.float64))
         if not np.isfinite(self.nodata):
             raise ValueError("nodata sentinel must be finite")
-        if not self.cellsize > 0:
-            raise ValueError(f"cellsize must be positive, got {self.cellsize}")
+        _check_georeference(self.origin_x, self.origin_y, self.cellsize)
         if not np.isfinite(self.values).all():  # nodata is finite, so this covers valid cells
             raise ValueError("raster contains non-finite values")
 
@@ -103,30 +121,16 @@ class Raster:
 
 @dataclass(frozen=True)
 class BinaryMask:
-    """A 0/1 grid, copied as bool and read-only.  It holds cells only: its
-    place on the map is its grid's, which :func:`write_ascii_mask` is handed."""
+    """A synthetic scene's ground truth: a 0/1 grid, copied as bool and
+    read-only.  Every library call takes its ``values``, a plain mask."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values)
-        if arr.dtype != np.bool_:
-            uniq = np.unique(arr)
-            if not np.isin(uniq, (0, 1)).all():
-                raise ValueError("mask values must be 0 or 1")
+        if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
+            raise ValueError("mask values must be 0 or 1")
         object.__setattr__(self, "values", _freeze(arr, np.bool_))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def count(self) -> int:
-        """Number of set (1) cells."""
-        return int(self.values.sum())
 
 
 def _parse_header(lines: list[str], path: Path) -> dict:
@@ -282,7 +286,7 @@ def write_ascii_grid(raster: Raster, path: str | Path) -> None:
     Path(path).write_text(header + "\n".join(rows) + "\n")
 
 
-def _read_mask_bytes(path: Path) -> BinaryMask | None:
+def _read_mask_bytes(path: Path) -> np.ndarray | None:
     """The mask at *path* if it is laid out exactly as :func:`write_ascii_mask`
     writes it, else None: the header it would write, then ``d d … d\\n`` rows
     of ``0`` and ``1``, every separator and digit checked."""
@@ -311,11 +315,11 @@ def _read_mask_bytes(path: Path) -> BinaryMask | None:
         and (ones | (digits == ord("0"))).all()
     ):
         return None
-    return BinaryMask(ones)
+    return ones
 
 
-def read_ascii_mask(path: str | Path) -> BinaryMask:
-    """Read the cells of a 0/1 ASCII grid as a :class:`BinaryMask`.
+def read_ascii_mask(path: str | Path) -> np.ndarray:
+    """Read the cells of a 0/1 ASCII grid as a mask, a 2-D bool array.
 
     The whole header is checked, but the mask keeps only the cells: read
     the file with :func:`read_ascii_grid` for its georeference.  Nodata
@@ -331,23 +335,26 @@ def read_ascii_mask(path: str | Path) -> BinaryMask:
     if not np.isin(data, (0.0, 1.0)).all():
         bad = data[~np.isin(data, (0.0, 1.0))][0]
         raise GridFormatError(f"{path}: mask contains non-binary value {float(bad)}")
-    return BinaryMask(data.astype(bool))
+    return data == 1.0
 
 
 def write_ascii_mask(
-    mask: BinaryMask, path: str | Path, geotransform: tuple[float, float, float]
+    mask: np.ndarray, path: str | Path, geotransform: tuple[float, float, float]
 ) -> None:
-    """Write a :class:`BinaryMask` as an ASCII grid of 0/1 integers placed at
-    *geotransform*, ``(origin_x, origin_y, cellsize)`` as
-    :attr:`Raster.geotransform` spells it; a cellsize <= 0 is a ValueError."""
-    if not geotransform[2] > 0:
-        raise ValueError(f"cellsize must be positive, got {geotransform[2]}")
+    """Write *mask*, a 2-D bool array, as an ASCII grid of 0/1 integers
+    placed at *geotransform*, ``(origin_x, origin_y, cellsize)`` as
+    :attr:`Raster.geotransform` spells it.  Anything :func:`check_mask`
+    refuses, or a georeference :class:`Raster` refuses, is a ValueError
+    raised before *path* is opened."""
+    check_mask(mask)
+    _check_georeference(*geotransform)
+    height, width = mask.shape
     # Each row is "d d ... d\n": a digit, then a space or the line break.
-    cells = np.full((mask.height, 2 * mask.width), ord(" "), dtype=np.uint8)
-    cells[:, 0::2] = mask.values
+    cells = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
+    cells[:, 0::2] = mask
     cells[:, 0::2] += ord("0")
     cells[:, -1] = ord("\n")
-    header = _header_text(mask.width, mask.height, *geotransform, DEFAULT_NODATA)
+    header = _header_text(width, height, *geotransform, DEFAULT_NODATA)
     Path(path).write_bytes(header.encode() + cells.tobytes())
 
 

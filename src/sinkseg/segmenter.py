@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BackendError, BackendUnreachableError, ProtocolError
 from .image import ImageFormatError, RGBImage, gray_from_pgm_bytes, ppm_bytes
 from .labeling import PromptBox
-from .raster import BinaryMask
+from .raster import check_mask
 
 
 def _is_int(v) -> bool:
@@ -59,15 +59,15 @@ def _gray255(blob: bytes, where: str) -> np.ndarray:
 
 
 class EchoBackend:
-    """Backend that echoes a depression mask inside each box.
+    """Backend that echoes *mask*, a patch-sized 2-D bool array, inside each box.
 
     Useful for end-to-end runs without a model: with box prompts derived
     from the same depressions, the fused mask reproduces them.  Each mask is
     the box-sized window of the mask, at the box's corner.
     """
 
-    def __init__(self, mask: BinaryMask):
-        self._mask = mask.values
+    def __init__(self, mask: np.ndarray):
+        self._mask = check_mask(mask, "echo mask")
 
     def masks_for(self, patch: RGBImage, boxes: list[PromptBox], patch_id: str = ""):
         if self._mask.shape != (patch.height, patch.width):

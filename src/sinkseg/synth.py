@@ -276,9 +276,8 @@ def gen_terrain(
 
     dem = Raster(values)
     rgb = _render_rgb(values, gt)
-    gt_mask = BinaryMask(gt)
     return SynthScene(
-        dem=dem, rgb=rgb, gt_mask=gt_mask, truths=truths, seed=seed, pits=tuple(pits)
+        dem=dem, rgb=rgb, gt_mask=BinaryMask(gt), truths=truths, seed=seed, pits=tuple(pits)
     )
 
 
@@ -289,7 +288,7 @@ def export_scene(scene: SynthScene, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(scene.dem, out / "dem.asc")
     write_ppm(scene.rgb, out / "rgb.ppm")
-    write_ascii_mask(scene.gt_mask, out / "gt_mask.asc", scene.dem.geotransform)
+    write_ascii_mask(scene.gt_mask.values, out / "gt_mask.asc", scene.dem.geotransform)
     doc = {
         "seed": scene.seed,
         "sinkholes": [

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .image import RGBImage
-from .raster import BinaryMask, Raster
+from .raster import Raster
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,11 @@ class TileWindow:
             raise ValueError(f"window origin must be non-negative, got {self}")
         if self.patch < 1:
             raise ValueError(f"window patch must be >= 1, got {self.patch}")
+
+    @property
+    def cells(self) -> tuple[slice, slice]:
+        """The window's rows and columns, to index a mosaic-sized array with."""
+        return slice(self.row0, self.row0 + self.patch), slice(self.col0, self.col0 + self.patch)
 
 
 class MergeRule(Enum):
@@ -111,23 +116,20 @@ def _check_window(window: TileWindow, width: int, height: int) -> None:
 
 
 def extract_tile(source, window: TileWindow):
-    """Cut one window out of a Raster, BinaryMask, or RGBImage.
+    """Cut one window out of a Raster or an RGBImage.
 
     The returned object has the same type as *source*; a raster gets the
     georeference of the cut (origins shifted accordingly).
     """
-    if not isinstance(source, (Raster, BinaryMask, RGBImage)):
+    if not isinstance(source, (Raster, RGBImage)):
         raise TypeError(f"cannot extract a tile from {type(source).__name__}")
     _check_window(window, source.width, source.height)
-    rs, cs = window.row0, window.col0
-    cut = (slice(rs, rs + window.patch), slice(cs, cs + window.patch))
     if isinstance(source, RGBImage):
-        return RGBImage(source.pixels[cut])
-    if isinstance(source, BinaryMask):
-        return BinaryMask(source.values[cut])
+        return RGBImage(source.pixels[window.cells])
+    rs, cs = window.row0, window.col0
     origin_x = source.origin_x + cs * source.cellsize
     origin_y = source.origin_y + (source.height - rs - window.patch) * source.cellsize
-    return Raster(source.values[cut], source.nodata, origin_x, origin_y, source.cellsize)
+    return Raster(source.values[window.cells], source.nodata, origin_x, origin_y, source.cellsize)
 
 
 def fold_tiles(
@@ -153,8 +155,7 @@ def fold_tiles(
             covered = np.zeros((height, width), dtype=bool)
             if merge is MergeRule.MEAN:
                 cnt = np.zeros((height, width), dtype=np.int64)
-        sl = (slice(window.row0, window.row0 + window.patch),
-              slice(window.col0, window.col0 + window.patch))
+        sl = window.cells
         if valid is None:  # an array: numpy's bool ops with a scalar are several times slower
             valid = np.ones(values.shape, dtype=bool)
         if merge is MergeRule.MEAN:

@@ -39,7 +39,7 @@ from sinkseg.metrics import (
 )
 from sinkseg.mock_server import MockSegmentServer
 from sinkseg.pipeline import cmd_run
-from sinkseg.raster import BinaryMask, Raster
+from sinkseg.raster import Raster
 from sinkseg.segmenter import HttpBackend, segment_patch
 from sinkseg.synth import brute_force_fill, export_scene, gen_terrain
 from sinkseg.tiling import TileSpec, extract_tile, plan_tiles, stitch
@@ -147,7 +147,7 @@ def test_4_metric_hand_checks_and_loss_identities():
     gt = np.zeros((4, 4), dtype=bool)
     pred[0:2, 0:2] = True
     gt[0:2, 1:3] = True
-    report = MetricsReport(pixel_confusion(BinaryMask(pred), BinaryMask(gt)))
+    report = MetricsReport(pixel_confusion(pred, gt))
     assert report.precision == 0.5
     assert report.recall == 0.5
     assert report.f1 == 0.5
@@ -155,12 +155,12 @@ def test_4_metric_hand_checks_and_loss_identities():
     assert report.accuracy == 0.75
 
     probs = np.full((10, 10), 0.5)
-    target = BinaryMask(np.zeros((10, 10), dtype=bool))
+    target = np.zeros((10, 10), dtype=bool)
     assert math.isclose(bce_loss(probs, target), math.log(2), rel_tol=0, abs_tol=1e-12)
 
     rng = np.random.default_rng(404)
     random_probs = rng.random((17, 23))
-    random_gt = BinaryMask(rng.random((17, 23)) > 0.5)
+    random_gt = rng.random((17, 23)) > 0.5
     loss = combined_loss(random_probs, random_gt)
     assert loss.total == bce_loss(random_probs, random_gt) + dice_loss(random_probs, random_gt)
     assert loss.total == loss.bce + loss.dice
@@ -174,8 +174,8 @@ def test_5_metric_identities_and_matching_monotonicity():
         assert math.isclose(r.f1, 2 * r.iou / (1 + r.iou), rel_tol=0, abs_tol=1e-12)
 
     for _ in range(100):
-        pred = components_from_mask(BinaryMask(rng.random((48, 48)) > 0.82))
-        gt = components_from_mask(BinaryMask(rng.random((48, 48)) > 0.82))
+        pred = components_from_mask(rng.random((48, 48)) > 0.82)
+        gt = components_from_mask(rng.random((48, 48)) > 0.82)
         tps = [object_match(pred, gt, t)[0] for t in DEFAULT_THRESHOLDS]
         assert tps == sorted(tps, reverse=True)
 

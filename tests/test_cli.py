@@ -13,7 +13,7 @@ import pytest
 
 from conftest import canned, serving
 from sinkseg.cli import main
-from sinkseg.raster import BinaryMask, Raster, read_ascii_grid, write_ascii_grid, write_ascii_mask
+from sinkseg.raster import Raster, read_ascii_grid, write_ascii_grid, write_ascii_mask
 from sinkseg.synth import export_scene, gen_terrain
 
 
@@ -496,6 +496,37 @@ class TestExitCodes:
         assert message in err
         assert "internal error" not in err
 
+    def test_forged_directory_size_allocates_nothing(self, tmp_path, capsys):
+        """A member with no data whose header and archive directory entry
+        both claim a 10000² float64 array is refused before the array is
+        allocated: no archive this small can inflate to that."""
+        import tracemalloc
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(
+            manifest_text(width=10_000, height=10_000, fill_mode="mosaic"))
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10_000, 10_000)})
+        with zipfile.ZipFile(out / "depth.npz", "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("depth.npy", header.getvalue())
+        data = bytearray((out / "depth.npz").read_bytes())
+        at = data.rindex(b"PK\x01\x02") + 24  # the entry's uncompressed size
+        data[at : at + 4] = (len(header.getvalue()) + 800_000_000).to_bytes(4, "little")
+        (out / "depth.npz").write_bytes(bytes(data))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["prompts", "--set", f"out_dir={out}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"
+        assert "member depth does not hold the 800000000 data bytes its header claims" in err
+
     @pytest.mark.parametrize(
         "fill_mode, claim, message",
         [
@@ -813,7 +844,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_ignore_mask_of_another_shape_is_a_usage_error(self, scene_dir, tmp_path, capsys):
-        write_ascii_mask(BinaryMask(np.zeros((96, 95), dtype=bool)), tmp_path / "ignore.asc",
+        write_ascii_mask(np.zeros((96, 95), dtype=bool), tmp_path / "ignore.asc",
                          (0.0, 0.0, 1.0))
         out = tmp_path / "out"
         ignore = f"eval.ignore_mask={tmp_path / 'ignore.asc'}"
@@ -838,7 +869,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         out.mkdir()
         ignore = tmp_path / "ignore.asc"
-        write_ascii_mask(BinaryMask(np.zeros((96, 96), dtype=bool)), ignore, (0.0, 0.0, 1.0))
+        write_ascii_mask(np.zeros((96, 96), dtype=bool), ignore, (0.0, 0.0, 1.0))
         paths = {"depth_raster": scene_dir / "dem.asc", "rgb_mosaic": scene_dir / "rgb.ppm",
                  "eval.gt_mask": scene_dir / "gt_mask.asc", "eval.ignore_mask": ignore,
                  "out_dir": out}

@@ -25,7 +25,6 @@ from sinkseg.labeling import (
     tile_prompts,
     write_prompts,
 )
-from sinkseg.raster import BinaryMask
 from sinkseg.synth import DepressionComponent
 
 
@@ -189,7 +188,7 @@ class TestLabeling:
         assert len(grid) == n
 
     def test_components_from_mask_reports_unit_depth(self):
-        mask = BinaryMask(np.array([[1, 0], [0, 1]], dtype=bool))
+        mask = np.array([[1, 0], [0, 1]], dtype=bool)
         grid = components_from_mask(mask)
         assert len(grid) == 1
         assert grid.area_px[1] == 2
@@ -213,7 +212,7 @@ class TestBfsOracle:
     def test_components_from_mask_equals_bfs(self, seed, shape, density):
         values = np.random.default_rng(seed).random(shape) < density
         expected = bfs_components(values, values.astype(np.float64))
-        assert pixel_sets(components_from_mask(BinaryMask(values))) == expected
+        assert pixel_sets(components_from_mask(values)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -25,11 +25,10 @@ from sinkseg.metrics import (
     report_to_csv,
     report_to_json,
 )
-from sinkseg.raster import BinaryMask
 
 
 def mask(values):
-    return BinaryMask(np.asarray(values, dtype=bool))
+    return np.asarray(values, dtype=bool)
 
 
 def grid(values):
@@ -354,7 +353,7 @@ class TestMaskObjectRows:
         ignore = mask(rng.random(shape) < ignore_density)
         expected = []
         for t in thresholds:
-            tp, fp, fn, _ = pairwise_match(grid(pred.values), grid(gt.values), t)
+            tp, fp, fn, _ = pairwise_match(grid(pred), grid(gt), t)
             expected.append((t, tp, fp, fn))
         expected = tuple(expected)
         assert evaluate_masks(pred, gt, ignore, thresholds).object_rows == expected

@@ -27,7 +27,6 @@ from sinkseg.mock_server import MockSegmentServer
 from sinkseg import hydro, pipeline
 from sinkseg.pipeline import cmd_eval, cmd_fill, cmd_prompts, cmd_run, cmd_segment
 from sinkseg.raster import (
-    BinaryMask,
     Raster,
     invert_depth,
     read_ascii_grid,
@@ -269,6 +268,24 @@ class TestFillStage:
             tracemalloc.stop()
         assert peak < 1_000_000, f"peak {peak / 1e6:.1f} MB"
 
+    def test_depth_archive_read_holds_one_copy(self, tmp_path):
+        """A member is read into the one array it becomes, not joined from
+        pieces and then copied."""
+        import tracemalloc
+
+        values = np.zeros((1024, 1024))
+        values[100:140, 200:260] = 1.5
+        pipeline._write_archive(tmp_path / "depth.npz", [("depth", values)])
+        tracemalloc.start()
+        try:
+            got = pipeline._read_array(tmp_path / "depth.npz", "fill", "depth", np.float64,
+                                       values.shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, values)
+        assert peak < 1.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the data"
+
 
 @st.composite
 def square_dems(draw):
@@ -342,9 +359,9 @@ class TestStageOrdering:
         cmd_fill(cfg)
         cmd_prompts(cfg)
         cmd_segment(cfg)
-        from sinkseg.raster import BinaryMask, write_ascii_mask
+        from sinkseg.raster import write_ascii_mask
 
-        write_ascii_mask(BinaryMask(np.zeros((4, 4), dtype=bool)), tmp_path / "tiny.asc", (0.0, 0.0, 1.0))
+        write_ascii_mask(np.zeros((4, 4), dtype=bool), tmp_path / "tiny.asc", (0.0, 0.0, 1.0))
         bad = replace(cfg, eval_gt_mask=tmp_path / "tiny.asc")
         with pytest.raises(InputError, match="ground truth"):
             cmd_eval(bad)
@@ -415,7 +432,7 @@ class TestPromptsStage:
         kept = load_mask(tmp_path / "out")
         gt = read_ascii_mask(scene_dir / "gt_mask.asc")
         # surviving depressions sit exactly where the ground truth says
-        assert kept[gt.values].mean() > 0.9
+        assert kept[gt].mean() > 0.9
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
     def test_kept_mask_archive_is_the_folded_mask(self, scene_dir, tmp_path, monkeypatch, mode):
@@ -496,7 +513,7 @@ class TestSegmentAndEval:
         assert report.object_rows[4][:3] == (0.5, 3, 0)  # all three pits found
         fused = load_mask(tmp_path / "out", "fused_mask")
         gt = read_ascii_mask(scene_dir / "gt_mask.asc")
-        assert fused.shape == gt.values.shape
+        assert fused.shape == gt.shape
 
     def test_report_files_match_returned_report(self, scene_dir, tmp_path):
         from sinkseg.metrics import report_to_json
@@ -508,14 +525,14 @@ class TestSegmentAndEval:
 
     def test_ignore_mask_is_left_out_of_the_pixel_counts(self, scene_dir, tmp_path):
         gt = read_ascii_mask(scene_dir / "gt_mask.asc")
-        ignore = np.zeros(gt.values.shape, dtype=bool)
+        ignore = np.zeros(gt.shape, dtype=bool)
         ignore[:, :64] = True  # the left half, through at least one pit
-        assert gt.values[ignore].any()
-        write_ascii_mask(BinaryMask(ignore), tmp_path / "ignore.asc", (0.0, 0.0, 1.0))
+        assert gt[ignore].any()
+        write_ascii_mask(ignore, tmp_path / "ignore.asc", (0.0, 0.0, 1.0))
         cfg, report = self.run_all(scene_dir, tmp_path / "out",
                                    eval_ignore_mask=tmp_path / "ignore.asc")
-        pred = BinaryMask(load_mask(tmp_path / "out", "fused_mask"))
-        assert report == evaluate_masks(pred, gt, ignore=BinaryMask(ignore),
+        pred = load_mask(tmp_path / "out", "fused_mask")
+        assert report == evaluate_masks(pred, gt, ignore=ignore,
                                         thresholds=cfg.eval_thresholds)
         assert report.pixel_confusion.total == 128 * 64
 
@@ -745,8 +762,8 @@ class TestArtifacts:
         monkeypatch.chdir(tmp_path)
         exec(snippet, {})
         exported = read_ascii_mask(tmp_path / "fused_mask.asc")
-        assert exported.count() > 0
-        assert np.array_equal(exported.values, load_mask(tmp_path / "out", "fused_mask"))
+        assert exported.any()
+        assert np.array_equal(exported, load_mask(tmp_path / "out", "fused_mask"))
         placed = read_ascii_grid(tmp_path / "fused_mask.asc").geotransform
         assert placed == read_ascii_grid(scene_dir / "dem.asc").geotransform
 
@@ -874,7 +891,7 @@ class TestSymmetry:
             write_ascii_grid(Raster(turn(scene.dem.values), scene.dem.nodata),
                              scene_dir / "dem.asc")
             write_ppm(RGBImage(turn(scene.rgb.pixels)), scene_dir / "rgb.ppm")
-            write_ascii_mask(BinaryMask(turn(scene.gt_mask.values)), scene_dir / "gt_mask.asc",
+            write_ascii_mask(turn(scene.gt_mask.values), scene_dir / "gt_mask.asc",
                              (0.0, 0.0, 1.0))
             reports.add(report_to_json(cmd_run(make_cfg(scene_dir, scene_dir / "out"))))
         assert len(reports) == 1

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from sinkseg import raster
 from sinkseg.errors import GridFormatError
 from sinkseg.hydro import fill_depressions
+from sinkseg.labeling import components_from_mask
+from sinkseg.metrics import bce_loss, combined_loss, dice_loss, evaluate_masks, pixel_confusion
 from sinkseg.raster import (
     BinaryMask,
     Raster,
@@ -22,6 +24,7 @@ from sinkseg.raster import (
     write_ascii_grid,
     write_ascii_mask,
 )
+from sinkseg.segmenter import EchoBackend
 
 
 def grid_text(rows, ncols=None, nrows=None, nodata="-9999.0"):
@@ -96,6 +99,14 @@ class TestRasterType:
         with pytest.raises(ValueError, match="cellsize"):
             Raster(np.zeros((2, 2)), cellsize=0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=repr)
+    @pytest.mark.parametrize("key", ["origin_x", "origin_y", "cellsize"])
+    def test_rejects_non_finite_georeference(self, key, value):
+        """A georeference that no grid header may hold is refused, so
+        ``write_ascii_grid`` never writes one."""
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            Raster(np.zeros((2, 2)), **{key: value})
+
     def test_valid_mask(self):
         r = Raster(np.array([[1.0, -9999.0], [2.0, 3.0]]))
         assert r.valid_mask().tolist() == [[True, False], [True, True]]
@@ -105,7 +116,7 @@ class TestBinaryMask:
     def test_accepts_zero_one_ints(self):
         m = BinaryMask(np.array([[0, 1], [1, 0]]))
         assert m.values.dtype == np.bool_
-        assert m.count() == 2
+        assert np.count_nonzero(m.values) == 2
 
     def test_rejects_other_values(self):
         with pytest.raises(ValueError, match="0 or 1"):
@@ -361,15 +372,15 @@ def mask_bytes_by_join(mask, geotransform):
     """``write_ascii_mask`` output as built before it was vectorised."""
     origin_x, origin_y, cellsize = geotransform
     lines = [
-        f"ncols {mask.width}",
-        f"nrows {mask.height}",
+        f"ncols {mask.shape[1]}",
+        f"nrows {mask.shape[0]}",
         f"xllcorner {repr(origin_x)}",
         f"yllcorner {repr(origin_y)}",
         f"cellsize {repr(cellsize)}",
         f"NODATA_value {repr(-9999.0)}",
     ]
-    ints = mask.values.astype(np.int64)
-    lines.extend(" ".join(str(v) for v in ints[r].tolist()) for r in range(mask.height))
+    ints = mask.astype(np.int64)
+    lines.extend(" ".join(str(v) for v in ints[r].tolist()) for r in range(mask.shape[0]))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -384,7 +395,7 @@ class TestMaskIO:
         cellsize=st.floats(1e-6, 1e6),
     )
     def test_bytes_equal_joined_rows(self, cells, origin, cellsize, tmp_path_factory):
-        mask = BinaryMask(np.array(cells))
+        mask = np.array(cells)
         georef = (*origin, cellsize)
         path = tmp_path_factory.mktemp("masks") / "m.asc"
         write_ascii_mask(mask, path, georef)
@@ -392,22 +403,32 @@ class TestMaskIO:
         assert read_ascii_grid(path).geotransform == georef
 
     def test_round_trip(self, tmp_path, rng):
-        m = BinaryMask(rng.random((7, 9)) > 0.5)
+        m = rng.random((7, 9)) > 0.5
         path = tmp_path / "m.asc"
         write_ascii_mask(m, path, (0.0, 0.0, 1.0))
         back = read_ascii_mask(path)
-        assert np.array_equal(back.values, m.values)
+        assert np.array_equal(back, m)
 
     def test_writes_integer_tokens(self, tmp_path):
         path = tmp_path / "m.asc"
-        write_ascii_mask(BinaryMask(np.array([[1, 0]])), path, (0.0, 0.0, 1.0))
+        write_ascii_mask(np.array([[True, False]]), path, (0.0, 0.0, 1.0))
         assert path.read_text().splitlines()[6] == "1 0"
 
     @pytest.mark.parametrize("cellsize", [0.0, -1.0])
     def test_rejects_nonpositive_cellsize(self, tmp_path, cellsize):
         path = tmp_path / "m.asc"
         with pytest.raises(ValueError, match="cellsize must be positive"):
-            write_ascii_mask(BinaryMask(np.array([[1, 0]])), path, (0.0, 0.0, cellsize))
+            write_ascii_mask(np.array([[True, False]]), path, (0.0, 0.0, cellsize))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=repr)
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["origin_x", "origin_y", "cellsize"])
+    def test_rejects_non_finite_georeference(self, tmp_path, position, value):
+        georef = [0.0, 0.0, 1.0]
+        georef[position] = value
+        path = tmp_path / "m.asc"
+        with pytest.raises(ValueError, match="must be finite"):
+            write_ascii_mask(np.array([[True, False]]), path, tuple(georef))
         assert not path.exists()
 
     def test_rejects_non_binary_values(self, tmp_path):
@@ -418,12 +439,14 @@ class TestMaskIO:
 
 
 def mask_outcome(path):
-    """``read_ascii_mask``'s cells as nested lists, or its error text."""
+    """``read_ascii_mask``'s cells as nested lists, or its error text; what
+    it returns is checked to be a 2-D bool array."""
     try:
         mask = read_ascii_mask(path)
     except GridFormatError as exc:
         return str(exc)
-    return mask.values.tolist()
+    assert type(mask) is np.ndarray and mask.dtype == np.bool_ and mask.ndim == 2
+    return mask.tolist()
 
 
 def mask_outcome_by_parser(path):
@@ -448,7 +471,7 @@ class TestMaskBytesReader:
     def test_equals_the_grid_parser(self, cells, origin, cellsize, tmp_path_factory):
         georef = (*origin, cellsize)
         path = tmp_path_factory.mktemp("masks") / "m.asc"
-        write_ascii_mask(BinaryMask(np.array(cells)), path, georef)
+        write_ascii_mask(np.array(cells), path, georef)
         assert raster._read_mask_bytes(path) is not None  # the byte reader took it
         assert mask_outcome(path) == mask_outcome_by_parser(path)
         assert mask_outcome(path) == cells
@@ -474,7 +497,7 @@ class TestMaskBytesReader:
     def test_any_other_layout_goes_to_the_grid_parser(self, tmp_path, edit, error):
         values = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
         path = tmp_path / "m.asc"
-        write_ascii_mask(BinaryMask(values), path, (0.0, 0.0, 1.0))
+        write_ascii_mask(values == 1, path, (0.0, 0.0, 1.0))
         path.write_bytes(edit(path.read_bytes()))
         assert raster._read_mask_bytes(path) is None
         outcome = mask_outcome(path)
@@ -484,6 +507,45 @@ class TestMaskBytesReader:
             assert read_ascii_grid(path).geotransform == (0.0, 0.0, 1.0)
         else:
             assert error in outcome
+
+
+GOOD_MASK = np.array([[False, True], [True, False]])
+
+NOT_MASKS = {
+    "float64": GOOD_MASK.astype(np.float64),
+    "uint8": GOOD_MASK.astype(np.uint8),
+    "3-D": GOOD_MASK[..., None],
+    "empty": np.zeros((0, 2), dtype=bool),
+    "BinaryMask": BinaryMask(GOOD_MASK),
+}
+
+MASK_CALLS = {  # each call of the library that takes a mask, handed *m* in one mask argument
+    "write_ascii_mask": lambda m, path: write_ascii_mask(m, path, (0.0, 0.0, 1.0)),
+    "pixel_confusion-pred": lambda m, _: pixel_confusion(m, GOOD_MASK),
+    "pixel_confusion-gt": lambda m, _: pixel_confusion(GOOD_MASK, m),
+    "pixel_confusion-ignore": lambda m, _: pixel_confusion(GOOD_MASK, GOOD_MASK, m),
+    "evaluate_masks-pred": lambda m, _: evaluate_masks(m, GOOD_MASK),
+    "evaluate_masks-gt": lambda m, _: evaluate_masks(GOOD_MASK, m),
+    "evaluate_masks-ignore": lambda m, _: evaluate_masks(GOOD_MASK, GOOD_MASK, m),
+    "bce_loss": lambda m, _: bce_loss(np.full((2, 2), 0.5), m),
+    "dice_loss": lambda m, _: dice_loss(np.full((2, 2), 0.5), m),
+    "combined_loss": lambda m, _: combined_loss(np.full((2, 2), 0.5), m),
+    "components_from_mask": lambda m, _: components_from_mask(m),
+    "EchoBackend": lambda m, _: EchoBackend(m),
+}
+
+
+@pytest.mark.parametrize("call", MASK_CALLS.values(), ids=MASK_CALLS)
+@pytest.mark.parametrize("value", NOT_MASKS.values(), ids=NOT_MASKS)
+def test_mask_calls_take_only_a_2d_bool_array(tmp_path, call, value):
+    """A 0/1 array of another dtype, another rank, no cells or a
+    :class:`BinaryMask` is refused before anything is written; the same
+    call takes the 2-D bool array."""
+    path = tmp_path / "m.asc"
+    with pytest.raises(ValueError, match="must be a 2-D bool array of at least one cell"):
+        call(value, path)
+    assert not path.exists()
+    call(GOOD_MASK, path)
 
 
 class TestInvertDepth:

@@ -23,7 +23,6 @@ from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
 from sinkseg.image import RGBImage, pgm_bytes, ppm_bytes, write_pgm
 from sinkseg.labeling import PromptBox
 from sinkseg.mock_server import MockSegmentServer
-from sinkseg.raster import BinaryMask
 from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
@@ -148,7 +147,7 @@ class TestEchoBackend:
         mask = np.zeros((16, 16), dtype=bool)
         mask[4:8, 4:8] = True
         mask[10:14, 2:6] = True
-        return BinaryMask(mask)
+        return mask
 
     def test_mask_is_depth_support_inside_box(self):
         backend = EchoBackend(self.make_mask())
@@ -168,7 +167,7 @@ class TestEchoBackend:
         mask = self.make_mask()
         backend = EchoBackend(mask)
         probs = segment_patch(backend, gray_patch(), [PromptBox(0, 0, 16, 16)])
-        assert np.array_equal(probs, mask.values.astype(np.float64))
+        assert np.array_equal(probs, mask.astype(np.float64))
 
     def test_masks_are_box_sized_crops(self):
         backend = EchoBackend(self.make_mask())

@@ -203,7 +203,7 @@ class TestExportScene:
         dem = read_ascii_grid(tmp_path / "dem.asc")
         assert np.array_equal(dem.values, scene.dem.values)
         gt = read_ascii_mask(tmp_path / "gt_mask.asc")
-        assert np.array_equal(gt.values, scene.gt_mask.values)
+        assert np.array_equal(gt, scene.gt_mask.values)
         assert (tmp_path / "rgb.ppm").exists()
         doc = json.loads((tmp_path / "truths.json").read_text())
         assert doc["seed"] == 4
