@@ -19,7 +19,7 @@ Recognized keys (defaults in parentheses):
 ``filter.min_area_px``   depression area cutoff in pixels (50)
 ``pad_px``               prompt box padding in pixels (0)
 ``binarize_threshold``   probability > threshold becomes foreground (0.5)
-``merge``                stitch rule: max | mean | first (max)
+``merge``                tile fold overlap rule: max | mean | first (max)
 ``workers``              bounded worker pool size (1)
 ``backend.kind``         echo | http | replay (echo)
 ``backend.endpoint``     http backend URL

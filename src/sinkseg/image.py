@@ -2,8 +2,11 @@
 
 Only the binary variants are supported, with the usual layout: magic,
 optional ``#`` comment lines, width, height, maxval, a single whitespace
-byte, then raw samples.  Images written by this module carry no comments,
-so writing is deterministic byte-for-byte.
+byte, then raw samples, and nothing after them.  Images written by this
+module carry no comments, so writing is deterministic byte-for-byte.
+
+An RGB image is a plain (height, width, 3) ``numpy.uint8`` array;
+:func:`check_image` is the one check, and it converts nothing.
 """
 
 from __future__ import annotations
@@ -20,26 +23,29 @@ class ImageFormatError(InputError):
     """A PPM/PGM byte stream violates the expected layout."""
 
 
+def check_image(pixels, name: str = "image") -> np.ndarray:
+    """*pixels* itself if it is an image, an (h, w, 3) ``numpy.uint8`` array
+    of at least one pixel; anything else, an array of another dtype
+    included, is a ValueError naming *name*.  Nothing is converted."""
+    if (isinstance(pixels, np.ndarray) and pixels.dtype == np.uint8 and pixels.ndim == 3
+            and pixels.shape[2] == 3 and pixels.size):
+        return pixels
+    got = f"{pixels.dtype} {pixels.shape}" if isinstance(pixels, np.ndarray) else type(pixels).__name__
+    raise ValueError(f"{name} must be an (h, w, 3) uint8 array of at least one pixel, got {got}")
+
+
 @dataclass(frozen=True)
 class RGBImage:
-    """An 8-bit RGB image, ``pixels`` shaped (height, width, 3)."""
+    """A synthetic scene's imagery: ``pixels``, an image that
+    :func:`check_image` takes, copied read-only.  Every library call takes
+    the ``pixels``, a plain image."""
 
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.pixels, dtype=np.uint8, copy=True)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"expected (h, w, 3) pixels, got shape {arr.shape}")
+        arr = check_image(self.pixels, "pixels").copy()
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 def _parse_pnm(data: bytes, magic: bytes, channels: int):
@@ -70,27 +76,27 @@ def _parse_pnm(data: bytes, magic: bytes, channels: int):
         raise ImageFormatError(f"unsupported maxval {maxval} (need 1..255)")
     pos += 1  # single whitespace byte after maxval
     expected = width * height * channels
-    raw = data[pos : pos + expected]
-    if len(raw) != expected:
-        raise ImageFormatError(
-            f"truncated pixel data: expected {expected} bytes, got {len(raw)}"
-        )
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
+    got = max(len(data) - pos, 0)
+    if got != expected:
+        kind = "truncated" if got < expected else "trailing bytes after"
+        raise ImageFormatError(f"{kind} pixel data: expected {expected} bytes, got {got}")
+    arr = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width, channels)
+    arr.setflags(write=False)
     return arr, maxval
 
 
-def image_from_ppm_bytes(data: bytes) -> RGBImage:
-    """Decode a binary PPM (P6) byte string."""
+def image_from_ppm_bytes(data: bytes) -> np.ndarray:
+    """Decode a binary PPM (P6) byte string to a read-only image, a view of *data*."""
     arr, maxval = _parse_pnm(data, b"P6", 3)
     if maxval != 255:
         raise ImageFormatError(f"PPM maxval must be 255, got {maxval}")
-    return RGBImage(arr)
+    return arr
 
 
-def ppm_bytes(image: RGBImage) -> bytes:
-    """Encode an :class:`RGBImage` as binary PPM (P6)."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    return header + image.pixels.tobytes()
+def ppm_bytes(image: np.ndarray) -> bytes:
+    """Encode an image that :func:`check_image` takes as binary PPM (P6)."""
+    height, width, _ = check_image(image).shape
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + image.tobytes()
 
 
 def gray_from_pgm_bytes(data: bytes) -> tuple[np.ndarray, int]:
@@ -123,11 +129,11 @@ def _read_pnm(path: str | Path, decode):
         raise ImageFormatError(f"{path}: {exc}") from exc
 
 
-def read_ppm(path: str | Path) -> RGBImage:
+def read_ppm(path: str | Path) -> np.ndarray:
     return _read_pnm(path, image_from_ppm_bytes)
 
 
-def write_ppm(image: RGBImage, path: str | Path) -> None:
+def write_ppm(image: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(ppm_bytes(image))
 
 

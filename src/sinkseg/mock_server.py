@@ -61,12 +61,12 @@ class _Handler(BaseHTTPRequestHandler):
             doc = json.loads(self.rfile.read(length))
             image = image_from_ppm_bytes(base64.b64decode(doc["image_ppm_b64"]))
             boxes = doc["boxes"]
-            _check_boxes(boxes, image.width, image.height)
+            h, w, _ = image.shape
+            _check_boxes(boxes, w, h)
         except Exception as exc:  # noqa: BLE001 - report malformed requests
             self._reply(400, {"error": f"bad request: {exc}"})
             return
 
-        h, w = image.height, image.width
         crops = [_mask_crop(owner.mode, owner.value, box, h, w) for box in boxes]
         scores = [1.0] * len(boxes)
 

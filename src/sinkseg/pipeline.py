@@ -78,7 +78,7 @@ from .labeling import PromptSet, label_components, read_prompts, tile_prompts, w
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
 from .raster import invert_depth, read_ascii_grid, read_ascii_mask
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
-from .tiling import TileSpec, TileWindow, extract_tile, fold_tiles, patch_id, plan_tiles
+from .tiling import TileSpec, TileWindow, fold_tiles, patch_id, plan_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -422,9 +422,9 @@ def cmd_segment(cfg: PipelineConfig) -> None:
     doc = _read_manifest(out)
 
     rgb = read_ppm(cfg.rgb_mosaic)
-    if (rgb.height, rgb.width) != (doc["height"], doc["width"]):
+    if rgb.shape[:2] != (doc["height"], doc["width"]):
         raise InputError(
-            f"rgb mosaic is {rgb.width}x{rgb.height} but the fill manifest says "
+            f"rgb mosaic is {rgb.shape[1]}x{rgb.shape[0]} but the fill manifest says "
             f"{doc['width']}x{doc['height']}"
         )
     windows = _plan(out, doc)
@@ -444,9 +444,8 @@ def cmd_segment(cfg: PipelineConfig) -> None:
 
     def work(item: tuple[TileWindow, PromptSet]):
         window, prompts = item
-        patch_img = extract_tile(rgb, window)
         backend = shared_backend or EchoBackend(kept[window.cells])
-        probs = segment_patch(backend, patch_img, prompts.boxes, patch_id=prompts.patch_id)
+        probs = segment_patch(backend, rgb[window.cells], prompts.boxes, patch_id=prompts.patch_id)
         return window, probs, None  # every probability counts
 
     tiles = _pool_map(cfg.workers, work, zip(windows, prompt_sets))

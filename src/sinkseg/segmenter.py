@@ -1,15 +1,16 @@
 """Prompt-driven segmentation backends and per-patch mask fusion.
 
-A backend turns one RGB patch plus a list of box prompts into one
-probability mask per box (values in [0, 1]).  Every mask travels as a crop:
-``(row0, col0, array)``, the rectangle of the patch whose top-left cell is
-(``row0``, ``col0``), zero outside it, and a backend returns only the list
-of those crops.  :func:`segment_patch` drives any backend and returns one
-probability grid per patch (pixelwise max across boxes):
+A backend turns one RGB patch, an image that
+:func:`~sinkseg.image.check_image` takes, plus a list of box prompts into
+one probability mask per box (values in [0, 1]).  Every mask travels as a
+crop: ``(row0, col0, array)``, the rectangle of the patch whose top-left
+cell is (``row0``, ``col0``), zero outside it, and a backend returns only
+the list of those crops.  :func:`segment_patch` drives any backend and
+returns one probability grid per patch (pixelwise max across boxes):
 :func:`fuse_probabilities` checks each crop once against the shared output
 contract and folds it into that grid in place, so a 15-px mask never costs
 a patch-sized array or a copy of itself.  Binarization happens later, once,
-on the stitched mosaic.
+on the mosaic the patch grids fold into.
 
 Three backends ship with the package:
 
@@ -37,7 +38,7 @@ from urllib.parse import quote, urlsplit
 import numpy as np
 
 from .errors import BackendError, BackendUnreachableError, ProtocolError
-from .image import ImageFormatError, RGBImage, gray_from_pgm_bytes, ppm_bytes
+from .image import ImageFormatError, check_image, gray_from_pgm_bytes, ppm_bytes
 from .labeling import PromptBox
 from .raster import check_mask
 
@@ -69,12 +70,9 @@ class EchoBackend:
     def __init__(self, mask: np.ndarray):
         self._mask = check_mask(mask, "echo mask")
 
-    def masks_for(self, patch: RGBImage, boxes: list[PromptBox], patch_id: str = ""):
-        if self._mask.shape != (patch.height, patch.width):
-            raise BackendError(
-                f"echo mask is {self._mask.shape}, patch is "
-                f"{(patch.height, patch.width)}"
-            )
+    def masks_for(self, patch: np.ndarray, boxes: list[PromptBox], patch_id: str = ""):
+        if self._mask.shape != patch.shape[:2]:
+            raise BackendError(f"echo mask is {self._mask.shape}, patch is {patch.shape[:2]}")
         return [
             (box.y0, box.x0, self._mask[box.y0 : box.y1, box.x0 : box.x1].astype(np.float64))
             for box in boxes
@@ -179,7 +177,7 @@ class HttpBackend:
             f"{self._retries + 1} attempts: {last_exc}"
         ) from last_exc
 
-    def masks_for(self, patch: RGBImage, boxes: list[PromptBox], patch_id: str = ""):
+    def masks_for(self, patch: np.ndarray, boxes: list[PromptBox], patch_id: str = ""):
         # base64 needs no JSON escaping, so the image is spliced in, not dumped
         body = b"".join((
             b'{"image_ppm_b64": "',
@@ -246,10 +244,10 @@ class ReplayBackend:
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
 
-    def masks_for(self, patch: RGBImage, boxes: list[PromptBox], patch_id: str = ""):
+    def masks_for(self, patch: np.ndarray, boxes: list[PromptBox], patch_id: str = ""):
         if not patch_id:
             raise BackendError("replay backend needs a patch_id to locate masks")
-        shape = (patch.height, patch.width)
+        shape = patch.shape[:2]
         crops = []
         for i in range(len(boxes)):
             path = self._dir / patch_id / f"{i}.pgm"
@@ -294,11 +292,12 @@ def fuse_probabilities(probs: np.ndarray, i: int, entry) -> None:
 
 def segment_patch(
     backend,
-    patch: RGBImage,
+    patch: np.ndarray,
     boxes: list[PromptBox],
     patch_id: str = "",
 ) -> np.ndarray:
-    """Run *backend* on one patch; return its float64 probability grid.
+    """Run *backend* on *patch*, an image that :func:`~sinkseg.image.check_image`
+    takes; return its float64 probability grid.
 
     The grid is the pixelwise maximum over all boxes' masks; with no boxes
     the backend is not called and the grid is all zeros.  The backend
@@ -307,15 +306,19 @@ def segment_patch(
 
     Raises
     ------
+    ValueError
+        If *patch* is not an image, or a box exceeds it; the backend is not
+        called.
     ProtocolError
         If the backend output violates the contract (mask count, crop entry
         form, integer offsets, a numeric 2-D grid, placement inside the
         patch, or range), regardless of which backend produced it.
     """
+    height, width, _ = check_image(patch, "patch").shape
     for box in boxes:
-        if box.x1 > patch.width or box.y1 > patch.height:
-            raise ValueError(f"box {box} exceeds patch {patch.width}x{patch.height}")
-    probs = np.zeros((patch.height, patch.width), dtype=np.float64)
+        if box.x1 > width or box.y1 > height:
+            raise ValueError(f"box {box} exceeds patch {width}x{height}")
+    probs = np.zeros((height, width), dtype=np.float64)
     if boxes:
         crops = list(backend.masks_for(patch, boxes, patch_id))
         if len(crops) != len(boxes):

@@ -168,7 +168,9 @@ def _place_pits(
 
 def _render_rgb(dem_values: np.ndarray, gt: np.ndarray) -> RGBImage:
     """Hillshade-like grayscale with darkened pit interiors."""
-    gy, gx = np.gradient(dem_values)
+    # np.gradient needs two samples on an axis; a 1-cell axis has no slope
+    gy, gx = (np.gradient(dem_values, axis=axis) if n > 1 else np.zeros_like(dem_values)
+              for axis, n in enumerate(dem_values.shape))
     shade = 1.0 / np.sqrt(1.0 + gx * gx + gy * gy)
     lo, hi = float(shade.min()), float(shade.max())
     norm = (shade - lo) / (hi - lo) if hi > lo else np.full_like(shade, 0.5)
@@ -287,7 +289,7 @@ def export_scene(scene: SynthScene, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(scene.dem, out / "dem.asc")
-    write_ppm(scene.rgb, out / "rgb.ppm")
+    write_ppm(scene.rgb.pixels, out / "rgb.ppm")
     write_ascii_mask(scene.gt_mask.values, out / "gt_mask.asc", scene.dem.geotransform)
     doc = {
         "seed": scene.seed,

@@ -20,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .image import RGBImage
 from .raster import Raster
 
 
@@ -61,7 +60,7 @@ class TileWindow:
 
 
 class MergeRule(Enum):
-    """How overlapping tile cells combine when stitching."""
+    """How overlapping tile cells combine when tiles are folded into one grid."""
 
     MAX = "max"
     MEAN = "mean"
@@ -115,17 +114,12 @@ def _check_window(window: TileWindow, width: int, height: int) -> None:
         )
 
 
-def extract_tile(source, window: TileWindow):
-    """Cut one window out of a Raster or an RGBImage.
-
-    The returned object has the same type as *source*; a raster gets the
-    georeference of the cut (origins shifted accordingly).
-    """
-    if not isinstance(source, (Raster, RGBImage)):
+def extract_tile(source: Raster, window: TileWindow) -> Raster:
+    """Cut one window out of a Raster, with the georeference of the cut
+    (origins shifted accordingly).  An array is cut with ``window.cells``."""
+    if not isinstance(source, Raster):
         raise TypeError(f"cannot extract a tile from {type(source).__name__}")
     _check_window(window, source.width, source.height)
-    if isinstance(source, RGBImage):
-        return RGBImage(source.pixels[window.cells])
     rs, cs = window.row0, window.col0
     origin_x = source.origin_x + cs * source.cellsize
     origin_y = source.origin_y + (source.height - rs - window.patch) * source.cellsize

@@ -19,7 +19,6 @@ from conftest import make_random_dem, tree_digests
 from sinkseg.config import PipelineConfig
 from sinkseg.errors import BackendError, NoOutletError, ProtocolError
 from sinkseg.hydro import fill_depressions
-from sinkseg.image import RGBImage
 from sinkseg.labeling import (
     FilterThresholds,
     PromptBox,
@@ -211,7 +210,7 @@ def test_7_end_to_end_echo_run_on_1024px_scene(tmp_path):
 
 
 def test_8_wire_protocol_round_trip_and_fault_rejection():
-    patch = RGBImage(np.zeros((8, 8, 3), dtype=np.uint8))
+    patch = np.zeros((8, 8, 3), dtype=np.uint8)
     box = [PromptBox(0, 0, 8, 8)]
     with MockSegmentServer(mode="constant", value=128) as server:
         probs = segment_patch(HttpBackend(server.endpoint), patch, box)

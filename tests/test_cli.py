@@ -814,6 +814,18 @@ class TestExitCodes:
         assert f"{rgb}: truncated pixel data: expected 27648 bytes, got 0" in err
         assert "internal error" not in err
 
+    def test_rgb_mosaic_with_a_byte_after_its_pixels_is_a_usage_error(self, scene_dir, tmp_path,
+                                                                       capsys):
+        scene = tmp_path / "inputs"
+        shutil.copytree(scene_dir, scene)
+        rgb = scene / "rgb.ppm"
+        rgb.write_bytes(rgb.read_bytes() + b"\0")
+        code = main(run_args(scene, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{rgb}: trailing bytes after pixel data: expected 27648 bytes, got 27649" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
     def test_all_nodata_dem_is_a_usage_error(self, tmp_path, capsys, mode):
         write_ascii_grid(Raster(np.full((64, 64), -9999.0)), tmp_path / "void.asc")
@@ -1059,6 +1071,12 @@ class TestSynthCommand:
         assert code == 0
         dem = read_ascii_grid(out / "dem.asc")
         assert np.all(dem.values == 100.0)
+
+    def test_one_column_scene(self, tmp_path):
+        out = tmp_path / "scene"
+        assert main(["synth", "--seed", "1", "--width", "1", "--height", "5",
+                     "--n", "0", "--out-dir", str(out)]) == 0
+        assert (out / "rgb.ppm").read_bytes().startswith(b"P6\n1 5\n255\n")
 
     def test_impossible_packing_is_a_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--seed", "1", "--width", "64", "--height", "64",

@@ -1,13 +1,16 @@
 """Binary PPM/PGM encoding and parsing."""
 
+import base64
 import re
 
 import numpy as np
 import pytest
 
+from conftest import canned, serving
 from sinkseg.image import (
     ImageFormatError,
     RGBImage,
+    check_image,
     gray_from_pgm_bytes,
     image_from_ppm_bytes,
     pgm_bytes,
@@ -17,6 +20,8 @@ from sinkseg.image import (
     write_pgm,
     write_ppm,
 )
+from sinkseg.labeling import PromptBox
+from sinkseg.segmenter import HttpBackend, segment_patch
 
 
 class TestRGBImage:
@@ -25,10 +30,13 @@ class TestRGBImage:
             RGBImage(np.zeros((4, 4), dtype=np.uint8))
 
     def test_pixels_coerced_to_uint8_copy(self):
-        source = np.zeros((4, 4, 3), dtype=np.int64)
+        """Nothing is cast: an int64 image is refused, even one that fits
+        uint8; a uint8 image is copied."""
+        with pytest.raises(ValueError, match="uint8"):
+            RGBImage(np.zeros((4, 4, 3), dtype=np.int64))
+        source = np.zeros((4, 4, 3), dtype=np.uint8)
         img = RGBImage(source)
         source[0, 0, 0] = 9
-        assert img.pixels.dtype == np.uint8
         assert img.pixels[0, 0, 0] == 0
 
     def test_pixels_read_only(self):
@@ -40,19 +48,51 @@ class TestRGBImage:
 class TestPpmRoundTrip:
     def test_bytes_round_trip(self, rng):
         pixels = rng.integers(0, 256, size=(7, 5, 3), dtype=np.uint8)
-        back = image_from_ppm_bytes(ppm_bytes(RGBImage(pixels)))
-        assert np.array_equal(back.pixels, pixels)
+        back = image_from_ppm_bytes(ppm_bytes(pixels))
+        assert np.array_equal(back, pixels)
 
     def test_file_round_trip(self, tmp_path, rng):
         pixels = rng.integers(0, 256, size=(3, 9, 3), dtype=np.uint8)
         path = tmp_path / "img.ppm"
-        write_ppm(RGBImage(pixels), path)
-        assert np.array_equal(read_ppm(path).pixels, pixels)
+        write_ppm(pixels, path)
+        assert np.array_equal(read_ppm(path), pixels)
+
+    def test_strided_view_encodes_its_own_pixels(self, rng):
+        pixels = rng.integers(0, 256, size=(9, 9, 3), dtype=np.uint8)
+        view = pixels[2:7, 1:6]
+        assert ppm_bytes(view) == ppm_bytes(np.ascontiguousarray(view))
 
     def test_header_layout(self):
-        data = ppm_bytes(RGBImage(np.zeros((2, 3, 3), dtype=np.uint8)))
+        data = ppm_bytes(np.zeros((2, 3, 3), dtype=np.uint8))
         assert data.startswith(b"P6\n3 2\n255\n")
         assert len(data) == len(b"P6\n3 2\n255\n") + 2 * 3 * 3
+
+
+class TestDecodedImage:
+    def test_readers_return_read_only_uint8_images(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
+        path = tmp_path / "img.ppm"
+        write_ppm(pixels, path)
+        for image in (read_ppm(path), image_from_ppm_bytes(path.read_bytes())):
+            assert type(image) is np.ndarray
+            assert image.dtype == np.uint8 and image.shape == (3, 4, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                image[0, 0, 0] = 1
+
+    def test_bytes_after_the_pixel_data_are_refused(self, tmp_path):
+        """One byte more, or a second image, names the file and both counts."""
+        data = ppm_bytes(np.zeros((2, 2, 3), dtype=np.uint8))
+        path = tmp_path / "long.ppm"
+        for tail in (b"\0", data):
+            path.write_bytes(data + tail)
+            with pytest.raises(ImageFormatError, match=f"^{re.escape(str(path))}: trailing bytes "
+                                                       f"after pixel data: expected 12 bytes, "
+                                                       f"got {12 + len(tail)}$"):
+                read_ppm(path)
+
+    def test_pgm_with_bytes_after_the_pixel_data_is_refused(self):
+        with pytest.raises(ImageFormatError, match="expected 4 bytes, got 8"):
+            gray_from_pgm_bytes(pgm_bytes(np.zeros((2, 2), dtype=np.uint8)) + b"junk")
 
 
 class TestPgmRoundTrip:
@@ -89,7 +129,7 @@ class TestParsing:
             gray_from_pgm_bytes(b"P2\n1 1\n255\n\x00")
 
     def test_ppm_magic_on_pgm_parser(self):
-        data = ppm_bytes(RGBImage(np.zeros((1, 1, 3), dtype=np.uint8)))
+        data = ppm_bytes(np.zeros((1, 1, 3), dtype=np.uint8))
         with pytest.raises(ImageFormatError, match="magic"):
             gray_from_pgm_bytes(data)
 
@@ -134,3 +174,60 @@ class TestWriterValidation:
     def test_pgm_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             pgm_bytes(np.zeros((2, 2, 2), dtype=np.uint8))
+
+
+GOOD_IMAGE = np.zeros((2, 2, 3), dtype=np.uint8)
+
+NOT_IMAGES = {
+    "float-0-1": np.full((2, 2, 3), 0.6),
+    "int64-300": np.full((2, 2, 3), 300, dtype=np.int64),
+    "int16-minus-1": np.full((2, 2, 3), -1, dtype=np.int16),
+    "gray": np.zeros((2, 2), dtype=np.uint8),
+    "rgba": np.zeros((2, 2, 4), dtype=np.uint8),
+    "empty": np.zeros((0, 4, 3), dtype=np.uint8),
+    "list": GOOD_IMAGE.tolist(),
+    "RGBImage": RGBImage(GOOD_IMAGE),
+}
+
+
+@pytest.fixture(scope="module")
+def seen_requests():
+    """The request documents a canned service received, and its endpoint."""
+    seen = []
+    zero = base64.b64encode(pgm_bytes(np.zeros((1, 1), dtype=np.uint8))).decode("ascii")
+    with serving(canned(200, {"masks_crop": [[0, 0, zero]], "scores": [1.0]}, seen)) as endpoint:
+        yield seen, endpoint
+
+
+IMAGE_CALLS = {  # each call of the library that takes an image, handed *image*
+    "ppm_bytes": lambda image, path, http: path.write_bytes(ppm_bytes(image)),
+    "write_ppm": lambda image, path, http: write_ppm(image, path),
+    "segment_patch": lambda image, path, http: segment_patch(
+        HttpBackend(http[1]), image, [PromptBox(0, 0, 1, 1)]),
+    "RGBImage": lambda image, path, http: RGBImage(image),
+}
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{value_id}-{call_id}")
+    for call_id, call in IMAGE_CALLS.items()
+    for value_id, value in NOT_IMAGES.items()
+    if (call_id, value_id) != ("RGBImage", "RGBImage")  # an RGBImage holds an image
+])
+def test_image_calls_take_only_a_uint8_rgb_array(tmp_path, seen_requests, call, value):
+    """A float, wider-integer, gray, 4-channel, empty or listed image, or an
+    :class:`RGBImage`, is refused, and converted to nothing, before a file is
+    written or a request is sent; the same call takes the (h, w, 3) uint8 array."""
+    seen, _ = seen_requests
+    sent = len(seen)
+    path = tmp_path / "img.ppm"
+    with pytest.raises(ValueError, match=re.escape("must be an (h, w, 3) uint8 array")):
+        call(value, path, seen_requests)
+    assert not path.exists() and len(seen) == sent
+    call(GOOD_IMAGE, path, seen_requests)
+
+
+def test_check_image_returns_the_image_itself():
+    assert check_image(GOOD_IMAGE) is GOOD_IMAGE
+    with pytest.raises(ValueError, match=r"^patch must be .* got int64 \(2, 2, 3\)$"):
+        check_image(NOT_IMAGES["int64-300"], "patch")

@@ -1,5 +1,6 @@
 """Stage orchestration: artifacts, composition, determinism, backends."""
 
+import base64
 import json
 import os
 import time
@@ -8,6 +9,7 @@ import zipfile
 import zlib
 from contextlib import nullcontext
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from unittest import mock
 
@@ -16,11 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import tree_digests
+from conftest import serving, tree_digests
 from sinkseg.config import PipelineConfig
 from sinkseg.errors import InputError
 from sinkseg.hydro import fill_depressions
-from sinkseg.image import RGBImage, write_ppm, write_pgm
+from sinkseg.image import pgm_bytes, ppm_bytes, read_ppm, write_ppm, write_pgm
 from sinkseg.labeling import FilterThresholds, label_components, read_prompts, tile_prompts
 from sinkseg.metrics import evaluate_masks, report_to_json
 from sinkseg.mock_server import MockSegmentServer
@@ -344,10 +346,7 @@ class TestStageOrdering:
             cmd_eval(cfg)
 
     def test_rgb_dimension_mismatch(self, scene_dir, tmp_path):
-        small = np.zeros((64, 64, 3), dtype=np.uint8)
-        from sinkseg.image import RGBImage
-
-        write_ppm(RGBImage(small), tmp_path / "small.ppm")
+        write_ppm(np.zeros((64, 64, 3), dtype=np.uint8), tmp_path / "small.ppm")
         cfg = replace(make_cfg(scene_dir, tmp_path / "out"), rgb_mosaic=tmp_path / "small.ppm")
         cmd_fill(cfg)
         cmd_prompts(cfg)
@@ -571,6 +570,39 @@ class TestSegmentAndEval:
                 prompted[w.row0 : w.row0 + w.patch, w.col0 : w.col0 + w.patch] = True
         assert prompted.any()
         assert np.array_equal(load_mask(out, "fused_mask"), prompted & kept)
+
+    def test_http_requests_carry_each_window_of_the_mosaic(self, scene_dir, tmp_path):
+        """With one worker, the service receives, in plan order, the PPM of
+        each prompted window of the mosaic and that window's boxes."""
+        seen = []
+        zero = base64.b64encode(pgm_bytes(np.zeros((1, 1), dtype=np.uint8))).decode("ascii")
+
+        class Recording(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+            def do_POST(self):  # noqa: N802
+                doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                seen.append((base64.b64decode(doc["image_ppm_b64"]), doc["boxes"]))
+                n = len(doc["boxes"])
+                body = json.dumps({"masks_crop": [[0, 0, zero]] * n, "scores": [1.0] * n})
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body.encode("ascii"))
+
+        out = tmp_path / "out"
+        with serving(Recording) as endpoint:
+            cfg = make_cfg(scene_dir, out, backend_kind="http", backend_endpoint=endpoint)
+            cmd_fill(cfg)
+            cmd_prompts(cfg)
+            cmd_segment(cfg)
+        rgb = read_ppm(scene_dir / "rgb.ppm")
+        windows = manifest_windows(out)
+        expected = [(ppm_bytes(rgb[windows[p.patch_id].cells]), [b.as_list() for b in p.boxes])
+                    for p in load_boxes(out) if p.boxes]
+        assert len(expected) > 1
+        assert seen == expected
 
     @pytest.mark.parametrize("merge", [MergeRule.MAX, MergeRule.MEAN])
     def test_dem_nodata_does_not_mask_probabilities(self, scene_dir, tmp_path, merge):
@@ -890,7 +922,7 @@ class TestSymmetry:
             scene_dir.mkdir()
             write_ascii_grid(Raster(turn(scene.dem.values), scene.dem.nodata),
                              scene_dir / "dem.asc")
-            write_ppm(RGBImage(turn(scene.rgb.pixels)), scene_dir / "rgb.ppm")
+            write_ppm(turn(scene.rgb.pixels), scene_dir / "rgb.ppm")
             write_ascii_mask(turn(scene.gt_mask.values), scene_dir / "gt_mask.asc",
                              (0.0, 0.0, 1.0))
             reports.add(report_to_json(cmd_run(make_cfg(scene_dir, scene_dir / "out"))))

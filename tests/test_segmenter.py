@@ -7,6 +7,7 @@ checks the count and folds each crop with ``fuse_probabilities``.
 import base64
 import http.client
 import json
+import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler
@@ -20,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import canned, serving
 from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
-from sinkseg.image import RGBImage, pgm_bytes, ppm_bytes, write_pgm
+from sinkseg.image import pgm_bytes, ppm_bytes, write_pgm
 from sinkseg.labeling import PromptBox
 from sinkseg.mock_server import MockSegmentServer
 from sinkseg.segmenter import (
@@ -32,7 +33,7 @@ from sinkseg.segmenter import (
 
 
 def gray_patch(height=16, width=16, value=128):
-    return RGBImage(np.full((height, width, 3), value, dtype=np.uint8))
+    return np.full((height, width, 3), value, dtype=np.uint8)
 
 
 def b64_pgm(values, maxval=255):
@@ -369,6 +370,13 @@ class TestReplayBackend:
         with pytest.raises(BackendError, match="patch_id"):
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
+    def test_recording_with_a_byte_after_its_pixels_is_refused(self, tmp_path):
+        backend = self.record(tmp_path, "p0", [np.zeros((4, 4), dtype=np.uint8)])
+        path = tmp_path / "p0" / "0.pgm"
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ProtocolError, match=f"^{re.escape(str(path))}: bad PGM: trailing bytes"):
+            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
+
     def test_missing_mask_file(self, tmp_path):
         backend = self.record(tmp_path, "p0", [np.zeros((4, 4), dtype=np.uint8)])
         boxes = [PromptBox(0, 0, 2, 2), PromptBox(2, 2, 4, 4)]
@@ -602,6 +610,8 @@ class TestHttpBackend:
             ({"masks_crop": [[0, 0, 7]]}, "mask 0: invalid base64"),
             ({"masks_crop": [[0, 0, base64.b64encode(b"P6 1 1 255 x").decode()]]},
              "mask 0: bad PGM"),
+            ({"masks_crop": [[0, 0, base64.b64encode(pgm_bytes(np.ones((4, 4), np.uint8)) + b"\0").decode()]]},
+             "mask 0: bad PGM: trailing bytes after pixel data: expected 16 bytes, got 17"),
             ({"masks_crop": "x"}, "'masks_crop' missing or not a list"),
             # whole-patch masks under the old field are refused, well-formed or not
             ({"masks_pgm_b64": [b64_pgm(np.ones((8, 8)))]}, "'masks_crop' missing or not a list"),
@@ -625,7 +635,7 @@ class TestHttpBackend:
         ],
         ids=["negative-row", "overhang-bottom", "overhang-right", "bool-offset",
              "float-offset", "two-items", "bare-string", "bad-base64", "int-payload",
-             "ppm-not-pgm", "not-a-list", "full-patch-sized", "full-one-row-short",
+             "ppm-not-pgm", "byte-after-pgm", "not-a-list", "full-patch-sized", "full-one-row-short",
              "full-quarter-patch", "full-given-a-crop", "no-masks", "scores-not-a-list",
              "scores-null", "score-count", "nan-score", "inf-score", "negative-score"],
     )
@@ -671,7 +681,7 @@ class TestHttpBackend:
 
 
 def post_raw(endpoint, boxes):
-    patch = RGBImage(np.zeros((8, 8, 3), dtype=np.uint8))
+    patch = np.zeros((8, 8, 3), dtype=np.uint8)
     doc = {"image_ppm_b64": base64.b64encode(ppm_bytes(patch)).decode("ascii"), "boxes": boxes}
     return requests.post(endpoint + "/segment", json=doc, timeout=10)
 
@@ -704,6 +714,13 @@ class TestMockServer:
             reply = post_raw(server.endpoint, [[2, 1, 5, 4]])
         assert reply.json() == {"masks_crop": [[6, 2, b64_pgm(np.full((3, 3), 255))]],
                                 "scores": [1.0]}
+
+    def test_ppm_with_a_byte_after_its_pixels_gets_a_400(self, boxfill_server):
+        data = ppm_bytes(np.zeros((8, 8, 3), dtype=np.uint8)) + b"\0"
+        doc = {"image_ppm_b64": base64.b64encode(data).decode("ascii"), "boxes": [[0, 0, 2, 2]]}
+        reply = requests.post(boxfill_server.endpoint + "/segment", json=doc, timeout=10)
+        assert reply.status_code == 400
+        assert "trailing bytes after pixel data: expected 192 bytes, got 193" in reply.json()["error"]
 
     @pytest.mark.parametrize(
         "boxes",

@@ -164,6 +164,13 @@ class TestMultiPitScenes:
         assert gray[gt].mean() < gray[~gt].mean() * 0.8
         assert scene.rgb.pixels.shape == (128, 160, 3)
 
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 5), (5, 1)])
+    def test_one_row_and_one_column_scenes(self, height, width):
+        """A 1-cell axis has no slope, so its image is shaded like a flat one."""
+        scene = gen_terrain(seed=1, width=width, height=height, n_sinkholes=0)
+        assert scene.rgb.pixels.shape == (height, width, 3)
+        assert scene.rgb.pixels.dtype == np.uint8
+
     def test_base_plane_slopes_by_default(self):
         scene = gen_terrain(seed=1, width=32, height=32, n_sinkholes=0)
         dem = scene.dem.values

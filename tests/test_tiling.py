@@ -105,16 +105,17 @@ class TestExtract:
             extract_tile(Raster(np.zeros((8, 8))), TileWindow(4, 0, 8))
 
     def test_mask_and_image_sources(self, rng):
-        """A mask is cut by indexing it with the window's cells; a
-        :class:`BinaryMask` is not a tile source."""
+        """A mask or an image is cut by indexing it with the window's cells;
+        neither it nor a :class:`BinaryMask` or :class:`RGBImage` is a tile source."""
         mask = BinaryMask(rng.random((9, 9)) > 0.5)
         with pytest.raises(TypeError, match="cannot extract a tile from BinaryMask"):
             extract_tile(mask, TileWindow(1, 1, 4))
         assert np.array_equal(mask.values[TileWindow(1, 1, 4).cells], mask.values[1:5, 1:5])
-        img = RGBImage(rng.integers(0, 256, size=(9, 9, 3), dtype=np.uint8))
-        cut = extract_tile(img, TileWindow(2, 0, 5))
-        assert isinstance(cut, RGBImage)
-        assert np.array_equal(cut.pixels, img.pixels[2:7, 0:5])
+        img = rng.integers(0, 256, size=(9, 9, 3), dtype=np.uint8)
+        for source in (img, RGBImage(img)):
+            with pytest.raises(TypeError, match="cannot extract a tile from"):
+                extract_tile(source, TileWindow(2, 0, 5))
+        assert np.array_equal(img[TileWindow(2, 0, 5).cells], img[2:7, 0:5])
 
     def test_unsupported_source_type(self):
         with pytest.raises(TypeError, match="extract a tile"):
