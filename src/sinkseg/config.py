@@ -26,7 +26,7 @@ Recognized keys (defaults in parentheses):
 ``backend.timeout``      http timeout in seconds (30.0)
 ``backend.retries``      http retry count (2)
 ``backend.max_inflight`` max concurrent http requests (4)
-``backend.replay_dir``   replay backend mask directory
+``backend.replay_dir``   replay backend's ``<patch_id>.json`` replies
 ``eval.gt_mask``         ground-truth 0/1 ASCII grid (eval input)
 ``eval.ignore_mask``     optional 0/1 ASCII grid of pixels to skip
 ``eval.thresholds``      comma-separated IoU thresholds (0.1,...,0.9)
@@ -202,7 +202,7 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         try:
-            text = p.read_text(encoding="utf-8")
+            text = p.read_text(encoding="utf-8-sig")  # a BOM, as Notepad writes, is no key
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {p} is not text: {exc}") from exc
         except OSError as exc:  # a directory, say

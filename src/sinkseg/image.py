@@ -121,25 +121,13 @@ def pgm_bytes(values: np.ndarray, maxval: int = 255) -> bytes:
     return header + arr.tobytes()
 
 
-def _read_pnm(path: str | Path, decode):
-    """*decode* the bytes of the file at *path*; a format error names *path*."""
+def read_ppm(path: str | Path) -> np.ndarray:
+    """Read the binary PPM at *path*; a format error names *path*."""
     try:
-        return decode(Path(path).read_bytes())
+        return image_from_ppm_bytes(Path(path).read_bytes())
     except ImageFormatError as exc:
         raise ImageFormatError(f"{path}: {exc}") from exc
 
 
-def read_ppm(path: str | Path) -> np.ndarray:
-    return _read_pnm(path, image_from_ppm_bytes)
-
-
 def write_ppm(image: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(ppm_bytes(image))
-
-
-def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
-    return _read_pnm(path, gray_from_pgm_bytes)
-
-
-def write_pgm(values: np.ndarray, path: str | Path) -> None:
-    Path(path).write_bytes(pgm_bytes(values))

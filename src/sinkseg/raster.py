@@ -11,6 +11,10 @@ round-trips the exact float64, so write -> read is bit-exact.  Nodata cells
 are written as the same token that appears on the ``NODATA_value`` header
 line.
 
+The ``NODATA_value`` header line is optional, as in the ESRI format (GDAL
+leaves it out for a band without nodata); a grid without it reads with
+:data:`DEFAULT_NODATA`.  The writers always write it.
+
 Reading takes one compiled pass (:func:`numpy.loadtxt`) over the data rows.
 Any grid that pass does not accept as exactly ``nrows`` x ``ncols`` floats is
 parsed again line by line, so a malformed file is reported with the number of
@@ -134,8 +138,14 @@ class BinaryMask:
 
 
 def _parse_header(lines: list[str], path: Path) -> dict:
-    header = {}
-    for i, key in enumerate(_HEADER_KEYS):
+    """The header at the top of *lines*; its ``lines`` entry counts the lines
+    it takes.  The ``NODATA_value`` line is optional, with the default
+    :data:`DEFAULT_NODATA`, so a sixth line that does not start with that
+    key is the first data row."""
+    optional = len(lines) < 6 or lines[5].lower().split()[:1] != ["nodata_value"]
+    keys = _HEADER_KEYS[:5] if optional else _HEADER_KEYS
+    header = {"nodata_value": repr(DEFAULT_NODATA)}
+    for i, key in enumerate(keys):
         if i >= len(lines):
             raise GridFormatError(f"{path}: line {i + 1}: missing header line '{key}'")
         parts = lines[i].split()
@@ -161,16 +171,15 @@ def _parse_header(lines: list[str], path: Path) -> dict:
     if not numbers[2] > 0:
         raise GridFormatError(f"{path}: cellsize must be positive")
     return {"ncols": ncols, "nrows": nrows, "geotransform": tuple(numbers[:3]),
-            "nodata": numbers[3]}
+            "nodata": numbers[3], "lines": len(keys)}
 
 
 def _parse_grid(path: Path) -> tuple[dict, np.ndarray]:
     with open(path) as fh:
         try:
-            header = _parse_header(
-                [fh.readline().rstrip("\n") for _ in _HEADER_KEYS], path
-            )
-            data = _load_rows(fh)
+            head = [fh.readline().rstrip("\n") for _ in _HEADER_KEYS]
+            header = _parse_header(head, path)
+            data = _load_rows(itertools.chain(head[header["lines"]:], fh))
         except (GridFormatError, ValueError):
             data = None
     if data is not None and data.shape == (header["nrows"], header["ncols"]):
@@ -179,7 +188,8 @@ def _parse_grid(path: Path) -> tuple[dict, np.ndarray]:
 
 
 def _load_rows(fh) -> np.ndarray | None:
-    """The data rows left in *fh* as one float64 array, or None if there are none.
+    """The data rows left in *fh*, an iterator of lines, as one float64
+    array, or None if there are none.
 
     Raises ValueError on anything numpy cannot read as a rectangle of floats.
     """
@@ -207,7 +217,7 @@ def _parse_grid_lines(path: Path) -> tuple[dict, np.ndarray]:
     # The layout is checked before the grid is allocated, so a header that
     # claims more cells than the file holds cannot ask for that much memory.
     data_lines = []
-    for lineno in range(len(_HEADER_KEYS), len(lines)):
+    for lineno in range(header["lines"], len(lines)):
         count = len(lines[lineno].split())
         if not count:
             continue

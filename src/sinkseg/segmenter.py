@@ -20,8 +20,9 @@ Three backends ship with the package:
 * :class:`HttpBackend` — speaks the JSON-over-HTTP wire protocol to a
   remote model server (base64 PPM in, base64 PGM crops out); it checks the
   confidence score the server sends per box and does not keep it.
-* :class:`ReplayBackend` — replays masks recorded on disk, one PGM per
-  box, for offline reproduction of a previous run.
+* :class:`ReplayBackend` — replays recorded service replies, one
+  ``<patch_id>.json`` reply body per patch, for offline reproduction of a
+  previous run; it parses them with the http backend's reply parser.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .errors import BackendError, BackendUnreachableError, ProtocolError
+from .errors import BackendError, BackendUnreachableError, InputError, ProtocolError
 from .image import ImageFormatError, check_image, gray_from_pgm_bytes, ppm_bytes
 from .labeling import PromptBox
 from .raster import check_mask
@@ -186,59 +187,66 @@ class HttpBackend:
             json.dumps([b.as_list() for b in boxes]).encode("ascii"),
             b"}",
         ))
-        doc = _reply_object(*self._post(body))
-        entries, scores = doc.get("masks_crop"), doc.get("scores")
-        if not isinstance(entries, list):
-            raise ProtocolError("reply field 'masks_crop' missing or not a list")
-        if not isinstance(scores, list):
-            raise ProtocolError("reply field 'scores' missing or not a list")
-        crops = []
-        for i, entry in enumerate(entries):
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise ProtocolError(f"mask {i}: crop entry must be [row0, col0, pgm_b64]")
-            row0, col0, b64 = entry  # offsets are checked by fuse_probabilities
+        status, reply = self._post(body)
+        if status != 200:
             try:
-                blob = base64.b64decode(b64, validate=True)
-            except (binascii.Error, TypeError) as exc:
-                raise ProtocolError(f"mask {i}: invalid base64: {exc}") from exc
-            crops.append((row0, col0, _gray255(blob, f"mask {i}") / 255.0))
-        if len(scores) != len(boxes):
-            raise ProtocolError(
-                f"score count mismatch: {len(boxes)} boxes but {len(scores)} scores"
+                doc = json.loads(reply)
+            except (ValueError, RecursionError):
+                doc = None
+            detail = doc.get("error", "") if isinstance(doc, dict) else ""
+            raise BackendError(
+                f"segmentation service returned HTTP {status}" + (f": {detail}" if detail else "")
             )
-        for i, score in enumerate(scores):  # checked, not kept
-            if not isinstance(score, (int, float)) or isinstance(score, bool):
-                raise ProtocolError(f"score {i} is not a number: {score!r}")
-            if not 0.0 <= score <= 1.0:  # NaN fails both comparisons
-                raise ProtocolError(f"score {i} outside [0, 1]: {score!r}")
-        return crops
+        return _reply_crops(reply, len(boxes))
 
 
-def _reply_object(status: int, body: bytes) -> dict:
-    """The JSON object of a 200 reply; any other status is a BackendError."""
-    if status != 200:
-        try:
-            doc = json.loads(body)
-        except (ValueError, RecursionError):
-            doc = None
-        detail = doc.get("error", "") if isinstance(doc, dict) else ""
-        raise BackendError(
-            f"segmentation service returned HTTP {status}" + (f": {detail}" if detail else "")
-        )
+def _reply_crops(body: bytes, count: int) -> list:
+    """The crops of *body*, a service reply for *count* boxes, as
+    :class:`HttpBackend` documents it; any breach is a ProtocolError.
+
+    Offsets and placement are left to :func:`fuse_probabilities`.
+    """
     try:
         doc = json.loads(body)
     except (ValueError, RecursionError) as exc:  # or nested too deep
         raise ProtocolError(f"service reply is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError("service reply must be a JSON object")
-    return doc
+    entries, scores = doc.get("masks_crop"), doc.get("scores")
+    if not isinstance(entries, list):
+        raise ProtocolError("reply field 'masks_crop' missing or not a list")
+    if not isinstance(scores, list):
+        raise ProtocolError("reply field 'scores' missing or not a list")
+    if len(entries) != count:
+        raise ProtocolError(f"mask count mismatch: {count} boxes but {len(entries)} masks")
+    if len(scores) != count:
+        raise ProtocolError(f"score count mismatch: {count} boxes but {len(scores)} scores")
+    for i, score in enumerate(scores):  # checked, not kept
+        if not isinstance(score, (int, float)) or isinstance(score, bool):
+            raise ProtocolError(f"score {i} is not a number: {score!r}")
+        if not 0.0 <= score <= 1.0:  # NaN fails both comparisons
+            raise ProtocolError(f"score {i} outside [0, 1]: {score!r}")
+    crops = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ProtocolError(f"mask {i}: crop entry must be [row0, col0, pgm_b64]")
+        row0, col0, b64 = entry
+        try:
+            blob = base64.b64decode(b64, validate=True)
+        except (binascii.Error, TypeError) as exc:
+            raise ProtocolError(f"mask {i}: invalid base64: {exc}") from exc
+        crops.append((row0, col0, _gray255(blob, f"mask {i}") / 255.0))
+    return crops
 
 
 class ReplayBackend:
-    """Backend that replays recorded masks from ``<dir>/<patch_id>/<i>.pgm``.
+    """Backend that replays recorded service replies.
 
-    Each recording is a patch-sized PGM (maxval 255), replayed as a crop at
-    [0, 0].
+    For a patch with boxes, ``<dir>/<patch_id>.json`` holds the body the
+    service returned for it, and it is parsed as :class:`HttpBackend`
+    parses a reply.  A recording that is missing, unreadable or breaks the
+    reply protocol is bad input, an :class:`~sinkseg.errors.InputError`
+    that names the file.
     """
 
     def __init__(self, directory: str | Path):
@@ -247,17 +255,12 @@ class ReplayBackend:
     def masks_for(self, patch: np.ndarray, boxes: list[PromptBox], patch_id: str = ""):
         if not patch_id:
             raise BackendError("replay backend needs a patch_id to locate masks")
-        shape = patch.shape[:2]
-        crops = []
-        for i in range(len(boxes)):
-            path = self._dir / patch_id / f"{i}.pgm"
-            if not path.exists():
-                raise BackendError(f"replay mask missing: {path}")
-            gray = _gray255(path.read_bytes(), str(path))
-            if gray.shape != shape:
-                raise ProtocolError(f"mask {i} has shape {gray.shape}, expected patch shape {shape}")
-            crops.append((0, 0, gray / 255.0))
-        return crops
+        path = self._dir / f"{patch_id}.json"
+        try:
+            return _reply_crops(path.read_bytes(), len(boxes))
+        except (OSError, ProtocolError) as exc:
+            reason = getattr(exc, "strerror", None) or exc  # str() of an OSError repeats the path
+            raise InputError(f"replay recording {path}: {reason}") from exc
 
 
 def fuse_probabilities(probs: np.ndarray, i: int, entry) -> None:

@@ -9,10 +9,20 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from sinkseg.labeling import read_prompts
+from sinkseg.pipeline import cmd_segment
 from sinkseg.raster import Raster
+from sinkseg.segmenter import HttpBackend
+
+# test_reference.py takes its example count from the loaded profile: the
+# default's 100 in tier-1, this one's under ``--hypothesis-profile=reference``
+settings.register_profile("reference", max_examples=1000)
 
 
 def make_random_dem(
@@ -47,6 +57,31 @@ def tree_digests(root: Path) -> dict[str, str]:
         if path.is_file():
             out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
+
+
+def record_segment(cfg, replay_dir: Path) -> None:
+    """Run ``cmd_segment`` on *cfg*, an http run at ``workers=1``, and write
+    each reply body the service returned to ``<replay_dir>/<patch_id>.json``.
+
+    One patch at a time, the replies come in plan order, one per patch with
+    boxes, so the box file pairs each with its patch.
+    """
+    assert cfg.backend_kind == "http" and cfg.workers == 1
+    replies = []
+    post = HttpBackend._post
+
+    def recording(self, body):
+        status, reply = post(self, body)
+        replies.append(reply)
+        return status, reply
+
+    with mock.patch.object(HttpBackend, "_post", recording):
+        cmd_segment(cfg)
+    ids = [p.patch_id for p in read_prompts(Path(cfg.out_dir) / "boxes.jsonl") if p.boxes]
+    assert len(replies) == len(ids)
+    replay_dir.mkdir(parents=True, exist_ok=True)
+    for pid, reply in zip(ids, replies):
+        (replay_dir / f"{pid}.json").write_bytes(reply)
 
 
 def canned(status, body, seen=None):

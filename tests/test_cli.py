@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import canned, serving
+from conftest import canned, serving, tree_digests
 from sinkseg.cli import main
 from sinkseg.raster import Raster, read_ascii_grid, write_ascii_grid, write_ascii_mask
 from sinkseg.synth import export_scene, gen_terrain
@@ -236,6 +236,21 @@ class TestRunCommand:
         doc = json.loads(captured.out)
         assert doc["iou"] > 0.9
         assert (tmp_path / "out" / "report.csv").exists()
+
+    def test_config_file_with_a_byte_order_mark_runs(self, scene_dir, tmp_path):
+        config = tmp_path / "bom.cfg"
+        config.write_text(f"depth_raster = {scene_dir / 'dem.asc'}\n", encoding="utf-8-sig")
+        assert main(["-q", *run_args(scene_dir, tmp_path / "out"), "--config", str(config)]) == 0
+
+    def test_dem_without_its_nodata_line_gives_the_same_tree(self, scene_dir, tmp_path):
+        """The ``NODATA_value`` line is optional; no cell holds its default."""
+        lines = (scene_dir / "dem.asc").read_text().splitlines(keepends=True)
+        assert lines[5] == "NODATA_value -9999.0\n"
+        (scene_dir / "dem5.asc").write_text("".join(lines[:5] + lines[6:]))
+        assert main(["-q", *run_args(scene_dir, tmp_path / "six")]) == 0
+        assert main(["-q", *run_args(scene_dir, tmp_path / "five"),
+                     "--set", f"depth_raster={scene_dir / 'dem5.asc'}"]) == 0
+        assert tree_digests(tmp_path / "five") == tree_digests(tmp_path / "six")
 
     def test_logs_go_to_stderr_not_stdout(self, scene_dir, tmp_path, capsys):
         code = main(["fill",

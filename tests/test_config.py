@@ -67,6 +67,16 @@ class TestFileParsing:
         assert cfg.eval_thresholds == (0.25, 0.5, 0.75)
         assert cfg.eval_label == "trial-a"
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        """A config saved with a UTF-8 BOM, as Notepad saves it, reads as the same config."""
+        text = "depth_raster = scene/dem.asc\nout_dir = out\ntile.patch = 1024\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(bom) == load_config(plain)
+        assert load_config(bom).depth_raster == Path("scene/dem.asc")
+
     def test_bool_spellings(self):
         for text, value in [("true", True), ("1", True), ("on", True),
                             ("FALSE", False), ("0", False), ("off", False)]:

@@ -15,9 +15,7 @@ from sinkseg.image import (
     image_from_ppm_bytes,
     pgm_bytes,
     ppm_bytes,
-    read_pgm,
     read_ppm,
-    write_pgm,
     write_ppm,
 )
 from sinkseg.labeling import PromptBox
@@ -102,14 +100,6 @@ class TestPgmRoundTrip:
         assert maxval == 255
         assert np.array_equal(arr, values)
 
-    def test_file_round_trip(self, tmp_path, rng):
-        values = rng.integers(0, 256, size=(8, 2), dtype=np.uint8)
-        path = tmp_path / "img.pgm"
-        write_pgm(values, path)
-        arr, maxval = read_pgm(path)
-        assert maxval == 255
-        assert np.array_equal(arr, values)
-
     def test_custom_maxval_reported(self):
         values = np.full((2, 2), 200, dtype=np.uint8)
         arr, maxval = gray_from_pgm_bytes(pgm_bytes(values, maxval=200))
@@ -161,8 +151,7 @@ class TestParsing:
         with pytest.raises(ImageFormatError, match="header"):
             gray_from_pgm_bytes(b"P5\nab 1\n255\n\x00")
 
-    @pytest.mark.parametrize("read, data", [(read_ppm, b"P6\n2 2\n255\n"),
-                                            (read_pgm, b"P5\n2 2\n255\n")])
+    @pytest.mark.parametrize("read, data", [(read_ppm, b"P6\n2 2\n255\n")])
     def test_file_errors_name_the_path(self, tmp_path, read, data):
         path = tmp_path / "short.pnm"
         path.write_bytes(data)

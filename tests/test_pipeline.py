@@ -18,11 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import serving, tree_digests
+from conftest import record_segment, serving, tree_digests
 from sinkseg.config import PipelineConfig
 from sinkseg.errors import InputError
 from sinkseg.hydro import fill_depressions
-from sinkseg.image import pgm_bytes, ppm_bytes, read_ppm, write_ppm, write_pgm
+from sinkseg.image import pgm_bytes, ppm_bytes, read_ppm, write_ppm
 from sinkseg.labeling import FilterThresholds, label_components, read_prompts, tile_prompts
 from sinkseg.metrics import evaluate_masks, report_to_json
 from sinkseg.mock_server import MockSegmentServer
@@ -711,33 +711,25 @@ class TestSegmentAndEval:
         with pytest.raises(InputError, match="rerun the prompts stage"):
             cmd_segment(replace(cfg, backend_kind="echo"))
 
-    def test_replay_backend_reproduces_echo_run(self, scene_dir, tmp_path):
-        cfg, _ = self.run_all(scene_dir, tmp_path / "echo")
-        # record per-box echo masks, then replay them through the pipeline
-        kept = load_mask(tmp_path / "echo")
-        windows = manifest_windows(tmp_path / "echo")
-        replay_dir = tmp_path / "recorded"
-        for prompts in load_boxes(tmp_path / "echo"):
-            window = windows[prompts.patch_id]
-            positive = kept[window.row0 : window.row0 + window.patch,
-                            window.col0 : window.col0 + window.patch]
-            mask_dir = replay_dir / prompts.patch_id
-            mask_dir.mkdir(parents=True, exist_ok=True)
-            for i, box in enumerate(prompts.boxes):
-                m = np.zeros(positive.shape, dtype=np.uint8)
-                m[box.y0 : box.y1, box.x0 : box.x1] = (
-                    positive[box.y0 : box.y1, box.x0 : box.x1] * 255
-                )
-                write_pgm(m, mask_dir / f"{i}.pgm")
+    @pytest.mark.parametrize("fill_mode", ["patch", "mosaic"])
+    def test_replay_reproduces_a_recorded_run(self, scene_dir, tmp_path, fill_mode):
+        """The service's replies, recorded, replay with no server running to
+        the recorded run's out tree."""
+        with MockSegmentServer(mode="boxfill", value=255) as server:
+            recorded = make_cfg(scene_dir, tmp_path / "recorded", fill_mode=fill_mode,
+                                backend_kind="http", backend_endpoint=server.endpoint)
+            cmd_fill(recorded)
+            cmd_prompts(recorded)
+            record_segment(recorded, tmp_path / "replies")
+        cmd_eval(recorded)
+        with_boxes = [p.patch_id for p in load_boxes(tmp_path / "recorded") if p.boxes]
+        assert with_boxes and load_mask(tmp_path / "recorded", "fused_mask").any()
+        assert sorted(p.name for p in (tmp_path / "replies").iterdir()) == sorted(
+            f"{pid}.json" for pid in with_boxes)
 
-        replay_cfg = make_cfg(scene_dir, tmp_path / "replayed",
-                              backend_kind="replay", backend_replay_dir=replay_dir)
-        cmd_fill(replay_cfg)
-        cmd_prompts(replay_cfg)
-        cmd_segment(replay_cfg)
-        echo_fused = (tmp_path / "echo" / "fused_mask.npz").read_bytes()
-        replay_fused = (tmp_path / "replayed" / "fused_mask.npz").read_bytes()
-        assert replay_fused == echo_fused
+        self.run_all(scene_dir, tmp_path / "replayed", fill_mode=fill_mode,
+                     backend_kind="replay", backend_replay_dir=tmp_path / "replies")
+        assert tree_digests(tmp_path / "replayed") == tree_digests(tmp_path / "recorded")
 
 
 class TestArtifacts:

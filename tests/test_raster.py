@@ -265,6 +265,34 @@ class TestAsciiGridParsing:
         with pytest.raises(GridFormatError, match="ncols/nrows"):
             read_ascii_grid(path)
 
+    def test_nodata_line_is_optional(self, tmp_path, rng):
+        """A grid without its ``NODATA_value`` line, as GDAL writes a band with
+        no nodata, reads to the same cells, georeference and nodata as with it."""
+        values = np.round(rng.normal(50.0, 10.0, size=(6, 9)), 3)
+        values[2, 4] = -9999.0
+        with_line, without = tmp_path / "with.asc", tmp_path / "without.asc"
+        write_ascii_grid(Raster(values, -9999.0, 10.5, -3.25, 0.5), with_line)
+        lines = with_line.read_text().splitlines(keepends=True)
+        assert lines[5] == "NODATA_value -9999.0\n"
+        without.write_text("".join(lines[:5] + lines[6:]))
+        for parse in (raster._parse_grid, raster._parse_grid_lines):
+            header, data = parse(without)
+            assert header["lines"] == 5
+            assert np.array_equal(data, values)
+        expected, got = read_ascii_grid(with_line), read_ascii_grid(without)
+        assert np.array_equal(got.values, expected.values)
+        assert (got.geotransform, got.nodata) == (expected.geotransform, expected.nodata)
+        assert got.nodata == raster.DEFAULT_NODATA
+
+    def test_bad_row_under_a_five_line_header_names_its_line(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 oops\n")
+        with pytest.raises(GridFormatError, match="line 7: non-numeric token 'oops'"):
+            read_ascii_grid(path)
+        path.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n3 4\n")
+        with pytest.raises(GridFormatError, match="line 6: cell count mismatch"):
+            read_ascii_grid(path)
+
     def test_non_numeric_header_value(self, tmp_path):
         path = tmp_path / "g.asc"
         path.write_text(
@@ -294,7 +322,7 @@ def grid_texts(draw):
     cell = st.one_of(GOOD_TOKENS, GOOD_TOKENS, GOOD_TOKENS, st.just(nodata), BAD_TOKENS)
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = [f"ncols {ncols}", f"nrows {nrows}", "xllcorner 0.0", "yllcorner 0.0",
-             "cellsize 1.0", f"NODATA_value {nodata}"]
+             "cellsize 1.0", f"NODATA_value {nodata}"][: draw(st.sampled_from([6, 6, 6, 5]))]
     for _ in range(max(0, nrows + draw(st.sampled_from([0, 0, 0, -1, 1])))):
         lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1)))
         width = max(0, ncols + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])))
@@ -334,6 +362,9 @@ class TestFastParserOracle:
     @example(text=grid_text([], 2, 1) + "1_0 2\n")  # Python reads 1_0, numpy does not
     @example(text=grid_text([], 2, 2) + "1\x0c2\n3 4\n")  # form feed splits cells, not rows
     @example(text=grid_text([], 2, 1))  # no data rows at all
+    @example(text=grid_text(["1 2", "3 4"]).replace("NODATA_value -9999.0\n", ""))  # no nodata line
+    @example(text=grid_text(["1 2", "3 x"]).replace("NODATA_value -9999.0\n", ""))  # and a bad row
+    @example(text=grid_text([], 2, 1).replace("NODATA_value -9999.0\n", ""))  # header alone
     def test_fast_path_equals_line_parser(self, text, tmp_path_factory):
         path = tmp_path_factory.mktemp("grids") / "g.asc"
         path.write_bytes(text.encode())
@@ -485,14 +516,18 @@ class TestMaskBytesReader:
             (lambda b: b + b"\n", None),
             (lambda b: b.replace(b"xllcorner 0.0", b"xllcorner 0"), None),
             (lambda b: b.replace(b"NODATA_value -9999.0", b"NODATA_value 0"), None),
+            (lambda b: b.replace(b"NODATA_value -9999.0\n", b""), None),
             (lambda b: b[:-8] + b"2" + b[-7:], "mask contains non-binary value"),
             (lambda b: b[:-3], "line 10: cell count mismatch (expected 4 values, got 3)"),
+            (lambda b: b.replace(b"NODATA_value -9999.0\n", b"")[:-3],
+             "line 9: cell count mismatch (expected 4 values, got 3)"),
             (lambda b: b.replace(b"ncols 4", b"ncols 1000000"),
              "line 7: cell count mismatch (expected 1000000 values, got 4)"),
             (lambda b: b.replace(b"xllcorner", b"\xffllcorner"), "not a text grid"),
         ],
         ids=["crlf", "doubled-spaces", "trailing-blank-line", "respelled-header",
-             "other-nodata", "digit-2", "truncated-body", "huge-header", "not-utf8"],
+             "other-nodata", "no-nodata-line", "digit-2", "truncated-body",
+             "truncated-body-no-nodata-line", "huge-header", "not-utf8"],
     )
     def test_any_other_layout_goes_to_the_grid_parser(self, tmp_path, edit, error):
         values = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]])

@@ -8,8 +8,10 @@ import base64
 import http.client
 import json
 import re
+import shutil
 import socket
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler
 
 import numpy as np
@@ -19,11 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import canned, serving
-from sinkseg.errors import BackendError, BackendUnreachableError, ProtocolError
-from sinkseg.image import pgm_bytes, ppm_bytes, write_pgm
-from sinkseg.labeling import PromptBox
+from conftest import canned, record_segment, serving
+from sinkseg.cli import main
+from sinkseg.config import PipelineConfig
+from sinkseg.errors import BackendError, BackendUnreachableError, InputError, ProtocolError
+from sinkseg.image import pgm_bytes, ppm_bytes
+from sinkseg.labeling import PromptBox, read_prompts
 from sinkseg.mock_server import MockSegmentServer
+from sinkseg.pipeline import cmd_fill, cmd_prompts
+from sinkseg.synth import export_scene, gen_terrain
+from sinkseg.tiling import TileSpec
 from sinkseg.segmenter import (
     EchoBackend,
     HttpBackend,
@@ -343,19 +350,22 @@ class TestFuseProbabilities:
         assert np.all(a == 0.2) and np.all(b == 0.7)
 
 
+def reply_doc(crops, scores=None):
+    """A service reply body: ``(row0, col0, gray)`` crops, a score of 1.0 each."""
+    masks = [[row0, col0, b64_pgm(gray)] for row0, col0, gray in crops]
+    return {"masks_crop": masks, "scores": [1.0] * len(crops) if scores is None else scores}
+
+
 class TestReplayBackend:
-    def record(self, tmp_path, patch_id, masks):
-        d = tmp_path / patch_id
-        d.mkdir(parents=True)
-        for i, m in enumerate(masks):
-            write_pgm(m, d / f"{i}.pgm")
+    def record(self, tmp_path, patch_id, crops):
+        (tmp_path / f"{patch_id}.json").write_text(json.dumps(reply_doc(crops)))
         return ReplayBackend(tmp_path)
 
     def test_replays_exact_probabilities(self, tmp_path):
         recorded = np.zeros((4, 4), dtype=np.uint8)
         recorded[0, 0] = 255
         recorded[1, 1] = 128
-        backend = self.record(tmp_path, "r00000_c00000", [recorded])
+        backend = self.record(tmp_path, "r00000_c00000", [(0, 0, recorded)])
         probs = segment_patch(
             backend, gray_patch(4, 4), [PromptBox(0, 0, 4, 4)], patch_id="r00000_c00000"
         )
@@ -371,40 +381,122 @@ class TestReplayBackend:
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
 
     def test_recording_with_a_byte_after_its_pixels_is_refused(self, tmp_path):
-        backend = self.record(tmp_path, "p0", [np.zeros((4, 4), dtype=np.uint8)])
-        path = tmp_path / "p0" / "0.pgm"
-        path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(ProtocolError, match=f"^{re.escape(str(path))}: bad PGM: trailing bytes"):
-            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
+        blob = base64.b64encode(pgm_bytes(np.zeros((2, 2), dtype=np.uint8)) + b"\0").decode()
+        path = tmp_path / "p0.json"
+        path.write_text(json.dumps({"masks_crop": [[0, 0, blob]], "scores": [1.0]}))
+        pattern = f"^replay recording {re.escape(str(path))}: mask 0: bad PGM: trailing bytes"
+        with pytest.raises(InputError, match=pattern):
+            segment_patch(ReplayBackend(tmp_path), gray_patch(4, 4), [PromptBox(0, 0, 2, 2)],
+                          patch_id="p0")
 
     def test_missing_mask_file(self, tmp_path):
-        backend = self.record(tmp_path, "p0", [np.zeros((4, 4), dtype=np.uint8)])
-        boxes = [PromptBox(0, 0, 2, 2), PromptBox(2, 2, 4, 4)]
-        with pytest.raises(BackendError, match="replay mask missing.*1.pgm"):
-            segment_patch(backend, gray_patch(4, 4), boxes, patch_id="p0")
+        self.record(tmp_path, "p0", [(0, 0, np.zeros((2, 2)))])
+        path = tmp_path / "p1.json"
+        with pytest.raises(InputError, match=f"^replay recording {re.escape(str(path))}: No such"):
+            segment_patch(ReplayBackend(tmp_path), gray_patch(4, 4), [PromptBox(0, 0, 2, 2)],
+                          patch_id="p1")
 
     def test_masks_are_patch_crops_at_origin(self, tmp_path):
         recorded = [np.full((4, 4), v, dtype=np.uint8) for v in (0, 51, 255)]
-        backend = self.record(tmp_path, "p0", recorded)
+        backend = self.record(tmp_path, "p0", [(0, 0, gray) for gray in recorded])
         crops = backend.masks_for(gray_patch(4, 4), [PromptBox(0, 0, 2, 2)] * 3, "p0")
         assert isinstance(crops, list) and len(crops) == 3
         for (row0, col0, crop), gray in zip(crops, recorded):
             assert (row0, col0) == (0, 0)
             assert np.array_equal(crop, gray / 255.0)
 
-    @pytest.mark.parametrize("shape", [(3, 4), (2, 2)], ids=["one-row-short", "quarter"])
-    def test_wrong_size_rejected(self, tmp_path, shape):
-        backend = self.record(tmp_path, "p0", [np.full(shape, 255, dtype=np.uint8)])
-        with pytest.raises(ProtocolError, match=rf"mask 0 has shape \({shape[0]}, {shape[1]}\)"):
+    def test_crops_keep_their_recorded_offsets(self, tmp_path):
+        recorded = [(5, 6, np.array([[0, 51], [255, 0]])), (0, 7, np.full((3, 1), 255))]
+        backend = self.record(tmp_path, "p0", recorded)
+        boxes = [PromptBox(6, 5, 8, 7), PromptBox(7, 0, 8, 3)]
+        crops = backend.masks_for(gray_patch(8, 8), boxes, "p0")
+        assert [(row0, col0) for row0, col0, _ in crops] == [(5, 6), (0, 7)]
+        for (_, _, crop), (_, _, gray) in zip(crops, recorded):
+            assert np.array_equal(crop, gray / 255.0)
+        probs = segment_patch(backend, gray_patch(8, 8), boxes, patch_id="p0")
+        expected = np.maximum(*(placed((8, 8), *crop) for crop in crops))
+        assert np.array_equal(probs, expected)
+
+    @pytest.mark.parametrize("row0, col0, shape", [(1, 0, (4, 4)), (3, 3, (2, 2))],
+                             ids=["one-row-low", "past-the-corner"])
+    def test_crop_outside_the_patch_is_a_protocol_error(self, tmp_path, row0, col0, shape):
+        backend = self.record(tmp_path, "p0", [(row0, col0, np.full(shape, 255))])
+        with pytest.raises(ProtocolError, match="outside the patch shape") as caught:
             segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
+        assert not isinstance(caught.value, InputError)
 
     def test_wrong_maxval_rejected(self, tmp_path):
-        d = tmp_path / "p0"
-        d.mkdir()
-        (d / "0.pgm").write_bytes(pgm_bytes(np.zeros((4, 4), dtype=np.uint8), maxval=100))
-        backend = ReplayBackend(tmp_path)
-        with pytest.raises(ProtocolError, match="maxval must be 255, got 100"):
-            segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)], patch_id="p0")
+        blob = base64.b64encode(pgm_bytes(np.zeros((4, 4), dtype=np.uint8), maxval=100)).decode()
+        reply = {"masks_crop": [[0, 0, blob]], "scores": [1.0]}
+        (tmp_path / "p0.json").write_text(json.dumps(reply))
+        with pytest.raises(InputError, match="p0.json: mask 0: PGM maxval must be 255, got 100"):
+            segment_patch(ReplayBackend(tmp_path), gray_patch(4, 4), [PromptBox(0, 0, 2, 2)],
+                          patch_id="p0")
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """A small scene run through fill and prompts, with its segment stage
+    recorded from the ``boxfill`` mock service; the id of the first patch
+    that has boxes."""
+    root = tmp_path_factory.mktemp("recorded")
+    export_scene(gen_terrain(seed=5, width=64, height=64, n_sinkholes=3,
+                             radius_range=(5.0, 8.0)), root / "scene")
+    cfg = PipelineConfig(depth_raster=root / "scene" / "dem.asc",
+                         rgb_mosaic=root / "scene" / "rgb.ppm", out_dir=root / "out",
+                         tile=TileSpec(patch=32, stride=16))
+    cmd_fill(cfg)
+    cmd_prompts(cfg)
+    with MockSegmentServer(mode="boxfill") as server:
+        record_segment(replace(cfg, backend_kind="http", backend_endpoint=server.endpoint),
+                       root / "replies")
+    first = next(p.patch_id for p in read_prompts(root / "out" / "boxes.jsonl") if p.boxes)
+    return cfg, root / "replies", first
+
+
+def edit_reply(edit):
+    """A recording edit: *edit* applied to the reply document, dumped again."""
+    return lambda body: json.dumps(edit(json.loads(body))).encode()
+
+
+BAD_RECORDINGS = {
+    "not-json": (lambda body: b"<html>ok</html>", "service reply is not JSON"),
+    "not-an-object": (lambda body: b"[" + body + b"]", "service reply must be a JSON object"),
+    "a-mask-short": (edit_reply(lambda doc: {**doc, "masks_crop": doc["masks_crop"][1:]}),
+                     "mask count mismatch"),
+    "a-score-long": (edit_reply(lambda doc: {**doc, "scores": doc["scores"] + [1.0]}),
+                     "score count mismatch"),
+    "bad-base64": (edit_reply(lambda doc: {**doc, "masks_crop": [[0, 0, "not base64!"]]
+                                           + doc["masks_crop"][1:]}),
+                   "mask 0: invalid base64"),
+    "not-a-pgm": (edit_reply(lambda doc: {**doc, "masks_crop": [
+                      [0, 0, base64.b64encode(b"P6 1 1 255 xyz").decode()]
+                  ] + doc["masks_crop"][1:]}),
+                  "mask 0: bad PGM"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "a-directory", *BAD_RECORDINGS])
+def test_bad_recording_exits_2_naming_the_file(recorded_run, tmp_path, capsys, case):
+    cfg, replies, first = recorded_run
+    shutil.copytree(replies, tmp_path / "replies")
+    path = tmp_path / "replies" / f"{first}.json"
+    if case == "missing":
+        path.unlink()
+    elif case == "a-directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        edit, message = BAD_RECORDINGS[case]
+        path.write_bytes(edit(path.read_bytes()))
+    code = main(["segment", "--set", f"rgb_mosaic={cfg.rgb_mosaic}",
+                 "--set", f"out_dir={cfg.out_dir}", "--set", "backend.kind=replay",
+                 "--set", f"backend.replay_dir={path.parent}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"replay recording {path}: " in err
+    if case in BAD_RECORDINGS:
+        assert BAD_RECORDINGS[case][1] in err
 
 
 class TestHttpBackend:
