@@ -12,7 +12,9 @@ Recognized keys (defaults in parentheses):
 ``rgb_mosaic``           input RGB mosaic, binary PPM (segment input)
 ``out_dir``              output directory, created if absent
 ``invert_depth``         flip depth so deep = low before filling (false)
-``fill.mode``            "patch" fills per tile, "mosaic" whole grid (patch)
+``fill.mode``            "patch" fills per tile, "mosaic" whole grid then
+                         cuts the tiles; both write each tile's depressions
+                         (patch)
 ``tile.patch``           tile side in pixels (512)
 ``tile.stride``          tile origin spacing in pixels (256)
 ``filter.min_depth``     depression depth cutoff (2.0)

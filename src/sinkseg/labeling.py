@@ -118,9 +118,10 @@ class LabelGrid:
         return len(self.extents)
 
 
-def _labelled(positive: np.ndarray, values: np.ndarray) -> LabelGrid:
+def _labelled(positive: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, slice]]]:
     """8-connected labels of *positive*, numbered 1.. in scan order of first
-    pixel, with the maximum of *values* over each."""
+    pixel, with each label's area (index 0 the background) and extent.  The
+    caller supplies the maximum depths."""
     stride = positive.shape[1] + 2  # a clear column each side keeps rows apart
     padded = np.zeros((positive.shape[0], stride), dtype=np.int8)
     padded[:, 1:-1] = positive
@@ -159,20 +160,15 @@ def _labelled(positive: np.ndarray, values: np.ndarray) -> LabelGrid:
     np.maximum.at(bottom, label, rows + 1)
     np.minimum.at(left, label, start_cols)
     np.maximum.at(right, label, stop_cols)
-    max_depth = np.zeros(n + 1)  # every labelled value is > 0
-    np.maximum.at(max_depth, labels[positive], values[positive])
-    return LabelGrid(
-        labels=labels,
-        area_px=np.bincount(labels.ravel(), minlength=n + 1),
-        max_depth=max_depth,
-        extents=[(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in zip(
-            rows[is_first].tolist(), bottom[1:].tolist(), left[1:].tolist(), right[1:].tolist())],
-    )
+    extents = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in zip(
+        rows[is_first].tolist(), bottom[1:].tolist(), left[1:].tolist(), right[1:].tolist())]
+    return labels, np.bincount(labels.ravel(), minlength=n + 1), extents
 
 
 def label_components(depth: np.ndarray) -> LabelGrid:
     """Label 8-connected regions of strictly positive *depth*, a 2-D float
-    array as :func:`~sinkseg.hydro.fill_depressions` gives it.
+    array as :func:`~sinkseg.hydro.fill_depressions` gives it, with each
+    component's maximum depth.
 
     Zero-depth cells are background; the fill writes 0.0 on nodata cells
     too.  Components are numbered in scan order (row-major) of their first
@@ -187,12 +183,42 @@ def label_components(depth: np.ndarray) -> LabelGrid:
         raise ValueError("depth raster contains non-finite values")
     if (depth < 0).any():
         raise ValueError("depth raster contains negative values")
-    return _labelled(depth > 0, depth)
+    positive = depth > 0
+    labels, area_px, extents = _labelled(positive)
+    max_depth = np.zeros(len(extents) + 1)  # every labelled value is > 0
+    np.maximum.at(max_depth, labels[positive], depth[positive])
+    return LabelGrid(labels, area_px, max_depth, extents)
 
 
-def components_from_mask(mask: np.ndarray) -> LabelGrid:
-    """Label the set pixels of a mask, a 2-D bool array (max_depth reported as 1.0)."""
-    return _labelled(check_mask(mask), mask)
+def components_from_mask(mask: np.ndarray, max_depth=None) -> LabelGrid:
+    """Label the set pixels of *mask*, a 2-D bool array.
+
+    Each component's maximum depth is 1.0, unless *max_depth* is given: a
+    function of the component count that returns one maximum per
+    component, in label order.  So a caller that stored them, as the
+    prompts stage reads them from the fill's archive, learns how many to
+    read before it reads them.
+
+    Raises
+    ------
+    ValueError
+        If *max_depth* gives another count of values, or a value that is
+        not finite and > 0.
+    """
+    labels, area_px, extents = _labelled(check_mask(mask))
+    n = len(extents)
+    if max_depth is None:
+        values = np.ones(n)
+    else:
+        values = np.asarray(max_depth(n), dtype=np.float64)
+        if values.shape != (n,):
+            raise ValueError(f"{values.size} max depths for {n} components")
+        bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"component {k + 1}'s max depth is {float(values[k])}, "
+                             f"expected a finite value > 0")
+    return LabelGrid(labels, area_px, np.concatenate(([0.0], values)), extents)
 
 
 def filter_components(grid: LabelGrid, thresholds: FilterThresholds) -> np.ndarray:
@@ -261,10 +287,11 @@ def prompts_from_json(text: str) -> PromptSet:
     """Parse one prompts document, as :func:`prompts_to_json` writes it and a
     box file, external ones too, holds one per line (:func:`read_prompts`).
     External producers may omit ``areas`` and ``max_depths``; they default
-    to empty lists."""
+    to empty lists.  An area is an integer >= 0, and a max depth a finite
+    number >= 0."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+    except (ValueError, RecursionError) as exc:  # or an int of too many digits, or nested too deep
         raise PromptFormatError(f"prompts file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "patch_id" not in doc or "boxes" not in doc:
         raise PromptFormatError("prompts document needs 'patch_id' and 'boxes' keys")
@@ -290,6 +317,16 @@ def prompts_from_json(text: str) -> PromptSet:
             if not isinstance(v, kinds) or isinstance(v, bool):
                 kind = "an integer" if kinds is int else "a number"
                 raise PromptFormatError(f"'{name}' entry {i} must be {kind}, got {v!r}")
+            if name == "max_depths":
+                try:
+                    v = float(v)
+                except OverflowError:  # an int too large for a float
+                    raise PromptFormatError(
+                        f"'max_depths' entry {i} is too large for a float") from None
+                if not math.isfinite(v):  # NaN, Infinity or a literal past the float range
+                    raise PromptFormatError(f"'max_depths' entry {i} must be finite, got {v}")
+            if v < 0:
+                raise PromptFormatError(f"'{name}' entry {i} must be >= 0, got {v!r}")
     return PromptSet(
         patch_id=str(doc["patch_id"]),
         boxes=boxes,

@@ -4,20 +4,31 @@ Stage artifacts (all deterministic — rerunning a stage overwrites the same
 bytes, regardless of worker pool size):
 
 ``fill``
-    ``depth.npz``: one float64 member ``<patch id>.npy`` per window in plan
-    order, each window filled as if it were the whole raster (patch mode),
-    or the one member ``depth.npy`` (mosaic mode); plus ``manifest.json``,
-    the mosaic's extent and georeference and the tiling from which every
-    later stage plans its windows.  Both modes are one
-    :func:`~sinkseg.hydro.region_depths` call: each block is filled once,
-    in the worker pool, and joined into every region that holds it.  The
-    DEM's nodata ends here: a nodata cell is an outlet, so its depth is
-    0.0, and neither the archive nor the manifest records the sentinel.
+    ``depressions.npz``: two members per window, in plan order.
+    ``<patch id>.npy`` holds the window's depression cells, a bool grid
+    true where its depth is > 0, and ``<patch id>_max_depth.npy`` the
+    float64 maximum depth of each of their 8-connected components, in
+    label order, as :func:`~sinkseg.labeling.label_components` numbers
+    them.  In patch mode each window is filled as if it were the whole
+    raster; in mosaic mode the raster is filled once and each window cut
+    from it, so a component the window clips keeps the clipped maximum.
+    Plus ``manifest.json``, the mosaic's extent and georeference and the
+    tiling from which every later stage plans its windows.  Both modes are
+    one :func:`~sinkseg.hydro.region_depths` call: each block is filled
+    once, in the worker pool, and joined into every region that holds it.
+    The per-cell depth is not written: it stays available from the
+    library, through ``region_depths`` and ``fill_depressions``.  The DEM's
+    nodata ends here: a nodata cell is an outlet, so it is in no
+    depression, and neither the archive nor the manifest records the
+    sentinel.
 ``prompts``
     ``boxes.jsonl``, one line per window in plan order (possibly with no
     boxes), and ``kept_mask.npz`` — each window's kept depression cells,
     folded into a mosaic with the configured merge rule over every cell of
-    the window, kept as the one bool member ``mask.npy``.
+    the window, kept as the one bool member ``mask.npy``.  Prompts labels
+    each window's cells again, which numbers the components as fill did,
+    and takes their maximum depths from the stored vector once it holds
+    one finite value > 0 per component.
 ``segment``
     ``fused_mask.npz`` — per-box masks fused once per patch (pixelwise max),
     patches folded with the configured merge rule, then binarized once,
@@ -74,7 +85,8 @@ from .config import FILL_MODES, PipelineConfig, validate_for
 from .errors import InputError
 from .hydro import region_depths
 from .image import read_ppm
-from .labeling import PromptSet, label_components, read_prompts, tile_prompts, write_prompts
+from .labeling import (PromptSet, components_from_mask, label_components, read_prompts,
+                       tile_prompts, write_prompts)
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
 from .raster import invert_depth, read_ascii_grid, read_ascii_mask
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
@@ -254,9 +266,10 @@ def _check_order(found: list[str], expected: list[str], item: str) -> None:
 
 
 def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) -> np.ndarray:
-    """The array of the member *info*, once its ``.npy`` header shows a 2-D
-    array of *shape* and *dtype*: nothing else is read before, so a header
-    that claims a huge array allocates nothing.  The array is allocated
+    """The array of the member *info*, once its ``.npy`` header shows an
+    array of *shape*, of any rank, and *dtype*: nothing else is read
+    before, so a header that claims a huge array allocates nothing.  The
+    array is allocated
     only once the archive's directory gives the member the size that header
     implies, a size deflate could inflate the archive's bytes to, so a
     forged directory cannot ask for more either.  The data is read into it
@@ -280,10 +293,13 @@ def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, dtype, shape) 
             except (SyntaxError, RecursionError, MemoryError) as exc:
                 raise InputError(f"member {name} has a header that is no Python literal") from exc
             found, fortran, found_dtype = np.lib.format.read_array_header_1_0(io.BytesIO(size + header))
-            if len(found) != 2:
-                raise InputError(f"{name} has {len(found)} dimensions, expected 2")
-            if found != shape:
-                raise InputError(f"{name} is {found[1]}x{found[0]}, expected {shape[1]}x{shape[0]}")
+            if len(found) != len(shape):
+                raise InputError(f"{name} has {len(found)} dimensions, expected {len(shape)}")
+            if found != shape and len(shape) == 1:
+                raise InputError(f"{name} holds {found[0]} values, expected {shape[0]}")
+            if found != shape:  # a grid's shape as width x height
+                raise InputError(f"{name} is {'x'.join(map(str, found[::-1]))}, "
+                                 f"expected {'x'.join(map(str, shape[::-1]))}")
             if found_dtype != dtype:
                 raise InputError(f"{name} has dtype {found_dtype}, expected {np.dtype(dtype)}")
             count = math.prod(shape) * found_dtype.itemsize
@@ -309,9 +325,21 @@ def _read_array(path: Path, stage: str, name: str, dtype, shape: tuple[int, int]
         return _read_member(archive, archive.infolist()[0], dtype, shape)
 
 
+def _depressions(windows: list[TileWindow], depths):
+    """The members of ``depressions.npz`` for *windows* and their *depths*,
+    in order: each window's depression cells, named by its patch id, and
+    its components' maximum depths in label order.  Each window is labelled
+    as its members are drawn, just before they are written."""
+    for window, depth in zip(windows, depths, strict=True):
+        name = patch_id(window)
+        yield name, depth > 0
+        yield f"{name}_max_depth", label_components(depth).max_depth[1:]
+
+
 def cmd_fill(cfg: PipelineConfig) -> None:
-    """Fill depressions and write each window's depth, or the mosaic's, to
-    ``depth.npz``; the windows are planned before anything is written."""
+    """Fill depressions and write each window's depression cells and
+    maximum depths to ``depressions.npz``; the windows are planned before
+    anything is written."""
     validate_for(cfg, "fill")
     dem = read_ascii_grid(cfg.depth_raster)
     if cfg.invert_depth:
@@ -324,15 +352,16 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     except ValueError as exc:
         raise InputError(f"tile.{exc}") from exc
     out = Path(cfg.out_dir)
+    pool = partial(_pool_map, cfg.workers)
     if cfg.fill_mode == "patch":
-        regions = [(w.row0, w.col0, w.patch, w.patch) for w in windows]
-        names = [patch_id(w) for w in windows]
+        depths = region_depths(dem, [(w.row0, w.col0, w.patch, w.patch) for w in windows], pool)
     else:
-        regions, names = [(0, 0, dem.height, dem.width)], ["depth"]
-    depths = region_depths(dem, regions, partial(_pool_map, cfg.workers))
+        (mosaic,) = region_depths(dem, [(0, 0, dem.height, dem.width)], pool)
+        depths = (mosaic[w.cells] for w in windows)
     out.mkdir(parents=True, exist_ok=True)
-    _write_archive(out / "depth.npz", zip(names, depths))
-    logger.info("filled %d depth arrays (%s mode) into %s", len(names), cfg.fill_mode, out)
+    _write_archive(out / "depressions.npz", _depressions(windows, depths))
+    logger.info("filled %d windows (%s mode); their depressions are in %s",
+                len(windows), cfg.fill_mode, out)
     doc = {"width": dem.width, "height": dem.height, "patch": cfg.tile.patch,
            "stride": cfg.tile.stride, "origin_x": dem.origin_x, "origin_y": dem.origin_y,
            "cellsize": dem.cellsize, "fill_mode": cfg.fill_mode, "invert_depth": cfg.invert_depth}
@@ -348,47 +377,44 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
     doc = _read_manifest(out)
-    depth_path = out / "depth.npz"
-    with _open_archive(depth_path, "fill") as archive:
+    path = out / "depressions.npz"
+    with _open_archive(path, "fill") as archive:
         infos = archive.infolist()
         names = [info.filename.removesuffix(".npy") for info in infos]
-        mosaic = None
-        with _upstream(depth_path, "fill"):
-            if doc["fill_mode"] == "mosaic":
-                _check_order(names, ["depth"], "array")
-                shape = (doc["height"], doc["width"])
-                mosaic = _read_member(archive, infos[0], np.float64, shape)
-            elif doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses it
+        with _upstream(path, "fill"):
+            if doc["patch"] <= min(doc["width"], doc["height"]):  # else _plan refuses it
                 side = doc["patch"]  # the claimed last window is there only if fill wrote it
                 last = patch_id(TileWindow(doc["height"] - side, doc["width"] - side, side))
-                if names[-1:] != [last]:
+                if names[-1:] != [f"{last}_max_depth"]:
                     raise InputError(f"ends with {names[-1:]}, but the manifest's last "
                                      f"window is {last!r}")
         windows = _plan(out, doc)
-        if mosaic is None:
-            with _upstream(depth_path, "fill"):  # exact: the last origins are extent - patch
-                _check_order(names, [patch_id(w) for w in windows], "array")
+        with _upstream(path, "fill"):  # exact: the last origins are extent - patch
+            _check_order(names, [name for w in windows
+                                 for name in (patch_id(w), f"{patch_id(w)}_max_depth")], "array")
 
-        def read(k: int, window: TileWindow) -> np.ndarray:
-            if mosaic is None:
-                with _upstream(depth_path, "fill"):
-                    return _read_member(archive, infos[k], np.float64, (window.patch,) * 2)
-            return mosaic[window.cells]
-
-        def work(item: tuple[TileWindow, np.ndarray]):
-            window, depth = item
-            pid = patch_id(window)
-            with _upstream(depth_path, "fill"):
+        def read(k: int, window: TileWindow):
+            """The window's components, labelled from its depression cells,
+            with the maximum depths fill stored for them."""
+            with _upstream(path, "fill"):
+                cells = _read_member(archive, infos[2 * k], np.bool_, (window.patch,) * 2)
+                vector = infos[2 * k + 1]
                 try:
-                    grid = label_components(depth)
-                except ValueError as exc:  # a non-finite or negative depth
-                    raise InputError(f"{pid}: {exc}") from exc
+                    grid = components_from_mask(
+                        cells, lambda n: _read_member(archive, vector, np.float64, (n,)))
+                except ValueError as exc:
+                    raise InputError(f"member {names[2 * k + 1]}: {exc}") from exc
+            return window, grid
+
+        def work(item):
+            window, grid = item
+            pid = patch_id(window)
             prompts[pid], kept = tile_prompts(grid, cfg.filter, cfg.pad_px, pid)
             return window, kept, None
 
         prompts: dict[str, PromptSet] = {}
-        # the pool draws its items, so the archive's reads, on this thread
-        items = ((w, read(k, w)) for k, w in enumerate(windows))
+        # the pool draws its items, so the archive's reads and the labelling, on this thread
+        items = (read(k, w) for k, w in enumerate(windows))
         with closing(_pool_map(cfg.workers, work, items)) as tiles:
             kept, _ = fold_tiles(tiles, doc["height"], doc["width"], cfg.merge)
     with _replacing(out / "boxes.jsonl") as tmp:

@@ -42,40 +42,50 @@ def first_array(path):
         return archive[archive.files[0]]
 
 
-def rewrite_first(write):
+def rewrite_first(write, at=0):
     """Corrupt an archive by storing ``write(archive, name, data)`` in place
-    of its first member, named *name* (``.npy`` dropped) and holding the
-    bytes *data*; the other members are copied as they are."""
+    of its first member (or its member *at*), named *name* (``.npy``
+    dropped) and holding the bytes *data*; the other members are copied as
+    they are."""
 
     def rewrite(path):
         with zipfile.ZipFile(path) as archive:
             infos = archive.infolist()
             members = [(info.filename, archive.read(info)) for info in infos]
         with zipfile.ZipFile(path, "w") as archive:
-            write(archive, members[0][0].removesuffix(".npy"), members[0][1])
-            for name, data in members[1:]:
-                archive.writestr(name, data)
+            for k, (name, data) in enumerate(members):
+                if k == at:
+                    write(archive, name.removesuffix(".npy"), data)
+                else:
+                    archive.writestr(name, data)
 
     return rewrite
 
 
-def edit_first(edit):
-    """Corrupt an archive by storing ``edit(array)`` as its first member's array."""
+def edit_first(edit, at=0):
+    """Corrupt an archive by storing ``edit(array)`` as its first member's
+    array (or its member *at*'s)."""
 
     def write(archive, name, data):
         with archive.open(f"{name}.npy", "w") as member:
             np.lib.format.write_array(member, edit(np.load(io.BytesIO(data))))
 
-    return rewrite_first(write)
+    return rewrite_first(write, at)
 
 
-def with_first_cell(value):
-    """An array edit that sets the first cell of a copy to *value*."""
+def edit_max_depth(edit):
+    """Corrupt a depressions archive by storing ``edit(vector)`` as the first
+    window's maximum depths."""
+    return edit_first(edit, at=1)
 
-    def edit(array):
-        array = array.copy()
-        array[0, 0] = value
-        return array
+
+def with_first_value(value):
+    """A vector edit that sets the first value of a copy to *value*."""
+
+    def edit(vector):
+        vector = vector.copy()
+        vector[0] = value
+        return vector
 
     return edit
 
@@ -168,6 +178,13 @@ def box_line(number, text):
         path.write_text("".join(lines))
 
     return edit
+
+
+def box_stats(areas="10", max_depths="2.5"):
+    """Corrupt a box file by replacing its line 1 with one box whose area and
+    max depth are the JSON literals *areas* and *max_depths*."""
+    return box_line(1, f'{{"areas":[{areas}],"boxes":[[0,0,2,2]],"max_depths":[{max_depths}],'
+                       f'"patch_id":"r00000_c00000"}}')
 
 
 def box_lines(edit):
@@ -435,9 +452,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "fill_mode, stage, message",
         [
-            ("patch", "prompts", "depth.npz: ends with ['r00080_c00080'], but the manifest's"
-                                 " last window is 'r03984_c03984' — rerun the fill stage"),
-            ("mosaic", "prompts", "depth.npz: depth is 96x96, expected 4000x4000"),
+            ("patch", "prompts", "depressions.npz: ends with ['r00080_c00080_max_depth'], but"
+                                 " the manifest's last window is 'r03984_c03984' — rerun the"
+                                 " fill stage"),
+            ("mosaic", "prompts", "depressions.npz: ends with ['r00080_c00080_max_depth'], but"
+                                  " the manifest's last window is 'r03984_c03984'"),
             ("patch", "segment", "rgb mosaic is 96x96 but the fill manifest says 4000x4000"),
         ],
         ids=["patch-prompts", "mosaic-prompts", "segment"],
@@ -471,10 +490,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "stage, side, artifact, message",
         [
-            ("prompts", 10_000, "depth.npz", "member depth does not hold the 800000000 data bytes"
-                                             " its header claims — rerun the fill stage"),
-            ("prompts", 60_000, "depth.npz", "member depth does not hold the 28800000000 data"
-                                             " bytes its header claims — rerun the fill stage"),
+            ("prompts", 10_000, "depressions.npz", "member r00000_c00000 does not hold the"
+                                                   " 100000000 data bytes its header claims"
+                                                   " — rerun the fill stage"),
+            ("prompts", 60_000, "depressions.npz", "member r00000_c00000 does not hold the"
+                                                   " 3600000000 data bytes its header claims"
+                                                   " — rerun the fill stage"),
             ("eval", 100_000, "fused_mask.npz", "member mask does not hold the 10000000000 data"
                                                 " bytes its header claims — rerun the segment stage"),
         ],
@@ -484,19 +505,26 @@ class TestExitCodes:
         self, scene_dir, tmp_path, capsys, stage, side, artifact, message
     ):
         """A manifest and a member header that agree on a huge array, over a
-        member with no data, are refused having read only what is there."""
+        member with no data, are refused having read only what is there.
+        For prompts the manifest plans one window over the whole extent."""
         import tracemalloc
 
         out = tmp_path / "out"
         out.mkdir()
+        if stage == "prompts":
+            tiling = {"patch": side, "stride": side}
+            names = ["r00000_c00000", "r00000_c00000_max_depth"]
+        else:
+            tiling, names = {}, ["mask"]
         (out / "manifest.json").write_text(
-            manifest_text(width=side, height=side, fill_mode="mosaic"))
-        name, descr = ("depth", "<f8") if stage == "prompts" else ("mask", "|b1")
+            manifest_text(width=side, height=side, fill_mode="mosaic", **tiling))
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(
-            header, {"descr": descr, "fortran_order": False, "shape": (side, side)})
+            header, {"descr": "|b1", "fortran_order": False, "shape": (side, side)})
         with zipfile.ZipFile(out / artifact, "w", zipfile.ZIP_DEFLATED) as archive:
-            archive.writestr(f"{name}.npy", header.getvalue())
+            archive.writestr(f"{names[0]}.npy", header.getvalue())
+            for name in names[1:]:
+                archive.writestr(f"{name}.npy", b"")
         capsys.readouterr()
         tracemalloc.start()
         try:
@@ -513,23 +541,25 @@ class TestExitCodes:
 
     def test_forged_directory_size_allocates_nothing(self, tmp_path, capsys):
         """A member with no data whose header and archive directory entry
-        both claim a 10000² float64 array is refused before the array is
+        both claim a 10000² bool array is refused before the array is
         allocated: no archive this small can inflate to that."""
         import tracemalloc
 
         out = tmp_path / "out"
         out.mkdir()
         (out / "manifest.json").write_text(
-            manifest_text(width=10_000, height=10_000, fill_mode="mosaic"))
+            manifest_text(width=10_000, height=10_000, patch=10_000, stride=10_000))
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(
-            header, {"descr": "<f8", "fortran_order": False, "shape": (10_000, 10_000)})
-        with zipfile.ZipFile(out / "depth.npz", "w", zipfile.ZIP_DEFLATED) as archive:
-            archive.writestr("depth.npy", header.getvalue())
-        data = bytearray((out / "depth.npz").read_bytes())
-        at = data.rindex(b"PK\x01\x02") + 24  # the entry's uncompressed size
-        data[at : at + 4] = (len(header.getvalue()) + 800_000_000).to_bytes(4, "little")
-        (out / "depth.npz").write_bytes(bytes(data))
+            header, {"descr": "|b1", "fortran_order": False, "shape": (10_000, 10_000)})
+        path = out / "depressions.npz"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("r00000_c00000.npy", header.getvalue())
+            archive.writestr("r00000_c00000_max_depth.npy", b"")
+        data = bytearray(path.read_bytes())
+        at = data.index(b"PK\x01\x02") + 24  # the first entry's uncompressed size
+        data[at : at + 4] = (len(header.getvalue()) + 100_000_000).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
         capsys.readouterr()
         tracemalloc.start()
         try:
@@ -540,26 +570,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"
-        assert "member depth does not hold the 800000000 data bytes its header claims" in err
+        assert ("member r00000_c00000 does not hold the 100000000 data bytes"
+                " its header claims") in err
+
+    @pytest.mark.parametrize("fill_mode", ["patch", "mosaic"])
+    def test_huge_max_depth_claim_allocates_nothing(self, scene_dir, tmp_path, capsys, fill_mode):
+        """A window's maximum-depth vector whose header claims 10^12 values
+        over no data is refused from its header, which must claim one value
+        per component labelled in the window's cells."""
+        import tracemalloc
+
+        out = tmp_path / "out"
+        common = ["--set", f"out_dir={out}", "--set", f"fill.mode={fill_mode}",
+                  "--set", "tile.patch=48", "--set", "tile.stride=24"]
+        assert main(["fill", "--set", f"depth_raster={scene_dir / 'dem.asc'}", *common]) == 0
+
+        def claim(archive, name, data):
+            with archive.open(f"{name}.npy", "w") as member:
+                np.lib.format.write_array_header_1_0(
+                    member, {"descr": "<f8", "fortran_order": False, "shape": (10**12,)})
+
+        rewrite_first(claim, at=1)(out / "depressions.npz")
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["prompts", *common])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"
+        assert (f"{out / 'depressions.npz'}: r00000_c00000_max_depth holds 1000000000000 values,"
+                f" expected 1 — rerun the fill stage") in err
+        assert "internal error" not in err
 
     @pytest.mark.parametrize(
         "fill_mode, claim, message",
         [
             ("patch", {"width": 48, "height": 48},
-             "depth.npz: ends with ['r00048_c00048'], but the manifest's last window is"
-             " 'r00032_c00032' — rerun the fill stage"),
+             "depressions.npz: ends with ['r00048_c00048_max_depth'], but the manifest's last"
+             " window is 'r00032_c00032' — rerun the fill stage"),
             ("patch", {"stride": 8},
-             "depth.npz: array 2 is 'r00000_c00016', expected 'r00000_c00008'"
+             "depressions.npz: array 3 is 'r00000_c00016', expected 'r00000_c00008'"
              " — rerun the fill stage"),
             ("mosaic", {"width": 48, "height": 48},
-             "depth.npz: depth is 64x64, expected 48x48 — rerun the fill stage"),
+             "depressions.npz: ends with ['r00048_c00048_max_depth'], but the manifest's last"
+             " window is 'r00032_c00032' — rerun the fill stage"),
         ],
         ids=["patch-smaller-extent", "patch-other-stride", "mosaic-smaller-extent"],
     )
     def test_manifest_that_fill_did_not_write_is_refused(self, tmp_path, capsys, fill_mode,
                                                          claim, message):
         """A manifest edited after the fill, to a smaller extent or to another
-        tiling of the same extent, does not match the depth archive."""
+        tiling of the same extent, does not match the depressions archive."""
         scene = tmp_path / "scene"
         export_scene(gen_terrain(seed=3, width=64, height=64, n_sinkholes=2,
                                  radius_range=(4.0, 6.0)), scene)
@@ -579,40 +643,52 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "fill_mode, stage, artifact, corrupt, message",
         [
-            ("patch", "prompts", "depth.npz", edit_first(with_first_cell(-1.0)),
-             "depth.npz: r00000_c00000: depth raster contains negative values"),
-            ("patch", "prompts", "depth.npz", edit_first(with_first_cell(np.nan)),
-             "depth.npz: r00000_c00000: depth raster contains non-finite values"
+            ("patch", "prompts", "depressions.npz", edit_max_depth(with_first_value(-1.0)),
+             "depressions.npz: member r00000_c00000_max_depth: component 1's max depth is -1.0,"
+             " expected a finite value > 0 — rerun the fill stage"),
+            ("patch", "prompts", "depressions.npz", edit_max_depth(with_first_value(np.nan)),
+             "depressions.npz: member r00000_c00000_max_depth: component 1's max depth is nan"),
+            ("mosaic", "prompts", "depressions.npz", edit_max_depth(with_first_value(np.inf)),
+             "depressions.npz: member r00000_c00000_max_depth: component 1's max depth is inf"),
+            ("patch", "prompts", "depressions.npz", edit_max_depth(with_first_value(0.0)),
+             "depressions.npz: member r00000_c00000_max_depth: component 1's max depth is 0.0"),
+            ("patch", "prompts", "depressions.npz", edit_max_depth(lambda v: np.append(v, 1.0)),
+             "depressions.npz: r00000_c00000_max_depth holds 2 values, expected 1"
              " — rerun the fill stage"),
-            ("mosaic", "prompts", "depth.npz", edit_first(with_first_cell(np.inf)),
-             "depth.npz: r00000_c00000: depth raster contains non-finite values"
-             " — rerun the fill stage"),
-            ("patch", "prompts", "depth.npz", cut_to(20), "r00000_c00000 is 20x20, expected 48x48"),
-            ("mosaic", "prompts", "depth.npz", cut_to(60), "depth is 60x60, expected 96x96"),
-            ("patch", "prompts", "depth.npz", truncate, "depth.npz: unreadable archive"),
-            ("mosaic", "prompts", "depth.npz", ascii_grid,
+            ("mosaic", "prompts", "depressions.npz", edit_max_depth(lambda v: v[:0]),
+             "depressions.npz: r00000_c00000_max_depth holds 0 values, expected 1"),
+            ("patch", "prompts", "depressions.npz", edit_max_depth(lambda v: v[np.newaxis]),
+             "depressions.npz: r00000_c00000_max_depth has 2 dimensions, expected 1"),
+            ("patch", "prompts", "depressions.npz", cut_to(20),
+             "depressions.npz: r00000_c00000 is 20x20, expected 48x48"),
+            ("mosaic", "prompts", "depressions.npz", cut_to(30),
+             "r00000_c00000 is 30x30, expected 48x48"),
+            ("patch", "prompts", "depressions.npz", truncate,
+             "depressions.npz: unreadable archive"),
+            ("mosaic", "prompts", "depressions.npz", ascii_grid,
              "unreadable archive (File is not a zip file)"),
-            ("patch", "prompts", "depth.npz", bare_npy,
+            ("patch", "prompts", "depressions.npz", bare_npy,
              "unreadable archive (File is not a zip file)"),
-            ("mosaic", "prompts", "depth.npz", edit_first(lambda a: a.astype(np.float32)),
-             "depth has dtype float32, expected float64"),
-            ("patch", "prompts", "depth.npz", edit_first(lambda a: a[np.newaxis]),
+            ("mosaic", "prompts", "depressions.npz", edit_max_depth(lambda v: v.astype(np.float32)),
+             "r00000_c00000_max_depth has dtype float32, expected float64"),
+            ("patch", "prompts", "depressions.npz", edit_first(lambda a: a[np.newaxis]),
              "r00000_c00000 has 3 dimensions, expected 2"),
-            ("patch", "prompts", "depth.npz", renamed("values"),
+            ("patch", "prompts", "depressions.npz", renamed("values"),
              "array 1 is 'values', expected 'r00000_c00000'"),
-            ("mosaic", "prompts", "depth.npz", extra_member, "holds 2 arrays, expected 1"),
-            ("patch", "prompts", "depth.npz",
+            ("mosaic", "prompts", "depressions.npz", extra_member,
+             "array 2 is 'filled', expected 'r00000_c00000_max_depth'"),
+            ("patch", "prompts", "depressions.npz",
              edit_first(lambda a: np.full(a.shape, None, dtype=object)),
-             "r00000_c00000 has dtype object, expected float64"),
-            ("patch", "prompts", "depth.npz", huge_header("<f8"),
-             "depth.npz: r00000_c00000 is 1000000x1000000, expected 48x48"),
-            ("patch", "prompts", "depth.npz", raw_member,
+             "r00000_c00000 has dtype object, expected bool"),
+            ("patch", "prompts", "depressions.npz", huge_header("|b1"),
+             "depressions.npz: r00000_c00000 is 1000000x1000000, expected 48x48"),
+            ("patch", "prompts", "depressions.npz", raw_member,
              "unreadable member r00000_c00000 (the magic string is not correct"),
             # numpy reads Python 2's longs only through a repair that may raise
             # tokenize.TokenError or warn
-            ("mosaic", "prompts", "depth.npz",
-             raw_header("{'descr': '<f8', 'fortran_order': False, 'shape': (96L, 96L), }\n"),
-             "depth.npz: member depth has a header that is no Python literal"),
+            ("mosaic", "prompts", "depressions.npz",
+             raw_header("{'descr': '|b1', 'fortran_order': False, 'shape': (48L, 48L), }\n"),
+             "depressions.npz: member r00000_c00000 has a header that is no Python literal"),
             ("mosaic", "segment", "kept_mask.npz", cut_to(60),
              "kept_mask.npz: mask is 60x60, expected 96x96 — rerun the prompts stage"),
             ("patch", "segment", "kept_mask.npz", huge_header("|b1"),
@@ -634,6 +710,19 @@ class TestExitCodes:
             ("patch", "segment", "boxes.jsonl",
              box_line(2, '{"boxes":[[true,0,2,2]],"patch_id":"r00000_c00024"}'),
              "boxes.jsonl: line 2: box 0 invalid: box coordinate x0 must be an integer, got True"),
+            ("patch", "segment", "boxes.jsonl", box_stats(max_depths="1" + "0" * 400),
+             "boxes.jsonl: line 1: 'max_depths' entry 0 is too large for a float"
+             " — rerun the prompts stage"),
+            ("patch", "segment", "boxes.jsonl", box_stats(max_depths="NaN"),
+             "boxes.jsonl: line 1: 'max_depths' entry 0 must be finite, got nan"),
+            ("patch", "segment", "boxes.jsonl", box_stats(max_depths="-Infinity"),
+             "boxes.jsonl: line 1: 'max_depths' entry 0 must be finite, got -inf"),
+            ("patch", "segment", "boxes.jsonl", box_stats(max_depths="1e999"),
+             "boxes.jsonl: line 1: 'max_depths' entry 0 must be finite, got inf"),
+            ("patch", "segment", "boxes.jsonl", box_stats(max_depths="-2.5"),
+             "boxes.jsonl: line 1: 'max_depths' entry 0 must be >= 0, got -2.5"),
+            ("patch", "segment", "boxes.jsonl", box_stats(areas="-3"),
+             "boxes.jsonl: line 1: 'areas' entry 0 must be >= 0, got -3"),
             ("patch", "segment", "boxes.jsonl", box_line(2, "[" * 100_000 + "]" * 100_000),
              "boxes.jsonl: line 2: prompts file is not valid JSON"),
             ("patch", "segment", "boxes.jsonl",
@@ -657,16 +746,20 @@ class TestExitCodes:
              " (method 99, flags 0x0) — rerun the segment stage"),
             # too deep for the parser: a RecursionError on Python 3.11
             ("patch", "eval", "fused_mask.npz", raw_header("1+" * 4990 + "1"), "member mask"),
-            ("mosaic", "prompts", "depth.npz", npy_version_2,
-             "depth.npz: member depth is not a version 1.0 .npy array — rerun the fill stage"),
+            ("mosaic", "prompts", "depressions.npz", npy_version_2,
+             "depressions.npz: member r00000_c00000 is not a version 1.0 .npy array"
+             " — rerun the fill stage"),
         ],
-        ids=["negative-depth", "nan-depth", "inf-depth", "short-patch-depth", "short-mosaic-depth",
+        ids=["negative-depth", "nan-depth", "inf-depth", "zero-depth", "long-max-depth",
+             "short-max-depth", "2d-max-depth", "short-patch-depth", "short-mosaic-depth",
              "truncated-depth", "ascii-depth", "npy-depth", "float32-depth", "3d-depth",
              "no-depth-member", "extra-member", "object-depth", "huge-header-depth",
              "raw-member-depth", "python2-header-depth", "short-kept-mask",
              "huge-header-kept-mask", "encrypted-kept-mask", "uint8-kept-mask",
              "depth-member-kept-mask",
-             "box-outside-patch", "string-area", "bool-coordinate", "nested-too-deep-boxes",
+             "box-outside-patch", "string-area", "bool-coordinate", "huge-int-max-depth",
+             "nan-max-depth", "infinite-max-depth", "overflowing-max-depth",
+             "negative-max-depth", "negative-area", "nested-too-deep-boxes",
              "swapped-boxes",
              "missing-boxes", "extra-boxes", "uint8-fused-mask", "depth-member-fused-mask",
              "short-fused-mask", "huge-header-fused-mask", "aes-fused-mask", "deep-header",
@@ -696,7 +789,7 @@ class TestExitCodes:
         "artifact, reader, writer",
         [
             ("manifest.json", "prompts", "fill"),
-            ("depth.npz", "prompts", "fill"),
+            ("depressions.npz", "prompts", "fill"),
             ("boxes.jsonl", "segment", "prompts"),
             ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.npz", "eval", "segment"),
@@ -732,7 +825,7 @@ class TestExitCodes:
         "artifact, reader, writer",
         [
             ("manifest.json", "prompts", "fill"),
-            ("depth.npz", "prompts", "fill"),
+            ("depressions.npz", "prompts", "fill"),
             ("boxes.jsonl", "segment", "prompts"),
             ("kept_mask.npz", "segment", "prompts"),
             ("fused_mask.npz", "eval", "segment"),
@@ -757,7 +850,7 @@ class TestExitCodes:
         assert f"{path}: Is a directory — rerun the {writer} stage" in err
 
     @pytest.mark.parametrize("artifact, stage, stride", [
-        ("depth.npz", "prompts", 29),
+        ("depressions.npz", "prompts", 29),
         ("kept_mask.npz", "segment", 1),
         ("fused_mask.npz", "eval", 1),
     ])
@@ -913,7 +1006,7 @@ class TestExitCodes:
         code = main(run_args(scene_dir, out, "--set", f"eval.ignore_mask={ignore}"))
         err = capsys.readouterr().err
         assert code == 2
-        named = str(out / "depth.npz") if key == "out_dir" else refused  # the first write
+        named = str(out / "depressions.npz") if key == "out_dir" else refused  # the first write
         assert f"Permission denied: '{named}'" in err
         assert ".tmp" not in err
         assert "internal error" not in err

@@ -1,6 +1,7 @@
 """Component labeling, threshold filtering, and box prompts."""
 
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -193,6 +194,41 @@ class TestLabeling:
         assert len(grid) == 1
         assert grid.area_px[1] == 2
         assert grid.max_depth[1] == 1.0
+
+    def test_mask_max_depth_is_one_per_component(self):
+        mask = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 0, 1]], dtype=bool)
+        grid = components_from_mask(mask)
+        assert grid.max_depth.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert grid.max_depth.dtype == np.float64
+
+    def test_mask_with_stored_max_depths_is_the_depth_labelling(self):
+        """Labelling ``depth > 0`` and taking the maxima ``label_components``
+        found gives its grid, as the prompts stage relabels fill's cells."""
+        rng = np.random.default_rng(11)
+        depth = np.where(rng.random((40, 50)) < 0.35, rng.uniform(0.1, 4.0, (40, 50)), 0.0)
+        want = label_components(depth)
+        counts = []
+        got = components_from_mask(depth > 0,
+                                   lambda n: counts.append(n) or want.max_depth[1:])
+        assert counts == [len(want)]
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.area_px, want.area_px)
+        assert np.array_equal(got.max_depth, want.max_depth)
+        assert got.extents == want.extents
+
+    @pytest.mark.parametrize("stored, message", [
+        ([2.0], "1 max depths for 2 components"),
+        ([2.0, 1.0, 3.0], "3 max depths for 2 components"),
+        ([[2.0, 1.0]], "2 max depths for 2 components"),
+        ([2.0, np.nan], "component 2's max depth is nan"),
+        ([np.inf, 1.0], "component 1's max depth is inf"),
+        ([2.0, 0.0], "component 2's max depth is 0.0"),
+        ([-1.0, 1.0], "component 1's max depth is -1.0, expected a finite value > 0"),
+    ])
+    def test_stored_max_depths_are_checked(self, stored, message):
+        mask = np.array([[1, 0, 1]], dtype=bool)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            components_from_mask(mask, lambda n: np.array(stored))
 
 
 class TestBfsOracle:
@@ -405,9 +441,18 @@ class TestPromptsJson:
             ('{"patch_id": "p", "boxes": [], "areas": 3}\n', "line 1: 'areas' must be a list"),
             ('{"patch_id": "p", "boxes": []}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
              "line 2: prompts file is not valid JSON"),
+            ('{"patch_id": "p", "boxes": [[0, 0, 1, 1]], "areas": [1' + "0" * 5000 + ']}\n',
+             "line 1: prompts file is not valid JSON"),
+            ('{"patch_id": "p", "boxes": [[0, 0, 1, 1]], "max_depths": [1' + "0" * 400 + ']}\n',
+             "line 1: 'max_depths' entry 0 is too large for a float"),
+            ('{"patch_id": "p", "boxes": [[0, 0, 1, 1]], "max_depths": [Infinity]}\n',
+             "line 1: 'max_depths' entry 0 must be finite, got inf"),
+            ('{"patch_id": "p", "boxes": [[0, 0, 1, 1]], "areas": [-1]}\n',
+             "line 1: 'areas' entry 0 must be >= 0, got -1"),
         ],
         ids=["bad-json", "blank-line", "bad-box", "boxes-not-a-list", "areas-not-a-list",
-             "nested-too-deep"],
+             "nested-too-deep", "int-of-too-many-digits", "int-too-large-for-a-float",
+             "infinite-max-depth", "negative-area"],
     )
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "boxes.jsonl"

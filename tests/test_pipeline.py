@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import record_segment, serving, tree_digests
 from sinkseg.config import PipelineConfig
 from sinkseg.errors import InputError
-from sinkseg.hydro import fill_depressions
+from sinkseg.hydro import fill_depressions, region_depths
 from sinkseg.image import pgm_bytes, ppm_bytes, read_ppm, write_ppm
 from sinkseg.labeling import FilterThresholds, label_components, read_prompts, tile_prompts
 from sinkseg.metrics import evaluate_masks, report_to_json
@@ -59,13 +59,20 @@ def manifest_windows(out_dir):
     return {patch_id(w): w for w in plan_tiles(doc["width"], doc["height"], spec)}
 
 
-def load_depth(path, name="depth"):
-    """The float64 array *name* of the depth archive the fill stage wrote:
-    a patch id in patch mode, ``depth`` in mosaic mode."""
-    with np.load(path, allow_pickle=False) as archive:
-        depth = archive[name]
-    assert depth.dtype == np.float64
-    return depth
+def load_depressions(out_dir, pid):
+    """The depression cells and maximum depths of window *pid* in the
+    ``depressions.npz`` that the fill stage wrote into *out_dir*."""
+    with np.load(Path(out_dir) / "depressions.npz", allow_pickle=False) as archive:
+        cells, max_depth = archive[pid], archive[f"{pid}_max_depth"]
+    assert cells.dtype == np.bool_ and max_depth.dtype == np.float64
+    return cells, max_depth
+
+
+def assert_depressions_of(out_dir, pid, depth):
+    """Window *pid*'s members hold the cells and maxima of its *depth*."""
+    cells, max_depth = load_depressions(out_dir, pid)
+    assert np.array_equal(cells, depth > 0)
+    assert np.array_equal(max_depth, label_components(depth).max_depth[1:])
 
 
 def load_mask(out_dir, name="kept_mask"):
@@ -110,10 +117,12 @@ class TestFillStage:
     def test_patch_mode_artifacts(self, scene_dir, tmp_path):
         cfg = make_cfg(scene_dir, tmp_path / "out")
         cmd_fill(cfg)
-        with zipfile.ZipFile(tmp_path / "out" / "depth.npz") as archive:
+        with zipfile.ZipFile(tmp_path / "out" / "depressions.npz") as archive:
             names = archive.namelist()
-        assert names == [f"{pid}.npy" for pid in manifest_windows(tmp_path / "out")]
-        assert names[:2] == ["r00000_c00000.npy", "r00000_c00032.npy"]  # plan order
+        assert names == [f"{pid}{member}.npy" for pid in manifest_windows(tmp_path / "out")
+                         for member in ("", "_max_depth")]
+        assert names[:4] == ["r00000_c00000.npy", "r00000_c00000_max_depth.npy",
+                             "r00000_c00032.npy", "r00000_c00032_max_depth.npy"]  # plan order
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["width"] == 128 and manifest["height"] == 128
         assert manifest["patch"] == 64 and manifest["stride"] == 32
@@ -125,18 +134,18 @@ class TestFillStage:
         dem = read_ascii_grid(scene_dir / "dem.asc")
         window = manifest_windows(tmp_path / "out")["r00032_c00032"]
         expected = fill_depressions(extract_tile(dem, window))
-        assert np.array_equal(
-            load_depth(tmp_path / "out" / "depth.npz", "r00032_c00032"),
-            expected.depth,
-        )
+        assert_depressions_of(tmp_path / "out", "r00032_c00032", expected.depth)
 
     def test_mosaic_mode_artifacts(self, scene_dir, tmp_path):
-        cfg = make_cfg(scene_dir, tmp_path / "out", fill_mode="mosaic")
-        cmd_fill(cfg)
-        out = tmp_path / "out"
-        dem = read_ascii_grid(scene_dir / "dem.asc")
-        expected = fill_depressions(dem)
-        assert np.array_equal(load_depth(out / "depth.npz"), expected.depth)
+        """Mosaic mode writes the members patch mode writes, in plan order."""
+        cmd_fill(make_cfg(scene_dir, tmp_path / "patch"))
+        cmd_fill(make_cfg(scene_dir, tmp_path / "mosaic", fill_mode="mosaic"))
+        with zipfile.ZipFile(tmp_path / "patch" / "depressions.npz") as archive:
+            names = archive.namelist()
+        with zipfile.ZipFile(tmp_path / "mosaic" / "depressions.npz") as archive:
+            assert archive.namelist() == names
+        manifest = json.loads((tmp_path / "mosaic" / "manifest.json").read_text())
+        assert manifest["fill_mode"] == "mosaic"
 
     def test_invert_depth_flag(self, tmp_path):
         values = np.full((70, 70), 40.0)
@@ -152,9 +161,9 @@ class TestFillStage:
         )
         cmd_fill(cfg)
         expected = fill_depressions(invert_depth(bumpy)).depth
-        got = load_depth(tmp_path / "out" / "depth.npz")
-        assert np.array_equal(got, expected)
-        assert got.max() == 7.0
+        for pid, window in manifest_windows(tmp_path / "out").items():
+            assert_depressions_of(tmp_path / "out", pid, expected[window.cells])
+            assert load_depressions(tmp_path / "out", pid)[1].tolist() == [7.0]
 
     def test_all_nodata_tile_passes_through(self, tmp_path):
         values = np.full((96, 96), 25.0)
@@ -166,39 +175,40 @@ class TestFillStage:
             tile=TileSpec(patch=64, stride=32),
         )
         cmd_fill(cfg)
-        written = tmp_path / "out" / "depth.npz"
-        assert np.all(load_depth(written, "r00000_c00000") == 0.0)  # nodata is no depression
+        cells, max_depth = load_depressions(tmp_path / "out", "r00000_c00000")
+        assert not cells.any() and max_depth.shape == (0,)  # nodata is no depression
         void = tmp_path / "void.npz"
-        pipeline._write_archive(void, [("depth", np.zeros((64, 64)))])
-        assert stored_bytes(written, "r00000_c00000.npy") == stored_bytes(void, "depth.npy")
+        pipeline._write_archive(void, [("cells", np.zeros((64, 64), dtype=bool))])
+        written = tmp_path / "out" / "depressions.npz"
+        assert stored_bytes(written, "r00000_c00000.npy") == stored_bytes(void, "cells.npy")
 
     @pytest.mark.parametrize("mode", ["patch", "mosaic"])
-    def test_depth_archive_holds_the_values_and_nodata(
-        self, scene_dir, tmp_path, monkeypatch, mode
-    ):
-        """Prompts labels each window's depth array as fill computed it,
-        0.0 on the DEM's nodata cells; the manifest records no nodata."""
+    def test_depth_archive_holds_the_values_and_nodata(self, scene_dir, tmp_path, mode):
+        """``depressions.npz`` holds, for each window in plan order, the cells
+        where the depth that ``region_depths`` gives is > 0 (never a DEM
+        nodata cell) and the maxima that ``label_components`` finds there:
+        per window in patch mode, and cut from the one mosaic in mosaic
+        mode.  The manifest records no nodata."""
         values = read_ascii_grid(scene_dir / "dem.asc").values.copy()
         values[5:9, 70:80] = -32768.0
         dem = Raster(values, nodata=-32768.0, origin_x=1000.5, origin_y=-20.25, cellsize=0.5)
         write_ascii_grid(dem, tmp_path / "dem.asc")
         out = tmp_path / "out"
-        cfg = PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=out, tile=TILE,
-                             fill_mode=mode)
-        cmd_fill(cfg)
-        labelled = []
-        monkeypatch.setattr(pipeline, "label_components",
-                            lambda depth: labelled.append(depth) or label_components(depth))
-        cmd_prompts(replace(cfg, workers=1))
+        cmd_fill(PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=out, tile=TILE,
+                                fill_mode=mode))
         assert "nodata" not in json.loads((out / "manifest.json").read_text())
-        mosaic = fill_depressions(dem).depth
-        for window, got in zip(manifest_windows(out).values(), labelled, strict=True):
-            cut = np.s_[window.row0 : window.row0 + window.patch,
-                        window.col0 : window.col0 + window.patch]
-            want = (mosaic[cut] if mode == "mosaic"
-                    else fill_depressions(extract_tile(dem, window)).depth)
-            assert np.array_equal(got, want)
-            assert np.all(got[values[cut] == -32768.0] == 0.0)
+        windows = manifest_windows(out)
+        if mode == "patch":
+            depths = region_depths(dem, [(w.row0, w.col0, w.patch, w.patch)
+                                         for w in windows.values()])
+        else:
+            (mosaic,) = region_depths(dem, [(0, 0, dem.height, dem.width)])
+            depths = (mosaic[w.cells] for w in windows.values())
+        with zipfile.ZipFile(out / "depressions.npz") as archive:
+            assert len(archive.namelist()) == 2 * len(windows)
+        for (pid, window), depth in zip(windows.items(), depths, strict=True):
+            assert_depressions_of(out, pid, depth)
+            assert not load_depressions(out, pid)[0][values[window.cells] == -32768.0].any()
 
     def test_depth_archive_is_byte_stable_with_one_member(self, tmp_path, monkeypatch):
         values = np.random.default_rng(5).normal(size=(40, 48))
@@ -209,8 +219,8 @@ class TestFillStage:
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
         with zipfile.ZipFile(tmp_path / "a.npz") as archive:
             assert archive.namelist() == ["depth.npy"]
-        assert np.array_equal(load_depth(tmp_path / "a.npz").view(np.int64),
-                              values.view(np.int64))
+        with np.load(tmp_path / "a.npz", allow_pickle=False) as archive:
+            assert np.array_equal(archive["depth"].view(np.int64), values.view(np.int64))
 
     def test_reads_an_archive_from_savez_compressed(self, tmp_path):
         # the form older out_dirs hold: numpy's own writer at its default level
@@ -311,18 +321,18 @@ class TestFillModes:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dem=square_dems(), block=st.integers(2, 7))
     def test_one_window_writes_the_mosaic_depth(self, tmp_path_factory, dem, block):
-        """Patch mode with one window over the whole raster stores the bytes
-        mosaic mode stores, under the window's name, with blocks small enough
-        to need joining."""
+        """Patch mode with one window over the whole raster writes the
+        archive that mosaic mode writes, byte for byte, with blocks small
+        enough to need joining."""
         root = tmp_path_factory.mktemp("modes")
         write_ascii_grid(dem, root / "dem.asc")
         side = dem.width
         written = {}
         with mock.patch.object(hydro, "_BLOCK", block):
-            for mode, name in (("patch", "r00000_c00000.npy"), ("mosaic", "depth.npy")):
+            for mode in ("patch", "mosaic"):
                 cmd_fill(PipelineConfig(depth_raster=root / "dem.asc", out_dir=root / mode,
                                         fill_mode=mode, tile=TileSpec(side, side)))
-                written[mode] = stored_bytes(root / mode / "depth.npz", name)
+                written[mode] = (root / mode / "depressions.npz").read_bytes()
         assert written["patch"] == written["mosaic"]
 
 
@@ -474,8 +484,7 @@ class TestPromptsStage:
         cmd_fill(cfg)
         windows = plan_tiles(6, 4, cfg.tile)  # columns 0-3 and 2-5
         depths = [np.full((4, 4), 0.5), np.full((4, 4), 1.5)]
-        pipeline._write_archive(out / "depth.npz",
-                                [(patch_id(w), d) for w, d in zip(windows, depths, strict=True)])
+        pipeline._write_archive(out / "depressions.npz", pipeline._depressions(windows, depths))
         cmd_prompts(cfg)
         assert load_mask(out).all()
 
@@ -491,8 +500,7 @@ class TestPromptsStage:
         cmd_fill(cfg)
         windows = plan_tiles(6, 4, cfg.tile)  # columns 0-3 and 2-5
         depths = [np.full((4, 4), 0.0), np.full((4, 4), 1.0)]
-        pipeline._write_archive(out / "depth.npz",
-                                [(patch_id(w), d) for w, d in zip(windows, depths, strict=True)])
+        pipeline._write_archive(out / "depressions.npz", pipeline._depressions(windows, depths))
         cmd_prompts(cfg)
         kept = load_mask(out)
         assert not kept[:, :4].any() and kept[:, 4:].all()
@@ -734,7 +742,7 @@ class TestSegmentAndEval:
 
 class TestArtifacts:
     def test_run_writes_exactly_the_consumed_artifacts(self, scene_dir, tmp_path):
-        files = {"manifest.json", "depth.npz", "boxes.jsonl", "kept_mask.npz",
+        files = {"manifest.json", "depressions.npz", "boxes.jsonl", "kept_mask.npz",
                  "fused_mask.npz", "report.json", "report.csv"}
         for mode in ("patch", "mosaic"):
             out = tmp_path / mode
@@ -834,7 +842,7 @@ class TestDeterminism:
         staged = reads[:]
         reads.clear()
         cmd_run(cfg)
-        assert reads == staged == ["dem.asc", "depth.npz", "kept_mask.npz",
+        assert reads == staged == ["dem.asc", "depressions.npz", "kept_mask.npz",
                                    "fused_mask.npz", "gt_mask.asc"]
 
     def test_rerun_overwrites_identically(self, scene_dir, tmp_path):
@@ -855,10 +863,10 @@ class TestDeterminism:
         assert tree_digests(tmp_path / "w1") == tree_digests(tmp_path / "w2")
 
     def test_pool_reads_the_depth_archive_on_one_thread(self, scene_dir, tmp_path, monkeypatch):
-        """Eight threads, more than the cores, label the 225 windows of one
-        ``depth.npz`` with the interpreter switching threads as often as it
-        can, and label what one thread labels.  Every member is opened on
-        the calling thread: ``ZipFile.open`` counts the readers of the
+        """Eight threads, more than the cores, box the 225 windows of one
+        ``depressions.npz`` with the interpreter switching threads as often
+        as it can, and write what one thread writes.  Every member is opened
+        on the calling thread: ``ZipFile.open`` counts the readers of the
         archive's file without a lock, so a member opened on a pool thread
         may lose a count and fail an assert when the archive closes."""
         import sys
