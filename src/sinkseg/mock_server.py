@@ -7,7 +7,9 @@ the PGM holding the tight rectangle of the mask's nonzero pixels (a 1x1 zero
 PGM at [0, 0] for an all-zero mask).  Mask content is configurable
 (``constant`` paints every pixel the same value, ``boxfill`` paints only the
 prompted boxes), and a ``fault`` can be injected to produce each of the
-protocol violations a robust client must reject.  Malformed requests,
+protocol violations a robust client must reject, or (``flaky``) a 503 with
+``Retry-After: 0`` to the first request for each patch, which a client
+that retries gets past.  Malformed requests,
 including boxes that are not four integers inside the image, get a 400 reply
 with an ``{"error": ...}`` body.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -27,7 +30,7 @@ import numpy as np
 
 from .image import image_from_ppm_bytes, pgm_bytes
 
-FAULTS = ("count_mismatch", "bad_dims", "bad_maxval", "bad_score", "http_500")
+FAULTS = ("count_mismatch", "bad_dims", "bad_maxval", "bad_score", "http_500", "flaky")
 
 # How often the serving thread checks for shutdown; stop() waits up to this
 # long.  The socketserver default of 0.5 s would make every stop() that long.
@@ -38,11 +41,13 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
         pass
 
-    def _reply(self, status: int, doc: dict) -> None:
+    def _reply(self, status: int, doc: dict, headers: dict[str, str] | None = None) -> None:
         body = json.dumps(doc).encode("ascii")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -58,13 +63,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            doc = json.loads(self.rfile.read(length))
+            request = self.rfile.read(length)
+            doc = json.loads(request)
             image = image_from_ppm_bytes(base64.b64decode(doc["image_ppm_b64"]))
             boxes = doc["boxes"]
             h, w, _ = image.shape
             _check_boxes(boxes, w, h)
         except Exception as exc:  # noqa: BLE001 - report malformed requests
             self._reply(400, {"error": f"bad request: {exc}"})
+            return
+        if owner.fault == "flaky" and owner._first_sight(request):
+            self._reply(503, {"error": "induced busy reply"}, {"Retry-After": "0"})
             return
 
         crops = [_mask_crop(owner.mode, owner.value, box, h, w) for box in boxes]
@@ -126,7 +135,8 @@ class MockSegmentServer:
     fault : str or None
         One of :data:`FAULTS` to violate the protocol on purpose.
         ``bad_dims`` moves each crop so that it overhangs the bottom edge of
-        the patch.
+        the patch.  ``flaky`` answers the first request with each body, so
+        the first for each patch, with a 503 and ``Retry-After: 0``.
     port : int
         TCP port; 0 picks a free one.
     """
@@ -143,9 +153,18 @@ class MockSegmentServer:
         self.fault = fault
         self.request_count = 0
         self._lock = threading.Lock()
+        self._seen: set[bytes] = set()  # digests of the request bodies answered so far
         self._server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
         self._server.owner = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+
+    def _first_sight(self, request: bytes) -> bool:
+        """Whether no request before this one carried the body *request*."""
+        digest = hashlib.sha256(request).digest()
+        with self._lock:
+            new = digest not in self._seen
+            self._seen.add(digest)
+        return new
 
     @property
     def endpoint(self) -> str:

@@ -23,7 +23,8 @@ bytes, regardless of worker pool size):
     sentinel.
 ``prompts``
     ``boxes.jsonl``, one line per window in plan order (possibly with no
-    boxes), and ``kept_mask.npz`` — each window's kept depression cells,
+    boxes, and without the boxes left to an earlier window, as the last
+    paragraph says), and ``kept_mask.npz`` — each window's kept depression cells,
     folded into a mosaic with the configured merge rule over every cell of
     the window, kept as the one bool member ``mask.npy``.  Prompts labels
     each window's cells again, which numbers the components as fill did,
@@ -57,10 +58,19 @@ Prompts and segment hand that stream straight to
 :func:`~sinkseg.tiling.fold_tiles`, which folds each tile into the mosaic as
 it arrives, so no stage holds a list of every tile.
 
-Prompting is per-patch and independent: a depression overlapping several
-windows may be prompted in each of them.  The duplicate masks collapse when
-patches are folded, so the fused mosaic and everything downstream see one
-object per depression.
+Prompting is per-patch: each window's cells are labelled, filtered and
+boxed on their own.  In mosaic mode every window is cut from one fill, so a
+box that reaches no window edge inside the mosaic bounds a whole component,
+which every window that holds the box labels, keeps and boxes alike.  Under
+``merge=max`` or ``first``, only the first of them in plan order writes the
+box (:func:`_unheld`): under ``max`` the union of boxes stays the same, and
+under ``first`` that window decides every cell of the box.  So a real model
+sees each whole depression once, in one context.  A box that reaches such
+an edge, every box under ``merge=mean`` (which averages every window's
+opinion) and every box in patch mode (where each window has its own fill)
+is written in each window that holds it, and the duplicate masks collapse
+when patches are folded.  Prompts decides by its own ``merge``, as its
+kept-mask fold does.
 """
 
 from __future__ import annotations
@@ -73,10 +83,12 @@ import math
 import os
 import zipfile
 import zlib
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing, contextmanager
 from functools import partial
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +102,7 @@ from .labeling import (PromptSet, components_from_mask, label_components, read_p
 from .metrics import MetricsReport, evaluate_masks, report_to_csv, report_to_json
 from .raster import invert_depth, read_ascii_grid, read_ascii_mask
 from .segmenter import EchoBackend, HttpBackend, ReplayBackend, segment_patch
-from .tiling import TileSpec, TileWindow, fold_tiles, patch_id, plan_tiles
+from .tiling import MergeRule, TileSpec, TileWindow, fold_tiles, patch_id, plan_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -369,11 +381,41 @@ def cmd_fill(cfg: PipelineConfig) -> None:
     _write_text(out / MANIFEST_NAME, text)
 
 
+def _unheld(prompts: PromptSet, window: TileWindow, rows: list[int],
+            cols: list[int]) -> tuple[PromptSet, int]:
+    """*prompts* of a window cut from the mosaic fill without the boxes that
+    an earlier window holds whole, and how many boxes that drops.
+
+    A box that reaches an edge of *window* lying inside the mosaic stays,
+    since its component may go on past that edge.  Any other box bounds a
+    whole component of the fill; the first window in plan order that holds
+    the box labels, keeps and boxes that component alike, so it writes the
+    box.  It is the one at the smallest of the plan's row and column
+    origins, *rows* and *cols* (ascending), that are >= the box's bottom
+    and right - patch.  The last origins are the only ones whose windows
+    end at the mosaic's bottom and right edges.
+    """
+    r0, c0, patch = window.row0, window.col0, window.patch
+    keep = []
+    for box in prompts.boxes:
+        bottom, right = r0 + box.y1, c0 + box.x1
+        inner_edge = (box.y0 == 0 < r0 or box.x0 == 0 < c0
+                      or box.y1 == patch and r0 < rows[-1] or box.x1 == patch and c0 < cols[-1])
+        first = rows[bisect_left(rows, bottom - patch)], cols[bisect_left(cols, right - patch)]
+        keep.append(inner_edge or first == (r0, c0))
+    boxes, areas, max_depths = (list(compress(values, keep)) for values in
+                                (prompts.boxes, prompts.areas, prompts.max_depths))
+    return PromptSet(prompts.patch_id, boxes, areas, max_depths), keep.count(False)
+
+
 def cmd_prompts(cfg: PipelineConfig) -> None:
     """Label, filter, and box the depressions of every patch; write the
     boxes to ``boxes.jsonl`` and the kept-depression mask to
     ``kept_mask.npz``: each tile's kept cells, folded with the configured
-    merge rule over every cell of the tile, as segment folds its tiles."""
+    merge rule over every cell of the tile, as segment folds its tiles.
+
+    In mosaic mode under ``merge=max`` or ``first``, a box that an earlier
+    window holds whole is left to that window (:func:`_unheld`)."""
     validate_for(cfg, "prompts")
     out = Path(cfg.out_dir)
     doc = _read_manifest(out)
@@ -410,9 +452,15 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
             window, grid = item
             pid = patch_id(window)
             prompts[pid], kept = tile_prompts(grid, cfg.filter, cfg.pad_px, pid)
+            if once:
+                prompts[pid], held[pid] = _unheld(prompts[pid], window, rows, cols)
             return window, kept, None
 
         prompts: dict[str, PromptSet] = {}
+        held: dict[str, int] = {}
+        # exact only where every window is cut from one fill and the fold does not average them
+        once = doc["fill_mode"] == "mosaic" and cfg.merge in (MergeRule.MAX, MergeRule.FIRST)
+        rows, cols = sorted({w.row0 for w in windows}), sorted({w.col0 for w in windows})
         # the pool draws its items, so the archive's reads and the labelling, on this thread
         items = (read(k, w) for k, w in enumerate(windows))
         with closing(_pool_map(cfg.workers, work, items)) as tiles:
@@ -421,7 +469,8 @@ def cmd_prompts(cfg: PipelineConfig) -> None:
         write_prompts([prompts[patch_id(w)] for w in windows], tmp)
     _write_archive(out / "kept_mask.npz", [("mask", kept > 0)])
     boxes = sum(len(p.boxes) for p in prompts.values())
-    logger.info("wrote %d prompt boxes across %d patches", boxes, len(windows))
+    logger.info("wrote %d prompt boxes across %d patches (%d held by an earlier window)",
+                boxes, len(windows), sum(held.values()))
 
 
 def _build_shared_backend(cfg: PipelineConfig):

@@ -113,6 +113,19 @@ def check_http_settings(timeout: float, retries: int, max_inflight: int) -> None
         raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
 
 
+_BUSY = (429, 503)  # the statuses of a service that asks to be asked again
+
+
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """The seconds that a ``Retry-After`` header *value* asks to wait,
+    capped at *cap*; None unless it is a non-negative integer (an HTTP date
+    is not read)."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), cap)  # float: a long digit string is inf, not an error
+
+
 class HttpBackend:
     """Client for a remote box-prompt segmentation service.
 
@@ -129,9 +142,10 @@ class HttpBackend:
 
     Each attempt opens one connection (``http.client``; no keep-alive, no
     proxy, HTTPS verified against the system CA store) and closes it.
-    Connection failures, timeouts and broken replies are retried
-    ``retries`` times; at most ``max_inflight`` requests run concurrently
-    across threads.  A redirect is a non-200 status and is not followed.
+    Connection failures, timeouts, broken replies and 429 or 503 replies
+    are retried ``retries`` times; at most ``max_inflight`` requests run
+    concurrently across threads.  A redirect is a non-200 status and is not
+    followed, and a 500 is not retried.
     """
 
     def __init__(
@@ -158,21 +172,31 @@ class HttpBackend:
         self._transient = (OSError, http.client.HTTPException)
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
-        """POST *body* as JSON to the service; the reply's status and body."""
+        """POST *body* as JSON to the service; the reply's status and body.
+
+        A connection failure, a timeout or a broken reply is retried after
+        0.1 s x the attempt number.  So is a 429 or 503 reply, but after its
+        ``Retry-After`` seconds, capped at the timeout, when that header is
+        a non-negative integer; the last such reply is returned."""
         last_exc: Exception | None = None
+        wait = None  # None: 0.1 s x the attempt number
         for attempt in range(self._retries + 1):
             if attempt:
-                time.sleep(0.1 * attempt)
+                time.sleep(0.1 * attempt if wait is None else wait)
             with self._sem:
                 conn = self._connection(self._host, self._port, timeout=self._timeout)
                 try:
                     conn.request("POST", self._path, body, {"Content-Type": "application/json"})
                     response = conn.getresponse()
-                    return response.status, response.read()
+                    status, reply = response.status, response.read()
                 except self._transient as exc:
-                    last_exc = exc
+                    last_exc, wait = exc, None
+                    continue
                 finally:
                     conn.close()
+            if status not in _BUSY or attempt == self._retries:
+                return status, reply
+            wait = _retry_after(response.getheader("Retry-After"), self._timeout)
         raise BackendUnreachableError(
             f"segmentation service {self._url} unreachable after "
             f"{self._retries + 1} attempts: {last_exc}"

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import record_segment, serving, tree_digests
+from sinkseg.cli import main
 from sinkseg.config import PipelineConfig
 from sinkseg.errors import InputError
 from sinkseg.hydro import fill_depressions, region_depths
@@ -506,6 +507,82 @@ class TestPromptsStage:
         assert not kept[:, :4].any() and kept[:, 4:].all()
 
 
+def prompt_and_segment(cfg, backend):
+    """Run fill, prompts and segment on *cfg*, segment through *backend*
+    (``echo``, or the mock service's ``boxfill``); the boxes of each patch
+    id, and the kept and fused masks."""
+    cmd_fill(cfg)
+    cmd_prompts(cfg)
+    if backend == "boxfill":
+        with MockSegmentServer(mode="boxfill") as server:
+            cmd_segment(replace(cfg, backend_kind="http", backend_endpoint=server.endpoint))
+    else:
+        cmd_segment(cfg)
+    boxes = {p.patch_id: [b.as_list() for b in p.boxes] for p in load_boxes(cfg.out_dir)}
+    return boxes, load_mask(cfg.out_dir), load_mask(cfg.out_dir, "fused_mask")
+
+
+IDS = ("r00000_c00000", "r00000_c00016", "r00016_c00000", "r00016_c00016")
+# an 8x8 pit inside all four windows, off their edges, boxed with a 2 px pad
+CENTRE = (slice(20, 28), slice(20, 28)), 2, [[18, 18, 30, 30], [2, 18, 14, 30],
+                                             [18, 2, 30, 14], [2, 2, 14, 14]]
+# an 8x8 pit on the top and left edges of the last window, which lie inside the mosaic
+CORNER = (slice(16, 24), slice(16, 24)), 0, [[16, 16, 24, 24], [0, 16, 8, 24],
+                                             [16, 0, 24, 8], [0, 0, 8, 8]]
+
+
+class TestPromptEachDepressionOnce:
+    """A 48² plateau with one pit, tiled by four 32² windows at stride 16.
+    Under ``max`` and ``first`` in mosaic mode, a box that an earlier window
+    holds whole is written only there, and that changes neither mask."""
+
+    @pytest.mark.parametrize("backend", ["echo", "boxfill"])
+    @pytest.mark.parametrize("mode, merge, pit, once", [
+        ("mosaic", "max", CENTRE, True),
+        ("mosaic", "first", CENTRE, True),
+        ("mosaic", "mean", CENTRE, False),
+        ("patch", "max", CENTRE, False),
+        ("patch", "first", CENTRE, False),
+        ("patch", "mean", CENTRE, False),
+        ("mosaic", "max", CORNER, False),
+        ("mosaic", "first", CORNER, False),
+    ], ids=["mosaic-max", "mosaic-first", "mosaic-mean", "patch-max", "patch-first",
+            "patch-mean", "edge-max", "edge-first"])
+    def test_boxes_written_and_masks_unchanged(self, tmp_path, backend, mode, merge, pit, once):
+        (rows, cols), pad, boxes = pit
+        values = np.full((48, 48), 10.0)
+        values[rows, cols] = 5.0
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        write_ascii_grid(Raster(values), scene / "dem.asc")
+        write_ppm(np.zeros((48, 48, 3), dtype=np.uint8), scene / "rgb.ppm")
+        cfg = make_cfg(scene, tmp_path / "out", tile=TileSpec(32, 16), fill_mode=mode,
+                       merge=MergeRule(merge), pad_px=pad)
+        written, kept, fused = prompt_and_segment(cfg, backend)
+        every_box = {pid: [box] for pid, box in zip(IDS, boxes)}
+        assert written == ({pid: every_box[pid] if pid == IDS[0] else [] for pid in IDS}
+                           if once else every_box)
+
+        with mock.patch.object(pipeline, "_unheld", lambda prompts, *_: (prompts, 0)):
+            every = prompt_and_segment(replace(cfg, out_dir=tmp_path / "every"), backend)
+        assert every[0] == every_box
+        assert kept[rows, cols].all() and kept.sum() == 64
+        assert np.array_equal(kept, every[1])
+        assert fused.any() and np.array_equal(fused, every[2])
+
+    def test_prompts_logs_the_boxes_left_to_an_earlier_window(self, tmp_path, caplog):
+        values = np.full((48, 48), 10.0)
+        values[20:28, 20:28] = 5.0
+        write_ascii_grid(Raster(values), tmp_path / "dem.asc")
+        cfg = PipelineConfig(depth_raster=tmp_path / "dem.asc", out_dir=tmp_path / "out",
+                             tile=TileSpec(32, 16), fill_mode="mosaic")
+        cmd_fill(cfg)
+        with caplog.at_level("INFO", logger="sinkseg.pipeline"):
+            cmd_prompts(cfg)
+        assert ("wrote 1 prompt boxes across 4 patches (3 held by an earlier window)"
+                in caplog.messages)
+
+
 class TestSegmentAndEval:
     def run_all(self, scene_dir, out_dir, **kw):
         cfg = make_cfg(scene_dir, out_dir, **kw)
@@ -696,6 +773,27 @@ class TestSegmentAndEval:
                     window.col0 + box.x0 : window.col0 + box.x1,
                 ] = True
         assert np.array_equal(load_mask(tmp_path / "out", "fused_mask"), expected)
+
+    def test_flaky_service_is_retried_to_the_clean_out_tree(self, scene_dir, tmp_path, capsys):
+        """The ``flaky`` mock answers each patch's first request with a 503
+        and ``Retry-After: 0``: two retries give the clean run's out tree,
+        and none exits 1."""
+        trees = {}
+        for fault, retries in ((None, 2), ("flaky", 2), ("flaky", 0)):
+            out = tmp_path / f"{fault}-{retries}"
+            with MockSegmentServer(mode="boxfill", fault=fault) as server:
+                code = main(["run", "--set", f"depth_raster={scene_dir / 'dem.asc'}",
+                             "--set", f"rgb_mosaic={scene_dir / 'rgb.ppm'}",
+                             "--set", f"eval.gt_mask={scene_dir / 'gt_mask.asc'}",
+                             "--set", f"out_dir={out}", "--set", "tile.patch=64",
+                             "--set", "tile.stride=32", "--set", "backend.kind=http",
+                             "--set", f"backend.endpoint={server.endpoint}",
+                             "--set", f"backend.retries={retries}"])
+            trees[fault, retries] = code, tree_digests(out)
+        assert trees["flaky", 2] == trees[None, 2]
+        assert trees[None, 2][0] == 0 and "fused_mask.npz" in trees[None, 2][1]
+        assert trees["flaky", 0][0] == 1
+        assert "HTTP 503: induced busy reply" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["http", "replay"])
     def test_only_echo_reads_the_kept_mask(self, scene_dir, tmp_path, kind):

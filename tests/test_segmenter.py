@@ -13,6 +13,7 @@ import socket
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import canned, record_segment, serving
+from sinkseg import segmenter
 from sinkseg.cli import main
 from sinkseg.config import PipelineConfig
 from sinkseg.errors import BackendError, BackendUnreachableError, InputError, ProtocolError
@@ -109,6 +111,29 @@ def broken_first(reply, seen, how):
                 self.wfile.write(b'{"masks_crop": ')
 
     return BrokenFirst
+
+
+def busy_first(status, retry_after, reply, seen, busy=1):
+    """A handler that answers the first *busy* POSTs with *status*, an
+    ``{"error": "busy"}`` body and, unless *retry_after* is None, that
+    ``Retry-After`` header; it answers every later POST with 200 and
+    *reply*.  Each request document is appended to *seen*."""
+
+    class BusyFirst(canned(200, reply, seen)):
+        def do_POST(self):  # noqa: N802
+            if len(seen) >= busy:
+                super().do_POST()
+                return
+            seen.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            body = b'{"error": "busy"}'
+            self.send_response(status)
+            if retry_after is not None:
+                self.send_header("Retry-After", retry_after)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    return BusyFirst
 
 
 def stalling(release, seen):
@@ -517,9 +542,10 @@ class TestHttpBackend:
 
     def test_server_error_carries_detail(self):
         with MockSegmentServer(fault="http_500") as server:
-            backend = HttpBackend(server.endpoint)
+            backend = HttpBackend(server.endpoint, retries=2)
             with pytest.raises(BackendError, match="HTTP 500: induced server failure"):
                 segment_patch(backend, gray_patch(4, 4), [PromptBox(0, 0, 2, 2)])
+            assert server.request_count == 1  # a 500 is not retried
 
     @pytest.mark.parametrize(
         "fault, pattern",
@@ -635,6 +661,39 @@ class TestHttpBackend:
             finally:
                 release.set()
         assert len(seen) == 2
+
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize("retry_after, slept", [
+        ("0", 0.0), ("2", 2.0), (" 3 ", 3.0),
+        ("7", 5.0), ("9" * 400, 5.0),  # capped at the timeout
+        (None, 0.1), ("-1", 0.1), ("1.5", 0.1), ("\u00b2", 0.1),  # not a non-negative integer
+        ("Wed, 21 Oct 2026 07:28:00 GMT", 0.1),  # a date is not read
+    ], ids=["zero", "two", "padded", "over-timeout", "huge", "none", "negative", "fraction",
+            "superscript-two", "http-date"])
+    def test_busy_reply_is_retried_after_its_retry_after(
+        self, monkeypatch, status, retry_after, slept
+    ):
+        sleeps = []
+        monkeypatch.setattr(segmenter, "time", SimpleNamespace(sleep=sleeps.append))
+        reply = {"masks_crop": [[1, 2, b64_pgm(np.full((2, 3), 200))]], "scores": [0.5]}
+        seen = []
+        with serving(busy_first(status, retry_after, reply, seen)) as endpoint:
+            backend = HttpBackend(endpoint, timeout=5.0, retries=1)
+            probs = segment_patch(backend, gray_patch(8, 8), [PromptBox(0, 0, 4, 4)])
+        assert len(seen) == 2 and seen[0] == seen[1]
+        assert sleeps == [slept]
+        assert np.array_equal(probs.view(np.int64), wire_reply(reply).view(np.int64))
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_last_busy_reply_is_a_backend_error(self, monkeypatch, status):
+        monkeypatch.setattr(segmenter, "time", SimpleNamespace(sleep=lambda s: None))
+        seen = []
+        with serving(busy_first(status, "0", {}, seen, busy=3)) as endpoint:
+            with pytest.raises(BackendError, match=f"HTTP {status}: busy$") as caught:
+                segment_patch(HttpBackend(endpoint, retries=2), gray_patch(4, 4),
+                              [PromptBox(0, 0, 2, 2)])
+        assert not isinstance(caught.value, BackendUnreachableError)
+        assert len(seen) == 3
 
     @pytest.mark.parametrize("status", [301, 302, 307, 308])
     def test_redirect_is_a_backend_error(self, status):
@@ -806,6 +865,15 @@ class TestMockServer:
             reply = post_raw(server.endpoint, [[2, 1, 5, 4]])
         assert reply.json() == {"masks_crop": [[6, 2, b64_pgm(np.full((3, 3), 255))]],
                                 "scores": [1.0]}
+
+    def test_flaky_answers_the_first_request_for_each_patch_with_a_503(self):
+        with MockSegmentServer(mode="boxfill", value=255, fault="flaky") as server:
+            replies = [post_raw(server.endpoint, boxes)
+                       for boxes in ([[2, 1, 5, 4]], [[2, 1, 5, 4]], [[0, 0, 2, 2]])]
+        assert [r.status_code for r in replies] == [503, 200, 503]
+        assert replies[0].headers["Retry-After"] == "0"
+        assert replies[1].json() == {"masks_crop": [[1, 2, b64_pgm(np.full((3, 3), 255))]],
+                                     "scores": [1.0]}
 
     def test_ppm_with_a_byte_after_its_pixels_gets_a_400(self, boxfill_server):
         data = ppm_bytes(np.zeros((8, 8, 3), dtype=np.uint8)) + b"\0"
